@@ -11,7 +11,8 @@ its output through: the last line of standard output is the JSON result.
 Each result is also appended, together with the machine it was measured on
 (commit, nproc, date, rustc), to `<target dir>/perfbench/results.jsonl`.
 Exits non-zero when the build fails, the result is missing, or a
-correctness gate failed.
+correctness gate failed; with the benchmark's own code 3, and no result,
+when the run was invalid because its load generator fell behind.
 """
 
 import datetime
@@ -25,9 +26,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 
-def fail(message):
+def fail(message, code=1):
     print(f"perfbench: {message}", file=sys.stderr)
-    sys.exit(1)
+    sys.exit(code)
 
 
 def source_id():
@@ -103,7 +104,7 @@ def main():
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         sys.stdout.write(run.stdout)
-        fail(f"no result line (exit {run.returncode})")
+        fail(f"no result line (exit {run.returncode})", run.returncode or 1)
 
     host = machine()
     with open(os.path.join(out_dir, "results.jsonl"), "a") as fh:

@@ -43,6 +43,7 @@ use cccore::{obligations_for, verify_protocol, VerifierConfig};
 use cccounter::CounterSystem;
 use ccprotocols::family::{FamilyParams, FaultModel};
 use ccprotocols::ProtocolModel;
+use ccserve::wire::Source;
 use ccta::{ParamValuation, SystemModel};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -116,78 +117,122 @@ fn family_points() -> Vec<FamilyParams> {
     ]
 }
 
-/// What a job checks.
-enum Input {
-    Protocol(Box<ProtocolModel>),
-    Family { params: FamilyParams, seed: u64 },
+/// A resolved input: the model, its obligation catalogue and its grid.
+pub struct Resolved {
+    /// The Table II protocol, for a source that names one.
+    pub protocol: Option<ProtocolModel>,
+    pub model: SystemModel,
+    pub specs: Vec<Spec>,
+    pub valuations: Vec<ParamValuation>,
 }
 
-/// One resolved job: the model, its obligation catalogue and its grid.
+/// Resolves a source through the public calls a check makes, one span per
+/// call: a protocol by name, its single-round model, its obligations and
+/// the valuations `grid` selects; or a family instantiated, with its
+/// catalogue and its guard-adjacent grid.
+pub fn resolve_source(
+    source: &Source,
+    grid: &VerifierConfig,
+    tracer: &Tracer,
+    req: u64,
+) -> Result<Resolved, String> {
+    match source {
+        Source::Protocol(name) => {
+            let p = tracer
+                .span("ccprotocols.lookup", req, || {
+                    ccprotocols::protocol_by_name(name)
+                })
+                .ok_or_else(|| format!("unknown protocol {name}"))?;
+            let model = tracer.span("ccta.single_round", req, || p.single_round());
+            let specs = tracer.span("cccore.obligations", req, || {
+                obligations_for(&p, &model)
+                    .all()
+                    .into_iter()
+                    .cloned()
+                    .collect()
+            });
+            let valuations = tracer.span("cccore.select_valuations", req, || {
+                grid.select_valuations(&model)
+            });
+            Ok(Resolved {
+                protocol: Some(p),
+                model,
+                specs,
+                valuations,
+            })
+        }
+        Source::Family { params, seed } => {
+            let fam = tracer.span("ccprotocols.instantiate", req, || params.instantiate(*seed));
+            let specs = tracer.span("ccchecker.catalogue", req, || {
+                Spec::family_catalogue(&fam.single_round, &fam.obligations)
+            });
+            Ok(Resolved {
+                protocol: None,
+                model: fam.single_round,
+                specs,
+                valuations: fam.sweep,
+            })
+        }
+    }
+}
+
+/// One job: what it checks, resolved.
 struct Job {
     label: String,
-    input: Input,
+    source: Source,
+    protocol: Option<ProtocolModel>,
     model: SystemModel,
     specs: Vec<Spec>,
     valuations: Vec<ParamValuation>,
 }
 
-/// Builds every input of the workload: the set-up the workload pays
-/// before its first check.
-fn resolve(kind: Kind) -> Vec<Job> {
+/// The workload's inputs, by label.
+fn sources(kind: Kind) -> Vec<(String, Source)> {
     match kind {
         Kind::Table2 => ccprotocols::all_protocols()
             .into_iter()
-            .map(|p| {
-                let model = p.single_round();
-                let specs = obligations_for(&p, &model)
-                    .all()
-                    .into_iter()
-                    .cloned()
-                    .collect();
-                let valuations = table2_grid().select_valuations(&model);
-                Job {
-                    label: p.name().to_string(),
-                    input: Input::Protocol(Box::new(p)),
-                    model,
-                    specs,
-                    valuations,
-                }
-            })
+            .map(|p| (p.name().to_string(), Source::Protocol(p.name().to_string())))
             .collect(),
         Kind::Family => {
             let mut rng = SplitMix64::stream(FAMILY_BASE_SEED, "family-seeds");
-            let mut jobs = Vec::new();
+            let mut out = Vec::new();
             for (point, params) in family_points().into_iter().enumerate() {
                 for _ in 0..FAMILY_SEEDS {
-                    let fam_seed = rng.next_u64();
-                    let fam = params.instantiate(fam_seed);
-                    let specs = Spec::family_catalogue(&fam.single_round, &fam.obligations);
-                    jobs.push(Job {
-                        label: format!("family{point}/{fam_seed:016x}"),
-                        input: Input::Family {
+                    let seed = rng.next_u64();
+                    out.push((
+                        format!("family{point}/{seed:016x}"),
+                        Source::Family {
                             params: params.clone(),
-                            seed: fam_seed,
+                            seed,
                         },
-                        model: fam.single_round,
-                        specs,
-                        valuations: fam.sweep,
-                    });
+                    ));
                 }
             }
-            jobs
+            out
         }
     }
 }
 
 /// Set-up: every input resolved and every counter system compiled.
-fn setup(kind: Kind) -> Vec<Job> {
-    let jobs = resolve(kind);
-    for job in &jobs {
-        for v in &job.valuations {
-            CounterSystem::new(job.model.clone(), v.clone()).expect("admissible valuation");
-        }
-    }
-    jobs
+fn setup(sources: &[(String, Source)]) -> Vec<Job> {
+    let untraced = Tracer::new(false);
+    sources
+        .iter()
+        .map(|(label, source)| {
+            let r = resolve_source(source, &table2_grid(), &untraced, 0).expect("catalogue input");
+            for v in &r.valuations {
+                CounterSystem::new(r.model.clone(), v.clone()).expect("admissible valuation");
+            }
+            Job {
+                label: label.clone(),
+                source: source.clone(),
+                protocol: r.protocol,
+                model: r.model,
+                specs: r.specs,
+                valuations: r.valuations,
+            }
+        })
+        .collect()
 }
 
 /// The outcome of one job.
@@ -201,8 +246,8 @@ struct JobRun {
 
 /// Runs one job through the workload's user entry point.
 fn run_job(job: &Job, threads: usize) -> Result<JobRun, String> {
-    let reports = match &job.input {
-        Input::Protocol(p) => {
+    let reports = match &job.protocol {
+        Some(p) => {
             let pv = verify_protocol(p, &table2_grid().with_threads(threads));
             gate::table2_verdict(&pv)?;
             [pv.agreement, pv.validity, pv.termination]
@@ -210,7 +255,7 @@ fn run_job(job: &Job, threads: usize) -> Result<JobRun, String> {
                 .flat_map(|prop| prop.reports)
                 .collect()
         }
-        Input::Family { .. } => {
+        None => {
             check_over_sweep_with_stats(
                 &job.model,
                 &job.specs,
@@ -378,11 +423,12 @@ pub fn run(kind: Kind, seed: u64, seconds: f64) -> Report {
     // 1. set-up, repeated on every core at once: a single-threaded figure
     // would depend on which core the process landed on
     let mut setup_s = Vec::new();
-    let jobs = setup(kind);
+    let sources = sources(kind);
+    let jobs = setup(&sources);
     while setup_s.len() < 5 || (started.elapsed() < budget / 12 && setup_s.len() < 50) {
         let per_core = on_every_core(|_| {
             let t = Instant::now();
-            setup(kind);
+            setup(&sources);
             t.elapsed().as_secs_f64()
         });
         setup_s.push(stats::mean(&per_core));
@@ -412,7 +458,7 @@ pub fn run(kind: Kind, seed: u64, seconds: f64) -> Report {
     );
     report.set(
         "peak_rss_mb",
-        crate::report::peak_rss_mb(None).unwrap_or(0.0),
+        crate::report::peak_rss_mb().unwrap_or(0.0),
         1,
         if hwm_reset {
             "VmHWM over one pass at thread budget 1"
@@ -625,33 +671,13 @@ fn replay_layers(jobs: &[Job], tracer: &Tracer) -> LayerTotals {
     for (req, job) in jobs.iter().enumerate() {
         let req = req as u64;
         tracer.span("bench.job", req, || {
-            let (model, specs, valuations) = match &job.input {
-                Input::Protocol(p) => {
-                    let p = tracer.span("ccprotocols.lookup", req, || {
-                        ccprotocols::protocol_by_name(p.name()).expect("catalogue name")
-                    });
-                    let model = tracer.span("ccta.single_round", req, || p.single_round());
-                    let specs: Vec<Spec> = tracer.span("cccore.obligations", req, || {
-                        obligations_for(&p, &model)
-                            .all()
-                            .into_iter()
-                            .cloned()
-                            .collect()
-                    });
-                    let vals = tracer.span("cccore.select_valuations", req, || {
-                        table2_grid().select_valuations(&model)
-                    });
-                    (model, specs, vals)
-                }
-                Input::Family { params, seed } => {
-                    let fam =
-                        tracer.span("ccprotocols.instantiate", req, || params.instantiate(*seed));
-                    let specs = tracer.span("ccchecker.catalogue", req, || {
-                        Spec::family_catalogue(&fam.single_round, &fam.obligations)
-                    });
-                    (fam.single_round, specs, fam.sweep)
-                }
-            };
+            let Resolved {
+                model,
+                specs,
+                valuations,
+                ..
+            } = resolve_source(&job.source, &table2_grid(), tracer, req)
+                .expect("resolved in set-up");
             tracer.span("cccore.fingerprint", req, || {
                 let mut h = system_fingerprint(&model);
                 for v in &valuations {
@@ -705,32 +731,35 @@ fn sweep_all(
     (sigs, merged, ms(t.elapsed()))
 }
 
-/// The traced run: per-layer metrics of the batch workload.
+/// The traced run: per-layer metrics of the batch workload.  Every figure
+/// covers a fixed unit of work: the spans are those of exactly one traced
+/// replay, one sweep of each kind and, on `family-sweep`, one serve
+/// session, however many replays the overhead figure needed.
 pub fn run_traced(kind: Kind, seed: u64, seconds: f64, out: &std::path::Path) -> Report {
     let mut report = Report::default();
     let budget = Duration::from_secs_f64(seconds);
     let started = Instant::now();
-    let jobs = setup(kind);
+    let jobs = setup(&sources(kind));
     report.attempted = jobs.len() as u64;
 
     // tracing overhead: the same replay untraced, then traced, alternating,
-    // after a discarded replay that pays the cold costs
+    // after a discarded replay that pays the cold costs; each traced replay
+    // records into a fresh tracer and the first one's spans are kept
     replay_layers(&jobs, &Tracer::new(false));
-    let tracer = Tracer::new(true);
     let mut plain = Vec::new();
     let mut traced = Vec::new();
-    let mut totals = LayerTotals::default();
+    let mut kept = None;
     while traced.is_empty() || (started.elapsed() < budget / 3 && traced.len() < 5) {
         let t = Instant::now();
         replay_layers(&jobs, &Tracer::new(false));
         plain.push(t.elapsed().as_secs_f64());
+        let tracer = Tracer::new(true);
         let t = Instant::now();
-        let run = replay_layers(&jobs, &tracer);
+        let totals = replay_layers(&jobs, &tracer);
         traced.push(t.elapsed().as_secs_f64());
-        if totals.systems == 0 {
-            totals = run;
-        }
+        kept.get_or_insert((tracer, totals));
     }
+    let (tracer, totals) = kept.expect("at least one traced replay");
     let (plain_s, traced_s) = (
         stats::median(&plain).unwrap(),
         stats::median(&traced).unwrap(),
@@ -878,19 +907,21 @@ pub fn run_traced(kind: Kind, seed: u64, seconds: f64, out: &std::path::Path) ->
         jobs.len(),
         format!("fresh {fresh_ms:.1} ms - incremental {sweep_ms:.1} ms"),
     );
-    report.self_times(&tracer);
-    match kind {
+    if kind == Kind::Family {
         // the daemon-side layers are measured on the family workload's
-        // traced run, by a short serve-zipf session of its own
-        Kind::Family => report.adopt(
-            crate::serve::run(seed, seconds * SERVE_SHARE, true, &out.join("serve")),
-            SERVE_LAYERS,
-        ),
-        Kind::Table2 => {
-            for name in SERVE_METRICS {
-                report.set(name, 0.0, 0, "layer idle on this workload");
-            }
-        }
+        // traced run, by a short serve session recording into the same
+        // tracer
+        report.merge(crate::serve::session(
+            seed,
+            seconds * SERVE_SHARE,
+            &out.join("serve"),
+            &tracer,
+        ));
+    }
+    report.self_times(&tracer);
+    if kind == Kind::Table2 {
+        // no daemon runs on this workload
+        report.idle(crate::report::PER_LAYER);
     }
     if let Err(e) = tracer.write_jsonl(&out.join("spans.jsonl")) {
         eprintln!("perfbench: cannot write spans: {e}");
@@ -900,47 +931,3 @@ pub fn run_traced(kind: Kind, seed: u64, seconds: f64, out: &std::path::Path) ->
 
 /// The share of a traced family-sweep run given to its serve session.
 const SERVE_SHARE: f64 = 0.4;
-
-/// Metric-name prefixes of the daemon-side layers.
-const SERVE_LAYERS: &[&str] = &[
-    "job.",
-    "wire.",
-    "transport.",
-    "queue.",
-    "server.",
-    "cache.",
-    "store.",
-    "loadgen.",
-    "selftime.job_ms",
-    "selftime.wire_ms",
-    "selftime.store_ms",
-];
-
-/// The daemon-side metrics.
-const SERVE_METRICS: [&str; 25] = [
-    "job.run_p50_ms",
-    "job.run_p99_ms",
-    "wire.encode_us",
-    "wire.decode_us",
-    "wire.request_bytes",
-    "wire.response_bytes",
-    "transport.ping_rtt_us",
-    "transport.ping_rtt_loaded_us",
-    "queue.depth_mean",
-    "queue.depth_max",
-    "server.busy_frac",
-    "queue.shed",
-    "cache.hits",
-    "cache.misses",
-    "cache.hit_rate",
-    "store.append_p50_us",
-    "store.append_p99_us",
-    "store.replay_ms",
-    "store.log_bytes",
-    "store.recovered",
-    "loadgen.lag_p99_ms",
-    "loadgen.sent",
-    "selftime.job_ms",
-    "selftime.wire_ms",
-    "selftime.store_ms",
-];

@@ -21,7 +21,7 @@ pub const END_TO_END: &[(&str, &str)] = &[
 ];
 
 /// Per-layer metrics, reported by every traced run of every workload.  A
-/// layer the workload does not exercise reports 0.
+/// layer the workload does not exercise reports 0 (see [`Report::idle`]).
 pub const PER_LAYER: &[(&str, &str)] = &[
     ("ccprotocols.lookup_us", "us"),
     ("ccprotocols.instantiate_us", "us"),
@@ -112,6 +112,10 @@ pub struct Report {
     pub failed: u64,
     /// Correctness-gate violations; any makes the run incorrect.
     pub violations: Vec<String>,
+    /// Why the run measured nothing trustworthy (a load generator that fell
+    /// behind its schedule), if it did not.  An invalid run is not an
+    /// incorrect one: it prints no result and exits with its own code.
+    pub invalid: Option<String>,
 }
 
 impl Report {
@@ -160,7 +164,7 @@ impl Report {
             ("selftime.store_ms", "store"),
         ] {
             let ms = own.get(layer).copied().unwrap_or(0.0);
-            self.set(metric, ms, 1, "summed over the run's spans");
+            self.set(metric, ms, 1, "summed over the kept spans");
         }
         self.set(
             "trace.spans",
@@ -170,15 +174,23 @@ impl Report {
         );
     }
 
-    /// Takes over `other`'s violations and those of its metrics whose names
-    /// start with one of `prefixes`.
-    pub fn adopt(&mut self, other: Report, prefixes: &[&str]) {
-        for (name, m) in other.metrics {
-            if prefixes.iter().any(|p| name.starts_with(p)) {
-                self.metrics.insert(name, m);
+    /// Takes over `other`'s metrics, accounting, violations and validity.
+    pub fn merge(&mut self, other: Report) {
+        self.metrics.extend(other.metrics);
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+        self.violations.extend(other.violations);
+        self.invalid = self.invalid.take().or(other.invalid);
+    }
+
+    /// Records 0 for every metric of `names` not measured yet: the layers
+    /// the workload does not exercise.
+    pub fn idle(&mut self, names: &[(&'static str, &'static str)]) {
+        for (name, _) in names {
+            if !self.metrics.contains_key(name) {
+                self.set(name, 0.0, 0, "layer idle on this workload");
             }
         }
-        self.violations.extend(other.violations);
     }
 
     /// Records a gate violation.
@@ -238,13 +250,9 @@ pub fn unit_of(name: &str) -> Option<&'static str> {
         .map(|(_, u)| *u)
 }
 
-/// Peak resident set (`VmHWM`) of a process, in MB; `None` off Linux.
-pub fn peak_rss_mb(pid: Option<u32>) -> Option<f64> {
-    let path = match pid {
-        Some(pid) => format!("/proc/{pid}/status"),
-        None => "/proc/self/status".to_string(),
-    };
-    let status = std::fs::read_to_string(path).ok()?;
+/// Peak resident set (`VmHWM`) of this process, in MB; `None` off Linux.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb / 1024.0)
@@ -304,9 +312,7 @@ mod tests {
     fn lists_match_benchmark_json() {
         // the file sits at the repository root, one level above the crate
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return;
-        };
+        let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
         let names_in = |section: &str| -> Vec<String> {
             let start = text.find(&format!("\"{section}\"")).expect(section);
             let body = &text[start..];
