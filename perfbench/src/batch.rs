@@ -3,40 +3,35 @@
 //! A batch *job* is one input checked in full: one Table II protocol
 //! through `cccore::verify_protocol` on the scaled grid, or one generated
 //! family swept over its guard-adjacent grid with
-//! `ccchecker::check_over_sweep_with_stats`.  An untraced run has four
+//! `ccchecker::check_over_sweep_with_stats`.  An untraced run has three
 //! phases:
 //!
-//! 1. set-up, repeated: build every model, obligation catalogue, valuation
+//! 1. one sequential pass at thread budget 1, where no two jobs or sweep
+//!    workers overlap, so the peak resident set does not depend on timing
+//!    (`peak_rss_mb`);
+//! 2. set-up, repeated: build every model, obligation catalogue, valuation
 //!    grid and counter system (`setup_s`, median of the repeats);
-//! 2. unloaded: jobs one at a time at the default thread budget, in a
-//!    seeded order per pass (`verdicts_per_s`, `latency_p50_ms`,
-//!    `latency_p99_ms`);
-//! 3. loaded: every core runs the same job at once, at thread budget 1, in
-//!    lockstep (`capacity_rps` is jobs completed per second, `loaded_p99_ms`
-//!    their tail latency);
-//! 4. recovery: each job's first valuation is interrupted at its first
-//!    budget boundary, its checkpoint serialized, then decoded and resumed
-//!    to the verdict, on every core in lockstep (`recovery_s`, the mean
-//!    over jobs of each job's median).
+//! 3. throughput: passes over every job, one job at a time (Table II at the
+//!    default thread budget, families at budget 1), in a seeded order per
+//!    pass, until the run's time is up (`verdicts_per_s`, median over
+//!    passes).
 //!
-//! Single-threaded figures on this kind of machine depend on which core a
-//! process lands on, and free-running threads on which jobs happen to
-//! overlap; running the same work on every core in lockstep removes both
-//! from the figures.  The peak resident set is taken over one sequential
-//! pass for the same reason.
+//! Each set-up repeat and each throughput pass is timed between two rounds
+//! of the reference work of [`crate::calibrate`] and reported scaled by
+//! them, so the figures follow the program rather than the host's speed.
 //!
 //! Attempts are the non-skipped grid cells; failures are the cells left
 //! `Unknown` (interrupted, failed or undecided).
 
-use crate::cores;
+use crate::calibrate;
 use crate::gate::{self, Signature};
 use crate::gen::SplitMix64;
 use crate::report::Report;
 use crate::stats;
 use crate::trace::Tracer;
 use ccchecker::{
-    check_over_sweep_with_stats, sweep_thread_budget, CheckJob, CheckStatus, CheckerOptions,
-    ExplicitChecker, GraphCacheStats, JobBudget, JobCheckpoint, JobOutcome, Spec, SweepReport,
+    check_over_sweep_with_stats, sweep_thread_budget, CheckStatus, CheckerOptions, ExplicitChecker,
+    GraphCacheStats, Spec, SweepReport,
 };
 use cccore::fingerprint::{spec_fingerprint, system_fingerprint, valuation_fingerprint};
 use cccore::{obligations_for, verify_protocol, VerifierConfig};
@@ -46,8 +41,6 @@ use ccprotocols::ProtocolModel;
 use ccserve::wire::Source;
 use ccta::{ParamValuation, SystemModel};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which batch workload.
@@ -55,6 +48,21 @@ use std::time::{Duration, Instant};
 pub enum Kind {
     Table2,
     Family,
+}
+
+impl Kind {
+    /// The thread budget of the throughput passes: the default for Table
+    /// II, whose jobs run mostly on one thread anyway; 1 for families,
+    /// because splitting a family's grid across threads gives up the
+    /// lineage reuse the workload exists to measure, and because the
+    /// reference work (see [`crate::calibrate`]) only follows the speed of
+    /// the thread it runs on.
+    fn throughput_threads(self) -> usize {
+        match self {
+            Kind::Table2 => 0,
+            Kind::Family => 1,
+        }
+    }
 }
 
 /// The scaled Table II grid: larger than `VerifierConfig::quick()` (one
@@ -286,18 +294,17 @@ fn run_job(job: &Job, threads: usize) -> Result<JobRun, String> {
 /// Signatures of each job's first run; later runs must match.
 #[derive(Default)]
 struct Reference {
-    first: Mutex<HashMap<usize, Signature>>,
+    first: HashMap<usize, Signature>,
 }
 
 impl Reference {
     /// Checks a run against the job's first one; `Ok(true)` marks the
     /// job's first run.
-    fn check(&self, index: usize, run: &JobRun) -> Result<bool, String> {
+    fn check(&mut self, index: usize, run: &JobRun) -> Result<bool, String> {
         let sig = gate::signature(&run.reports);
-        let mut first = self.first.lock().unwrap();
-        match first.get(&index) {
+        match self.first.get(&index) {
             None => {
-                first.insert(index, sig);
+                self.first.insert(index, sig);
                 Ok(true)
             }
             Some(s) if *s == sig => Ok(false),
@@ -310,7 +317,7 @@ impl Reference {
 /// job's first run.
 fn account(
     report: &mut Report,
-    reference: &Reference,
+    reference: &mut Reference,
     job: &Job,
     index: usize,
     run: Result<JobRun, String>,
@@ -340,121 +347,46 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// Runs rounds of `round` on one thread per core at once, in lockstep:
-/// every core starts each round together and may call the barrier it is
-/// given to keep its steps aligned with the other cores'.  Stops after the
-/// first round that ends past `end`, running at least `min` rounds; returns
-/// each core's state and the wall time of every round.
-fn lockstep<T: Send>(
-    end: Instant,
-    min: usize,
-    init: impl Fn(usize) -> T + Sync,
-    round: impl Fn(&mut T, &Barrier) + Sync,
-) -> (Vec<T>, Vec<f64>) {
-    let barrier = Barrier::new(cores());
-    let stop = AtomicBool::new(false);
-    let walls = Mutex::new(Vec::new());
-    let states = on_every_core(|t| {
-        let mut state = init(t);
-        loop {
-            barrier.wait();
-            let started = Instant::now();
-            round(&mut state, &barrier);
-            barrier.wait();
-            if t == 0 {
-                let mut walls = walls.lock().unwrap();
-                walls.push(started.elapsed().as_secs_f64());
-                stop.store(
-                    walls.len() >= min && Instant::now() >= end,
-                    Ordering::SeqCst,
-                );
-            }
-            barrier.wait();
-            if stop.load(Ordering::SeqCst) {
-                return state;
-            }
-        }
-    });
-    (states, walls.into_inner().unwrap())
-}
-
-/// Runs `f` on one thread per core at once and collects the results.
-fn on_every_core<T: Send>(f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cores())
-            .map(|t| {
-                let f = &f;
-                s.spawn(move || f(t))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-}
-
-/// One pass over every job in `order`: (job, latency in ms) pairs, definite
-/// cells, and the pass wall time (s).
+/// One pass over every job in `order`: the definite cells and the pass
+/// wall time (s).
 fn pass(
     jobs: &[Job],
     order: &[usize],
     threads: usize,
     report: &mut Report,
-    reference: &Reference,
-) -> (Vec<(usize, f64)>, usize, f64) {
+    reference: &mut Reference,
+) -> (usize, f64) {
     let started = Instant::now();
-    let mut latencies = Vec::with_capacity(order.len());
     let mut definite = 0;
     for &i in order {
-        let t = Instant::now();
         let run = run_job(&jobs[i], threads);
-        latencies.push((i, ms(t.elapsed())));
         definite += account(report, reference, &jobs[i], i, run);
     }
-    (latencies, definite, started.elapsed().as_secs_f64())
+    (definite, started.elapsed().as_secs_f64())
 }
 
-/// The untraced run.  Phases measure whole passes over the jobs, so every
-/// job weighs the same in each figure, and rates are medians over passes,
-/// so a burst of interference moves one window rather than the figure.
+/// The untraced run.  Each timing is a median over whole units of work (a
+/// set-up repeat, a pass over every job), each unit timed between two
+/// rounds of reference work and scaled by them (see [`calibrate`]): every
+/// job weighs the same in a figure, a burst of interference moves one unit
+/// rather than the figure, and a drift in the host's speed moves neither.
 pub fn run(kind: Kind, seed: u64, seconds: f64) -> Report {
     let mut report = Report::default();
-    let budget = Duration::from_secs_f64(seconds);
     let started = Instant::now();
-
-    // 1. set-up, repeated on every core at once: a single-threaded figure
-    // would depend on which core the process landed on
-    let mut setup_s = Vec::new();
+    let end = started + Duration::from_secs_f64(seconds);
     let sources = sources(kind);
     let jobs = setup(&sources);
-    while setup_s.len() < 5 || (started.elapsed() < budget / 12 && setup_s.len() < 50) {
-        let per_core = on_every_core(|_| {
-            let t = Instant::now();
-            setup(&sources);
-            t.elapsed().as_secs_f64()
-        });
-        setup_s.push(stats::mean(&per_core));
-    }
-    report.set(
-        "setup_s",
-        stats::median(&setup_s).unwrap(),
-        setup_s.len(),
-        format!("median over repeats of the mean over {} cores", cores()),
-    );
-    let reference = Reference::default();
-    let order_of = |rng: &mut SplitMix64| {
-        let mut order: Vec<usize> = (0..jobs.len()).collect();
-        rng.shuffle(&mut order);
-        order
-    };
 
-    // the peak resident set of one sequential pass, where no two jobs or
-    // sweep workers overlap, so the figure does not depend on timing
+    // 1. the peak resident set of one sequential pass, taken first, so the
+    // heap the other phases leave behind does not count
+    let mut reference = Reference::default();
     let hwm_reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
     pass(
         &jobs,
         &(0..jobs.len()).collect::<Vec<_>>(),
         1,
         &mut report,
-        &reference,
+        &mut reference,
     );
     report.set(
         "peak_rss_mb",
@@ -467,189 +399,51 @@ pub fn run(kind: Kind, seed: u64, seconds: f64) -> Report {
         },
     );
 
-    // 2. unloaded: one job at a time at the default thread budget
-    let mut rng = SplitMix64::stream(seed, "unloaded");
-    let end = Instant::now() + budget.mul_f64(0.55);
-    let mut per_job = vec![Vec::new(); jobs.len()];
-    let mut rates = Vec::new();
-    while rates.len() < 2 || Instant::now() < end {
-        let (lat, definite, wall) = pass(&jobs, &order_of(&mut rng), 0, &mut report, &reference);
-        for (i, l) in lat {
-            per_job[i].push(l);
-        }
-        rates.push(definite as f64 / wall);
+    // 2. set-up, repeated
+    let setup_end = Instant::now() + Duration::from_secs_f64(seconds / 8.0);
+    let (mut setup_s, mut setup_raw) = (Vec::new(), Vec::new());
+    while setup_s.len() < 5 || (Instant::now() < setup_end && setup_s.len() < 50) {
+        let (wall, scale) = calibrate::scaled(|| {
+            let t = Instant::now();
+            setup(&sources);
+            t.elapsed().as_secs_f64()
+        });
+        setup_raw.push(wall);
+        setup_s.push(wall * scale);
+    }
+    report.set(
+        "setup_s",
+        stats::median(&setup_s).unwrap(),
+        setup_s.len(),
+        format!(
+            "median over repeats, scaled; raw {:.6} s",
+            stats::median(&setup_raw).unwrap()
+        ),
+    );
+
+    // 3. throughput: one job at a time, in a seeded order per pass, until
+    // the run's time is up
+    let threads = kind.throughput_threads();
+    let mut rng = SplitMix64::stream(seed, "passes");
+    let (mut rates, mut raw) = (Vec::new(), Vec::new());
+    while rates.len() < 3 || Instant::now() < end {
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        rng.shuffle(&mut order);
+        let ((definite, wall), scale) =
+            calibrate::scaled(|| pass(&jobs, &order, threads, &mut report, &mut reference));
+        raw.push(definite as f64 / wall);
+        rates.push(definite as f64 / (wall * scale));
     }
     report.set(
         "verdicts_per_s",
         stats::median(&rates).unwrap(),
         rates.len(),
-        "definite cells per second, median over passes",
-    );
-    // jobs differ in cost by orders of magnitude, so a pooled median sits
-    // on the edge between two jobs' clusters; the median job's median does
-    // not
-    let medians: Vec<f64> = per_job.iter().filter_map(|l| stats::median(l)).collect();
-    let latencies: Vec<f64> = per_job.concat();
-    report.set(
-        "latency_p50_ms",
-        stats::median(&medians).unwrap(),
-        latencies.len(),
-        format!("median over {} jobs of each job's median", medians.len()),
-    );
-    report.tail("latency_p99_ms", &latencies);
-
-    // 3. loaded: every core runs the same job at once, at thread budget 1,
-    // in lockstep, so which jobs contend with which does not depend on
-    // timing; a pass ends when the slowest core finishes its last job
-    let end = Instant::now() + budget.mul_f64(0.30);
-    let (streams, walls) = lockstep(
-        end,
-        2,
-        |_| {
-            (
-                SplitMix64::stream(seed, "loaded"),
-                Vec::new(),
-                Report::default(),
-            )
-        },
-        |(rng, latencies, rep), barrier| {
-            for i in order_of(rng) {
-                barrier.wait();
-                let t = Instant::now();
-                let run = run_job(&jobs[i], 1);
-                latencies.push(ms(t.elapsed()));
-                account(rep, &reference, &jobs[i], i, run);
-            }
-        },
-    );
-    let mut loaded_latencies = Vec::new();
-    for (_, latencies, rep) in streams {
-        report.attempted += rep.attempted;
-        report.failed += rep.failed;
-        report.violations.extend(rep.violations);
-        loaded_latencies.extend(latencies);
-    }
-    report.set(
-        "capacity_rps",
-        (cores() * jobs.len()) as f64 / stats::median(&walls).unwrap(),
-        walls.len(),
         format!(
-            "jobs/s on {} cores in lockstep, median over passes",
-            cores()
+            "definite cells per second, median over passes, scaled; raw {:.1}/s",
+            stats::median(&raw).unwrap()
         ),
     );
-    report.tail("loaded_p99_ms", &loaded_latencies);
-
-    // 4. recovery from a serialized checkpoint: whole cycles over the jobs,
-    // then the mean over jobs of each job's median
-    let end = Instant::now() + budget.mul_f64(0.07);
-    let mut prepared = Vec::new();
-    for job in &jobs {
-        match interrupted(job) {
-            Ok(Some(p)) => prepared.push(p),
-            Ok(None) => {}
-            Err(e) => report.violation(format!("{}: {e}", job.label)),
-        }
-    }
-    if prepared.is_empty() {
-        report.violation("no job could be interrupted for the recovery phase");
-    }
-    // every core resumes the same job at once, in lockstep, like the
-    // loaded phase
-    let (per_core, _) = lockstep(
-        end,
-        3,
-        |_| (vec![Vec::new(); prepared.len()], Vec::new()),
-        |(times, errors): &mut (Vec<Vec<f64>>, Vec<String>), barrier| {
-            for (p, t) in prepared.iter().zip(times.iter_mut()) {
-                barrier.wait();
-                match p.resume() {
-                    Ok(secs) => t.push(secs),
-                    Err(e) => errors.push(e),
-                }
-            }
-        },
-    );
-    let mut per_job = vec![Vec::new(); prepared.len()];
-    for (times, errors) in per_core {
-        for e in errors {
-            report.violation(e);
-        }
-        for (all, t) in per_job.iter_mut().zip(times) {
-            all.extend(t);
-        }
-    }
-    let samples = per_job.iter().map(Vec::len).sum();
-    let medians: Vec<f64> = per_job.iter().filter_map(|t| stats::median(t)).collect();
-    report.set(
-        "recovery_s",
-        stats::mean(&medians),
-        samples,
-        "checkpoint decode + resume to verdict, mean over jobs of the median, every core",
-    );
     report
-}
-
-/// A job's first valuation, interrupted at its first budget boundary.
-struct Interrupted {
-    label: String,
-    sys: CounterSystem,
-    specs: Vec<Spec>,
-    bytes: Vec<u8>,
-    expected: Vec<u8>,
-}
-
-fn codes(outcomes: &[ccchecker::CheckOutcome]) -> Vec<u8> {
-    outcomes
-        .iter()
-        .map(|o| cccore::fingerprint::verdict_code(o.status))
-        .collect()
-}
-
-fn interrupted(job: &Job) -> Result<Option<Interrupted>, String> {
-    let Some(v) = job.valuations.first() else {
-        return Ok(None);
-    };
-    let sys = CounterSystem::new(job.model.clone(), v.clone()).map_err(|e| format!("{e:?}"))?;
-    let options = CheckerOptions::default();
-    let expected = match CheckJob::new(&sys, &job.specs, options).run() {
-        JobOutcome::Completed { outcomes, .. } => codes(&outcomes),
-        _ => return Err("an unlimited job did not complete".into()),
-    };
-    let tripped = CheckJob::new(&sys, &job.specs, options)
-        .with_budget(JobBudget::unlimited().with_max_states(1))
-        .run();
-    let bytes = match tripped {
-        JobOutcome::BudgetExceeded { checkpoint, .. } => checkpoint.to_portable_bytes(),
-        _ => return Ok(None),
-    };
-    Ok(Some(Interrupted {
-        label: job.label.clone(),
-        sys,
-        specs: job.specs.clone(),
-        bytes,
-        expected,
-    }))
-}
-
-impl Interrupted {
-    /// Decodes the checkpoint and resumes the job to its verdicts; returns
-    /// the seconds that took.
-    fn resume(&self) -> Result<f64, String> {
-        let t = Instant::now();
-        let cp = JobCheckpoint::from_portable_bytes(&self.bytes)
-            .map_err(|e| format!("{}: checkpoint does not decode: {e:?}", self.label))?;
-        let outcome = CheckJob::new(&self.sys, &self.specs, CheckerOptions::default()).resume(cp);
-        let secs = t.elapsed().as_secs_f64();
-        match outcome {
-            JobOutcome::Completed { outcomes, .. } if codes(&outcomes) == self.expected => Ok(secs),
-            JobOutcome::Completed { .. } => Err(format!(
-                "{}: resumed verdicts differ from an uninterrupted run",
-                self.label
-            )),
-            _ => Err(format!("{}: resumed job did not complete", self.label)),
-        }
-    }
 }
 
 /// Per-layer accounting of one replay of the workload's layer calls.

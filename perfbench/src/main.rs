@@ -45,25 +45,23 @@
 //!
 //! # End-to-end metrics
 //!
-//! Every untraced run reports all of them (see [`batch`]).  A *job* is the
-//! unit a user waits for: one protocol's verification or one family sweep.
+//! Every untraced run reports all of them (see [`batch`]).  A *job* is one
+//! input checked in full: one protocol's verification or one family sweep.
 //!
 //! | metric | definition |
 //! |---|---|
 //! | `setup_s` | protocol lookup or family instantiation + models + obligations + valuation selection + counter systems, median of repeats |
-//! | `verdicts_per_s` | definite (obligation, valuation) cells per second, jobs one at a time |
-//! | `latency_p50_ms`, `latency_p99_ms` | job latency, one job at a time |
-//! | `loaded_p99_ms` | job latency with one job stream per core |
-//! | `capacity_rps` | jobs completed per second with one stream per core |
-//! | `recovery_s` | decode a job's checkpoint and resume it to its verdict |
+//! | `verdicts_per_s` | definite (obligation, valuation) cells per second, jobs one at a time (Table II at the default thread budget, families at budget 1), median over passes |
 //! | `peak_rss_mb` | `VmHWM` of this process over one sequential pass |
 //!
-//! A `_p99` figure is the highest percentile up to p99 with at least ten
-//! samples beyond it (see [`stats`]); the printed table names the
-//! percentile and the sample count.  Failures over attempts (`failed_frac`)
-//! are printed in the table and carried by the result line's `attempted`
-//! and `failed` fields rather than as a metric, because they are 0 on a
-//! healthy run.
+//! Both timings are scaled by reference work run around each timed unit
+//! (see [`calibrate`]), so they follow the program rather than the shared
+//! host's speed; the printed table gives the raw wall-clock figures too.
+//! Failures over attempts (`failed_frac`) are printed in the table and
+//! carried by the result line's `attempted` and `failed` fields rather than
+//! as a metric, because they are 0 on a healthy run.  Request latency,
+//! loaded tails, capacity and restart time are the daemon's figures; they
+//! wait for a serve workload that holds a bound (see above).
 //!
 //! # Per-layer metrics and the end-to-end metric each should move
 //!
@@ -92,9 +90,12 @@
 //! `selftime.<layer>_ms` is each layer's self time over a fixed unit of
 //! work: one traced replay, one sweep of each kind and, on `family-sweep`,
 //! the serve session's job, wire and store replays.  `trace.overhead_pct`
-//! compares the same replay traced and untraced.
+//! compares the same replay traced and untraced.  A `_p99` figure is the
+//! highest percentile up to p99 with at least ten samples beyond it (see
+//! [`stats`]); the printed table names the percentile and the sample count.
 
 mod batch;
+mod calibrate;
 mod gate;
 mod gen;
 mod report;
@@ -105,12 +106,10 @@ mod trace;
 use report::{Report, END_TO_END, PER_LAYER};
 use std::path::PathBuf;
 
-/// The cores this process may run on: the daemon's worker count and the
-/// width of every "on every core" phase.
+/// The cores this process may run on: the daemon's worker count.
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-
 /// The workloads, by name.
 const WORKLOADS: &[&str] = &["table2-scaled", "family-sweep"];
 

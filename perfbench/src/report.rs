@@ -12,11 +12,6 @@ use std::collections::BTreeMap;
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("verdicts_per_s", "1/s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_p99_ms", "ms"),
-    ("loaded_p99_ms", "ms"),
-    ("capacity_rps", "1/s"),
-    ("recovery_s", "s"),
     ("peak_rss_mb", "MB"),
 ];
 
