@@ -272,15 +272,12 @@ fn main() {
         println!("  {lineage_stats}");
         println!(
             "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
-             ({} action(s) cut) vs {} rebuilt; parked {} -> {} KiB ({:.2}x)",
+             ({} action(s) cut) vs {} rebuilt",
             lineage_stats.memo_hits(),
             lineage_stats.memo_misses(),
             lineage_stats.pruned_groups(),
             lineage_stats.pruned_actions_total(),
             lineage_stats.rebuilt_groups(),
-            lineage_stats.parked_full_bytes / 1024,
-            lineage_stats.parked_compact_bytes / 1024,
-            lineage_stats.parked_compression(),
         );
         for g in &lineage_stats.groups {
             println!(

@@ -75,6 +75,46 @@ impl GameGraph {
         &self.edge_list[start as usize..end as usize]
     }
 
+    /// Actions that some node's span references.  A re-recorded span (see
+    /// [`CsrRecorder`]) leaves its old runs behind, so this can fall short
+    /// of the arena length.
+    pub(crate) fn live_actions(&self) -> usize {
+        self.node_spans
+            .iter()
+            .map(|&(start, end)| (end - start) as usize)
+            .sum()
+    }
+
+    /// A dense copy holding the spans of `nodes`, laid out in that order,
+    /// with only the actions `keep` accepts (each node's action order is
+    /// preserved).  Unreferenced runs and the spans of nodes outside `nodes`
+    /// are not copied.  Returns the copy and the number of actions dropped.
+    pub(crate) fn compacted(
+        &self,
+        nodes: impl IntoIterator<Item = u32>,
+        mut keep: impl FnMut(u32, &[(ScheduledStep, u32)]) -> bool,
+    ) -> (GameGraph, usize) {
+        let mut compact = CsrRecorder::default();
+        let mut dropped = 0;
+        for node in nodes {
+            compact.begin_node();
+            for a in self.actions_of(node) {
+                let edges = self.edges_of(a);
+                if !keep(node, edges) {
+                    dropped += 1;
+                    continue;
+                }
+                compact.begin_action();
+                for &(step, to) in edges {
+                    compact.edge(step, to);
+                }
+                compact.end_action(node);
+            }
+            compact.end_node(node);
+        }
+        (compact.graph, dropped)
+    }
+
     /// Resident bytes of the CSR arenas (node spans, action table, edges).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.node_spans.len() * std::mem::size_of::<(u32, u32)>()

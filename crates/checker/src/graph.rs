@@ -217,7 +217,7 @@ impl GraphLineage {
         pool: &WorkerPool,
         signals: Option<&JobSignals>,
     ) -> LineageStep {
-        let mut entry = {
+        let entry = {
             let mut entries = self.entries.borrow_mut();
             match entries.iter().position(|e| e.start == start) {
                 Some(pos) => entries.remove(pos),
@@ -230,24 +230,15 @@ impl GraphLineage {
             return LineageStep::Build { rebuilt: true };
         }
         match classify_guard_step(&entry.bounds, bounds) {
-            GuardStep::Identical => {
-                // a parked survivor re-entering service decodes its row
-                // arena first (sole ownership is guaranteed whenever the
-                // graph was parked — parking skips shared graphs)
-                if let Some(graph) = Rc::get_mut(&mut entry.graph) {
-                    graph.unpark();
-                }
-                LineageStep::Reuse(entry.graph)
-            }
+            GuardStep::Identical => LineageStep::Reuse(entry.graph),
             GuardStep::Mixed => LineageStep::Build { rebuilt: true },
             GuardStep::TightenOnly { changed } => {
                 if !crate::explorer::resolved_tighten_prune(options) {
                     return LineageStep::Build { rebuilt: true };
                 }
-                let Ok(mut graph) = Rc::try_unwrap(entry.graph) else {
+                let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                graph.unpark();
                 let (pruned, cut) = graph.prune(sys, &changed);
                 LineageStep::Prune(Rc::new(pruned), cut)
             }
@@ -255,10 +246,9 @@ impl GraphLineage {
                 // the previous valuation's checker has been dropped, so the
                 // lineage holds the only reference; if anything else still
                 // pins the graph, fall back to a fresh build
-                let Ok(mut graph) = Rc::try_unwrap(entry.graph) else {
+                let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                graph.unpark();
                 match graph.extend(sys, &changed, &entry.bounds, options, pool, signals) {
                     Ok((extended, seeds)) => LineageStep::Extend(Rc::new(extended), seeds),
                     // a resource budget (or a job signal) tripped
@@ -304,29 +294,6 @@ impl GraphLineage {
             .iter()
             .map(|e| e.graph.resident_bytes())
             .sum()
-    }
-
-    /// Parks every solely-owned surviving graph between valuations:
-    /// delta-encodes the row arenas, drops the intern indexes and compacts
-    /// CSR garbage (see the "Verdict memoization & lineage compaction"
-    /// crate docs).  Graphs still pinned elsewhere (a checkpoint, a live
-    /// checker) are skipped — parking requires exclusive access because
-    /// [`GraphLineage::adopt`] must be able to unpark in place.  Returns
-    /// the `(resident bytes before, resident bytes after)` totals over the
-    /// graphs parked by *this* call, for the sweep's compression counters.
-    pub(crate) fn park_all(&self) -> (usize, usize) {
-        let (mut full, mut compact) = (0, 0);
-        for entry in self.entries.borrow_mut().iter_mut() {
-            if let Some(graph) = Rc::get_mut(&mut entry.graph) {
-                if graph.is_parked() {
-                    continue;
-                }
-                let (f, c) = graph.park();
-                full += f;
-                compact += c;
-            }
-        }
-        (full, compact)
     }
 }
 
@@ -493,6 +460,11 @@ pub(crate) struct ReachGraph {
     start_ids: Vec<u32>,
     /// Every node in BFS discovery order (worker/shard independent).
     discovery: Vec<u32>,
+    /// Stored nodes the current bounds no longer reach (a prune left them
+    /// behind), in store order.  Their action spans are kept exact for the
+    /// current bounds like every reachable node's: a later extension can
+    /// reach them again, and it never re-expands a node it finds stored.
+    dormant: Vec<u32>,
     /// First-discovery parent edges *as a from-scratch build would have
     /// recorded them*, re-derived by [`ReachGraph::relink`] after an
     /// incremental extension (`None` for fresh builds, whose store already
@@ -616,6 +588,7 @@ impl ReachGraph {
             graph: visitor.csr.graph,
             start_ids: visitor.start_ids,
             discovery: visitor.discovery,
+            dormant: Vec::new(),
             parents: None,
             states,
             transitions,
@@ -663,11 +636,12 @@ impl ReachGraph {
             .map(|r| (r, model.rule(r).from().0, atom_bounds(old_bounds, r)))
             .collect();
 
-        // the seeded frontier, in the old BFS discovery order (deterministic
-        // at every worker/shard/wave count): exactly the stored rows on
-        // which a newly-enabled rule fires
+        // the seeded frontier: exactly the stored rows on which a
+        // newly-enabled rule fires, the reachable ones in the old BFS
+        // discovery order, then the dormant ones, which the extension may
+        // reach again
         let mut seeds: Vec<u32> = Vec::new();
-        for &node in &self.discovery {
+        for &node in self.discovery.iter().chain(&self.dormant) {
             let row = self.store.row(node);
             let vars = &row[num_locations..];
             let newly_enabled = watched.iter().any(|(rule, from, old)| {
@@ -715,6 +689,14 @@ impl ReachGraph {
             }
         }
         self.relink();
+        // each re-expanded seed left its old action run unreferenced; once
+        // those outnumber the live actions, copy the live ones out, so a run
+        // of extensions never holds more than twice the live action arena
+        let live = self.graph.live_actions();
+        if self.graph.action_spans.len() - live > live {
+            let nodes = self.discovery.iter().chain(&self.dormant).copied();
+            self.graph = self.graph.compacted(nodes, |_, _| true).0;
+        }
         // the edges changed: memoised verdicts no longer describe this
         // graph (the zero-seed early return above keeps them — the graph
         // is untouched there)
@@ -727,7 +709,7 @@ impl ReachGraph {
     /// step: every cached action of a `changed` rule is re-validated
     /// against the tightened guard bounds on its source row, dead actions
     /// are cut, and the CSR arenas are compacted around the survivors
-    /// (which also drops garbage spans left behind by earlier extends).
+    /// (which also drops any unreferenced runs earlier extends left).
     /// Rows that become unreachable stay interned but are excluded from the
     /// re-derived discovery order by the final [`ReachGraph::relink`] —
     /// every analysis pass iterates discovery or walks edges from the start
@@ -744,36 +726,22 @@ impl ReachGraph {
         for &rule in changed {
             is_changed[rule] = true;
         }
-        let old = std::mem::take(&mut self.graph);
-        let mut compact = CsrRecorder::default();
-        let mut cut = 0usize;
+        let store = &self.store;
         // walk nodes in discovery order so the compacted arenas are laid
         // out the way a fresh enumeration would visit them; per-node action
         // order is preserved, and tightening only removes actions, so the
-        // surviving list is exactly the fresh build's
-        for &node in &self.discovery {
-            let row = self.store.row(node);
-            let vars = &row[num_locations..];
-            compact.begin_node();
-            for a in old.actions_of(node) {
-                let edges = old.edges_of(a);
-                let rule = edges
-                    .first()
-                    .map(|&(step, _)| step.action.rule)
-                    .unwrap_or(RuleId(0));
-                if is_changed[rule.0] && !sys.rule_guard_holds_bytes(rule, vars) {
-                    cut += 1;
-                    continue;
-                }
-                compact.begin_action();
-                for &(step, to) in edges {
-                    compact.edge(step, to);
-                }
-                compact.end_action(node);
-            }
-            compact.end_node(node);
-        }
-        self.graph = compact.graph;
+        // surviving list is exactly the fresh build's.  Dormant nodes are
+        // pruned too, which keeps their spans exact for a later extension.
+        let nodes = self.discovery.iter().chain(&self.dormant).copied();
+        let (graph, cut) = self.graph.compacted(nodes, |node, edges| {
+            let rule = edges
+                .first()
+                .map(|&(step, _)| step.action.rule)
+                .unwrap_or(RuleId(0));
+            !is_changed[rule.0]
+                || sys.rule_guard_holds_bytes(rule, &store.row(node)[num_locations..])
+        });
+        self.graph = graph;
         self.relink();
         self.generation += 1;
         self.memo.borrow_mut().clear();
@@ -819,6 +787,7 @@ impl ReachGraph {
         self.states = discovery.len();
         self.transitions = transitions;
         self.discovery = discovery;
+        self.dormant = self.store.ids().filter(|&id| !seen[id as usize]).collect();
         self.parents = Some(parents);
     }
 
@@ -846,7 +815,8 @@ impl ReachGraph {
     pub(crate) fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
             + self.graph.resident_bytes()
-            + (self.discovery.len() + self.start_ids.len()) * std::mem::size_of::<u32>()
+            + (self.discovery.len() + self.dormant.len() + self.start_ids.len())
+                * std::mem::size_of::<u32>()
             + self.parents.as_ref().map_or(0, |p| {
                 p.len() * std::mem::size_of::<Option<(u32, ScheduledStep)>>()
             })
@@ -868,50 +838,6 @@ impl ReachGraph {
     /// Number of transitions explored for the cached graph.
     pub(crate) fn transitions(&self) -> usize {
         self.transitions
-    }
-
-    /// Parks the cached graph between valuations: delta-encodes the row
-    /// arena and drops the intern index ([`StateStore::park`]), and
-    /// compacts CSR garbage left behind by earlier extends.  Returns the
-    /// `(before, after)` resident-byte figures.  The parked graph still
-    /// answers nothing — [`ReachGraph::unpark`] must run before any
-    /// evaluation or extension, which [`GraphLineage::adopt`] does.
-    pub(crate) fn park(&mut self) -> (usize, usize) {
-        let full = self.resident_bytes();
-        // compact only when extends actually left garbage runs behind — a
-        // fresh or pruned graph's arenas are already dense
-        let referenced: usize = (0..self.graph.node_spans.len() as u32)
-            .map(|n| self.graph.actions_of(n).len())
-            .sum();
-        if referenced < self.graph.action_spans.len() {
-            let old = std::mem::take(&mut self.graph);
-            let mut compact = CsrRecorder::default();
-            for &node in &self.discovery {
-                compact.begin_node();
-                for a in old.actions_of(node) {
-                    compact.begin_action();
-                    for &(step, to) in old.edges_of(a) {
-                        compact.edge(step, to);
-                    }
-                    compact.end_action(node);
-                }
-                compact.end_node(node);
-            }
-            self.graph = compact.graph;
-        }
-        self.store.park();
-        (full, self.resident_bytes())
-    }
-
-    /// Restores a parked graph to full service: decodes the row arena and
-    /// rebuilds the intern index, bit-identically (see [`StateStore::unpark`]).
-    pub(crate) fn unpark(&mut self) {
-        self.store.unpark();
-    }
-
-    /// Whether the graph's store is currently parked.
-    pub(crate) fn is_parked(&self) -> bool {
-        self.store.is_parked()
     }
 
     /// Evaluates one obligation through the per-graph verdict memo: an
@@ -1619,6 +1545,62 @@ mod tests {
     }
 
     #[test]
+    fn repeated_extensions_compact_unreferenced_spans() {
+        // Claim every guarded rule was disabled at the previous bounds: each
+        // stored row where one fires is then a seed, and its re-expansion
+        // repeats its span exactly.  The reachable set cannot grow, so every
+        // extension only leaves the seeds' old action runs unreferenced,
+        // until they outnumber the live ones and the arenas get compacted.
+        let model = crate::fixtures::voting_model().single_round().unwrap();
+        let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
+        let pool = WorkerPool::new(1);
+        let options = CheckerOptions::default();
+        let start = StartRestriction::RoundStart;
+        let fresh = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
+        let bounds = sys.guard_bounds();
+        let changed: Vec<usize> = (0..bounds.len())
+            .filter(|&r| !bounds[r].is_empty())
+            .collect();
+        let never: GuardBounds = bounds
+            .iter()
+            .map(|atoms| {
+                atoms
+                    .iter()
+                    .map(|&(rel, _)| match rel {
+                        Ge => (Ge, i128::MAX),
+                        Lt => (Lt, i128::MIN),
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
+        let mut compacted = false;
+        for _ in 0..4 {
+            let (extended, seeds) = graph
+                .extend(&sys, &changed, &never, &options, &pool, None)
+                .unwrap_or_else(|()| panic!("an unbounded extension completes"));
+            graph = extended;
+            assert!(seeds > 0);
+            let (spans, live) = (graph.graph.action_spans.len(), graph.graph.live_actions());
+            assert!(spans - live <= live, "{spans} spans, {live} live");
+            compacted |= spans == live;
+        }
+        assert!(compacted, "some extension must have compacted the arenas");
+        assert_eq!(graph.graph.live_actions(), fresh.graph.action_spans.len());
+        assert_eq!(graph.states(), fresh.states());
+        assert_eq!(graph.transitions(), fresh.transitions());
+        let spec = Spec::NonBlocking {
+            name: "termination".into(),
+            start,
+        };
+        assert_eq!(
+            graph.evaluate(&sys, &spec, &options, None),
+            fresh.evaluate(&sys, &spec, &options, None)
+        );
+    }
+
+    #[test]
     fn verdict_memo_serves_identical_steps() {
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
@@ -1640,31 +1622,5 @@ mod tests {
         let (third, hit) = graph.evaluate_memo(&sys, &spec, &off, None);
         assert!(!hit);
         assert_eq!(first, third);
-    }
-
-    #[test]
-    fn parked_graphs_unpark_bit_identically() {
-        let model = crate::fixtures::voting_model().single_round().unwrap();
-        let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
-        let pool = WorkerPool::new(1);
-        let options = CheckerOptions::default();
-        let start = StartRestriction::RoundStart;
-        let mut graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
-        let spec = Spec::NeverFrom {
-            name: "reachable-E0".into(),
-            start,
-            forbidden: LocSet::from_names(sys.model(), "E0", &["E0"]),
-        };
-        let before = graph.evaluate(&sys, &spec, &options, None);
-        let (full, compact) = graph.park();
-        assert!(graph.is_parked());
-        assert!(
-            compact < full,
-            "delta-encoding must shrink the parked graph ({compact} !< {full})"
-        );
-        graph.unpark();
-        assert!(!graph.is_parked());
-        let after = graph.evaluate(&sys, &spec, &options, None);
-        assert_eq!(before, after, "a park/unpark round trip changes nothing");
     }
 }

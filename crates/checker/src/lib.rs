@@ -162,7 +162,7 @@
 //! # Verdict memoization & lineage compaction
 //!
 //! The lineage above makes a sweep's steady state — long runs of identical
-//! or guard-adjacent valuations — cheap; three levers make it nearly free:
+//! or guard-adjacent valuations — cheap; two levers make it nearly free:
 //!
 //! * **Verdict memoization.**  Each cached reachability graph carries a
 //!   small memo of `(Spec, CheckOutcome)` pairs keyed by full [`Spec`]
@@ -190,28 +190,23 @@
 //!   seeding future analysis passes from prior violation bitsets would
 //!   change the reported product counts, breaking the lever-on/off
 //!   differential contract, so passes always re-walk the pruned graph.
-//! * **Delta-parked row arenas.**  When a sweep finishes a valuation, each
-//!   surviving graph's [`StateStore`] is *parked*: row arenas are
-//!   XOR-delta-encoded against their predecessor row (varint zero-run /
-//!   literal-run pairs — BFS-adjacent rows differ in a handful of bytes)
-//!   and the open-addressing indexes are dropped, shrinking the resident
-//!   footprint between valuations; the CSR arenas are compacted if a prior
-//!   prune left garbage.  The next lineage step that actually *uses* the
-//!   graph unparks it — decoding is exact, and re-interning reproduces the
-//!   original state ids, so parked ≡ never-parked bit-for-bit.  The
-//!   before/after bytes are reported in
-//!   [`GraphCacheStats::parked_full_bytes`] / `parked_compact_bytes` and
-//!   summarised by [`GraphCacheStats::parked_compression`].
+//!   Rows the tightened bounds no longer reach stay stored, and are pruned
+//!   along with the reachable ones, so a later extension that reaches them
+//!   again finds their edges exact.
 //! * **Knob precedence.**  [`CheckerOptions::verdict_memo`] over
 //!   `CC_VERDICT_MEMO` (`0` disables) over the default (enabled), and
 //!   [`CheckerOptions::tighten_prune`] over `CC_TIGHTEN_PRUNE` (`0`
 //!   disables) over the default (enabled); `VerifierConfig` and the
 //!   `table2` binary (`--no-verdict-memo` / `--no-tighten-prune`) expose
-//!   the same toggles.  Parking has no knob — it is pure compression with
-//!   exact reconstruction.  Neither lever ever changes a verdict, a count
+//!   the same toggles.  Neither lever ever changes a verdict, a count
 //!   or a counterexample (pinned across the random corpus at 1/2/4 workers
 //!   by `random_differential`); the `sweep_amortization` bench isolates
 //!   each lever's wall-clock gain.
+//!
+//! Lineage survivors stay resident between valuations, because
+//! delta-encoding their rows after each valuation and decoding them at the
+//! next step cost about 40% of a scaled Table II sweep pass on a 2-vCPU
+//! host and lowered no measured memory peak.
 //!
 //! # Memory model
 //!

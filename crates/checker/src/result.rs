@@ -208,15 +208,6 @@ pub struct GraphCacheStats {
     /// Obligations checked on the per-spec path (cache disabled, or a spec
     /// shape the cache does not serve).
     pub uncached_specs: usize,
-    /// Resident bytes of the lineage graphs *before* they were parked
-    /// between valuations (0 when nothing was parked — parking only runs
-    /// under the incremental sweep).
-    pub parked_full_bytes: usize,
-    /// Resident bytes of the same graphs *after* parking (delta-encoded
-    /// rows, dropped index tables, compacted CSR arenas).  Together with
-    /// `parked_full_bytes` this is the sweep's steady-state compression
-    /// ratio.
-    pub parked_compact_bytes: usize,
 }
 
 impl GraphCacheStats {
@@ -276,15 +267,11 @@ impl GraphCacheStats {
         self.groups.iter().map(|g| g.memo_misses).sum()
     }
 
-    /// Parked-store compression: `compact / full` resident bytes over the
-    /// lineage graphs parked between sweep valuations (1.0 when nothing
-    /// was parked).
+    /// Always 1.0: lineage graphs stay resident between valuations, so
+    /// nothing is compressed.  Kept only because the `perfbench` benchmark
+    /// reports it as `lineage.parked_ratio`.
     pub fn parked_compression(&self) -> f64 {
-        if self.parked_full_bytes == 0 {
-            1.0
-        } else {
-            self.parked_compact_bytes as f64 / self.parked_full_bytes as f64
-        }
+        1.0
     }
 
     /// Resident bytes across all recorded graphs.  Within one valuation the
@@ -390,8 +377,6 @@ impl GraphCacheStats {
     pub fn merge(&mut self, other: &GraphCacheStats) {
         self.groups.extend(other.groups.iter().cloned());
         self.uncached_specs += other.uncached_specs;
-        self.parked_full_bytes += other.parked_full_bytes;
-        self.parked_compact_bytes += other.parked_compact_bytes;
     }
 }
 
@@ -443,15 +428,6 @@ impl fmt::Display for GraphCacheStats {
             )?;
         }
         write!(f, "; {} resident bytes", self.resident_bytes())?;
-        if self.parked_full_bytes > 0 {
-            write!(
-                f,
-                "; parked {} -> {} bytes ({:.2}x)",
-                self.parked_full_bytes,
-                self.parked_compact_bytes,
-                self.parked_compression()
-            )?;
-        }
         if self.uncached_specs > 0 {
             write!(f, "; {} uncached obligation(s)", self.uncached_specs)?;
         }

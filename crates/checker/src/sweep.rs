@@ -731,14 +731,7 @@ fn run_cached_batches(
                 }
                 slots[s * width + v] = Some(cell);
             }
-            let mut stats = checker.cache_stats();
-            // the checker's group memo pins the lineage graphs via Rc;
-            // parking requires sole ownership, so drop it first
-            drop(checker);
-            let (full, compact) = lineage.park_all();
-            stats.parked_full_bytes += full;
-            stats.parked_compact_bytes += compact;
-            stats_slots[v] = Some(stats);
+            stats_slots[v] = Some(checker.cache_stats());
         }
     } else {
         let cell_workers = resolved_workers(&cell_options);
@@ -788,14 +781,7 @@ fn run_cached_batches(
                             }
                             **slot_refs[s * width + v].lock().unwrap() = Some(cell);
                         }
-                        let mut stats = checker.cache_stats();
-                        // see the sequential path: the checker must release
-                        // its Rc pins before the lineage can park
-                        drop(checker);
-                        let (full, compact) = lineage.park_all();
-                        stats.parked_full_bytes += full;
-                        stats.parked_compact_bytes += compact;
-                        **stats_refs[v].lock().unwrap() = Some(stats);
+                        **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
                     }
                 });
             }
@@ -807,6 +793,7 @@ fn run_cached_batches(
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::result::GraphOrigin;
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
 
@@ -1180,7 +1167,11 @@ mod tests {
         // [4,1,1,1] -> [7,1,1,1] changes the system size (rebuild),
         // -> [7,1,1,1] repeats the bounds (pure reuse),
         // -> [7,2,1,1] lowers the n-t-f quorum (relax-only extension),
-        // -> [7,1,1,1] raises it back (tighten, in-place prune)
+        // -> [7,1,1,1] raises it back (tighten, in-place prune),
+        // -> [7,0,0,1] adds a process (rebuild),
+        // -> [7,1,0,1] -> [7,2,0,1] lowers the quorum twice in a row,
+        // -> [7,0,0,1] raises it back (the prune leaves rows dormant),
+        // -> [7,1,0,1] lowers it again (the extension reaches them again)
         let model = fixtures::voting_model().single_round().unwrap();
         let valuations = [
             ParamValuation::new(vec![4, 1, 1, 1]),
@@ -1188,6 +1179,11 @@ mod tests {
             ParamValuation::new(vec![7, 1, 1, 1]),
             ParamValuation::new(vec![7, 2, 1, 1]),
             ParamValuation::new(vec![7, 1, 1, 1]),
+            ParamValuation::new(vec![7, 0, 0, 1]),
+            ParamValuation::new(vec![7, 1, 0, 1]),
+            ParamValuation::new(vec![7, 2, 0, 1]),
+            ParamValuation::new(vec![7, 0, 0, 1]),
+            ParamValuation::new(vec![7, 1, 0, 1]),
         ];
         let specs = vec![
             Spec::NeverFrom {
@@ -1238,13 +1234,19 @@ mod tests {
                 assert!(inc_stats.memo_hits() > 0, "{inc_stats}");
                 assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");
                 assert!(inc_stats.resident_bytes() > 0, "{inc_stats}");
-                // the end-of-valuation parking pass must have compacted at
-                // least one resident graph
-                assert!(inc_stats.parked_full_bytes > 0, "{inc_stats}");
-                assert!(
-                    inc_stats.parked_compact_bytes < inc_stats.parked_full_bytes,
-                    "{inc_stats}"
-                );
+                // lineage graphs stay resident between valuations; an
+                // extended graph (derived parents, unreferenced CSR runs)
+                // never holds more than twice the fresh build of its group
+                assert_eq!(inc_stats.groups.len(), fresh_stats.groups.len());
+                for (inc, fresh) in inc_stats.groups.iter().zip(&fresh_stats.groups) {
+                    assert_eq!(inc.start, fresh.start);
+                    if inc.origin == GraphOrigin::Extended {
+                        assert!(
+                            inc.resident_bytes <= 2 * fresh.resident_bytes,
+                            "{inc:?} vs fresh {fresh:?}"
+                        );
+                    }
+                }
                 assert!(format!("{inc_stats}").contains("lineage"));
             }
         }

@@ -509,44 +509,44 @@ mod tests {
         assert_eq!(uncached.cache_stats().graphs_built(), 0);
     }
 
-    #[test]
-    fn incremental_sweep_never_changes_results() {
-        // the default config checks two guard-adjacent valuations per
-        // protocol, so the incremental sweep serves the second valuation's
-        // groups straight from the lineage — with identical verdicts,
-        // counts and violated obligations
-        let p = mmr14::mmr14();
-        let config = VerifierConfig::default();
-        let incremental = verify_protocol(
-            &p,
-            &config.with_graph_cache(true).with_incremental_sweep(true),
-        );
-        let fresh = verify_protocol(
-            &p,
-            &config.with_graph_cache(true).with_incremental_sweep(false),
-        );
-        for (i, f) in [
-            &incremental.agreement,
-            &incremental.validity,
-            &incremental.termination,
-        ]
-        .into_iter()
-        .zip([&fresh.agreement, &fresh.validity, &fresh.termination])
+    /// Asserts two verifications agree property by property: statuses,
+    /// states, schema counts, counterexample presence and the violated
+    /// obligation.
+    fn assert_same_results(a: &ProtocolVerification, b: &ProtocolVerification, ctx: &str) {
+        for (x, y) in [&a.agreement, &a.validity, &a.termination]
+            .into_iter()
+            .zip([&b.agreement, &b.validity, &b.termination])
         {
-            assert_eq!(i.status, f.status, "{}", i.property);
-            assert_eq!(i.states, f.states, "{}", i.property);
-            assert_eq!(i.nschemas, f.nschemas, "{}", i.property);
+            assert_eq!(x.status, y.status, "{ctx}: {}", x.property);
+            assert_eq!(x.states, y.states, "{ctx}: {}", x.property);
+            assert_eq!(x.nschemas, y.nschemas, "{ctx}: {}", x.property);
             assert_eq!(
-                i.counterexample.is_some(),
-                f.counterexample.is_some(),
-                "{}",
-                i.property
+                x.counterexample.is_some(),
+                y.counterexample.is_some(),
+                "{ctx}: {}",
+                x.property
             );
         }
         assert_eq!(
-            incremental.termination.violated_obligation(),
-            fresh.termination.violated_obligation()
+            a.termination.violated_obligation(),
+            b.termination.violated_obligation(),
+            "{ctx}"
         );
+    }
+
+    #[test]
+    fn incremental_sweep_never_changes_results() {
+        // the default config checks two guard-adjacent valuations per
+        // protocol; one sweep worker walks both, so the incremental sweep
+        // serves the second valuation's groups straight from the lineage —
+        // with identical verdicts, counts and violated obligations
+        let p = mmr14::mmr14();
+        let config = VerifierConfig::default()
+            .with_threads(1)
+            .with_graph_cache(true);
+        let incremental = verify_protocol(&p, &config.with_incremental_sweep(true));
+        let fresh = verify_protocol(&p, &config.with_incremental_sweep(false));
+        assert_same_results(&incremental, &fresh, "incremental vs fresh");
         // the lineage actually served later valuations without exploring
         assert!(
             incremental.cache.reused_groups() + incremental.cache.extended_groups() > 0,
@@ -555,6 +555,19 @@ mod tests {
         );
         assert_eq!(fresh.cache.reused_groups(), 0);
         assert_eq!(fresh.cache.extended_groups(), 0);
+    }
+
+    #[test]
+    fn split_sweep_matches_a_single_worker() {
+        // a budget of 2 splits the grid into one block per sweep worker, so
+        // no lineage spans both valuations; the results must not change
+        let p = mmr14::mmr14();
+        let config = VerifierConfig::default()
+            .with_graph_cache(true)
+            .with_incremental_sweep(true);
+        let split = verify_protocol(&p, &config.with_threads(2));
+        let single = verify_protocol(&p, &config.with_threads(1));
+        assert_same_results(&split, &single, "budget 2 vs budget 1");
     }
 
     #[test]

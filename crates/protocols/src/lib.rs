@@ -131,25 +131,34 @@ impl ProtocolModel {
     }
 }
 
+/// Builds one benchmark protocol's model.
+type Constructor = fn() -> ProtocolModel;
+
+/// The eight benchmark protocols in the order of Table II: each Table II
+/// name with the constructor of its model, so a lookup by name builds only
+/// the model it returns.
+const REGISTRY: [(&str, Constructor); 8] = [
+    ("Rabin83", rabin83::rabin83),
+    ("CC85(a)", bstyle::cc85a),
+    ("CC85(b)", bstyle::cc85b),
+    ("FMR05", bstyle::fmr05),
+    ("KS16", ks16::ks16),
+    ("MMR14", mmr14::mmr14),
+    ("Miller18", fixed::miller18),
+    ("ABY22", fixed::aby22),
+];
+
 /// All eight benchmark protocols in the order of Table II.
 pub fn all_protocols() -> Vec<ProtocolModel> {
-    vec![
-        rabin83::rabin83(),
-        bstyle::cc85a(),
-        bstyle::cc85b(),
-        bstyle::fmr05(),
-        ks16::ks16(),
-        mmr14::mmr14(),
-        fixed::miller18(),
-        fixed::aby22(),
-    ]
+    REGISTRY.iter().map(|(_, build)| build()).collect()
 }
 
 /// Looks up a benchmark protocol by its Table II name (case-insensitive).
 pub fn protocol_by_name(name: &str) -> Option<ProtocolModel> {
-    all_protocols()
-        .into_iter()
-        .find(|p| p.name().eq_ignore_ascii_case(name))
+    REGISTRY
+        .iter()
+        .find(|(known, _)| known.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -216,8 +225,21 @@ mod tests {
 
     #[test]
     fn lookup_by_name_is_case_insensitive() {
-        assert!(protocol_by_name("mmr14").is_some());
-        assert!(protocol_by_name("ABY22").is_some());
+        for ((name, _), listed) in REGISTRY.iter().zip(all_protocols()) {
+            assert_eq!(listed.name(), *name);
+            for spelling in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.to_ascii_uppercase(),
+            ] {
+                assert_eq!(
+                    protocol_by_name(&spelling).as_ref(),
+                    Some(&listed),
+                    "{spelling}"
+                );
+            }
+        }
         assert!(protocol_by_name("nonexistent").is_none());
+        assert!(protocol_by_name("").is_none());
     }
 }
