@@ -103,9 +103,7 @@ fn bench_family_sweep(c: &mut Criterion) {
                             &fam.single_round,
                             specs,
                             &fam.sweep,
-                            CheckerOptions::default()
-                                .with_graph_cache(true)
-                                .with_incremental_sweep(true),
+                            CheckerOptions::default().with_incremental_sweep(true),
                             1,
                         )
                     })
@@ -120,9 +118,7 @@ fn bench_family_sweep(c: &mut Criterion) {
                             &fam.single_round,
                             specs,
                             &fam.sweep,
-                            CheckerOptions::default()
-                                .with_graph_cache(true)
-                                .with_incremental_sweep(false),
+                            CheckerOptions::default().with_incremental_sweep(false),
                             1,
                         )
                     })
@@ -141,9 +137,7 @@ fn bench_family_sweep(c: &mut Criterion) {
             &fam.single_round,
             &specs,
             &fam.sweep,
-            CheckerOptions::default()
-                .with_graph_cache(true)
-                .with_incremental_sweep(true),
+            CheckerOptions::default().with_incremental_sweep(true),
             1,
         );
         c.metric(

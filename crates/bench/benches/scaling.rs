@@ -15,7 +15,7 @@
 //! (the dev container used for local verification has a single core, so
 //! scaling is measured in CI).
 
-use ccchecker::{check_over_sweep_with_threads, CheckerOptions, ExplicitChecker};
+use ccchecker::{check_over_sweep_with_stats, CheckerOptions, ExplicitChecker};
 use cccore::obligations_for;
 use cccore::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -144,7 +144,7 @@ fn bench_sweep_budget_scaling(c: &mut Criterion) {
             &(&single, &all_specs, &valuations),
             |b, (single, specs, valuations)| {
                 b.iter(|| {
-                    check_over_sweep_with_threads(
+                    check_over_sweep_with_stats(
                         single,
                         specs,
                         valuations,

@@ -6,23 +6,25 @@
 //!   catalogue (single-threaded; the summary prints the speedup ratio per
 //!   protocol),
 //! * `catalogue/cached/…` vs `catalogue/uncached/…` — the whole obligation
-//!   catalogue through one checker with the reachability-graph cache on vs
-//!   off (single-threaded; the summary prints the amortization factor per
-//!   protocol, compared on `min_ns`),
+//!   catalogue through one graph-cached `check_all` vs one per-spec
+//!   `check` per obligation (single-threaded; the summary prints the
+//!   amortization factor per protocol, compared on `min_ns`),
 //! * `sweep_amortization/incremental/…` vs `sweep_amortization/fresh/…` —
 //!   the whole catalogue over each protocol's full 8-valuation grid with
 //!   the cross-valuation sweep lineage on vs off, plus the
 //!   `no-verdict-memo` / `no-tighten-prune` variants isolating each
 //!   steady-state lever (single-threaded; the summary prints the
 //!   whole-sweep speedup and per-lever gains per protocol on `min_ns`), and
-//! * `sweep/…` — `check_over_sweep` with 1 worker vs all cores on a
-//!   multi-valuation sweep (parallel scaling).
+//! * `sweep/…` — `check_over_sweep_with_stats` with 1 worker vs all cores
+//!   on a multi-valuation sweep (parallel scaling).
 //!
 //! Run with `BENCH_JSON=BENCH_table2.json cargo bench -p ccbench --bench
 //! table2_checking` to also emit the machine-readable summary.
 
 use ccchecker::reference::reference_check;
-use ccchecker::{check_over_sweep, check_over_sweep_with_threads, CheckerOptions, ExplicitChecker};
+use ccchecker::{
+    check_over_sweep_with_stats, sweep_thread_budget, CheckerOptions, ExplicitChecker,
+};
 use cccore::obligations_for;
 use cccore::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -47,7 +49,13 @@ fn bench_property_checking(c: &mut Criterion) {
                 &(&single, specs, &valuations),
                 |b, (single, specs, valuations)| {
                     b.iter(|| {
-                        check_over_sweep(single, specs, valuations, CheckerOptions::default())
+                        check_over_sweep_with_stats(
+                            single,
+                            specs,
+                            valuations,
+                            CheckerOptions::default(),
+                            sweep_thread_budget(0),
+                        )
                     })
                 },
             );
@@ -170,9 +178,9 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 }
 
 /// The graph-cache amortization axis: whole-catalogue wall-clock per
-/// protocol with the reachability-graph cache on vs off (both
-/// single-threaded through one `ExplicitChecker::check_all` call, so the
-/// only difference is explore-once-evaluate-many vs explore-per-spec).
+/// protocol through one single-threaded checker, as one cached
+/// `ExplicitChecker::check_all` call vs one per-spec `check` per
+/// obligation (explore-once-evaluate-many vs explore-per-spec).
 /// The summary compares `min_ns` — the stable comparator for sub-ms runs
 /// on this container — and prints the measured amortization factor.
 fn bench_catalogue_cache(c: &mut Criterion) {
@@ -183,18 +191,22 @@ fn bench_catalogue_cache(c: &mut Criterion) {
         let protocol = protocol_by_name(name).expect("benchmark protocol");
         let workload = catalogue_workload(&protocol);
         for (label, cache) in [("cached", true), ("uncached", false)] {
-            let options = CheckerOptions::sequential().with_graph_cache(cache);
             group.bench_with_input(
                 BenchmarkId::new(label, name),
                 &workload,
                 |b, (sys, specs)| {
                     b.iter(|| {
-                        let checker = ExplicitChecker::with_options(sys, options);
-                        checker
-                            .check_all(specs)
-                            .iter()
-                            .map(|o| o.states_explored)
-                            .sum::<usize>()
+                        let checker =
+                            ExplicitChecker::with_options(sys, CheckerOptions::sequential());
+                        if cache {
+                            checker
+                                .check_all(specs)
+                                .iter()
+                                .map(|o| o.states_explored)
+                                .sum::<usize>()
+                        } else {
+                            check_catalogue_with(sys, specs, &|_, spec| checker.check(spec))
+                        }
                     })
                 },
             );
@@ -222,7 +234,7 @@ fn bench_catalogue_cache(c: &mut Criterion) {
     }
     if cached_total > 0.0 {
         println!(
-            "  {:<10} {:>6.2}x (total whole-catalogue wall-clock, cache on vs off)",
+            "  {:<10} {:>6.2}x (total whole-catalogue wall-clock, cached vs per-spec)",
             "overall",
             uncached_total / cached_total
         );
@@ -261,12 +273,7 @@ fn bench_sweep_amortization(c: &mut Criterion) {
             .cloned()
             .collect();
         let valuations = grid_config.select_valuations(&single);
-        // the lever variants pin the toggles explicitly so the measurement
-        // is reproducible regardless of CC_VERDICT_MEMO/CC_TIGHTEN_PRUNE
-        let lineage = CheckerOptions::sequential()
-            .with_incremental_sweep(true)
-            .with_verdict_memo(true)
-            .with_tighten_prune(true);
+        let lineage = CheckerOptions::sequential();
         for (label, options) in [
             ("incremental", lineage),
             ("no-verdict-memo", lineage.with_verdict_memo(false)),
@@ -280,7 +287,7 @@ fn bench_sweep_amortization(c: &mut Criterion) {
                 BenchmarkId::new(label, name),
                 &(&single, &all_specs, &valuations),
                 |b, (single, specs, valuations)| {
-                    b.iter(|| check_over_sweep_with_threads(single, specs, valuations, options, 1))
+                    b.iter(|| check_over_sweep_with_stats(single, specs, valuations, options, 1))
                 },
             );
         }
@@ -345,7 +352,7 @@ fn bench_sweep_scaling(c: &mut Criterion) {
             &(&single, &all_specs, &valuations),
             |b, (single, specs, valuations)| {
                 b.iter(|| {
-                    check_over_sweep_with_threads(
+                    check_over_sweep_with_stats(
                         single,
                         specs,
                         valuations,

@@ -4,14 +4,15 @@
 //! the published tables.
 //!
 //! Usage:
-//! `profile_engine [PROTOCOL] [--threads N] [--wave-size W] [--no-graph-cache]
-//! [--deadline-ms D] [--max-resident-bytes B]`
+//! `profile_engine [PROTOCOL] [--threads N] [--wave-size W] [--deadline-ms D]
+//! [--max-resident-bytes B]`
 //! — `N` sets the in-check worker count of the engine runs (default:
 //! `CC_CHECK_THREADS`, then all cores; the reference is always
-//! sequential), `W` the parallel wave size (default: `CC_WAVE_SIZE`, then
-//! the engine default), and `--no-graph-cache` drops the cached
-//! whole-catalogue run from the summary (the per-obligation rows always
-//! use the per-spec path).  `--deadline-ms D` and `--max-resident-bytes B`
+//! sequential), and `W` the parallel wave size (default: `CC_WAVE_SIZE`,
+//! then the engine default).  The per-obligation rows and the per-spec
+//! whole-catalogue row use the per-spec search; the cached row runs the
+//! catalogue through one graph-cached checker.  `--deadline-ms D` and
+//! `--max-resident-bytes B`
 //! set the budget of the job-lifecycle section, which runs the catalogue
 //! as a checkpointable `CheckJob` and reports each job's outcome —
 //! completed, budget-tripped (with the trip reason and checkpointed
@@ -27,14 +28,12 @@ fn main() {
     let mut name = String::from("MMR14");
     let mut workers = 0usize;
     let mut wave_size = 0usize;
-    let mut graph_cache = true;
     let mut budget = JobBudget::unlimited();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threads" => workers = ccbench::parse_positive_flag("--threads", &mut args),
             "--wave-size" => wave_size = ccbench::parse_positive_flag("--wave-size", &mut args),
-            "--no-graph-cache" => graph_cache = false,
             "--deadline-ms" => {
                 let d = ccbench::parse_positive_flag("--deadline-ms", &mut args);
                 budget = budget.with_deadline(Duration::from_millis(d as u64));
@@ -48,7 +47,7 @@ fn main() {
                 eprintln!(
                     "unknown argument: {other}\n\
                      usage: profile_engine [PROTOCOL] [--threads N] [--wave-size W] \
-                     [--no-graph-cache] [--deadline-ms D] [--max-resident-bytes B]"
+                     [--deadline-ms D] [--max-resident-bytes B]"
                 );
                 std::process::exit(2);
             }
@@ -135,44 +134,42 @@ fn main() {
     let uncached = (0..3)
         .map(|_| {
             let t = Instant::now();
-            let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(false));
-            let _ = checker.check_all(&all_specs);
+            let checker = ExplicitChecker::with_options(&sys, options);
+            for spec in &all_specs {
+                let _ = checker.check(spec);
+            }
             t.elapsed()
         })
         .min()
         .unwrap();
     println!("  per-spec path: {uncached:>10.3?}");
-    if graph_cache {
-        let mut cache_stats = ccchecker::GraphCacheStats::default();
-        let cached = (0..3)
-            .map(|_| {
-                let t = Instant::now();
-                let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(true));
-                let (_, s) = checker.check_all_with_stats(&all_specs);
-                cache_stats = s;
-                t.elapsed()
-            })
-            .min()
-            .unwrap();
+    let mut cache_stats = ccchecker::GraphCacheStats::default();
+    let cached = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            let checker = ExplicitChecker::with_options(&sys, options);
+            let (_, s) = checker.check_all_with_stats(&all_specs);
+            cache_stats = s;
+            t.elapsed()
+        })
+        .min()
+        .unwrap();
+    println!(
+        "  graph cache:   {cached:>10.3?} ({:.2}x)",
+        uncached.as_secs_f64() / cached.as_secs_f64()
+    );
+    println!("  {cache_stats}");
+    for g in &cache_stats.groups {
         println!(
-            "  graph cache:   {cached:>10.3?} ({:.2}x)",
-            uncached.as_secs_f64() / cached.as_secs_f64()
+            "    group {:<18} {} obligation(s) on {} states / {} transitions \
+             (1 miss, {} hit(s), {} KiB resident)",
+            g.start,
+            g.specs,
+            g.states,
+            g.transitions,
+            g.specs - 1,
+            g.resident_bytes / 1024,
         );
-        println!("  {cache_stats}");
-        for g in &cache_stats.groups {
-            println!(
-                "    group {:<18} {} obligation(s) on {} states / {} transitions \
-                 (1 miss, {} hit(s), {} KiB resident)",
-                g.start,
-                g.specs,
-                g.states,
-                g.transitions,
-                g.specs - 1,
-                g.resident_bytes / 1024,
-            );
-        }
-    } else {
-        println!("  graph cache:   disabled (--no-graph-cache)");
     }
 
     // job lifecycle: the same catalogue as a checkpointable job under the
@@ -231,66 +228,64 @@ fn main() {
 
     // full-grid incremental sweep: cross-valuation lineage amortization and
     // the resident memory each surviving graph keeps alive per valuation
-    if graph_cache {
-        let grid_config = VerifierConfig {
-            max_valuations: 8,
-            ..VerifierConfig::default()
-        };
-        let grid_model = protocol.single_round();
-        let valuations = grid_config.select_valuations(&grid_model);
+    let grid_config = VerifierConfig {
+        max_valuations: 8,
+        ..VerifierConfig::default()
+    };
+    let grid_model = protocol.single_round();
+    let valuations = grid_config.select_valuations(&grid_model);
+    println!(
+        "\nfull-grid sweep ({} valuations), incremental vs fresh (best of 3):",
+        valuations.len()
+    );
+    let mut lineage_stats = ccchecker::GraphCacheStats::default();
+    let mut timed = |incremental: bool| {
+        (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                let (_, s) = ccchecker::check_over_sweep_with_stats(
+                    &grid_model,
+                    &all_specs,
+                    &valuations,
+                    options.with_incremental_sweep(incremental),
+                    1,
+                );
+                if incremental {
+                    lineage_stats = s;
+                }
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+    let incremental = timed(true);
+    let fresh = timed(false);
+    println!("  fresh:         {fresh:>10.3?}");
+    println!(
+        "  incremental:   {incremental:>10.3?} ({:.2}x)",
+        fresh.as_secs_f64() / incremental.as_secs_f64()
+    );
+    println!("  {lineage_stats}");
+    println!(
+        "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
+         ({} action(s) cut) vs {} rebuilt",
+        lineage_stats.memo_hits(),
+        lineage_stats.memo_misses(),
+        lineage_stats.pruned_groups(),
+        lineage_stats.pruned_actions_total(),
+        lineage_stats.rebuilt_groups(),
+    );
+    for g in &lineage_stats.groups {
         println!(
-            "\nfull-grid sweep ({} valuations), incremental vs fresh (best of 3):",
-            valuations.len()
+            "    group {:<18} {:<8} {} obligation(s), {} states, {} seed(s), \
+             {} memo hit(s), {} KiB resident",
+            g.start,
+            g.origin.to_string(),
+            g.specs,
+            g.states,
+            g.seed_frontier,
+            g.memo_hits,
+            g.resident_bytes / 1024,
         );
-        let mut lineage_stats = ccchecker::GraphCacheStats::default();
-        let mut timed = |incremental: bool| {
-            (0..3)
-                .map(|_| {
-                    let t = Instant::now();
-                    let (_, s) = ccchecker::check_over_sweep_with_stats(
-                        &grid_model,
-                        &all_specs,
-                        &valuations,
-                        options.with_incremental_sweep(incremental),
-                        1,
-                    );
-                    if incremental {
-                        lineage_stats = s;
-                    }
-                    t.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let incremental = timed(true);
-        let fresh = timed(false);
-        println!("  fresh:         {fresh:>10.3?}");
-        println!(
-            "  incremental:   {incremental:>10.3?} ({:.2}x)",
-            fresh.as_secs_f64() / incremental.as_secs_f64()
-        );
-        println!("  {lineage_stats}");
-        println!(
-            "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
-             ({} action(s) cut) vs {} rebuilt",
-            lineage_stats.memo_hits(),
-            lineage_stats.memo_misses(),
-            lineage_stats.pruned_groups(),
-            lineage_stats.pruned_actions_total(),
-            lineage_stats.rebuilt_groups(),
-        );
-        for g in &lineage_stats.groups {
-            println!(
-                "    group {:<18} {:<8} {} obligation(s), {} states, {} seed(s), \
-                 {} memo hit(s), {} KiB resident",
-                g.start,
-                g.origin.to_string(),
-                g.specs,
-                g.states,
-                g.seed_frontier,
-                g.memo_hits,
-                g.resident_bytes / 1024,
-            );
-        }
     }
 }

@@ -1,23 +1,18 @@
 //! Regenerates Table II: verification of the eight common-coin protocols.
 //!
-//! Usage: `table2 [--threads N] [--wave-size W] [--no-graph-cache]
-//! [--no-incremental-sweep] [--no-verdict-memo] [--no-tighten-prune]
-//! [--deadline-ms D] [--max-resident-bytes B]` —
+//! Usage: `table2 [--threads N] [--wave-size W] [--no-incremental-sweep]
+//! [--no-verdict-memo] [--no-tighten-prune] [--deadline-ms D]
+//! [--max-resident-bytes B]` —
 //! `N` is the total thread budget per property sweep, split between
-//! `query × valuation` grid cells and in-check workers (default:
-//! `CC_SWEEP_THREADS`, then all cores); `W` bounds a parallel level's
-//! candidate buffers (default: `CC_WAVE_SIZE`, then the engine default);
-//! `--no-graph-cache` disables the reachability-graph cache so every
-//! obligation re-explores its own state space (default: cached, unless
-//! `CC_GRAPH_CACHE=0`); `--no-incremental-sweep` disables the
-//! cross-valuation graph lineage so every valuation re-explores its groups
-//! (default: incremental, unless `CC_SWEEP_INCREMENTAL=0`);
-//! `--no-verdict-memo` disables per-graph verdict memoization so identical
-//! lineage steps re-evaluate every obligation (default: memoized, unless
-//! `CC_VERDICT_MEMO=0`); `--no-tighten-prune` degrades tighten-only
-//! lineage steps from the in-place prune back to a full rebuild (default:
-//! pruned, unless `CC_TIGHTEN_PRUNE=0`).  The knob combinations produce
-//! identical verdicts.  `--deadline-ms D` puts a
+//! valuation blocks and in-check workers (default: `CC_SWEEP_THREADS`,
+//! then all cores); `W` bounds a parallel level's candidate buffers
+//! (default: `CC_WAVE_SIZE`, then the engine default);
+//! `--no-incremental-sweep` disables the cross-valuation graph lineage so
+//! every valuation re-explores its groups; `--no-verdict-memo` disables
+//! per-graph verdict memoization so identical lineage steps re-evaluate
+//! every obligation; `--no-tighten-prune` degrades tighten-only lineage
+//! steps from the in-place prune back to a full rebuild.  The lever
+//! combinations produce identical verdicts.  `--deadline-ms D` puts a
 //! wall-clock deadline on each protocol's sweep and `--max-resident-bytes
 //! B` caps each grid cell's state store: tripped cells degrade to
 //! `interrupted` outcomes and their properties report `?` instead of a
@@ -37,9 +32,6 @@ fn main() {
             "--wave-size" => {
                 let w = ccbench::parse_positive_flag("--wave-size", &mut args);
                 config = config.with_wave_size(w);
-            }
-            "--no-graph-cache" => {
-                config = config.with_graph_cache(false);
             }
             "--no-incremental-sweep" => {
                 config = config.with_incremental_sweep(false);
@@ -61,9 +53,9 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other}\n\
-                     usage: table2 [--threads N] [--wave-size W] [--no-graph-cache] \
-                     [--no-incremental-sweep] [--no-verdict-memo] [--no-tighten-prune] \
-                     [--deadline-ms D] [--max-resident-bytes B]"
+                     usage: table2 [--threads N] [--wave-size W] [--no-incremental-sweep] \
+                     [--no-verdict-memo] [--no-tighten-prune] [--deadline-ms D] \
+                     [--max-resident-bytes B]"
                 );
                 std::process::exit(2);
             }

@@ -347,7 +347,7 @@ mod tests {
     fn serialized_resume_is_bit_identical() {
         let sys = sys();
         let specs = specs(&sys);
-        let options = CheckerOptions::default().with_graph_cache(true);
+        let options = CheckerOptions::default();
         let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
         let tripped = CheckJob::new(&sys, &specs, options)

@@ -18,12 +18,9 @@
 //! [`crate::explorer`] docs for the engine and determinism story.
 
 use crate::counterexample::Counterexample;
-use crate::explorer::{
-    resolved_graph_cache, resolved_incremental_sweep, resolved_workers, row_occupancy_bits,
-    Exploration, Explorer, Visitor,
-};
+use crate::explorer::{resolved_workers, row_occupancy_bits, Exploration, Explorer, Visitor};
 use crate::game;
-use crate::graph::{BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
+use crate::graph::{graph_serves, BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
@@ -56,45 +53,31 @@ pub struct CheckerOptions {
     /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker and shard
     /// counts, the wave size never changes results.
     pub wave_size: usize,
-    /// Whether batched checks ([`ExplicitChecker::check_all`] and the
-    /// sweep) share one reachability graph across all the obligations of a
-    /// `(start restriction, valuation)` group instead of re-exploring per
-    /// obligation.  `None` resolves the `CC_GRAPH_CACHE` environment
-    /// variable (`0` disables) and defaults to enabled.  The cache never
-    /// changes a verdict; per-spec state/transition counts under the cache
-    /// are derived from the analysis pass (see the "Graph cache" section of
-    /// the crate docs).  [`ExplicitChecker::check`] always takes the
-    /// per-spec path regardless of this knob.
-    pub graph_cache: Option<bool>,
     /// Whether a sweep carries each group's reachability graph *across*
     /// valuations (reusing it outright when the compiled guard bounds are
     /// identical, extending it incrementally when the step is relax-only;
-    /// see the "Incremental sweeps" section of the crate docs).  `None`
-    /// resolves the `CC_SWEEP_INCREMENTAL` environment variable (`0`
-    /// disables) and defaults to enabled.  The lineage never changes a
-    /// verdict, a count or a counterexample — an incremental sweep is
-    /// bit-identical to a from-scratch one; only the exploration work
-    /// differs.  Takes effect only where a lineage exists (sweeps and
-    /// [`ExplicitChecker::with_pool_and_lineage`]); single-valuation
-    /// checks are unaffected.
-    pub incremental_sweep: Option<bool>,
+    /// see the "Incremental sweeps" section of the crate docs).  On by
+    /// default.  The lineage never changes a verdict, a count or a
+    /// counterexample — an incremental sweep is bit-identical to a
+    /// from-scratch one; only the exploration work differs.  Takes effect
+    /// only where a lineage exists (sweeps and
+    /// [`ExplicitChecker::with_pool_and_lineage`]); single-valuation checks
+    /// are unaffected.
+    pub incremental_sweep: bool,
     /// Whether a cached reachability graph memoises its per-obligation
     /// verdicts, so an *identical*-classified lineage step (and any repeat
     /// query of the same group) serves the stored outcome without rerunning
     /// the analysis pass (see the "Verdict memoization & lineage
-    /// compaction" section of the crate docs).  `None` resolves the
-    /// `CC_VERDICT_MEMO` environment variable (`0` disables) and defaults
-    /// to enabled.  The memo never changes a verdict, a count or a
-    /// counterexample schedule.
-    pub verdict_memo: Option<bool>,
+    /// compaction" section of the crate docs).  On by default.  The memo
+    /// never changes a verdict, a count or a counterexample schedule.
+    pub verdict_memo: bool,
     /// Whether a *tighten-only* lineage step (every changed guard atom
     /// strictly tightened, same structure) prunes the predecessor graph in
     /// place — dropping the actions whose guards no longer hold and
     /// re-deriving reachability with the relink BFS — instead of rebuilding
-    /// the group from scratch.  `None` resolves the `CC_TIGHTEN_PRUNE`
-    /// environment variable (`0` disables) and defaults to enabled.  A
-    /// pruned graph is bit-identical to a fresh build.
-    pub tighten_prune: Option<bool>,
+    /// the group from scratch.  On by default.  A pruned graph is
+    /// bit-identical to a fresh build.
+    pub tighten_prune: bool,
 }
 
 impl Default for CheckerOptions {
@@ -105,10 +88,9 @@ impl Default for CheckerOptions {
             workers: 0,
             shards: 0,
             wave_size: 0,
-            graph_cache: None,
-            incremental_sweep: None,
-            verdict_memo: None,
-            tighten_prune: None,
+            incremental_sweep: true,
+            verdict_memo: true,
+            tighten_prune: true,
         }
     }
 }
@@ -134,32 +116,21 @@ impl CheckerOptions {
         self
     }
 
-    /// These options with the reachability-graph cache explicitly enabled
-    /// or disabled (overriding the `CC_GRAPH_CACHE` environment variable).
-    pub fn with_graph_cache(mut self, enabled: bool) -> Self {
-        self.graph_cache = Some(enabled);
-        self
-    }
-
-    /// These options with the incremental sweep explicitly enabled or
-    /// disabled (overriding the `CC_SWEEP_INCREMENTAL` environment
-    /// variable).
+    /// These options with the incremental sweep enabled or disabled.
     pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.incremental_sweep = Some(enabled);
+        self.incremental_sweep = enabled;
         self
     }
 
-    /// These options with verdict memoization explicitly enabled or
-    /// disabled (overriding the `CC_VERDICT_MEMO` environment variable).
+    /// These options with verdict memoization enabled or disabled.
     pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.verdict_memo = Some(enabled);
+        self.verdict_memo = enabled;
         self
     }
 
-    /// These options with the tighten-only prune explicitly enabled or
-    /// disabled (overriding the `CC_TIGHTEN_PRUNE` environment variable).
+    /// These options with the tighten-only prune enabled or disabled.
     pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.tighten_prune = Some(enabled);
+        self.tighten_prune = enabled;
         self
     }
 }
@@ -284,10 +255,9 @@ pub(crate) fn find_progress_cycle(sys: &CounterSystem) -> Option<ccta::LocId> {
 
 /// Per-checker memoisation shared by every check: the enumerated start
 /// configurations per start restriction (reused even on the per-spec path)
-/// and — when the graph cache is enabled — the reachability graph per
-/// start restriction, plus its accounting.  The valuation is fixed per
-/// checker, so the start restriction alone keys a
-/// `(start restriction, valuation)` group.
+/// and the cached reachability graph per start restriction, plus its
+/// accounting.  The valuation is fixed per checker, so the start
+/// restriction alone keys a `(start restriction, valuation)` group.
 #[derive(Default)]
 struct CheckerMemo {
     starts: Vec<(StartRestriction, Arc<Vec<Configuration>>)>,
@@ -350,8 +320,8 @@ impl<'a> ExplicitChecker<'a> {
 
     /// Creates a checker running its parallel phases on a caller-owned
     /// pool, whose lane count overrides [`CheckerOptions::workers`].  This
-    /// is how [`crate::check_over_sweep`] shares one pool across all the
-    /// grid cells a sweep worker processes.
+    /// is how the sweep shares one pool across all the grid cells a sweep
+    /// worker processes.
     ///
     /// # Panics
     ///
@@ -372,9 +342,8 @@ impl<'a> ExplicitChecker<'a> {
     /// incrementally when the step is relax-only (see the "Incremental
     /// sweeps" crate docs).  The sweep gives each of its grid workers one
     /// lineage spanning the worker's contiguous, valuation-ordered block of
-    /// cells.  An explicit [`CheckerOptions::incremental_sweep`] of `false`
-    /// (or `CC_SWEEP_INCREMENTAL=0`) makes this identical to
-    /// [`ExplicitChecker::with_pool`].
+    /// cells.  [`CheckerOptions::incremental_sweep`] set to `false` makes
+    /// this identical to [`ExplicitChecker::with_pool`].
     ///
     /// # Panics
     ///
@@ -386,7 +355,7 @@ impl<'a> ExplicitChecker<'a> {
         lineage: &'a GraphLineage,
     ) -> Self {
         let mut checker = Self::assemble(sys, options, PoolSource::Shared(pool));
-        if resolved_incremental_sweep(&options) {
+        if options.incremental_sweep {
             checker.lineage = Some((lineage, sys.guard_bounds()));
         }
         checker
@@ -534,22 +503,13 @@ impl<'a> ExplicitChecker<'a> {
     /// query of a `(start restriction, valuation)` group pays one
     /// monitor-free exploration, every further query of the group is an
     /// `O(states + edges)` analysis pass over the cached graph.  Falls back
-    /// to the per-spec path when the cache is disabled (see
-    /// [`CheckerOptions::graph_cache`]), the spec shape is not served by
-    /// the cache, or the group's build tripped a resource budget (the
-    /// pruned per-spec searches can still produce a definite verdict within
-    /// the same budget, so a bounded build must not blanket the group with
-    /// `Unknown`).
+    /// to the per-spec path when the spec shape is not served by the cache
+    /// (see [`graph_serves`]), or the group's build tripped a resource
+    /// budget (the pruned per-spec searches can still produce a definite
+    /// verdict within the same budget, so a bounded build must not blanket
+    /// the group with `Unknown`).
     pub(crate) fn check_cached(&self, spec: &Spec) -> CheckOutcome {
-        // the analysis product over k tracked sets needs 2^k flat slots per
-        // node; the catalogue's game specs use at most two sets, so
-        // anything wider than k == 3 takes the (pruned) per-spec game
-        // search instead of paying the product blow-up
-        let cacheable = match spec {
-            Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= 3,
-            _ => true,
-        };
-        if !resolved_graph_cache(&self.options) || !cacheable {
+        if !graph_serves(spec) {
             self.memo.borrow_mut().stats.uncached_specs += 1;
             return self.check(spec);
         }
@@ -577,10 +537,9 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     /// Checks a slice of queries, sharing one reachability graph across all
-    /// the queries of each `(start restriction, valuation)` group when the
-    /// graph cache is enabled (the default; see
-    /// [`CheckerOptions::graph_cache`]).  Outcomes are returned in spec
-    /// order and verdicts are identical to checking each spec on its own.
+    /// the queries of each `(start restriction, valuation)` group.
+    /// Outcomes are returned in spec order and verdicts are identical to
+    /// checking each spec on its own.
     pub fn check_all(&self, specs: &[Spec]) -> Vec<CheckOutcome> {
         specs.iter().map(|spec| self.check_cached(spec)).collect()
     }
@@ -605,8 +564,8 @@ impl<'a> ExplicitChecker<'a> {
     }
 
     fn check_impl(&self, spec: &Spec, want_stats: bool) -> (CheckOutcome, StoreStats) {
-        // one start enumeration per (checker, restriction), shared across
-        // every spec of the restriction — with or without the graph cache
+        // one start enumeration per (checker, restriction), shared with the
+        // group builds and across every spec of the restriction
         let starts = self.starts_for(spec.start());
         match spec {
             Spec::CoverNever {
@@ -1018,9 +977,7 @@ mod tests {
     fn cached_catalogue_agrees_with_the_per_spec_path() {
         let sys = sys();
         let specs = catalogue(&sys);
-        let cached_checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(true));
-        let (cached, stats) = cached_checker.check_all_with_stats(&specs);
+        let (cached, stats) = ExplicitChecker::new(&sys).check_all_with_stats(&specs);
         let per_spec: Vec<_> = specs
             .iter()
             .map(|s| ExplicitChecker::new(&sys).check(s))
@@ -1056,46 +1013,38 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_takes_the_per_spec_path() {
+    fn wide_game_specs_take_the_per_spec_path() {
+        // a game over more sets than the analysis product holds is routed
+        // to the per-spec search, so the batch matches `check` exactly
         let sys = sys();
-        let specs = catalogue(&sys);
-        let checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false));
-        let (outcomes, stats) = checker.check_all_with_stats(&specs);
+        let model = sys.model();
+        let spec = Spec::ExistsAvoidOneOf {
+            name: "wide".into(),
+            start: StartRestriction::RoundStart,
+            forbidden_sets: ["I0", "I1", "E0", "E1"]
+                .iter()
+                .map(|&l| LocSet::from_names(model, l, &[l]))
+                .collect(),
+        };
+        assert!(!crate::graph::graph_serves(&spec));
+        let checker = ExplicitChecker::new(&sys);
+        let (outcomes, stats) = checker.check_all_with_stats(std::slice::from_ref(&spec));
+        assert_eq!(outcomes[0], checker.check(&spec));
         assert_eq!(stats.graphs_built(), 0);
-        assert_eq!(stats.uncached_specs, specs.len());
+        assert_eq!(stats.uncached_specs, 1);
         assert!(format!("{stats}").contains("per-spec path"));
-        // the uncached batch matches checking each spec individually exactly
-        for ((spec, o), direct) in specs
-            .iter()
-            .zip(&outcomes)
-            .zip(specs.iter().map(|s| ExplicitChecker::new(&sys).check(s)))
-        {
-            assert_eq!(o.status, direct.status, "{}", spec.name());
-            assert_eq!(o.states_explored, direct.states_explored, "{}", spec.name());
-            assert_eq!(
-                o.transitions_explored,
-                direct.transitions_explored,
-                "{}",
-                spec.name()
-            );
-        }
     }
 
     #[test]
     fn cached_checks_are_worker_independent() {
         let sys = sys();
         let specs = catalogue(&sys);
-        let baseline = ExplicitChecker::with_options(
-            &sys,
-            CheckerOptions::sequential().with_graph_cache(true),
-        )
-        .check_all(&specs);
+        let baseline =
+            ExplicitChecker::with_options(&sys, CheckerOptions::sequential()).check_all(&specs);
         for workers in [2, 4] {
             let options = CheckerOptions::default()
                 .with_workers(workers)
-                .with_wave_size(1)
-                .with_graph_cache(true);
+                .with_wave_size(1);
             let parallel = ExplicitChecker::with_options(&sys, options).check_all(&specs);
             for ((spec, b), p) in specs.iter().zip(&baseline).zip(&parallel) {
                 assert_eq!(b.status, p.status, "{} at {workers} workers", spec.name());
@@ -1138,10 +1087,9 @@ mod tests {
             start: StartRestriction::RoundStart,
             forbidden: LocSet::from_names(sys.model(), "I1", &["I1"]),
         };
-        let checker = ExplicitChecker::with_options(&sys, options.with_graph_cache(true));
+        let checker = ExplicitChecker::with_options(&sys, options);
         let (outcomes, stats) = checker.check_all_with_stats(std::slice::from_ref(&spec));
-        let direct = ExplicitChecker::with_options(&sys, options.with_graph_cache(false));
-        assert_eq!(outcomes[0], direct.check(&spec));
+        assert_eq!(outcomes[0], checker.check(&spec));
         assert_eq!(outcomes[0].status, crate::CheckStatus::Unknown);
         assert!(outcomes[0].detail.contains("bound"));
         // the bounded build is recorded as a miss serving nothing; the spec

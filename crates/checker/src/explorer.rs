@@ -181,6 +181,13 @@ pub(crate) struct SuspendedFrontier {
     pub(crate) kind: InterruptKind,
 }
 
+/// Parses the value of an auto knob's environment variable: a positive
+/// integer, or `None` for anything else (zero included), so the caller
+/// falls back to its default.
+fn parse_positive(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
 /// Resolves one auto knob: the environment variable if set to a positive
 /// integer, the fallback otherwise — memoised in the caller's `OnceLock`
 /// because the resolution sits on per-check paths (`available_parallelism`
@@ -192,12 +199,10 @@ pub(crate) fn cached_env_usize(
     fallback: impl FnOnce() -> usize,
 ) -> usize {
     *cell.get_or_init(|| {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        fallback()
+        std::env::var(var)
+            .ok()
+            .and_then(|v| parse_positive(&v))
+            .unwrap_or_else(fallback)
     })
 }
 
@@ -213,75 +218,6 @@ pub(crate) fn resolved_workers(options: &CheckerOptions) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    })
-}
-
-/// Whether checks should share reachability graphs across the obligations
-/// of one `(start restriction, valuation)` group: an explicit
-/// [`CheckerOptions::graph_cache`] setting wins; `None` defers to the
-/// `CC_GRAPH_CACHE` environment variable (`0` disables), defaulting to
-/// enabled.  Like the thread knobs, the resolution is memoised process-wide.
-pub(crate) fn resolved_graph_cache(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.graph_cache {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_GRAPH_CACHE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether sweeps should carry reachability graphs *across* the valuations
-/// of a start-restriction group (reusing or incrementally extending them
-/// when only guard bounds changed): an explicit
-/// [`CheckerOptions::incremental_sweep`] setting wins; `None` defers to the
-/// `CC_SWEEP_INCREMENTAL` environment variable (`0` disables), defaulting
-/// to enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_incremental_sweep(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.incremental_sweep {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_SWEEP_INCREMENTAL")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether cached graphs memoise per-obligation verdicts across the
-/// valuations of an identical-classified lineage step: an explicit
-/// [`CheckerOptions::verdict_memo`] setting wins; `None` defers to the
-/// `CC_VERDICT_MEMO` environment variable (`0` disables), defaulting to
-/// enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_verdict_memo(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.verdict_memo {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_VERDICT_MEMO")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
-    })
-}
-
-/// Whether tighten-only lineage steps prune the predecessor graph in place
-/// instead of rebuilding the group from scratch: an explicit
-/// [`CheckerOptions::tighten_prune`] setting wins; `None` defers to the
-/// `CC_TIGHTEN_PRUNE` environment variable (`0` disables), defaulting to
-/// enabled.  Memoised process-wide like the other auto knobs.
-pub(crate) fn resolved_tighten_prune(options: &CheckerOptions) -> bool {
-    if let Some(explicit) = options.tighten_prune {
-        return explicit;
-    }
-    static AUTO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("CC_TIGHTEN_PRUNE")
-            .map(|v| v.trim() != "0")
-            .unwrap_or(true)
     })
 }
 
@@ -959,6 +895,16 @@ mod tests {
     use cccounter::CounterSystem;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn env_knobs_take_only_positive_integers() {
+        assert_eq!(parse_positive("4"), Some(4));
+        assert_eq!(parse_positive(" 2\n"), Some(2));
+        // zero and garbage fall back to the default, like an unset variable
+        for value in ["0", "", "-1", "two", "1.5"] {
+            assert_eq!(parse_positive(value), None, "{value:?}");
+        }
+    }
 
     struct CountingVisitor;
 

@@ -68,6 +68,22 @@ use std::rc::Rc;
 /// Sentinel for "product state not discovered yet" in the ordinal maps.
 const NO_ORD: u32 = u32::MAX;
 
+/// The most tracked location sets an analysis pass handles: the product
+/// over `k` sets needs `2^k` flat slots per node.  The catalogue's specs
+/// use at most two.
+pub(crate) const MAX_PRODUCT_SETS: usize = 3;
+
+/// Whether a cached graph serves `spec`: every shape does except an
+/// [`Spec::ExistsAvoidOneOf`] over more than [`MAX_PRODUCT_SETS`] sets,
+/// which takes the pruned per-spec game search instead of paying the
+/// product blow-up.
+pub(crate) fn graph_serves(spec: &Spec) -> bool {
+    match spec {
+        Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= MAX_PRODUCT_SETS,
+        _ => true,
+    }
+}
+
 /// The compiled guard bounds of a counter system: one `(relation, bound)`
 /// pair per guard atom, in rule order (see
 /// [`CounterSystem::guard_bounds`]).  Two valuations over one model differ
@@ -233,7 +249,7 @@ impl GraphLineage {
             GuardStep::Identical => LineageStep::Reuse(entry.graph),
             GuardStep::Mixed => LineageStep::Build { rebuilt: true },
             GuardStep::TightenOnly { changed } => {
-                if !crate::explorer::resolved_tighten_prune(options) {
+                if !options.tighten_prune {
                     return LineageStep::Build { rebuilt: true };
                 }
                 let Ok(graph) = Rc::try_unwrap(entry.graph) else {
@@ -859,7 +875,7 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> (CheckOutcome, bool) {
-        if !crate::explorer::resolved_verdict_memo(options) {
+        if !options.verdict_memo {
             return (self.evaluate(sys, spec, options, signals), false);
         }
         let hit = self
@@ -983,12 +999,9 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> CheckOutcome {
-        // 2^k product slots per node: the catalogue's monitored specs use
-        // k <= 2, and check_cached routes anything wider than k == 3 to the
-        // per-spec search
         debug_assert!(
-            sets.len() <= 3,
-            "at most 3 tracked sets fit the flat product maps"
+            sets.len() <= MAX_PRODUCT_SETS,
+            "at most {MAX_PRODUCT_SETS} tracked sets fit the flat product maps"
         );
         let occ = self.occupancy(sets);
         let num_vals = 1usize << sets.len();
@@ -1617,7 +1630,7 @@ mod tests {
         let (second, hit) = graph.evaluate_memo(&sys, &spec, &options, None);
         assert!(hit, "an identical re-evaluation is a memo hit");
         assert_eq!(first, second);
-        // switching the knob off bypasses the memo, same outcome
+        // switching the lever off bypasses the memo, same outcome
         let off = CheckerOptions::default().with_verdict_memo(false);
         let (third, hit) = graph.evaluate_memo(&sys, &spec, &off, None);
         assert!(!hit);

@@ -29,8 +29,8 @@
 //! checkpoint-boundary, latency and budget-semantics contract.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
-use crate::explorer::{resolved_graph_cache, resolved_workers};
-use crate::graph::{BuildInFlight, BuildStep, ReachGraph};
+use crate::explorer::resolved_workers;
+use crate::graph::{graph_serves, BuildInFlight, BuildStep, ReachGraph};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 use crate::spec::{Spec, StartRestriction};
@@ -478,7 +478,6 @@ impl<'a> CheckJob<'a> {
         let mut signals = JobSignals::new(self.cancel.clone(), self.budget);
         signals.progress = self.progress.clone();
         let pool = WorkerPool::new(resolved_workers(&self.options));
-        let use_cache = resolved_graph_cache(&self.options);
         let mut checker = ExplicitChecker::with_pool(self.sys, self.options, &pool);
         checker.set_signals(Some(&signals));
 
@@ -493,32 +492,15 @@ impl<'a> CheckJob<'a> {
             {
                 return Self::suspend(cp, kind);
             }
-            // mirror ExplicitChecker::check_cached's product-width routing
-            let cacheable = match spec {
-                Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= 3,
-                _ => true,
-            };
-            let outcome = if use_cache && cacheable {
-                match self.cached_obligation(&mut cp, spec, &signals, &pool, &checker) {
-                    Ok(outcome) => outcome,
-                    Err(kind) => return Self::suspend(cp, kind),
-                }
+            let outcome = if graph_serves(spec) {
+                self.cached_obligation(&mut cp, spec, &signals, &pool, &checker)
             } else {
-                checker.set_signal_base((cp.states_done, cp.transitions_done, cp.resident_bytes()));
-                let outcome = checker.check(spec);
-                if outcome.is_interrupted() {
-                    // a per-spec search carries no checkpointable store; it
-                    // is redone from scratch on resume (deterministic, so
-                    // still bit-identical)
-                    let kind = Self::interrupt_kind_of(&outcome);
-                    return Self::suspend(cp, kind);
-                }
-                cp.stats.uncached_specs += 1;
-                cp.states_done += outcome.states_explored;
-                cp.transitions_done += outcome.transitions_explored;
-                outcome
+                Self::per_spec_obligation(&mut cp, spec, &checker)
             };
-            cp.outcomes[i] = Some(outcome);
+            match outcome {
+                Ok(outcome) => cp.outcomes[i] = Some(outcome),
+                Err(kind) => return Self::suspend(cp, kind),
+            }
         }
 
         JobOutcome::Completed {
@@ -549,15 +531,7 @@ impl<'a> CheckJob<'a> {
             // the pruned per-spec search can still produce a definite
             // verdict within the same per-exploration budget (see
             // ExplicitChecker::check_cached)
-            checker.set_signal_base((cp.states_done, cp.transitions_done, cp.resident_bytes()));
-            let outcome = checker.check(spec);
-            if outcome.is_interrupted() {
-                return Err(Self::interrupt_kind_of(&outcome));
-            }
-            cp.stats.uncached_specs += 1;
-            cp.states_done += outcome.states_explored;
-            cp.transitions_done += outcome.transitions_explored;
-            return Ok(outcome);
+            return Self::per_spec_obligation(cp, spec, checker);
         }
         let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, Some(signals));
         if outcome.is_interrupted() {
@@ -572,6 +546,27 @@ impl<'a> CheckJob<'a> {
         } else {
             record.memo_misses += 1;
         }
+        Ok(outcome)
+    }
+
+    /// One obligation on the per-spec search: a spec the graph does not
+    /// serve, or one whose group build tripped a per-exploration bound.
+    /// The search carries no checkpointable store, so an interrupted one is
+    /// redone from scratch on resume (deterministic, so still
+    /// bit-identical).
+    fn per_spec_obligation(
+        cp: &mut JobCheckpoint,
+        spec: &Spec,
+        checker: &ExplicitChecker<'_>,
+    ) -> Result<CheckOutcome, InterruptKind> {
+        checker.set_signal_base((cp.states_done, cp.transitions_done, cp.resident_bytes()));
+        let outcome = checker.check(spec);
+        if outcome.is_interrupted() {
+            return Err(Self::interrupt_kind_of(&outcome));
+        }
+        cp.stats.uncached_specs += 1;
+        cp.states_done += outcome.states_explored;
+        cp.transitions_done += outcome.transitions_explored;
         Ok(outcome)
     }
 
@@ -719,7 +714,7 @@ mod tests {
     fn uninterrupted_job_matches_check_all() {
         let sys = sys();
         let specs = specs(&sys);
-        let options = CheckerOptions::default().with_graph_cache(true);
+        let options = CheckerOptions::default();
         let job = CheckJob::new(&sys, &specs, options);
         let (outcomes, stats) = job.run().completed().expect("unlimited job completes");
         let (reference, ref_stats) =
@@ -736,7 +731,7 @@ mod tests {
     fn state_budget_trips_then_resume_is_bit_identical() {
         let sys = sys();
         let specs = specs(&sys);
-        let options = CheckerOptions::default().with_graph_cache(true);
+        let options = CheckerOptions::default();
         let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
         let tripped = CheckJob::new(&sys, &specs, options)

@@ -52,12 +52,12 @@
 //!   hooks.  Verdicts, state counts, transition counts and counterexample
 //!   schedules are bit-identical at every worker count, shard count and
 //!   wave size.
-//! * **Two-level parallel sweep** ([`sweep::check_over_sweep`]) — the
-//!   `query × valuation` grid fans out over a scoped worker pool, and the
-//!   thread budget left over after covering the grid is handed to the
-//!   in-check workers of each cell.  Reports are deterministic; cells
-//!   cancelled after an earlier violation appear as explicit skipped
-//!   outcomes.
+//! * **Two-level parallel sweep** ([`sweep::check_over_sweep_with_stats`])
+//!   — the valuations of the `query × valuation` grid are cut into
+//!   contiguous blocks, one per sweep worker, and the thread budget left
+//!   over after covering the blocks is handed to the in-check workers of
+//!   each cell.  Reports are deterministic; cells cancelled after an
+//!   earlier violation appear as explicit skipped outcomes.
 //!
 //! # Graph cache: explore once, evaluate many
 //!
@@ -99,14 +99,13 @@
 //!   Verdicts never differ — a cache build that trips a resource budget
 //!   falls back to the per-spec search rather than reporting the whole
 //!   group `Unknown`, and `random_differential`'s cached axis pins
-//!   cached ≡ uncached verdicts (and counterexample replay) across the
-//!   random corpus at 1/2/4 workers.
-//! * **Knob precedence.**  [`CheckerOptions::graph_cache`] (explicit
-//!   `Some(true)`/`Some(false)`) over the `CC_GRAPH_CACHE` environment
-//!   variable (`0` disables) over the default (enabled).
-//!   [`ExplicitChecker::check`] always takes the per-spec path — that is
+//!   cached verdicts against [`ExplicitChecker::check`] (and
+//!   counterexample replay) across the random corpus at 1/2/4 workers.
+//! * **The per-spec path.**  Batched checks always go through the cache.
+//!   [`ExplicitChecker::check`] always takes the per-spec search — that is
 //!   the path `engine_equivalence` compares bit-for-bit against
-//!   [`reference`].
+//!   [`reference`] — and it stays the fallback for budget-tripped builds and
+//!   for game specs wider than the analysis product.
 //!
 //! # Incremental sweeps: one sweep, one graph lineage
 //!
@@ -143,7 +142,7 @@
 //!   extended-graph half of `counterexample_replay`).
 //! * **Lineage lifetime & memory.**  Each sweep worker owns one lineage
 //!   spanning the contiguous, valuation-ordered block of grid cells it
-//!   processes (the cached scheduler dispatches blocks, not strided cells,
+//!   processes (the scheduler dispatches blocks, not strided cells,
 //!   precisely so adjacent cells are guard-adjacent); at most one graph
 //!   per start-restriction group survives at a time, dropped when
 //!   classification discards it or the worker finishes its block.
@@ -152,12 +151,11 @@
 //!   `profile_engine`.  Budget-tripped builds never enter the lineage, and
 //!   a budget-tripped extension falls back to a from-scratch rebuild, so
 //!   bounded-build semantics match the fresh path exactly.
-//! * **Knob precedence.**  [`CheckerOptions::incremental_sweep`]
-//!   (explicit `Some`) over the `CC_SWEEP_INCREMENTAL` environment
-//!   variable (`0` disables) over the default (enabled).  The
-//!   `sweep_amortization` axis of the `table2_checking` bench measures the
-//!   whole-sweep speedup (incremental vs fresh over each protocol's full
-//!   8-valuation grid).
+//! * **Lever.**  [`CheckerOptions::incremental_sweep`] (on by default)
+//!   turns the lineage off, giving the fresh side that the differential
+//!   tests compare against.  The `sweep_amortization` axis of the
+//!   `table2_checking` bench measures the whole-sweep speedup (incremental
+//!   vs fresh over each protocol's full 8-valuation grid).
 //!
 //! # Verdict memoization & lineage compaction
 //!
@@ -193,15 +191,14 @@
 //!   Rows the tightened bounds no longer reach stay stored, and are pruned
 //!   along with the reachable ones, so a later extension that reaches them
 //!   again finds their edges exact.
-//! * **Knob precedence.**  [`CheckerOptions::verdict_memo`] over
-//!   `CC_VERDICT_MEMO` (`0` disables) over the default (enabled), and
-//!   [`CheckerOptions::tighten_prune`] over `CC_TIGHTEN_PRUNE` (`0`
-//!   disables) over the default (enabled); `VerifierConfig` and the
-//!   `table2` binary (`--no-verdict-memo` / `--no-tighten-prune`) expose
-//!   the same toggles.  Neither lever ever changes a verdict, a count
-//!   or a counterexample (pinned across the random corpus at 1/2/4 workers
-//!   by `random_differential`); the `sweep_amortization` bench isolates
-//!   each lever's wall-clock gain.
+//! * **Levers.**  [`CheckerOptions::verdict_memo`] and
+//!   [`CheckerOptions::tighten_prune`] are on by default;
+//!   `VerifierConfig` and the `table2` binary (`--no-verdict-memo` /
+//!   `--no-tighten-prune`) expose the same toggles.  Neither lever ever
+//!   changes a verdict, a count or a counterexample (pinned across the
+//!   random corpus at 1/2/4 workers by `random_differential`, and across
+//!   the generated families by `family_differential`); the
+//!   `sweep_amortization` bench isolates each lever's wall-clock gain.
 //!
 //! Lineage survivors stay resident between valuations, because
 //! delta-encoding their rows after each valuation and decoding them at the
@@ -227,8 +224,8 @@
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
 //!   level, not per check call) and joined when the checker is dropped.  A
-//!   sweep creates one pool per grid worker and shares it across every
-//!   cell that worker processes ([`ExplicitChecker::with_pool`]).  A
+//!   sweep creates one pool per valuation block and shares it across every
+//!   cell of its block ([`ExplicitChecker::with_pool`]).  A
 //!   resolved worker count of 1 spawns no threads at all — the sequential
 //!   loop pays no synchronisation.
 //!
@@ -238,13 +235,14 @@
 //!
 //! 1. Explicit configuration: [`CheckerOptions::workers`] /
 //!    [`CheckerOptions::shards`] / [`CheckerOptions::wave_size`] for one
-//!    check, [`sweep::check_over_sweep_with_threads`]'s budget (fed by
+//!    check, the `threads` budget of the sweep entry points (fed by
 //!    `VerifierConfig::threads` and the `--threads` flag of the `table2` /
 //!    `profile_engine` binaries) for a sweep.
 //! 2. Environment: `CC_CHECK_THREADS` (in-check workers when
 //!    `CheckerOptions::workers == 0`), `CC_SWEEP_THREADS` (total sweep
 //!    budget when none was configured), `CC_WAVE_SIZE` (parallel wave size
-//!    when `CheckerOptions::wave_size == 0`).
+//!    when `CheckerOptions::wave_size == 0`).  Only a positive integer is
+//!    used; zero or anything else falls through to the auto default.
 //! 3. Auto: the available parallelism of the machine for the thread knobs,
 //!    [`explorer::DEFAULT_WAVE_SIZE`] for the wave size.
 //!
@@ -254,8 +252,8 @@
 //! # Job lifecycle & fault model
 //!
 //! [`CheckJob`] wraps a batch check in an interruptible state machine, and
-//! [`check_over_sweep_cancellable`] / [`resume_sweep`] extend the same
-//! contract to the sweep grid:
+//! [`check_over_sweep_cancellable`] (which also resumes from a prior run)
+//! extends the same contract to the sweep grid:
 //!
 //! * **Checkpoint boundaries.**  A job suspends only at *wave boundaries*
 //!   of an exploration (including level ends — a level is processed as a
@@ -306,14 +304,9 @@
 //! * **Accounting.**  Every grid cell of a cancelled or budget-tripped
 //!   sweep is accounted for: completed + skipped (after an earlier
 //!   violation) + interrupted-with-checkpoint + failed-after-retry equals
-//!   the full grid ([`SweepOutcome::disposition`]).
-//! * **Knob precedence.**  As everywhere in this crate: explicit
-//!   [`CheckerOptions`] / [`JobBudget`] fields over environment variables
-//!   (`CC_CHECK_THREADS`, `CC_SWEEP_THREADS`, `CC_WAVE_SIZE`,
-//!   `CC_GRAPH_CACHE`, `CC_SWEEP_INCREMENTAL`, `CC_VERDICT_MEMO`,
-//!   `CC_TIGHTEN_PRUNE`) over built-in defaults.
-//!   The `--deadline-ms` / `--max-resident-bytes` flags of the `table2`
-//!   and `profile_engine` binaries feed [`JobBudget`] directly.
+//!   the full grid ([`SweepOutcome::disposition`]).  The
+//!   `--deadline-ms` / `--max-resident-bytes` flags of the `table2` and
+//!   `profile_engine` binaries feed [`JobBudget`] directly.
 //!
 //! [`reference`] preserves the original clone-per-transition engine
 //! (`HashMap<(Vec<u8>, u8), usize>` keys, per-branch `Configuration`
@@ -367,7 +360,6 @@ pub use schema::{
 pub use spec::{LocSet, Spec, StartRestriction};
 pub use store::{StateStore, StoreStats};
 pub use sweep::{
-    check_over_sweep, check_over_sweep_cancellable, check_over_sweep_with_stats,
-    check_over_sweep_with_threads, resume_sweep, sweep_thread_budget, CellDisposition,
-    SweepOutcome, SweepReport,
+    check_over_sweep_cancellable, check_over_sweep_with_stats, sweep_thread_budget,
+    CellDisposition, SweepOutcome, SweepReport,
 };

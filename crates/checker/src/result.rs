@@ -205,8 +205,8 @@ pub struct GroupCacheRecord {
 pub struct GraphCacheStats {
     /// One record per graph built, in build order.
     pub groups: Vec<GroupCacheRecord>,
-    /// Obligations checked on the per-spec path (cache disabled, or a spec
-    /// shape the cache does not serve).
+    /// Obligations checked on the per-spec path (a spec shape the cache
+    /// does not serve, or a group whose build tripped a resource budget).
     pub uncached_specs: usize,
 }
 

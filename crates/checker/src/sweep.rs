@@ -5,39 +5,39 @@
 //! valuations (the sweep); a query "holds" if it holds on every member of the
 //! sweep and is "violated" as soon as one member yields a counterexample.
 //!
-//! # Two-level parallelism
+//! # One scheduler: contiguous valuation blocks
 //!
-//! The `query × valuation` grid is embarrassingly parallel, and each cell's
-//! exploration can itself run on multiple workers (see [`crate::explorer`]).
-//! [`check_over_sweep`] therefore splits one *thread budget* across both
-//! levels: enough outer workers to cover the grid, and the remaining factor
-//! handed to each cell as in-check workers.  A 16-thread budget over a
-//! 4-cell grid runs 4 cells concurrently with 4 workers each; a single huge
-//! cell gets all 16 workers.  The budget comes from
-//! [`check_over_sweep_with_threads`]'s argument, or (for
-//! [`check_over_sweep`]) from the `CC_SWEEP_THREADS` environment variable,
-//! falling back to the available parallelism; an explicit
-//! [`CheckerOptions::workers`] setting always wins over the derived
-//! per-cell worker count.
-//!
-//! Reports keep the deterministic sequential semantics regardless of any of
-//! these knobs: outcomes are assembled in valuation order, and every grid
-//! cell that a sequential sweep would never have reached (because an earlier
-//! valuation of the same query violated) is reported as an explicit
-//! *skipped* outcome — so each report accounts for every cell of the grid,
-//! and cancelled work is visible instead of silently dropped.
-//!
-//! # Graph-cache batching
-//!
-//! With the reachability-graph cache enabled (the default, see the "Graph
-//! cache" section of the crate docs), the unit of scheduled work is a whole
-//! *valuation* rather than a single `(query, valuation)` cell: one
+//! The unit of scheduled work is a whole *valuation*: one
 //! [`ExplicitChecker`] per valuation runs the full spec slice through
 //! cached checks, so every query sharing a start restriction reuses one
-//! exploration of that valuation's reachable graph.  Per-cell outcomes,
-//! durations, skipped records and the deterministic assembly are unchanged;
-//! [`check_over_sweep_with_stats`] additionally returns the aggregated
-//! cache accounting in valuation order.
+//! exploration of that valuation's reachable graph.  The valuations are cut
+//! into contiguous blocks, one per sweep worker, and each block walks its
+//! valuations in order with one in-check pool and one [`GraphLineage`], so
+//! the groups it visits are guard-adjacent — the precondition for the
+//! incremental sweep's reuse/extend/prune classification.  Block 0 runs on
+//! the calling thread: a budget of 1 is the whole grid on the caller, with
+//! no thread spawned.
+//!
+//! # Two-level parallelism
+//!
+//! Each cell's exploration can itself run on multiple workers (see
+//! [`crate::explorer`]), so [`check_over_sweep_with_stats`] splits one
+//! *thread budget* across both levels: one block per budget thread (at most
+//! one per valuation), and the remaining factor handed to each cell as
+//! in-check workers.  A 16-thread budget over a 4-valuation grid runs 4
+//! blocks with 4 workers each; a single valuation gets all 16 workers.
+//! [`sweep_thread_budget`] resolves a budget of `0` from the
+//! `CC_SWEEP_THREADS` environment variable, falling back to the available
+//! parallelism; an explicit [`CheckerOptions::workers`] setting always wins
+//! over the derived per-cell worker count.
+//!
+//! Reports keep the deterministic sequential semantics regardless of the
+//! budget: outcomes are assembled in valuation order, and every grid cell
+//! that a sequential sweep would never have reached (because an earlier
+//! valuation of the same query violated) is reported as an explicit
+//! *skipped* outcome — so each report accounts for every cell of the grid,
+//! and cancelled work is visible instead of silently dropped.  The
+//! aggregated cache accounting is merged in valuation order.
 //!
 //! # Job lifecycle
 //!
@@ -53,13 +53,13 @@
 //! re-dispatched on a fresh pool without any lineage — without disturbing
 //! their siblings.  The four dispositions partition the grid, so
 //! `completed + skipped + interrupted + failed` always equals the grid
-//! size.  [`resume_sweep`] continues an interrupted sweep from its reports,
-//! carrying completed cells over verbatim and recomputing the rest; a
-//! resumed sweep that runs to completion is bit-identical to an
+//! size.  Passing an interrupted sweep's reports back as the prior run
+//! resumes it, carrying completed cells over verbatim and recomputing the
+//! rest; a resumed sweep that runs to completion is bit-identical to an
 //! uninterrupted run.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
-use crate::explorer::{resolved_graph_cache, resolved_workers};
+use crate::explorer::resolved_workers;
 use crate::graph::GraphLineage;
 use crate::job::{CancelToken, InterruptKind, JobBudget, JobSignals};
 use crate::pool::WorkerPool;
@@ -70,7 +70,6 @@ use cccounter::CounterSystem;
 use ccta::{ParamValuation, SystemModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How one grid cell of a sweep ended up in its report.
@@ -83,7 +82,7 @@ pub enum CellDisposition {
     /// Stopped by a job signal — a tripped [`CancelToken`], deadline or
     /// budget cap — either mid-cell (the outcome then carries the partial
     /// state/transition counts) or before the cell was ever dispatched.
-    /// Interrupted cells are recomputed by [`resume_sweep`].
+    /// Interrupted cells are recomputed when the sweep is resumed.
     Interrupted,
     /// The cell panicked on the shared pool *and* once more after being
     /// re-dispatched on a fresh pool without a lineage; its outcome detail
@@ -217,7 +216,7 @@ impl SweepReport {
     }
 
     /// Number of grid cells a job signal interrupted (mid-cell or before
-    /// dispatch); these are the cells [`resume_sweep`] recomputes.
+    /// dispatch); these are the cells a resumed sweep recomputes.
     pub fn interrupted_cells(&self) -> usize {
         self.outcomes
             .iter()
@@ -305,45 +304,12 @@ fn cell_retry_policy() -> RetryPolicy {
     RetryPolicy::attempts(2)
 }
 
-/// One cell of the `query × valuation` grid, run on the sweep worker's
-/// shared pool (one pool per worker, reused across all its cells).  A
-/// panicking cell fails alone: the shared [`crate::retry`] supervisor
-/// re-dispatches it exactly once on a fresh pool and a fresh checker, and
+/// One grid cell: served by the valuation's shared checker (and its graph
+/// memo) on the happy path.  A panicking cell fails alone: the shared
+/// [`crate::retry`] supervisor re-dispatches it exactly once on a fresh
+/// pool and a fresh lineage-free checker — the fresh-rebuild path — and
 /// only a second panic produces a [`CellDisposition::Failed`] record.
-fn run_one(
-    sys: &CounterSystem,
-    spec: &Spec,
-    options: CheckerOptions,
-    pool: &WorkerPool,
-    job: Option<&JobSignals>,
-) -> SweepOutcome {
-    let started = Instant::now();
-    let result = run_with_retry(&cell_retry_policy(), 0, |attempt| {
-        let fresh;
-        let attempt_pool = if attempt == 0 {
-            pool
-        } else {
-            fresh = WorkerPool::new(resolved_workers(&options));
-            &fresh
-        };
-        catch_cell(attempt_pool, || {
-            crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
-            let mut checker = ExplicitChecker::with_pool(sys, options, attempt_pool);
-            checker.set_signals(job);
-            checker.check(spec)
-        })
-    });
-    match result {
-        Ok(outcome) => SweepOutcome::completed(sys.params().clone(), outcome, started.elapsed()),
-        Err(detail) => SweepOutcome::failed(sys.params().clone(), detail, started.elapsed()),
-    }
-}
-
-/// One cached-path cell: served by the valuation's shared checker (and its
-/// graph memo) on the happy path; a panicking cell is re-dispatched once on
-/// a fresh pool and a fresh lineage-free checker — the fresh-rebuild path —
-/// before being reported failed.
-fn run_cached_cell(
+fn run_cell(
     checker: &ExplicitChecker,
     pool: &WorkerPool,
     sys: &CounterSystem,
@@ -374,7 +340,10 @@ fn run_cached_cell(
     }
 }
 
-/// Checks each query on every valuation of the sweep, in parallel.
+/// Checks each query on every valuation of the sweep under a total thread
+/// budget (see the module docs), returning the per-query reports plus the
+/// aggregated graph-cache accounting of the sweep, merged in valuation
+/// order.
 ///
 /// The model must be a single-round model (Definition 3).  Valuations that
 /// are not admissible for the model's environment are dropped before the
@@ -382,32 +351,6 @@ fn run_cached_cell(
 /// cell in valuation order; cells after the query's first violation are
 /// explicit skipped records, exactly as a sequential sweep would have left
 /// them unchecked.
-pub fn check_over_sweep(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-) -> Vec<SweepReport> {
-    check_over_sweep_with_threads(model, specs, valuations, options, sweep_thread_budget(0))
-}
-
-/// [`check_over_sweep`] with an explicit total thread budget, bypassing the
-/// `CC_SWEEP_THREADS` environment lookup.  The budget is split between grid
-/// cells and in-check workers (see the module docs); `1` forces the fully
-/// sequential path.
-pub fn check_over_sweep_with_threads(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-    threads: usize,
-) -> Vec<SweepReport> {
-    check_over_sweep_with_stats(model, specs, valuations, options, threads).0
-}
-
-/// [`check_over_sweep_with_threads`] plus the aggregated graph-cache
-/// accounting of the sweep (merged in valuation order; empty when the cache
-/// is disabled).
 pub fn check_over_sweep_with_stats(
     model: &SystemModel,
     specs: &[Spec],
@@ -418,15 +361,24 @@ pub fn check_over_sweep_with_stats(
     sweep_impl(model, specs, valuations, options, threads, None, None)
 }
 
-/// [`check_over_sweep_with_threads`] under a job lifecycle: the sweep polls
+/// [`check_over_sweep_with_stats`] under a job lifecycle: the sweep polls
 /// `cancel` and the budget's deadline before every cell (and the cell's own
 /// exploration polls them at wave boundaries, so cancellation latency is
 /// one wave), and applies the budget's state/transition/resident caps to
 /// each cell individually.  Cells the sweep never reached are explicit
-/// [`CellDisposition::Interrupted`] records; feed the reports to
-/// [`resume_sweep`] to continue without redoing completed cells.  With a
-/// never-cancelled token and an unlimited budget this is exactly
-/// [`check_over_sweep_with_stats`].
+/// [`CellDisposition::Interrupted`] records.
+///
+/// `prior` resumes an interrupted sweep from its reports: completed cells
+/// are carried over verbatim (outcome, duration and all), their violations
+/// keep cancelling later cells of the same query, and only interrupted,
+/// failed and skipped-by-violation cells are recomputed or re-derived.
+/// Cells are deterministic and recomputed whole, so a resumed sweep that
+/// runs to completion is bit-identical to an uninterrupted run; the
+/// returned cache stats account only the resumed work.  `prior` must come
+/// from a sweep of the same model, specs and valuations (the grid shapes
+/// are asserted).  With no prior run, a never-cancelled token and an
+/// unlimited budget this is exactly [`check_over_sweep_with_stats`].
+#[allow(clippy::too_many_arguments)]
 pub fn check_over_sweep_cancellable(
     model: &SystemModel,
     specs: &[Spec],
@@ -435,6 +387,7 @@ pub fn check_over_sweep_cancellable(
     threads: usize,
     cancel: &CancelToken,
     budget: JobBudget,
+    prior: Option<&[SweepReport]>,
 ) -> (Vec<SweepReport>, GraphCacheStats) {
     let signals = JobSignals::new(cancel.clone(), budget);
     sweep_impl(
@@ -444,45 +397,12 @@ pub fn check_over_sweep_cancellable(
         options,
         threads,
         Some(&signals),
-        None,
+        prior,
     )
 }
 
-/// Resumes an interrupted sweep from its reports: completed cells of
-/// `prior` are carried over verbatim (outcome, duration and all), their
-/// violations keep cancelling later cells of the same query, and only
-/// interrupted, failed and skipped-by-violation cells are recomputed or
-/// re-derived.  Cells are deterministic and recomputed whole, so a resumed
-/// sweep that runs to completion is bit-identical to an uninterrupted
-/// [`check_over_sweep_cancellable`] run; the returned cache stats account
-/// only the resumed work.  `prior` must come from a sweep of the same
-/// model, specs and valuations (the grid shapes are asserted).
-#[allow(clippy::too_many_arguments)]
-pub fn resume_sweep(
-    model: &SystemModel,
-    specs: &[Spec],
-    valuations: &[ParamValuation],
-    options: CheckerOptions,
-    threads: usize,
-    cancel: &CancelToken,
-    budget: JobBudget,
-    prior: &[SweepReport],
-) -> (Vec<SweepReport>, GraphCacheStats) {
-    let signals = JobSignals::new(cancel.clone(), budget);
-    sweep_impl(
-        model,
-        specs,
-        valuations,
-        options,
-        threads,
-        Some(&signals),
-        Some(prior),
-    )
-}
-
-/// The shared sweep driver behind the plain, cancellable and resuming entry
-/// points: forms the grid, prefills it from a resumed run, dispatches the
-/// schedulers and assembles the deterministic reports.
+/// The sweep behind both entry points: forms the grid, prefills it from a
+/// resumed run, runs the blocks and assembles the deterministic reports.
 fn sweep_impl(
     model: &SystemModel,
     specs: &[Spec],
@@ -497,27 +417,25 @@ fn sweep_impl(
         .filter_map(|v| CounterSystem::new(model.clone(), v.clone()).ok())
         .collect();
     let width = systems.len();
-    let total = specs.len() * width;
     let budget = threads.max(1);
-    let use_cache = resolved_graph_cache(&options);
-    // with the graph cache the scheduled unit is a whole valuation (its
-    // spec slice shares cached graphs), otherwise a single grid cell
-    let items = if use_cache { width } else { total };
-    let outer = budget.min(items.max(1));
-    // the budget left over after covering the work items goes into each
-    // cell, unless the caller pinned an in-check worker count explicitly
+    // one block per budget thread, at most one per valuation
+    let outer = budget.min(width.max(1));
+    // the budget left over after covering the blocks goes into each cell,
+    // unless the caller pinned an in-check worker count explicitly
     let cell_options = if options.workers == 0 {
-        options.with_workers((budget / outer.max(1)).max(1))
+        options.with_workers((budget / outer).max(1))
     } else {
         options
     };
 
-    // one slot per (spec, valuation) cell, filled by the workers, plus one
-    // cache-accounting slot per valuation
+    // one slot per (valuation, spec) cell in valuation-major order, so each
+    // block owns a contiguous run of slots, plus one cache-accounting slot
+    // per valuation
     let mut slots: Vec<Option<SweepOutcome>> = Vec::new();
-    slots.resize_with(total, || None);
+    slots.resize_with(width * specs.len(), || None);
     let mut stats_slots: Vec<Option<GraphCacheStats>> = Vec::new();
     stats_slots.resize_with(width, || None);
+    let slot = |s: usize, v: usize| v * specs.len() + s;
 
     // resume: completed cells of the prior run are carried over verbatim;
     // interrupted, failed and skipped cells stay empty and are recomputed
@@ -526,146 +444,94 @@ fn sweep_impl(
         assert_eq!(
             prior.len(),
             specs.len(),
-            "resume_sweep: prior reports do not match the spec slice"
+            "resumed sweep: prior reports do not match the spec slice"
         );
         for (s, report) in prior.iter().enumerate() {
             assert_eq!(
                 report.outcomes.len(),
                 width,
-                "resume_sweep: prior grid width does not match the valuations"
+                "resumed sweep: prior grid width does not match the valuations"
             );
             for (v, cell) in report.outcomes.iter().enumerate() {
                 if cell.disposition == CellDisposition::Completed {
-                    slots[s * width + v] = Some(cell.clone());
+                    slots[slot(s, v)] = Some(cell.clone());
                 }
             }
         }
     }
     // violations carried over from a resumed run keep cancelling the rest
     // of their row, exactly as if this run had produced them
-    let violated_seed: Vec<usize> = (0..specs.len())
+    let violated_at = (0..specs.len())
         .map(|s| {
-            slots[s * width..(s + 1) * width]
-                .iter()
-                .position(|slot| {
-                    slot.as_ref()
-                        .is_some_and(|c| c.outcome.status == CheckStatus::Violated)
-                })
-                .unwrap_or(usize::MAX)
+            let first = (0..width).position(|v| {
+                slots[slot(s, v)]
+                    .as_ref()
+                    .is_some_and(|c| c.outcome.status == CheckStatus::Violated)
+            });
+            AtomicUsize::new(first.unwrap_or(usize::MAX))
         })
         .collect();
+    let grid = Grid {
+        specs,
+        systems: &systems,
+        options: cell_options,
+        job,
+        violated_at,
+    };
 
-    if use_cache {
-        run_cached_batches(
-            specs,
-            &systems,
-            cell_options,
-            outer,
-            job,
-            &violated_seed,
-            &mut slots,
-            &mut stats_slots,
-        );
-    } else if outer <= 1 || total <= 1 {
-        // sequential fast path: one pool for the whole grid, skip a query's
-        // remaining valuations after a violation, like the parallel
-        // scheduler below
-        let pool = WorkerPool::new(resolved_workers(&cell_options));
-        let mut violated_at = violated_seed.clone();
-        'grid: for (s, spec) in specs.iter().enumerate() {
-            for (v, sys) in systems.iter().enumerate() {
-                if violated_at[s] < v || slots[s * width + v].is_some() {
-                    continue; // an earlier valuation violated, or resumed
-                }
-                if job.is_some_and(|j| j.fast_stop().is_some()) {
-                    break 'grid;
-                }
-                let cell = run_one(sys, spec, cell_options, &pool, job);
-                if cell.outcome.status == CheckStatus::Violated {
-                    violated_at[s] = violated_at[s].min(v);
-                }
-                slots[s * width + v] = Some(cell);
-            }
-        }
-    } else {
-        // a lock-free work queue over the grid; `violated_at[s]` records the
-        // smallest violating valuation index of query `s` so far, letting
-        // workers cancel cells that a sequential sweep would never reach.
-        // Each sweep worker owns one persistent in-check pool, shared
-        // across every grid cell it processes.
-        let next = AtomicUsize::new(0);
-        let cell_workers = resolved_workers(&cell_options);
-        let violated_at: Vec<AtomicUsize> =
-            violated_seed.iter().map(|&v| AtomicUsize::new(v)).collect();
-        let slot_refs: Vec<Mutex<&mut Option<SweepOutcome>>> =
-            slots.iter_mut().map(Mutex::new).collect();
+    if width > 0 && !specs.is_empty() {
+        let block = width.div_ceil(outer);
+        let mut blocks = slots
+            .chunks_mut(block * specs.len())
+            .zip(stats_slots.chunks_mut(block))
+            .enumerate();
+        let head = blocks.next();
+        let grid = &grid;
         std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| {
-                    let pool = WorkerPool::new(cell_workers);
-                    loop {
-                        if job.is_some_and(|j| j.fast_stop().is_some()) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let (s, v) = (i / width, i % width);
-                        if v > violated_at[s].load(Ordering::Acquire) {
-                            continue; // cancelled: an earlier valuation violated
-                        }
-                        if slot_refs[i].lock().unwrap().is_some() {
-                            continue; // carried over from the resumed run
-                        }
-                        let cell = run_one(&systems[v], &specs[s], cell_options, &pool, job);
-                        if cell.outcome.status == CheckStatus::Violated {
-                            violated_at[s].fetch_min(v, Ordering::AcqRel);
-                        }
-                        **slot_refs[i].lock().unwrap() = Some(cell);
-                    }
-                });
+            for (b, (cells, stats)) in blocks {
+                scope.spawn(move || grid.run_block(b * block, cells, stats));
+            }
+            if let Some((_, (cells, stats))) = head {
+                grid.run_block(0, cells, stats);
             }
         });
     }
 
     // cache accounting, merged in valuation order regardless of which
-    // worker processed which valuation
+    // block processed which valuation
     let mut stats = GraphCacheStats::default();
     for s in stats_slots.into_iter().flatten() {
         stats.merge(&s);
     }
 
     // deterministic assembly: valuation order; every cell past the query's
-    // first violation becomes an explicit skipped record, even if a parallel
-    // worker happened to compute it before the cancellation landed, and
-    // every cell a job signal stopped the schedulers from reaching becomes
-    // an explicit interrupted record
+    // first violation becomes an explicit skipped record, even if another
+    // block happened to compute it before the cancellation landed, and
+    // every cell a job signal stopped the blocks from reaching becomes an
+    // explicit interrupted record
     let trip = job.and_then(|j| j.fast_stop());
     let reports = specs
         .iter()
         .enumerate()
         .map(|(s, spec)| {
-            let row = &mut slots[s * width..(s + 1) * width];
-            let first_violation = row.iter().position(|slot| {
-                slot.as_ref()
+            let first_violation = (0..width).position(|v| {
+                slots[slot(s, v)]
+                    .as_ref()
                     .is_some_and(|c| c.outcome.status == CheckStatus::Violated)
             });
-            let outcomes = row
-                .iter_mut()
+            let outcomes = systems
+                .iter()
                 .enumerate()
-                .map(|(v, slot)| {
+                .map(|(v, sys)| {
                     let past_violation = first_violation.is_some_and(|fv| v > fv);
-                    match slot.take() {
+                    match slots[slot(s, v)].take() {
                         Some(cell) if !past_violation => cell,
-                        _ if past_violation => SweepOutcome::skipped(systems[v].params().clone()),
+                        _ if past_violation => SweepOutcome::skipped(sys.params().clone()),
                         _ => match trip {
-                            Some(kind) => {
-                                SweepOutcome::interrupted(systems[v].params().clone(), kind)
-                            }
+                            Some(kind) => SweepOutcome::interrupted(sys.params().clone(), kind),
                             // unreachable without a live trip signal; account
                             // the cell as skipped rather than dropping it
-                            None => SweepOutcome::skipped(systems[v].params().clone()),
+                            None => SweepOutcome::skipped(sys.params().clone()),
                         },
                     }
                 })
@@ -680,112 +546,56 @@ fn sweep_impl(
     (reports, stats)
 }
 
-/// The graph-cached scheduler: each work item is one valuation, whose whole
-/// spec slice runs on one [`ExplicitChecker`] so the obligations of a start
-/// restriction share one cached reachability graph.  Specs already violated
-/// at an earlier valuation are left unchecked (the assembly marks them
-/// skipped), exactly like the per-cell scheduler.
-///
-/// Valuations are dispatched in *valuation order*: a parallel budget splits
-/// the grid into contiguous valuation blocks (one sweep worker, one
-/// in-check pool and one [`GraphLineage`] per block) instead of striding a
-/// shared queue, so the cells of every start-restriction group that one
-/// worker processes are guard-adjacent — the precondition for the
-/// incremental sweep's reuse/extend classification — and the set of cells a
-/// cancellation can race with is a stable function of the budget, not of
-/// thread timing.
-#[allow(clippy::too_many_arguments)]
-fn run_cached_batches(
-    specs: &[Spec],
-    systems: &[CounterSystem],
-    cell_options: CheckerOptions,
-    outer: usize,
-    job: Option<&JobSignals>,
-    violated_seed: &[usize],
-    slots: &mut [Option<SweepOutcome>],
-    stats_slots: &mut [Option<GraphCacheStats>],
-) {
-    let width = systems.len();
-    if outer <= 1 || width <= 1 {
-        let pool = WorkerPool::new(resolved_workers(&cell_options));
+/// What every block of one sweep shares.
+struct Grid<'a> {
+    specs: &'a [Spec],
+    systems: &'a [CounterSystem],
+    options: CheckerOptions,
+    job: Option<&'a JobSignals>,
+    /// Per spec, the smallest valuation index that violated so far; later
+    /// cells of the spec are left unchecked, whichever block reaches them.
+    violated_at: Vec<AtomicUsize>,
+}
+
+impl Grid<'_> {
+    /// Runs one block: the contiguous valuations from grid column `first`
+    /// on, walked in order on one in-check pool and one [`GraphLineage`].
+    /// Each valuation runs its whole spec slice on one [`ExplicitChecker`],
+    /// so the obligations of a start restriction share one cached
+    /// reachability graph.  `cells` holds the block's slots in
+    /// valuation-major order and `stats` its per-valuation cache accounting.
+    fn run_block(
+        &self,
+        first: usize,
+        cells: &mut [Option<SweepOutcome>],
+        stats: &mut [Option<GraphCacheStats>],
+    ) {
+        let pool = WorkerPool::new(resolved_workers(&self.options));
         let lineage = GraphLineage::new();
-        let mut violated_at = violated_seed.to_vec();
-        'grid: for (v, sys) in systems.iter().enumerate() {
-            if job.is_some_and(|j| j.fast_stop().is_some()) {
-                break 'grid;
+        let rows = cells.chunks_mut(self.specs.len()).zip(stats);
+        for (v, (sys, (row, record))) in (first..).zip(self.systems[first..].iter().zip(rows)) {
+            if self.job.is_some_and(|j| j.fast_stop().is_some()) {
+                return;
             }
             let mut checker =
-                ExplicitChecker::with_pool_and_lineage(sys, cell_options, &pool, &lineage);
-            checker.set_signals(job);
-            for (s, spec) in specs.iter().enumerate() {
-                if violated_at[s] < v || slots[s * width + v].is_some() {
-                    continue; // an earlier valuation violated, or resumed
+                ExplicitChecker::with_pool_and_lineage(sys, self.options, &pool, &lineage);
+            checker.set_signals(self.job);
+            for (s, (spec, slot)) in self.specs.iter().zip(row).enumerate() {
+                if self.violated_at[s].load(Ordering::Acquire) < v || slot.is_some() {
+                    continue; // violated earlier, or resumed
                 }
-                if job.is_some_and(|j| j.fast_stop().is_some()) {
-                    stats_slots[v] = Some(checker.cache_stats());
-                    break 'grid;
+                if self.job.is_some_and(|j| j.fast_stop().is_some()) {
+                    *record = Some(checker.cache_stats());
+                    return;
                 }
-                let cell = run_cached_cell(&checker, &pool, sys, spec, cell_options, job);
+                let cell = run_cell(&checker, &pool, sys, spec, self.options, self.job);
                 if cell.outcome.status == CheckStatus::Violated {
-                    violated_at[s] = violated_at[s].min(v);
+                    self.violated_at[s].fetch_min(v, Ordering::AcqRel);
                 }
-                slots[s * width + v] = Some(cell);
+                *slot = Some(cell);
             }
-            stats_slots[v] = Some(checker.cache_stats());
+            *record = Some(checker.cache_stats());
         }
-    } else {
-        let cell_workers = resolved_workers(&cell_options);
-        let violated_at: Vec<AtomicUsize> =
-            violated_seed.iter().map(|&v| AtomicUsize::new(v)).collect();
-        let block = width.div_ceil(outer);
-        let slot_refs: Vec<Mutex<&mut Option<SweepOutcome>>> =
-            slots.iter_mut().map(Mutex::new).collect();
-        let stats_refs: Vec<Mutex<&mut Option<GraphCacheStats>>> =
-            stats_slots.iter_mut().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            for worker in 0..outer {
-                let range = worker * block..((worker + 1) * block).min(width);
-                if range.is_empty() {
-                    break;
-                }
-                let (violated_at, slot_refs, stats_refs) = (&violated_at, &slot_refs, &stats_refs);
-                scope.spawn(move || {
-                    let pool = WorkerPool::new(cell_workers);
-                    let lineage = GraphLineage::new();
-                    'block: for v in range {
-                        if job.is_some_and(|j| j.fast_stop().is_some()) {
-                            break 'block;
-                        }
-                        let sys = &systems[v];
-                        let mut checker = ExplicitChecker::with_pool_and_lineage(
-                            sys,
-                            cell_options,
-                            &pool,
-                            &lineage,
-                        );
-                        checker.set_signals(job);
-                        for (s, spec) in specs.iter().enumerate() {
-                            if violated_at[s].load(Ordering::Acquire) < v
-                                || slot_refs[s * width + v].lock().unwrap().is_some()
-                            {
-                                continue; // violated earlier, or resumed
-                            }
-                            if job.is_some_and(|j| j.fast_stop().is_some()) {
-                                **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
-                                break 'block;
-                            }
-                            let cell =
-                                run_cached_cell(&checker, &pool, sys, spec, cell_options, job);
-                            if cell.outcome.status == CheckStatus::Violated {
-                                violated_at[s].fetch_min(v, Ordering::AcqRel);
-                            }
-                            **slot_refs[s * width + v].lock().unwrap() = Some(cell);
-                        }
-                        **stats_refs[v].lock().unwrap() = Some(checker.cache_stats());
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -796,6 +606,17 @@ mod tests {
     use crate::result::GraphOrigin;
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
+
+    /// The reports of a plain sweep at the given budget.
+    fn sweep(
+        model: &SystemModel,
+        specs: &[Spec],
+        valuations: &[ParamValuation],
+        options: CheckerOptions,
+        threads: usize,
+    ) -> Vec<SweepReport> {
+        check_over_sweep_with_stats(model, specs, valuations, options, threads).0
+    }
 
     fn sweep_valuations() -> Vec<ParamValuation> {
         vec![
@@ -821,11 +642,12 @@ mod tests {
                 forbidden: LocSet::from_names(&model, "E0", &["E0"]),
             },
         ];
-        let reports = check_over_sweep(
+        let reports = sweep(
             &model,
             &specs,
             &sweep_valuations(),
             CheckerOptions::default(),
+            sweep_thread_budget(0),
         );
         assert_eq!(reports.len(), 2);
 
@@ -875,14 +697,14 @@ mod tests {
                 start: StartRestriction::RoundStart,
             },
         ];
-        let parallel = check_over_sweep_with_threads(
+        let parallel = sweep(
             &model,
             &specs,
             &sweep_valuations(),
             CheckerOptions::default(),
             4,
         );
-        let sequential = check_over_sweep_with_threads(
+        let sequential = sweep(
             &model,
             &specs,
             &sweep_valuations(),
@@ -919,20 +741,8 @@ mod tests {
             forbidden: LocSet::from_names(&model, "I1", &["I1"]),
         }];
         let valuations = [ParamValuation::new(vec![5, 1, 1, 1])];
-        let wide = check_over_sweep_with_threads(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::default(),
-            4,
-        );
-        let sequential = check_over_sweep_with_threads(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::sequential(),
-            1,
-        );
+        let wide = sweep(&model, &specs, &valuations, CheckerOptions::default(), 4);
+        let sequential = sweep(&model, &specs, &valuations, CheckerOptions::sequential(), 1);
         assert_eq!(wide[0].status(), sequential[0].status());
         assert_eq!(wide[0].total_states(), sequential[0].total_states());
     }
@@ -967,15 +777,13 @@ mod tests {
             CheckerOptions::default(),
             // wave-pooled path: pooled workers with single-node waves
             CheckerOptions::default().with_workers(2).with_wave_size(1),
-            // both sides of the incremental-sweep knob: the lineage must
-            // never change which cells are completed vs skipped
-            CheckerOptions::default().with_incremental_sweep(true),
+            // the lineage off: it must never change which cells are
+            // completed vs skipped
             CheckerOptions::default().with_incremental_sweep(false),
         ];
         for options in option_sets {
             for threads in [1, 2, 8] {
-                let reports =
-                    check_over_sweep_with_threads(&model, &specs, &valuations, options, threads);
+                let reports = sweep(&model, &specs, &valuations, options, threads);
                 assert_eq!(reports.len(), specs.len());
                 for report in &reports {
                     let completed = report
@@ -1018,6 +826,7 @@ mod tests {
             2,
             &cancel,
             JobBudget::unlimited(),
+            None,
         );
         for report in &cancelled {
             assert_eq!(report.outcomes.len(), grid_width);
@@ -1039,7 +848,7 @@ mod tests {
         // resuming the fully-interrupted sweep completes it, bit-identical
         // to an uninterrupted cancellable run — which in turn matches the
         // plain sweep
-        let (resumed, _) = resume_sweep(
+        let (resumed, _) = check_over_sweep_cancellable(
             &model,
             &specs,
             &valuations,
@@ -1047,7 +856,7 @@ mod tests {
             2,
             &CancelToken::new(),
             JobBudget::unlimited(),
-            &cancelled,
+            Some(&cancelled),
         );
         let (reference, _) = check_over_sweep_cancellable(
             &model,
@@ -1057,22 +866,17 @@ mod tests {
             1,
             &CancelToken::new(),
             JobBudget::unlimited(),
+            None,
         );
         assert_reports_identical(&resumed, &reference, "resumed vs uninterrupted");
-        let plain = check_over_sweep_with_threads(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::default(),
-            1,
-        );
+        let plain = sweep(&model, &specs, &valuations, CheckerOptions::default(), 1);
         assert_reports_identical(&reference, &plain, "cancellable vs plain");
     }
 
     #[test]
     fn cached_and_uncached_sweeps_agree() {
-        // the batched graph-cache scheduler and the per-cell scheduler must
-        // produce reports of identical shape and verdict at every budget
+        // every cell the cached sweep checked must match the per-spec search
+        // of that (query, valuation) at every budget
         let model = fixtures::voting_model().single_round().unwrap();
         let specs = vec![
             Spec::NeverFrom {
@@ -1095,32 +899,25 @@ mod tests {
                 &model,
                 &specs,
                 &sweep_valuations(),
-                CheckerOptions::default().with_graph_cache(true),
-                threads,
-            );
-            let (uncached, no_stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &sweep_valuations(),
-                CheckerOptions::default().with_graph_cache(false),
+                CheckerOptions::default(),
                 threads,
             );
             assert!(stats.graphs_built() > 0);
             // 3 specs x 2 admissible valuations, minus the cell skipped
-            // after the first violation — which a parallel worker may have
+            // after the first violation — which another block may have
             // computed anyway before the cancellation landed
             let checked = stats.specs_served() + stats.uncached_specs;
             assert!((5..=6).contains(&checked), "{checked}");
-            assert_eq!(no_stats.graphs_built(), 0);
-            for (c, u) in cached.iter().zip(&uncached) {
-                assert_eq!(c.spec_name, u.spec_name);
-                assert_eq!(c.status(), u.status(), "{} at {threads}", c.spec_name);
-                assert_eq!(c.outcomes.len(), u.outcomes.len());
-                for (co, uo) in c.outcomes.iter().zip(&u.outcomes) {
-                    assert_eq!(co.params, uo.params);
-                    assert_eq!(co.skipped, uo.skipped, "{}", c.spec_name);
-                    assert_eq!(co.disposition, uo.disposition, "{}", c.spec_name);
-                    assert_eq!(co.outcome.status, uo.outcome.status, "{}", c.spec_name);
+            for (report, spec) in cached.iter().zip(&specs) {
+                assert_eq!(report.outcomes.len(), 2);
+                for cell in report.outcomes.iter().filter(|c| !c.skipped) {
+                    let sys = CounterSystem::new(model.clone(), cell.params.clone()).unwrap();
+                    let per_spec = ExplicitChecker::new(&sys).check(spec);
+                    assert_eq!(
+                        cell.outcome.status, per_spec.status,
+                        "{} at {} on budget {threads}",
+                        report.spec_name, cell.params
+                    );
                 }
             }
         }
@@ -1207,18 +1004,14 @@ mod tests {
                 &model,
                 &specs,
                 &valuations,
-                CheckerOptions::default()
-                    .with_graph_cache(true)
-                    .with_incremental_sweep(true),
+                CheckerOptions::default().with_incremental_sweep(true),
                 threads,
             );
             let (fresh, fresh_stats) = check_over_sweep_with_stats(
                 &model,
                 &specs,
                 &valuations,
-                CheckerOptions::default()
-                    .with_graph_cache(true)
-                    .with_incremental_sweep(false),
+                CheckerOptions::default().with_incremental_sweep(false),
                 threads,
             );
             assert_reports_identical(&incremental, &fresh, &format!("threads {threads}"));
@@ -1260,7 +1053,7 @@ mod tests {
             start: StartRestriction::Unanimous(BinValue::Zero),
             forbidden: LocSet::from_names(&model, "I1", &["I1"]),
         }];
-        let reports = check_over_sweep(
+        let reports = sweep(
             &model,
             &specs,
             &[ParamValuation::new(vec![4, 1, 1, 1])],
@@ -1269,6 +1062,7 @@ mod tests {
                 max_transitions: 10,
                 ..CheckerOptions::default()
             },
+            sweep_thread_budget(0),
         );
         assert_eq!(reports[0].status(), CheckStatus::Unknown);
         assert!(!reports[0].holds());

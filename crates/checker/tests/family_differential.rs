@@ -10,11 +10,12 @@
 //! * **Engine ≡ reference** — verdict, state count, transition count and
 //!   counterexample schedules, per obligation.
 //! * **Cached ≡ uncached** — the reachability-graph cache at 1, 2 and 4
-//!   workers agrees with the per-spec path, and every cached
+//!   workers agrees with the per-spec search (`check`), and every cached
 //!   counterexample replays to a genuine violation.
 //! * **Incremental ≡ fresh** — the guard-adjacent sweep grid the generator
 //!   attaches to resilience-2 families is bit-identical incrementally and
-//!   from scratch, at 1, 2 and 4 workers.
+//!   from scratch, at 1, 2 and 4 workers, and (at 1 worker) with the
+//!   verdict memo or the tighten-only prune switched off.
 //! * **Simulator cross-check** — `ccsim::bridge` executes each family as
 //!   individual automaton copies with independently evaluated guards:
 //!   seeded fair and adversarial runs must never witness a violation of an
@@ -26,7 +27,10 @@
 //! family can be rebuilt deterministically.
 
 use ccchecker::reference::reference_check;
-use ccchecker::{CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec};
+use ccchecker::{
+    check_over_sweep_with_stats, CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec,
+    SweepReport,
+};
 use cccounter::{Configuration, CounterSystem};
 use ccprotocols::family::{FamilyParams, FaultModel, GeneratedFamily};
 use ccsim::bridge::{replay_schedule, simulate, SimPolicy};
@@ -190,16 +194,15 @@ fn generated_families_cached_catalogue_matches_uncached() {
     for (ctx, fam) in corpus() {
         let sys = counter_system(&fam);
         let specs = specs_of(&fam);
-        let uncached =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false))
-                .check_all(&specs);
+        let per_spec = ExplicitChecker::new(&sys);
+        let uncached: Vec<_> = specs.iter().map(|spec| per_spec.check(spec)).collect();
         for workers in [1, 2, 4] {
             // wave size 1 lowers the parallel-entry threshold so pooled
             // runs genuinely exercise the parallel cache build
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default().with_graph_cache(true)
+                ..CheckerOptions::default()
             };
             let (cached, stats) =
                 ExplicitChecker::with_options(&sys, options).check_all_with_stats(&specs);
@@ -226,10 +229,45 @@ fn generated_families_cached_catalogue_matches_uncached() {
     assert!(cached_violations > 0, "degenerate corpus: no violation");
 }
 
+/// Bit-identity of two sweeps of one grid: verdicts, per-cell counts and
+/// counterexample schedules.
+fn assert_sweeps_identical(a: &[SweepReport], b: &[SweepReport], ctx: &str) {
+    for (ra, rb) in a.iter().zip(b) {
+        let where_ = format!("{ctx}, {}", ra.spec_name);
+        assert_eq!(ra.status(), rb.status(), "sweep status differs: {where_}");
+        assert_eq!(ra.outcomes.len(), rb.outcomes.len(), "{where_}");
+        for (oa, ob) in ra.outcomes.iter().zip(&rb.outcomes) {
+            let cell = format!("{where_} at {}", oa.params);
+            assert_eq!(oa.params, ob.params, "{cell}");
+            assert_eq!(oa.skipped, ob.skipped, "{cell}");
+            assert_eq!(oa.outcome.status, ob.outcome.status, "{cell}");
+            assert_eq!(
+                oa.outcome.states_explored, ob.outcome.states_explored,
+                "state count differs: {cell}"
+            );
+            assert_eq!(
+                oa.outcome.transitions_explored, ob.outcome.transitions_explored,
+                "transition count differs: {cell}"
+            );
+            match (&oa.outcome.counterexample, &ob.outcome.counterexample) {
+                (None, None) => {}
+                (Some(ca), Some(cb)) => {
+                    assert_eq!(ca.initial, cb.initial, "initial differs: {cell}");
+                    assert_eq!(
+                        ca.schedule.steps(),
+                        cb.schedule.steps(),
+                        "schedule differs: {cell}"
+                    );
+                }
+                _ => panic!("counterexample presence differs: {cell}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn generated_families_incremental_sweep_matches_fresh() {
-    use ccchecker::check_over_sweep_with_stats;
-    let (mut reused, mut extended) = (0usize, 0usize);
+    let (mut reused, mut extended, mut pruned, mut memo_hits) = (0usize, 0usize, 0usize, 0usize);
     let mut swept = 0usize;
     for (ctx, fam) in corpus() {
         // resilience-3 families carry a single-valuation "sweep"; and the
@@ -247,69 +285,38 @@ fn generated_families_incremental_sweep_matches_fresh() {
         }
         swept += 1;
         let specs = specs_of(&fam);
+        let sweep = |options: CheckerOptions| {
+            check_over_sweep_with_stats(&fam.single_round, &specs, &fam.sweep, options, 1)
+        };
         for workers in [1, 2, 4] {
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
                 ..CheckerOptions::default()
-            }
-            .with_graph_cache(true);
-            let (incremental, stats) = check_over_sweep_with_stats(
-                &fam.single_round,
-                &specs,
-                &fam.sweep,
-                options.with_incremental_sweep(true),
-                1,
-            );
-            let (fresh, _) = check_over_sweep_with_stats(
-                &fam.single_round,
-                &specs,
-                &fam.sweep,
-                options.with_incremental_sweep(false),
-                1,
-            );
+            };
+            let where_ = format!("{ctx} (seed {:#x}) at {workers} workers", fam.seed);
+            let (incremental, stats) = sweep(options);
+            let (fresh, _) = sweep(options.with_incremental_sweep(false));
+            assert_sweeps_identical(&incremental, &fresh, &format!("{where_}, fresh"));
             if workers == 1 {
                 reused += stats.reused_groups();
                 extended += stats.extended_groups();
-            }
-            for (ri, rf) in incremental.iter().zip(&fresh) {
-                let where_ = format!(
-                    "{ctx} (seed {:#x}), {} at {workers} workers",
-                    fam.seed, ri.spec_name
-                );
-                assert_eq!(ri.status(), rf.status(), "sweep status differs: {where_}");
-                assert_eq!(ri.outcomes.len(), rf.outcomes.len(), "{where_}");
-                for (oi, of) in ri.outcomes.iter().zip(&rf.outcomes) {
-                    let cell = format!("{where_} at {}", oi.params);
-                    assert_eq!(oi.params, of.params, "{cell}");
-                    assert_eq!(oi.outcome.status, of.outcome.status, "{cell}");
-                    assert_eq!(
-                        oi.outcome.states_explored, of.outcome.states_explored,
-                        "state count differs: {cell}"
-                    );
-                    assert_eq!(
-                        oi.outcome.transitions_explored, of.outcome.transitions_explored,
-                        "transition count differs: {cell}"
-                    );
-                    match (&oi.outcome.counterexample, &of.outcome.counterexample) {
-                        (None, None) => {}
-                        (Some(ci), Some(cf)) => {
-                            assert_eq!(ci.initial, cf.initial, "initial differs: {cell}");
-                            assert_eq!(
-                                ci.schedule.steps(),
-                                cf.schedule.steps(),
-                                "schedule differs: {cell}"
-                            );
-                        }
-                        _ => panic!("counterexample presence differs: {cell}"),
-                    }
-                }
+                pruned += stats.pruned_groups();
+                memo_hits += stats.memo_hits();
+                // each steady-state lever switched off alone leaves every
+                // verdict, count and schedule of the default sweep intact
+                let (memo_off, _) = sweep(options.with_verdict_memo(false));
+                assert_sweeps_identical(&incremental, &memo_off, &format!("{where_}, memo off"));
+                let (prune_off, _) = sweep(options.with_tighten_prune(false));
+                assert_sweeps_identical(&incremental, &prune_off, &format!("{where_}, prune off"));
             }
         }
     }
     assert!(swept > 0, "no family qualified for the incremental axis");
     assert!(reused > 0, "no identical step was reused");
     assert!(extended > 0, "no relax-only step was extended");
+    assert!(pruned > 0, "no tighten step was pruned in place");
+    assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
 }
 
 /// Whether a simulator-visited configuration sequence witnesses a

@@ -14,9 +14,9 @@
 
 use ccchecker::fixtures;
 use ccchecker::{
-    check_over_sweep_cancellable, check_over_sweep_with_stats, fault, resume_sweep, CancelToken,
-    CellDisposition, CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker,
-    InterruptKind, JobBudget, JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
+    check_over_sweep_cancellable, check_over_sweep_with_stats, fault, CancelToken, CellDisposition,
+    CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, InterruptKind, JobBudget,
+    JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
 };
 use cccounter::CounterSystem;
 use ccta::{BinValue, ParamValuation, SystemModel};
@@ -160,9 +160,9 @@ fn persistent_cell_panic_fails_only_that_cell() {
     let model = model();
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
-    // per-cell scheduling (cache off), sequential, so the first dispatched
-    // cell is deterministic: specs[0] on valuations[0]
-    let options = CheckerOptions::default().with_graph_cache(false);
+    // a budget of 1 runs the whole grid as one block on this thread, so the
+    // first dispatched cell is deterministic: specs[0] on valuations[0]
+    let options = CheckerOptions::default();
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
     // two shots: the first cell panics on the shared pool *and* on its
@@ -265,9 +265,8 @@ fn resident_byte_cap_trips_like_an_oom_and_resumes() {
     let model = model();
     let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
     let specs = catalogue(&model);
-    // the cache is pinned on (overriding `CC_GRAPH_CACHE`): the suspended
-    // mid-wave build this test asserts on only exists on the cached path
-    let options = CheckerOptions::default().with_graph_cache(true);
+    // the suspended mid-wave build this test asserts on is a group build
+    let options = CheckerOptions::default();
     let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
     // a one-byte resident cap is the injected OOM: the first wave boundary
@@ -406,6 +405,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         2,
         &CancelToken::new(),
         JobBudget::unlimited().with_deadline(Duration::ZERO),
+        None,
     );
     assert_grid_accounted(&tripped, valuations.len(), "deadline sweep");
     for report in &tripped {
@@ -422,7 +422,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
 
     // resuming with an open budget completes the grid, bit-identical to an
     // uninterrupted cancellable sweep at a different thread budget
-    let (resumed, _) = resume_sweep(
+    let (resumed, _) = check_over_sweep_cancellable(
         &model,
         &specs,
         &valuations,
@@ -430,7 +430,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         2,
         &CancelToken::new(),
         JobBudget::unlimited(),
-        &tripped,
+        Some(&tripped),
     );
     let (reference, _) = check_over_sweep_cancellable(
         &model,
@@ -440,6 +440,7 @@ fn deadline_swept_grid_accounts_and_resumes_bit_identically() {
         1,
         &CancelToken::new(),
         JobBudget::unlimited(),
+        None,
     );
     assert_grid_accounted(&resumed, valuations.len(), "resumed sweep");
     assert_reports_identical(&resumed, &reference, "resumed vs uninterrupted sweep");

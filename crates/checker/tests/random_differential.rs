@@ -17,14 +17,14 @@
 //!   threshold, so these small systems genuinely exercise the wave path).
 //! * **Cached ≡ uncached** — the reachability-graph cache
 //!   (`check_all` sharing one exploration per start-restriction group) at
-//!   1, 2 and 4 workers returns the same verdict as the per-spec path for
-//!   every obligation, and every cached counterexample replays to a
-//!   genuine violation of its spec.
+//!   1, 2 and 4 workers returns the same verdict as the per-spec search
+//!   (`check`) for every obligation, and every cached counterexample
+//!   replays to a genuine violation of its spec.
 //! * **Interrupted ≡ uninterrupted** — a `CheckJob` tripped by a state
 //!   budget at a random cap, checkpointed and resumed (repeatedly, with a
 //!   doubling cap) produces verdicts, counts and counterexample schedules
 //!   bit-identical to a run that was never interrupted, at 1, 2 and 4
-//!   workers.
+//!   workers, and with bounded group builds that fall back to `check`.
 //!
 //! A failure message always includes the generator seed, so any
 //! counterexample system can be rebuilt deterministically.
@@ -42,6 +42,10 @@ use rand::{Rng, SeedableRng};
 
 /// Number of random systems per test.
 const SYSTEMS: usize = 100;
+
+/// The per-exploration state bound of the interrupt axis's bounded leg:
+/// low enough that most group builds trip it.
+const BOUNDED_STATES: usize = 12;
 
 /// One random small system from the family generator's compatibility seed
 /// mode: a valid multi-round model (random intra-round process DAG plus the
@@ -198,16 +202,15 @@ fn random_systems_cached_catalogue_matches_uncached() {
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, sys.model(), &mids);
-        let uncached_checker =
-            ExplicitChecker::with_options(&sys, CheckerOptions::default().with_graph_cache(false));
-        let uncached = uncached_checker.check_all(&specs);
+        let per_spec = ExplicitChecker::new(&sys);
+        let uncached: Vec<_> = specs.iter().map(|spec| per_spec.check(spec)).collect();
         for workers in [1, 2, 4] {
             // wave size 1 lowers the parallel-entry threshold so pooled
             // runs genuinely exercise the parallel cache build
             let options = CheckerOptions {
                 workers,
                 wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default().with_graph_cache(true)
+                ..CheckerOptions::default()
             };
             let checker = ExplicitChecker::with_options(&sys, options);
             let (cached, stats) = checker.check_all_with_stats(&specs);
@@ -244,10 +247,6 @@ fn random_systems_incremental_sweep_matches_fresh() {
     let (mut reused, mut extended, mut rebuilt, mut pruned) = (0usize, 0usize, 0usize, 0usize);
     let mut memo_hits = 0usize;
     let mut replayed = 0usize;
-    // the CI reruns exercise this suite with the levers forced off through
-    // the environment, which legitimately shifts the lineage distribution
-    let prune_on = std::env::var("CC_TIGHTEN_PRUNE").map_or(true, |v| v != "0");
-    let memo_on = std::env::var("CC_VERDICT_MEMO").map_or(true, |v| v != "0");
     for i in 0..SYSTEMS {
         let seed = 0xD1F_F0000 + i as u64;
         let (sys, mids) = random_system(seed);
@@ -284,14 +283,14 @@ fn random_systems_incremental_sweep_matches_fresh() {
                 &model,
                 &specs,
                 &valuations,
-                options.with_graph_cache(true).with_incremental_sweep(true),
+                options.with_incremental_sweep(true),
                 1,
             );
             let (fresh, _) = check_over_sweep_with_stats(
                 &model,
                 &specs,
                 &valuations,
-                options.with_graph_cache(true).with_incremental_sweep(false),
+                options.with_incremental_sweep(false),
                 1,
             );
             if workers == 1 {
@@ -348,20 +347,14 @@ fn random_systems_incremental_sweep_matches_fresh() {
     // replay at least one incremental counterexample
     assert!(reused > 0, "no identical step was reused");
     assert!(extended > 0, "no relax-only step was extended");
-    if prune_on {
-        // the n-fixed grid never changes the system size, so every tighten
-        // step must take the in-place prune, never a rebuild
-        assert!(pruned > 0, "no tighten step was pruned in place");
-        assert_eq!(
-            rebuilt, 0,
-            "a guard-adjacent tighten step fell back to a rebuild"
-        );
-    } else {
-        assert!(rebuilt > 0, "no tighten step was rebuilt");
-    }
-    if memo_on {
-        assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
-    }
+    // the n-fixed grid never changes the system size, so every tighten step
+    // must take the in-place prune, never a rebuild
+    assert!(pruned > 0, "no tighten step was pruned in place");
+    assert_eq!(
+        rebuilt, 0,
+        "a guard-adjacent tighten step fell back to a rebuild"
+    );
+    assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
     assert!(replayed > 0, "no incremental counterexample was replayed");
 }
 
@@ -404,7 +397,6 @@ fn random_systems_sweep_levers_are_verdict_invariant() {
                 wave_size: if workers > 1 { 1 } else { 0 },
                 ..CheckerOptions::default()
             }
-            .with_graph_cache(true)
             .with_incremental_sweep(true);
             let (levered, stats) = check_over_sweep_with_stats(
                 &model,
@@ -544,32 +536,40 @@ fn random_systems_interrupt_resume_is_bit_identical() {
     // resuming with a doubled cap walks the job through repeated
     // deterministic interrupts until it completes.  Both job runs must be
     // bit-identical to the reference — verdicts, state counts, transition
-    // counts and counterexample schedules — at 1, 2 and 4 workers, with
-    // the graph cache on and (at one worker) off.
+    // counts and counterexample schedules — at 1, 2 and 4 workers, and (at
+    // one worker) under a per-exploration state bound that group builds
+    // trip, so the job serves their obligations from the per-spec search.
     let mut trips = 0usize;
     let mut suspended_builds = 0usize;
+    let mut per_spec_trips = 0usize;
+    let mut fallbacks = 0usize;
     for i in 0..SYSTEMS {
         let seed = 0xD1F_F0000 + i as u64;
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, sys.model(), &mids);
         for workers in [1, 2, 4] {
-            for graph_cache in [true, false] {
-                if !graph_cache && workers != 1 {
+            for bounded in [false, true] {
+                if bounded && workers != 1 {
                     continue;
                 }
                 let options = CheckerOptions {
                     workers,
                     wave_size: if workers > 1 { 1 } else { 0 },
+                    max_states: if bounded {
+                        BOUNDED_STATES
+                    } else {
+                        CheckerOptions::default().max_states
+                    },
                     ..CheckerOptions::default()
-                }
-                .with_graph_cache(graph_cache);
+                };
                 let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
-                let (direct, _) = CheckJob::new(&sys, &specs, options)
+                let (direct, stats) = CheckJob::new(&sys, &specs, options)
                     .run()
                     .completed()
                     .expect("an unbudgeted job must complete");
+                fallbacks += stats.uncached_specs;
 
                 let mut cap = rng.gen_range(2..=24usize);
                 let mut outcome = CheckJob::new(&sys, &specs, options)
@@ -583,8 +583,14 @@ fn random_systems_interrupt_resume_is_bit_identical() {
                         } => {
                             assert!(reason.is_budget(), "seed {seed}: {reason}");
                             trips += 1;
+                            // analysis passes ignore state caps, and an
+                            // obligation-boundary trip has reached the cap,
+                            // so a trip outside a build short of the cap
+                            // landed inside a per-spec search
                             if checkpoint.has_build_in_flight() {
                                 suspended_builds += 1;
+                            } else if checkpoint.states_explored() < cap {
+                                per_spec_trips += 1;
                             }
                             cap *= 2;
                             outcome = CheckJob::new(&sys, &specs, options)
@@ -599,14 +605,14 @@ fn random_systems_interrupt_resume_is_bit_identical() {
 
                 for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
                     let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, cache {graph_cache}, direct job",
+                        "seed {seed}, {} at {workers} workers, bounded {bounded}, direct job",
                         spec.name()
                     );
                     assert_job_outcome_identical(a, b, &ctx);
                 }
                 for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
                     let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, cache {graph_cache}, resumed job",
+                        "seed {seed}, {} at {workers} workers, bounded {bounded}, resumed job",
                         spec.name()
                     );
                     assert_job_outcome_identical(a, b, &ctx);
@@ -621,6 +627,11 @@ fn random_systems_interrupt_resume_is_bit_identical() {
     assert!(
         suspended_builds > 0,
         "no checkpoint ever carried a build in flight"
+    );
+    assert!(fallbacks > 0, "no bounded build fell back to check()");
+    assert!(
+        per_spec_trips > 0,
+        "no trip ever landed inside a per-spec search"
     );
 }
 

@@ -30,12 +30,12 @@ pub struct VerifierConfig {
     /// the `CC_SWEEP_THREADS` environment variable and then to the
     /// available parallelism.
     pub threads: usize,
-    /// Resource limits and in-check thread/shard/wave knobs of the
-    /// explicit-state checker; `checker.workers == 0` lets the sweep derive
-    /// the per-cell worker count from the thread budget, and
+    /// Resource limits, in-check thread/shard/wave knobs and sweep levers
+    /// of the explicit-state checker; `checker.workers == 0` lets the sweep
+    /// derive the per-cell worker count from the thread budget, and
     /// `checker.wave_size == 0` defers to `CC_WAVE_SIZE` and then the
-    /// engine default (see the `ccchecker` crate docs for the full knob
-    /// precedence).
+    /// engine default (see the `ccchecker` crate docs for the thread and
+    /// wave knob precedence).
     pub checker: CheckerOptions,
     /// Resource budget for each protocol's combined sweep (see the "Job
     /// lifecycle & fault model" section of the `ccchecker` crate docs).
@@ -96,54 +96,41 @@ impl VerifierConfig {
         self
     }
 
-    /// This configuration with the reachability-graph cache explicitly
-    /// enabled or disabled for every sweep (overriding `CC_GRAPH_CACHE`;
-    /// see the `ccchecker` crate docs).  The cache never changes a verdict;
-    /// per-obligation state/transition counts under the cache are derived
-    /// from the analysis pass.
-    pub fn with_graph_cache(mut self, enabled: bool) -> Self {
-        self.checker.graph_cache = Some(enabled);
-        self
-    }
-
-    /// This configuration with the incremental sweep explicitly enabled or
-    /// disabled (overriding `CC_SWEEP_INCREMENTAL`; see the "Incremental
-    /// sweeps" section of the `ccchecker` crate docs).  When enabled (the
-    /// default), each sweep worker carries the reachability graphs of its
-    /// `(start restriction, valuation)` groups across guard-adjacent
-    /// valuations — reusing them outright when the compiled guard bounds
-    /// are identical and extending them incrementally when the step only
-    /// relaxes guards — instead of re-exploring every valuation from
-    /// scratch.  Incremental and from-scratch sweeps are bit-identical in
-    /// verdicts, counts and counterexample schedules.
-    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
-        self.checker.incremental_sweep = Some(enabled);
-        self
-    }
-
-    /// This configuration with the per-graph verdict memo explicitly
-    /// enabled or disabled (overriding `CC_VERDICT_MEMO`; see the "Verdict
-    /// memoization & lineage compaction" section of the `ccchecker` crate
-    /// docs).  When enabled (the default), an obligation already answered
-    /// on an unchanged graph generation — e.g. across an
-    /// identical-classified sweep step — is served from the memo without
-    /// running any analysis pass.  Memoised and recomputed sweeps are
+    /// This configuration with the incremental sweep enabled or disabled
+    /// (see the "Incremental sweeps" section of the `ccchecker` crate
+    /// docs).  When enabled (the default), each sweep block carries the
+    /// reachability graphs of its `(start restriction, valuation)` groups
+    /// across guard-adjacent valuations — reusing them outright when the
+    /// compiled guard bounds are identical and extending them incrementally
+    /// when the step only relaxes guards — instead of re-exploring every
+    /// valuation from scratch.  Incremental and from-scratch sweeps are
     /// bit-identical in verdicts, counts and counterexample schedules.
-    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.checker.verdict_memo = Some(enabled);
+    pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
+        self.checker.incremental_sweep = enabled;
         self
     }
 
-    /// This configuration with the tighten-only prune explicitly enabled
-    /// or disabled (overriding `CC_TIGHTEN_PRUNE`; see the "Verdict
-    /// memoization & lineage compaction" section of the `ccchecker` crate
-    /// docs).  When enabled (the default), a sweep step that only tightens
-    /// guard bounds prunes the cached graph in place — re-validating cached
-    /// actions and re-linking — instead of re-exploring from scratch.
-    /// Pruned and fresh graphs are bit-identical in verdicts, counts and
-    /// counterexample schedules.
+    /// This configuration with the per-graph verdict memo enabled or
+    /// disabled (see the "Verdict memoization & lineage compaction" section
+    /// of the `ccchecker` crate docs).  When enabled (the default), an
+    /// obligation already answered on an unchanged graph generation — e.g.
+    /// across an identical-classified sweep step — is served from the memo
+    /// without running any analysis pass.  Memoised and recomputed sweeps
+    /// are bit-identical in verdicts, counts and counterexample schedules.
+    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
+        self.checker.verdict_memo = enabled;
+        self
+    }
+
+    /// This configuration with the tighten-only prune enabled or disabled
+    /// (see the "Verdict memoization & lineage compaction" section of the
+    /// `ccchecker` crate docs).  When enabled (the default), a sweep step
+    /// that only tightens guard bounds prunes the cached graph in place —
+    /// re-validating cached actions and re-linking — instead of
+    /// re-exploring from scratch.  Pruned and fresh graphs are bit-identical
+    /// in verdicts, counts and counterexample schedules.
     pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.checker.tighten_prune = Some(enabled);
+        self.checker.tighten_prune = enabled;
         self
     }
 
@@ -341,6 +328,7 @@ pub fn verify_protocol(protocol: &ProtocolModel, config: &VerifierConfig) -> Pro
             sweep_thread_budget(config.threads),
             &CancelToken::new(),
             config.budget,
+            None,
         )
     };
     let mut take = |n: usize| -> Vec<SweepReport> { reports.drain(..n).collect() };
@@ -475,40 +463,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn graph_cache_never_changes_verdicts() {
-        // MMR14 exercises both a violated obligation (CB2) and held ones;
-        // the cache must agree on every verdict and amortize explorations
-        let p = mmr14::mmr14();
-        let cached = verify_protocol(&p, &VerifierConfig::quick().with_graph_cache(true));
-        let uncached = verify_protocol(&p, &VerifierConfig::quick().with_graph_cache(false));
-        for (c, u) in [&cached.agreement, &cached.validity, &cached.termination]
-            .into_iter()
-            .zip([
-                &uncached.agreement,
-                &uncached.validity,
-                &uncached.termination,
-            ])
-        {
-            assert_eq!(c.status, u.status, "{}", c.property);
-            assert_eq!(c.nschemas, u.nschemas);
-            assert_eq!(
-                c.counterexample.is_some(),
-                u.counterexample.is_some(),
-                "{}",
-                c.property
-            );
-        }
-        assert_eq!(
-            cached.termination.violated_obligation(),
-            uncached.termination.violated_obligation()
-        );
-        let stats = cached.cache_stats();
-        assert!(stats.graphs_built() > 0);
-        assert!(stats.specs_served() > stats.graphs_built());
-        assert_eq!(uncached.cache_stats().graphs_built(), 0);
-    }
-
     /// Asserts two verifications agree property by property: statuses,
     /// states, schema counts, counterexample presence and the violated
     /// obligation.
@@ -541,9 +495,7 @@ mod tests {
         // serves the second valuation's groups straight from the lineage —
         // with identical verdicts, counts and violated obligations
         let p = mmr14::mmr14();
-        let config = VerifierConfig::default()
-            .with_threads(1)
-            .with_graph_cache(true);
+        let config = VerifierConfig::default().with_threads(1);
         let incremental = verify_protocol(&p, &config.with_incremental_sweep(true));
         let fresh = verify_protocol(&p, &config.with_incremental_sweep(false));
         assert_same_results(&incremental, &fresh, "incremental vs fresh");
@@ -562,9 +514,7 @@ mod tests {
         // a budget of 2 splits the grid into one block per sweep worker, so
         // no lineage spans both valuations; the results must not change
         let p = mmr14::mmr14();
-        let config = VerifierConfig::default()
-            .with_graph_cache(true)
-            .with_incremental_sweep(true);
+        let config = VerifierConfig::default().with_incremental_sweep(true);
         let split = verify_protocol(&p, &config.with_threads(2));
         let single = verify_protocol(&p, &config.with_threads(1));
         assert_same_results(&split, &single, "budget 2 vs budget 1");

@@ -2,6 +2,7 @@
 //! → single-round construction (ccta) → counter systems (cccounter) →
 //! obligations and checking (ccchecker, cccore).
 
+use ccchecker::ExplicitChecker;
 use cccore::prelude::*;
 use cccounter::{CounterSystem, EagerAdversary, RandomAdversary, RoundRigid, RunOutcome};
 use ccta::{BinValue, ModelKind, Owner, ParamValuation};
@@ -80,45 +81,38 @@ fn graph_cache_agrees_with_the_per_spec_path_on_every_protocol() {
     // counterexamples must replay.
     let config = VerifierConfig::quick();
     for protocol in all_protocols() {
-        let cached = verify_protocol(&protocol, &config.with_graph_cache(true));
-        let uncached = verify_protocol(&protocol, &config.with_graph_cache(false));
+        let single = protocol.single_round();
+        let obligations = obligations_for(&protocol, &single);
+        let specs = obligations.all();
+        let cached = verify_protocol(&protocol, &config);
+        let stats = cached.cache_stats();
+        assert!(stats.graphs_built() > 0, "{}", cached.protocol);
         assert!(
-            cached.cache_stats().graphs_built() > 0,
-            "{}",
+            stats.specs_served() > stats.graphs_built(),
+            "{}: {stats}",
             cached.protocol
         );
-        assert_eq!(uncached.cache_stats().graphs_built(), 0);
-        for (c, u) in [&cached.agreement, &cached.validity, &cached.termination]
+        let reports = [&cached.agreement, &cached.validity, &cached.termination]
             .into_iter()
-            .zip([
-                &uncached.agreement,
-                &uncached.validity,
-                &uncached.termination,
-            ])
-        {
-            assert_eq!(c.status, u.status, "{}/{}", cached.protocol, c.property);
-            for (cr, ur) in c.reports.iter().zip(&u.reports) {
-                assert_eq!(cr.spec_name, ur.spec_name);
-                assert_eq!(
-                    cr.status(),
-                    ur.status(),
-                    "{}/{}",
-                    cached.protocol,
-                    cr.spec_name
+            .flat_map(|p| &p.reports);
+        for report in reports {
+            let spec = specs
+                .iter()
+                .find(|s| s.name() == report.spec_name)
+                .expect("known obligation");
+            for cell in report.outcomes.iter().filter(|c| !c.skipped) {
+                let ctx = format!(
+                    "{}/{} at {}",
+                    cached.protocol, report.spec_name, cell.params
                 );
-                for (co, uo) in cr.outcomes.iter().zip(&ur.outcomes) {
-                    assert_eq!(co.outcome.status, uo.outcome.status);
-                    assert_eq!(co.skipped, uo.skipped);
-                    if let Some(ce) = &co.outcome.counterexample {
-                        let sys =
-                            CounterSystem::new(protocol.single_round(), ce.params.clone()).unwrap();
-                        assert!(
-                            ce.schedule.is_empty() || ce.schedule.apply(&sys, &ce.initial).is_ok(),
-                            "{}/{}: cached counterexample must replay",
-                            cached.protocol,
-                            cr.spec_name
-                        );
-                    }
+                let sys = CounterSystem::new(single.clone(), cell.params.clone()).unwrap();
+                let per_spec = ExplicitChecker::new(&sys).check(spec);
+                assert_eq!(cell.outcome.status, per_spec.status, "{ctx}");
+                if let Some(ce) = &cell.outcome.counterexample {
+                    assert!(
+                        ce.schedule.is_empty() || ce.schedule.apply(&sys, &ce.initial).is_ok(),
+                        "{ctx}: cached counterexample must replay"
+                    );
                 }
             }
         }

@@ -52,16 +52,15 @@ fn every_benchmark_violation_replays_in_the_simulator() {
     for protocol in ccprotocols::all_protocols() {
         let single_round = protocol.single_round();
         let result = verify_protocol(&protocol, &config);
-        // obligations are looked up only to keep names in failure contexts
+        // obligations are looked up by name for the per-spec replay
         let obligations = obligations_for(&protocol, &single_round);
         let specs = obligations.all();
         for property in [&result.agreement, &result.validity, &result.termination] {
             for report in &property.reports {
-                assert!(
-                    specs.iter().any(|s| s.name() == report.spec_name),
-                    "unknown obligation {}",
-                    report.spec_name
-                );
+                let spec = specs
+                    .iter()
+                    .find(|s| s.name() == report.spec_name)
+                    .unwrap_or_else(|| panic!("unknown obligation {}", report.spec_name));
                 for outcome in &report.outcomes {
                     if outcome.outcome.status != CheckStatus::Violated {
                         continue;
@@ -75,6 +74,12 @@ fn every_benchmark_violation_replays_in_the_simulator() {
                         .expect("counterexample valuations are admissible");
                     let ctx = format!("{}/{}", protocol.name(), report.spec_name);
                     assert_simulator_reproduces(&sys, ce, &ctx);
+                    // the per-spec search of the same cell violates too, and
+                    // its own counterexample replays in the simulator
+                    let per_spec = ExplicitChecker::new(&sys).check(spec);
+                    assert_eq!(per_spec.status, CheckStatus::Violated, "{ctx}");
+                    let ce = per_spec.counterexample.expect("per-spec counterexample");
+                    assert_simulator_reproduces(&sys, &ce, &format!("{ctx} (per-spec)"));
                     replayed += 1;
                 }
             }

@@ -66,7 +66,7 @@ pub struct ServeConfig {
     /// Supervision policy for panicking jobs: retries get a fresh
     /// `CheckJob`, with seeded-jitter backoff between attempts.
     pub retry: RetryPolicy,
-    /// Checker options for each job (worker threads, caps, cache knobs).
+    /// Checker options for each job (worker threads, caps, sweep levers).
     pub checker: CheckerOptions,
     /// Durable verdict log path (`--cache-log`).  `None` disables
     /// durability: the cache and the checkpoint registry die with the
