@@ -141,10 +141,6 @@ fn bench_family_sweep(c: &mut Criterion) {
             1,
         );
         c.metric(
-            format!("family_sweep/{label}/cache_hit_rate"),
-            stats.cache_hit_rate(),
-        );
-        c.metric(
             format!("family_sweep/{label}/lineage_reuse_rate"),
             stats.lineage_reuse_rate(),
         );

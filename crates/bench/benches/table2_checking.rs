@@ -3,12 +3,9 @@
 //!
 //! * `engine/…` vs `reference/…` — the packed-state delta engine against
 //!   the pre-refactor clone-per-transition reference on the same query
-//!   catalogue (single-threaded; the summary prints the speedup ratio per
-//!   protocol),
-//! * `catalogue/cached/…` vs `catalogue/uncached/…` — the whole obligation
-//!   catalogue through one graph-cached `check_all` vs one per-spec
-//!   `check` per obligation (single-threaded; the summary prints the
-//!   amortization factor per protocol, compared on `min_ns`),
+//!   catalogue, one fresh checker per obligation, so every obligation pays
+//!   its group build plus its analysis pass (the summary prints the
+//!   speedup ratio per protocol),
 //! * `sweep_amortization/incremental/…` vs `sweep_amortization/fresh/…` —
 //!   the whole catalogue over each protocol's full 8-valuation grid with
 //!   the cross-valuation sweep lineage on vs off, plus the
@@ -177,70 +174,6 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
     }
 }
 
-/// The graph-cache amortization axis: whole-catalogue wall-clock per
-/// protocol through one single-threaded checker, as one cached
-/// `ExplicitChecker::check_all` call vs one per-spec `check` per
-/// obligation (explore-once-evaluate-many vs explore-per-spec).
-/// The summary compares `min_ns` — the stable comparator for sub-ms runs
-/// on this container — and prints the measured amortization factor.
-fn bench_catalogue_cache(c: &mut Criterion) {
-    let names = ["Rabin83", "CC85(a)", "KS16", "MMR14", "ABY22"];
-    let mut group = c.benchmark_group("catalogue");
-    group.sample_size(10);
-    for name in names {
-        let protocol = protocol_by_name(name).expect("benchmark protocol");
-        let workload = catalogue_workload(&protocol);
-        for (label, cache) in [("cached", true), ("uncached", false)] {
-            group.bench_with_input(
-                BenchmarkId::new(label, name),
-                &workload,
-                |b, (sys, specs)| {
-                    b.iter(|| {
-                        let checker =
-                            ExplicitChecker::with_options(sys, CheckerOptions::sequential());
-                        if cache {
-                            checker
-                                .check_all(specs)
-                                .iter()
-                                .map(|o| o.states_explored)
-                                .sum::<usize>()
-                        } else {
-                            check_catalogue_with(sys, specs, &|_, spec| checker.check(spec))
-                        }
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-    println!("\nwhole-catalogue graph-cache amortization (single-threaded, min_ns):");
-    let (mut cached_total, mut uncached_total) = (0.0, 0.0);
-    for name in names {
-        let cached = c
-            .measurements()
-            .iter()
-            .find(|m| m.id == format!("catalogue/cached/{name}"))
-            .map(|m| m.min_ns);
-        let uncached = c
-            .measurements()
-            .iter()
-            .find(|m| m.id == format!("catalogue/uncached/{name}"))
-            .map(|m| m.min_ns);
-        if let (Some(on), Some(off)) = (cached, uncached) {
-            cached_total += on;
-            uncached_total += off;
-            println!("  {name:<10} {:>6.2}x", off / on);
-        }
-    }
-    if cached_total > 0.0 {
-        println!(
-            "  {:<10} {:>6.2}x (total whole-catalogue wall-clock, cached vs per-spec)",
-            "overall",
-            uncached_total / cached_total
-        );
-    }
-}
-
 /// The incremental-sweep amortization axis: the whole obligation catalogue
 /// over each protocol's full `VerifierConfig` valuation grid (8 valuations
 /// at the default bounds), single-threaded, with the sweep lineage on vs
@@ -370,7 +303,6 @@ criterion_group!(
     benches,
     bench_property_checking,
     bench_engine_vs_reference,
-    bench_catalogue_cache,
     bench_sweep_amortization,
     bench_sweep_scaling
 );

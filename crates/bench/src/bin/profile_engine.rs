@@ -1,7 +1,6 @@
 //! Per-obligation engine-vs-reference timing, used to locate exploration
-//! bottlenecks, plus state-store occupancy statistics to guide shard-count
-//! defaults and the whole-catalogue graph-cache amortization.  Not part of
-//! the published tables.
+//! bottlenecks, plus the whole-catalogue graph-cache amortization.  Not
+//! part of the published tables.
 //!
 //! Usage:
 //! `profile_engine [PROTOCOL] [--threads N] [--wave-size W] [--deadline-ms D]
@@ -9,14 +8,15 @@
 //! — `N` sets the in-check worker count of the engine runs (default:
 //! `CC_CHECK_THREADS`, then all cores; the reference is always
 //! sequential), and `W` the parallel wave size (default: `CC_WAVE_SIZE`,
-//! then the engine default).  The per-obligation rows and the per-spec
-//! whole-catalogue row use the per-spec search; the cached row runs the
-//! catalogue through one graph-cached checker.  `--deadline-ms D` and
-//! `--max-resident-bytes B`
-//! set the budget of the job-lifecycle section, which runs the catalogue
-//! as a checkpointable `CheckJob` and reports each job's outcome —
-//! completed, budget-tripped (with the trip reason and checkpointed
-//! progress) and resumed-to-completion.
+//! then the engine default).  Each per-obligation row checks its
+//! obligation on a fresh checker, so the engine side pays one group build
+//! plus one analysis pass; the whole-catalogue row runs the catalogue
+//! through one checker, one build per start-restriction group.
+//! `--deadline-ms D` and `--max-resident-bytes B` set the budget of the
+//! job-lifecycle section, which runs the catalogue as a checkpointable
+//! `CheckJob` and reports each job's outcome — completed, budget-tripped
+//! (with the trip reason and checkpointed progress) and
+//! resumed-to-completion.
 
 use ccchecker::reference::reference_check;
 use ccchecker::{CheckJob, CheckerOptions, ExplicitChecker, JobBudget, JobOutcome};
@@ -87,15 +87,10 @@ fn main() {
         ("termination", &obligations.termination),
     ] {
         for spec in specs.iter() {
-            // stats are identical across runs and cost O(index) to collect,
-            // so fold them into the timed runs instead of a fourth check
-            let mut stats = Default::default();
             let engine = (0..3)
                 .map(|_| {
                     let t = Instant::now();
-                    let (o, s) =
-                        ExplicitChecker::with_options(&sys, options).check_with_stats(spec);
-                    stats = s;
+                    let o = ExplicitChecker::with_options(&sys, options).check(spec);
                     (t.elapsed(), o.states_explored, o.transitions_explored)
                 })
                 .min()
@@ -117,12 +112,11 @@ fn main() {
                 engine.1,
                 engine.2,
             );
-            println!("  {:<27} store: {stats}", "");
         }
     }
 
     // whole-catalogue graph-cache amortization: the full obligation slice
-    // through one cached checker vs the per-spec path, best of 3
+    // through one checker, best of 3
     let all_specs: Vec<ccchecker::Spec> = obligations
         .agreement
         .iter()
@@ -131,18 +125,6 @@ fn main() {
         .cloned()
         .collect();
     println!("\nwhole-catalogue ({} obligations):", all_specs.len());
-    let uncached = (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            let checker = ExplicitChecker::with_options(&sys, options);
-            for spec in &all_specs {
-                let _ = checker.check(spec);
-            }
-            t.elapsed()
-        })
-        .min()
-        .unwrap();
-    println!("  per-spec path: {uncached:>10.3?}");
     let mut cache_stats = ccchecker::GraphCacheStats::default();
     let cached = (0..3)
         .map(|_| {
@@ -154,10 +136,7 @@ fn main() {
         })
         .min()
         .unwrap();
-    println!(
-        "  graph cache:   {cached:>10.3?} ({:.2}x)",
-        uncached.as_secs_f64() / cached.as_secs_f64()
-    );
+    println!("  graph cache:   {cached:>10.3?}");
     println!("  {cache_stats}");
     for g in &cache_stats.groups {
         println!(

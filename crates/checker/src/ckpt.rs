@@ -29,7 +29,7 @@ use ccta::{LocId, ParamValuation, RuleId, VarId};
 use std::fmt;
 
 /// Version byte of the portable checkpoint encoding.
-pub const CKPT_VERSION: u8 = 1;
+pub const CKPT_VERSION: u8 = 2;
 
 /// Decoding failure: the bytes are not a well-formed portable checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -252,7 +252,6 @@ impl JobCheckpoint {
         out.push(CKPT_VERSION);
         put_u64(&mut out, self.states_done as u64);
         put_u64(&mut out, self.transitions_done as u64);
-        put_u64(&mut out, self.stats.uncached_specs as u64);
         put_u32(&mut out, self.outcomes.len() as u32);
         for slot in &self.outcomes {
             match slot {
@@ -268,8 +267,9 @@ impl JobCheckpoint {
 
     /// Decodes a portable checkpoint.  The result has no retained graphs
     /// (they are rebuilt on demand during [`crate::CheckJob::resume`]) and
-    /// empty per-group cache accounting — only the portable counters
-    /// survive the round trip.
+    /// empty per-group cache accounting, which is aligned index-for-index
+    /// with the retained graphs — only the outcomes and the cumulative
+    /// counters survive the round trip.
     ///
     /// # Errors
     ///
@@ -283,7 +283,6 @@ impl JobCheckpoint {
         }
         let states_done = r.u64()? as usize;
         let transitions_done = r.u64()? as usize;
-        let uncached_specs = r.u64()? as usize;
         let num_specs = r.len(1)?;
         let mut outcomes = Vec::with_capacity(num_specs);
         for _ in 0..num_specs {
@@ -300,10 +299,6 @@ impl JobCheckpoint {
         cp.outcomes = outcomes;
         cp.states_done = states_done;
         cp.transitions_done = transitions_done;
-        // group-aligned accounting cannot survive without the graphs (the
-        // stats records are aligned index-for-index with the retained
-        // graphs); only the scalar counter does
-        cp.stats.uncached_specs = uncached_specs;
         Ok(cp)
     }
 }
@@ -426,6 +421,18 @@ mod tests {
         bad[0] = 99;
         assert_eq!(
             JobCheckpoint::from_portable_bytes(&bad)
+                .map(|_| ())
+                .unwrap_err(),
+            CkptError::Malformed("unsupported checkpoint version")
+        );
+        // a version-1 checkpoint (which carried one more counter after the
+        // transition count) is refused, not misread
+        let mut v1 = vec![1];
+        v1.extend_from_slice(&bytes[1..17]);
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        v1.extend_from_slice(&bytes[17..]);
+        assert_eq!(
+            JobCheckpoint::from_portable_bytes(&v1)
                 .map(|_| ())
                 .unwrap_err(),
             CkptError::Malformed("unsupported checkpoint version")

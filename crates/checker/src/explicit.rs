@@ -1,41 +1,39 @@
 //! Explicit-state checking of universal single-round queries.
 //!
 //! The checker explores the reachable configurations of the single-round
-//! counter system for one concrete admissible parameter valuation, augmented
-//! with a small monitor recording which tracked location sets have been
-//! occupied so far.  This is the bounded-parameter substitute for ByMC's
-//! schema-based parameterized reasoning.
+//! counter system for one concrete admissible parameter valuation.  This is
+//! the bounded-parameter substitute for ByMC's schema-based parameterized
+//! reasoning.
 //!
 //! # Engine
 //!
-//! Both query shapes implemented here (the monitored reachability queries
-//! and the non-blocking side condition) are visitors over the generic
-//! [`crate::explorer::Explorer`] driver: the driver owns the
-//! expand → intern → frontier cycle on the packed row substrate (and its
-//! deterministic in-check parallelisation), while [`MonitorVisitor`]
-//! propagates occupancy bits and detects violating states, and
-//! [`NonBlockingVisitor`] classifies terminal states.  See the
-//! [`crate::explorer`] docs for the engine and determinism story.
+//! [`ExplicitChecker`] answers every query from the cached reachability
+//! graph of its `(start restriction, valuation)` group ([`crate::graph`]):
+//! the first query of a group pays one exploration on the generic
+//! [`crate::explorer::Explorer`] driver (with its deterministic in-check
+//! parallelisation), and every query is then an analysis pass over the
+//! cached graph.  See the [`crate::explorer`] docs for the engine and
+//! determinism story, and [`crate::graph`] for the passes and the counts
+//! they report.
 
-use crate::counterexample::Counterexample;
-use crate::explorer::{resolved_workers, row_occupancy_bits, Exploration, Explorer, Visitor};
-use crate::game;
-use crate::graph::{graph_serves, BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
+use crate::explorer::resolved_workers;
+use crate::graph::{BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
-use crate::spec::{LocSet, Spec, StartRestriction};
-use crate::store::StoreStats;
-use cccounter::{Configuration, CounterSystem, Schedule, ScheduledStep};
-use ccta::{LocClass, ModelKind};
-use std::cell::{Cell, RefCell};
+use crate::spec::{Spec, StartRestriction};
+use cccounter::{Configuration, CounterSystem};
+use ccta::ModelKind;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// Resource limits and thread configuration of the explicit-state search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckerOptions {
-    /// Maximum number of distinct (configuration, monitor) states.
+    /// Maximum number of distinct states: configurations for a group
+    /// build, `(configuration, monitor bits)` product states for an
+    /// analysis pass.
     pub max_states: usize,
     /// Maximum number of explored transitions.
     pub max_transitions: usize,
@@ -154,110 +152,10 @@ impl PoolSource<'_> {
     }
 }
 
-/// The monitored-reachability visitor: propagates the occupancy bits of the
-/// tracked location sets along every path and reports a violation as soon
-/// as a state carries all `violation_bits`.
-struct MonitorVisitor<'s> {
-    sets: &'s [LocSet],
-    violation_bits: u8,
-}
-
-impl Visitor for MonitorVisitor<'_> {
-    fn successor_bits(&self, parent_bits: u8, row: &[u8]) -> u8 {
-        parent_bits | row_occupancy_bits(self.sets, row)
-    }
-
-    fn start_node(&mut self, _node: u32, bits: u8, fresh: bool) -> bool {
-        fresh && bits & self.violation_bits == self.violation_bits
-    }
-
-    fn edge(
-        &mut self,
-        _from: u32,
-        _step: ScheduledStep,
-        _to: u32,
-        to_bits: u8,
-        fresh: bool,
-    ) -> bool {
-        fresh && to_bits & self.violation_bits == self.violation_bits
-    }
-}
-
-/// The non-blocking visitor: carries no monitor bits and flags terminal
-/// states that strand an automaton outside the border-copy sinks.
-struct NonBlockingVisitor<'a> {
-    sys: &'a CounterSystem,
-}
-
-impl Visitor for NonBlockingVisitor<'_> {
-    fn successor_bits(&self, _parent_bits: u8, _row: &[u8]) -> u8 {
-        0
-    }
-
-    fn terminal_violates(&self, row: &[u8]) -> bool {
-        blocked_location_in_row(self.sys, row).is_some()
-    }
-}
-
-/// In a terminal state row, returns a location outside the sink set (border
-/// copies) that still holds an automaton, if any.  Shared with the
-/// graph-cache blocking scan ([`crate::graph`]).
-pub(crate) fn blocked_location_in_row(sys: &CounterSystem, row: &[u8]) -> Option<ccta::LocId> {
-    let model = sys.model();
-    model
-        .loc_ids()
-        .find(|&l| row[l.0] > 0 && model.location(l).class() != LocClass::BorderCopy)
-}
-
-/// Returns a location lying on a cycle of non-self-loop progress rules, if
-/// any — the structural half of the non-blocking side condition, shared by
-/// the per-spec path and the graph-cache evaluation.
-pub(crate) fn find_progress_cycle(sys: &CounterSystem) -> Option<ccta::LocId> {
-    let model = sys.model();
-    let n = model.locations().len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for rule in model.rules() {
-        if rule.is_self_loop() {
-            continue;
-        }
-        for b in rule.branches() {
-            adj[rule.from().0].push(b.to.0);
-        }
-    }
-    // iterative DFS with colors
-    let mut color = vec![0u8; n]; // 0 = white, 1 = grey, 2 = black
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start] = 1;
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            if *idx < adj[node].len() {
-                let next = adj[node][*idx];
-                *idx += 1;
-                match color[next] {
-                    0 => {
-                        color[next] = 1;
-                        stack.push((next, 0));
-                    }
-                    1 => return Some(ccta::LocId(next)),
-                    _ => {}
-                }
-            } else {
-                color[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
 /// Per-checker memoisation shared by every check: the enumerated start
-/// configurations per start restriction (reused even on the per-spec path)
-/// and the cached reachability graph per start restriction, plus its
-/// accounting.  The valuation is fixed per checker, so the start
-/// restriction alone keys a `(start restriction, valuation)` group.
+/// configurations and the cached reachability graph per start restriction,
+/// plus the graphs' accounting.  The valuation is fixed per checker, so the
+/// start restriction alone keys a `(start restriction, valuation)` group.
 #[derive(Default)]
 struct CheckerMemo {
     starts: Vec<(StartRestriction, Arc<Vec<Configuration>>)>,
@@ -279,10 +177,6 @@ pub struct ExplicitChecker<'a> {
     /// Job-level cancellation and budget signals, threaded into every
     /// exploration this checker runs.  `None` (the default) costs nothing.
     signals: Option<&'a JobSignals>,
-    /// The `(states, transitions, resident bytes)` the surrounding job
-    /// already accounted outside this checker, added to the explorers'
-    /// counters when evaluating the job budgets.
-    signal_base: Cell<(usize, usize, usize)>,
 }
 
 impl std::fmt::Debug for ExplicitChecker<'_> {
@@ -374,7 +268,6 @@ impl<'a> ExplicitChecker<'a> {
             memo: RefCell::new(CheckerMemo::default()),
             lineage: None,
             signals: None,
-            signal_base: Cell::new((0, 0, 0)),
         }
     }
 
@@ -384,21 +277,13 @@ impl<'a> ExplicitChecker<'a> {
         self.signals = signals;
     }
 
-    /// Sets the `(states, transitions, resident bytes)` baselines the
-    /// surrounding job accounted outside this checker.
-    pub(crate) fn set_signal_base(&self, base: (usize, usize, usize)) {
-        self.signal_base.set(base);
-    }
-
     /// The counter system under check.
     pub fn system(&self) -> &CounterSystem {
         self.sys
     }
 
     /// The start configurations of a restriction, enumerated once per
-    /// checker and shared by every spec with the same restriction (the
-    /// enumeration is combinatorial in the process count, so re-running it
-    /// per obligation was pure waste).
+    /// checker (the enumeration is combinatorial in the process count).
     fn starts_for(&self, start: StartRestriction) -> Arc<Vec<Configuration>> {
         let mut memo = self.memo.borrow_mut();
         if let Some((_, cached)) = memo.starts.iter().find(|(s, _)| *s == start) {
@@ -412,11 +297,10 @@ impl<'a> ExplicitChecker<'a> {
     /// The cached reachability graph of a start-restriction group and its
     /// stats-group index, obtaining it on the first request — from the
     /// sweep lineage when one is attached and usable, from a fresh
-    /// exploration otherwise.  The caller records which counter the spec
-    /// lands in — served by the group, or fallen back to the per-spec path.
-    /// `Err` means a job signal interrupted the build; the partial build is
-    /// discarded (the checkpointing build path lives in [`crate::CheckJob`],
-    /// which does its own group bookkeeping) and nothing is recorded.
+    /// exploration otherwise.  `Err` means a job signal interrupted the
+    /// build; the partial build is discarded (the checkpointing build path
+    /// lives in [`crate::CheckJob`], which does its own group bookkeeping)
+    /// and nothing is recorded.
     fn graph_for(&self, start: StartRestriction) -> Result<(Rc<ReachGraph>, usize), InterruptKind> {
         {
             let memo = self.memo.borrow();
@@ -484,7 +368,7 @@ impl<'a> ExplicitChecker<'a> {
             &self.options,
             self.pool.get(),
             self.signals,
-            self.signal_base.get(),
+            (0, 0, 0),
         );
         match step {
             BuildStep::Done(graph) => Ok((Rc::new(graph), fresh_origin, 0, 0)),
@@ -492,27 +376,15 @@ impl<'a> ExplicitChecker<'a> {
         }
     }
 
-    /// Checks one query on the per-spec path (its own exploration, exactly
-    /// the reference semantics — `engine_equivalence` compares this path
-    /// bit-for-bit against [`crate::reference`]).
-    pub fn check(&self, spec: &Spec) -> CheckOutcome {
-        self.check_impl(spec, false).0
-    }
-
     /// Checks one query through the reachability-graph cache: the first
     /// query of a `(start restriction, valuation)` group pays one
-    /// monitor-free exploration, every further query of the group is an
-    /// `O(states + edges)` analysis pass over the cached graph.  Falls back
-    /// to the per-spec path when the spec shape is not served by the cache
-    /// (see [`graph_serves`]), or the group's build tripped a resource
-    /// budget (the pruned per-spec searches can still produce a definite
-    /// verdict within the same budget, so a bounded build must not blanket
-    /// the group with `Unknown`).
-    pub(crate) fn check_cached(&self, spec: &Spec) -> CheckOutcome {
-        if !graph_serves(spec) {
-            self.memo.borrow_mut().stats.uncached_specs += 1;
-            return self.check(spec);
-        }
+    /// exploration, every further query of the group is an
+    /// `O(states + edges)` analysis pass over the cached graph (or a
+    /// verdict-memo hit).  A group build that trips a resource budget
+    /// answers every query of the group `Unknown`.  Verdicts, counts and
+    /// counterexample schedules equal [`crate::reference`]'s, which
+    /// `engine_equivalence` pins bit-for-bit.
+    pub fn check(&self, spec: &Spec) -> CheckOutcome {
         let (graph, group) = match self.graph_for(spec.start()) {
             Ok(found) => found,
             // a job signal interrupted the group build: report the
@@ -520,10 +392,6 @@ impl<'a> ExplicitChecker<'a> {
             // into an interrupted cell; the checkpointing path is CheckJob's)
             Err(kind) => return CheckOutcome::interrupted(0, 0, kind),
         };
-        if graph.is_bounded() {
-            self.memo.borrow_mut().stats.uncached_specs += 1;
-            return self.check(spec);
-        }
         let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, self.signals);
         let mut memo = self.memo.borrow_mut();
         let record = &mut memo.stats.groups[group];
@@ -541,7 +409,7 @@ impl<'a> ExplicitChecker<'a> {
     /// Outcomes are returned in spec order and verdicts are identical to
     /// checking each spec on its own.
     pub fn check_all(&self, specs: &[Spec]) -> Vec<CheckOutcome> {
-        specs.iter().map(|spec| self.check_cached(spec)).collect()
+        specs.iter().map(|spec| self.check(spec)).collect()
     }
 
     /// [`ExplicitChecker::check_all`] plus the cache accounting accumulated
@@ -556,219 +424,14 @@ impl<'a> ExplicitChecker<'a> {
     pub fn cache_stats(&self) -> GraphCacheStats {
         self.memo.borrow().stats.clone()
     }
-
-    /// Checks one query and reports the state-store occupancy statistics of
-    /// the exploration (to guide shard-count tuning).
-    pub fn check_with_stats(&self, spec: &Spec) -> (CheckOutcome, StoreStats) {
-        self.check_impl(spec, true)
-    }
-
-    fn check_impl(&self, spec: &Spec, want_stats: bool) -> (CheckOutcome, StoreStats) {
-        // one start enumeration per (checker, restriction), shared with the
-        // group builds and across every spec of the restriction
-        let starts = self.starts_for(spec.start());
-        match spec {
-            Spec::CoverNever {
-                name,
-                trigger,
-                forbidden,
-                ..
-            } => self.check_monitored(
-                name,
-                &starts,
-                &[trigger.clone(), forbidden.clone()],
-                0b11,
-                format!(
-                    "a path occupies both {} and {}",
-                    trigger.name(),
-                    forbidden.name()
-                ),
-                want_stats,
-            ),
-            Spec::NeverFrom {
-                name, forbidden, ..
-            } => self.check_monitored(
-                name,
-                &starts,
-                std::slice::from_ref(forbidden),
-                0b1,
-                format!("a path occupies {}", forbidden.name()),
-                want_stats,
-            ),
-            Spec::ExistsAvoidOneOf {
-                name,
-                forbidden_sets,
-                ..
-            } => game::check_exists_avoid_impl(
-                self.sys,
-                name,
-                &starts,
-                forbidden_sets,
-                &self.options,
-                self.pool.get(),
-                want_stats,
-                self.signals,
-                self.signal_base.get(),
-            ),
-            Spec::NonBlocking { name, .. } => self.check_non_blocking(name, &starts, want_stats),
-        }
-    }
-
-    /// BFS over (configuration, monitor-bits); reports a violation when a
-    /// state with `violation_bits` fully set is reached.
-    fn check_monitored(
-        &self,
-        spec_name: &str,
-        starts: &[Configuration],
-        sets: &[LocSet],
-        violation_bits: u8,
-        explanation: String,
-        want_stats: bool,
-    ) -> (CheckOutcome, StoreStats) {
-        let mut explorer = Explorer::new(self.sys, &self.options, self.pool.get())
-            .with_signals(self.signals, self.signal_base.get());
-        let mut visitor = MonitorVisitor {
-            sets,
-            violation_bits,
-        };
-        let outcome = match explorer.run(starts, &mut visitor) {
-            Exploration::Complete => CheckOutcome::holds(explorer.states(), explorer.transitions()),
-            Exploration::TransitionBound => CheckOutcome::unknown(
-                explorer.states(),
-                explorer.transitions(),
-                "transition bound exhausted",
-            ),
-            // the over-budget state was counted before the bound tripped;
-            // report the budget like the reference engine, which stops
-            // before storing it
-            Exploration::StateBound => CheckOutcome::unknown(
-                explorer.states() - 1,
-                explorer.transitions(),
-                "state bound exhausted",
-            ),
-            Exploration::Violation(id) => self.violation(spec_name, &explorer, id, explanation),
-            // a per-spec search is not checkpointed: the suspended frontier
-            // is dropped and the search redone from scratch on resume
-            Exploration::Interrupted => {
-                let kind = explorer
-                    .take_suspended()
-                    .map(|s| s.kind)
-                    .unwrap_or(InterruptKind::Cancelled);
-                CheckOutcome::interrupted(explorer.states(), explorer.transitions(), kind)
-            }
-        };
-        let stats = if want_stats {
-            explorer.store().stats()
-        } else {
-            StoreStats::default()
-        };
-        (outcome, stats)
-    }
-
-    fn violation(
-        &self,
-        spec_name: &str,
-        explorer: &Explorer<'_>,
-        violating: u32,
-        explanation: String,
-    ) -> CheckOutcome {
-        let (initial, schedule) = explorer.store().reconstruct_path(violating);
-        CheckOutcome::violated(
-            explorer.states(),
-            explorer.transitions(),
-            Counterexample {
-                spec: spec_name.to_string(),
-                params: self.sys.params().clone(),
-                initial,
-                schedule,
-                explanation,
-            },
-        )
-    }
-
-    /// Checks the Theorem-2 side condition: the progress graph is acyclic and
-    /// every reachable terminal configuration has all automata parked in
-    /// border-copy (sink) locations.
-    fn check_non_blocking(
-        &self,
-        spec_name: &str,
-        starts: &[Configuration],
-        want_stats: bool,
-    ) -> (CheckOutcome, StoreStats) {
-        // 1. structural acyclicity of the progress graph
-        if let Some(loc) = find_progress_cycle(self.sys) {
-            let ce = Counterexample {
-                spec: spec_name.to_string(),
-                params: self.sys.params().clone(),
-                initial: starts
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| self.sys.empty_configuration()),
-                schedule: Schedule::new(),
-                explanation: format!(
-                    "the progress graph has a cycle through location {}",
-                    self.sys.model().location(loc).name()
-                ),
-            };
-            return (CheckOutcome::violated(0, 0, ce), StoreStats::default());
-        }
-
-        // 2. every reachable terminal configuration is a sink configuration
-        let mut explorer = Explorer::new(self.sys, &self.options, self.pool.get())
-            .with_signals(self.signals, self.signal_base.get());
-        let mut visitor = NonBlockingVisitor { sys: self.sys };
-        let outcome = match explorer.run(starts, &mut visitor) {
-            Exploration::Complete => CheckOutcome::holds(explorer.states(), explorer.transitions()),
-            Exploration::TransitionBound => CheckOutcome::unknown(
-                explorer.states(),
-                explorer.transitions(),
-                "transition bound exhausted",
-            ),
-            // match the reference, which stops before storing the
-            // over-budget state
-            Exploration::StateBound => CheckOutcome::unknown(
-                explorer.states() - 1,
-                explorer.transitions(),
-                "state bound exhausted",
-            ),
-            Exploration::Interrupted => {
-                let kind = explorer
-                    .take_suspended()
-                    .map(|s| s.kind)
-                    .unwrap_or(InterruptKind::Cancelled);
-                CheckOutcome::interrupted(explorer.states(), explorer.transitions(), kind)
-            }
-            Exploration::Violation(node) => {
-                let loc = blocked_location_in_row(self.sys, explorer.store().row(node))
-                    .expect("a violating terminal state has a blocked location");
-                let (initial, schedule) = explorer.store().reconstruct_path(node);
-                let ce = Counterexample {
-                    spec: spec_name.to_string(),
-                    params: self.sys.params().clone(),
-                    initial,
-                    schedule,
-                    explanation: format!(
-                        "a fair execution blocks with an automaton stuck in {}",
-                        self.sys.model().location(loc).name()
-                    ),
-                };
-                CheckOutcome::violated(explorer.states(), explorer.transitions(), ce)
-            }
-        };
-        let stats = if want_stats {
-            explorer.store().stats()
-        } else {
-            StoreStats::default()
-        };
-        (outcome, stats)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::spec::StartRestriction;
+    use crate::reference::reference_check;
+    use crate::spec::{LocSet, StartRestriction};
     use ccta::{BinValue, ParamValuation};
 
     fn sys() -> CounterSystem {
@@ -973,17 +636,42 @@ mod tests {
         ]
     }
 
+    /// Asserts that an engine outcome equals the reference search's:
+    /// verdict, counts, and the counterexample step for step.
+    fn assert_matches_reference(sys: &CounterSystem, spec: &Spec, outcome: &CheckOutcome) {
+        let reference = reference_check(sys, spec, &CheckerOptions::default());
+        assert_eq!(outcome.status, reference.status, "{}", spec.name());
+        assert_eq!(
+            outcome.states_explored,
+            reference.states_explored,
+            "{}",
+            spec.name()
+        );
+        assert_eq!(
+            outcome.transitions_explored,
+            reference.transitions_explored,
+            "{}",
+            spec.name()
+        );
+        match (&outcome.counterexample, &reference.counterexample) {
+            (None, None) => {}
+            (Some(e), Some(r)) => {
+                assert_eq!(e.initial, r.initial, "{}", spec.name());
+                assert_eq!(e.schedule.steps(), r.schedule.steps(), "{}", spec.name());
+            }
+            _ => panic!("{}: counterexample presence differs", spec.name()),
+        }
+    }
+
     #[test]
     fn cached_catalogue_agrees_with_the_per_spec_path() {
+        // the per-spec search here is the reference engine's: the batch
+        // must match it obligation by obligation
         let sys = sys();
         let specs = catalogue(&sys);
         let (cached, stats) = ExplicitChecker::new(&sys).check_all_with_stats(&specs);
-        let per_spec: Vec<_> = specs
-            .iter()
-            .map(|s| ExplicitChecker::new(&sys).check(s))
-            .collect();
-        for ((spec, c), p) in specs.iter().zip(&cached).zip(&per_spec) {
-            assert_eq!(c.status, p.status, "{}", spec.name());
+        for (spec, c) in specs.iter().zip(&cached) {
+            assert_matches_reference(&sys, spec, c);
             if let Some(ce) = &c.counterexample {
                 // the cached counterexample replays to a genuine violation
                 let path = ce.schedule.apply(&sys, &ce.initial).unwrap();
@@ -999,23 +687,20 @@ mod tests {
                     }
                     _ => {}
                 }
-            } else {
-                assert!(p.counterexample.is_none(), "{}", spec.name());
             }
         }
         // two start restrictions -> two graphs, serving all five specs
         assert_eq!(stats.graphs_built(), 2);
         assert_eq!(stats.specs_served(), specs.len());
-        assert_eq!(stats.uncached_specs, 0);
         assert!(stats.cached_states() > 0);
         assert!(stats.amortization() > 1.0);
         assert!(format!("{stats}").contains("amortization"));
     }
 
     #[test]
-    fn wide_game_specs_take_the_per_spec_path() {
-        // a game over more sets than the analysis product holds is routed
-        // to the per-spec search, so the batch matches `check` exactly
+    fn wide_game_specs_are_served_by_one_graph() {
+        // a game over four sets takes the same graph pass as the
+        // catalogue's one- and two-set games
         let sys = sys();
         let model = sys.model();
         let spec = Spec::ExistsAvoidOneOf {
@@ -1026,13 +711,11 @@ mod tests {
                 .map(|&l| LocSet::from_names(model, l, &[l]))
                 .collect(),
         };
-        assert!(!crate::graph::graph_serves(&spec));
         let checker = ExplicitChecker::new(&sys);
         let (outcomes, stats) = checker.check_all_with_stats(std::slice::from_ref(&spec));
-        assert_eq!(outcomes[0], checker.check(&spec));
-        assert_eq!(stats.graphs_built(), 0);
-        assert_eq!(stats.uncached_specs, 1);
-        assert!(format!("{stats}").contains("per-spec path"));
+        assert_matches_reference(&sys, &spec, &outcomes[0]);
+        assert_eq!(stats.graphs_built(), 1);
+        assert_eq!(stats.specs_served(), 1);
     }
 
     #[test]
@@ -1073,51 +756,33 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_builds_fall_back_to_the_per_spec_path() {
-        // a budget that trips during the monitor-free build must not turn
-        // the group's obligations Unknown wholesale: the spec re-runs on
-        // the per-spec path, so the outcome matches it exactly
+    fn bounded_group_builds_leave_every_spec_unknown() {
+        // a budget that trips during the group build leaves the graph
+        // incomplete: no obligation of the group gets a verdict from it
         let sys = sys();
         let options = CheckerOptions {
             max_states: 2,
             ..CheckerOptions::default()
         };
-        let spec = Spec::NeverFrom {
-            name: "bounded".into(),
-            start: StartRestriction::RoundStart,
-            forbidden: LocSet::from_names(sys.model(), "I1", &["I1"]),
-        };
+        let specs: Vec<Spec> = catalogue(&sys)
+            .into_iter()
+            .filter(|s| s.start() == StartRestriction::RoundStart)
+            .collect();
+        assert!(specs.len() > 1);
         let checker = ExplicitChecker::with_options(&sys, options);
-        let (outcomes, stats) = checker.check_all_with_stats(std::slice::from_ref(&spec));
-        assert_eq!(outcomes[0], checker.check(&spec));
-        assert_eq!(outcomes[0].status, crate::CheckStatus::Unknown);
-        assert!(outcomes[0].detail.contains("bound"));
-        // the bounded build is recorded as a miss serving nothing; the spec
-        // counts as uncached
+        let (outcomes, stats) = checker.check_all_with_stats(&specs);
+        for (spec, outcome) in specs.iter().zip(&outcomes) {
+            assert_eq!(
+                outcome.status,
+                crate::CheckStatus::Unknown,
+                "{}",
+                spec.name()
+            );
+            assert!(outcome.detail.contains("bound"), "{}", outcome.detail);
+            assert!(outcome.counterexample.is_none());
+        }
+        // the bounded build is one group record serving every spec
         assert_eq!(stats.graphs_built(), 1);
-        assert_eq!(stats.specs_served(), 0);
-        assert_eq!(stats.uncached_specs, 1);
-    }
-
-    #[test]
-    fn stats_report_the_explored_store() {
-        let sys = sys();
-        let checker = ExplicitChecker::with_options(
-            &sys,
-            CheckerOptions {
-                shards: 4,
-                ..CheckerOptions::default()
-            },
-        );
-        let spec = Spec::NonBlocking {
-            name: "termination".into(),
-            start: StartRestriction::RoundStart,
-        };
-        let (outcome, stats) = checker.check_with_stats(&spec);
-        assert!(outcome.is_holds());
-        assert_eq!(stats.states, outcome.states_explored);
-        assert_eq!(stats.shards, 4);
-        assert!(stats.row_bytes > 0);
-        assert!(stats.index_load > 0.0);
+        assert_eq!(stats.specs_served(), specs.len());
     }
 }

@@ -1,14 +1,14 @@
 //! The generic exploration driver shared by every search of this crate.
 //!
-//! The monitored BFS of [`crate::explicit`], its non-blocking variant, and
-//! the game-graph construction of [`crate::game`] are all the same loop: pop
-//! a node, enumerate its applicable progress actions, expand every
-//! probabilistic branch in place on the row substrate, intern the successor
-//! into the [`StateStore`], and enqueue fresh states — they differ only in
-//! what they *observe* along the way.  [`Explorer`] owns that
-//! expand → intern → frontier cycle once, and a [`Visitor`] supplies the
-//! loop-specific observations: monitor-bit propagation, terminal-state
-//! classification, and CSR edge emission.
+//! Every exploration of the engine is the same loop: pop a node, enumerate
+//! its applicable progress actions, expand every probabilistic branch in
+//! place on the row substrate, intern the successor into the
+//! [`StateStore`], and enqueue fresh states.  [`Explorer`] owns that
+//! expand → intern → frontier cycle once, and a [`Visitor`] records what it
+//! sees along the way: the reachability-graph build and its incremental
+//! extension ([`crate::graph`]) emit every replayed edge into CSR arenas.
+//! The search itself carries no monitor state — every obligation is
+//! answered afterwards by an analysis pass over the recorded graph.
 //!
 //! # Deterministic in-check parallelism
 //!
@@ -21,8 +21,8 @@
 //! runs three phases on the persistent [`WorkerPool`] of the check:
 //!
 //! 1. **Expand** (parallel over wave chunks): workers generate all
-//!    successor candidates of their chunk — row bytes, incremental Zobrist
-//!    hash, monitor bits — without touching the shared index.  The wave is
+//!    successor candidates of their chunk — row bytes and incremental
+//!    Zobrist hash — without touching the shared index.  The wave is
 //!    cut into more chunks than lanes and lanes claim chunks through an
 //!    atomic cursor (work stealing), so one expensive chunk no longer
 //!    stalls the wave behind a single lane.
@@ -32,18 +32,18 @@
 //!    lock-free because the shards are disjoint.
 //! 3. **Replay** (sequential, cheap): a scalar walk over the candidate
 //!    metadata in global order re-applies the budget accounting
-//!    (transition/state bounds), fires the visitor hooks, detects
-//!    violations, and builds the next frontier — exactly as the sequential
-//!    loop would have, at a few instructions per candidate.
+//!    (transition/state bounds), fires the visitor hooks, and builds the
+//!    next frontier — exactly as the sequential loop would have, at a few
+//!    instructions per candidate.
 //!
 //! Because the wave boundaries, the candidate order, the shard partition,
 //! and the replay are all independent of the worker count, a parallel run
-//! produces *bit-identical* verdicts, state counts, transition counts,
-//! parent edges (and therefore counterexample schedules) to the sequential
-//! run — at any worker count, shard count and wave size.  The
-//! `parallel_determinism` and `random_differential` integration tests pin
-//! this, and `engine_equivalence` pins the sequential semantics against
-//! [`crate::reference`].
+//! produces *bit-identical* state counts, transition counts, discovery
+//! order and parent edges (and therefore verdicts and counterexample
+//! schedules) to the sequential run — at any worker count, shard count and
+//! wave size.  The `parallel_determinism` and `random_differential`
+//! integration tests pin this, and `engine_equivalence` pins the results
+//! against [`crate::reference`].
 //!
 //! Small frontiers skip the phase machinery entirely and run the plain
 //! sequential loop (same results, no buffering or thread overhead), so a
@@ -64,7 +64,6 @@
 use crate::explicit::CheckerOptions;
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
-use crate::spec::LocSet;
 use crate::store::{Shard, StateStore, MAX_SHARDS};
 use cccounter::{Action, Configuration, CounterSystem, RowEngine, ScheduledStep};
 use std::ops::ControlFlow;
@@ -83,44 +82,11 @@ const MIN_PARALLEL_FRONTIER: usize = 64;
 /// per-wave pool synchronisation is noise.
 pub const DEFAULT_WAVE_SIZE: usize = 8192;
 
-/// Monitor bits of a state row: the location prefix of the row is indexed
-/// directly by `LocId`.
-pub(crate) fn row_occupancy_bits(sets: &[LocSet], row: &[u8]) -> u8 {
-    let mut bits = 0u8;
-    for (i, set) in sets.iter().enumerate() {
-        if set.locs().iter().any(|l| row[l.0] > 0) {
-            bits |= 1 << i;
-        }
-    }
-    bits
-}
-
-/// The loop-specific observations of a search.  Read-only classification
-/// hooks (`successor_bits`, `should_expand`, `terminal_violates`) may be
-/// called from worker threads; the mutating replay hooks (`start_node`,
-/// `begin_*`/`end_*`, `edge`) are always called sequentially, in
-/// deterministic discovery order.
-pub(crate) trait Visitor: Sync {
-    /// Monitor bits of a successor row reached from a node with
-    /// `parent_bits` (also used for start rows, with `parent_bits == 0`).
-    fn successor_bits(&self, parent_bits: u8, row: &[u8]) -> u8;
-
-    /// Whether a dequeued node with these bits should be expanded at all.
-    fn should_expand(&self, _bits: u8) -> bool {
-        true
-    }
-
-    /// Whether a terminal node (no applicable progress action) violates the
-    /// property.  Must be a pure function of the row.
-    fn terminal_violates(&self, _row: &[u8]) -> bool {
-        false
-    }
-
-    /// A start configuration was interned.  Returning `true` aborts the
-    /// search with [`Exploration::Violation`] at that node.
-    fn start_node(&mut self, _node: u32, _bits: u8, _fresh: bool) -> bool {
-        false
-    }
+/// The observations of a search.  Every hook is called sequentially, in
+/// deterministic discovery order, from the replay of each wave.
+pub(crate) trait Visitor {
+    /// A start configuration was interned (`fresh` if it was new).
+    fn start_node(&mut self, _node: u32, _fresh: bool) {}
 
     /// A node with at least one applicable action is about to be expanded.
     fn begin_node(&mut self, _node: u32) {}
@@ -128,20 +94,9 @@ pub(crate) trait Visitor: Sync {
     /// An action of the current node is about to be expanded.
     fn begin_action(&mut self, _node: u32, _action: Action) {}
 
-    /// One explored transition: `from --step--> to`, where `to_bits` are the
-    /// successor's monitor bits and `fresh` says whether `to` was newly
-    /// discovered.  Returning `true` aborts with
-    /// [`Exploration::Violation`] at `to`.
-    fn edge(
-        &mut self,
-        _from: u32,
-        _step: ScheduledStep,
-        _to: u32,
-        _to_bits: u8,
-        _fresh: bool,
-    ) -> bool {
-        false
-    }
+    /// One explored transition: `from --step--> to`, where `fresh` says
+    /// whether `to` was newly discovered.
+    fn edge(&mut self, _from: u32, _step: ScheduledStep, _to: u32, _fresh: bool) {}
 
     /// All branches of the current action have been explored.
     fn end_action(&mut self, _node: u32, _action: Action) {}
@@ -159,8 +114,6 @@ pub(crate) enum Exploration {
     TransitionBound,
     /// The state budget was exhausted.
     StateBound,
-    /// The visitor reported a violation at this node.
-    Violation(u32),
     /// A job signal (cancellation, deadline, or job budget) stopped the
     /// search at a wave boundary; the unprocessed frontier was captured in
     /// [`Explorer::take_suspended`] so the search can resume bit-identically.
@@ -251,10 +204,6 @@ fn resolved_shards(options: &CheckerOptions, workers: usize) -> usize {
 struct CandMeta {
     /// Zobrist hash of the successor row.
     hash: u64,
-    /// Key hash (row hash with the monitor bits folded in).
-    key: u64,
-    /// Monitor bits of the successor.
-    bits: u8,
     /// The scheduled step that produced it.
     step: ScheduledStep,
     /// The frontier node it was expanded from.
@@ -267,12 +216,11 @@ struct ActRec {
     cands: u32,
 }
 
-/// Per-node action grouping of the expand phase.  `actions == 0` marks a
-/// terminal node.
+/// Per-node action grouping of the expand phase (terminal nodes, having
+/// no actions, are not recorded).
 struct NodeRec {
     node: u32,
     actions: u32,
-    terminal_violation: bool,
 }
 
 /// Everything one worker produced for its contiguous wave chunk.  Recycled
@@ -413,12 +361,6 @@ impl<'a> Explorer<'a> {
         self.suspended.take()
     }
 
-    /// The store of explored states (for counterexample reconstruction,
-    /// attractor passes and occupancy stats).
-    pub(crate) fn store(&self) -> &StateStore {
-        &self.store
-    }
-
     /// Consumes the explorer, releasing the store of explored states — this
     /// is how a cached reachability graph outlives the exploration that
     /// built it (see [`crate::graph`]).
@@ -447,17 +389,12 @@ impl<'a> Explorer<'a> {
         let mut row = Vec::with_capacity(self.store.stride());
         for cfg in starts {
             self.engine.encode_into(cfg, &mut row);
-            let bits = visitor.successor_bits(0, &row);
-            let (id, fresh) = self
-                .store
-                .intern_row(&row, bits, self.engine.hash(&row), None);
+            let (id, fresh) = self.store.intern_row(&row, self.engine.hash(&row), None);
             if fresh {
                 self.states += 1;
                 frontier.push(id);
             }
-            if visitor.start_node(id, bits, fresh) {
-                return Exploration::Violation(id);
-            }
+            visitor.start_node(id, fresh);
         }
         self.drive_from(frontier, Vec::new(), visitor)
     }
@@ -594,16 +531,9 @@ impl<'a> Explorer<'a> {
             ..
         } = self;
         for &node in frontier {
-            let bits = store.bits(node);
-            if !visitor.should_expand(bits) {
-                continue;
-            }
             store.copy_row_into(node, row);
             engine.progress_actions_into(row, actions);
             if actions.is_empty() {
-                if visitor.terminal_violates(row) {
-                    return ControlFlow::Break(Exploration::Violation(node));
-                }
                 continue;
             }
             visitor.begin_node(node);
@@ -619,10 +549,8 @@ impl<'a> Explorer<'a> {
                         if *transitions > *max_transitions {
                             return ControlFlow::Break(Exploration::TransitionBound);
                         }
-                        let new_bits = visitor.successor_bits(bits, succ);
                         let step = ScheduledStep::with_branch(action, branch);
-                        let (id, fresh) =
-                            store.intern_row(succ, new_bits, succ_hash, Some((node, step)));
+                        let (id, fresh) = store.intern_row(succ, succ_hash, Some((node, step)));
                         if fresh {
                             *states += 1;
                             if *states > *max_states {
@@ -630,9 +558,7 @@ impl<'a> Explorer<'a> {
                             }
                             next.push(id);
                         }
-                        if visitor.edge(node, step, id, new_bits, fresh) {
-                            return ControlFlow::Break(Exploration::Violation(id));
-                        }
+                        visitor.edge(node, step, id, fresh);
                         ControlFlow::Continue(())
                     },
                 );
@@ -674,7 +600,6 @@ impl<'a> Explorer<'a> {
         // order.
         {
             let (engine, store) = (&self.engine, &self.store);
-            let v: &V = visitor;
             let signals = self.signals;
             let cursor = std::sync::atomic::AtomicUsize::new(0);
             let work: Vec<std::sync::Mutex<(&[u32], &mut ChunkOut)>> = wave
@@ -699,7 +624,7 @@ impl<'a> Explorer<'a> {
                         // &mut across the closure boundary
                         let mut slot = cell.lock().unwrap();
                         let (chunk, out) = &mut *slot;
-                        expand_chunk(engine, store, v, chunk, num_shards, out);
+                        expand_chunk(engine, store, chunk, num_shards, out);
                     });
                     task
                 })
@@ -742,12 +667,6 @@ impl<'a> Explorer<'a> {
         for chunk in chunks {
             let (mut act_i, mut cand_i) = (0usize, 0usize);
             for nrec in &chunk.nodes {
-                if nrec.actions == 0 {
-                    if nrec.terminal_violation {
-                        return ControlFlow::Break(Exploration::Violation(nrec.node));
-                    }
-                    continue;
-                }
                 visitor.begin_node(nrec.node);
                 for _ in 0..nrec.actions {
                     let arec = &chunk.acts[act_i];
@@ -756,7 +675,7 @@ impl<'a> Explorer<'a> {
                     for _ in 0..arec.cands {
                         let m = &chunk.cands[cand_i];
                         cand_i += 1;
-                        let shard = self.store.shard_of(m.key);
+                        let shard = self.store.shard_of(m.hash);
                         let (id, fresh) = scratch.interned[shard][scratch.cursors[shard]];
                         scratch.cursors[shard] += 1;
                         self.transitions += 1;
@@ -770,9 +689,7 @@ impl<'a> Explorer<'a> {
                             }
                             next.push(id);
                         }
-                        if visitor.edge(nrec.node, m.step, id, m.bits, fresh) {
-                            return ControlFlow::Break(Exploration::Violation(id));
-                        }
+                        visitor.edge(nrec.node, m.step, id, fresh);
                     }
                     visitor.end_action(nrec.node, arec.action);
                 }
@@ -805,10 +722,9 @@ fn steal_chunk_size(wave: usize, workers: usize) -> usize {
 
 /// Phase-1 worker: expands a contiguous wave chunk into candidate records
 /// (recycling `out`'s arenas) without touching the shared index.
-fn expand_chunk<V: Visitor>(
+fn expand_chunk(
     engine: &RowEngine<'_>,
     store: &StateStore,
-    visitor: &V,
     chunk: &[u32],
     num_shards: usize,
     out: &mut ChunkOut,
@@ -819,18 +735,9 @@ fn expand_chunk<V: Visitor>(
     let mut row: Vec<u8> = Vec::with_capacity(stride);
     let mut actions: Vec<Action> = Vec::new();
     for &node in chunk {
-        let bits = store.bits(node);
-        if !visitor.should_expand(bits) {
-            continue;
-        }
         store.copy_row_into(node, &mut row);
         engine.progress_actions_into(&row, &mut actions);
         if actions.is_empty() {
-            out.nodes.push(NodeRec {
-                node,
-                actions: 0,
-                terminal_violation: visitor.terminal_violates(&row),
-            });
             continue;
         }
         let node_hash = store.hash64(node);
@@ -841,15 +748,11 @@ fn expand_chunk<V: Visitor>(
                 action,
                 node_hash,
                 |branch, _prob, succ, succ_hash| {
-                    let new_bits = visitor.successor_bits(bits, succ);
-                    let key = StateStore::key_hash(succ_hash, new_bits);
                     let idx = out.cands.len() as u32;
-                    out.per_shard[store.shard_of(key)].push(idx);
+                    out.per_shard[store.shard_of(succ_hash)].push(idx);
                     out.rows.extend_from_slice(succ);
                     out.cands.push(CandMeta {
                         hash: succ_hash,
-                        key,
-                        bits: new_bits,
                         step: ScheduledStep::with_branch(action, branch),
                         parent: node,
                     });
@@ -864,7 +767,6 @@ fn expand_chunk<V: Visitor>(
         out.nodes.push(NodeRec {
             node,
             actions: actions.len() as u32,
-            terminal_violation: false,
         });
     }
 }
@@ -883,7 +785,7 @@ fn intern_shard(
         for &ci in &chunk.per_shard[tag] {
             let m = &chunk.cands[ci as usize];
             let row = &chunk.rows[ci as usize * stride..(ci as usize + 1) * stride];
-            out.push(shard.intern(row, m.bits, m.hash, m.key, Some((m.parent, m.step))));
+            out.push(shard.intern(row, m.hash, Some((m.parent, m.step))));
         }
     }
 }
@@ -891,10 +793,6 @@ fn intern_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures;
-    use cccounter::CounterSystem;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn env_knobs_take_only_positive_integers() {
@@ -904,71 +802,5 @@ mod tests {
         for value in ["0", "", "-1", "two", "1.5"] {
             assert_eq!(parse_positive(value), None, "{value:?}");
         }
-    }
-
-    struct CountingVisitor;
-
-    impl Visitor for CountingVisitor {
-        fn successor_bits(&self, _parent: u8, _row: &[u8]) -> u8 {
-            0
-        }
-    }
-
-    /// Panics inside `successor_bits` — i.e. inside a worker lane's expand
-    /// phase — once the candidate countdown reaches zero.
-    struct PanicAtCandidate {
-        countdown: AtomicUsize,
-    }
-
-    impl Visitor for PanicAtCandidate {
-        fn successor_bits(&self, _parent: u8, _row: &[u8]) -> u8 {
-            if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
-                panic!("visitor panic at chosen candidate");
-            }
-            0
-        }
-    }
-
-    #[test]
-    fn visitor_panic_does_not_poison_sibling_lanes_or_the_pool() {
-        let model = fixtures::voting_model().single_round().unwrap();
-        let sys = CounterSystem::new(model, fixtures::small_params()).unwrap();
-        // tiny waves force the parallel wave path (2 single-node chunks per
-        // wave, one per lane) for every level of at least two nodes
-        let options = CheckerOptions::default().with_workers(2).with_wave_size(2);
-        let pool = WorkerPool::new(2);
-        let starts = sys.round_start_configurations();
-
-        let mut baseline = Explorer::new(&sys, &options, &pool);
-        assert_eq!(
-            baseline.run(&starts, &mut CountingVisitor),
-            Exploration::Complete
-        );
-        let (states, transitions) = (baseline.states(), baseline.transitions());
-        assert!(
-            transitions > 4,
-            "fixture too small to place a mid-run panic"
-        );
-
-        // a visitor that panics on a chosen candidate mid-exploration: the
-        // batch must drain (no deadlock) and re-raise the original payload
-        let mut explorer = Explorer::new(&sys, &options, &pool);
-        let mut panicking = PanicAtCandidate {
-            countdown: AtomicUsize::new(transitions / 2),
-        };
-        let payload = catch_unwind(AssertUnwindSafe(|| explorer.run(&starts, &mut panicking)))
-            .expect_err("the injected visitor panic must surface");
-        let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(message.contains("chosen candidate"), "{message}");
-
-        // sibling lanes and the pool survive: the same pool runs the full
-        // exploration again and reproduces the baseline counts exactly
-        let mut again = Explorer::new(&sys, &options, &pool);
-        assert_eq!(
-            again.run(&starts, &mut CountingVisitor),
-            Exploration::Complete
-        );
-        assert_eq!(again.states(), states);
-        assert_eq!(again.transitions(), transitions);
     }
 }

@@ -16,22 +16,15 @@
 //! start configuration.  On the finite single-round graph this is decided by
 //! a standard attractor computation.
 //!
-//! The forward game-graph construction is a [`Visitor`] over the generic
-//! [`crate::explorer::Explorer`] driver — the same engine (and the same
-//! deterministic in-check parallelism) as the explicit checker —
-//! accumulating the game graph in flat CSR arenas as the driver replays
-//! edges in discovery order.  The backward attractor pass then runs an
-//! O(edges) worklist over those arenas.
+//! This module holds the game machinery: the flat CSR arenas (`GameGraph`,
+//! filled by `CsrRecorder`) that store both the cached reachability graph
+//! and the product game graphs derived from it, the O(edges) worklist
+//! attractor (`adversary_winning`), and the strategy-path extraction
+//! (`extract_strategy_path`).  The analysis pass that assembles the
+//! product game over the cached reachability graph of a start-restriction
+//! group lives in [`crate::graph`].
 
-use crate::counterexample::Counterexample;
-use crate::explorer::{resolved_workers, row_occupancy_bits, Exploration, Explorer, Visitor};
-use crate::job::{InterruptKind, JobSignals};
-use crate::pool::WorkerPool;
-use crate::result::CheckOutcome;
-use crate::spec::LocSet;
-use crate::store::StoreStats;
-use crate::CheckerOptions;
-use cccounter::{Action, Configuration, CounterSystem, Schedule, ScheduledStep};
+use cccounter::{Schedule, ScheduledStep};
 
 /// An explored game (or reachability) graph in flat CSR form: every node
 /// owns a span of actions, every action owns a span of edges
@@ -124,9 +117,10 @@ impl GameGraph {
     }
 }
 
-/// Appends explorer callbacks to a [`GameGraph`]'s CSR arenas in discovery
-/// order.  Shared by [`GameVisitor`] and the graph-cache build visitor of
-/// [`crate::graph`], which record exactly the same shape.
+/// Appends explorer callbacks (or an analysis pass's product edges) to a
+/// [`GameGraph`]'s CSR arenas in discovery order.  Used by the graph-cache
+/// build and extension visitors and by the product game of
+/// [`crate::graph`].
 ///
 /// The arenas are append-only, but a *node's* span may be re-recorded: a
 /// later `begin_node … end_node` bracket for an already-recorded node
@@ -181,200 +175,6 @@ impl CsrRecorder {
     }
 }
 
-/// The game-graph construction visitor: records every explored edge in CSR
-/// form and stops expanding nodes that are already losing for the coin.
-struct GameVisitor<'s> {
-    sets: &'s [LocSet],
-    all_bits: u8,
-    csr: CsrRecorder,
-    start_ids: Vec<u32>,
-}
-
-impl Visitor for GameVisitor<'_> {
-    fn successor_bits(&self, parent_bits: u8, row: &[u8]) -> u8 {
-        parent_bits | row_occupancy_bits(self.sets, row)
-    }
-
-    fn should_expand(&self, bits: u8) -> bool {
-        // already losing for the coin; no need to expand further
-        bits != self.all_bits
-    }
-
-    fn start_node(&mut self, node: u32, _bits: u8, _fresh: bool) -> bool {
-        self.start_ids.push(node);
-        false
-    }
-
-    fn begin_node(&mut self, _node: u32) {
-        self.csr.begin_node();
-    }
-
-    fn begin_action(&mut self, _node: u32, _action: Action) {
-        self.csr.begin_action();
-    }
-
-    fn edge(
-        &mut self,
-        _from: u32,
-        step: ScheduledStep,
-        to: u32,
-        _to_bits: u8,
-        _fresh: bool,
-    ) -> bool {
-        self.csr.edge(step, to);
-        false
-    }
-
-    fn end_action(&mut self, node: u32, _action: Action) {
-        self.csr.end_action(node);
-    }
-
-    fn end_node(&mut self, node: u32) {
-        self.csr.end_node(node);
-    }
-}
-
-/// Checks `∀ adversary ∃ path. ⋁ᵢ G ¬EX{setsᵢ}` from the given start
-/// configurations.
-pub fn check_exists_avoid(
-    sys: &CounterSystem,
-    spec_name: &str,
-    starts: &[Configuration],
-    sets: &[LocSet],
-    options: &CheckerOptions,
-) -> CheckOutcome {
-    let pool = WorkerPool::new(resolved_workers(options));
-    check_exists_avoid_impl(
-        sys,
-        spec_name,
-        starts,
-        sets,
-        options,
-        &pool,
-        false,
-        None,
-        (0, 0, 0),
-    )
-    .0
-}
-
-/// [`check_exists_avoid`] with a caller-owned worker pool, optional store
-/// occupancy statistics, and optional job signals (polled by the forward
-/// exploration like every other search; `base` is the job's counter
-/// baseline).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn check_exists_avoid_impl(
-    sys: &CounterSystem,
-    spec_name: &str,
-    starts: &[Configuration],
-    sets: &[LocSet],
-    options: &CheckerOptions,
-    pool: &WorkerPool,
-    want_stats: bool,
-    signals: Option<&JobSignals>,
-    base: (usize, usize, usize),
-) -> (CheckOutcome, StoreStats) {
-    assert!(
-        !sets.is_empty() && sets.len() <= 8,
-        "between 1 and 8 tracked location sets are supported"
-    );
-    let all_bits: u8 = ((1u16 << sets.len()) - 1) as u8;
-
-    // ---------------- forward exploration of the game graph ----------------
-    let mut explorer = Explorer::new(sys, options, pool).with_signals(signals, base);
-    let mut visitor = GameVisitor {
-        sets,
-        all_bits,
-        csr: CsrRecorder::default(),
-        start_ids: Vec::new(),
-    };
-    let exploration = explorer.run(starts, &mut visitor);
-    let stats = if want_stats {
-        explorer.store().stats()
-    } else {
-        StoreStats::default()
-    };
-    match exploration {
-        Exploration::Complete => {}
-        Exploration::TransitionBound => {
-            return (
-                CheckOutcome::unknown(
-                    explorer.states(),
-                    explorer.transitions(),
-                    "transition bound exhausted",
-                ),
-                stats,
-            )
-        }
-        // match the reference, which stops before storing the over-budget
-        // state
-        Exploration::StateBound => {
-            return (
-                CheckOutcome::unknown(
-                    explorer.states() - 1,
-                    explorer.transitions(),
-                    "state bound exhausted",
-                ),
-                stats,
-            )
-        }
-        // a per-spec game search is not checkpointed: the suspended
-        // frontier is dropped and the search redone from scratch on resume
-        Exploration::Interrupted => {
-            let kind = explorer
-                .take_suspended()
-                .map(|s| s.kind)
-                .unwrap_or(InterruptKind::Cancelled);
-            return (
-                CheckOutcome::interrupted(explorer.states(), explorer.transitions(), kind),
-                stats,
-            );
-        }
-        Exploration::Violation(_) => unreachable!("the game visitor never reports violations"),
-    }
-
-    let store = explorer.store();
-    let graph = &visitor.csr.graph;
-    let (states, transitions) = (explorer.states(), explorer.transitions());
-
-    // backward attractor: seed with the nodes already losing for the coin
-    let id_bound = store.id_bound();
-    let seeds: Vec<u32> = store
-        .ids()
-        .filter(|&id| store.bits(id) == all_bits)
-        .collect();
-    let winning = adversary_winning(graph, id_bound, seeds);
-
-    let outcome = match visitor.start_ids.iter().find(|&&s| winning[s as usize]) {
-        None => CheckOutcome::holds(states, transitions),
-        Some(&bad_start) => {
-            let schedule = extract_strategy_path(
-                graph,
-                &winning,
-                bad_start,
-                all_bits,
-                |id| store.bits(id),
-                store.len(),
-            );
-            let ce = Counterexample {
-                spec: spec_name.to_string(),
-                params: sys.params().clone(),
-                initial: store.decode(bad_start),
-                schedule,
-                explanation: format!(
-                    "an adversary can force every coin resolution to occupy all of: {}",
-                    sets.iter()
-                        .map(|s| s.name().to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            };
-            CheckOutcome::violated(states, transitions, ce)
-        }
-    };
-    (outcome, stats)
-}
-
 /// The adversary attractor over a game graph in CSR form.
 ///
 /// `winning[i] = true` iff the adversary can force all probabilistic
@@ -383,8 +183,7 @@ pub(crate) fn check_exists_avoid_impl(
 /// `pending[a]` counts the not-yet-winning successors of action `a`; an
 /// action whose count reaches zero forces its node.  `id_bound` is an
 /// exclusive upper bound on the node ids appearing in the graph and the
-/// seeds.  Shared by the direct game search above and the graph-cache
-/// product game of [`crate::graph`].
+/// seeds.
 pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u32>) -> Vec<bool> {
     let mut winning: Vec<bool> = vec![false; id_bound];
     let mut worklist = seeds;
@@ -434,8 +233,7 @@ pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u
 /// Follows the adversary's winning strategy (taking the first branch at every
 /// probabilistic choice) until every tracked set has been occupied, returning
 /// the corresponding schedule as a sample violating execution.  `bits_of`
-/// reads a node's cumulative monitor bits and `node_count` bounds the walk;
-/// the graph-cache product game reuses this with product-node bits.
+/// reads a node's cumulative monitor bits and `node_count` bounds the walk.
 pub(crate) fn extract_strategy_path(
     graph: &GameGraph,
     winning: &[bool],
@@ -465,10 +263,10 @@ pub(crate) fn extract_strategy_path(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fixtures;
-    use crate::spec::{Spec, StartRestriction};
+    use crate::spec::{LocSet, Spec, StartRestriction};
     use crate::ExplicitChecker;
+    use cccounter::CounterSystem;
     use ccta::BinValue;
 
     fn sys() -> CounterSystem {
@@ -563,7 +361,11 @@ mod tests {
     #[should_panic(expected = "between 1 and 8")]
     fn empty_set_family_is_rejected() {
         let sys = sys();
-        let starts = sys.round_start_configurations();
-        let _ = check_exists_avoid(&sys, "bad", &starts, &[], &CheckerOptions::default());
+        let spec = Spec::ExistsAvoidOneOf {
+            name: "bad".into(),
+            start: StartRestriction::RoundStart,
+            forbidden_sets: Vec::new(),
+        };
+        let _ = ExplicitChecker::new(&sys).check(&spec);
     }
 }

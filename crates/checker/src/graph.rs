@@ -1,15 +1,15 @@
 //! The reachability-graph cache: explore once, evaluate many.
 //!
-//! Every obligation of the catalogue explores what is substantially the
-//! same reachable configuration graph of the single-round counter system —
-//! only the *observation* differs (monitor bits, game target sets, blocking
-//! scan).  [`ReachGraph`] materialises that graph once per
+//! Every obligation of the catalogue observes the same reachable
+//! configuration graph of the single-round counter system — only the
+//! *observation* differs (monitor bits, game target sets, blocking scan).
+//! [`ReachGraph`] materialises that graph once per
 //! `(start restriction, valuation)` group: one run of the generic
-//! [`Explorer`] with a monitor-free visitor interns every reachable
-//! configuration into the [`StateStore`] and records the full transition
-//! relation in the flat CSR arenas of [`GameGraph`] (the same machinery the
-//! game solver builds its graph with).  Each obligation is then evaluated
-//! as an `O(states + edges)` analysis pass over the cached graph:
+//! [`Explorer`] interns every reachable configuration into the
+//! [`StateStore`] and records the full transition relation in the flat CSR
+//! arenas of [`GameGraph`].  Each obligation is then evaluated as an
+//! `O(states + edges)` analysis pass over the cached graph; this is the
+//! only way the engine answers a check:
 //!
 //! * [`Spec::CoverNever`] / [`Spec::NeverFrom`] — a sticky monitor-bit
 //!   propagation fixpoint: a BFS over `(node, cumulative bits)` product
@@ -19,39 +19,44 @@
 //!   fold over the row.
 //! * [`Spec::ExistsAvoidOneOf`] — the product game graph over
 //!   `(node, cumulative bits)` is assembled from the cached edges and
-//!   handed to the existing O(edges) worklist attractor
-//!   ([`adversary_winning`]); the violating strategy path comes from the
-//!   shared [`extract_strategy_path`].
+//!   handed to the O(edges) worklist attractor ([`adversary_winning`]); the
+//!   violating strategy path comes from [`extract_strategy_path`].
 //! * [`Spec::NonBlocking`] — a terminal/blocking scan: a cached node is
 //!   terminal iff its CSR action span is empty (a complete exploration
-//!   expands every interned node), and the blocked-location test reuses the
-//!   per-spec classifier.
+//!   expands every interned node).
 //!
 //! Counterexamples stay genuinely replayable: monitored violations
 //! reconstruct their schedule from the product-BFS parent chain (whose
 //! steps are real [`ScheduledStep`]s of cached edges), non-blocking
-//! violations walk the store's first-discovery parent edges, and game
-//! violations follow the winning strategy through product edges.  Along
-//! every reported path the cumulative occupancy of the tracked sets first
-//! completes exactly at the final configuration — the same invariant the
-//! per-spec searches guarantee — because a product state is checked for
-//! violation the moment it is first created.
+//! violations walk the first-discovery parent edges, and game violations
+//! follow the winning strategy through product edges.  Along every
+//! reported path the cumulative occupancy of the tracked sets first
+//! completes exactly at the final configuration, because a product state
+//! is checked for violation the moment it is first created.
 //!
-//! The cached graph is monitor-free, so the per-spec state/transition
-//! counts reported under the cache are derived from the analysis pass (the
-//! product states and product edges it visits), not from a monitored
-//! re-exploration; for a *holding* `NonBlocking` — whose search carries no
-//! monitor bits — the counts coincide exactly with the per-spec path (a
-//! violated one reports the full exploration, where the per-spec search
-//! stops at the violating terminal).  Verdicts never differ: resource
-//! budgets ([`CheckerOptions::max_states`] /
-//! [`CheckerOptions::max_transitions`]) apply to every analysis pass, and a
-//! build that trips a budget makes
-//! [`crate::explicit::ExplicitChecker::check_cached`] fall back to the
-//! per-spec search instead of blanketing the group with `Unknown`.
+//! # Reported counts
+//!
+//! Every pass reports the state and transition counts of the search that
+//! [`crate::reference`] runs for the same spec — the `engine_equivalence`,
+//! `random_differential` and `family_differential` suites compare them
+//! exactly.  The monitored and game passes count the product states and
+//! edges they visit, which is what a search over `(configuration, bits)`
+//! states visits; a holding `NonBlocking` reports the whole graph.  A
+//! violated `NonBlocking` reports the prefix of the exploration a search
+//! stopping at the violating terminal had done: the start nodes, every
+//! successor of the nodes discovered before the terminal, and those
+//! nodes' edges.
+//!
+//! # Budgets
+//!
+//! Resource budgets ([`CheckerOptions::max_states`] /
+//! [`CheckerOptions::max_transitions`]) apply to the group build and to
+//! every analysis pass.  A build that trips one leaves the group's graph
+//! incomplete, and every obligation of that group is then `Unknown` with
+//! the bound in its detail: an incomplete graph never yields a verdict.
 
 use crate::counterexample::Counterexample;
-use crate::explicit::{blocked_location_in_row, find_progress_cycle, CheckerOptions};
+use crate::explicit::CheckerOptions;
 use crate::explorer::{Exploration, Explorer, Visitor};
 use crate::game::{adversary_winning, extract_strategy_path, CsrRecorder, GameGraph};
 use crate::job::{InterruptKind, JobSignals};
@@ -60,29 +65,13 @@ use crate::result::{CheckOutcome, CheckStatus};
 use crate::spec::{LocSet, Spec, StartRestriction};
 use crate::store::StateStore;
 use cccounter::{Action, Configuration, CounterSystem, Schedule, ScheduledStep};
-use ccta::{GuardRel, RuleId};
+use ccta::{GuardRel, LocClass, LocId, RuleId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Sentinel for "product state not discovered yet" in the ordinal maps.
 const NO_ORD: u32 = u32::MAX;
-
-/// The most tracked location sets an analysis pass handles: the product
-/// over `k` sets needs `2^k` flat slots per node.  The catalogue's specs
-/// use at most two.
-pub(crate) const MAX_PRODUCT_SETS: usize = 3;
-
-/// Whether a cached graph serves `spec`: every shape does except an
-/// [`Spec::ExistsAvoidOneOf`] over more than [`MAX_PRODUCT_SETS`] sets,
-/// which takes the pruned per-spec game search instead of paying the
-/// product blow-up.
-pub(crate) fn graph_serves(spec: &Spec) -> bool {
-    match spec {
-        Spec::ExistsAvoidOneOf { forbidden_sets, .. } => forbidden_sets.len() <= MAX_PRODUCT_SETS,
-        _ => true,
-    }
-}
 
 /// The compiled guard bounds of a counter system: one `(relation, bound)`
 /// pair per guard atom, in rule order (see
@@ -280,8 +269,8 @@ impl GraphLineage {
 
     /// Records a group's (complete) graph as the lineage survivor for the
     /// given bounds and system size.  Bounded builds are *not* recorded: a
-    /// budget-tripped graph falls back to the per-spec path anyway, and the
-    /// next valuation should pay exactly the fresh-path cost.
+    /// budget-tripped graph answers nothing, and the next valuation should
+    /// pay exactly the fresh-path cost.
     pub(crate) fn record(
         &self,
         sys: &CounterSystem,
@@ -313,15 +302,14 @@ impl GraphLineage {
     }
 }
 
-/// The monitor-free build visitor: records every explored edge in CSR form,
-/// the interned start nodes, and the BFS discovery order of every fresh
-/// node.  Unlike the game visitor it never prunes, so the cached graph
-/// covers the full reachable space of the start-restriction group.  The
-/// discovery order comes from the explorer's deterministic replay, so it is
-/// identical at every worker/shard/wave count — node ids alone are *not*
-/// (they interleave the shard tag), which is why order-sensitive consumers
-/// like the non-blocking terminal scan must iterate `discovery` instead of
-/// the store's id space.
+/// The build visitor: records every explored edge in CSR form, the
+/// interned start nodes, and the BFS discovery order of every fresh node.
+/// It never prunes, so the cached graph covers the full reachable space of
+/// the start-restriction group.  The discovery order comes from the
+/// explorer's deterministic replay, so it is identical at every
+/// worker/shard/wave count — node ids alone are *not* (they interleave the
+/// shard tag), which is why order-sensitive consumers like the non-blocking
+/// terminal scan must iterate `discovery` instead of the store's id space.
 #[derive(Default)]
 struct CacheVisitor {
     csr: CsrRecorder,
@@ -330,17 +318,12 @@ struct CacheVisitor {
 }
 
 impl Visitor for CacheVisitor {
-    fn successor_bits(&self, _parent_bits: u8, _row: &[u8]) -> u8 {
-        0
-    }
-
-    fn start_node(&mut self, node: u32, _bits: u8, fresh: bool) -> bool {
+    fn start_node(&mut self, node: u32, fresh: bool) {
         // duplicate start configurations intern to the same node; list it once
         if fresh {
             self.start_ids.push(node);
             self.discovery.push(node);
         }
-        false
     }
 
     fn begin_node(&mut self, _node: u32) {
@@ -351,19 +334,11 @@ impl Visitor for CacheVisitor {
         self.csr.begin_action();
     }
 
-    fn edge(
-        &mut self,
-        _from: u32,
-        step: ScheduledStep,
-        to: u32,
-        _to_bits: u8,
-        fresh: bool,
-    ) -> bool {
+    fn edge(&mut self, _from: u32, step: ScheduledStep, to: u32, fresh: bool) {
         self.csr.edge(step, to);
         if fresh {
             self.discovery.push(to);
         }
-        false
     }
 
     fn end_action(&mut self, node: u32, _action: Action) {
@@ -385,10 +360,6 @@ struct ExtendVisitor {
 }
 
 impl Visitor for ExtendVisitor {
-    fn successor_bits(&self, _parent_bits: u8, _row: &[u8]) -> u8 {
-        0
-    }
-
     fn begin_node(&mut self, _node: u32) {
         self.csr.begin_node();
     }
@@ -397,16 +368,8 @@ impl Visitor for ExtendVisitor {
         self.csr.begin_action();
     }
 
-    fn edge(
-        &mut self,
-        _from: u32,
-        step: ScheduledStep,
-        to: u32,
-        _to_bits: u8,
-        _fresh: bool,
-    ) -> bool {
+    fn edge(&mut self, _from: u32, step: ScheduledStep, to: u32, _fresh: bool) {
         self.csr.edge(step, to);
-        false
     }
 
     fn end_action(&mut self, node: u32, _action: Action) {
@@ -486,7 +449,7 @@ pub(crate) struct ReachGraph {
     /// incremental extension (`None` for fresh builds, whose store already
     /// holds exactly these edges).  Indexed by node id.
     parents: Option<Vec<Option<(u32, ScheduledStep)>>>,
-    /// States the sequential monitor-free search counted (already adjusted
+    /// States the sequential build search counted (already adjusted
     /// for the reference's stop-before-store state-bound convention).
     states: usize,
     transitions: usize,
@@ -594,9 +557,7 @@ impl ReachGraph {
             // like the reference engine, report the budget rather than the
             // over-budget state that was interned before the bound tripped
             Exploration::StateBound => (explorer.states() - 1, Some("state bound exhausted")),
-            Exploration::Violation(_) | Exploration::Interrupted => {
-                unreachable!("the cache visitor never reports violations")
-            }
+            Exploration::Interrupted => unreachable!("interruptions returned above"),
         };
         let transitions = explorer.transitions();
         BuildStep::Done(ReachGraph {
@@ -699,9 +660,6 @@ impl ReachGraph {
             // path (whose first wave boundary re-trips the signal)
             Exploration::StateBound | Exploration::TransitionBound | Exploration::Interrupted => {
                 return Err(())
-            }
-            Exploration::Violation(_) => {
-                unreachable!("the extension visitor never reports violations")
             }
         }
         self.relink();
@@ -839,9 +797,8 @@ impl ReachGraph {
     }
 
     /// Whether the build tripped a resource budget, leaving the graph
-    /// incomplete.  [`crate::explicit::ExplicitChecker::check_cached`]
-    /// falls back to the per-spec search in that case, so a budget bound
-    /// never turns a definite per-spec verdict into `Unknown`.
+    /// incomplete: every evaluation on it is `Unknown`, and it never enters
+    /// a sweep lineage.
     pub(crate) fn is_bounded(&self) -> bool {
         self.bound.is_some()
     }
@@ -900,6 +857,8 @@ impl ReachGraph {
     }
 
     /// Evaluates one obligation as an analysis pass over the cached graph.
+    /// A bounded graph answers every obligation `Unknown`, with the bound
+    /// that tripped its build in the detail and the build's counts.
     ///
     /// The passes poll the *fast* job signals (cancellation/deadline) every
     /// ~1k product transitions; the job-level state/transition budgets do
@@ -916,8 +875,6 @@ impl ReachGraph {
         signals: Option<&JobSignals>,
     ) -> CheckOutcome {
         if let Some(detail) = self.bound {
-            // defensive only: `check_cached` falls back to the per-spec
-            // search for bounded builds before calling evaluate
             return CheckOutcome::unknown(self.states, self.transitions, detail);
         }
         if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -986,8 +943,8 @@ impl ReachGraph {
     /// The sticky monitor-bit propagation fixpoint: a BFS over
     /// `(node, cumulative bits)` product states walking cached edges,
     /// firing a violation the first time a product state covers
-    /// `violation_bits` — exactly when the per-spec monitored search would
-    /// have fired on its fresh `(row, bits)` state.
+    /// `violation_bits` — exactly when a monitored search over
+    /// `(configuration, bits)` states fires on its fresh state.
     #[allow(clippy::too_many_arguments)]
     fn check_monitored(
         &self,
@@ -999,10 +956,6 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> CheckOutcome {
-        debug_assert!(
-            sets.len() <= MAX_PRODUCT_SETS,
-            "at most {MAX_PRODUCT_SETS} tracked sets fit the flat product maps"
-        );
         let occ = self.occupancy(sets);
         let num_vals = 1usize << sets.len();
         let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
@@ -1134,10 +1087,11 @@ impl ReachGraph {
 
     /// The `∀ adversary ∃ path` conditions: assemble the
     /// `(node, cumulative bits)` product game graph from cached edges, then
-    /// run the shared worklist attractor and strategy extraction.  The
-    /// product mirrors the direct game search exactly — including its
-    /// pruning of nodes already losing for the coin — so a complete pass
-    /// reports the same state and transition counts.
+    /// run the worklist attractor and strategy extraction.  The product
+    /// leaves nodes already losing for the coin unexpanded, like a forward
+    /// game search over `(configuration, bits)` states, so a complete pass
+    /// reports that search's state and transition counts.  The product
+    /// needs `2^k` flat slots per node for `k` sets.
     fn check_exists_avoid(
         &self,
         spec_name: &str,
@@ -1186,8 +1140,7 @@ impl ReachGraph {
             let (node, bits) = pnodes[cursor];
             cursor += 1;
             if bits == all_bits {
-                // already losing for the coin; not expanded (mirrors the
-                // direct game visitor's `should_expand`)
+                // already losing for the coin: not expanded
                 continue;
             }
             let actions = self.graph.actions_of(node);
@@ -1268,9 +1221,9 @@ impl ReachGraph {
 
     /// The Theorem-2 side condition: progress-graph acyclicity plus a scan
     /// of the cached terminal nodes (empty CSR action span) for automata
-    /// stranded outside the border-copy sinks.  The cached exploration is
-    /// the same monitor-free search the per-spec path runs, so a positive
-    /// verdict reports identical counts.
+    /// stranded outside the border-copy sinks.  A positive verdict reports
+    /// the whole graph; a violation reports the exploration done before
+    /// the violating terminal (see [`ReachGraph::counts_before`]).
     fn check_non_blocking(
         &self,
         spec_name: &str,
@@ -1294,10 +1247,10 @@ impl ReachGraph {
             };
             return CheckOutcome::violated(0, 0, ce);
         }
-        // scan in BFS discovery order — the per-spec search dequeues (and
-        // classifies) terminals in exactly this order, so the reported
-        // terminal is the same one it would find, at every worker and
-        // shard count (`store.ids()` order would depend on the sharding)
+        // scan in BFS discovery order — a BFS dequeues (and classifies)
+        // terminals in exactly this order, so the reported terminal is the
+        // first one it would find, at every worker and shard count
+        // (`store.ids()` order would depend on the sharding)
         for (scanned, &id) in self.discovery.iter().enumerate() {
             if scanned & 0xFFF == 0 {
                 if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -1308,6 +1261,7 @@ impl ReachGraph {
                 continue;
             }
             if let Some(loc) = blocked_location_in_row(sys, self.store.row(id)) {
+                let (states, transitions) = self.counts_before(scanned);
                 let (initial, schedule) = self.reconstruct(id);
                 let ce = Counterexample {
                     spec: spec_name.to_string(),
@@ -1319,11 +1273,86 @@ impl ReachGraph {
                         sys.model().location(loc).name()
                     ),
                 };
-                return CheckOutcome::violated(self.states, self.transitions, ce);
+                return CheckOutcome::violated(states, transitions, ce);
             }
         }
         CheckOutcome::holds(self.states, self.transitions)
     }
+
+    /// The counts of a BFS that stops when it dequeues `discovery[k]`: the
+    /// start nodes plus every successor the nodes before it discovered,
+    /// and those nodes' edges.
+    fn counts_before(&self, k: usize) -> (usize, usize) {
+        let mut seen = vec![false; self.store.id_bound()];
+        for &start in &self.start_ids {
+            seen[start as usize] = true;
+        }
+        let (mut states, mut transitions) = (self.start_ids.len(), 0);
+        for &node in &self.discovery[..k] {
+            for a in self.graph.actions_of(node) {
+                for &(_, to) in self.graph.edges_of(a) {
+                    transitions += 1;
+                    if !seen[to as usize] {
+                        seen[to as usize] = true;
+                        states += 1;
+                    }
+                }
+            }
+        }
+        (states, transitions)
+    }
+}
+
+/// In a terminal state row, returns a location outside the sink set (border
+/// copies) that still holds an automaton, if any.
+fn blocked_location_in_row(sys: &CounterSystem, row: &[u8]) -> Option<LocId> {
+    let model = sys.model();
+    model
+        .loc_ids()
+        .find(|&l| row[l.0] > 0 && model.location(l).class() != LocClass::BorderCopy)
+}
+
+/// Returns a location lying on a cycle of non-self-loop progress rules, if
+/// any — the structural half of the non-blocking side condition.
+fn find_progress_cycle(sys: &CounterSystem) -> Option<LocId> {
+    let model = sys.model();
+    let n = model.locations().len();
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for rule in model.rules() {
+        if rule.is_self_loop() {
+            continue;
+        }
+        for b in rule.branches() {
+            adj[rule.from().0].push(b.to.0);
+        }
+    }
+    // iterative DFS with colors
+    let mut color = vec![0u8; n]; // 0 = white, 1 = grey, 2 = black
+    for start in 0..n {
+        if color[start] != 0 {
+            continue;
+        }
+        let mut stack = vec![(start, 0usize)];
+        color[start] = 1;
+        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+            if *idx < adj[node].len() {
+                let next = adj[node][*idx];
+                *idx += 1;
+                match color[next] {
+                    0 => {
+                        color[next] = 1;
+                        stack.push((next, 0));
+                    }
+                    1 => return Some(LocId(next)),
+                    _ => {}
+                }
+            } else {
+                color[node] = 2;
+                stack.pop();
+            }
+        }
+    }
+    None
 }
 
 #[cfg(test)]

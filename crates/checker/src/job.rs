@@ -28,13 +28,14 @@
 //! See the "Job lifecycle & fault model" section of the crate docs for the
 //! checkpoint-boundary, latency and budget-semantics contract.
 
-use crate::explicit::{CheckerOptions, ExplicitChecker};
+use crate::explicit::CheckerOptions;
 use crate::explorer::resolved_workers;
-use crate::graph::{graph_serves, BuildInFlight, BuildStep, ReachGraph};
+use crate::graph::{BuildInFlight, BuildStep, ReachGraph};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 use crate::spec::{Spec, StartRestriction};
 use cccounter::CounterSystem;
+use ccta::ModelKind;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -417,6 +418,11 @@ impl<'a> CheckJob<'a> {
     /// Panics if the counter system is built over a multi-round model (the
     /// same contract as [`crate::ExplicitChecker`]).
     pub fn new(sys: &'a CounterSystem, specs: &'a [Spec], options: CheckerOptions) -> Self {
+        assert_eq!(
+            sys.model().kind(),
+            ModelKind::SingleRound,
+            "check jobs operate on single-round models (Definition 3)"
+        );
         CheckJob {
             sys,
             specs,
@@ -470,16 +476,14 @@ impl<'a> CheckJob<'a> {
         self.execute(checkpoint)
     }
 
-    /// The job loop: walk the obligations in spec order, mirroring the
-    /// routing of [`crate::ExplicitChecker::check_all`] exactly (so an
+    /// The job loop: walk the obligations in spec order, serving each from
+    /// its group graph like [`crate::ExplicitChecker::check_all`] (so an
     /// uninterrupted job is verdict- and stats-identical to it), suspending
     /// into the checkpoint whenever a signal fires.
     fn execute(&self, mut cp: JobCheckpoint) -> JobOutcome {
         let mut signals = JobSignals::new(self.cancel.clone(), self.budget);
         signals.progress = self.progress.clone();
         let pool = WorkerPool::new(resolved_workers(&self.options));
-        let mut checker = ExplicitChecker::with_pool(self.sys, self.options, &pool);
-        checker.set_signals(Some(&signals));
 
         for (i, spec) in self.specs.iter().enumerate() {
             if cp.outcomes[i].is_some() {
@@ -492,12 +496,7 @@ impl<'a> CheckJob<'a> {
             {
                 return Self::suspend(cp, kind);
             }
-            let outcome = if graph_serves(spec) {
-                self.cached_obligation(&mut cp, spec, &signals, &pool, &checker)
-            } else {
-                Self::per_spec_obligation(&mut cp, spec, &checker)
-            };
-            match outcome {
+            match self.obligation(&mut cp, spec, &signals, &pool) {
                 Ok(outcome) => cp.outcomes[i] = Some(outcome),
                 Err(kind) => return Self::suspend(cp, kind),
             }
@@ -509,17 +508,15 @@ impl<'a> CheckJob<'a> {
         }
     }
 
-    /// One obligation on the graph-cache path: serve it from a retained
-    /// group graph, resuming or starting the group's build as needed.
-    /// `Err` means a signal fired; the checkpoint already holds whatever
-    /// build progress existed.
-    fn cached_obligation(
+    /// One obligation: serve it from a retained group graph, resuming or
+    /// starting the group's build as needed.  `Err` means a signal fired;
+    /// the checkpoint already holds whatever build progress existed.
+    fn obligation(
         &self,
         cp: &mut JobCheckpoint,
         spec: &Spec,
         signals: &JobSignals,
         pool: &WorkerPool,
-        checker: &ExplicitChecker<'_>,
     ) -> Result<CheckOutcome, InterruptKind> {
         let start = spec.start();
         let group = match cp.groups.iter().position(|(s, _)| *s == start) {
@@ -527,12 +524,6 @@ impl<'a> CheckJob<'a> {
             None => self.build_group(cp, start, signals, pool)?,
         };
         let graph = Rc::clone(&cp.groups[group].1);
-        if graph.is_bounded() {
-            // the pruned per-spec search can still produce a definite
-            // verdict within the same per-exploration budget (see
-            // ExplicitChecker::check_cached)
-            return Self::per_spec_obligation(cp, spec, checker);
-        }
         let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, Some(signals));
         if outcome.is_interrupted() {
             // analysis passes are deterministic and cheap relative to the
@@ -546,27 +537,6 @@ impl<'a> CheckJob<'a> {
         } else {
             record.memo_misses += 1;
         }
-        Ok(outcome)
-    }
-
-    /// One obligation on the per-spec search: a spec the graph does not
-    /// serve, or one whose group build tripped a per-exploration bound.
-    /// The search carries no checkpointable store, so an interrupted one is
-    /// redone from scratch on resume (deterministic, so still
-    /// bit-identical).
-    fn per_spec_obligation(
-        cp: &mut JobCheckpoint,
-        spec: &Spec,
-        checker: &ExplicitChecker<'_>,
-    ) -> Result<CheckOutcome, InterruptKind> {
-        checker.set_signal_base((cp.states_done, cp.transitions_done, cp.resident_bytes()));
-        let outcome = checker.check(spec);
-        if outcome.is_interrupted() {
-            return Err(Self::interrupt_kind_of(&outcome));
-        }
-        cp.stats.uncached_specs += 1;
-        cp.states_done += outcome.states_explored;
-        cp.transitions_done += outcome.transitions_explored;
         Ok(outcome)
     }
 
@@ -667,6 +637,7 @@ impl<'a> CheckJob<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explicit::ExplicitChecker;
     use crate::fixtures;
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
@@ -724,7 +695,6 @@ mod tests {
         }
         assert_eq!(stats.graphs_built(), ref_stats.graphs_built());
         assert_eq!(stats.specs_served(), ref_stats.specs_served());
-        assert_eq!(stats.uncached_specs, ref_stats.uncached_specs);
     }
 
     #[test]

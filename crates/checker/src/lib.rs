@@ -8,28 +8,31 @@
 //!
 //! * [`spec`] — the query catalogue (Table III of the paper) expressed over
 //!   location sets.
-//! * [`explicit`] — an explicit-state checker that verifies the universal
-//!   (safety-shaped) queries on the single-round counter system for a
-//!   concrete admissible parameter valuation, with counterexample
-//!   extraction.
-//! * [`game`] — a qualitative game solver for the probabilistic conditions
-//!   `C1` and `C2'`, which by Lemma 2 reduce to `∀ adversary ∃ path`
-//!   queries; the adversary controls scheduling, the coin controls
-//!   probabilistic branching.
+//! * [`explicit`] — an explicit-state checker that verifies the queries on
+//!   the single-round counter system for a concrete admissible parameter
+//!   valuation, with counterexample extraction.
+//! * [`graph`] — the cached reachability graph every check is answered
+//!   from, and its analysis passes.
+//! * [`game`] — the qualitative game machinery for the probabilistic
+//!   conditions `C1` and `C2'`, which by Lemma 2 reduce to
+//!   `∀ adversary ∃ path` queries; the adversary controls scheduling, the
+//!   coin controls probabilistic branching.
 //! * [`schema`] — milestone extraction and the schema-count cost metric
 //!   (the `nschemas` columns of Tables II and IV).
 //! * [`sweep`] — checking a query across a sweep of admissible parameter
 //!   valuations, which is the bounded-parameter substitute for ByMC's fully
 //!   parameterized reasoning.
 //!
-//! # Engine architecture: one driver, three visitors
+//! # Engine architecture: one driver, one graph, one pass per query shape
 //!
 //! The paper's headline results are wall-clock checking times, so this crate
-//! treats exploration throughput as part of the reproduced artifact.  All
-//! three searches — the monitored BFS and the non-blocking check of
-//! [`explicit`], and the game-graph construction of [`game`] — are *visitors*
-//! over a single generic driver, [`explorer::Explorer`], which owns the
-//! expand → intern → frontier cycle:
+//! treats exploration throughput as part of the reproduced artifact.  Every
+//! check runs one engine path: a single generic driver,
+//! [`explorer::Explorer`], explores the reachable configurations of a
+//! `(start restriction, valuation)` group once into a cached graph
+//! ([`graph`]), and each query is then an analysis pass over that graph
+//! (see "Graph cache" below).  The driver owns the expand → intern →
+//! frontier cycle:
 //!
 //! * **Packed state rows** ([`store::StateStore`]) — a single-round state
 //!   is one fixed-stride byte row (`locations ++ variables`,
@@ -48,8 +51,8 @@
 //!   sharded by hash prefix and the driver explores level-synchronously in
 //!   bounded waves: worker threads expand wave chunks and intern into
 //!   disjoint shards lock-free, and a cheap sequential replay in the
-//!   deterministic global candidate order re-applies budgets and visitor
-//!   hooks.  Verdicts, state counts, transition counts and counterexample
+//!   deterministic global candidate order re-applies budgets and records
+//!   the graph's edges.  Verdicts, state counts, transition counts and counterexample
 //!   schedules are bit-identical at every worker count, shard count and
 //!   wave size.
 //! * **Two-level parallel sweep** ([`sweep::check_over_sweep_with_stats`])
@@ -62,10 +65,10 @@
 //! # Graph cache: explore once, evaluate many
 //!
 //! The Table II catalogue runs ~10 obligations per valuation, and each
-//! obligation's search walks substantially the same reachable configuration
-//! graph — only the observation differs.  Batched entry points
-//! ([`ExplicitChecker::check_all`], the sweep, and `cccore`'s
-//! `verify_protocol`) therefore share a **reachability-graph cache**
+//! obligation observes the same reachable configuration graph — only the
+//! observation differs.  Every entry point ([`ExplicitChecker::check`] and
+//! [`ExplicitChecker::check_all`], [`CheckJob`], the sweep, and `cccore`'s
+//! `verify_protocol`) therefore answers from a **reachability-graph cache**
 //! ([`graph`]):
 //!
 //! * **Grouping key.**  One cached graph per
@@ -73,17 +76,16 @@
 //!   counter system (one valuation), so its per-checker memo is keyed by
 //!   the [`StartRestriction`] alone; the sweep builds one checker per
 //!   valuation and runs its whole spec slice through it.  The enumerated
-//!   start configurations are memoised the same way (and shared with the
-//!   per-spec path).
-//! * **Build.**  The first obligation of a group pays one monitor-free
-//!   exploration: the generic [`explorer::Explorer`] run (with the same
-//!   deterministic in-check parallelism) interns every reachable
-//!   configuration and records the full transition relation in flat CSR
-//!   arenas — the same machinery the game solver uses.  Every further
-//!   obligation of the group is an `O(states + edges)` analysis pass:
+//!   start configurations are memoised the same way.
+//! * **Build.**  The first obligation of a group pays one exploration: the
+//!   generic [`explorer::Explorer`] run (with its deterministic in-check
+//!   parallelism) interns every reachable configuration and records the
+//!   full transition relation in flat CSR arenas ([`game`]'s
+//!   `GameGraph`).  Every obligation of the group is then an
+//!   `O(states + edges)` analysis pass:
 //!   a sticky monitor-bit product BFS for `CoverNever`/`NeverFrom` (tracked
 //!   location sets precompiled to per-row byte masks), the product game
-//!   plus the shared worklist attractor for `ExistsAvoidOneOf`, and a
+//!   plus the worklist attractor for `ExistsAvoidOneOf`, and a
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
 //!   reconstructed from cached edges and remain genuinely replayable.
 //! * **Memory model.**  A cached graph holds the deduplicated
@@ -92,20 +94,19 @@
 //!   `check_all` call, or one valuation batch of a sweep).  The monitored
 //!   analysis passes allocate O(states × 2^sets) product bookkeeping
 //!   transiently per obligation.
-//! * **Derived counts.**  The cached graph is monitor-free, so the
-//!   per-obligation state/transition counts reported under the cache are
-//!   derived from the analysis pass (its product states and edges); for a
-//!   holding `NonBlocking` they coincide exactly with the per-spec search.
-//!   Verdicts never differ — a cache build that trips a resource budget
-//!   falls back to the per-spec search rather than reporting the whole
-//!   group `Unknown`, and `random_differential`'s cached axis pins
-//!   cached verdicts against [`ExplicitChecker::check`] (and
-//!   counterexample replay) across the random corpus at 1/2/4 workers.
-//! * **The per-spec path.**  Batched checks always go through the cache.
-//!   [`ExplicitChecker::check`] always takes the per-spec search — that is
-//!   the path `engine_equivalence` compares bit-for-bit against
-//!   [`reference`] — and it stays the fallback for budget-tripped builds and
-//!   for game specs wider than the analysis product.
+//! * **Reported counts.**  Each pass reports the state and transition
+//!   counts of [`reference`]'s search for the same spec: the monitored and
+//!   game passes count the `(node, bits)` product states and edges they
+//!   visit, a holding `NonBlocking` reports the whole graph, and a violated
+//!   one reports the exploration done before its violating terminal.
+//!   `engine_equivalence`, `random_differential` and `family_differential`
+//!   pin verdicts, counts and counterexample schedules against
+//!   [`reference`] exactly.
+//! * **Budgets.**  The per-check state/transition caps of
+//!   [`CheckerOptions`] bound the group build and every pass.  A build that
+//!   trips one leaves the graph incomplete, and every obligation of that
+//!   group is then `Unknown` with the bound in its detail: a budget can
+//!   cost a verdict, never fabricate one.
 //!
 //! # Incremental sweeps: one sweep, one graph lineage
 //!
@@ -265,9 +266,9 @@
 //!   bit-identically to an uninterrupted run (pinned by the
 //!   `random_differential` interrupt axis at 1/2/4 workers).  An
 //!   interrupted cache *build* keeps its partial store and CSR arenas in
-//!   the [`JobCheckpoint`]; an interrupted analysis pass or per-spec
-//!   search records nothing and is redone on resume (the passes are
-//!   deterministic, so the results are unchanged).
+//!   the [`JobCheckpoint`]; an interrupted analysis pass records nothing
+//!   and is redone on resume (the passes are deterministic, so the results
+//!   are unchanged).
 //! * **Cancellation latency.**  [`CancelToken::cancel`] and the deadline
 //!   are *fast* signals, polled at wave boundaries, at expand-phase chunk
 //!   handouts inside a parallel wave, and every few thousand steps of an
@@ -284,7 +285,7 @@
 //!   graph re-walk existing edges and are exempt from the job
 //!   state/transition caps (they honour cancellation and the deadline).
 //!   Resuming with the *same* exhausted cap re-trips at the next boundary
-//!   without per-spec progress; resume with a larger budget.  In a sweep,
+//!   without progress; resume with a larger budget.  In a sweep,
 //!   cancellation and the deadline are global to the grid while the
 //!   state/transition/resident caps apply per cell.
 //! * **Panic isolation.**  A panic on a [`WorkerPool`] lane is captured
@@ -358,7 +359,7 @@ pub use schema::{
     Milestone,
 };
 pub use spec::{LocSet, Spec, StartRestriction};
-pub use store::{StateStore, StoreStats};
+pub use store::StateStore;
 pub use sweep::{
     check_over_sweep_cancellable, check_over_sweep_with_stats, sweep_thread_budget,
     CellDisposition, SweepOutcome, SweepReport,

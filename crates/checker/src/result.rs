@@ -199,15 +199,11 @@ pub struct GroupCacheRecord {
 }
 
 /// Cache accounting of the reachability-graph cache (see the "Graph cache"
-/// section of the crate docs): one [`GroupCacheRecord`] per graph built,
-/// plus the number of obligations that bypassed the cache entirely.
+/// section of the crate docs): one [`GroupCacheRecord`] per graph built.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphCacheStats {
     /// One record per graph built, in build order.
     pub groups: Vec<GroupCacheRecord>,
-    /// Obligations checked on the per-spec path (a spec shape the cache
-    /// does not serve, or a group whose build tripped a resource budget).
-    pub uncached_specs: usize,
 }
 
 impl GraphCacheStats {
@@ -361,33 +357,17 @@ impl GraphCacheStats {
         }
     }
 
-    /// Fraction of obligations served from a cached graph rather than the
-    /// per-spec fallback path.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.specs_served() + self.uncached_specs;
-        if total == 0 {
-            0.0
-        } else {
-            self.specs_served() as f64 / total as f64
-        }
-    }
-
     /// Folds another stats record into this one (sweeps aggregate the
     /// per-valuation records in valuation order).
     pub fn merge(&mut self, other: &GraphCacheStats) {
         self.groups.extend(other.groups.iter().cloned());
-        self.uncached_specs += other.uncached_specs;
     }
 }
 
 impl fmt::Display for GraphCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.groups.is_empty() {
-            return write!(
-                f,
-                "graph cache unused ({} obligation(s) on the per-spec path)",
-                self.uncached_specs
-            );
+            return f.write_str("graph cache unused");
         }
         write!(
             f,
@@ -427,11 +407,7 @@ impl fmt::Display for GraphCacheStats {
                 self.memo_misses()
             )?;
         }
-        write!(f, "; {} resident bytes", self.resident_bytes())?;
-        if self.uncached_specs > 0 {
-            write!(f, "; {} uncached obligation(s)", self.uncached_specs)?;
-        }
-        write!(f, ")")
+        write!(f, "; {} resident bytes)", self.resident_bytes())
     }
 }
 

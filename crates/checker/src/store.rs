@@ -2,8 +2,8 @@
 //!
 //! Every search of this crate runs through the generic
 //! [`crate::explorer::Explorer`] driver, and the driver's bookkeeping lives
-//! here: dedup visited `(configuration, monitor-bits)` states, remember how
-//! each state was reached, and decode stored states back for counterexample
+//! here: dedup visited configurations, remember how each state was
+//! reached, and decode stored states back for counterexample
 //! reconstruction.  [`StateStore`] centralises that bookkeeping around the
 //! row representation of [`cccounter::RowEngine`]:
 //!
@@ -17,7 +17,7 @@
 //!   row engine maintains across delta application; no SipHash, no
 //!   re-hashing of the full state per lookup.
 //! * **Hash-prefix sharding.**  The store is split into `2^k` shards; a
-//!   state belongs to the shard selected by the *top* bits of its key hash
+//!   state belongs to the shard selected by the *top* bits of its row hash
 //!   (the index probes use the low bits, so the two never interfere).  The
 //!   shard of a state is a pure function of its content, which makes the
 //!   partition — and therefore every derived count — independent of how
@@ -30,7 +30,6 @@
 //! entry points and counterexample reconstruction.
 
 use cccounter::{Configuration, CounterSystem, RowEngine, Schedule, ScheduledStep};
-use std::fmt;
 
 /// Marker for an empty slot of the index table.
 const EMPTY: u32 = u32::MAX;
@@ -107,25 +106,6 @@ impl RawTable {
             self.slots[idx] = (hash, id);
         }
     }
-
-    /// The longest probe sequence of any stored entry (0 = every entry sits
-    /// in its home slot).  Recomputed on demand for [`StoreStats`].
-    fn max_probe(&self) -> usize {
-        let mut max = 0;
-        for (slot_idx, &(hash, id)) in self.slots.iter().enumerate() {
-            if id == EMPTY {
-                continue;
-            }
-            let mut idx = hash as usize & self.mask;
-            let mut step = 0usize;
-            while idx != slot_idx {
-                step += 1;
-                idx = (idx + step) & self.mask;
-            }
-            max = max.max(step);
-        }
-        max
-    }
 }
 
 /// One shard of the store: a private row arena plus its own index table.
@@ -136,8 +116,6 @@ pub(crate) struct Shard {
     table: RawTable,
     /// All stored rows, back to back (`local id * stride` offsets).
     rows: Vec<u8>,
-    /// Monitor bits per node (0 when unused).
-    bits: Vec<u8>,
     /// Zobrist hash per node, as maintained by the row engine.
     hashes: Vec<u64>,
     /// First-discovery parent edge per node.
@@ -155,7 +133,6 @@ impl Shard {
         Shard {
             table: RawTable::with_capacity(64),
             rows: Vec::new(),
-            bits: Vec::new(),
             hashes: Vec::new(),
             parents: Vec::new(),
             stride,
@@ -165,31 +142,27 @@ impl Shard {
     }
 
     fn len(&self) -> usize {
-        self.bits.len()
+        self.hashes.len()
     }
 
-    /// Interns a `(row, bits)` state into this shard, returning its *global*
-    /// node id (`local << shard_bits | tag`) and whether it was fresh.
-    /// `key_hash` must select this shard under the owning store's
-    /// [`StateStore::shard_of`].
+    /// Interns a row into this shard, returning its *global* node id
+    /// (`local << shard_bits | tag`) and whether it was fresh.  `hash` must
+    /// select this shard under the owning store's [`StateStore::shard_of`].
     pub(crate) fn intern(
         &mut self,
         row: &[u8],
-        bits: u8,
         hash: u64,
-        key_hash: u64,
         parent: Option<(u32, ScheduledStep)>,
     ) -> (u32, bool) {
         let stride = self.stride;
         debug_assert_eq!(row.len(), stride);
-        let (rows, bits_arr) = (&self.rows, &self.bits);
-        match self.table.probe(key_hash, |local| {
-            bits_arr[local as usize] == bits
-                && &rows[local as usize * stride..(local as usize + 1) * stride] == row
+        let rows = &self.rows;
+        match self.table.probe(hash, |local| {
+            &rows[local as usize * stride..(local as usize + 1) * stride] == row
         }) {
             Ok(local) => ((local << self.shard_bits) | self.tag, false),
             Err(slot) => {
-                let local = self.bits.len() as u32;
+                let local = self.len() as u32;
                 // a real assert: `local << shard_bits` wrapping in release
                 // would silently alias node ids and corrupt verdicts
                 assert!(
@@ -200,10 +173,9 @@ impl Shard {
                     1u32 << self.shard_bits,
                 );
                 self.rows.extend_from_slice(row);
-                self.bits.push(bits);
                 self.hashes.push(hash);
                 self.parents.push(parent);
-                self.table.insert_at(slot, key_hash, local);
+                self.table.insert_at(slot, hash, local);
                 if self.table.needs_grow() {
                     self.table.grow();
                 }
@@ -213,75 +185,8 @@ impl Shard {
     }
 }
 
-/// Occupancy statistics of a [`StateStore`], used to guide shard-count
-/// defaults (printed by the `profile_engine` binary).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StoreStats {
-    /// Number of stored states.
-    pub states: usize,
-    /// Number of shards.
-    pub shards: usize,
-    /// Total bytes of the row arenas.
-    pub row_bytes: usize,
-    /// Resident bytes of the whole store: row arenas plus the per-node side
-    /// arrays (bits, hashes, first-discovery parents) plus the index-table
-    /// slots.  This is what a cached reachability graph keeps alive for as
-    /// long as its lineage lives (see the "Incremental sweeps" crate docs).
-    pub resident_bytes: usize,
-    /// Total slots across all shard index tables.
-    pub index_slots: usize,
-    /// Occupied fraction of the index tables (0.0–1.0).
-    pub index_load: f64,
-    /// Longest probe sequence of any index entry.
-    pub max_probe_len: usize,
-    /// Number of shards that hold at least one state.  Small explorations
-    /// routinely leave high-numbered shards empty; the balance figures
-    /// below are reported over the occupied shards only, so they describe
-    /// the actual skew instead of being dragged to zero by empty shards.
-    pub nonempty_shards: usize,
-    /// States in the emptiest *occupied* shard (shard balance floor).
-    pub min_shard_len: usize,
-    /// States in the fullest shard (shard balance ceiling).
-    pub max_shard_len: usize,
-}
-
-impl StoreStats {
-    /// Mean states per *occupied* shard (0.0 when the store is empty).
-    /// This is the balance denominator: dividing by the total shard count
-    /// would understate the per-shard load whenever some shards are empty.
-    pub fn mean_occupied_len(&self) -> f64 {
-        if self.nonempty_shards == 0 {
-            0.0
-        } else {
-            self.states as f64 / self.nonempty_shards as f64
-        }
-    }
-}
-
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} states in {}/{} occupied shard(s) ({}..{} per occupied shard, \
-             mean {:.1}), {} row bytes ({} resident), index load {:.2} over {} slots, \
-             max probe {}",
-            self.states,
-            self.nonempty_shards,
-            self.shards,
-            self.min_shard_len,
-            self.max_shard_len,
-            self.mean_occupied_len(),
-            self.row_bytes,
-            self.resident_bytes,
-            self.index_load,
-            self.index_slots,
-            self.max_probe_len
-        )
-    }
-}
-
-/// Deduplicating storage of the explored `(state row, bits)` graph, split
-/// into `2^shard_bits` hash-prefix shards (see the module docs).
+/// Deduplicating storage of the explored state rows, split into
+/// `2^shard_bits` hash-prefix shards (see the module docs).
 pub struct StateStore {
     num_locations: usize,
     num_vars: usize,
@@ -327,7 +232,7 @@ impl StateStore {
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.bits.is_empty())
+        self.shards.iter().all(|s| s.len() == 0)
     }
 
     /// Bytes per stored row.
@@ -361,22 +266,14 @@ impl StateStore {
         })
     }
 
-    /// The key hash of a `(row hash, monitor bits)` pair: the monitor bits
-    /// are folded into the Zobrist row hash so states differing only in
-    /// bits dedup separately.
-    #[inline]
-    pub(crate) fn key_hash(hash: u64, bits: u8) -> u64 {
-        hash ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(bits as u64 + 1))
-    }
-
-    /// The shard owning a key hash (selected by its top bits; the index
+    /// The shard owning a row hash (selected by its top bits; the index
     /// tables probe with the low bits).
     #[inline]
-    pub(crate) fn shard_of(&self, key_hash: u64) -> usize {
+    pub(crate) fn shard_of(&self, hash: u64) -> usize {
         if self.shard_bits == 0 {
             0
         } else {
-            (key_hash >> (64 - self.shard_bits)) as usize
+            (hash >> (64 - self.shard_bits)) as usize
         }
     }
 
@@ -393,8 +290,8 @@ impl StateStore {
         &mut self.shards
     }
 
-    /// Interns a `(row, bits)` state: returns its id and whether it was
-    /// newly inserted.  `parent` is only recorded on first insertion.
+    /// Interns a state row: returns its id and whether it was newly
+    /// inserted.  `parent` is only recorded on first insertion.
     ///
     /// `hash` is the row's Zobrist hash as produced by
     /// [`RowEngine::hash`](cccounter::RowEngine::hash) and maintained
@@ -404,13 +301,11 @@ impl StateStore {
     pub fn intern_row(
         &mut self,
         row: &[u8],
-        bits: u8,
         hash: u64,
         parent: Option<(u32, ScheduledStep)>,
     ) -> (u32, bool) {
-        let key_hash = Self::key_hash(hash, bits);
-        let tag = self.shard_of(key_hash);
-        self.shards[tag].intern(row, bits, hash, key_hash, parent)
+        let tag = self.shard_of(hash);
+        self.shards[tag].intern(row, hash, parent)
     }
 
     /// The stored row of a node.
@@ -423,12 +318,6 @@ impl StateStore {
     pub fn copy_row_into(&self, id: u32, buf: &mut Vec<u8>) {
         buf.clear();
         buf.extend_from_slice(self.row(id));
-    }
-
-    /// The monitor bits of a node.
-    pub fn bits(&self, id: u32) -> u8 {
-        let (shard, local) = self.split(id);
-        shard.bits[local]
     }
 
     /// The Zobrist hash of a node's row.
@@ -468,13 +357,12 @@ impl StateStore {
         &mut self,
         engine: &RowEngine<'_>,
         cfg: &Configuration,
-        bits: u8,
         parent: Option<(u32, ScheduledStep)>,
     ) -> (u32, bool) {
         let mut row = Vec::with_capacity(self.stride);
         engine.encode_into(cfg, &mut row);
         let hash = engine.hash(&row);
-        self.intern_row(&row, bits, hash, parent)
+        self.intern_row(&row, hash, parent)
     }
 
     /// Resident bytes of the store: the row arenas, the per-node side
@@ -491,44 +379,11 @@ impl StateStore {
             .iter()
             .map(|s| {
                 s.rows.len()
-                    + s.bits.len()
                     + s.hashes.len() * std::mem::size_of::<u64>()
                     + s.parents.len() * std::mem::size_of::<Option<(u32, ScheduledStep)>>()
                     + s.table.slots.len() * std::mem::size_of::<(u64, u32)>()
             })
             .sum()
-    }
-
-    /// Occupancy statistics (see [`StoreStats`]).
-    pub fn stats(&self) -> StoreStats {
-        let lens: Vec<usize> = self.shards.iter().map(Shard::len).collect();
-        let index_slots: usize = self.shards.iter().map(|s| s.table.slots.len()).sum();
-        let occupied: usize = self.shards.iter().map(|s| s.table.len).sum();
-        // shard balance is reported over *occupied* shards: an exploration
-        // smaller than the shard count would otherwise always report a
-        // floor of zero, hiding the actual skew
-        let occupied_lens = lens.iter().copied().filter(|&l| l > 0);
-        StoreStats {
-            states: lens.iter().sum(),
-            shards: self.shards.len(),
-            row_bytes: self.shards.iter().map(|s| s.rows.len()).sum(),
-            resident_bytes: self.resident_bytes(),
-            index_slots,
-            index_load: if index_slots == 0 {
-                0.0
-            } else {
-                occupied as f64 / index_slots as f64
-            },
-            max_probe_len: self
-                .shards
-                .iter()
-                .map(|s| s.table.max_probe())
-                .max()
-                .unwrap_or(0),
-            nonempty_shards: lens.iter().filter(|&&l| l > 0).count(),
-            min_shard_len: occupied_lens.clone().min().unwrap_or(0),
-            max_shard_len: occupied_lens.max().unwrap_or(0),
-        }
     }
 }
 
@@ -544,22 +399,22 @@ mod tests {
     }
 
     #[test]
-    fn intern_dedups_by_row_and_bits() {
+    fn intern_dedups_by_row() {
         let sys = sys();
         let engine = RowEngine::new(&sys);
         let mut store = StateStore::new(&sys);
-        let cfg = sys.round_start_configurations()[0].clone();
-        let (a, fresh_a) = store.intern_config(&engine, &cfg, 0, None);
-        let (b, fresh_b) = store.intern_config(&engine, &cfg, 0, None);
-        let (c, fresh_c) = store.intern_config(&engine, &cfg, 1, None);
+        assert!(store.is_empty());
+        let starts = sys.round_start_configurations();
+        let (a, fresh_a) = store.intern_config(&engine, &starts[0], None);
+        let (b, fresh_b) = store.intern_config(&engine, &starts[0], None);
+        let (c, fresh_c) = store.intern_config(&engine, &starts[1], None);
         assert!(fresh_a && !fresh_b && fresh_c);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.bits(a), 0);
-        assert_eq!(store.bits(c), 1);
-        assert_eq!(store.decode(a), cfg);
-        assert_eq!(store.row(a), store.row(c));
+        assert_eq!(store.decode(a), starts[0]);
+        assert_eq!(store.decode(c), starts[1]);
+        assert_ne!(store.row(a), store.row(c));
         assert!(!store.is_empty());
     }
 
@@ -577,7 +432,7 @@ mod tests {
             for v in 0..60u64 {
                 cfg.set_counter(loc, 0, c);
                 cfg.set_var(var, 0, v);
-                let (id, fresh) = store.intern_config(&engine, &cfg, 0, None);
+                let (id, fresh) = store.intern_config(&engine, &cfg, None);
                 assert!(fresh);
                 ids.push(id);
             }
@@ -588,7 +443,7 @@ mod tests {
             let (c, v) = ((i / 60) as u64, (i % 60) as u64);
             cfg.set_counter(loc, 0, c);
             cfg.set_var(var, 0, v);
-            let (again, fresh) = store.intern_config(&engine, &cfg, 0, None);
+            let (again, fresh) = store.intern_config(&engine, &cfg, None);
             assert!(!fresh);
             assert_eq!(again, *id);
         }
@@ -608,8 +463,8 @@ mod tests {
             for v in 0..40u64 {
                 cfg.set_counter(loc, 0, c);
                 cfg.set_var(var, 0, v);
-                let (sid, sfresh) = sharded.intern_config(&engine, &cfg, 0, None);
-                let (_, ffresh) = flat.intern_config(&engine, &cfg, 0, None);
+                let (sid, sfresh) = sharded.intern_config(&engine, &cfg, None);
+                let (_, ffresh) = flat.intern_config(&engine, &cfg, None);
                 assert_eq!(sfresh, ffresh);
                 // the sharded id decodes back to the same state
                 assert_eq!(
@@ -621,56 +476,11 @@ mod tests {
         assert_eq!(sharded.len(), flat.len());
         assert_eq!(sharded.ids().count(), sharded.len());
         assert!(sharded.id_bound() >= sharded.len());
-        let stats = sharded.stats();
-        assert_eq!(stats.states, 1600);
-        assert_eq!(stats.shards, 4);
-        assert!(stats.min_shard_len > 0, "{stats}");
-        assert!(stats.index_load > 0.0 && stats.index_load < 1.0);
-        assert_eq!(stats.row_bytes, 1600 * sharded.stride());
+        assert_eq!(sharded.len(), 1600);
+        // every shard holds part of the content-addressed partition
+        assert!(sharded.shards.iter().all(|s| s.len() > 0));
         // resident bytes cover the side arrays and the index on top of rows
-        assert!(stats.resident_bytes > stats.row_bytes, "{stats}");
-        assert_eq!(stats.resident_bytes, sharded.resident_bytes());
-    }
-
-    #[test]
-    fn stats_balance_is_over_occupied_shards_only() {
-        // Regression: with fewer states than shards, the balance floor used
-        // to read 0 (and the mean was diluted by the empty shards), making
-        // every small exploration look maximally skewed in `profile_engine`.
-        let sys = sys();
-        let engine = RowEngine::new(&sys);
-        let mut store = StateStore::with_shards(&sys, 64);
-        let mut cfg = sys.empty_configuration();
-        let loc = sys.model().location_id("I0").unwrap();
-        for c in 0..3u64 {
-            cfg.set_counter(loc, 0, c);
-            store.intern_config(&engine, &cfg, 0, None);
-        }
-        let stats = store.stats();
-        assert_eq!(stats.states, 3);
-        assert_eq!(stats.shards, 64);
-        // at most one shard per state can be occupied
-        assert!(
-            (1..=3).contains(&stats.nonempty_shards),
-            "{}",
-            stats.nonempty_shards
-        );
-        // the floor is over occupied shards, so it can never be zero while
-        // the store is non-empty
-        assert!(stats.min_shard_len >= 1, "{stats}");
-        assert!(stats.max_shard_len >= stats.min_shard_len);
-        let mean = stats.mean_occupied_len();
-        assert!(
-            mean >= 1.0 && (mean - 3.0 / stats.nonempty_shards as f64).abs() < 1e-9,
-            "{mean}"
-        );
-        assert!(format!("{stats}").contains("occupied shard"));
-
-        // an empty store reports zeros without dividing by zero
-        let empty = StateStore::with_shards(&sys, 8).stats();
-        assert_eq!(empty.nonempty_shards, 0);
-        assert_eq!(empty.mean_occupied_len(), 0.0);
-        assert_eq!(empty.min_shard_len, 0);
+        assert!(sharded.resident_bytes() > 1600 * sharded.stride());
     }
 
     #[test]
@@ -679,16 +489,16 @@ mod tests {
         let engine = RowEngine::new(&sys);
         let mut store = StateStore::with_shards(&sys, 2);
         let start = sys.unanimous_start_configurations(ccta::BinValue::Zero)[0].clone();
-        let (root, _) = store.intern_config(&engine, &start, 0, None);
+        let (root, _) = store.intern_config(&engine, &start, None);
         // take two real steps
         let actions = sys.progress_actions(&start);
         let step1 = ScheduledStep::dirac(actions[0]);
         let mid = sys.apply_dirac(&start, actions[0]).unwrap();
-        let (mid_id, _) = store.intern_config(&engine, &mid, 0, Some((root, step1)));
+        let (mid_id, _) = store.intern_config(&engine, &mid, Some((root, step1)));
         let actions2 = sys.progress_actions(&mid);
         let step2 = ScheduledStep::dirac(actions2[0]);
         let end = sys.apply_dirac(&mid, actions2[0]).unwrap();
-        let (end_id, _) = store.intern_config(&engine, &end, 0, Some((mid_id, step2)));
+        let (end_id, _) = store.intern_config(&engine, &end, Some((mid_id, step2)));
 
         assert_eq!(store.parent(end_id), Some((mid_id, step2)));
         let (initial, schedule) = store.reconstruct_path(end_id);

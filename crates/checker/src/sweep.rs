@@ -322,7 +322,7 @@ fn run_cell(
         if attempt == 0 {
             catch_cell(pool, || {
                 crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
-                checker.check_cached(spec)
+                checker.check(spec)
             })
         } else {
             let fresh = WorkerPool::new(resolved_workers(&options));
@@ -330,7 +330,7 @@ fn run_cell(
                 crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
                 let mut retry = ExplicitChecker::with_pool(sys, options, &fresh);
                 retry.set_signals(job);
-                retry.check_cached(spec)
+                retry.check(spec)
             })
         }
     });
@@ -603,6 +603,7 @@ impl Grid<'_> {
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::reference::reference_check;
     use crate::result::GraphOrigin;
     use crate::spec::{LocSet, StartRestriction};
     use ccta::BinValue;
@@ -875,8 +876,9 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_sweeps_agree() {
-        // every cell the cached sweep checked must match the per-spec search
-        // of that (query, valuation) at every budget
+        // every cell the cached sweep checked must match the reference
+        // engine's per-spec search of that (query, valuation) at every
+        // budget: verdict, counts and counterexample schedule
         let model = fixtures::voting_model().single_round().unwrap();
         let specs = vec![
             Spec::NeverFrom {
@@ -906,17 +908,36 @@ mod tests {
             // 3 specs x 2 admissible valuations, minus the cell skipped
             // after the first violation — which another block may have
             // computed anyway before the cancellation landed
-            let checked = stats.specs_served() + stats.uncached_specs;
+            let checked = stats.specs_served();
             assert!((5..=6).contains(&checked), "{checked}");
             for (report, spec) in cached.iter().zip(&specs) {
                 assert_eq!(report.outcomes.len(), 2);
                 for cell in report.outcomes.iter().filter(|c| !c.skipped) {
                     let sys = CounterSystem::new(model.clone(), cell.params.clone()).unwrap();
-                    let per_spec = ExplicitChecker::new(&sys).check(spec);
-                    assert_eq!(
-                        cell.outcome.status, per_spec.status,
+                    let reference = reference_check(&sys, spec, &CheckerOptions::default());
+                    let ctx = format!(
                         "{} at {} on budget {threads}",
                         report.spec_name, cell.params
+                    );
+                    assert_eq!(cell.outcome.status, reference.status, "{ctx}");
+                    assert_eq!(
+                        cell.outcome.states_explored, reference.states_explored,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        cell.outcome.transitions_explored, reference.transitions_explored,
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        cell.outcome
+                            .counterexample
+                            .as_ref()
+                            .map(|ce| ce.schedule.steps()),
+                        reference
+                            .counterexample
+                            .as_ref()
+                            .map(|ce| ce.schedule.steps()),
+                        "{ctx}"
                     );
                 }
             }

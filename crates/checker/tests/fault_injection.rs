@@ -1,7 +1,7 @@
 //! Fault-injection tests for the job lifecycle layer.
 //!
-//! Each test injects one failure mode — a seeded worker-lane panic, a
-//! panicking sweep cell, an exhausted deadline, a resident-byte ("OOM")
+//! Each test injects one failure mode — a seeded worker-lane panic inside a
+//! check or a sweep, a panicking sweep cell, an exhausted deadline, a resident-byte ("OOM")
 //! cap, a state cap, or an asynchronous cancellation — and asserts the
 //! structured-degradation contract: injected panics fail only their own
 //! grid cell (retried once on a fresh pool before being given up on),
@@ -16,10 +16,11 @@ use ccchecker::fixtures;
 use ccchecker::{
     check_over_sweep_cancellable, check_over_sweep_with_stats, fault, CancelToken, CellDisposition,
     CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, InterruptKind, JobBudget,
-    JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
+    JobOutcome, LocSet, Spec, StartRestriction, SweepReport, WorkerPool,
 };
 use cccounter::CounterSystem;
 use ccta::{BinValue, ParamValuation, SystemModel};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -125,6 +126,44 @@ fn assert_grid_accounted(reports: &[SweepReport], width: usize, ctx: &str) {
             report.spec_name
         );
     }
+}
+
+#[test]
+fn lane_panic_does_not_poison_sibling_lanes_or_the_pool() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let model = model();
+    let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
+    let spec = Spec::NonBlocking {
+        name: "termination".into(),
+        start: StartRestriction::RoundStart,
+    };
+    // two-node waves on a 2-lane pool cut every wave into two single-node
+    // chunks, one per lane, so the panic fires on a queued pool lane while
+    // its sibling lane runs
+    let options = CheckerOptions::default().with_workers(2).with_wave_size(2);
+    let pool = WorkerPool::new(2);
+    let baseline = ExplicitChecker::with_pool(&sys, options, &pool).check(&spec);
+
+    // a panic inside a worker lane's expand phase, mid-exploration: the
+    // batch must drain (no deadlock) and re-raise the original payload
+    let _disarm = Disarm;
+    fault::arm_panic(fault::SITE_EXPAND, 3, 1);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        ExplicitChecker::with_pool(&sys, options, &pool).check(&spec)
+    }))
+    .expect_err("the injected lane panic must surface");
+    let hits = fault::disarm();
+    assert!(hits > 3, "the armed expand site was never reached: {hits}");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("injected fault"), "{message}");
+
+    // sibling lanes and the pool survive: the same pool runs the check
+    // again and reproduces the baseline outcome exactly
+    let again = ExplicitChecker::with_pool(&sys, options, &pool).check(&spec);
+    assert_outcomes_identical(&again, &baseline, "after the lane panic");
 }
 
 #[test]

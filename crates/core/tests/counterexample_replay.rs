@@ -18,8 +18,7 @@
 //!   an automaton outside the border-copy sinks.
 
 use ccchecker::{
-    check_over_sweep_with_stats, CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec,
-    StartRestriction,
+    check_over_sweep_with_stats, CheckStatus, CheckerOptions, LocSet, Spec, StartRestriction,
 };
 use cccore::{obligations_for, verify_protocol, VerifierConfig};
 use cccounter::{CounterSystem, Path};
@@ -293,12 +292,6 @@ fn every_benchmark_violation_replays_to_a_violating_configuration() {
                     let sys = CounterSystem::new(single_round.clone(), ce.params.clone())
                         .expect("counterexample valuations are admissible");
                     assert_genuine_violation(&sys, spec, ce, protocol.name());
-                    // the per-spec search of the same cell violates too, and
-                    // its own counterexample replays
-                    let per_spec = ExplicitChecker::new(&sys).check(spec);
-                    assert_eq!(per_spec.status, CheckStatus::Violated, "{}", spec.name());
-                    let ce = per_spec.counterexample.expect("per-spec counterexample");
-                    assert_genuine_violation(&sys, spec, &ce, protocol.name());
                     replayed += 1;
                 }
             }

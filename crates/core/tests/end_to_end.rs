@@ -2,7 +2,8 @@
 //! → single-round construction (ccta) → counter systems (cccounter) →
 //! obligations and checking (ccchecker, cccore).
 
-use ccchecker::ExplicitChecker;
+use ccchecker::reference::reference_check;
+use ccchecker::CheckerOptions;
 use cccore::prelude::*;
 use cccounter::{CounterSystem, EagerAdversary, RandomAdversary, RoundRigid, RunOutcome};
 use ccta::{BinValue, ModelKind, Owner, ParamValuation};
@@ -75,10 +76,11 @@ fn single_round_models_keep_the_variable_alphabet() {
 
 #[test]
 fn graph_cache_agrees_with_the_per_spec_path_on_every_protocol() {
-    // The reachability-graph cache must agree with the per-spec search on
-    // every verdict of every obligation of all eight Table II protocols —
-    // per obligation and per valuation, not just in aggregate — and its
-    // counterexamples must replay.
+    // The reachability-graph cache must agree with the reference engine's
+    // per-spec search on every obligation of all eight Table II protocols —
+    // per obligation and per valuation, not just in aggregate: verdict,
+    // state and transition counts, and the counterexample schedule step for
+    // step, which must also replay.
     let config = VerifierConfig::quick();
     for protocol in all_protocols() {
         let single = protocol.single_round();
@@ -106,8 +108,27 @@ fn graph_cache_agrees_with_the_per_spec_path_on_every_protocol() {
                     cached.protocol, report.spec_name, cell.params
                 );
                 let sys = CounterSystem::new(single.clone(), cell.params.clone()).unwrap();
-                let per_spec = ExplicitChecker::new(&sys).check(spec);
-                assert_eq!(cell.outcome.status, per_spec.status, "{ctx}");
+                let reference = reference_check(&sys, spec, &CheckerOptions::default());
+                assert_eq!(cell.outcome.status, reference.status, "{ctx}");
+                assert_eq!(
+                    cell.outcome.states_explored, reference.states_explored,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    cell.outcome.transitions_explored, reference.transitions_explored,
+                    "{ctx}"
+                );
+                assert_eq!(
+                    cell.outcome
+                        .counterexample
+                        .as_ref()
+                        .map(|ce| ce.schedule.steps()),
+                    reference
+                        .counterexample
+                        .as_ref()
+                        .map(|ce| ce.schedule.steps()),
+                    "{ctx}"
+                );
                 if let Some(ce) = &cell.outcome.counterexample {
                     assert!(
                         ce.schedule.is_empty() || ce.schedule.apply(&sys, &ce.initial).is_ok(),

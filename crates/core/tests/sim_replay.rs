@@ -13,7 +13,7 @@
 //! three-oracle cross-check.
 
 use ccchecker::{CheckStatus, CheckerOptions, ExplicitChecker, Spec};
-use cccore::{obligations_for, verify_protocol, VerifierConfig};
+use cccore::{verify_protocol, VerifierConfig};
 use cccounter::CounterSystem;
 use ccprotocols::family::FamilyParams;
 use ccsim::bridge::replay_schedule;
@@ -52,15 +52,8 @@ fn every_benchmark_violation_replays_in_the_simulator() {
     for protocol in ccprotocols::all_protocols() {
         let single_round = protocol.single_round();
         let result = verify_protocol(&protocol, &config);
-        // obligations are looked up by name for the per-spec replay
-        let obligations = obligations_for(&protocol, &single_round);
-        let specs = obligations.all();
         for property in [&result.agreement, &result.validity, &result.termination] {
             for report in &property.reports {
-                let spec = specs
-                    .iter()
-                    .find(|s| s.name() == report.spec_name)
-                    .unwrap_or_else(|| panic!("unknown obligation {}", report.spec_name));
                 for outcome in &report.outcomes {
                     if outcome.outcome.status != CheckStatus::Violated {
                         continue;
@@ -74,12 +67,6 @@ fn every_benchmark_violation_replays_in_the_simulator() {
                         .expect("counterexample valuations are admissible");
                     let ctx = format!("{}/{}", protocol.name(), report.spec_name);
                     assert_simulator_reproduces(&sys, ce, &ctx);
-                    // the per-spec search of the same cell violates too, and
-                    // its own counterexample replays in the simulator
-                    let per_spec = ExplicitChecker::new(&sys).check(spec);
-                    assert_eq!(per_spec.status, CheckStatus::Violated, "{ctx}");
-                    let ce = per_spec.counterexample.expect("per-spec counterexample");
-                    assert_simulator_reproduces(&sys, &ce, &format!("{ctx} (per-spec)"));
                     replayed += 1;
                 }
             }
