@@ -3,10 +3,11 @@
 //! Usage: `table2 [--threads N] [--wave-size W] [--no-incremental-sweep]
 //! [--no-verdict-memo] [--no-tighten-prune] [--deadline-ms D]
 //! [--max-resident-bytes B]` —
-//! `N` is the total thread budget per property sweep, split between
-//! valuation blocks and in-check workers (default: `CC_SWEEP_THREADS`,
-//! then all cores); `W` bounds a parallel level's candidate buffers
-//! (default: `CC_WAVE_SIZE`, then the engine default);
+//! `N` is the total thread budget of each protocol's sweep, split between
+//! sweep workers (at most one per run of the lineage) and in-check workers
+//! (default: `CC_SWEEP_THREADS`, then all cores); `W` bounds a parallel
+//! level's candidate buffers (default: `CC_WAVE_SIZE`, then the engine
+//! default);
 //! `--no-incremental-sweep` disables the cross-valuation graph lineage so
 //! every valuation re-explores its groups; `--no-verdict-memo` disables
 //! per-graph verdict memoization so identical lineage steps re-evaluate
@@ -63,7 +64,10 @@ fn main() {
     }
     let results = verify_all(&config);
     println!("Table II — benchmarks of 8 different common-coin-based protocols");
-    println!("(schema counts and wall-clock times from this run; 'CE' marks a counterexample)\n");
+    println!(
+        "(schema counts, and check times summed over each property's grid cells, from this run; \
+         'CE' marks a counterexample)\n"
+    );
     println!("{}", render_table2(&results));
     for r in &results {
         let vals: Vec<String> = r.valuations.iter().map(|v| v.to_string()).collect();

@@ -17,7 +17,7 @@
 //! they report.
 
 use crate::explorer::resolved_workers;
-use crate::graph::{BuildStep, GraphLineage, GuardBounds, LineageStep, ReachGraph};
+use crate::graph::{BuildStep, GraphBasis, GraphLineage, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
@@ -171,9 +171,9 @@ pub struct ExplicitChecker<'a> {
     pool: PoolSource<'a>,
     memo: RefCell<CheckerMemo>,
     /// The cross-valuation graph lineage of the surrounding sweep (plus
-    /// this system's compiled guard bounds, diffed against the lineage
-    /// entries), when the caller opted into incremental sweeps.
-    lineage: Option<(&'a GraphLineage, GuardBounds)>,
+    /// this system's basis, compared against the lineage entries), when the
+    /// caller opted into incremental sweeps.
+    lineage: Option<(&'a GraphLineage, GraphBasis)>,
     /// Job-level cancellation and budget signals, threaded into every
     /// exploration this checker runs.  `None` (the default) costs nothing.
     signals: Option<&'a JobSignals>,
@@ -234,10 +234,10 @@ impl<'a> ExplicitChecker<'a> {
     /// the same group built at a previous valuation, reusing it outright
     /// when the compiled guard bounds are identical and extending it
     /// incrementally when the step is relax-only (see the "Incremental
-    /// sweeps" crate docs).  The sweep gives each of its grid workers one
-    /// lineage spanning the worker's contiguous, valuation-ordered block of
-    /// cells.  [`CheckerOptions::incremental_sweep`] set to `false` makes
-    /// this identical to [`ExplicitChecker::with_pool`].
+    /// sweeps" crate docs).  The sweep gives each of its workers one
+    /// lineage spanning every run of valuations the worker takes, walked in
+    /// grid order.  [`CheckerOptions::incremental_sweep`] set to `false`
+    /// makes this identical to [`ExplicitChecker::with_pool`].
     ///
     /// # Panics
     ///
@@ -250,7 +250,7 @@ impl<'a> ExplicitChecker<'a> {
     ) -> Self {
         let mut checker = Self::assemble(sys, options, PoolSource::Shared(pool));
         if options.incremental_sweep {
-            checker.lineage = Some((lineage, sys.guard_bounds()));
+            checker.lineage = Some((lineage, GraphBasis::of(sys)));
         }
         checker
     }
@@ -311,8 +311,8 @@ impl<'a> ExplicitChecker<'a> {
         // obtain outside the borrow so the memo is never held across the
         // exploration
         let (graph, origin, seed_frontier, pruned_actions) = self.obtain_graph(start)?;
-        if let Some((lineage, bounds)) = &self.lineage {
-            lineage.record(self.sys, start, &graph, bounds);
+        if let Some((lineage, basis)) = &self.lineage {
+            lineage.record(start, &graph, basis);
         }
         let mut memo = self.memo.borrow_mut();
         let group = memo.stats.groups.len();
@@ -340,11 +340,11 @@ impl<'a> ExplicitChecker<'a> {
         start: StartRestriction,
     ) -> Result<(Rc<ReachGraph>, GraphOrigin, usize, usize), InterruptKind> {
         let mut fresh_origin = GraphOrigin::Built;
-        if let Some((lineage, bounds)) = &self.lineage {
+        if let Some((lineage, basis)) = &self.lineage {
             match lineage.adopt(
                 self.sys,
                 start,
-                bounds,
+                basis,
                 &self.options,
                 self.pool.get(),
                 self.signals,

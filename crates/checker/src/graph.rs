@@ -158,15 +158,56 @@ pub(crate) fn classify_guard_step(old: &GuardBounds, new: &GuardBounds) -> Guard
     }
 }
 
+/// What a group graph depends on besides the model and the start
+/// restriction: the system size and the compiled guard bounds of the
+/// valuation it was built for.
+#[derive(Debug, Clone)]
+pub(crate) struct GraphBasis {
+    processes: u64,
+    coins: u64,
+    bounds: GuardBounds,
+}
+
+impl GraphBasis {
+    /// The basis of a counter system.
+    pub(crate) fn of(sys: &CounterSystem) -> Self {
+        GraphBasis {
+            processes: sys.num_processes(),
+            coins: sys.num_coins(),
+            bounds: sys.guard_bounds(),
+        }
+    }
+}
+
+/// The lineage's carry-over policy, in one place: the guard step across
+/// which a group graph built on `from` carries to `to`, or `None` when the
+/// group must be re-explored.  Nothing carries when the incremental sweep
+/// is off, when the process or coin count changed (the start
+/// configurations differ), across a mixed step, or across a tighten-only
+/// step with the prune off.  [`GraphLineage::adopt`] applies it per group;
+/// the sweep applies it between consecutive grid valuations to cut the grid
+/// into runs.
+pub(crate) fn carry_step(
+    from: &GraphBasis,
+    to: &GraphBasis,
+    options: &CheckerOptions,
+) -> Option<GuardStep> {
+    if !options.incremental_sweep || from.processes != to.processes || from.coins != to.coins {
+        return None;
+    }
+    match classify_guard_step(&from.bounds, &to.bounds) {
+        GuardStep::Mixed => None,
+        GuardStep::TightenOnly { .. } if !options.tighten_prune => None,
+        step => Some(step),
+    }
+}
+
 /// One surviving graph of a sweep lineage: the cached reachability graph of
-/// a start-restriction group together with the guard bounds and system size
-/// it is valid for.
+/// a start-restriction group together with the basis it is valid for.
 struct LineageEntry {
     start: StartRestriction,
     graph: Rc<ReachGraph>,
-    bounds: GuardBounds,
-    processes: u64,
-    coins: u64,
+    basis: GraphBasis,
 }
 
 /// How a lineage lookup resolved (the caller builds fresh on
@@ -193,8 +234,8 @@ pub(crate) enum LineageStep {
 /// surviving [`ReachGraph`] per start-restriction group, carried from
 /// valuation to valuation (see the "Incremental sweeps" section of the
 /// crate docs).  Owned by whoever walks a group's valuations in order — the
-/// sweep gives each grid worker one lineage for its contiguous block of
-/// valuations — and handed to each per-valuation
+/// sweep gives each of its workers one lineage for every run of valuations
+/// the worker takes — and handed to each per-valuation
 /// [`crate::ExplicitChecker`] via
 /// [`crate::ExplicitChecker::with_pool_and_lineage`].
 #[derive(Default)]
@@ -209,15 +250,15 @@ impl GraphLineage {
     }
 
     /// Resolves a group's graph against the lineage for the system `sys`
-    /// (whose compiled guard bounds are `bounds`): a matching entry is
-    /// *taken out* and reused, extended, or discarded according to the
-    /// classified guard step.  Whatever graph the caller ends up with, it
-    /// re-enters the lineage through [`GraphLineage::record`].
+    /// (whose basis is `basis`): a matching entry is *taken out* and
+    /// reused, extended, pruned or discarded according to [`carry_step`].
+    /// Whatever graph the caller ends up with, it re-enters the lineage
+    /// through [`GraphLineage::record`].
     pub(crate) fn adopt(
         &self,
         sys: &CounterSystem,
         start: StartRestriction,
-        bounds: &GuardBounds,
+        basis: &GraphBasis,
         options: &CheckerOptions,
         pool: &WorkerPool,
         signals: Option<&JobSignals>,
@@ -229,32 +270,23 @@ impl GraphLineage {
                 None => return LineageStep::Build { rebuilt: false },
             }
         };
-        // a size change means different start configurations (and different
-        // reachable rows altogether): nothing to carry over
-        if entry.processes != sys.num_processes() || entry.coins != sys.num_coins() {
-            return LineageStep::Build { rebuilt: true };
-        }
-        match classify_guard_step(&entry.bounds, bounds) {
-            GuardStep::Identical => LineageStep::Reuse(entry.graph),
-            GuardStep::Mixed => LineageStep::Build { rebuilt: true },
-            GuardStep::TightenOnly { changed } => {
-                if !options.tighten_prune {
-                    return LineageStep::Build { rebuilt: true };
-                }
+        match carry_step(&entry.basis, basis, options) {
+            Some(GuardStep::Identical) => LineageStep::Reuse(entry.graph),
+            Some(GuardStep::TightenOnly { changed }) => {
                 let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
                 let (pruned, cut) = graph.prune(sys, &changed);
                 LineageStep::Prune(Rc::new(pruned), cut)
             }
-            GuardStep::RelaxOnly { changed } => {
+            Some(GuardStep::RelaxOnly { changed }) => {
                 // the previous valuation's checker has been dropped, so the
                 // lineage holds the only reference; if anything else still
                 // pins the graph, fall back to a fresh build
                 let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                match graph.extend(sys, &changed, &entry.bounds, options, pool, signals) {
+                match graph.extend(sys, &changed, &entry.basis.bounds, options, pool, signals) {
                     Ok((extended, seeds)) => LineageStep::Extend(Rc::new(extended), seeds),
                     // a resource budget (or a job signal) tripped
                     // mid-extension: rebuild from scratch so the
@@ -264,19 +296,19 @@ impl GraphLineage {
                     Err(()) => LineageStep::Build { rebuilt: true },
                 }
             }
+            _ => LineageStep::Build { rebuilt: true },
         }
     }
 
     /// Records a group's (complete) graph as the lineage survivor for the
-    /// given bounds and system size.  Bounded builds are *not* recorded: a
-    /// budget-tripped graph answers nothing, and the next valuation should
-    /// pay exactly the fresh-path cost.
+    /// given basis.  Bounded builds are *not* recorded: a budget-tripped
+    /// graph answers nothing, and the next valuation should pay exactly the
+    /// fresh-path cost.
     pub(crate) fn record(
         &self,
-        sys: &CounterSystem,
         start: StartRestriction,
         graph: &Rc<ReachGraph>,
-        bounds: &GuardBounds,
+        basis: &GraphBasis,
     ) {
         if graph.is_bounded() {
             return;
@@ -286,9 +318,7 @@ impl GraphLineage {
         entries.push(LineageEntry {
             start,
             graph: Rc::clone(graph),
-            bounds: bounds.clone(),
-            processes: sys.num_processes(),
-            coins: sys.num_coins(),
+            basis: basis.clone(),
         });
     }
 
@@ -1365,6 +1395,41 @@ mod tests {
     }
 
     #[test]
+    fn carry_policy_breaks_on_size_mixed_steps_and_levers() {
+        let basis = |processes, spec: &[&[(GuardRel, i128)]]| GraphBasis {
+            processes,
+            coins: 1,
+            bounds: bounds(spec),
+        };
+        let old = basis(3, &[&[(Ge, 3)], &[(Ge, 2)]]);
+        let relaxed = basis(3, &[&[(Ge, 2)], &[(Ge, 2)]]);
+        let tightened = basis(3, &[&[(Ge, 4)], &[(Ge, 2)]]);
+        let on = CheckerOptions::default();
+        assert_eq!(carry_step(&old, &old, &on), Some(GuardStep::Identical));
+        assert_eq!(
+            carry_step(&old, &relaxed, &on),
+            Some(GuardStep::RelaxOnly { changed: vec![0] })
+        );
+        assert_eq!(
+            carry_step(&old, &tightened, &on),
+            Some(GuardStep::TightenOnly { changed: vec![0] })
+        );
+        // the breaks: a mixed step, a size change, a tighten-only step with
+        // the prune off, and every step with the incremental sweep off
+        let mixed = basis(3, &[&[(Ge, 2)], &[(Ge, 3)]]);
+        assert_eq!(carry_step(&old, &mixed, &on), None);
+        assert_eq!(
+            carry_step(&old, &basis(4, &[&[(Ge, 3)], &[(Ge, 2)]]), &on),
+            None
+        );
+        let no_prune = on.with_tighten_prune(false);
+        assert_eq!(carry_step(&old, &tightened, &no_prune), None);
+        assert!(carry_step(&old, &relaxed, &no_prune).is_some());
+        let fresh = on.with_incremental_sweep(false);
+        assert_eq!(carry_step(&old, &old, &fresh), None);
+    }
+
+    #[test]
     fn classifier_reports_identical_bounds() {
         let old = bounds(&[&[(Ge, 3)], &[], &[(Lt, 2), (Ge, 1)]]);
         assert_eq!(
@@ -1455,7 +1520,7 @@ mod tests {
         let graph = Rc::new(ReachGraph::build(&old_sys, &starts, &options, &pool));
         assert!(!graph.is_bounded());
         let old_transitions = graph.transitions();
-        lineage.record(&old_sys, start, &graph, &old_sys.guard_bounds());
+        lineage.record(start, &graph, &GraphBasis::of(&old_sys));
         drop(graph); // the lineage must hold the only reference
 
         // a transition budget equal to the old graph's total trips on the
@@ -1467,7 +1532,7 @@ mod tests {
         match lineage.adopt(
             &new_sys,
             start,
-            &new_sys.guard_bounds(),
+            &GraphBasis::of(&new_sys),
             &tight,
             &pool,
             None,
@@ -1487,12 +1552,12 @@ mod tests {
             &pool,
         ));
         assert!(bounded.is_bounded());
-        lineage.record(&new_sys, start, &bounded, &new_sys.guard_bounds());
+        lineage.record(start, &bounded, &GraphBasis::of(&new_sys));
         assert_eq!(lineage.resident_bytes(), 0, "bounded graphs are not kept");
         match lineage.adopt(
             &new_sys,
             start,
-            &new_sys.guard_bounds(),
+            &GraphBasis::of(&new_sys),
             &options,
             &pool,
             None,

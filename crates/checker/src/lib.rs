@@ -56,11 +56,13 @@
 //!   schedules are bit-identical at every worker count, shard count and
 //!   wave size.
 //! * **Two-level parallel sweep** ([`sweep::check_over_sweep_with_stats`])
-//!   — the valuations of the `query × valuation` grid are cut into
-//!   contiguous blocks, one per sweep worker, and the thread budget left
-//!   over after covering the blocks is handed to the in-check workers of
-//!   each cell.  Reports are deterministic; cells cancelled after an
-//!   earlier violation appear as explicit skipped outcomes.
+//!   — the valuations of the `query × valuation` grid are cut into runs at
+//!   lineage breaks (a change of system size, or a guard step the lineage
+//!   cannot carry a graph across), sweep workers claim whole runs in grid
+//!   order, and the thread budget left over after covering the workers is
+//!   handed to the in-check workers of each cell.  Reports are
+//!   deterministic; cells cancelled after an earlier violation appear as
+//!   explicit skipped outcomes.
 //!
 //! # Graph cache: explore once, evaluate many
 //!
@@ -142,11 +144,12 @@
 //!   sweep (pinned by `random_differential`'s incremental axis and the
 //!   extended-graph half of `counterexample_replay`).
 //! * **Lineage lifetime & memory.**  Each sweep worker owns one lineage
-//!   spanning the contiguous, valuation-ordered block of grid cells it
-//!   processes (the scheduler dispatches blocks, not strided cells,
-//!   precisely so adjacent cells are guard-adjacent); at most one graph
+//!   spanning every run it takes, walked in grid order.  The scheduler cuts
+//!   the grid only where this classification would rebuild anyway (one
+//!   shared policy decides both), so a run's later valuations are
+//!   guard-adjacent and no run is split between workers.  At most one graph
 //!   per start-restriction group survives at a time, dropped when
-//!   classification discards it or the worker finishes its block.
+//!   classification discards it or the worker finishes.
 //!   Resident bytes per cached graph (rows + side arrays + index + CSR)
 //!   are reported in [`GroupCacheRecord::resident_bytes`] and printed by
 //!   `profile_engine`.  Budget-tripped builds never enter the lineage, and
@@ -225,8 +228,8 @@
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
 //!   level, not per check call) and joined when the checker is dropped.  A
-//!   sweep creates one pool per valuation block and shares it across every
-//!   cell of its block ([`ExplicitChecker::with_pool`]).  A
+//!   sweep creates one pool per sweep worker and shares it across every
+//!   cell of every run the worker takes ([`ExplicitChecker::with_pool`]).  A
 //!   resolved worker count of 1 spawns no threads at all — the sequential
 //!   loop pays no synchronisation.
 //!
@@ -356,7 +359,7 @@ pub use result::{CheckOutcome, CheckStatus, GraphCacheStats, GraphOrigin, GroupC
 pub use retry::{run_with_retry, RetryPolicy};
 pub use schema::{
     count_linear_extensions, max_schema_count, milestone_precedence, milestones, schema_count,
-    Milestone,
+    schema_counts, Milestone,
 };
 pub use spec::{LocSet, Spec, StartRestriction};
 pub use store::StateStore;

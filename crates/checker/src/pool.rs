@@ -140,9 +140,9 @@ impl Shared {
 /// A persistent fork-join pool of `threads` lanes (see the module docs).
 ///
 /// Created once per check by [`crate::ExplicitChecker`] — or once per sweep
-/// block by [`crate::check_over_sweep_with_stats`], which reuses it across
-/// every grid cell of the block — and dropped (joining its threads) with
-/// its owner.
+/// worker by [`crate::check_over_sweep_with_stats`], which reuses it across
+/// every grid cell of the runs the worker takes — and dropped (joining its
+/// threads) with its owner.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     /// Spawned lazily by the first multi-task batch: a pool that only ever

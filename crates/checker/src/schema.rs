@@ -159,18 +159,33 @@ fn cut_points(spec: &Spec) -> u32 {
 /// extensions of the precedence order) multiplied by the number of ways to
 /// interleave the query's temporal cut points among the milestone events.
 pub fn schema_count(model: &SystemModel, spec: &Spec) -> u128 {
+    schema_counts(model, [spec])[0]
+}
+
+/// [`schema_count`] of every query of `specs` on `model`, in spec order.
+/// The milestone orderings depend only on the model, so they are counted
+/// once for the whole catalogue.
+pub fn schema_counts<'a>(
+    model: &SystemModel,
+    specs: impl IntoIterator<Item = &'a Spec>,
+) -> Vec<u128> {
     let ms = milestones(model);
     let prec = milestone_precedence(&ms);
     let orderings = count_linear_extensions(ms.len(), &prec);
     let m = ms.len() as u128;
-    let cuts = cut_points(spec) as u128;
-    // number of multisets of size `cuts` over `m + 1` gaps:
-    // C(m + cuts, cuts), computed iteratively
-    let mut factor: u128 = 1;
-    for i in 1..=cuts {
-        factor = factor * (m + i) / i;
-    }
-    orderings.saturating_mul(factor)
+    specs
+        .into_iter()
+        .map(|spec| {
+            let cuts = cut_points(spec) as u128;
+            // number of multisets of size `cuts` over `m + 1` gaps:
+            // C(m + cuts, cuts), computed iteratively
+            let mut factor: u128 = 1;
+            for i in 1..=cuts {
+                factor = factor * (m + i) / i;
+            }
+            orderings.saturating_mul(factor)
+        })
+        .collect()
 }
 
 /// The maximum schema count over a family of queries (used for the
@@ -179,11 +194,7 @@ pub fn max_schema_count<'a>(
     model: &SystemModel,
     specs: impl IntoIterator<Item = &'a Spec>,
 ) -> u128 {
-    specs
-        .into_iter()
-        .map(|s| schema_count(model, s))
-        .max()
-        .unwrap_or(0)
+    schema_counts(model, specs).into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]

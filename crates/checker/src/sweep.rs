@@ -5,31 +5,36 @@
 //! valuations (the sweep); a query "holds" if it holds on every member of the
 //! sweep and is "violated" as soon as one member yields a counterexample.
 //!
-//! # One scheduler: contiguous valuation blocks
+//! # One scheduler: runs of the lineage
 //!
 //! The unit of scheduled work is a whole *valuation*: one
 //! [`ExplicitChecker`] per valuation runs the full spec slice through
 //! cached checks, so every query sharing a start restriction reuses one
-//! exploration of that valuation's reachable graph.  The valuations are cut
-//! into contiguous blocks, one per sweep worker, and each block walks its
-//! valuations in order with one in-check pool and one [`GraphLineage`], so
-//! the groups it visits are guard-adjacent — the precondition for the
-//! incremental sweep's reuse/extend/prune classification.  Block 0 runs on
-//! the calling thread: a budget of 1 is the whole grid on the caller, with
-//! no thread spawned.
+//! exploration of that valuation's reachable graph.  The grid is cut into
+//! *runs* at lineage breaks: a run is a maximal stretch of consecutive
+//! valuations across which a [`GraphLineage`] carries each group's graph
+//! (the process and coin counts stay put, and each guard step is
+//! identical, relax-only, or tighten-only with the prune on).  The graph
+//! module's `carry_step` is that policy, and the lineage applies the same
+//! function per group, so only a run's first valuation pays a full
+//! exploration.  Runs are handed out in grid order through an atomic
+//! cursor, and each sweep worker walks every run it takes with one
+//! in-check pool and one lineage, so no worker re-explores a run another
+//! worker owns.  Worker 0 is the calling thread: a budget of 1 walks the
+//! whole grid, run after run, on the caller, with no thread spawned.
 //!
 //! # Two-level parallelism
 //!
 //! Each cell's exploration can itself run on multiple workers (see
 //! [`crate::explorer`]), so [`check_over_sweep_with_stats`] splits one
-//! *thread budget* across both levels: one block per budget thread (at most
-//! one per valuation), and the remaining factor handed to each cell as
-//! in-check workers.  A 16-thread budget over a 4-valuation grid runs 4
-//! blocks with 4 workers each; a single valuation gets all 16 workers.
-//! [`sweep_thread_budget`] resolves a budget of `0` from the
-//! `CC_SWEEP_THREADS` environment variable, falling back to the available
-//! parallelism; an explicit [`CheckerOptions::workers`] setting always wins
-//! over the derived per-cell worker count.
+//! *thread budget* across both levels: one sweep worker per budget thread
+//! (at most one per run), and `budget / workers` in-check workers for each
+//! cell.  A 16-thread budget over a grid of 4 runs starts 4 sweep workers
+//! with 4 in-check workers each; a grid that is one run gets one sweep
+//! worker with all 16.  [`sweep_thread_budget`] resolves a budget of `0`
+//! from the `CC_SWEEP_THREADS` environment variable, falling back to the
+//! available parallelism; an explicit [`CheckerOptions::workers`] setting
+//! always wins over the derived per-cell worker count.
 //!
 //! Reports keep the deterministic sequential semantics regardless of the
 //! budget: outcomes are assembled in valuation order, and every grid cell
@@ -60,7 +65,7 @@
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::explorer::resolved_workers;
-use crate::graph::GraphLineage;
+use crate::graph::{carry_step, GraphBasis, GraphLineage};
 use crate::job::{CancelToken, InterruptKind, JobBudget, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, CheckStatus, GraphCacheStats};
@@ -68,8 +73,10 @@ use crate::retry::{run_with_retry, RetryPolicy};
 use crate::spec::Spec;
 use cccounter::CounterSystem;
 use ccta::{ParamValuation, SystemModel};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How one grid cell of a sweep ended up in its report.
@@ -241,7 +248,9 @@ impl SweepReport {
             .sum()
     }
 
-    /// Total wall-clock time across the sweep.
+    /// Check time summed over the grid cells, each cell timed on its own;
+    /// with more than one sweep worker this can exceed the sweep's wall
+    /// time.
     pub fn total_time(&self) -> Duration {
         self.outcomes.iter().map(|o| o.duration).sum()
     }
@@ -402,7 +411,8 @@ pub fn check_over_sweep_cancellable(
 }
 
 /// The sweep behind both entry points: forms the grid, prefills it from a
-/// resumed run, runs the blocks and assembles the deterministic reports.
+/// resumed run, cuts it into runs, walks them on the sweep workers and
+/// assembles the deterministic reports.
 fn sweep_impl(
     model: &SystemModel,
     specs: &[Spec],
@@ -418,18 +428,19 @@ fn sweep_impl(
         .collect();
     let width = systems.len();
     let budget = threads.max(1);
-    // one block per budget thread, at most one per valuation
-    let outer = budget.min(width.max(1));
-    // the budget left over after covering the blocks goes into each cell,
+    let runs = lineage_runs(&systems, &options);
+    // one sweep worker per budget thread, at most one per run
+    let workers = budget.min(runs.len()).max(1);
+    // the budget left over after covering the workers goes into each cell,
     // unless the caller pinned an in-check worker count explicitly
     let cell_options = if options.workers == 0 {
-        options.with_workers((budget / outer).max(1))
+        options.with_workers((budget / workers).max(1))
     } else {
         options
     };
 
     // one slot per (valuation, spec) cell in valuation-major order, so each
-    // block owns a contiguous run of slots, plus one cache-accounting slot
+    // run owns a contiguous stretch of slots, plus one cache-accounting slot
     // per valuation
     let mut slots: Vec<Option<SweepOutcome>> = Vec::new();
     slots.resize_with(width * specs.len(), || None);
@@ -480,25 +491,29 @@ fn sweep_impl(
     };
 
     if width > 0 && !specs.is_empty() {
-        let block = width.div_ceil(outer);
-        let mut blocks = slots
-            .chunks_mut(block * specs.len())
-            .zip(stats_slots.chunks_mut(block))
-            .enumerate();
-        let head = blocks.next();
-        let grid = &grid;
+        // the runs tile the grid in order, so each takes the next rows
+        let mut rows = slots.chunks_mut(specs.len()).zip(stats_slots.iter_mut());
+        let work: Vec<Mutex<Run>> = runs
+            .iter()
+            .map(|run| {
+                Mutex::new(Run {
+                    first: run.start,
+                    rows: rows.by_ref().take(run.len()).collect(),
+                })
+            })
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        let (grid, cursor, work) = (&grid, &cursor, &work);
         std::thread::scope(|scope| {
-            for (b, (cells, stats)) in blocks {
-                scope.spawn(move || grid.run_block(b * block, cells, stats));
+            for _ in 1..workers {
+                scope.spawn(move || grid.run_worker(cursor, work));
             }
-            if let Some((_, (cells, stats))) = head {
-                grid.run_block(0, cells, stats);
-            }
+            grid.run_worker(cursor, work);
         });
     }
 
     // cache accounting, merged in valuation order regardless of which
-    // block processed which valuation
+    // worker processed which valuation
     let mut stats = GraphCacheStats::default();
     for s in stats_slots.into_iter().flatten() {
         stats.merge(&s);
@@ -506,8 +521,8 @@ fn sweep_impl(
 
     // deterministic assembly: valuation order; every cell past the query's
     // first violation becomes an explicit skipped record, even if another
-    // block happened to compute it before the cancellation landed, and
-    // every cell a job signal stopped the blocks from reaching becomes an
+    // worker happened to compute it before the cancellation landed, and
+    // every cell a job signal stopped the workers from reaching becomes an
     // explicit interrupted record
     let trip = job.and_then(|j| j.fast_stop());
     let reports = specs
@@ -546,55 +561,88 @@ fn sweep_impl(
     (reports, stats)
 }
 
-/// What every block of one sweep shares.
+/// The grid cut into runs: maximal stretches of consecutive valuations
+/// across which [`carry_step`] carries a group graph.  A run starts at the
+/// first valuation and at every lineage break, so only its first valuation
+/// pays for a full exploration of each group.
+fn lineage_runs(systems: &[CounterSystem], options: &CheckerOptions) -> Vec<Range<usize>> {
+    let bases: Vec<GraphBasis> = systems.iter().map(GraphBasis::of).collect();
+    let mut runs = Vec::new();
+    let mut first = 0;
+    for v in 1..=bases.len() {
+        if v == bases.len() || carry_step(&bases[v - 1], &bases[v], options).is_none() {
+            runs.push(first..v);
+            first = v;
+        }
+    }
+    runs
+}
+
+/// One run's share of the grid: its first column and, per valuation, the
+/// cell slots of every spec plus the valuation's cache accounting.
+struct Run<'a> {
+    first: usize,
+    rows: Vec<(
+        &'a mut [Option<SweepOutcome>],
+        &'a mut Option<GraphCacheStats>,
+    )>,
+}
+
+/// What every worker of one sweep shares.
 struct Grid<'a> {
     specs: &'a [Spec],
     systems: &'a [CounterSystem],
     options: CheckerOptions,
     job: Option<&'a JobSignals>,
     /// Per spec, the smallest valuation index that violated so far; later
-    /// cells of the spec are left unchecked, whichever block reaches them.
+    /// cells of the spec are left unchecked, whichever worker reaches them.
     violated_at: Vec<AtomicUsize>,
 }
 
 impl Grid<'_> {
-    /// Runs one block: the contiguous valuations from grid column `first`
-    /// on, walked in order on one in-check pool and one [`GraphLineage`].
-    /// Each valuation runs its whole spec slice on one [`ExplicitChecker`],
-    /// so the obligations of a start restriction share one cached
-    /// reachability graph.  `cells` holds the block's slots in
-    /// valuation-major order and `stats` its per-valuation cache accounting.
-    fn run_block(
-        &self,
-        first: usize,
-        cells: &mut [Option<SweepOutcome>],
-        stats: &mut [Option<GraphCacheStats>],
-    ) {
+    /// One sweep worker: claims runs in grid order through `cursor` and
+    /// walks each on the worker's one in-check pool and one
+    /// [`GraphLineage`].
+    fn run_worker(&self, cursor: &AtomicUsize, runs: &[Mutex<Run>]) {
         let pool = WorkerPool::new(resolved_workers(&self.options));
         let lineage = GraphLineage::new();
-        let rows = cells.chunks_mut(self.specs.len()).zip(stats);
-        for (v, (sys, (row, record))) in (first..).zip(self.systems[first..].iter().zip(rows)) {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(run) = runs.get(i) else { break };
+            // uncontended: the cursor hands each run to exactly one worker;
+            // the mutex only carries the &mut across threads
+            let mut run = run.lock().expect("each run is locked once");
+            self.walk_run(&pool, &lineage, &mut run);
+        }
+    }
+
+    /// Walks one run's valuations in order.  Each valuation runs its whole
+    /// spec slice on one [`ExplicitChecker`], so the obligations of a start
+    /// restriction share one cached reachability graph.
+    fn walk_run(&self, pool: &WorkerPool, lineage: &GraphLineage, run: &mut Run) {
+        let systems = self.systems[run.first..].iter();
+        for (v, (sys, (row, record))) in (run.first..).zip(systems.zip(&mut run.rows)) {
             if self.job.is_some_and(|j| j.fast_stop().is_some()) {
                 return;
             }
             let mut checker =
-                ExplicitChecker::with_pool_and_lineage(sys, self.options, &pool, &lineage);
+                ExplicitChecker::with_pool_and_lineage(sys, self.options, pool, lineage);
             checker.set_signals(self.job);
-            for (s, (spec, slot)) in self.specs.iter().zip(row).enumerate() {
+            for (s, (spec, slot)) in self.specs.iter().zip(row.iter_mut()).enumerate() {
                 if self.violated_at[s].load(Ordering::Acquire) < v || slot.is_some() {
                     continue; // violated earlier, or resumed
                 }
                 if self.job.is_some_and(|j| j.fast_stop().is_some()) {
-                    *record = Some(checker.cache_stats());
+                    **record = Some(checker.cache_stats());
                     return;
                 }
-                let cell = run_cell(&checker, &pool, sys, spec, self.options, self.job);
+                let cell = run_cell(&checker, pool, sys, spec, self.options, self.job);
                 if cell.outcome.status == CheckStatus::Violated {
                     self.violated_at[s].fetch_min(v, Ordering::AcqRel);
                 }
                 *slot = Some(cell);
             }
-            *record = Some(checker.cache_stats());
+            **record = Some(checker.cache_stats());
         }
     }
 }
@@ -729,6 +777,59 @@ mod tests {
                 );
             }
         }
+
+        // two runs, three identical valuations then one more process: an
+        // equal-width cut at budget 2 or 3 would land inside the first run
+        // and re-explore it, while a cut at the lineage break explores each
+        // group exactly as often as one worker does
+        let valuations = [
+            ParamValuation::new(vec![4, 1, 1, 1]),
+            ParamValuation::new(vec![4, 1, 1, 1]),
+            ParamValuation::new(vec![4, 1, 1, 1]),
+            ParamValuation::new(vec![7, 1, 1, 1]),
+        ];
+        let options = CheckerOptions::default();
+        let (single, single_stats) =
+            check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
+        for threads in [1, 2, 3] {
+            let (split, split_stats) =
+                check_over_sweep_with_stats(&model, &specs, &valuations, options, threads);
+            assert_reports_identical(&split, &single, &format!("budget {threads}"));
+            assert_eq!(
+                split_stats.explorations_paid(),
+                single_stats.explorations_paid(),
+                "budget {threads}: {split_stats}"
+            );
+        }
+    }
+
+    #[test]
+    fn runs_start_at_every_lineage_break() {
+        // [4,1,1,1] -> [7,1,1,1] adds processes (break), -> [7,2,1,1]
+        // relaxes the quorum, -> [7,1,1,1] tightens it back (a break only
+        // with the prune off), -> [7,0,0,1] adds a process (break),
+        // -> [7,1,0,1] relaxes
+        let model = fixtures::voting_model().single_round().unwrap();
+        let systems: Vec<CounterSystem> = [
+            [4, 1, 1, 1],
+            [7, 1, 1, 1],
+            [7, 2, 1, 1],
+            [7, 1, 1, 1],
+            [7, 0, 0, 1],
+            [7, 1, 0, 1],
+        ]
+        .into_iter()
+        .map(|v| CounterSystem::new(model.clone(), ParamValuation::new(v.to_vec())).unwrap())
+        .collect();
+        let options = CheckerOptions::default();
+        assert_eq!(lineage_runs(&systems, &options), vec![0..1, 1..4, 4..6]);
+        assert_eq!(
+            lineage_runs(&systems, &options.with_tighten_prune(false)),
+            vec![0..1, 1..3, 3..4, 4..6]
+        );
+        let fresh = lineage_runs(&systems, &options.with_incremental_sweep(false));
+        assert_eq!(fresh, (0..6).map(|v| v..v + 1).collect::<Vec<_>>());
+        assert!(lineage_runs(&[], &options).is_empty());
     }
 
     #[test]
@@ -906,7 +1007,7 @@ mod tests {
             );
             assert!(stats.graphs_built() > 0);
             // 3 specs x 2 admissible valuations, minus the cell skipped
-            // after the first violation — which another block may have
+            // after the first violation — which another worker may have
             // computed anyway before the cancellation landed
             let checked = stats.specs_served();
             assert!((5..=6).contains(&checked), "{checked}");

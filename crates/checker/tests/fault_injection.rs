@@ -199,7 +199,7 @@ fn persistent_cell_panic_fails_only_that_cell() {
     let model = model();
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
-    // a budget of 1 runs the whole grid as one block on this thread, so the
+    // a budget of 1 walks the whole grid on this thread, in order, so the
     // first dispatched cell is deterministic: specs[0] on valuations[0]
     let options = CheckerOptions::default();
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);

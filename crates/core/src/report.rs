@@ -20,7 +20,8 @@ fn property_cell(result: &PropertyResult) -> (String, String) {
 
 /// Renders the benchmark summary in the shape of Table II: per protocol the
 /// automaton size and, per property, the schema-count cost metric and the
-/// measured checking time (or `CE` when a counterexample was found).
+/// check time summed over its grid cells (or `CE` when a counterexample was
+/// found).
 pub fn render_table2(results: &[ProtocolVerification]) -> String {
     let mut out = String::new();
     let _ = writeln!(

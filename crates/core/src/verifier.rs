@@ -8,7 +8,7 @@
 
 use crate::obligations::{obligations_for, Obligations};
 use ccchecker::{
-    check_over_sweep_cancellable, check_over_sweep_with_stats, schema_count, sweep_thread_budget,
+    check_over_sweep_cancellable, check_over_sweep_with_stats, schema_counts, sweep_thread_budget,
     CancelToken, CheckStatus, CheckerOptions, Counterexample, GraphCacheStats, JobBudget, Spec,
     SweepReport,
 };
@@ -25,10 +25,11 @@ pub struct VerifierConfig {
     pub max_processes: u64,
     /// Maximum number of valuations checked per protocol.
     pub max_valuations: usize,
-    /// Total thread budget for each property sweep, split between grid
-    /// cells and in-check workers (see `ccchecker::sweep`): `0` defers to
-    /// the `CC_SWEEP_THREADS` environment variable and then to the
-    /// available parallelism.
+    /// Total thread budget for each protocol's combined sweep, split
+    /// between sweep workers (at most one per run of the lineage) and
+    /// in-check workers (see `ccchecker::sweep`): `0` defers to the
+    /// `CC_SWEEP_THREADS` environment variable and then to the available
+    /// parallelism.
     pub threads: usize,
     /// Resource limits, in-check thread/shard/wave knobs and sweep levers
     /// of the explicit-state checker; `checker.workers == 0` lets the sweep
@@ -98,7 +99,7 @@ impl VerifierConfig {
 
     /// This configuration with the incremental sweep enabled or disabled
     /// (see the "Incremental sweeps" section of the `ccchecker` crate
-    /// docs).  When enabled (the default), each sweep block carries the
+    /// docs).  When enabled (the default), each sweep worker carries the
     /// reachability graphs of its `(start restriction, valuation)` groups
     /// across guard-adjacent valuations — reusing them outright when the
     /// compiled guard bounds are identical and extending them incrementally
@@ -191,7 +192,9 @@ pub struct PropertyResult {
     pub nschemas: u128,
     /// Total number of explored states.
     pub states: usize,
-    /// Total wall-clock checking time.
+    /// Check time summed over the property's grid cells, each cell timed
+    /// on its own.  Cells of different runs overlap when the sweep has
+    /// more than one worker, so this can exceed the sweep's wall time.
     pub time: Duration,
     /// The first counterexample found, if any.
     pub counterexample: Option<Counterexample>,
@@ -256,13 +259,8 @@ impl ProtocolVerification {
 }
 
 /// Assembles one property's verdict from its slice of the combined sweep's
-/// reports.
-fn assemble_property(
-    property: &str,
-    specs: &[Spec],
-    reports: Vec<SweepReport>,
-    single_round: &SystemModel,
-) -> PropertyResult {
+/// reports and the summed schema counts of its obligations.
+fn assemble_property(property: &str, nschemas: u128, reports: Vec<SweepReport>) -> PropertyResult {
     let status = if reports.iter().any(|r| r.status() == CheckStatus::Violated) {
         CheckStatus::Violated
     } else if reports.iter().any(|r| r.status() == CheckStatus::Unknown) {
@@ -275,7 +273,6 @@ fn assemble_property(
         .filter_map(|r| r.first_violation())
         .filter_map(|o| o.outcome.counterexample.clone())
         .next();
-    let nschemas = specs.iter().map(|s| schema_count(single_round, s)).sum();
     PropertyResult {
         property: property.to_string(),
         status,
@@ -331,33 +328,24 @@ pub fn verify_protocol(protocol: &ProtocolModel, config: &VerifierConfig) -> Pro
             None,
         )
     };
-    let mut take = |n: usize| -> Vec<SweepReport> { reports.drain(..n).collect() };
-    let agreement_reports = take(obligations.agreement.len());
-    let validity_reports = take(obligations.validity.len());
-    let termination_reports = take(obligations.termination.len());
+    // the milestone orderings behind every schema count depend only on the
+    // model, so the whole catalogue is counted in one call
+    let mut nschemas = schema_counts(&single_round, &all_specs).into_iter();
+    let mut property = |name: &str, n: usize| {
+        let schemas = nschemas.by_ref().take(n).sum();
+        assemble_property(name, schemas, reports.drain(..n).collect())
+    };
+    let agreement = property("Agreement", obligations.agreement.len());
+    let validity = property("Validity", obligations.validity.len());
+    let termination = property("A.S. Termination", obligations.termination.len());
     ProtocolVerification {
         protocol: protocol.name().to_string(),
         category: protocol.category(),
         stats: protocol.stats(),
         valuations,
-        agreement: assemble_property(
-            "Agreement",
-            &obligations.agreement,
-            agreement_reports,
-            &single_round,
-        ),
-        validity: assemble_property(
-            "Validity",
-            &obligations.validity,
-            validity_reports,
-            &single_round,
-        ),
-        termination: assemble_property(
-            "A.S. Termination",
-            &obligations.termination,
-            termination_reports,
-            &single_round,
-        ),
+        agreement,
+        validity,
+        termination,
         cache,
     }
 }
@@ -511,13 +499,22 @@ mod tests {
 
     #[test]
     fn split_sweep_matches_a_single_worker() {
-        // a budget of 2 splits the grid into one block per sweep worker, so
-        // no lineage spans both valuations; the results must not change
+        // the sweep cuts its grid only at lineage breaks, and MMR14's two
+        // default valuations are one run: a budget of 2 hands that run to
+        // one sweep worker, which explores each group as often as a budget
+        // of 1 does, with the same results
         let p = mmr14::mmr14();
         let config = VerifierConfig::default().with_incremental_sweep(true);
         let split = verify_protocol(&p, &config.with_threads(2));
         let single = verify_protocol(&p, &config.with_threads(1));
         assert_same_results(&split, &single, "budget 2 vs budget 1");
+        assert_eq!(
+            split.cache.explorations_paid(),
+            single.cache.explorations_paid(),
+            "{} vs {}",
+            split.cache,
+            single.cache
+        );
     }
 
     #[test]
