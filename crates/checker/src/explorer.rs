@@ -4,11 +4,13 @@
 //! its applicable progress actions, expand every probabilistic branch in
 //! place on the row substrate, intern the successor into the
 //! [`StateStore`], and enqueue fresh states.  [`Explorer`] owns that
-//! expand → intern → frontier cycle once, and a [`Visitor`] records what it
-//! sees along the way: the reachability-graph build and its incremental
-//! extension ([`crate::graph`]) emit every replayed edge into CSR arenas.
-//! The search itself carries no monitor state — every obligation is
-//! answered afterwards by an analysis pass over the recorded graph.
+//! expand → intern → frontier cycle once, and records what its replay sees
+//! into one owned [`Explored`] record: the store, every replayed edge in CSR
+//! form, the fresh start nodes, the discovery order and the replayed
+//! counters.  The reachability-graph build and its incremental extension
+//! ([`crate::graph`]) start, resume and take back that record.  The search
+//! itself carries no monitor state — every obligation is answered
+//! afterwards by an analysis pass over the recorded graph.
 //!
 //! # Deterministic in-check parallelism
 //!
@@ -32,14 +34,14 @@
 //!    lock-free because the shards are disjoint.
 //! 3. **Replay** (sequential, cheap): a scalar walk over the candidate
 //!    metadata in global order re-applies the budget accounting
-//!    (transition/state bounds), fires the visitor hooks, and builds the
-//!    next frontier — exactly as the sequential loop would have, at a few
-//!    instructions per candidate.
+//!    (transition/state bounds), records the edges and the discovery order,
+//!    and builds the next frontier — exactly as the sequential loop would
+//!    have, at a few instructions per candidate.
 //!
 //! Because the wave boundaries, the candidate order, the shard partition,
 //! and the replay are all independent of the worker count, a parallel run
 //! produces *bit-identical* state counts, transition counts, discovery
-//! order and parent edges (and therefore verdicts and counterexample
+//! order and CSR edges (and therefore verdicts and counterexample
 //! schedules) to the sequential run — at any worker count, shard count and
 //! wave size.  The `parallel_determinism` and `random_differential`
 //! integration tests pin this, and `engine_equivalence` pins the results
@@ -62,6 +64,7 @@
 //! variable, then [`DEFAULT_WAVE_SIZE`].
 
 use crate::explicit::CheckerOptions;
+use crate::game::CsrRecorder;
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::store::{Shard, StateStore, MAX_SHARDS};
@@ -82,27 +85,31 @@ const MIN_PARALLEL_FRONTIER: usize = 64;
 /// per-wave pool synchronisation is noise.
 pub const DEFAULT_WAVE_SIZE: usize = 8192;
 
-/// The observations of a search.  Every hook is called sequentially, in
-/// deterministic discovery order, from the replay of each wave.
-pub(crate) trait Visitor {
-    /// A start configuration was interned (`fresh` if it was new).
-    fn start_node(&mut self, _node: u32, _fresh: bool) {}
-
-    /// A node with at least one applicable action is about to be expanded.
-    fn begin_node(&mut self, _node: u32) {}
-
-    /// An action of the current node is about to be expanded.
-    fn begin_action(&mut self, _node: u32, _action: Action) {}
-
-    /// One explored transition: `from --step--> to`, where `fresh` says
-    /// whether `to` was newly discovered.
-    fn edge(&mut self, _from: u32, _step: ScheduledStep, _to: u32, _fresh: bool) {}
-
-    /// All branches of the current action have been explored.
-    fn end_action(&mut self, _node: u32, _action: Action) {}
-
-    /// All actions of the current node have been explored.
-    fn end_node(&mut self, _node: u32) {}
+/// What an exploration has recorded, in the order its deterministic replay
+/// saw it: [`Explorer::new`] starts a record, [`Explorer::resume`] continues
+/// one, and [`Explorer::into_explored`] hands it back.  The CSR graph is the
+/// only record of how the stored states connect: a node's first-discovery
+/// edge is the first edge into it met by walking `discovery` in order and
+/// each node's edges in CSR order (see [`crate::graph`]).
+pub(crate) struct Explored {
+    /// The deduplicated state rows.
+    pub(crate) store: StateStore,
+    /// Every replayed edge, grouped by node and action.
+    pub(crate) csr: CsrRecorder,
+    /// The interned start nodes, each listed once.
+    pub(crate) start_ids: Vec<u32>,
+    /// Every fresh node in BFS discovery order.  Node ids interleave the
+    /// shard tag, so order-sensitive consumers iterate this instead of the
+    /// store's id space; the replay makes it identical at every worker,
+    /// shard and wave count.
+    pub(crate) discovery: Vec<u32>,
+    /// Distinct states the sequential search would have counted.  Like
+    /// `transitions`, a replayed counter: it mirrors the sequential loop
+    /// even when a parallel wave over-expands past a budget bound before
+    /// the replay detects it.
+    pub(crate) states: usize,
+    /// Transitions the sequential search would have counted.
+    pub(crate) transitions: usize,
 }
 
 /// Why an exploration ended.
@@ -123,8 +130,8 @@ pub(crate) enum Exploration {
 /// The frontier state of an exploration stopped by a job signal: the
 /// unprocessed remainder of the current level plus the successors already
 /// accumulated for the next one.  Feeding both back through
-/// [`Explorer::run_suspended`] (over the same store) continues the search
-/// exactly where it stopped.
+/// [`Explorer::run_suspended`] (resuming the same record) continues the
+/// search exactly where it stopped.
 pub(crate) struct SuspendedFrontier {
     /// Frontier nodes of the current level not yet expanded.
     pub(crate) pending: Vec<u32>,
@@ -206,14 +213,6 @@ struct CandMeta {
     hash: u64,
     /// The scheduled step that produced it.
     step: ScheduledStep,
-    /// The frontier node it was expanded from.
-    parent: u32,
-}
-
-/// Per-action candidate grouping of the expand phase.
-struct ActRec {
-    action: Action,
-    cands: u32,
 }
 
 /// Per-node action grouping of the expand phase (terminal nodes, having
@@ -229,7 +228,8 @@ struct NodeRec {
 struct ChunkOut {
     rows: Vec<u8>,
     cands: Vec<CandMeta>,
-    acts: Vec<ActRec>,
+    /// Candidate count per expanded action.
+    acts: Vec<u32>,
     nodes: Vec<NodeRec>,
     /// Candidate indices per store shard, in candidate order.
     per_shard: Vec<Vec<u32>>,
@@ -264,17 +264,12 @@ struct WaveScratch {
 /// The generic expand → intern → frontier driver (see the module docs).
 pub(crate) struct Explorer<'a> {
     engine: RowEngine<'a>,
-    store: StateStore,
+    rec: Explored,
     pool: &'a WorkerPool,
     workers: usize,
     wave_size: usize,
     max_states: usize,
     max_transitions: usize,
-    /// Replayed exploration counters: these mirror what the sequential loop
-    /// would have counted, even when a parallel wave over-expands past a
-    /// budget bound before the replay detects it.
-    states: usize,
-    transitions: usize,
     /// Job-level cancellation and budget signals, polled at wave boundaries
     /// (and, for the fast cancel/deadline signals, at expand-phase chunk
     /// handouts).  `None` for plain checks — the hot path then pays a single
@@ -292,47 +287,44 @@ impl<'a> Explorer<'a> {
     /// An explorer over a single-round counter system with the given
     /// resource limits, running its parallel phases on `pool` (whose lane
     /// count is the worker count; a 1-lane pool forces the sequential
-    /// loop).
+    /// loop).  It starts an empty record.
     pub(crate) fn new(
         sys: &'a CounterSystem,
         options: &CheckerOptions,
         pool: &'a WorkerPool,
     ) -> Self {
-        let workers = pool.threads();
-        let shards = resolved_shards(options, workers);
-        Self::resume(
-            sys,
-            options,
-            pool,
-            StateStore::with_shards(sys, shards),
-            0,
-            0,
-        )
+        let shards = resolved_shards(options, pool.threads());
+        let rec = Explored {
+            store: StateStore::with_shards(sys, shards),
+            csr: CsrRecorder::default(),
+            start_ids: Vec::new(),
+            discovery: Vec::new(),
+            states: 0,
+            transitions: 0,
+        };
+        Self::resume(sys, options, pool, rec)
     }
 
-    /// An explorer *resuming* over an already-populated store (the
+    /// An explorer *continuing* a record (a suspended build, or the
     /// incremental sweep's append mode): the store keeps its shard layout
-    /// and contents, and the exploration counters start from the given
-    /// baselines so the resource budgets apply to the cumulative search,
-    /// exactly as a from-scratch build would have counted.
+    /// and contents, the CSR arenas and the discovery order are appended
+    /// to, and the counters continue from the record's, so the resource
+    /// budgets apply to the cumulative search exactly as a from-scratch
+    /// build would have counted.
     pub(crate) fn resume(
         sys: &'a CounterSystem,
         options: &CheckerOptions,
         pool: &'a WorkerPool,
-        store: StateStore,
-        states: usize,
-        transitions: usize,
+        rec: Explored,
     ) -> Self {
         Explorer {
             engine: RowEngine::new(sys),
-            store,
+            rec,
             pool,
             workers: pool.threads(),
             wave_size: resolved_wave_size(options),
             max_states: options.max_states,
             max_transitions: options.max_transitions,
-            states,
-            transitions,
             signals: None,
             base: (0, 0, 0),
             suspended: None,
@@ -361,42 +353,30 @@ impl<'a> Explorer<'a> {
         self.suspended.take()
     }
 
-    /// Consumes the explorer, releasing the store of explored states — this
-    /// is how a cached reachability graph outlives the exploration that
-    /// built it (see [`crate::graph`]).
-    pub(crate) fn into_store(self) -> StateStore {
-        self.store
+    /// Consumes the explorer, handing back its record — this is how a
+    /// cached reachability graph outlives the exploration that built it
+    /// (see [`crate::graph`]).
+    pub(crate) fn into_explored(self) -> Explored {
+        self.rec
     }
 
-    /// Number of distinct states the *sequential* search would have
-    /// counted when the exploration ended.
-    pub(crate) fn states(&self) -> usize {
-        self.states
-    }
-
-    /// Number of transitions the sequential search would have counted.
-    pub(crate) fn transitions(&self) -> usize {
-        self.transitions
-    }
-
-    /// Runs the search from the given start configurations.
-    pub(crate) fn run<V: Visitor>(
-        &mut self,
-        starts: &[Configuration],
-        visitor: &mut V,
-    ) -> Exploration {
+    /// Runs the search from the given start configurations.  Duplicate
+    /// start configurations intern to one node, recorded once.
+    pub(crate) fn run(&mut self, starts: &[Configuration]) -> Exploration {
+        let rec = &mut self.rec;
         let mut frontier: Vec<u32> = Vec::new();
-        let mut row = Vec::with_capacity(self.store.stride());
+        let mut row = Vec::with_capacity(rec.store.stride());
         for cfg in starts {
             self.engine.encode_into(cfg, &mut row);
-            let (id, fresh) = self.store.intern_row(&row, self.engine.hash(&row), None);
+            let (id, fresh) = rec.store.intern_row(&row, self.engine.hash(&row));
             if fresh {
-                self.states += 1;
+                rec.states += 1;
+                rec.start_ids.push(id);
+                rec.discovery.push(id);
                 frontier.push(id);
             }
-            visitor.start_node(id, fresh);
         }
-        self.drive_from(frontier, Vec::new(), visitor)
+        self.drive_from(frontier, Vec::new())
     }
 
     /// Runs the search with the frontier seeded from *already-stored* nodes
@@ -405,24 +385,15 @@ impl<'a> Explorer<'a> {
     /// level-synchronous BFS.  This is the incremental sweep's extension
     /// entry point — the seeds are the stored rows on which a newly-enabled
     /// rule fires, in a caller-chosen deterministic order.
-    pub(crate) fn run_from_nodes<V: Visitor>(
-        &mut self,
-        seeds: Vec<u32>,
-        visitor: &mut V,
-    ) -> Exploration {
-        self.drive_from(seeds, Vec::new(), visitor)
+    pub(crate) fn run_from_nodes(&mut self, seeds: Vec<u32>) -> Exploration {
+        self.drive_from(seeds, Vec::new())
     }
 
     /// Continues a search stopped by a job signal: `pending` and `next` come
-    /// from the [`SuspendedFrontier`] of the interrupted run (whose store
-    /// this explorer resumed over).  Bit-identical to never having stopped.
-    pub(crate) fn run_suspended<V: Visitor>(
-        &mut self,
-        pending: Vec<u32>,
-        next: Vec<u32>,
-        visitor: &mut V,
-    ) -> Exploration {
-        self.drive_from(pending, next, visitor)
+    /// from the [`SuspendedFrontier`] of the interrupted run (whose record
+    /// this explorer resumed).  Bit-identical to never having stopped.
+    pub(crate) fn run_suspended(&mut self, pending: Vec<u32>, next: Vec<u32>) -> Exploration {
+        self.drive_from(pending, next)
     }
 
     /// Polls the job signals at a wave boundary (cheap: one branch when no
@@ -430,9 +401,9 @@ impl<'a> Explorer<'a> {
     fn boundary_interrupt(&self) -> Option<InterruptKind> {
         let signals = self.signals?;
         signals.boundary_stop(
-            self.base.0 + self.states,
-            self.base.1 + self.transitions,
-            || self.base.2 + self.store.resident_bytes(),
+            self.base.0 + self.rec.states,
+            self.base.1 + self.rec.transitions,
+            || self.base.2 + self.rec.store.resident_bytes(),
         )
     }
 
@@ -444,18 +415,13 @@ impl<'a> Explorer<'a> {
     /// every wave — the wave boundaries (and therefore the budget trip
     /// points, which only consider the deterministic replayed counters) are
     /// identical at every worker count.
-    fn drive_from<V: Visitor>(
-        &mut self,
-        mut frontier: Vec<u32>,
-        mut next: Vec<u32>,
-        visitor: &mut V,
-    ) -> Exploration {
+    fn drive_from(&mut self, mut frontier: Vec<u32>, mut next: Vec<u32>) -> Exploration {
         // an explicitly tiny wave size lowers the parallel threshold: the
         // caller asked for bounded waves, so even small frontiers take the
         // wave path (results are identical either way)
         let min_parallel = MIN_PARALLEL_FRONTIER.min(self.wave_size.max(1));
         let mut scratch = WaveScratch::default();
-        let mut row = Vec::with_capacity(self.store.stride());
+        let mut row = Vec::with_capacity(self.rec.store.stride());
         let mut actions: Vec<Action> = Vec::new();
         if frontier.is_empty() {
             // a resumed search may have been stopped exactly at a level end
@@ -476,15 +442,9 @@ impl<'a> Explorer<'a> {
                 }
                 let end = (offset + wave).min(frontier.len());
                 let flow = if parallel {
-                    self.wave_parallel(&frontier[offset..end], &mut next, &mut scratch, visitor)
+                    self.wave_parallel(&frontier[offset..end], &mut next, &mut scratch)
                 } else {
-                    self.level_sequential(
-                        &frontier[offset..end],
-                        &mut next,
-                        &mut row,
-                        &mut actions,
-                        visitor,
-                    )
+                    self.level_sequential(&frontier[offset..end], &mut next, &mut row, &mut actions)
                 };
                 if let ControlFlow::Break(stop) = flow {
                     if stop == Exploration::Interrupted {
@@ -513,19 +473,24 @@ impl<'a> Explorer<'a> {
 
     /// Expands one BFS level in the plain sequential loop.  `row` and
     /// `actions` are caller-owned scratch buffers reused across levels.
-    fn level_sequential<V: Visitor>(
+    fn level_sequential(
         &mut self,
         frontier: &[u32],
         next: &mut Vec<u32>,
         row: &mut Vec<u8>,
         actions: &mut Vec<Action>,
-        visitor: &mut V,
     ) -> ControlFlow<Exploration> {
         let Explorer {
             engine,
-            store,
-            states,
-            transitions,
+            rec:
+                Explored {
+                    store,
+                    csr,
+                    discovery,
+                    states,
+                    transitions,
+                    ..
+                },
             max_states,
             max_transitions,
             ..
@@ -536,10 +501,10 @@ impl<'a> Explorer<'a> {
             if actions.is_empty() {
                 continue;
             }
-            visitor.begin_node(node);
+            csr.begin_node();
             let node_hash = store.hash64(node);
             for &action in actions.iter() {
-                visitor.begin_action(node, action);
+                csr.begin_action();
                 let flow = engine.for_each_successor(
                     row,
                     action,
@@ -549,39 +514,38 @@ impl<'a> Explorer<'a> {
                         if *transitions > *max_transitions {
                             return ControlFlow::Break(Exploration::TransitionBound);
                         }
-                        let step = ScheduledStep::with_branch(action, branch);
-                        let (id, fresh) = store.intern_row(succ, succ_hash, Some((node, step)));
+                        let (id, fresh) = store.intern_row(succ, succ_hash);
                         if fresh {
                             *states += 1;
                             if *states > *max_states {
                                 return ControlFlow::Break(Exploration::StateBound);
                             }
                             next.push(id);
+                            discovery.push(id);
                         }
-                        visitor.edge(node, step, id, fresh);
+                        csr.edge(ScheduledStep::with_branch(action, branch), id);
                         ControlFlow::Continue(())
                     },
                 );
                 flow?;
-                visitor.end_action(node, action);
+                csr.end_action(node);
             }
-            visitor.end_node(node);
+            csr.end_node(node);
         }
         ControlFlow::Continue(())
     }
 
     /// Runs the expand → intern → replay phases for one wave of frontier
     /// nodes, recycling the scratch buffers.  Produces exactly the same
-    /// store mutations, visitor calls, counters and next frontier as
-    /// [`Explorer::level_sequential`] over the same wave slice.
-    fn wave_parallel<V: Visitor>(
+    /// record and next frontier as [`Explorer::level_sequential`] over the
+    /// same wave slice.
+    fn wave_parallel(
         &mut self,
         wave: &[u32],
         next: &mut Vec<u32>,
         scratch: &mut WaveScratch,
-        visitor: &mut V,
     ) -> ControlFlow<Exploration> {
-        let num_shards = self.store.num_shards();
+        let num_shards = self.rec.store.num_shards();
         let chunk_size = steal_chunk_size(wave.len(), self.workers);
         let num_chunks = wave.len().div_ceil(chunk_size);
         scratch
@@ -599,7 +563,7 @@ impl<'a> Explorer<'a> {
         // fixed before the handout and the replay walks chunks in index
         // order.
         {
-            let (engine, store) = (&self.engine, &self.store);
+            let (engine, store) = (&self.engine, &self.rec.store);
             let signals = self.signals;
             let cursor = std::sync::atomic::AtomicUsize::new(0);
             let work: Vec<std::sync::Mutex<(&[u32], &mut ChunkOut)>> = wave
@@ -633,8 +597,8 @@ impl<'a> Explorer<'a> {
         }
         // A mid-wave stop must be honoured *before* the intern phase: the
         // expand phase touched no shared state, so abandoning the wave here
-        // leaves the store, the counters and the visitor exactly as they
-        // were at the wave boundary — the whole wave stays pending.
+        // leaves the record exactly as it was at the wave boundary — the
+        // whole wave stays pending.
         if self.signals.is_some_and(|s| s.fast_stop().is_some()) {
             return ControlFlow::Break(Exploration::Interrupted);
         }
@@ -643,8 +607,8 @@ impl<'a> Explorer<'a> {
         // Phase 2: intern this wave's candidates, one task per shard, each
         // consuming its candidates in global order.
         {
-            let stride = self.store.stride();
-            let shards = self.store.shards_mut();
+            let stride = self.rec.store.stride();
+            let shards = self.rec.store.shards_mut();
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = shards
                 .iter_mut()
                 .zip(scratch.interned.iter_mut())
@@ -660,40 +624,40 @@ impl<'a> Explorer<'a> {
             self.pool.run(tasks);
         }
 
-        // Phase 3: sequential replay of the budget accounting and visitor
-        // hooks in global candidate order.
+        // Phase 3: sequential replay of the budget accounting and the record
+        // in global candidate order.
         scratch.cursors.clear();
         scratch.cursors.resize(num_shards, 0);
+        let rec = &mut self.rec;
         for chunk in chunks {
             let (mut act_i, mut cand_i) = (0usize, 0usize);
             for nrec in &chunk.nodes {
-                visitor.begin_node(nrec.node);
-                for _ in 0..nrec.actions {
-                    let arec = &chunk.acts[act_i];
-                    act_i += 1;
-                    visitor.begin_action(nrec.node, arec.action);
-                    for _ in 0..arec.cands {
-                        let m = &chunk.cands[cand_i];
-                        cand_i += 1;
-                        let shard = self.store.shard_of(m.hash);
+                rec.csr.begin_node();
+                for &cands in &chunk.acts[act_i..act_i + nrec.actions as usize] {
+                    rec.csr.begin_action();
+                    for m in &chunk.cands[cand_i..cand_i + cands as usize] {
+                        let shard = rec.store.shard_of(m.hash);
                         let (id, fresh) = scratch.interned[shard][scratch.cursors[shard]];
                         scratch.cursors[shard] += 1;
-                        self.transitions += 1;
-                        if self.transitions > self.max_transitions {
+                        rec.transitions += 1;
+                        if rec.transitions > self.max_transitions {
                             return ControlFlow::Break(Exploration::TransitionBound);
                         }
                         if fresh {
-                            self.states += 1;
-                            if self.states > self.max_states {
+                            rec.states += 1;
+                            if rec.states > self.max_states {
                                 return ControlFlow::Break(Exploration::StateBound);
                             }
                             next.push(id);
+                            rec.discovery.push(id);
                         }
-                        visitor.edge(nrec.node, m.step, id, fresh);
+                        rec.csr.edge(m.step, id);
                     }
-                    visitor.end_action(nrec.node, arec.action);
+                    cand_i += cands as usize;
+                    rec.csr.end_action(nrec.node);
                 }
-                visitor.end_node(nrec.node);
+                act_i += nrec.actions as usize;
+                rec.csr.end_node(nrec.node);
             }
         }
         ControlFlow::Continue(())
@@ -754,15 +718,11 @@ fn expand_chunk(
                     out.cands.push(CandMeta {
                         hash: succ_hash,
                         step: ScheduledStep::with_branch(action, branch),
-                        parent: node,
                     });
                     ControlFlow::Continue(())
                 },
             );
-            out.acts.push(ActRec {
-                action,
-                cands: (out.cands.len() - cands_before) as u32,
-            });
+            out.acts.push((out.cands.len() - cands_before) as u32);
         }
         out.nodes.push(NodeRec {
             node,
@@ -785,7 +745,7 @@ fn intern_shard(
         for &ci in &chunk.per_shard[tag] {
             let m = &chunk.cands[ci as usize];
             let row = &chunk.rows[ci as usize * stride..(ci as usize + 1) * stride];
-            out.push(shard.intern(row, m.hash, Some((m.parent, m.step))));
+            out.push(shard.intern(row, m.hash));
         }
     }
 }

@@ -14,9 +14,11 @@
 //!
 //! Beyond the in-check sites, the `ccserve` daemon instruments its
 //! admission, response-serialization and socket-write paths with the same
-//! hooks ([`SITE_ADMISSION`], [`SITE_RESPONSE_ENCODE`],
-//! [`SITE_SOCKET_WRITE`]), so every daemon failure path is drivable from
-//! its `protocol_robustness` suite without serve-private test shims.
+//! hooks ([`crate::fault::SITE_ADMISSION`],
+//! [`crate::fault::SITE_RESPONSE_ENCODE`],
+//! [`crate::fault::SITE_SOCKET_WRITE`]), so every daemon failure path is
+//! drivable from its `protocol_robustness` suite without serve-private test
+//! shims.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -119,6 +119,54 @@ pub fn blocking_model() -> SystemModel {
     b.build().expect("blocking fixture must validate")
 }
 
+/// A model that blocks on both sides of a guard step.  Processes broadcast
+/// into `S`, whose exit to `E0` needs `v0 + v1 >= n - t + 1`, and whose dead
+/// end `Bad` opens at `v0 >= n - t + 1`.  Under
+/// `byzantine_common_coin_env(2)` (4 modelled processes at `n = 5,
+/// f = 1`), `[5,1,1,1]` strands every process in `S`, and `[5,2,1,1]` lets
+/// the exit fire but opens `Bad`.  A step between the two moves both
+/// guards the same way, so a sweep lineage prunes across it one way and
+/// extends across it the other.
+pub fn stranding_model() -> SystemModel {
+    let env = ccta::env::byzantine_common_coin_env(2);
+    let k = env.num_params();
+    let n = env.param_id("n").unwrap();
+    let t = env.param_id("t").unwrap();
+    let mut b = SystemBuilder::new("checker-stranding", env);
+    let v0 = b.shared_var("v0");
+    let v1 = b.shared_var("v1");
+    let cc0 = b.coin_var("cc0");
+    let cc1 = b.coin_var("cc1");
+
+    let j0 = b.process_location("J0", LocClass::Border, Some(BinValue::Zero));
+    let j1 = b.process_location("J1", LocClass::Border, Some(BinValue::One));
+    let i0 = b.process_location("I0", LocClass::Initial, Some(BinValue::Zero));
+    let i1 = b.process_location("I1", LocClass::Initial, Some(BinValue::One));
+    let s = b.process_location("S", LocClass::Intermediate, None);
+    let bad = b.process_location("Bad", LocClass::Intermediate, None);
+    let e0 = b.process_location("E0", LocClass::Final, Some(BinValue::Zero));
+
+    b.start_rule(j0, i0);
+    b.start_rule(j1, i1);
+    b.rule("bcast0", i0, s, Guard::top(), Update::increment(v0));
+    b.rule("bcast1", i1, s, Guard::top(), Update::increment(v1));
+    let quorum = LinearExpr::param(k, n)
+        .sub(&LinearExpr::param(k, t))
+        .add(&LinearExpr::constant(k, 1));
+    b.rule(
+        "exit",
+        s,
+        e0,
+        Guard::sum_ge(&[v0, v1], quorum.clone()),
+        Update::none(),
+    );
+    b.rule("stray", s, bad, Guard::ge(v0, quorum), Update::none());
+    b.round_switch(e0, j0);
+
+    add_fair_coin(&mut b, cc0, cc1);
+    b.build().expect("stranding fixture must validate")
+}
+
 /// The standard small admissible valuation `n = 4, t = 1, f = 1, cc = 1`.
 pub fn small_params() -> ParamValuation {
     ParamValuation::new(vec![4, 1, 1, 1])

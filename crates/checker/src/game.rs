@@ -117,10 +117,11 @@ impl GameGraph {
     }
 }
 
-/// Appends explorer callbacks (or an analysis pass's product edges) to a
-/// [`GameGraph`]'s CSR arenas in discovery order.  Used by the graph-cache
-/// build and extension visitors and by the product game of
-/// [`crate::graph`].
+/// Appends explored edges (or an analysis pass's product edges) to a
+/// [`GameGraph`]'s CSR arenas in discovery order.  Used by the explorer's
+/// replay, which records every cache build and extension
+/// ([`crate::explorer::Explored`]), by the product game of
+/// [`crate::graph`] and by [`GameGraph::compacted`].
 ///
 /// The arenas are append-only, but a *node's* span may be re-recorded: a
 /// later `begin_node … end_node` bracket for an already-recorded node

@@ -28,11 +28,12 @@
 //! Counterexamples stay genuinely replayable: monitored violations
 //! reconstruct their schedule from the product-BFS parent chain (whose
 //! steps are real [`ScheduledStep`]s of cached edges), non-blocking
-//! violations walk the first-discovery parent edges, and game violations
-//! follow the winning strategy through product edges.  Along every
-//! reported path the cumulative occupancy of the tracked sets first
-//! completes exactly at the final configuration, because a product state
-//! is checked for violation the moment it is first created.
+//! violations walk back the first-discovery edges that the prefix walk of
+//! [`ReachGraph::prefix_before`] meets, and game violations follow the
+//! winning strategy through product edges.  Along every reported path the
+//! cumulative occupancy of the tracked sets first completes exactly at the
+//! final configuration, because a product state is checked for violation
+//! the moment it is first created.
 //!
 //! # Reported counts
 //!
@@ -57,7 +58,7 @@
 
 use crate::counterexample::Counterexample;
 use crate::explicit::CheckerOptions;
-use crate::explorer::{Exploration, Explorer, Visitor};
+use crate::explorer::{Exploration, Explored, Explorer};
 use crate::game::{adversary_winning, extract_strategy_path, CsrRecorder, GameGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
@@ -332,85 +333,6 @@ impl GraphLineage {
     }
 }
 
-/// The build visitor: records every explored edge in CSR form, the
-/// interned start nodes, and the BFS discovery order of every fresh node.
-/// It never prunes, so the cached graph covers the full reachable space of
-/// the start-restriction group.  The discovery order comes from the
-/// explorer's deterministic replay, so it is identical at every
-/// worker/shard/wave count — node ids alone are *not* (they interleave the
-/// shard tag), which is why order-sensitive consumers like the non-blocking
-/// terminal scan must iterate `discovery` instead of the store's id space.
-#[derive(Default)]
-struct CacheVisitor {
-    csr: CsrRecorder,
-    start_ids: Vec<u32>,
-    discovery: Vec<u32>,
-}
-
-impl Visitor for CacheVisitor {
-    fn start_node(&mut self, node: u32, fresh: bool) {
-        // duplicate start configurations intern to the same node; list it once
-        if fresh {
-            self.start_ids.push(node);
-            self.discovery.push(node);
-        }
-    }
-
-    fn begin_node(&mut self, _node: u32) {
-        self.csr.begin_node();
-    }
-
-    fn begin_action(&mut self, _node: u32, _action: Action) {
-        self.csr.begin_action();
-    }
-
-    fn edge(&mut self, _from: u32, step: ScheduledStep, to: u32, fresh: bool) {
-        self.csr.edge(step, to);
-        if fresh {
-            self.discovery.push(to);
-        }
-    }
-
-    fn end_action(&mut self, node: u32, _action: Action) {
-        self.csr.end_action(node);
-    }
-
-    fn end_node(&mut self, node: u32) {
-        self.csr.end_node(node);
-    }
-}
-
-/// The incremental-extension visitor: like [`CacheVisitor`] it records CSR
-/// edges, but through a resumed recorder that appends to the existing
-/// arenas and *replaces* the spans of re-expanded seed nodes.  Discovery
-/// order and parents are not tracked here — [`ReachGraph::relink`]
-/// re-derives both from the final edges.
-struct ExtendVisitor {
-    csr: CsrRecorder,
-}
-
-impl Visitor for ExtendVisitor {
-    fn begin_node(&mut self, _node: u32) {
-        self.csr.begin_node();
-    }
-
-    fn begin_action(&mut self, _node: u32, _action: Action) {
-        self.csr.begin_action();
-    }
-
-    fn edge(&mut self, _from: u32, step: ScheduledStep, to: u32, _fresh: bool) {
-        self.csr.edge(step, to);
-    }
-
-    fn end_action(&mut self, node: u32, _action: Action) {
-        self.csr.end_action(node);
-    }
-
-    fn end_node(&mut self, node: u32) {
-        self.csr.end_node(node);
-    }
-}
-
 /// The atom bounds of one rule, stripped of their relations (the relations
 /// are model-fixed; [`CounterSystem::rule_guard_holds_bytes_at`] only needs
 /// the numbers).
@@ -418,31 +340,26 @@ fn atom_bounds(bounds: &GuardBounds, rule: RuleId) -> Vec<i128> {
     bounds[rule.0].iter().map(|&(_, b)| b).collect()
 }
 
-/// A cache build stopped mid-flight by a job signal: the partially
-/// populated store and CSR arenas plus the suspended frontier.  Feeding it
-/// back through [`ReachGraph::resume_build`] continues the build — and the
-/// finished graph, its discovery order, its parents and its counts are
-/// bit-identical to an uninterrupted build's.
+/// A cache build stopped mid-flight by a job signal: the explorer's
+/// partial record beside the suspended frontier.  Feeding it back through
+/// [`ReachGraph::resume_build`] continues the build — and the finished
+/// graph, its discovery order and its counts are bit-identical to an
+/// uninterrupted build's.
 pub(crate) struct BuildInFlight {
-    store: StateStore,
-    graph: GameGraph,
-    start_ids: Vec<u32>,
-    discovery: Vec<u32>,
+    explored: Explored,
     pending: Vec<u32>,
     next: Vec<u32>,
-    states: usize,
-    transitions: usize,
 }
 
 impl BuildInFlight {
     /// Resident bytes held by the in-flight build (store + CSR arenas).
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.store.resident_bytes() + self.graph.resident_bytes()
+        self.explored.store.resident_bytes() + self.explored.csr.graph.resident_bytes()
     }
 
     /// States interned so far (for partial-progress reporting).
     pub(crate) fn states(&self) -> usize {
-        self.states
+        self.explored.states
     }
 }
 
@@ -474,11 +391,6 @@ pub(crate) struct ReachGraph {
     /// current bounds like every reachable node's: a later extension can
     /// reach them again, and it never re-expands a node it finds stored.
     dormant: Vec<u32>,
-    /// First-discovery parent edges *as a from-scratch build would have
-    /// recorded them*, re-derived by [`ReachGraph::relink`] after an
-    /// incremental extension (`None` for fresh builds, whose store already
-    /// holds exactly these edges).  Indexed by node id.
-    parents: Option<Vec<Option<(u32, ScheduledStep)>>>,
     /// States the sequential build search counted (already adjusted
     /// for the reference's stop-before-store state-bound convention).
     states: usize,
@@ -527,14 +439,13 @@ impl ReachGraph {
         base: (usize, usize, usize),
     ) -> BuildStep {
         let mut explorer = Explorer::new(sys, options, pool).with_signals(signals, base);
-        let mut visitor = CacheVisitor::default();
-        let exploration = explorer.run(starts, &mut visitor);
-        Self::finish_build(explorer, visitor, exploration)
+        let exploration = explorer.run(starts);
+        Self::finish_build(explorer, exploration)
     }
 
     /// Continues a suspended cache build exactly where it stopped (same
-    /// store, same CSR arenas, same frontier); the finished graph is
-    /// bit-identical to an uninterrupted build's.
+    /// record, same frontier); the finished graph is bit-identical to an
+    /// uninterrupted build's.
     pub(crate) fn resume_build(
         in_flight: Box<BuildInFlight>,
         sys: &CounterSystem,
@@ -544,61 +455,41 @@ impl ReachGraph {
         base: (usize, usize, usize),
     ) -> BuildStep {
         let b = *in_flight;
-        let mut explorer = Explorer::resume(sys, options, pool, b.store, b.states, b.transitions)
-            .with_signals(signals, base);
-        let mut visitor = CacheVisitor {
-            csr: CsrRecorder::resume(b.graph),
-            start_ids: b.start_ids,
-            discovery: b.discovery,
-        };
-        let exploration = explorer.run_suspended(b.pending, b.next, &mut visitor);
-        Self::finish_build(explorer, visitor, exploration)
+        let mut explorer =
+            Explorer::resume(sys, options, pool, b.explored).with_signals(signals, base);
+        let exploration = explorer.run_suspended(b.pending, b.next);
+        Self::finish_build(explorer, exploration)
     }
 
     /// Packages an exploration's end into a [`BuildStep`], capturing the
     /// suspended frontier when a job signal stopped it.
-    fn finish_build(
-        mut explorer: Explorer<'_>,
-        visitor: CacheVisitor,
-        exploration: Exploration,
-    ) -> BuildStep {
-        if exploration == Exploration::Interrupted {
-            let suspended = explorer
-                .take_suspended()
-                .expect("an interrupted build captures its frontier");
-            let (states, transitions) = (explorer.states(), explorer.transitions());
-            return BuildStep::Suspended(
-                Box::new(BuildInFlight {
-                    store: explorer.into_store(),
-                    graph: visitor.csr.graph,
-                    start_ids: visitor.start_ids,
-                    discovery: visitor.discovery,
-                    pending: suspended.pending,
-                    next: suspended.next,
-                    states,
-                    transitions,
-                }),
-                suspended.kind,
-            );
-        }
+    fn finish_build(mut explorer: Explorer<'_>, exploration: Exploration) -> BuildStep {
+        let suspended = explorer.take_suspended();
+        let explored = explorer.into_explored();
         let (states, bound) = match exploration {
-            Exploration::Complete => (explorer.states(), None),
-            Exploration::TransitionBound => (explorer.states(), Some("transition bound exhausted")),
+            Exploration::Complete => (explored.states, None),
+            Exploration::TransitionBound => (explored.states, Some("transition bound exhausted")),
             // like the reference engine, report the budget rather than the
             // over-budget state that was interned before the bound tripped
-            Exploration::StateBound => (explorer.states() - 1, Some("state bound exhausted")),
-            Exploration::Interrupted => unreachable!("interruptions returned above"),
+            Exploration::StateBound => (explored.states - 1, Some("state bound exhausted")),
+            Exploration::Interrupted => {
+                let suspended = suspended.expect("an interrupted build captures its frontier");
+                let in_flight = BuildInFlight {
+                    explored,
+                    pending: suspended.pending,
+                    next: suspended.next,
+                };
+                return BuildStep::Suspended(Box::new(in_flight), suspended.kind);
+            }
         };
-        let transitions = explorer.transitions();
         BuildStep::Done(ReachGraph {
-            store: explorer.into_store(),
-            graph: visitor.csr.graph,
-            start_ids: visitor.start_ids,
-            discovery: visitor.discovery,
+            store: explored.store,
+            graph: explored.csr.graph,
+            start_ids: explored.start_ids,
+            discovery: explored.discovery,
             dormant: Vec::new(),
-            parents: None,
             states,
-            transitions,
+            transitions: explored.transitions,
             bound,
             generation: 0,
             memo: RefCell::new(Vec::new()),
@@ -611,12 +502,13 @@ impl ReachGraph {
     /// bounds but not under `old_bounds` — seeds the explorer's frontier,
     /// those nodes are re-expanded (their CSR spans are replaced with the
     /// full new action list), and fresh successors continue the
-    /// level-synchronous BFS, appending to the store and the CSR arenas in
-    /// place.  A final [`ReachGraph::relink`] pass re-derives the discovery
-    /// order, the first-discovery parents and the state/transition counts
-    /// by replaying a BFS over the final cached edges, which makes every
-    /// analysis pass — verdicts, counts, counterexample schedules —
-    /// bit-identical to a from-scratch build of the new valuation.
+    /// level-synchronous BFS: the explorer resumes the graph's own record,
+    /// appending to the store and the CSR arenas in place.  A final
+    /// [`ReachGraph::relink`] pass re-derives the discovery order and the
+    /// state/transition counts by replaying a BFS over the final cached
+    /// edges, which makes every analysis pass — verdicts, counts,
+    /// counterexample schedules — bit-identical to a from-scratch build of
+    /// the new valuation.
     ///
     /// Returns the seeded-frontier size alongside the extended graph, or
     /// `Err(())` if a resource budget tripped mid-extension (the caller
@@ -664,7 +556,7 @@ impl ReachGraph {
         if seed_count == 0 {
             // no stored row unlocks anything new, so the weakened bounds are
             // unobservable on the reachable fragment: the graph — including
-            // its counts and parents — is already the fresh build's
+            // its counts and discovery order — is already the fresh build's
             return Ok((self, 0));
         }
 
@@ -673,25 +565,30 @@ impl ReachGraph {
         // from the cumulative totals, like a from-scratch build would count
         // (re-expanded seed edges are re-counted, which can only trip a
         // budget *earlier* than fresh — and a tripped extension rebuilds
-        // fresh anyway)
-        let store = std::mem::replace(&mut self.store, StateStore::new(sys));
-        let mut explorer =
-            Explorer::resume(sys, options, pool, store, self.states, self.transitions)
-                .with_signals(signals, (0, 0, 0));
-        let mut visitor = ExtendVisitor {
-            csr: CsrRecorder::resume(std::mem::take(&mut self.graph)),
+        // fresh anyway).  Re-expanding a seed replaces its CSR span; the
+        // discovery order the explorer appends to is re-derived below.
+        let explored = Explored {
+            store: self.store,
+            csr: CsrRecorder::resume(self.graph),
+            start_ids: self.start_ids,
+            discovery: self.discovery,
+            states: self.states,
+            transitions: self.transitions,
         };
-        let exploration = explorer.run_from_nodes(seeds, &mut visitor);
-        self.store = explorer.into_store();
-        self.graph = visitor.csr.graph;
-        match exploration {
-            Exploration::Complete => {}
-            // an interrupted extension also falls back to the fresh-rebuild
-            // path (whose first wave boundary re-trips the signal)
-            Exploration::StateBound | Exploration::TransitionBound | Exploration::Interrupted => {
-                return Err(())
-            }
+        let mut explorer =
+            Explorer::resume(sys, options, pool, explored).with_signals(signals, (0, 0, 0));
+        // a bounded or interrupted extension falls back to the fresh-rebuild
+        // path (whose first wave boundary re-trips an interrupting signal)
+        if explorer.run_from_nodes(seeds) != Exploration::Complete {
+            return Err(());
         }
+        let explored = explorer.into_explored();
+        (self.store, self.graph, self.start_ids, self.discovery) = (
+            explored.store,
+            explored.csr.graph,
+            explored.start_ids,
+            explored.discovery,
+        );
         self.relink();
         // each re-expanded seed left its old action run unreferenced; once
         // those outnumber the live actions, copy the live ones out, so a run
@@ -752,19 +649,17 @@ impl ReachGraph {
         (self, cut)
     }
 
-    /// Re-derives the BFS discovery order, the first-discovery parent edges
-    /// and the state/transition counts by replaying a breadth-first search
-    /// over the final cached CSR edges from the start nodes.  Walking nodes
-    /// in FIFO discovery order and each node's actions and branches in CSR
-    /// order reproduces *exactly* the sequence in which a from-scratch
-    /// explorer run at the new valuation would have discovered states and
-    /// enumerated candidates — so every order-sensitive consumer (the
-    /// non-blocking terminal scan, path reconstruction, the reported
-    /// counts) behaves bit-identically to a fresh build.
+    /// Re-derives the BFS discovery order and the state/transition counts
+    /// by replaying a breadth-first search over the final cached CSR edges
+    /// from the start nodes.  Walking nodes in FIFO discovery order and each
+    /// node's actions and branches in CSR order reproduces *exactly* the
+    /// sequence in which a from-scratch explorer run at the new valuation
+    /// would have discovered states and enumerated candidates — so every
+    /// order-sensitive consumer (the non-blocking terminal scan and its
+    /// prefix walk, the reported counts) behaves bit-identically to a fresh
+    /// build.
     fn relink(&mut self) {
-        let bound = self.store.id_bound();
-        let mut parents: Vec<Option<(u32, ScheduledStep)>> = vec![None; bound];
-        let mut seen = vec![false; bound];
+        let mut seen = vec![false; self.store.id_bound()];
         let mut discovery: Vec<u32> = Vec::with_capacity(self.store.len());
         for &start in &self.start_ids {
             if !seen[start as usize] {
@@ -778,11 +673,10 @@ impl ReachGraph {
             let node = discovery[cursor];
             cursor += 1;
             for a in self.graph.actions_of(node) {
-                for &(step, to) in self.graph.edges_of(a) {
+                for &(_, to) in self.graph.edges_of(a) {
                     transitions += 1;
                     if !seen[to as usize] {
                         seen[to as usize] = true;
-                        parents[to as usize] = Some((node, step));
                         discovery.push(to);
                     }
                 }
@@ -792,38 +686,16 @@ impl ReachGraph {
         self.transitions = transitions;
         self.discovery = discovery;
         self.dormant = self.store.ids().filter(|&id| !seen[id as usize]).collect();
-        self.parents = Some(parents);
-    }
-
-    /// Rebuilds the initial configuration and schedule leading to a node:
-    /// from the re-derived parents of an extended graph, or straight from
-    /// the store's first-discovery edges for a fresh build (which are the
-    /// same thing).
-    fn reconstruct(&self, target: u32) -> (Configuration, Schedule) {
-        let Some(parents) = &self.parents else {
-            return self.store.reconstruct_path(target);
-        };
-        let mut steps = Vec::new();
-        let mut current = target;
-        while let Some((parent, step)) = parents[current as usize] {
-            steps.push(step);
-            current = parent;
-        }
-        steps.reverse();
-        (self.store.decode(current), Schedule::from_steps(steps))
     }
 
     /// Resident bytes of the cached graph: the deduplicated store, the CSR
-    /// arenas and the lineage bookkeeping (discovery order, derived
-    /// parents).
+    /// arenas and the node lists (start nodes, discovery order, dormant
+    /// nodes).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.store.resident_bytes()
             + self.graph.resident_bytes()
             + (self.discovery.len() + self.dormant.len() + self.start_ids.len())
                 * std::mem::size_of::<u32>()
-            + self.parents.as_ref().map_or(0, |p| {
-                p.len() * std::mem::size_of::<Option<(u32, ScheduledStep)>>()
-            })
     }
 
     /// Whether the build tripped a resource budget, leaving the graph
@@ -1253,7 +1125,8 @@ impl ReachGraph {
     /// of the cached terminal nodes (empty CSR action span) for automata
     /// stranded outside the border-copy sinks.  A positive verdict reports
     /// the whole graph; a violation reports the exploration done before
-    /// the violating terminal (see [`ReachGraph::counts_before`]).
+    /// the violating terminal and the path to it (see
+    /// [`ReachGraph::prefix_before`]).
     fn check_non_blocking(
         &self,
         spec_name: &str,
@@ -1291,8 +1164,7 @@ impl ReachGraph {
                 continue;
             }
             if let Some(loc) = blocked_location_in_row(sys, self.store.row(id)) {
-                let (states, transitions) = self.counts_before(scanned);
-                let (initial, schedule) = self.reconstruct(id);
+                let (states, transitions, initial, schedule) = self.prefix_before(scanned);
                 let ce = Counterexample {
                     spec: spec_name.to_string(),
                     params: sys.params().clone(),
@@ -1309,27 +1181,45 @@ impl ReachGraph {
         CheckOutcome::holds(self.states, self.transitions)
     }
 
-    /// The counts of a BFS that stops when it dequeues `discovery[k]`: the
-    /// start nodes plus every successor the nodes before it discovered,
-    /// and those nodes' edges.
-    fn counts_before(&self, k: usize) -> (usize, usize) {
+    /// The prefix of a BFS that stops when it dequeues `discovery[k]`: its
+    /// counts (the start nodes plus every successor the nodes before it
+    /// discovered, and those nodes' edges) and the start configuration and
+    /// schedule that reach `discovery[k]` along first-discovery edges.
+    ///
+    /// Walking nodes in discovery order, and each node's edges in CSR order,
+    /// meets every node first through the edge by which a from-scratch
+    /// exploration discovered it — the replay that recorded a fresh build
+    /// enumerated candidates in exactly this order, and an extended or
+    /// pruned graph's relinked discovery order is a fresh build's.  So
+    /// fresh, extended and pruned graphs report the same path.
+    fn prefix_before(&self, k: usize) -> (usize, usize, Configuration, Schedule) {
         let mut seen = vec![false; self.store.id_bound()];
+        let mut parent: Vec<Option<(u32, ScheduledStep)>> = vec![None; seen.len()];
         for &start in &self.start_ids {
             seen[start as usize] = true;
         }
         let (mut states, mut transitions) = (self.start_ids.len(), 0);
         for &node in &self.discovery[..k] {
             for a in self.graph.actions_of(node) {
-                for &(_, to) in self.graph.edges_of(a) {
+                for &(step, to) in self.graph.edges_of(a) {
                     transitions += 1;
                     if !seen[to as usize] {
                         seen[to as usize] = true;
+                        parent[to as usize] = Some((node, step));
                         states += 1;
                     }
                 }
             }
         }
-        (states, transitions)
+        let mut steps = Vec::new();
+        let mut current = self.discovery[k];
+        while let Some((from, step)) = parent[current as usize] {
+            steps.push(step);
+            current = from;
+        }
+        steps.reverse();
+        let initial = self.store.decode(current);
+        (states, transitions, initial, Schedule::from_steps(steps))
     }
 }
 
@@ -1704,6 +1594,71 @@ mod tests {
         assert_eq!(
             graph.evaluate(&sys, &spec, &options, None),
             fresh.evaluate(&sys, &spec, &options, None)
+        );
+    }
+
+    /// Builds the stranding fixture's graph at `from`, carries it across the
+    /// guard step to `to` and returns its `NonBlocking` outcome there, the
+    /// work the step did (seeds or cut actions) and the carried graph's
+    /// state count, after checking the outcome equals a fresh build's.
+    fn carried_non_blocking(from: [u64; 4], to: [u64; 4]) -> (CheckOutcome, usize, usize) {
+        let model = crate::fixtures::stranding_model().single_round().unwrap();
+        let system = |values: [u64; 4]| {
+            CounterSystem::new(model.clone(), ccta::ParamValuation::new(values.to_vec())).unwrap()
+        };
+        let (old_sys, new_sys) = (system(from), system(to));
+        let pool = WorkerPool::new(1);
+        let options = CheckerOptions::default();
+        let start = StartRestriction::RoundStart;
+        let old = ReachGraph::build(&old_sys, &start.configurations(&old_sys), &options, &pool);
+        let (carried, work) =
+            match classify_guard_step(&old_sys.guard_bounds(), &new_sys.guard_bounds()) {
+                GuardStep::TightenOnly { changed } => old.prune(&new_sys, &changed),
+                GuardStep::RelaxOnly { changed } => old
+                    .extend(
+                        &new_sys,
+                        &changed,
+                        &old_sys.guard_bounds(),
+                        &options,
+                        &pool,
+                        None,
+                    )
+                    .unwrap_or_else(|()| panic!("an unbounded extension completes")),
+                other => panic!("expected a one-sided step, got {other:?}"),
+            };
+        let fresh = ReachGraph::build(&new_sys, &start.configurations(&new_sys), &options, &pool);
+        let spec = Spec::NonBlocking {
+            name: "termination".into(),
+            start,
+        };
+        let outcome = carried.evaluate(&new_sys, &spec, &options, None);
+        assert_eq!(outcome.status, CheckStatus::Violated);
+        assert_eq!(outcome, fresh.evaluate(&new_sys, &spec, &options, None));
+        (outcome, work, carried.states())
+    }
+
+    #[test]
+    fn pruned_graph_reports_a_fresh_builds_blocked_path() {
+        // raising the exit quorum to n - t + 1 = 5 strands all four
+        // processes in S
+        let (outcome, cut, _) = carried_non_blocking([5, 2, 1, 1], [5, 1, 1, 1]);
+        assert!(cut > 0, "the tightened quorum must kill cached actions");
+        let ce = outcome.counterexample.expect("a violation carries a path");
+        assert!(ce.explanation.ends_with(" S"), "{}", ce.explanation);
+    }
+
+    #[test]
+    fn extended_graph_reports_a_fresh_builds_blocked_path() {
+        // lowering the quorum to 4 lets the exit fire, but opens Bad
+        let (outcome, seeds, states) = carried_non_blocking([5, 1, 1, 1], [5, 2, 1, 1]);
+        assert!(seeds > 0, "the relaxed guards must seed the extension");
+        let ce = outcome.counterexample.expect("a violation carries a path");
+        assert!(ce.explanation.ends_with(" Bad"), "{}", ce.explanation);
+        // the prefix counts stop short of the whole graph
+        assert!(
+            outcome.states_explored < states,
+            "{} of {states}",
+            outcome.states_explored
         );
     }
 

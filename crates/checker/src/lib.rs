@@ -91,19 +91,20 @@
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
 //!   reconstructed from cached edges and remain genuinely replayable.
 //! * **Memory model.**  A cached graph holds the deduplicated
-//!   [`StateStore`] rows plus one CSR edge list of the group's full
-//!   transition relation; graphs live as long as their checker (one
+//!   [`store::StateStore`] rows plus one CSR edge list of the group's
+//!   full transition relation; graphs live as long as their checker (one
 //!   `check_all` call, or one valuation batch of a sweep).  The monitored
 //!   analysis passes allocate O(states × 2^sets) product bookkeeping
 //!   transiently per obligation.
 //! * **Reported counts.**  Each pass reports the state and transition
-//!   counts of [`reference`]'s search for the same spec: the monitored and
-//!   game passes count the `(node, bits)` product states and edges they
-//!   visit, a holding `NonBlocking` reports the whole graph, and a violated
-//!   one reports the exploration done before its violating terminal.
+//!   counts of [`mod@reference`]'s search for the same spec: the monitored
+//!   and game passes count the `(node, bits)` product states and edges
+//!   they visit, a holding `NonBlocking` reports the whole graph, and a
+//!   violated one reports the exploration done before its violating
+//!   terminal.
 //!   `engine_equivalence`, `random_differential` and `family_differential`
 //!   pin verdicts, counts and counterexample schedules against
-//!   [`reference`] exactly.
+//!   [`mod@reference`] exactly.
 //! * **Budgets.**  The per-check state/transition caps of
 //!   [`CheckerOptions`] bound the group build and every pass.  A build that
 //!   trips one leaves the graph incomplete, and every obligation of that
@@ -135,14 +136,17 @@
 //!   bounds re-evaluated on the row, new bounds from the new system); the
 //!   seeds are re-expanded — their CSR spans are *replaced* with the full
 //!   new action list — and fresh successors continue the ordinary
-//!   level-synchronous BFS, appending to the [`StateStore`] and the CSR
-//!   arenas in place.  A final *relink* pass replays a BFS over the final
-//!   cached edges, re-deriving the discovery order, the first-discovery
-//!   parent edges and the state/transition counts exactly as a
-//!   from-scratch build at `v'` would have produced them — so verdicts,
-//!   counts and counterexample schedules are **bit-identical** to a fresh
-//!   sweep (pinned by `random_differential`'s incremental axis and the
-//!   extended-graph half of `counterexample_replay`).
+//!   level-synchronous BFS, appending to the [`store::StateStore`] and the
+//!   CSR arenas in place.  A final *relink* pass replays a BFS over the
+//!   final cached edges, re-deriving the discovery order and the
+//!   state/transition counts exactly as a from-scratch build at `v'` would
+//!   have produced them.  The CSR graph is the only record of how states
+//!   connect: a blocked terminal's path follows the first edge into each
+//!   node in that discovery order, which is the edge a fresh build first
+//!   found it by.  So verdicts, counts and counterexample schedules are
+//!   **bit-identical** to a fresh sweep (pinned by `random_differential`'s
+//!   incremental axis, the extended-graph half of `counterexample_replay`
+//!   and the carried-graph cases of `graph`'s tests).
 //! * **Lineage lifetime & memory.**  Each sweep worker owns one lineage
 //!   spanning every run it takes, walked in grid order.  The scheduler cuts
 //!   the grid only where this classification would rebuild anyway (one
@@ -184,14 +188,15 @@
 //!   is pruned *in place*: every stored edge whose rule had a bound change
 //!   is re-validated against the tightened bounds on its source row, dead
 //!   actions are compacted out of the CSR arenas, and the same *relink*
-//!   BFS as the extension path re-derives discovery order, parent edges
-//!   and counts — so a pruned graph is **bit-identical** to a fresh build
-//!   at the tightened valuation (pinned by the `random_differential`
-//!   lever axis).  The prune is infallible: no budget that admitted the
-//!   old graph can trip on its subset.  Note what is *not* attempted:
-//!   seeding future analysis passes from prior violation bitsets would
-//!   change the reported product counts, breaking the lever-on/off
-//!   differential contract, so passes always re-walk the pruned graph.
+//!   BFS as the extension path re-derives discovery order and counts — so
+//!   a pruned graph is **bit-identical** to a fresh build at the tightened
+//!   valuation (pinned by the `random_differential` lever axis and the
+//!   carried-graph cases of `graph`'s tests).  The prune is infallible: no
+//!   budget that admitted the old graph can trip on its subset.  Note what
+//!   is *not* attempted: seeding future analysis passes from prior
+//!   violation bitsets would change the reported product counts, breaking
+//!   the lever-on/off differential contract, so passes always re-walk the
+//!   pruned graph.
 //!   Rows the tightened bounds no longer reach stay stored, and are pruned
 //!   along with the reachable ones, so a later extension that reaches them
 //!   again finds their edges exact.
@@ -222,8 +227,8 @@
 //!   id lists, replay cursors — is recycled across waves and levels.  Peak
 //!   transient memory is therefore O(`wave_size` × branching factor),
 //!   independent of how wide a level grows; the persistent memory is the
-//!   deduplicated [`StateStore`] itself (contiguous row arenas plus one
-//!   open-addressing index per shard).  A budget bound that trips
+//!   deduplicated [`store::StateStore`] itself (contiguous row arenas plus
+//!   one open-addressing index per shard).  A budget bound that trips
 //!   mid-replay over-expands at most the rest of the current wave.
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
@@ -312,7 +317,7 @@
 //!   `--deadline-ms` / `--max-resident-bytes` flags of the `table2` and
 //!   `profile_engine` binaries feed [`JobBudget`] directly.
 //!
-//! [`reference`] preserves the original clone-per-transition engine
+//! [`mod@reference`] preserves the original clone-per-transition engine
 //! (`HashMap<(Vec<u8>, u8), usize>` keys, per-branch `Configuration`
 //! clones); the `engine_equivalence` integration tests assert that the
 //! engine visits the same number of states and transitions and returns the
@@ -362,7 +367,6 @@ pub use schema::{
     schema_counts, Milestone,
 };
 pub use spec::{LocSet, Spec, StartRestriction};
-pub use store::StateStore;
 pub use sweep::{
     check_over_sweep_cancellable, check_over_sweep_with_stats, sweep_thread_budget,
     CellDisposition, SweepOutcome, SweepReport,

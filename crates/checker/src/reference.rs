@@ -129,7 +129,7 @@ fn occupancy_bits(sets: &[LocSet], cfg: &Configuration) -> u8 {
     bits
 }
 
-fn reconstruct_path(nodes: &[Node], target: usize) -> (Configuration, Schedule) {
+fn path_to(nodes: &[Node], target: usize) -> (Configuration, Schedule) {
     let mut steps = Vec::new();
     let mut current = target;
     while let Some((parent, step)) = nodes[current].parent {
@@ -210,7 +210,7 @@ fn check_monitored(
     let mut transitions = 0usize;
 
     let violation = |nodes: &[Node], violating: usize, transitions: usize| -> CheckOutcome {
-        let (initial, schedule) = reconstruct_path(nodes, violating);
+        let (initial, schedule) = path_to(nodes, violating);
         CheckOutcome::violated(
             nodes.len(),
             transitions,
@@ -328,7 +328,7 @@ fn check_non_blocking(
                 cfg.counter(l, 0) > 0 && model.location(l).class() != ccta::LocClass::BorderCopy
             });
             if let Some(loc) = blocked {
-                let (initial, schedule) = reconstruct_path(&nodes, current);
+                let (initial, schedule) = path_to(&nodes, current);
                 let ce = Counterexample {
                     spec: spec_name.to_string(),
                     params: sys.params().clone(),

@@ -193,8 +193,9 @@ pub struct GroupCacheRecord {
     pub memo_hits: usize,
     /// Obligations that ran a real analysis pass on this graph.
     pub memo_misses: usize,
-    /// Resident bytes of the cached graph (deduplicated rows + side arrays
-    /// + index + CSR arenas + lineage bookkeeping).
+    /// Resident bytes of the cached graph (deduplicated rows and their
+    /// hashes + index + CSR arenas + start, discovery and dormant node
+    /// lists).
     pub resident_bytes: usize,
 }
 

@@ -1,11 +1,12 @@
 //! The shared, shardable state store of the explicit-state engine.
 //!
 //! Every search of this crate runs through the generic
-//! [`crate::explorer::Explorer`] driver, and the driver's bookkeeping lives
-//! here: dedup visited configurations, remember how each state was
-//! reached, and decode stored states back for counterexample
-//! reconstruction.  [`StateStore`] centralises that bookkeeping around the
-//! row representation of [`cccounter::RowEngine`]:
+//! [`crate::explorer::Explorer`] driver, and the driver's state table lives
+//! here: dedup visited configurations and decode stored states back for
+//! counterexample reconstruction.  How the states connect is recorded once,
+//! in the CSR graph the explorer writes beside the store (see
+//! [`crate::explorer::Explored`]).  [`StateStore`] keeps rows, hashes and
+//! their index, around the row representation of [`cccounter::RowEngine`]:
 //!
 //! * **Contiguous packed rows.**  A single-round state is one fixed-stride
 //!   byte row (`locations ++ variables`), so each shard keeps its states in
@@ -26,10 +27,10 @@
 //!   the low bits (`local_index << shard_bits | shard`) so ids stay dense
 //!   as long as the shards stay balanced.
 //!
-//! Full [`Configuration`]s are decoded back on demand only — for expansion
-//! entry points and counterexample reconstruction.
+//! Full [`Configuration`]s are decoded back on demand only, for
+//! counterexample reconstruction.
 
-use cccounter::{Configuration, CounterSystem, RowEngine, Schedule, ScheduledStep};
+use cccounter::{Configuration, CounterSystem};
 
 /// Marker for an empty slot of the index table.
 const EMPTY: u32 = u32::MAX;
@@ -118,8 +119,6 @@ pub(crate) struct Shard {
     rows: Vec<u8>,
     /// Zobrist hash per node, as maintained by the row engine.
     hashes: Vec<u64>,
-    /// First-discovery parent edge per node.
-    parents: Vec<Option<(u32, ScheduledStep)>>,
     /// Bytes per row (mirrors the owning store).
     stride: usize,
     /// This shard's index, stored in the low bits of every node id.
@@ -134,7 +133,6 @@ impl Shard {
             table: RawTable::with_capacity(64),
             rows: Vec::new(),
             hashes: Vec::new(),
-            parents: Vec::new(),
             stride,
             tag,
             shard_bits,
@@ -148,12 +146,7 @@ impl Shard {
     /// Interns a row into this shard, returning its *global* node id
     /// (`local << shard_bits | tag`) and whether it was fresh.  `hash` must
     /// select this shard under the owning store's [`StateStore::shard_of`].
-    pub(crate) fn intern(
-        &mut self,
-        row: &[u8],
-        hash: u64,
-        parent: Option<(u32, ScheduledStep)>,
-    ) -> (u32, bool) {
+    pub(crate) fn intern(&mut self, row: &[u8], hash: u64) -> (u32, bool) {
         let stride = self.stride;
         debug_assert_eq!(row.len(), stride);
         let rows = &self.rows;
@@ -174,7 +167,6 @@ impl Shard {
                 );
                 self.rows.extend_from_slice(row);
                 self.hashes.push(hash);
-                self.parents.push(parent);
                 self.table.insert_at(slot, hash, local);
                 if self.table.needs_grow() {
                     self.table.grow();
@@ -187,7 +179,7 @@ impl Shard {
 
 /// Deduplicating storage of the explored state rows, split into
 /// `2^shard_bits` hash-prefix shards (see the module docs).
-pub struct StateStore {
+pub(crate) struct StateStore {
     num_locations: usize,
     num_vars: usize,
     stride: usize,
@@ -196,14 +188,9 @@ pub struct StateStore {
 }
 
 impl StateStore {
-    /// An empty single-shard store for states of the given (single-round)
-    /// counter system.
-    pub fn new(sys: &CounterSystem) -> Self {
-        Self::with_shards(sys, 1)
-    }
-
-    /// An empty store with (at least) the requested number of shards,
-    /// rounded up to a power of two and capped at 64.
+    /// An empty store for states of the given (single-round) counter
+    /// system, with (at least) the requested number of shards, rounded up
+    /// to a power of two and capped at 64.
     ///
     /// The hash-prefix partition makes the stored content of every shard —
     /// and all derived counts — a pure function of the interned state set,
@@ -228,11 +215,6 @@ impl StateStore {
     /// Number of stored states.
     pub fn len(&self) -> usize {
         self.shards.iter().map(Shard::len).sum()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.len() == 0)
     }
 
     /// Bytes per stored row.
@@ -291,21 +273,16 @@ impl StateStore {
     }
 
     /// Interns a state row: returns its id and whether it was newly
-    /// inserted.  `parent` is only recorded on first insertion.
+    /// inserted.
     ///
     /// `hash` is the row's Zobrist hash as produced by
     /// [`RowEngine::hash`](cccounter::RowEngine::hash) and maintained
     /// incrementally by `RowEngine::for_each_successor`; a duplicate lookup
     /// costs one table probe plus a `memcmp` against the row arena — no
     /// allocation, no re-hashing.
-    pub fn intern_row(
-        &mut self,
-        row: &[u8],
-        hash: u64,
-        parent: Option<(u32, ScheduledStep)>,
-    ) -> (u32, bool) {
+    pub fn intern_row(&mut self, row: &[u8], hash: u64) -> (u32, bool) {
         let tag = self.shard_of(hash);
-        self.shards[tag].intern(row, hash, parent)
+        self.shards[tag].intern(row, hash)
     }
 
     /// The stored row of a node.
@@ -326,47 +303,27 @@ impl StateStore {
         shard.hashes[local]
     }
 
-    /// The first-discovery parent edge of a node.
-    pub fn parent(&self, id: u32) -> Option<(u32, ScheduledStep)> {
-        let (shard, local) = self.split(id);
-        shard.parents[local]
-    }
-
     /// Decodes a stored row back into a full round-0 configuration.
     pub fn decode(&self, id: u32) -> Configuration {
         cccounter::decode_row(self.row(id), self.num_locations, self.num_vars)
     }
 
-    /// Rebuilds the initial configuration and schedule leading to `target`
-    /// by walking the first-discovery parent edges (decode-on-demand: only
-    /// the root is decoded).
-    pub fn reconstruct_path(&self, target: u32) -> (Configuration, Schedule) {
-        let mut steps = Vec::new();
-        let mut current = target;
-        while let Some((parent, step)) = self.parent(current) {
-            steps.push(step);
-            current = parent;
-        }
-        steps.reverse();
-        (self.decode(current), Schedule::from_steps(steps))
-    }
-
-    /// Interns a configuration directly (expansion entry points, tests);
-    /// the hot path interns rows via [`StateStore::intern_row`].
-    pub fn intern_config(
+    /// Interns a configuration directly, for tests; the explorer interns
+    /// rows via [`StateStore::intern_row`].
+    #[cfg(test)]
+    fn intern_config(
         &mut self,
-        engine: &RowEngine<'_>,
+        engine: &cccounter::RowEngine<'_>,
         cfg: &Configuration,
-        parent: Option<(u32, ScheduledStep)>,
     ) -> (u32, bool) {
         let mut row = Vec::with_capacity(self.stride);
         engine.encode_into(cfg, &mut row);
         let hash = engine.hash(&row);
-        self.intern_row(&row, hash, parent)
+        self.intern_row(&row, hash)
     }
 
-    /// Resident bytes of the store: the row arenas, the per-node side
-    /// arrays and the index-table slots.
+    /// Resident bytes of the store: the row arenas, the per-node hashes and
+    /// the index-table slots.
     ///
     /// This is also the figure a [`crate::JobBudget`] resident-byte cap is
     /// checked against at wave boundaries.  A store owns no interior
@@ -380,7 +337,6 @@ impl StateStore {
             .map(|s| {
                 s.rows.len()
                     + s.hashes.len() * std::mem::size_of::<u64>()
-                    + s.parents.len() * std::mem::size_of::<Option<(u32, ScheduledStep)>>()
                     + s.table.slots.len() * std::mem::size_of::<(u64, u32)>()
             })
             .sum()
@@ -391,7 +347,7 @@ impl StateStore {
 mod tests {
     use super::*;
     use cccounter::testutil::{small_params, voting_model};
-    use cccounter::CounterSystem;
+    use cccounter::{CounterSystem, RowEngine};
 
     fn sys() -> CounterSystem {
         let model = voting_model().single_round().unwrap();
@@ -402,12 +358,11 @@ mod tests {
     fn intern_dedups_by_row() {
         let sys = sys();
         let engine = RowEngine::new(&sys);
-        let mut store = StateStore::new(&sys);
-        assert!(store.is_empty());
+        let mut store = StateStore::with_shards(&sys, 1);
         let starts = sys.round_start_configurations();
-        let (a, fresh_a) = store.intern_config(&engine, &starts[0], None);
-        let (b, fresh_b) = store.intern_config(&engine, &starts[0], None);
-        let (c, fresh_c) = store.intern_config(&engine, &starts[1], None);
+        let (a, fresh_a) = store.intern_config(&engine, &starts[0]);
+        let (b, fresh_b) = store.intern_config(&engine, &starts[0]);
+        let (c, fresh_c) = store.intern_config(&engine, &starts[1]);
         assert!(fresh_a && !fresh_b && fresh_c);
         assert_eq!(a, b);
         assert_ne!(a, c);
@@ -415,14 +370,13 @@ mod tests {
         assert_eq!(store.decode(a), starts[0]);
         assert_eq!(store.decode(c), starts[1]);
         assert_ne!(store.row(a), store.row(c));
-        assert!(!store.is_empty());
     }
 
     #[test]
     fn intern_survives_table_growth() {
         let sys = sys();
         let engine = RowEngine::new(&sys);
-        let mut store = StateStore::new(&sys);
+        let mut store = StateStore::with_shards(&sys, 1);
         // insert thousands of distinct states to force several grows
         let mut cfg = sys.empty_configuration();
         let loc = sys.model().location_id("I0").unwrap();
@@ -432,7 +386,7 @@ mod tests {
             for v in 0..60u64 {
                 cfg.set_counter(loc, 0, c);
                 cfg.set_var(var, 0, v);
-                let (id, fresh) = store.intern_config(&engine, &cfg, None);
+                let (id, fresh) = store.intern_config(&engine, &cfg);
                 assert!(fresh);
                 ids.push(id);
             }
@@ -443,7 +397,7 @@ mod tests {
             let (c, v) = ((i / 60) as u64, (i % 60) as u64);
             cfg.set_counter(loc, 0, c);
             cfg.set_var(var, 0, v);
-            let (again, fresh) = store.intern_config(&engine, &cfg, None);
+            let (again, fresh) = store.intern_config(&engine, &cfg);
             assert!(!fresh);
             assert_eq!(again, *id);
         }
@@ -454,7 +408,7 @@ mod tests {
         let sys = sys();
         let engine = RowEngine::new(&sys);
         let mut sharded = StateStore::with_shards(&sys, 4);
-        let mut flat = StateStore::new(&sys);
+        let mut flat = StateStore::with_shards(&sys, 1);
         assert_eq!(sharded.num_shards(), 4);
         let mut cfg = sys.empty_configuration();
         let loc = sys.model().location_id("I0").unwrap();
@@ -463,8 +417,8 @@ mod tests {
             for v in 0..40u64 {
                 cfg.set_counter(loc, 0, c);
                 cfg.set_var(var, 0, v);
-                let (sid, sfresh) = sharded.intern_config(&engine, &cfg, None);
-                let (_, ffresh) = flat.intern_config(&engine, &cfg, None);
+                let (sid, sfresh) = sharded.intern_config(&engine, &cfg);
+                let (_, ffresh) = flat.intern_config(&engine, &cfg);
                 assert_eq!(sfresh, ffresh);
                 // the sharded id decodes back to the same state
                 assert_eq!(
@@ -481,31 +435,5 @@ mod tests {
         assert!(sharded.shards.iter().all(|s| s.len() > 0));
         // resident bytes cover the side arrays and the index on top of rows
         assert!(sharded.resident_bytes() > 1600 * sharded.stride());
-    }
-
-    #[test]
-    fn reconstruct_path_walks_parent_edges() {
-        let sys = sys();
-        let engine = RowEngine::new(&sys);
-        let mut store = StateStore::with_shards(&sys, 2);
-        let start = sys.unanimous_start_configurations(ccta::BinValue::Zero)[0].clone();
-        let (root, _) = store.intern_config(&engine, &start, None);
-        // take two real steps
-        let actions = sys.progress_actions(&start);
-        let step1 = ScheduledStep::dirac(actions[0]);
-        let mid = sys.apply_dirac(&start, actions[0]).unwrap();
-        let (mid_id, _) = store.intern_config(&engine, &mid, Some((root, step1)));
-        let actions2 = sys.progress_actions(&mid);
-        let step2 = ScheduledStep::dirac(actions2[0]);
-        let end = sys.apply_dirac(&mid, actions2[0]).unwrap();
-        let (end_id, _) = store.intern_config(&engine, &end, Some((mid_id, step2)));
-
-        assert_eq!(store.parent(end_id), Some((mid_id, step2)));
-        let (initial, schedule) = store.reconstruct_path(end_id);
-        assert_eq!(initial, start);
-        assert_eq!(schedule.steps(), &[step1, step2]);
-        // the reconstructed schedule replays to the stored state
-        let path = schedule.apply(&sys, &initial).unwrap();
-        assert_eq!(path.last(), &end);
     }
 }

@@ -1150,7 +1150,7 @@ mod tests {
                 assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");
                 assert!(inc_stats.resident_bytes() > 0, "{inc_stats}");
                 // lineage graphs stay resident between valuations; an
-                // extended graph (derived parents, unreferenced CSR runs)
+                // extended graph (unreferenced CSR runs, dormant nodes)
                 // never holds more than twice the fresh build of its group
                 assert_eq!(inc_stats.groups.len(), fresh_stats.groups.len());
                 for (inc, fresh) in inc_stats.groups.iter().zip(&fresh_stats.groups) {

@@ -23,7 +23,7 @@
 //!
 //! # Recovery contract
 //!
-//! [`replay`] scans records in order and stops — *without erroring* — at
+//! [`replay_bytes`] scans records in order and stops — *without erroring* — at
 //! the first torn or checksum-failing record, reporting how many clean
 //! bytes precede it.  The caller truncates the file to that offset before
 //! appending again, so one crash can never corrupt later writes.  A file

@@ -206,9 +206,10 @@ fn counterexamples_from_extended_graphs_replay() {
     // relax-only step to (5,2,1,1), and every violation of the second
     // valuation — a monitored reachability of the newly-unlocked Bad and a
     // blocking terminal inside it — is reconstructed from the *extended*
-    // graph (product-BFS parents for the monitored query, re-derived
-    // first-discovery parents for the blocking scan).  Both must replay
-    // step for step and genuinely violate their specs.
+    // graph (product-BFS parents for the monitored query, the
+    // first-discovery edges of the relinked discovery order for the
+    // blocking scan).  Both must replay step for step, genuinely violate
+    // their specs, and equal a fresh sweep's cells.
     let single = relaxable_model().single_round().unwrap();
     let valuations = [
         ParamValuation::new(vec![5, 1, 1, 1]),
@@ -237,6 +238,30 @@ fn counterexamples_from_extended_graphs_replay() {
         stats.extended_groups() > 0,
         "the sweep never extended a graph: {stats}"
     );
+    let (fresh, _) = check_over_sweep_with_stats(
+        &single,
+        &specs,
+        &valuations,
+        CheckerOptions::default().with_incremental_sweep(false),
+        1,
+    );
+    let cells = |report: &ccchecker::SweepReport| {
+        report
+            .outcomes
+            .iter()
+            .map(|cell| {
+                let o = &cell.outcome;
+                let path = o
+                    .counterexample
+                    .as_ref()
+                    .map(|ce| (ce.initial.clone(), ce.schedule.clone()));
+                (o.status, o.states_explored, o.transitions_explored, path)
+            })
+            .collect::<Vec<_>>()
+    };
+    for (report, fresh) in reports.iter().zip(&fresh) {
+        assert_eq!(cells(report), cells(fresh), "{}", report.spec_name);
+    }
     let mut replayed = 0usize;
     for (report, spec) in reports.iter().zip(&specs) {
         // unreachable trap at the tight valuation, sprung at the relaxed one

@@ -1,6 +1,6 @@
 //! Rabin's randomized Byzantine consensus (Rabin83), category (A).
 //!
-//! Rabin's protocol [2] tolerates `t < n/10` Byzantine processes and uses a
+//! Rabin's protocol \[2\] tolerates `t < n/10` Byzantine processes and uses a
 //! dealer-provided common coin.  Following the paper's benchmark it is
 //! modelled as a category-(A) protocol: the decide step is not part of the
 //! automaton, only the per-round estimate update is, and almost-sure
