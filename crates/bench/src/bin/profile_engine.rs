@@ -179,16 +179,11 @@ fn main() {
         } => {
             println!(
                 "  budget-tripped: {reason} after {}/{} obligation(s), \
-                 {} states / {} transitions{}",
+                 {} states / {} transitions",
                 checkpoint.completed_obligations(),
                 checkpoint.total_obligations(),
                 checkpoint.states_explored(),
                 checkpoint.transitions_explored(),
-                if checkpoint.has_build_in_flight() {
-                    " (a build is suspended mid-wave)"
-                } else {
-                    ""
-                },
             );
             let t = Instant::now();
             match CheckJob::new(&sys, &all_specs, options).resume(checkpoint) {

@@ -1,21 +1,16 @@
 //! Portable checkpoint serialization.
 //!
-//! A [`JobCheckpoint`] is process-local: it retains `Rc`-shared reachability
-//! graphs and (possibly) an in-flight cache build, so it is neither `Send`
-//! nor durable.  This module defines a *portable* byte encoding of the part
-//! of a checkpoint that must survive a thread hop or a process restart: the
-//! completed per-spec outcomes (verdicts, costs, counterexamples) and the
-//! cumulative exploration counters.
+//! A [`JobCheckpoint`] is the completed per-spec outcomes (verdicts, costs,
+//! counterexamples) plus the cumulative exploration counters, and this
+//! module defines its byte encoding for a process restart or a wire hop.
+//! The encoding is lossless: decoding the bytes gives back an equal
+//! checkpoint (pinned by `serialized_resume_is_bit_identical` below).
 //!
-//! The retained graphs and the in-flight build are deliberately **dropped**
-//! by the encoding.  That is safe, not lossy-in-the-way-that-matters:
-//! exploration is deterministic, so resuming from a deserialized checkpoint
-//! rebuilds exactly the graphs the remaining obligations need and produces
-//! verdicts, counterexamples and per-outcome cost counters **bit-identical**
-//! to an uninterrupted run (pinned by `serialized_resume_is_bit_identical`
-//! below).  What is lost is only *already-paid exploration work* for the
-//! not-yet-answered obligations — the completed outcomes keep their answers
-//! verbatim and are never re-checked.
+//! A checkpoint holds no graphs: exploration is deterministic, so a resume
+//! rebuilds exactly the graphs the owed obligations need and produces
+//! verdicts, counterexamples and per-outcome cost counters
+//! **bit-identical** to an uninterrupted run.  The completed outcomes keep
+//! their answers verbatim and are never re-checked.
 //!
 //! Decoding is *total*: any truncated, oversized or malformed input yields a
 //! typed [`CkptError`], never a panic — daemon restart paths feed these
@@ -243,10 +238,8 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<CheckOutcome, CkptError> {
 // ---- checkpoint codec ---------------------------------------------------
 
 impl JobCheckpoint {
-    /// Encodes the portable part of this checkpoint: completed outcomes and
-    /// cumulative counters.  Retained graphs and any in-flight build are
-    /// dropped (see the module docs for why that preserves verdict
-    /// bit-identity on resume).
+    /// Encodes this checkpoint: the cumulative counters, then the per-spec
+    /// outcome slots.
     pub fn to_portable_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         out.push(CKPT_VERSION);
@@ -265,11 +258,8 @@ impl JobCheckpoint {
         out
     }
 
-    /// Decodes a portable checkpoint.  The result has no retained graphs
-    /// (they are rebuilt on demand during [`crate::CheckJob::resume`]) and
-    /// empty per-group cache accounting, which is aligned index-for-index
-    /// with the retained graphs — only the outcomes and the cumulative
-    /// counters survive the round trip.
+    /// Decodes a portable checkpoint, the inverse of
+    /// [`JobCheckpoint::to_portable_bytes`].
     ///
     /// # Errors
     ///
@@ -295,11 +285,11 @@ impl JobCheckpoint {
         if !r.finished() {
             return Err(CkptError::Malformed("trailing bytes"));
         }
-        let mut cp = JobCheckpoint::fresh(num_specs);
-        cp.outcomes = outcomes;
-        cp.states_done = states_done;
-        cp.transitions_done = transitions_done;
-        Ok(cp)
+        Ok(JobCheckpoint {
+            outcomes,
+            states_done,
+            transitions_done,
+        })
     }
 }
 
@@ -353,12 +343,12 @@ mod tests {
         };
         let completed_before = checkpoint.completed_obligations();
 
-        // round-trip through bytes: graphs are dropped, outcomes survive
+        // the byte round trip is lossless
         let bytes = checkpoint.to_portable_bytes();
         let restored = JobCheckpoint::from_portable_bytes(&bytes).expect("round trip");
         assert_eq!(restored.completed_obligations(), completed_before);
         assert_eq!(restored.total_obligations(), specs.len());
-        assert!(!restored.has_build_in_flight());
+        assert_eq!(restored, checkpoint);
 
         let resumed = CheckJob::new(&sys, &specs, options).resume(restored);
         let (outcomes, _) = resumed.completed().expect("unlimited resume completes");

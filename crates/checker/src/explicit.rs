@@ -17,7 +17,7 @@
 //! they report.
 
 use crate::explorer::resolved_workers;
-use crate::graph::{BuildStep, GraphBasis, GraphLineage, LineageStep, ReachGraph};
+use crate::graph::{GraphBasis, GraphLineage, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
@@ -40,16 +40,14 @@ pub struct CheckerOptions {
     /// In-check worker threads for a single exploration: `1` forces the
     /// sequential loop, `0` resolves `CC_CHECK_THREADS` and then the
     /// available parallelism.  Any worker count produces identical
-    /// verdicts, state counts, transition counts and counterexamples.
+    /// verdicts, state counts, transition counts and counterexamples.  The
+    /// state store gets one shard per worker, rounded up to a power of two.
     pub workers: usize,
-    /// State-store shards: `0` derives one shard per resolved worker.
-    /// Like the worker count, the shard count never changes results.
-    pub shards: usize,
     /// Frontier nodes per parallel wave: a parallel level buffers (and
     /// recycles) candidate arenas of at most one wave, so peak memory stays
     /// O(wave) instead of O(level).  `0` resolves `CC_WAVE_SIZE` and then
-    /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker and shard
-    /// counts, the wave size never changes results.
+    /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker count, the
+    /// wave size never changes results.
     pub wave_size: usize,
     /// Whether a sweep carries each group's reachability graph *across*
     /// valuations (reusing it outright when the compiled guard bounds are
@@ -84,7 +82,6 @@ impl Default for CheckerOptions {
             max_states: 2_000_000,
             max_transitions: 30_000_000,
             workers: 0,
-            shards: 0,
             wave_size: 0,
             incremental_sweep: true,
             verdict_memo: true,
@@ -297,11 +294,15 @@ impl<'a> ExplicitChecker<'a> {
     /// The cached reachability graph of a start-restriction group and its
     /// stats-group index, obtaining it on the first request — from the
     /// sweep lineage when one is attached and usable, from a fresh
-    /// exploration otherwise.  `Err` means a job signal interrupted the
-    /// build; the partial build is discarded (the checkpointing build path
-    /// lives in [`crate::CheckJob`], which does its own group bookkeeping)
-    /// and nothing is recorded.
-    fn graph_for(&self, start: StartRestriction) -> Result<(Rc<ReachGraph>, usize), InterruptKind> {
+    /// exploration otherwise.  `base` is what a job already accounted
+    /// outside this build (see [`ExplicitChecker::try_check`]).  `Err`
+    /// means a job signal interrupted the build; the partial build is
+    /// dropped and nothing is recorded.
+    fn graph_for(
+        &self,
+        start: StartRestriction,
+        base: (usize, usize, usize),
+    ) -> Result<(Rc<ReachGraph>, usize), InterruptKind> {
         {
             let memo = self.memo.borrow();
             if let Some((_, graph, group)) = memo.graphs.iter().find(|(s, _, _)| *s == start) {
@@ -310,7 +311,7 @@ impl<'a> ExplicitChecker<'a> {
         }
         // obtain outside the borrow so the memo is never held across the
         // exploration
-        let (graph, origin, seed_frontier, pruned_actions) = self.obtain_graph(start)?;
+        let (graph, origin, seed_frontier, pruned_actions) = self.obtain_graph(start, base)?;
         if let Some((lineage, basis)) = &self.lineage {
             lineage.record(start, &graph, basis);
         }
@@ -338,6 +339,7 @@ impl<'a> ExplicitChecker<'a> {
     fn obtain_graph(
         &self,
         start: StartRestriction,
+        base: (usize, usize, usize),
     ) -> Result<(Rc<ReachGraph>, GraphOrigin, usize, usize), InterruptKind> {
         let mut fresh_origin = GraphOrigin::Built;
         if let Some((lineage, basis)) = &self.lineage {
@@ -362,18 +364,15 @@ impl<'a> ExplicitChecker<'a> {
             }
         }
         let starts = self.starts_for(start);
-        let step = ReachGraph::build_with_signals(
+        let graph = ReachGraph::build_with_signals(
             self.sys,
             &starts,
             &self.options,
             self.pool.get(),
             self.signals,
-            (0, 0, 0),
-        );
-        match step {
-            BuildStep::Done(graph) => Ok((Rc::new(graph), fresh_origin, 0, 0)),
-            BuildStep::Suspended(_, kind) => Err(kind),
-        }
+            base,
+        )?;
+        Ok((Rc::new(graph), fresh_origin, 0, 0))
     }
 
     /// Checks one query through the reachability-graph cache: the first
@@ -385,13 +384,24 @@ impl<'a> ExplicitChecker<'a> {
     /// counterexample schedules equal [`crate::reference`]'s, which
     /// `engine_equivalence` pins bit-for-bit.
     pub fn check(&self, spec: &Spec) -> CheckOutcome {
-        let (graph, group) = match self.graph_for(spec.start()) {
-            Ok(found) => found,
-            // a job signal interrupted the group build: report the
-            // interruption without recording anything (the sweep turns this
-            // into an interrupted cell; the checkpointing path is CheckJob's)
-            Err(kind) => return CheckOutcome::interrupted(0, 0, kind),
-        };
+        // a job signal that interrupts the group build leaves an interrupted
+        // outcome and records nothing (the sweep turns it into an
+        // interrupted cell)
+        self.try_check(spec, (0, 0, 0))
+            .unwrap_or_else(|kind| CheckOutcome::interrupted(0, 0, kind))
+    }
+
+    /// [`ExplicitChecker::check`] for a [`crate::CheckJob`]: `Err` carries
+    /// the signal that interrupted the group build, and `base` holds the
+    /// `(states, transitions, resident bytes)` the job accounted outside
+    /// this build, so the job budgets stay cumulative.  An analysis pass a
+    /// fast signal stops returns its interrupted outcome in `Ok`.
+    pub(crate) fn try_check(
+        &self,
+        spec: &Spec,
+        base: (usize, usize, usize),
+    ) -> Result<CheckOutcome, InterruptKind> {
+        let (graph, group) = self.graph_for(spec.start(), base)?;
         let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, self.signals);
         let mut memo = self.memo.borrow_mut();
         let record = &mut memo.stats.groups[group];
@@ -401,7 +411,7 @@ impl<'a> ExplicitChecker<'a> {
         } else {
             record.memo_misses += 1;
         }
-        outcome
+        Ok(outcome)
     }
 
     /// Checks a slice of queries, sharing one reachability graph across all

@@ -67,7 +67,7 @@ use crate::explicit::CheckerOptions;
 use crate::game::CsrRecorder;
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
-use crate::store::{Shard, StateStore, MAX_SHARDS};
+use crate::store::{Shard, StateStore};
 use cccounter::{Action, Configuration, CounterSystem, RowEngine, ScheduledStep};
 use std::ops::ControlFlow;
 
@@ -122,23 +122,10 @@ pub(crate) enum Exploration {
     /// The state budget was exhausted.
     StateBound,
     /// A job signal (cancellation, deadline, or job budget) stopped the
-    /// search at a wave boundary; the unprocessed frontier was captured in
-    /// [`Explorer::take_suspended`] so the search can resume bit-identically.
-    Interrupted,
-}
-
-/// The frontier state of an exploration stopped by a job signal: the
-/// unprocessed remainder of the current level plus the successors already
-/// accumulated for the next one.  Feeding both back through
-/// [`Explorer::run_suspended`] (resuming the same record) continues the
-/// search exactly where it stopped.
-pub(crate) struct SuspendedFrontier {
-    /// Frontier nodes of the current level not yet expanded.
-    pub(crate) pending: Vec<u32>,
-    /// Fresh successors already accumulated for the next level.
-    pub(crate) next: Vec<u32>,
-    /// Which signal stopped the search.
-    pub(crate) kind: InterruptKind,
+    /// search at a wave boundary, or a fast signal stopped it mid-wave.
+    /// The record is incomplete, and its callers drop it: exploration is
+    /// deterministic, so a resumed job rebuilds what it needs.
+    Interrupted(InterruptKind),
 }
 
 /// Parses the value of an auto knob's environment variable: a positive
@@ -190,20 +177,6 @@ pub(crate) fn resolved_wave_size(options: &CheckerOptions) -> usize {
     }
     static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     cached_env_usize(&AUTO, "CC_WAVE_SIZE", || DEFAULT_WAVE_SIZE)
-}
-
-/// The shard count for the given options and resolved worker count: an
-/// explicit `shards` setting wins (rounded to a power of two); `0` derives
-/// one shard per worker.  Sequential runs use a single shard.
-fn resolved_shards(options: &CheckerOptions, workers: usize) -> usize {
-    let requested = if options.shards > 0 {
-        options.shards
-    } else if workers == 1 {
-        1
-    } else {
-        workers
-    };
-    requested.clamp(1, MAX_SHARDS).next_power_of_two()
 }
 
 /// One successor candidate produced by the expand phase, in deterministic
@@ -279,23 +252,21 @@ pub(crate) struct Explorer<'a> {
     /// budgets: `(states, transitions, resident bytes)` already accounted by
     /// *other* completed explorations of the same job.
     base: (usize, usize, usize),
-    /// The frontier captured when a job signal stopped the search.
-    suspended: Option<SuspendedFrontier>,
 }
 
 impl<'a> Explorer<'a> {
     /// An explorer over a single-round counter system with the given
     /// resource limits, running its parallel phases on `pool` (whose lane
     /// count is the worker count; a 1-lane pool forces the sequential
-    /// loop).  It starts an empty record.
+    /// loop).  It starts an empty record whose store has one shard per
+    /// lane.
     pub(crate) fn new(
         sys: &'a CounterSystem,
         options: &CheckerOptions,
         pool: &'a WorkerPool,
     ) -> Self {
-        let shards = resolved_shards(options, pool.threads());
         let rec = Explored {
-            store: StateStore::with_shards(sys, shards),
+            store: StateStore::with_shards(sys, pool.threads()),
             csr: CsrRecorder::default(),
             start_ids: Vec::new(),
             discovery: Vec::new(),
@@ -305,12 +276,11 @@ impl<'a> Explorer<'a> {
         Self::resume(sys, options, pool, rec)
     }
 
-    /// An explorer *continuing* a record (a suspended build, or the
-    /// incremental sweep's append mode): the store keeps its shard layout
-    /// and contents, the CSR arenas and the discovery order are appended
-    /// to, and the counters continue from the record's, so the resource
-    /// budgets apply to the cumulative search exactly as a from-scratch
-    /// build would have counted.
+    /// An explorer *continuing* a record (the incremental sweep's append
+    /// mode): the store keeps its shard layout and contents, the CSR arenas
+    /// and the discovery order are appended to, and the counters continue
+    /// from the record's, so the resource budgets apply to the cumulative
+    /// search exactly as a from-scratch build would have counted.
     pub(crate) fn resume(
         sys: &'a CounterSystem,
         options: &CheckerOptions,
@@ -327,16 +297,15 @@ impl<'a> Explorer<'a> {
             max_transitions: options.max_transitions,
             signals: None,
             base: (0, 0, 0),
-            suspended: None,
         }
     }
 
     /// Attaches job-level signals: the explorer polls them at wave
     /// boundaries (budgets and cancellation) and at expand-phase chunk
     /// handouts (cancellation/deadline only), stopping with
-    /// [`Exploration::Interrupted`] and a captured [`SuspendedFrontier`].
-    /// `base` holds the `(states, transitions, resident bytes)` the job
-    /// already accounted outside this explorer.
+    /// [`Exploration::Interrupted`] and the signal that fired.  `base`
+    /// holds the `(states, transitions, resident bytes)` the job already
+    /// accounted outside this explorer.
     pub(crate) fn with_signals(
         mut self,
         signals: Option<&'a JobSignals>,
@@ -345,12 +314,6 @@ impl<'a> Explorer<'a> {
         self.signals = signals;
         self.base = base;
         self
-    }
-
-    /// Takes the frontier captured by the last [`Exploration::Interrupted`]
-    /// stop.
-    pub(crate) fn take_suspended(&mut self) -> Option<SuspendedFrontier> {
-        self.suspended.take()
     }
 
     /// Consumes the explorer, handing back its record — this is how a
@@ -376,7 +339,7 @@ impl<'a> Explorer<'a> {
                 frontier.push(id);
             }
         }
-        self.drive_from(frontier, Vec::new())
+        self.drive_from(frontier)
     }
 
     /// Runs the search with the frontier seeded from *already-stored* nodes
@@ -386,14 +349,7 @@ impl<'a> Explorer<'a> {
     /// entry point — the seeds are the stored rows on which a newly-enabled
     /// rule fires, in a caller-chosen deterministic order.
     pub(crate) fn run_from_nodes(&mut self, seeds: Vec<u32>) -> Exploration {
-        self.drive_from(seeds, Vec::new())
-    }
-
-    /// Continues a search stopped by a job signal: `pending` and `next` come
-    /// from the [`SuspendedFrontier`] of the interrupted run (whose record
-    /// this explorer resumed).  Bit-identical to never having stopped.
-    pub(crate) fn run_suspended(&mut self, pending: Vec<u32>, next: Vec<u32>) -> Exploration {
-        self.drive_from(pending, next)
+        self.drive_from(seeds)
     }
 
     /// Polls the job signals at a wave boundary (cheap: one branch when no
@@ -407,15 +363,15 @@ impl<'a> Explorer<'a> {
         )
     }
 
-    /// The level-synchronous frontier loop shared by [`Explorer::run`],
-    /// [`Explorer::run_from_nodes`] and [`Explorer::run_suspended`].
+    /// The level-synchronous frontier loop shared by [`Explorer::run`] and
+    /// [`Explorer::run_from_nodes`].
     ///
     /// Both the sequential and the parallel path process each level in
     /// waves of at most `wave_size` nodes with a job-signal poll before
     /// every wave — the wave boundaries (and therefore the budget trip
     /// points, which only consider the deterministic replayed counters) are
     /// identical at every worker count.
-    fn drive_from(&mut self, mut frontier: Vec<u32>, mut next: Vec<u32>) -> Exploration {
+    fn drive_from(&mut self, mut frontier: Vec<u32>) -> Exploration {
         // an explicitly tiny wave size lowers the parallel threshold: the
         // caller asked for bounded waves, so even small frontiers take the
         // wave path (results are identical either way)
@@ -423,22 +379,14 @@ impl<'a> Explorer<'a> {
         let mut scratch = WaveScratch::default();
         let mut row = Vec::with_capacity(self.rec.store.stride());
         let mut actions: Vec<Action> = Vec::new();
-        if frontier.is_empty() {
-            // a resumed search may have been stopped exactly at a level end
-            std::mem::swap(&mut frontier, &mut next);
-        }
+        let mut next: Vec<u32> = Vec::new();
         while !frontier.is_empty() {
             let parallel = self.workers > 1 && frontier.len() >= min_parallel;
             let wave = self.wave_size.max(1);
             let mut offset = 0;
             while offset < frontier.len() {
                 if let Some(kind) = self.boundary_interrupt() {
-                    self.suspended = Some(SuspendedFrontier {
-                        pending: frontier[offset..].to_vec(),
-                        next: std::mem::take(&mut next),
-                        kind,
-                    });
-                    return Exploration::Interrupted;
+                    return Exploration::Interrupted(kind);
                 }
                 let end = (offset + wave).min(frontier.len());
                 let flow = if parallel {
@@ -447,20 +395,6 @@ impl<'a> Explorer<'a> {
                     self.level_sequential(&frontier[offset..end], &mut next, &mut row, &mut actions)
                 };
                 if let ControlFlow::Break(stop) = flow {
-                    if stop == Exploration::Interrupted {
-                        // a mid-wave cancel/deadline stop abandons the whole
-                        // wave before it touched the store, so the wave stays
-                        // in `pending` and the resume re-expands it
-                        let kind = self
-                            .signals
-                            .and_then(|s| s.fast_stop())
-                            .unwrap_or(InterruptKind::Cancelled);
-                        self.suspended = Some(SuspendedFrontier {
-                            pending: frontier[offset..].to_vec(),
-                            next: std::mem::take(&mut next),
-                            kind,
-                        });
-                    }
                     return stop;
                 }
                 offset = end;
@@ -595,12 +529,10 @@ impl<'a> Explorer<'a> {
                 .collect();
             self.pool.run(tasks);
         }
-        // A mid-wave stop must be honoured *before* the intern phase: the
-        // expand phase touched no shared state, so abandoning the wave here
-        // leaves the record exactly as it was at the wave boundary — the
-        // whole wave stays pending.
-        if self.signals.is_some_and(|s| s.fast_stop().is_some()) {
-            return ControlFlow::Break(Exploration::Interrupted);
+        // A mid-wave stop is honoured *before* the intern phase, so an
+        // abandoned wave pays no interning.
+        if let Some(kind) = self.signals.and_then(|s| s.fast_stop()) {
+            return ControlFlow::Break(Exploration::Interrupted(kind));
         }
         let chunks = &scratch.chunks[..num_chunks];
 

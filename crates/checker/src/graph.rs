@@ -340,41 +340,6 @@ fn atom_bounds(bounds: &GuardBounds, rule: RuleId) -> Vec<i128> {
     bounds[rule.0].iter().map(|&(_, b)| b).collect()
 }
 
-/// A cache build stopped mid-flight by a job signal: the explorer's
-/// partial record beside the suspended frontier.  Feeding it back through
-/// [`ReachGraph::resume_build`] continues the build — and the finished
-/// graph, its discovery order and its counts are bit-identical to an
-/// uninterrupted build's.
-pub(crate) struct BuildInFlight {
-    explored: Explored,
-    pending: Vec<u32>,
-    next: Vec<u32>,
-}
-
-impl BuildInFlight {
-    /// Resident bytes held by the in-flight build (store + CSR arenas).
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.explored.store.resident_bytes() + self.explored.csr.graph.resident_bytes()
-    }
-
-    /// States interned so far (for partial-progress reporting).
-    pub(crate) fn states(&self) -> usize {
-        self.explored.states
-    }
-}
-
-/// The result of a signal-aware cache build step.  A step value is
-/// destructured immediately by its caller, so the size skew between a
-/// finished graph and a boxed suspension never lives on the heap or in a
-/// collection.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum BuildStep {
-    /// The build ran to its natural end (complete or resource-bounded).
-    Done(ReachGraph),
-    /// A job signal stopped the build at a wave boundary.
-    Suspended(Box<BuildInFlight>, InterruptKind),
-}
-
 /// The cached reachable graph of one `(start restriction, valuation)`
 /// group: the deduplicated configuration store, the CSR transition
 /// relation, and the interned start nodes.  Built once per group by
@@ -419,17 +384,15 @@ impl ReachGraph {
         options: &CheckerOptions,
         pool: &WorkerPool,
     ) -> Self {
-        match Self::build_with_signals(sys, starts, options, pool, None, (0, 0, 0)) {
-            BuildStep::Done(graph) => graph,
-            BuildStep::Suspended(..) => unreachable!("no job signals were attached"),
-        }
+        Self::build_with_signals(sys, starts, options, pool, None, (0, 0, 0))
+            .unwrap_or_else(|_| unreachable!("no job signals were attached"))
     }
 
     /// Like [`ReachGraph::build`], but polling job signals at wave
-    /// boundaries: a cancellation or budget trip suspends the build with
-    /// its frontier captured instead of discarding the work.  `base` holds
-    /// the `(states, transitions, resident bytes)` the job already
-    /// accounted outside this build.
+    /// boundaries: a cancellation or a job budget trip abandons the build
+    /// and returns the signal that fired.  `base` holds the `(states,
+    /// transitions, resident bytes)` the job already accounted outside this
+    /// build.
     pub(crate) fn build_with_signals(
         sys: &CounterSystem,
         starts: &[Configuration],
@@ -437,34 +400,9 @@ impl ReachGraph {
         pool: &WorkerPool,
         signals: Option<&JobSignals>,
         base: (usize, usize, usize),
-    ) -> BuildStep {
+    ) -> Result<Self, InterruptKind> {
         let mut explorer = Explorer::new(sys, options, pool).with_signals(signals, base);
         let exploration = explorer.run(starts);
-        Self::finish_build(explorer, exploration)
-    }
-
-    /// Continues a suspended cache build exactly where it stopped (same
-    /// record, same frontier); the finished graph is bit-identical to an
-    /// uninterrupted build's.
-    pub(crate) fn resume_build(
-        in_flight: Box<BuildInFlight>,
-        sys: &CounterSystem,
-        options: &CheckerOptions,
-        pool: &WorkerPool,
-        signals: Option<&JobSignals>,
-        base: (usize, usize, usize),
-    ) -> BuildStep {
-        let b = *in_flight;
-        let mut explorer =
-            Explorer::resume(sys, options, pool, b.explored).with_signals(signals, base);
-        let exploration = explorer.run_suspended(b.pending, b.next);
-        Self::finish_build(explorer, exploration)
-    }
-
-    /// Packages an exploration's end into a [`BuildStep`], capturing the
-    /// suspended frontier when a job signal stopped it.
-    fn finish_build(mut explorer: Explorer<'_>, exploration: Exploration) -> BuildStep {
-        let suspended = explorer.take_suspended();
         let explored = explorer.into_explored();
         let (states, bound) = match exploration {
             Exploration::Complete => (explored.states, None),
@@ -472,17 +410,9 @@ impl ReachGraph {
             // like the reference engine, report the budget rather than the
             // over-budget state that was interned before the bound tripped
             Exploration::StateBound => (explored.states - 1, Some("state bound exhausted")),
-            Exploration::Interrupted => {
-                let suspended = suspended.expect("an interrupted build captures its frontier");
-                let in_flight = BuildInFlight {
-                    explored,
-                    pending: suspended.pending,
-                    next: suspended.next,
-                };
-                return BuildStep::Suspended(Box::new(in_flight), suspended.kind);
-            }
+            Exploration::Interrupted(kind) => return Err(kind),
         };
-        BuildStep::Done(ReachGraph {
+        Ok(ReachGraph {
             store: explored.store,
             graph: explored.csr.graph,
             start_ids: explored.start_ids,

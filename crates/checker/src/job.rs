@@ -10,33 +10,28 @@
 //! *bit-identical* to an uninterrupted run, at any worker count (the
 //! `random_differential` interrupt axis pins this).
 //!
-//! The mechanics live in three layers:
+//! The mechanics live in two layers:
 //!
 //! * [`JobSignals`] is the shared, `Sync` signal block threaded through the
 //!   [`crate::explorer::Explorer`]: polled at every wave boundary (all
 //!   signals) and at expand-phase chunk handouts and analysis-pass strides
 //!   (the fast cancel/deadline signals only).
-//! * An interrupted *exploration* suspends with its frontier captured
-//!   ([`crate::explorer::SuspendedFrontier`]); an interrupted cache *build*
-//!   additionally keeps its partially populated store and CSR arenas
-//!   ([`crate::graph::BuildInFlight`]) inside the checkpoint, so no
-//!   exploration work is lost across a suspend/resume cycle.
-//! * The job loop walks the obligation catalogue in spec order, carrying
-//!   completed outcomes, retained group graphs and the in-flight build in
-//!   the checkpoint.
+//! * The job loop walks the obligation catalogue in spec order on one
+//!   [`crate::ExplicitChecker`], which builds and caches the group graphs.
+//!   A signal that lands inside a group build abandons that build, and an
+//!   interrupted analysis pass is dropped too; the checkpoint keeps only
+//!   the completed outcomes and the cumulative counters.  Exploration is
+//!   deterministic, so a resume rebuilds the graphs the owed obligations
+//!   need and reproduces the uninterrupted results exactly.
 //!
 //! See the "Job lifecycle & fault model" section of the crate docs for the
 //! checkpoint-boundary, latency and budget-semantics contract.
 
-use crate::explicit::CheckerOptions;
-use crate::explorer::resolved_workers;
-use crate::graph::{BuildInFlight, BuildStep, ReachGraph};
-use crate::pool::WorkerPool;
-use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
-use crate::spec::{Spec, StartRestriction};
+use crate::explicit::{CheckerOptions, ExplicitChecker};
+use crate::result::{CheckOutcome, GraphCacheStats};
+use crate::spec::Spec;
 use cccounter::CounterSystem;
 use ccta::ModelKind;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -222,7 +217,7 @@ impl JobSignals {
     /// The fast signals — cancellation and deadline — safe to poll from any
     /// thread at any point (they carry no exploration-counter semantics, so
     /// honouring them mid-wave cannot perturb determinism: the abandoned
-    /// wave stays pending and is re-expanded on resume).
+    /// build is rebuilt on resume).
     pub(crate) fn fast_stop(&self) -> Option<InterruptKind> {
         if self.cancel.is_cancelled() {
             return Some(InterruptKind::Cancelled);
@@ -264,25 +259,19 @@ impl JobSignals {
     }
 }
 
-/// The resumable state of an interrupted job: completed outcomes, retained
-/// group graphs, the in-flight cache build (if the interrupt landed inside
-/// one) and the cumulative exploration counters.
+/// The resumable state of an interrupted job: the completed outcomes and
+/// the cumulative exploration counters — exactly what
+/// [`JobCheckpoint::to_portable_bytes`] encodes, so the byte round trip is
+/// lossless.
 ///
-/// The checkpoint holds `Rc`-shared graphs, so it is **not** `Send`: resume
-/// on the thread that produced it (or hand the whole job to a thread to
-/// begin with).  Nothing in it refers to the interrupted job's pool or
-/// stack, so the originating [`CheckJob`] may be dropped and re-created
-/// with the same system, specs and options before resuming.
+/// The checkpoint is plain data (`Send`) and refers to nothing of the
+/// interrupted job, so the originating [`CheckJob`] may be dropped and
+/// re-created with the same system, specs and options before resuming.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobCheckpoint {
     /// Per spec (in spec order): the completed outcome, or `None` if still
     /// owed.
     pub(crate) outcomes: Vec<Option<CheckOutcome>>,
-    /// Retained group graphs, aligned index-for-index with `stats.groups`.
-    pub(crate) groups: Vec<(StartRestriction, Rc<ReachGraph>)>,
-    /// A cache build the interrupt landed inside, frontier captured.
-    pub(crate) building: Option<(StartRestriction, Box<BuildInFlight>)>,
-    /// Cache accounting mirroring [`crate::ExplicitChecker::cache_stats`].
-    pub(crate) stats: GraphCacheStats,
     /// Cumulative distinct states across the job's completed explorations.
     pub(crate) states_done: usize,
     /// Cumulative transitions across the job's completed explorations.
@@ -293,9 +282,6 @@ impl JobCheckpoint {
     pub(crate) fn fresh(num_specs: usize) -> Self {
         JobCheckpoint {
             outcomes: vec![None; num_specs],
-            groups: Vec::new(),
-            building: None,
-            stats: GraphCacheStats::default(),
             states_done: 0,
             transitions_done: 0,
         }
@@ -320,34 +306,15 @@ impl JobCheckpoint {
         self.outcomes
     }
 
-    /// Cumulative distinct states explored before the interrupt (completed
-    /// explorations plus the in-flight build's progress).
+    /// Cumulative distinct states across the job's completed explorations
+    /// (a build the interrupt abandoned is not counted).
     pub fn states_explored(&self) -> usize {
-        self.states_done + self.building.as_ref().map_or(0, |(_, b)| b.states())
+        self.states_done
     }
 
-    /// Cumulative transitions explored by completed explorations.
+    /// Cumulative transitions across the job's completed explorations.
     pub fn transitions_explored(&self) -> usize {
         self.transitions_done
-    }
-
-    /// Whether the interrupt landed inside a cache build (whose partial
-    /// store and CSR arenas the checkpoint retains).
-    pub fn has_build_in_flight(&self) -> bool {
-        self.building.is_some()
-    }
-
-    /// Resident bytes retained by the checkpoint: the group graphs plus the
-    /// in-flight build.
-    fn resident_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|(_, g)| g.resident_bytes())
-            .sum::<usize>()
-            + self
-                .building
-                .as_ref()
-                .map_or(0, |(_, b)| b.resident_bytes())
     }
 }
 
@@ -358,7 +325,8 @@ pub enum JobOutcome {
     Completed {
         /// Per-spec outcomes, in spec order.
         outcomes: Vec<CheckOutcome>,
-        /// The graph-cache accounting of the whole job.
+        /// The graph-cache accounting of this run (a resumed job's run
+        /// accounts only the graphs it built itself).
         stats: GraphCacheStats,
     },
     /// The job's [`CancelToken`] stopped it; resume via
@@ -374,7 +342,8 @@ pub enum JobOutcome {
         reason: InterruptKind,
         /// The resumable state at the trip point.
         checkpoint: JobCheckpoint,
-        /// Cache accounting accumulated up to the trip.
+        /// Cache accounting of this run up to the trip (an analysis pass
+        /// the deadline cut short counts as served, as in a sweep).
         partial_stats: GraphCacheStats,
     },
 }
@@ -398,7 +367,7 @@ impl JobOutcome {
     }
 }
 
-/// A batch check with an explicit lifecycle: run, suspend at a wave or
+/// A batch check with an explicit lifecycle: run, stop at a wave or
 /// obligation boundary on cancellation or a budget trip, resume from the
 /// surrendered [`JobCheckpoint`] bit-identically.
 pub struct CheckJob<'a> {
@@ -476,161 +445,71 @@ impl<'a> CheckJob<'a> {
         self.execute(checkpoint)
     }
 
-    /// The job loop: walk the obligations in spec order, serving each from
-    /// its group graph like [`crate::ExplicitChecker::check_all`] (so an
-    /// uninterrupted job is verdict- and stats-identical to it), suspending
-    /// into the checkpoint whenever a signal fires.
+    /// The job loop: serve the owed obligations in spec order on one
+    /// [`ExplicitChecker`] (so an uninterrupted job is verdict- and
+    /// stats-identical to [`ExplicitChecker::check_all`]), stopping into
+    /// the checkpoint when a signal fires.
     fn execute(&self, mut cp: JobCheckpoint) -> JobOutcome {
         let mut signals = JobSignals::new(self.cancel.clone(), self.budget);
         signals.progress = self.progress.clone();
-        let pool = WorkerPool::new(resolved_workers(&self.options));
-
-        for (i, spec) in self.specs.iter().enumerate() {
-            if cp.outcomes[i].is_some() {
-                continue;
-            }
-            // the deterministic inter-obligation trip point: cumulative
-            // replayed counters only, identical at every worker count
-            if let Some(kind) =
-                signals.boundary_stop(cp.states_done, cp.transitions_done, || cp.resident_bytes())
-            {
-                return Self::suspend(cp, kind);
-            }
-            match self.obligation(&mut cp, spec, &signals, &pool) {
-                Ok(outcome) => cp.outcomes[i] = Some(outcome),
-                Err(kind) => return Self::suspend(cp, kind),
-            }
-        }
-
-        JobOutcome::Completed {
-            outcomes: cp.outcomes.into_iter().map(Option::unwrap).collect(),
-            stats: cp.stats,
-        }
-    }
-
-    /// One obligation: serve it from a retained group graph, resuming or
-    /// starting the group's build as needed.  `Err` means a signal fired;
-    /// the checkpoint already holds whatever build progress existed.
-    fn obligation(
-        &self,
-        cp: &mut JobCheckpoint,
-        spec: &Spec,
-        signals: &JobSignals,
-        pool: &WorkerPool,
-    ) -> Result<CheckOutcome, InterruptKind> {
-        let start = spec.start();
-        let group = match cp.groups.iter().position(|(s, _)| *s == start) {
-            Some(found) => found,
-            None => self.build_group(cp, start, signals, pool)?,
+        let mut checker = ExplicitChecker::with_options(self.sys, self.options);
+        checker.set_signals(Some(&signals));
+        let stop = self.serve_owed(&checker, &signals, &mut cp);
+        let stats = checker.cache_stats();
+        let Some(kind) = stop else {
+            return JobOutcome::Completed {
+                outcomes: cp.outcomes.into_iter().map(Option::unwrap).collect(),
+                stats,
+            };
         };
-        let graph = Rc::clone(&cp.groups[group].1);
-        let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, Some(signals));
-        if outcome.is_interrupted() {
-            // analysis passes are deterministic and cheap relative to the
-            // build: an interrupted pass is simply redone on resume
-            return Err(Self::interrupt_kind_of(&outcome));
-        }
-        let record = &mut cp.stats.groups[group];
-        record.specs += 1;
-        if memo_hit {
-            record.memo_hits += 1;
-        } else {
-            record.memo_misses += 1;
-        }
-        Ok(outcome)
-    }
-
-    /// Builds (or resumes building) the group graph for `start`, retaining
-    /// it in the checkpoint.  Returns the new group index, or the interrupt
-    /// that suspended the build (with its partial store captured in
-    /// `cp.building`).
-    fn build_group(
-        &self,
-        cp: &mut JobCheckpoint,
-        start: StartRestriction,
-        signals: &JobSignals,
-        pool: &WorkerPool,
-    ) -> Result<usize, InterruptKind> {
-        let base = (cp.states_done, cp.transitions_done, cp.resident_bytes());
-        let step = match cp.building.take() {
-            Some((built_start, in_flight)) if built_start == start => ReachGraph::resume_build(
-                in_flight,
-                self.sys,
-                &self.options,
-                pool,
-                Some(signals),
-                base,
-            ),
-            other => {
-                // a stale in-flight build for a different group can only
-                // mean the checkpoint was produced under different options;
-                // drop it and build what this obligation needs
-                drop(other);
-                let starts = start.configurations(self.sys);
-                ReachGraph::build_with_signals(
-                    self.sys,
-                    &starts,
-                    &self.options,
-                    pool,
-                    Some(signals),
-                    base,
-                )
-            }
-        };
-        match step {
-            BuildStep::Done(graph) => {
-                let graph = Rc::new(graph);
-                cp.states_done += graph.states();
-                cp.transitions_done += graph.transitions();
-                cp.stats.groups.push(GroupCacheRecord {
-                    start: start.label(),
-                    specs: 0,
-                    states: graph.states(),
-                    transitions: graph.transitions(),
-                    origin: GraphOrigin::Built,
-                    seed_frontier: 0,
-                    pruned_actions: 0,
-                    memo_hits: 0,
-                    memo_misses: 0,
-                    resident_bytes: graph.resident_bytes(),
-                });
-                cp.groups.push((start, graph));
-                Ok(cp.groups.len() - 1)
-            }
-            BuildStep::Suspended(in_flight, kind) => {
-                cp.building = Some((start, in_flight));
-                Err(kind)
-            }
-        }
-    }
-
-    /// Recovers the interrupt kind from an interrupted [`CheckOutcome`]'s
-    /// detail string.
-    fn interrupt_kind_of(outcome: &CheckOutcome) -> InterruptKind {
-        for kind in [
-            InterruptKind::Deadline,
-            InterruptKind::StateBudget,
-            InterruptKind::TransitionBudget,
-            InterruptKind::ResidentBudget,
-        ] {
-            if outcome.detail.ends_with(kind.describe()) {
-                return kind;
-            }
-        }
-        InterruptKind::Cancelled
-    }
-
-    fn suspend(cp: JobCheckpoint, kind: InterruptKind) -> JobOutcome {
+        cp.states_done += stats.cached_states();
+        cp.transitions_done += stats.cached_transitions();
         if kind.is_budget() {
-            let partial_stats = cp.stats.clone();
             JobOutcome::BudgetExceeded {
                 reason: kind,
                 checkpoint: cp,
-                partial_stats,
+                partial_stats: stats,
             }
         } else {
             JobOutcome::Interrupted { checkpoint: cp }
         }
+    }
+
+    /// Fills the owed outcome slots of `cp`, returning the signal that
+    /// stopped the loop, if any.  The budgets count the checkpoint's
+    /// counters plus every graph `checker` has built in this run.
+    fn serve_owed(
+        &self,
+        checker: &ExplicitChecker<'_>,
+        signals: &JobSignals,
+        cp: &mut JobCheckpoint,
+    ) -> Option<InterruptKind> {
+        for (spec, slot) in self.specs.iter().zip(&mut cp.outcomes) {
+            if slot.is_some() {
+                continue;
+            }
+            let built = checker.cache_stats();
+            let base = (
+                cp.states_done + built.cached_states(),
+                cp.transitions_done + built.cached_transitions(),
+                built.resident_bytes(),
+            );
+            // the deterministic inter-obligation trip point: cumulative
+            // replayed counters only, identical at every worker count
+            if let Some(kind) = signals.boundary_stop(base.0, base.1, || base.2) {
+                return Some(kind);
+            }
+            match checker.try_check(spec, base) {
+                // only the fast signals stop an analysis pass; the pass is
+                // deterministic, so a resume simply redoes it
+                Ok(outcome) if outcome.is_interrupted() => {
+                    return Some(signals.fast_stop().unwrap_or(InterruptKind::Cancelled));
+                }
+                Ok(outcome) => *slot = Some(outcome),
+                Err(kind) => return Some(kind),
+            }
+        }
+        None
     }
 }
 
@@ -715,12 +594,15 @@ mod tests {
         };
         assert_eq!(reason, InterruptKind::StateBudget);
         assert!(checkpoint.completed_obligations() < specs.len());
+        let owed = checkpoint.total_obligations() - checkpoint.completed_obligations();
 
         let resumed = CheckJob::new(&sys, &specs, options).resume(checkpoint);
-        let (outcomes, _) = resumed.completed().expect("unlimited resume completes");
+        let (outcomes, stats) = resumed.completed().expect("unlimited resume completes");
         for (o, r) in outcomes.iter().zip(&reference) {
             assert_same(o, r);
         }
+        // the resumed run's stats account only the obligations it served
+        assert_eq!(stats.specs_served(), owed);
     }
 
     #[test]

@@ -243,10 +243,10 @@
 //! From strongest to weakest, for each knob:
 //!
 //! 1. Explicit configuration: [`CheckerOptions::workers`] /
-//!    [`CheckerOptions::shards`] / [`CheckerOptions::wave_size`] for one
-//!    check, the `threads` budget of the sweep entry points (fed by
-//!    `VerifierConfig::threads` and the `--threads` flag of the `table2` /
-//!    `profile_engine` binaries) for a sweep.
+//!    [`CheckerOptions::wave_size`] for one check (the state store gets
+//!    one shard per worker), the `threads` budget of the sweep entry
+//!    points (fed by `VerifierConfig::threads` and the `--threads` flag of
+//!    the `table2` / `profile_engine` binaries) for a sweep.
 //! 2. Environment: `CC_CHECK_THREADS` (in-check workers when
 //!    `CheckerOptions::workers == 0`), `CC_SWEEP_THREADS` (total sweep
 //!    budget when none was configured), `CC_WAVE_SIZE` (parallel wave size
@@ -264,25 +264,26 @@
 //! [`check_over_sweep_cancellable`] (which also resumes from a prior run)
 //! extends the same contract to the sweep grid:
 //!
-//! * **Checkpoint boundaries.**  A job suspends only at *wave boundaries*
+//! * **Checkpoint boundaries.**  A job stops only at *wave boundaries*
 //!   of an exploration (including level ends — a level is processed as a
 //!   sequence of waves on both the sequential and the parallel path) and
-//!   at *obligation boundaries* between specs.  At a wave boundary the
-//!   unprocessed frontier plus the accumulated next level fully determine
-//!   the rest of the search, so [`CheckJob::resume`] reproduces verdicts,
-//!   state counts, transition counts and counterexample schedules
-//!   bit-identically to an uninterrupted run (pinned by the
-//!   `random_differential` interrupt axis at 1/2/4 workers).  An
-//!   interrupted cache *build* keeps its partial store and CSR arenas in
-//!   the [`JobCheckpoint`]; an interrupted analysis pass records nothing
-//!   and is redone on resume (the passes are deterministic, so the results
-//!   are unchanged).
+//!   at *obligation boundaries* between specs.  The [`JobCheckpoint`]
+//!   keeps the completed outcomes and the cumulative counters, nothing
+//!   more: a stop inside a group build abandons that build, and an
+//!   interrupted analysis pass records nothing.  Exploration and the
+//!   passes are deterministic, so [`CheckJob::resume`] rebuilds the graphs
+//!   the owed obligations need and reproduces verdicts, state counts,
+//!   transition counts and counterexample schedules bit-identically to an
+//!   uninterrupted run (pinned by the `random_differential` interrupt axis
+//!   at 1/2/4 workers).  A group build longer than one deadline window
+//!   therefore never finishes across resumes; give the resume a longer
+//!   deadline.
 //! * **Cancellation latency.**  [`CancelToken::cancel`] and the deadline
 //!   are *fast* signals, polled at wave boundaries, at expand-phase chunk
 //!   handouts inside a parallel wave, and every few thousand steps of an
 //!   analysis pass — latency is O(one wave), not O(the check).  A mid-wave
 //!   stop abandons the wave *before* the intern phase touched any shared
-//!   state, so the whole wave stays pending and resume is unaffected.
+//!   state, and the build with it.
 //! * **Budget semantics.**  The [`JobBudget`] state/transition caps are
 //!   evaluated only at wave and obligation boundaries against the
 //!   deterministic replayed counters, so *where* they trip is identical at

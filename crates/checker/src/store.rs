@@ -326,11 +326,7 @@ impl StateStore {
     /// the index-table slots.
     ///
     /// This is also the figure a [`crate::JobBudget`] resident-byte cap is
-    /// checked against at wave boundaries.  A store owns no interior
-    /// pointers and no thread state, so a suspended build's store moves
-    /// freely inside a [`crate::JobCheckpoint`] and resumes interning on
-    /// whatever pool the resumed job runs — the shard count (fixed at
-    /// construction) is the only thing a checkpoint pins.
+    /// checked against at wave boundaries.
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()

@@ -31,7 +31,7 @@ pub struct VerifierConfig {
     /// `CC_SWEEP_THREADS` environment variable and then to the available
     /// parallelism.
     pub threads: usize,
-    /// Resource limits, in-check thread/shard/wave knobs and sweep levers
+    /// Resource limits, in-check thread/wave knobs and sweep levers
     /// of the explicit-state checker; `checker.workers == 0` lets the sweep
     /// derive the per-cell worker count from the thread budget, and
     /// `checker.wave_size == 0` defers to `CC_WAVE_SIZE` and then the

@@ -3,8 +3,8 @@
 //! When a deadline trips a job whose request set `park_on_interrupt`, the
 //! server serialises the job's portable state (the original request, the
 //! cells already reported, the tripped cell's cache hits, and the
-//! checker's portable [`ccchecker::JobCheckpoint`] bytes) into a
-//! [`ParkedJob`] and parks it here under a fresh resume token.  A follow-up
+//! checker's [`ccchecker::JobCheckpoint`]) into a [`ParkedJob`] and parks
+//! it here under a fresh resume token.  A follow-up
 //! [`crate::wire::ResumeRequest`] takes the entry back out and continues
 //! bit-identically.
 //!
@@ -15,16 +15,18 @@
 //! outlived one `Expired`, and anything else `Unknown` — the client can
 //! always distinguish "retry from scratch" from "you waited too long".
 //!
-//! Entries are stored as encoded bytes, not live checkpoints: a
-//! `JobCheckpoint` holds `Rc`-shared graphs and is not `Send`, while the
-//! portable encoding drops the graphs (resume rebuilds them
-//! deterministically) and makes resident accounting exact.
+//! Entries are stored as encoded bytes, the form the verdict log persists,
+//! which makes resident accounting exact.  [`ParkedJob::decode`] checks the
+//! embedded checkpoint against the job's obligation list where the bytes
+//! enter, so drifted parked state is a typed error, never a panic in the
+//! resumed job.
 
 use crate::wire::{
     decode_request, encode_request, put_cell, put_u64, put_u8, put_verdict, read_cell,
     read_verdict, CellReport, CheckRequest, Cursor, Request, ResumeRejectCause, SpecVerdict,
     WireError,
 };
+use ccchecker::JobCheckpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -50,9 +52,10 @@ pub(crate) struct ParkedJob {
     pub hit_verdicts: Vec<(usize, SpecVerdict)>,
     /// Spec indices (into the filtered catalogue) the job was running over.
     pub miss_indices: Vec<usize>,
-    /// `JobCheckpoint::to_portable_bytes()` at the trip, or empty if the
-    /// deadline passed before the cell's job even started.
-    pub ckpt_bytes: Vec<u8>,
+    /// The job's checkpoint at the trip, owing one obligation per
+    /// `miss_indices` entry, or `None` if the deadline passed before the
+    /// cell's job even started.
+    pub checkpoint: Option<JobCheckpoint>,
 }
 
 impl ParkedJob {
@@ -76,8 +79,14 @@ impl ParkedJob {
         for i in &self.miss_indices {
             put_u64(&mut buf, *i as u64);
         }
-        put_u64(&mut buf, self.ckpt_bytes.len() as u64);
-        buf.extend_from_slice(&self.ckpt_bytes);
+        // an empty checkpoint field encodes `None`
+        let ckpt = self
+            .checkpoint
+            .as_ref()
+            .map(JobCheckpoint::to_portable_bytes)
+            .unwrap_or_default();
+        put_u64(&mut buf, ckpt.len() as u64);
+        buf.extend_from_slice(&ckpt);
         buf
     }
 
@@ -111,15 +120,27 @@ impl ParkedJob {
             miss_indices.push(c.u64()? as usize);
         }
         let ckpt_len = c.len(1)?;
-        let ckpt_bytes = c.bytes(ckpt_len)?.to_vec();
+        let ckpt_bytes = c.bytes(ckpt_len)?;
         c.finish()?;
+        let checkpoint = (ckpt_len > 0)
+            .then(|| JobCheckpoint::from_portable_bytes(ckpt_bytes))
+            .transpose()
+            .map_err(|e| WireError::Malformed(format!("parked checkpoint: {e}")))?;
+        if checkpoint
+            .as_ref()
+            .is_some_and(|cp| cp.total_obligations() != miss_indices.len())
+        {
+            return Err(WireError::Malformed(
+                "parked checkpoint does not match its obligation list".into(),
+            ));
+        }
         Ok(ParkedJob {
             req,
             cell_index,
             cells_done,
             hit_verdicts,
             miss_indices,
-            ckpt_bytes,
+            checkpoint,
         })
     }
 }
@@ -300,6 +321,8 @@ impl CheckpointRegistry {
 mod tests {
     use super::*;
     use crate::wire::{Priority, Source};
+    use ccchecker::{CheckJob, CheckerOptions, JobBudget, Spec};
+    use cccounter::CounterSystem;
     use ccprotocols::family::FamilyParams;
 
     fn sample_req() -> CheckRequest {
@@ -316,6 +339,24 @@ mod tests {
             progress: false,
             park_on_interrupt: true,
         }
+    }
+
+    /// The checkpoint a real job surrenders over the first `owed`
+    /// obligations of the sample family: its deadline has already passed,
+    /// so it trips before the first obligation.
+    fn tripped_checkpoint(owed: usize) -> JobCheckpoint {
+        let family = FamilyParams::default().instantiate(3);
+        let specs: Vec<Spec> = Spec::family_catalogue(&family.single_round, &family.obligations)
+            .into_iter()
+            .take(owed)
+            .collect();
+        assert_eq!(specs.len(), owed);
+        let sys = CounterSystem::new(family.single_round, family.sweep[0].clone()).unwrap();
+        CheckJob::new(&sys, &specs, CheckerOptions::sequential())
+            .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO))
+            .run()
+            .into_checkpoint()
+            .expect("an expired deadline trips the job")
     }
 
     #[test]
@@ -346,7 +387,7 @@ mod tests {
                 },
             )],
             miss_indices: vec![0, 2],
-            ckpt_bytes: vec![9, 8, 7],
+            checkpoint: Some(tripped_checkpoint(2)),
         };
         let decoded = ParkedJob::decode(&job.encode()).unwrap();
         assert_eq!(decoded.req, job.req);
@@ -354,12 +395,38 @@ mod tests {
         assert_eq!(decoded.cells_done, job.cells_done);
         assert_eq!(decoded.hit_verdicts, job.hit_verdicts);
         assert_eq!(decoded.miss_indices, vec![0, 2]);
-        assert_eq!(decoded.ckpt_bytes, vec![9, 8, 7]);
+        assert_eq!(decoded.checkpoint, job.checkpoint);
         // every truncation is a typed error, never a panic
         let bytes = job.encode();
         for cut in 0..bytes.len() {
             assert!(ParkedJob::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn parked_checkpoint_must_owe_one_obligation_per_miss_index() {
+        let mut job = ParkedJob {
+            req: sample_req(),
+            cell_index: 0,
+            cells_done: Vec::new(),
+            hit_verdicts: Vec::new(),
+            miss_indices: vec![0, 2],
+            checkpoint: Some(tripped_checkpoint(2)),
+        };
+        let decoded = ParkedJob::decode(&job.encode()).unwrap();
+        assert_eq!(decoded.miss_indices, vec![0, 2]);
+        // drifted parked state is refused where the bytes enter
+        job.miss_indices = vec![0];
+        assert!(matches!(
+            ParkedJob::decode(&job.encode()),
+            Err(WireError::Malformed(_))
+        ));
+        // a job parked before its cell started has no checkpoint to check
+        job.checkpoint = None;
+        assert!(ParkedJob::decode(&job.encode())
+            .unwrap()
+            .checkpoint
+            .is_none());
     }
 
     #[test]

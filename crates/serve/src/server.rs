@@ -789,7 +789,7 @@ fn process(entry: JobEntry, ctx: &Arc<Ctx>) {
                     cells_done: parked.cells_done,
                     hit_verdicts: parked.hit_verdicts,
                     miss_indices: parked.miss_indices,
-                    ckpt_bytes: parked.ckpt_bytes,
+                    checkpoint: parked.checkpoint,
                 }),
             };
             run_check(run, &conn, admitted_at, &cancel, ctx);
@@ -818,7 +818,7 @@ struct ResumeState {
     cells_done: Vec<CellReport>,
     hit_verdicts: Vec<(usize, SpecVerdict)>,
     miss_indices: Vec<usize>,
-    ckpt_bytes: Vec<u8>,
+    checkpoint: Option<JobCheckpoint>,
 }
 
 fn run_check(
@@ -966,14 +966,7 @@ fn run_check(
                 verdicts[slot] = Some(v);
             }
             missing = rs.miss_indices;
-            if !rs.ckpt_bytes.is_empty() {
-                match JobCheckpoint::from_portable_bytes(&rs.ckpt_bytes) {
-                    Ok(cp) => resume_ckpt = Some(cp),
-                    Err(e) => {
-                        return internal_error(format!("parked checkpoint undecodable: {e}"));
-                    }
-                }
-            }
+            resume_ckpt = rs.checkpoint;
         } else {
             for (i, spec) in specs.iter().enumerate() {
                 match ctx.cache.get(&(system_fp, valuation_fp, spec_fps[i])) {
@@ -1000,22 +993,17 @@ fn run_check(
                 .enumerate()
                 .filter_map(|(i, v)| v.as_ref().map(|v| (i, v.clone())))
                 .collect();
-            // `Some(detail)` once this cell tripped; the checkpoint bytes
-            // to park ride alongside (empty = cell never started)
+            // `Some(detail)` once this cell tripped; the checkpoint to park
+            // rides alongside (`Some(None)`: the cell never started)
             let mut tripped: Option<String> = None;
-            let mut park_bytes: Option<Vec<u8>> = None;
+            let mut park_ckpt: Option<Option<JobCheckpoint>> = None;
 
             let remaining = deadline_at.map(|d| d.saturating_duration_since(Instant::now()));
             if remaining.is_some_and(|r| r.is_zero()) {
                 // the deadline already passed: degrade the whole cell to
                 // `?` verdicts, exactly like a tripped VerifierConfig budget
                 tripped = Some("interrupted: deadline exceeded".into());
-                park_bytes = park.then(|| {
-                    resume_ckpt
-                        .as_ref()
-                        .map(JobCheckpoint::to_portable_bytes)
-                        .unwrap_or_default()
-                });
+                park_ckpt = park.then(|| resume_ckpt.take());
             } else {
                 let miss_specs: Vec<Spec> = missing.iter().map(|&i| specs[i].clone()).collect();
                 let mut budget = JobBudget::unlimited();
@@ -1088,10 +1076,10 @@ fn run_check(
                         reason, checkpoint, ..
                     }) => {
                         tripped = Some(format!("interrupted: {}", reason.describe()));
-                        // serialize before `into_outcomes` consumes it: the
-                        // portable bytes carry the completed outcomes, so
+                        // park a copy before `into_outcomes` consumes it: the
+                        // checkpoint carries the completed outcomes, so
                         // resume never redoes (or re-caches) them
-                        park_bytes = park.then(|| checkpoint.to_portable_bytes());
+                        park_ckpt = park.then(|| Some(checkpoint.clone()));
                         for (slot, outcome) in missing.iter().zip(checkpoint.into_outcomes()) {
                             if let Some(o) = outcome {
                                 ctx.record_verdict((system_fp, valuation_fp, spec_fps[*slot]), &o);
@@ -1106,14 +1094,14 @@ fn run_check(
                 // park once, at the first tripped cell: its checkpoint
                 // covers this cell, and resume recomputes every later one
                 if resume_token.is_none() {
-                    if let Some(ckpt_bytes) = park_bytes {
+                    if let Some(checkpoint) = park_ckpt {
                         let parked = ParkedJob {
                             req: req.clone(),
                             cell_index: vi,
                             cells_done: cells.clone(),
                             hit_verdicts: prefilled,
                             miss_indices: missing.clone(),
-                            ckpt_bytes,
+                            checkpoint,
                         };
                         let bytes = parked.encode();
                         if let Some((token, evicted)) = ctx.registry.park(bytes.clone()) {
