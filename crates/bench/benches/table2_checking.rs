@@ -8,10 +8,8 @@
 //!   speedup ratio per protocol),
 //! * `sweep_amortization/incremental/…` vs `sweep_amortization/fresh/…` —
 //!   the whole catalogue over each protocol's full 8-valuation grid with
-//!   the cross-valuation sweep lineage on vs off, plus the
-//!   `no-verdict-memo` / `no-tighten-prune` variants isolating each
-//!   steady-state lever (single-threaded; the summary prints the
-//!   whole-sweep speedup and per-lever gains per protocol on `min_ns`), and
+//!   the cross-valuation sweep lineage on vs off (single-threaded; the
+//!   summary prints the whole-sweep speedup per protocol on `min_ns`), and
 //! * `sweep/…` — `check_over_sweep_with_stats` with 1 worker vs all cores
 //!   on a multi-valuation sweep (parallel scaling).
 //!
@@ -178,12 +176,9 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 /// over each protocol's full `VerifierConfig` valuation grid (8 valuations
 /// at the default bounds), single-threaded, with the sweep lineage on vs
 /// off (the graph cache is on in both — this isolates the *cross-valuation*
-/// amortization on top of PR 4's within-valuation amortization).  Two
-/// extra lineage variants isolate the steady-state levers: `no-verdict-memo`
-/// re-evaluates every obligation on identical steps, `no-tighten-prune`
-/// degrades tighten-only steps back to full rebuilds.  The summary compares
-/// `min_ns` and prints the whole-sweep speedup plus each lever's isolated
-/// gain per protocol.
+/// amortization on top of PR 4's within-valuation amortization).  The
+/// summary compares `min_ns` and prints the whole-sweep speedup per
+/// protocol.
 fn bench_sweep_amortization(c: &mut Criterion) {
     let names = ["Rabin83", "CC85(a)", "KS16", "MMR14", "ABY22"];
     // the full grid: every admissible valuation the default verifier bounds
@@ -206,11 +201,8 @@ fn bench_sweep_amortization(c: &mut Criterion) {
             .cloned()
             .collect();
         let valuations = grid_config.select_valuations(&single);
-        let lineage = CheckerOptions::sequential();
         for (label, options) in [
-            ("incremental", lineage),
-            ("no-verdict-memo", lineage.with_verdict_memo(false)),
-            ("no-tighten-prune", lineage.with_tighten_prune(false)),
+            ("incremental", CheckerOptions::sequential()),
             (
                 "fresh",
                 CheckerOptions::sequential().with_incremental_sweep(false),
@@ -226,10 +218,7 @@ fn bench_sweep_amortization(c: &mut Criterion) {
         }
     }
     group.finish();
-    println!(
-        "\nwhole-sweep incremental amortization (single-threaded, full grid, min_ns;\n\
-         'memo gain' and 'prune gain' are the slowdowns from disabling one lever):"
-    );
+    println!("\nwhole-sweep incremental amortization (single-threaded, full grid, min_ns):");
     let (mut inc_total, mut fresh_total) = (0.0, 0.0);
     for name in names {
         let min_of = |label: &str| {
@@ -238,20 +227,10 @@ fn bench_sweep_amortization(c: &mut Criterion) {
                 .find(|m| m.id == format!("sweep_amortization/{label}/{name}"))
                 .map(|m| m.min_ns)
         };
-        if let (Some(on), Some(off), Some(no_memo), Some(no_prune)) = (
-            min_of("incremental"),
-            min_of("fresh"),
-            min_of("no-verdict-memo"),
-            min_of("no-tighten-prune"),
-        ) {
+        if let (Some(on), Some(off)) = (min_of("incremental"), min_of("fresh")) {
             inc_total += on;
             fresh_total += off;
-            println!(
-                "  {name:<10} {:>6.2}x   memo gain {:>5.2}x   prune gain {:>5.2}x",
-                off / on,
-                no_memo / on,
-                no_prune / on,
-            );
+            println!("  {name:<10} {:>6.2}x", off / on);
         }
     }
     if inc_total > 0.0 {

@@ -7,8 +7,8 @@
 //! [--max-resident-bytes B]`
 //! — `N` sets the in-check worker count of the engine runs (default:
 //! `CC_CHECK_THREADS`, then all cores; the reference is always
-//! sequential), and `W` the parallel wave size (default: `CC_WAVE_SIZE`,
-//! then the engine default).  Each per-obligation row checks its
+//! sequential), and `W` the parallel wave size (default: the engine
+//! default).  Each per-obligation row checks its
 //! obligation on a fresh checker, so the engine side pays one group build
 //! plus one analysis pass; the whole-catalogue row runs the catalogue
 //! through one checker, one build per start-restriction group.

@@ -1,23 +1,17 @@
 //! Regenerates Table II: verification of the eight common-coin protocols.
 //!
 //! Usage: `table2 [--threads N] [--wave-size W] [--no-incremental-sweep]
-//! [--no-verdict-memo] [--no-tighten-prune] [--deadline-ms D]
-//! [--max-resident-bytes B]` —
+//! [--deadline-ms D] [--max-resident-bytes B]` —
 //! `N` is the total thread budget of each protocol's sweep, split between
 //! sweep workers (at most one per run of the lineage) and in-check workers
 //! (default: `CC_SWEEP_THREADS`, then all cores); `W` bounds a parallel
-//! level's candidate buffers (default: `CC_WAVE_SIZE`, then the engine
-//! default);
+//! level's candidate buffers (default: the engine default);
 //! `--no-incremental-sweep` disables the cross-valuation graph lineage so
-//! every valuation re-explores its groups; `--no-verdict-memo` disables
-//! per-graph verdict memoization so identical lineage steps re-evaluate
-//! every obligation; `--no-tighten-prune` degrades tighten-only lineage
-//! steps from the in-place prune back to a full rebuild.  The lever
-//! combinations produce identical verdicts.  `--deadline-ms D` puts a
-//! wall-clock deadline on each protocol's sweep and `--max-resident-bytes
-//! B` caps each grid cell's state store: tripped cells degrade to
-//! `interrupted` outcomes and their properties report `?` instead of a
-//! fabricated verdict.
+//! every valuation re-explores its groups, with identical verdicts.
+//! `--deadline-ms D` puts a wall-clock deadline on each protocol's sweep
+//! and `--max-resident-bytes B` caps each grid cell's state store: tripped
+//! cells degrade to `interrupted` outcomes and their properties report `?`
+//! instead of a fabricated verdict.
 
 use cccore::prelude::*;
 
@@ -37,12 +31,6 @@ fn main() {
             "--no-incremental-sweep" => {
                 config = config.with_incremental_sweep(false);
             }
-            "--no-verdict-memo" => {
-                config = config.with_verdict_memo(false);
-            }
-            "--no-tighten-prune" => {
-                config = config.with_tighten_prune(false);
-            }
             "--deadline-ms" => {
                 let d = ccbench::parse_positive_flag("--deadline-ms", &mut args);
                 config = config.with_deadline_ms(d as u64);
@@ -55,8 +43,7 @@ fn main() {
                 eprintln!(
                     "unknown argument: {other}\n\
                      usage: table2 [--threads N] [--wave-size W] [--no-incremental-sweep] \
-                     [--no-verdict-memo] [--no-tighten-prune] [--deadline-ms D] \
-                     [--max-resident-bytes B]"
+                     [--deadline-ms D] [--max-resident-bytes B]"
                 );
                 std::process::exit(2);
             }

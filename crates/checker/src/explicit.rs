@@ -45,14 +45,15 @@ pub struct CheckerOptions {
     pub workers: usize,
     /// Frontier nodes per parallel wave: a parallel level buffers (and
     /// recycles) candidate arenas of at most one wave, so peak memory stays
-    /// O(wave) instead of O(level).  `0` resolves `CC_WAVE_SIZE` and then
+    /// O(wave) instead of O(level).  `0` means
     /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker count, the
     /// wave size never changes results.
     pub wave_size: usize,
     /// Whether a sweep carries each group's reachability graph *across*
     /// valuations (reusing it outright when the compiled guard bounds are
-    /// identical, extending it incrementally when the step is relax-only;
-    /// see the "Incremental sweeps" section of the crate docs).  On by
+    /// identical, extending it incrementally when the step is relax-only,
+    /// pruning it in place when the step is tighten-only; see the
+    /// "Incremental sweeps" section of the crate docs).  On by
     /// default.  The lineage never changes a verdict, a count or a
     /// counterexample — an incremental sweep is bit-identical to a
     /// from-scratch one; only the exploration work differs.  Takes effect
@@ -60,20 +61,6 @@ pub struct CheckerOptions {
     /// [`ExplicitChecker::with_pool_and_lineage`]); single-valuation checks
     /// are unaffected.
     pub incremental_sweep: bool,
-    /// Whether a cached reachability graph memoises its per-obligation
-    /// verdicts, so an *identical*-classified lineage step (and any repeat
-    /// query of the same group) serves the stored outcome without rerunning
-    /// the analysis pass (see the "Verdict memoization & lineage
-    /// compaction" section of the crate docs).  On by default.  The memo
-    /// never changes a verdict, a count or a counterexample schedule.
-    pub verdict_memo: bool,
-    /// Whether a *tighten-only* lineage step (every changed guard atom
-    /// strictly tightened, same structure) prunes the predecessor graph in
-    /// place — dropping the actions whose guards no longer hold and
-    /// re-deriving reachability with the relink BFS — instead of rebuilding
-    /// the group from scratch.  On by default.  A pruned graph is
-    /// bit-identical to a fresh build.
-    pub tighten_prune: bool,
 }
 
 impl Default for CheckerOptions {
@@ -84,8 +71,6 @@ impl Default for CheckerOptions {
             workers: 0,
             wave_size: 0,
             incremental_sweep: true,
-            verdict_memo: true,
-            tighten_prune: true,
         }
     }
 }
@@ -114,18 +99,6 @@ impl CheckerOptions {
     /// These options with the incremental sweep enabled or disabled.
     pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
         self.incremental_sweep = enabled;
-        self
-    }
-
-    /// These options with verdict memoization enabled or disabled.
-    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.verdict_memo = enabled;
-        self
-    }
-
-    /// These options with the tighten-only prune enabled or disabled.
-    pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.tighten_prune = enabled;
         self
     }
 }

@@ -59,9 +59,8 @@
 //! in the unchunked design this replaces — and all wave buffers (chunk
 //! arenas, per-shard id lists) are recycled across waves and levels.  A
 //! budget bound that trips mid-replay over-expands at most the remainder of
-//! the current wave.  The wave size comes from
-//! [`CheckerOptions::wave_size`], then the `CC_WAVE_SIZE` environment
-//! variable, then [`DEFAULT_WAVE_SIZE`].
+//! the current wave.  The wave size is [`CheckerOptions::wave_size`], or
+//! [`DEFAULT_WAVE_SIZE`] when that is `0`.
 
 use crate::explicit::CheckerOptions;
 use crate::game::CsrRecorder;
@@ -78,11 +77,11 @@ use std::ops::ControlFlow;
 /// path exercised (and the results are identical either way).
 const MIN_PARALLEL_FRONTIER: usize = 64;
 
-/// Default number of frontier nodes per parallel wave when neither
-/// [`CheckerOptions::wave_size`] nor `CC_WAVE_SIZE` is set.  At typical row
-/// strides and branching factors a wave buffers a few megabytes of
-/// candidates — small enough to recycle hot in cache, large enough that the
-/// per-wave pool synchronisation is noise.
+/// Default number of frontier nodes per parallel wave, used when
+/// [`CheckerOptions::wave_size`] is `0`.  At typical row strides and
+/// branching factors a wave buffers a few megabytes of candidates — small
+/// enough to recycle hot in cache, large enough that the per-wave pool
+/// synchronisation is noise.
 pub const DEFAULT_WAVE_SIZE: usize = 8192;
 
 /// What an exploration has recorded, in the order its deterministic replay
@@ -139,7 +138,7 @@ fn parse_positive(value: &str) -> Option<usize> {
 /// integer, the fallback otherwise — memoised in the caller's `OnceLock`
 /// because the resolution sits on per-check paths (`available_parallelism`
 /// reads cgroup files on Linux, which would tax every sub-millisecond
-/// check).  Shared by the worker, sweep-budget and wave-size knobs.
+/// check).  Shared by the worker and sweep-budget knobs.
 pub(crate) fn cached_env_usize(
     cell: &'static std::sync::OnceLock<usize>,
     var: &str,
@@ -166,17 +165,6 @@ pub(crate) fn resolved_workers(options: &CheckerOptions) -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
-}
-
-/// The wave size for the given options: an explicit `wave_size` setting
-/// wins; `0` defers to the `CC_WAVE_SIZE` environment variable and then to
-/// [`DEFAULT_WAVE_SIZE`].
-pub(crate) fn resolved_wave_size(options: &CheckerOptions) -> usize {
-    if options.wave_size > 0 {
-        return options.wave_size;
-    }
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    cached_env_usize(&AUTO, "CC_WAVE_SIZE", || DEFAULT_WAVE_SIZE)
 }
 
 /// One successor candidate produced by the expand phase, in deterministic
@@ -292,7 +280,10 @@ impl<'a> Explorer<'a> {
             rec,
             pool,
             workers: pool.threads(),
-            wave_size: resolved_wave_size(options),
+            wave_size: match options.wave_size {
+                0 => DEFAULT_WAVE_SIZE,
+                n => n,
+            },
             max_states: options.max_states,
             max_transitions: options.max_transitions,
             signals: None,
@@ -339,17 +330,7 @@ impl<'a> Explorer<'a> {
                 frontier.push(id);
             }
         }
-        self.drive_from(frontier)
-    }
-
-    /// Runs the search with the frontier seeded from *already-stored* nodes
-    /// instead of start configurations: each seed is (re-)expanded exactly
-    /// like a freshly discovered node, and fresh successors continue the
-    /// level-synchronous BFS.  This is the incremental sweep's extension
-    /// entry point — the seeds are the stored rows on which a newly-enabled
-    /// rule fires, in a caller-chosen deterministic order.
-    pub(crate) fn run_from_nodes(&mut self, seeds: Vec<u32>) -> Exploration {
-        self.drive_from(seeds)
+        self.run_from_nodes(frontier)
     }
 
     /// Polls the job signals at a wave boundary (cheap: one branch when no
@@ -363,15 +344,20 @@ impl<'a> Explorer<'a> {
         )
     }
 
-    /// The level-synchronous frontier loop shared by [`Explorer::run`] and
-    /// [`Explorer::run_from_nodes`].
+    /// Runs the level-synchronous search with the frontier seeded from
+    /// *already-stored* nodes: each seed is (re-)expanded exactly like a
+    /// freshly discovered node, and fresh successors continue the BFS.
+    /// [`Explorer::run`] seeds it with the interned start configurations;
+    /// the incremental sweep's extension seeds it with the stored rows on
+    /// which a newly-enabled rule fires, in a caller-chosen deterministic
+    /// order.
     ///
     /// Both the sequential and the parallel path process each level in
     /// waves of at most `wave_size` nodes with a job-signal poll before
     /// every wave — the wave boundaries (and therefore the budget trip
     /// points, which only consider the deterministic replayed counters) are
     /// identical at every worker count.
-    fn drive_from(&mut self, mut frontier: Vec<u32>) -> Exploration {
+    pub(crate) fn run_from_nodes(&mut self, mut frontier: Vec<u32>) -> Exploration {
         // an explicitly tiny wave size lowers the parallel threshold: the
         // caller asked for bounded waves, so even small frontiers take the
         // wave path (results are identical either way)

@@ -184,10 +184,9 @@ impl GraphBasis {
 /// which a group graph built on `from` carries to `to`, or `None` when the
 /// group must be re-explored.  Nothing carries when the incremental sweep
 /// is off, when the process or coin count changed (the start
-/// configurations differ), across a mixed step, or across a tighten-only
-/// step with the prune off.  [`GraphLineage::adopt`] applies it per group;
-/// the sweep applies it between consecutive grid valuations to cut the grid
-/// into runs.
+/// configurations differ), or across a mixed step.  [`GraphLineage::adopt`]
+/// applies it per group; the sweep applies it between consecutive grid
+/// valuations to cut the grid into runs.
 pub(crate) fn carry_step(
     from: &GraphBasis,
     to: &GraphBasis,
@@ -198,7 +197,6 @@ pub(crate) fn carry_step(
     }
     match classify_guard_step(&from.bounds, &to.bounds) {
         GuardStep::Mixed => None,
-        GuardStep::TightenOnly { .. } if !options.tighten_prune => None,
         step => Some(step),
     }
 }
@@ -362,15 +360,11 @@ pub(crate) struct ReachGraph {
     transitions: usize,
     /// Why the build was inconclusive, if a resource budget tripped.
     bound: Option<&'static str>,
-    /// Structural generation of the cached edges: bumped by every mutation
-    /// (extend, prune), which also clears the verdict memo.  Informational —
-    /// memo validity is enforced by the clearing itself, since the memo
-    /// lives on the graph it describes.
-    generation: u64,
-    /// Memoised per-obligation verdicts over the current graph generation,
-    /// keyed by structural [`Spec`] equality (see the "Verdict memoization
-    /// & lineage compaction" crate docs).  Only definite holds/violated
-    /// outcomes are stored — `Unknown` and interrupted passes rerun.
+    /// Memoised per-obligation verdicts over the current cached edges,
+    /// cleared by every mutation (extend, prune) and keyed by structural
+    /// [`Spec`] equality (see the "Verdict memoization & lineage
+    /// compaction" crate docs).  Only definite holds/violated outcomes are
+    /// stored — `Unknown` and interrupted passes rerun.
     memo: RefCell<Vec<(Spec, CheckOutcome)>>,
 }
 
@@ -421,7 +415,6 @@ impl ReachGraph {
             states,
             transitions: explored.transitions,
             bound,
-            generation: 0,
             memo: RefCell::new(Vec::new()),
         })
     }
@@ -531,7 +524,6 @@ impl ReachGraph {
         // the edges changed: memoised verdicts no longer describe this
         // graph (the zero-seed early return above keeps them — the graph
         // is untouched there)
-        self.generation += 1;
         self.memo.borrow_mut().clear();
         Ok((self, seed_count))
     }
@@ -574,7 +566,6 @@ impl ReachGraph {
         });
         self.graph = graph;
         self.relink();
-        self.generation += 1;
         self.memo.borrow_mut().clear();
         (self, cut)
     }
@@ -646,7 +637,7 @@ impl ReachGraph {
     }
 
     /// Evaluates one obligation through the per-graph verdict memo: an
-    /// obligation already answered on this graph generation returns its
+    /// obligation already answered on these cached edges returns its
     /// stored outcome without running any analysis pass.  The memo is keyed
     /// by structural [`Spec`] equality and cleared by every graph mutation
     /// (extend, prune), so a hit can only serve a byte-identical graph —
@@ -664,9 +655,6 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> (CheckOutcome, bool) {
-        if !options.verdict_memo {
-            return (self.evaluate(sys, spec, options, signals), false);
-        }
         let hit = self
             .memo
             .borrow()
@@ -1234,17 +1222,14 @@ mod tests {
             carry_step(&old, &tightened, &on),
             Some(GuardStep::TightenOnly { changed: vec![0] })
         );
-        // the breaks: a mixed step, a size change, a tighten-only step with
-        // the prune off, and every step with the incremental sweep off
+        // the breaks: a mixed step, a size change, and every step with the
+        // incremental sweep off
         let mixed = basis(3, &[&[(Ge, 2)], &[(Ge, 3)]]);
         assert_eq!(carry_step(&old, &mixed, &on), None);
         assert_eq!(
             carry_step(&old, &basis(4, &[&[(Ge, 3)], &[(Ge, 2)]]), &on),
             None
         );
-        let no_prune = on.with_tighten_prune(false);
-        assert_eq!(carry_step(&old, &tightened, &no_prune), None);
-        assert!(carry_step(&old, &relaxed, &no_prune).is_some());
         let fresh = on.with_incremental_sweep(false);
         assert_eq!(carry_step(&old, &old, &fresh), None);
     }
@@ -1597,7 +1582,7 @@ mod tests {
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
         let pool = WorkerPool::new(1);
-        let options = CheckerOptions::default().with_verdict_memo(true);
+        let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
         let graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
         let spec = Spec::NonBlocking {
@@ -1609,10 +1594,5 @@ mod tests {
         let (second, hit) = graph.evaluate_memo(&sys, &spec, &options, None);
         assert!(hit, "an identical re-evaluation is a memo hit");
         assert_eq!(first, second);
-        // switching the lever off bypasses the memo, same outcome
-        let off = CheckerOptions::default().with_verdict_memo(false);
-        let (third, hit) = graph.evaluate_memo(&sys, &spec, &off, None);
-        assert!(!hit);
-        assert_eq!(first, third);
     }
 }

@@ -168,7 +168,8 @@
 //! # Verdict memoization & lineage compaction
 //!
 //! The lineage above makes a sweep's steady state — long runs of identical
-//! or guard-adjacent valuations — cheap; two levers make it nearly free:
+//! or guard-adjacent valuations — cheap; two always-on mechanisms make it
+//! nearly free:
 //!
 //! * **Verdict memoization.**  Each cached reachability graph carries a
 //!   small memo of `(Spec, CheckOutcome)` pairs keyed by full [`Spec`]
@@ -177,10 +178,10 @@
 //!   **zero analysis passes** — only the counterexample's parameter
 //!   valuation is rewritten to the current cell's.  Only definite verdicts
 //!   (`Holds` / `Violated`) are memoised; `Unknown` outcomes always
-//!   re-evaluate.  The memo is invalidated by a generation bump whenever
-//!   the graph mutates (extension or prune) and survives pure reuse, so a
-//!   hit can never serve a stale verdict.  Hits and misses are counted per
-//!   group in [`GroupCacheRecord::memo_hits`] / `memo_misses`.
+//!   re-evaluate.  The memo is cleared by every extension or prune and
+//!   survives pure reuse, so a hit can never serve a stale verdict.  Hits
+//!   and misses are counted per group in [`GroupCacheRecord::memo_hits`] /
+//!   `memo_misses`.
 //! * **Tighten-only prune.**  A tighten-only step's reachable set is a
 //!   subset of the stored one (every changed bound strengthens, and counter
 //!   systems are monotone in their guard bounds: a row's guard valuation
@@ -190,24 +191,21 @@
 //!   actions are compacted out of the CSR arenas, and the same *relink*
 //!   BFS as the extension path re-derives discovery order and counts — so
 //!   a pruned graph is **bit-identical** to a fresh build at the tightened
-//!   valuation (pinned by the `random_differential` lever axis and the
-//!   carried-graph cases of `graph`'s tests).  The prune is infallible: no
-//!   budget that admitted the old graph can trip on its subset.  Note what
-//!   is *not* attempted: seeding future analysis passes from prior
-//!   violation bitsets would change the reported product counts, breaking
-//!   the lever-on/off differential contract, so passes always re-walk the
-//!   pruned graph.
+//!   valuation (pinned by `random_differential`'s incremental-vs-fresh
+//!   sweeps and the carried-graph cases of `graph`'s tests).  The prune is
+//!   infallible: no budget that admitted the old graph can trip on its
+//!   subset.  Note what is *not* attempted: seeding future analysis passes
+//!   from prior violation bitsets would change the reported product
+//!   counts, breaking the incremental-vs-fresh differential contract, so
+//!   passes always re-walk the pruned graph.
 //!   Rows the tightened bounds no longer reach stay stored, and are pruned
 //!   along with the reachable ones, so a later extension that reaches them
 //!   again finds their edges exact.
-//! * **Levers.**  [`CheckerOptions::verdict_memo`] and
-//!   [`CheckerOptions::tighten_prune`] are on by default;
-//!   `VerifierConfig` and the `table2` binary (`--no-verdict-memo` /
-//!   `--no-tighten-prune`) expose the same toggles.  Neither lever ever
-//!   changes a verdict, a count or a counterexample (pinned across the
-//!   random corpus at 1/2/4 workers by `random_differential`, and across
-//!   the generated families by `family_differential`); the
-//!   `sweep_amortization` bench isolates each lever's wall-clock gain.
+//!
+//! Neither mechanism ever changes a verdict, a count or a counterexample:
+//! `random_differential` pins incremental sweeps (which prune and hit the
+//! memo) against fresh ones across the random corpus at 1/2/4 workers, and
+//! `family_differential` does the same across the generated families.
 //!
 //! Lineage survivors stay resident between valuations, because
 //! delta-encoding their rows after each valuation and decoding them at the
@@ -238,25 +236,25 @@
 //!   resolved worker count of 1 spawns no threads at all — the sequential
 //!   loop pays no synchronisation.
 //!
-//! # Thread and wave knob precedence
+//! # Thread knob precedence
 //!
-//! From strongest to weakest, for each knob:
+//! From strongest to weakest:
 //!
-//! 1. Explicit configuration: [`CheckerOptions::workers`] /
-//!    [`CheckerOptions::wave_size`] for one check (the state store gets
-//!    one shard per worker), the `threads` budget of the sweep entry
-//!    points (fed by `VerifierConfig::threads` and the `--threads` flag of
-//!    the `table2` / `profile_engine` binaries) for a sweep.
+//! 1. Explicit configuration: [`CheckerOptions::workers`] for one check
+//!    (the state store gets one shard per worker), the `threads` budget of
+//!    the sweep entry points (fed by `VerifierConfig::threads` and the
+//!    `--threads` flag of the `table2` / `profile_engine` binaries) for a
+//!    sweep.
 //! 2. Environment: `CC_CHECK_THREADS` (in-check workers when
 //!    `CheckerOptions::workers == 0`), `CC_SWEEP_THREADS` (total sweep
-//!    budget when none was configured), `CC_WAVE_SIZE` (parallel wave size
-//!    when `CheckerOptions::wave_size == 0`).  Only a positive integer is
-//!    used; zero or anything else falls through to the auto default.
-//! 3. Auto: the available parallelism of the machine for the thread knobs,
-//!    [`explorer::DEFAULT_WAVE_SIZE`] for the wave size.
+//!    budget when none was configured).  Only a positive integer is used;
+//!    zero or anything else falls through to the auto default.
+//! 3. Auto: the available parallelism of the machine.
 //!
-//! None of these knobs ever changes a verdict, a count or a counterexample
-//! — only wall-clock time and peak memory.
+//! The wave size is [`CheckerOptions::wave_size`], or
+//! [`explorer::DEFAULT_WAVE_SIZE`] when that is `0`.  None of these knobs
+//! ever changes a verdict, a count or a counterexample — only wall-clock
+//! time and peak memory.
 //!
 //! # Job lifecycle & fault model
 //!

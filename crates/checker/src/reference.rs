@@ -5,18 +5,16 @@
 //! before the packed-state engine: visited states are keyed by
 //! `(Vec<u8> fingerprint, monitor bits)` in a SipHash `std::collections::HashMap`,
 //! every stored node carries a full [`Configuration`] clone, and successor
-//! generation clones the configuration once per probabilistic branch via
-//! [`CounterSystem::outcomes`].  It is deliberately *not* optimised — its
-//! only jobs are (a) to give the `engine_equivalence` integration tests an
-//! executable specification of the seed semantics (same visit counts, same
-//! verdicts), and (b) to serve as the measured "before" of the engine
-//! speedup.
+//! generation clones the configuration once per probabilistic branch.  It
+//! is deliberately *not* optimised — its only jobs are (a) to give the
+//! `engine_equivalence` integration tests an executable specification of
+//! the seed semantics (same visit counts, same verdicts), and (b) to serve
+//! as the measured "before" of the engine speedup.
 
 use crate::counterexample::Counterexample;
 use crate::explicit::CheckerOptions;
 use crate::result::CheckOutcome;
 use crate::spec::{LocSet, Spec};
-use cccounter::system::Outcome;
 use cccounter::{Action, Configuration, CounterSystem, Schedule, ScheduledStep};
 use std::collections::HashMap;
 
@@ -24,6 +22,12 @@ struct Node {
     config: Configuration,
     bits: u8,
     parent: Option<(usize, ScheduledStep)>,
+}
+
+/// One probabilistic outcome of applying an action.
+struct Outcome {
+    branch: usize,
+    config: Configuration,
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +116,6 @@ fn seed_outcomes(sys: &CounterSystem, cfg: &Configuration, action: Action) -> Ve
         }
         out.push(Outcome {
             branch: i,
-            probability: b.prob,
             config: seed_apply(sys, cfg, action, i),
         });
     }

@@ -14,7 +14,7 @@
 //! *runs* at lineage breaks: a run is a maximal stretch of consecutive
 //! valuations across which a [`GraphLineage`] carries each group's graph
 //! (the process and coin counts stay put, and each guard step is
-//! identical, relax-only, or tighten-only with the prune on).  The graph
+//! identical, relax-only, or tighten-only).  The graph
 //! module's `carry_step` is that policy, and the lineage applies the same
 //! function per group, so only a run's first valuation pays a full
 //! exploration.  Runs are handed out in grid order through an atomic
@@ -806,9 +806,8 @@ mod tests {
     #[test]
     fn runs_start_at_every_lineage_break() {
         // [4,1,1,1] -> [7,1,1,1] adds processes (break), -> [7,2,1,1]
-        // relaxes the quorum, -> [7,1,1,1] tightens it back (a break only
-        // with the prune off), -> [7,0,0,1] adds a process (break),
-        // -> [7,1,0,1] relaxes
+        // relaxes the quorum, -> [7,1,1,1] tightens it back (a prune, no
+        // break), -> [7,0,0,1] adds a process (break), -> [7,1,0,1] relaxes
         let model = fixtures::voting_model().single_round().unwrap();
         let systems: Vec<CounterSystem> = [
             [4, 1, 1, 1],
@@ -823,10 +822,6 @@ mod tests {
         .collect();
         let options = CheckerOptions::default();
         assert_eq!(lineage_runs(&systems, &options), vec![0..1, 1..4, 4..6]);
-        assert_eq!(
-            lineage_runs(&systems, &options.with_tighten_prune(false)),
-            vec![0..1, 1..3, 3..4, 4..6]
-        );
         let fresh = lineage_runs(&systems, &options.with_incremental_sweep(false));
         assert_eq!(fresh, (0..6).map(|v| v..v + 1).collect::<Vec<_>>());
         assert!(lineage_runs(&[], &options).is_empty());

@@ -15,8 +15,9 @@
 //!   1, 2 and 4 workers × wave sizes {1, 7, unbounded} is bit-identical to
 //!   the sequential loop (tiny wave sizes also lower the parallel-entry
 //!   threshold, so these small systems genuinely exercise the wave path).
-//! * **Incremental ≡ fresh** — guard-adjacent sweeps are bit-identical
-//!   with the lineage on and off, and with each steady-state lever off.
+//! * **Incremental ≡ fresh** — guard-adjacent sweeps, whose incremental
+//!   side extends, reuses, prunes and hits the verdict memo, are
+//!   bit-identical with the lineage on and off.
 //! * **Interrupted ≡ uninterrupted** — a `CheckJob` tripped by a state
 //!   budget at a random cap, checkpointed and resumed (repeatedly, with a
 //!   doubling cap) produces verdicts, counts and counterexample schedules
@@ -315,127 +316,6 @@ fn random_systems_incremental_sweep_matches_fresh() {
     );
     assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
     assert!(replayed > 0, "no incremental counterexample was replayed");
-}
-
-#[test]
-fn random_systems_sweep_levers_are_verdict_invariant() {
-    // The memoization/compaction levers are pure performance knobs: over
-    // the same guard-adjacent grid as the incremental≡fresh axis, a sweep
-    // with verdict memoization disabled and a sweep with the tighten-only
-    // prune disabled must each be bit-identical — verdicts, state counts,
-    // transition counts and counterexample schedules — to the sweep with
-    // both levers on, at 1, 2 and 4 in-check workers.  The lever-on runs
-    // must genuinely exercise both levers (≥1 pruned step, ≥1 memo hit),
-    // and every counterexample minted from a pruned or memoized graph must
-    // replay strictly.
-    let (mut pruned, mut memo_hits) = (0usize, 0usize);
-    let mut replayed = 0usize;
-    for i in 0..SYSTEMS {
-        let seed = 0xD1F_F0000 + i as u64;
-        let (sys, mids) = random_system(seed);
-        let model = sys.model().clone();
-        let env = model.env();
-        let pair = [
-            ParamValuation::new(vec![5, 1, 1, 1]),
-            ParamValuation::new(vec![5, 2, 1, 1]),
-        ];
-        if !pair.iter().all(|v| env.is_admissible(v)) {
-            continue;
-        }
-        let valuations = vec![
-            pair[0].clone(), // built
-            pair[1].clone(), // relax-only extension
-            pair[1].clone(), // identical: reuse + memo hits
-            pair[0].clone(), // tighten: in-place prune
-        ];
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
-        let specs = random_specs(&mut rng, &model, &mids);
-        for workers in [1, 2, 4] {
-            let base_options = CheckerOptions {
-                workers,
-                wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default()
-            }
-            .with_incremental_sweep(true);
-            let (levered, stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                base_options
-                    .with_verdict_memo(true)
-                    .with_tighten_prune(true),
-                1,
-            );
-            if workers == 1 {
-                pruned += stats.pruned_groups();
-                memo_hits += stats.memo_hits();
-            }
-            for (label, variant) in [
-                (
-                    "memo off",
-                    base_options
-                        .with_verdict_memo(false)
-                        .with_tighten_prune(true),
-                ),
-                (
-                    "prune off",
-                    base_options
-                        .with_verdict_memo(true)
-                        .with_tighten_prune(false),
-                ),
-            ] {
-                let (plain, _) =
-                    check_over_sweep_with_stats(&model, &specs, &valuations, variant, 1);
-                for (rl, rp) in levered.iter().zip(&plain) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, {label}",
-                        rl.spec_name
-                    );
-                    assert_eq!(rl.status(), rp.status(), "sweep status differs: {ctx}");
-                    assert_eq!(rl.outcomes.len(), rp.outcomes.len(), "{ctx}");
-                    for (ol, op) in rl.outcomes.iter().zip(&rp.outcomes) {
-                        let cell = format!("{ctx} at {}", ol.params);
-                        assert_eq!(ol.params, op.params, "{cell}");
-                        assert_eq!(ol.skipped, op.skipped, "{cell}");
-                        assert_eq!(ol.outcome.status, op.outcome.status, "{cell}");
-                        assert_eq!(
-                            ol.outcome.states_explored, op.outcome.states_explored,
-                            "state count differs: {cell}"
-                        );
-                        assert_eq!(
-                            ol.outcome.transitions_explored, op.outcome.transitions_explored,
-                            "transition count differs: {cell}"
-                        );
-                        match (&ol.outcome.counterexample, &op.outcome.counterexample) {
-                            (None, None) => {}
-                            (Some(cl), Some(cp)) => {
-                                assert_eq!(cl.initial, cp.initial, "initial differs: {cell}");
-                                assert_eq!(
-                                    cl.schedule.steps(),
-                                    cp.schedule.steps(),
-                                    "schedule differs: {cell}"
-                                );
-                                // a counterexample minted from a pruned or
-                                // memoized graph is a genuine execution
-                                let spec = specs
-                                    .iter()
-                                    .find(|s| s.name() == rl.spec_name)
-                                    .expect("report spec");
-                                let cell_sys = CounterSystem::new(model.clone(), cl.params.clone())
-                                    .expect("admissible");
-                                assert_genuine_violation(&cell_sys, spec, cl, &cell);
-                                replayed += 1;
-                            }
-                            _ => panic!("counterexample presence differs: {cell}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-    assert!(pruned > 0, "no tighten step was pruned in place");
-    assert!(memo_hits > 0, "no identical step ever hit the verdict memo");
-    assert!(replayed > 0, "no lever-axis counterexample was replayed");
 }
 
 #[test]

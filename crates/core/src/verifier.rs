@@ -31,12 +31,11 @@ pub struct VerifierConfig {
     /// `CC_SWEEP_THREADS` environment variable and then to the available
     /// parallelism.
     pub threads: usize,
-    /// Resource limits, in-check thread/wave knobs and sweep levers
-    /// of the explicit-state checker; `checker.workers == 0` lets the sweep
-    /// derive the per-cell worker count from the thread budget, and
-    /// `checker.wave_size == 0` defers to `CC_WAVE_SIZE` and then the
-    /// engine default (see the `ccchecker` crate docs for the thread and
-    /// wave knob precedence).
+    /// Resource limits, in-check thread/wave knobs and the incremental
+    /// sweep lever of the explicit-state checker; `checker.workers == 0`
+    /// lets the sweep derive the per-cell worker count from the thread
+    /// budget, and `checker.wave_size == 0` means the engine default (see
+    /// the `ccchecker` crate docs for the thread knob precedence).
     pub checker: CheckerOptions,
     /// Resource budget for each protocol's combined sweep (see the "Job
     /// lifecycle & fault model" section of the `ccchecker` crate docs).
@@ -102,36 +101,13 @@ impl VerifierConfig {
     /// docs).  When enabled (the default), each sweep worker carries the
     /// reachability graphs of its `(start restriction, valuation)` groups
     /// across guard-adjacent valuations — reusing them outright when the
-    /// compiled guard bounds are identical and extending them incrementally
-    /// when the step only relaxes guards — instead of re-exploring every
-    /// valuation from scratch.  Incremental and from-scratch sweeps are
-    /// bit-identical in verdicts, counts and counterexample schedules.
+    /// compiled guard bounds are identical, extending them incrementally
+    /// when the step only relaxes guards and pruning them in place when it
+    /// only tightens guards — instead of re-exploring every valuation from
+    /// scratch.  Incremental and from-scratch sweeps are bit-identical in
+    /// verdicts, counts and counterexample schedules.
     pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
         self.checker.incremental_sweep = enabled;
-        self
-    }
-
-    /// This configuration with the per-graph verdict memo enabled or
-    /// disabled (see the "Verdict memoization & lineage compaction" section
-    /// of the `ccchecker` crate docs).  When enabled (the default), an
-    /// obligation already answered on an unchanged graph generation — e.g.
-    /// across an identical-classified sweep step — is served from the memo
-    /// without running any analysis pass.  Memoised and recomputed sweeps
-    /// are bit-identical in verdicts, counts and counterexample schedules.
-    pub fn with_verdict_memo(mut self, enabled: bool) -> Self {
-        self.checker.verdict_memo = enabled;
-        self
-    }
-
-    /// This configuration with the tighten-only prune enabled or disabled
-    /// (see the "Verdict memoization & lineage compaction" section of the
-    /// `ccchecker` crate docs).  When enabled (the default), a sweep step
-    /// that only tightens guard bounds prunes the cached graph in place —
-    /// re-validating cached actions and re-linking — instead of
-    /// re-exploring from scratch.  Pruned and fresh graphs are bit-identical
-    /// in verdicts, counts and counterexample schedules.
-    pub fn with_tighten_prune(mut self, enabled: bool) -> Self {
-        self.checker.tighten_prune = enabled;
         self
     }
 

@@ -9,12 +9,10 @@
 //!
 //! Counter and variable updates are O(1): trailing all-zero rounds are *not*
 //! trimmed eagerly on every mutation (that would make each update O(rounds)).
-//! Instead, equality, hashing and the packed fingerprints ignore trailing
+//! Instead, equality, hashing and the byte fingerprint ignore trailing
 //! all-zero rounds, so two configurations describing the same state still
 //! compare (and hash) equal regardless of which rounds happen to be
-//! materialised.  The hot exploration path additionally mutates
-//! configurations in place through the delta API of
-//! [`crate::CounterSystem::expand_action`] instead of cloning per successor.
+//! materialised.
 
 use ccta::{LocId, VarId};
 use std::fmt;
@@ -133,14 +131,6 @@ impl Configuration {
             .unwrap_or_else(|| vec![0; self.num_vars])
     }
 
-    /// All location counters of a round.
-    pub fn round_counters(&self, round: u32) -> Vec<u64> {
-        self.rounds
-            .get(round as usize)
-            .map(|r| r.counters.clone())
-            .unwrap_or_else(|| vec![0; self.num_locations])
-    }
-
     /// The largest round index with a non-zero counter or variable, if any.
     pub fn max_active_round(&self) -> Option<u32> {
         match self.active_len() {
@@ -178,16 +168,6 @@ impl Configuration {
         self.rounds.truncate(len);
     }
 
-    /// Zeroes every materialised round in place, keeping the round buffers
-    /// allocated.  The result is observably equal to
-    /// [`Configuration::zero`].
-    pub fn clear(&mut self) {
-        for r in &mut self.rounds {
-            r.counters.fill(0);
-            r.vars.fill(0);
-        }
-    }
-
     /// Sets the counter `κ[loc, round]`.
     pub fn set_counter(&mut self, loc: LocId, round: u32, value: u64) {
         self.ensure_round(round).counters[loc.0] = value;
@@ -212,23 +192,6 @@ impl Configuration {
         data.counters[loc.0] -= 1;
     }
 
-    /// Decreases the counter `κ[loc, round]` by one without the underflow
-    /// check.  Used by the delta-application fast path of the expander, which
-    /// only fires actions whose applicability was already established.
-    pub(crate) fn decrement_counter_unchecked(&mut self, loc: LocId, round: u32) {
-        let data = self.ensure_round(round);
-        debug_assert!(data.counters[loc.0] > 0, "counter underflow at {loc}");
-        data.counters[loc.0] -= 1;
-    }
-
-    /// Subtracts `delta` from the variable `g[var, round]` (undo of an
-    /// update increment).
-    pub(crate) fn sub_var_unchecked(&mut self, var: VarId, round: u32, delta: u64) {
-        let data = self.ensure_round(round);
-        debug_assert!(data.vars[var.0] >= delta, "variable underflow at {var}");
-        data.vars[var.0] -= delta;
-    }
-
     /// Sets the variable `g[var, round]`.
     pub fn set_var(&mut self, var: VarId, round: u32, value: u64) {
         self.ensure_round(round).vars[var.0] = value;
@@ -237,18 +200,6 @@ impl Configuration {
     /// Adds `delta` to the variable `g[var, round]`.
     pub fn add_var(&mut self, var: VarId, round: u32, delta: u64) {
         self.ensure_round(round).vars[var.0] += delta;
-    }
-
-    /// A compact fingerprint suitable as a hash-map key in explicit-state
-    /// search (flattens all active rounds into one vector).
-    pub fn fingerprint(&self) -> Vec<u64> {
-        let active = self.active_len();
-        let mut out = Vec::with_capacity(active * (self.num_locations + self.num_vars));
-        for r in &self.rounds[..active] {
-            out.extend_from_slice(&r.counters);
-            out.extend_from_slice(&r.vars);
-        }
-        out
     }
 
     /// A memory-compact byte fingerprint for explicit-state search.
@@ -329,7 +280,6 @@ mod tests {
         assert_eq!(c.max_active_round(), None);
         assert_eq!(c.total_in_round(3), 0);
         assert_eq!(c.round_vars(2), vec![0, 0, 0]);
-        assert_eq!(c.round_counters(2), vec![0; 5]);
         assert_eq!(format!("{c}"), "<empty>");
     }
 
@@ -359,7 +309,6 @@ mod tests {
         b.add_counter(LocId(1), 3, 1);
         b.set_counter(LocId(1), 3, 0);
         assert_eq!(a, b);
-        assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint_bytes(), b.fingerprint_bytes());
         assert_eq!(hash_of(&a), hash_of(&b));
         assert_eq!(b.max_active_round(), Some(0));

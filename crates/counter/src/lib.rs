@@ -13,25 +13,17 @@
 //!   values, with O(1) mutation (trailing-zero-round trimming is deferred to
 //!   the comparison/fingerprint boundaries instead of running on every
 //!   update).
-//! * [`PackedConfig`] — the packed byte encoding of a configuration
-//!   (canonical with respect to trailing zero rounds), carrying a
-//!   precomputed 64-bit pre-hash; full configurations are decoded back on
-//!   demand (e.g. for counterexample reconstruction).
-//! * [`CounterSystem`] — applicability, the `apply` function and the
+//! * [`CounterSystem`] — applicability and the `apply` function of the
 //!   probabilistic transition function `∆` for a concrete admissible
 //!   parameter valuation.  Rules are precompiled at construction (branch
-//!   lists, variable increments, guard bounds evaluated at the valuation),
-//!   and the exploration fast path ([`CounterSystem::expand_action`],
-//!   [`CounterSystem::progress_actions_into`], [`Expander`]) generates
-//!   successors by applying and undoing counter deltas in place — no
-//!   `Configuration` clone per branch, no `round_vars` clone per guard.
+//!   lists, variable increments, guard bounds evaluated at the valuation).
 //! * [`RowEngine`] — the single-round specialisation the explicit checker
 //!   actually runs on: a state is one fixed-stride byte row
 //!   (`locations ++ variables`), successor generation applies byte deltas
 //!   in place, guards evaluate straight off the row, and a tabulated
-//!   Zobrist hash ([`CounterSystem::state_hash`]) is maintained
-//!   incrementally in O(1) per delta.  The hot loop of the checker performs
-//!   no allocation per transition.
+//!   Zobrist hash ([`RowEngine::hash`]) is maintained incrementally in O(1)
+//!   per delta.  The hot loop of the checker performs no allocation per
+//!   transition.
 //! * [`Schedule`] / [`Path`] — finite schedules and paths, round-rigidity,
 //!   and the Theorem-1 reordering of arbitrary schedules into round-rigid
 //!   ones.
@@ -42,7 +34,6 @@
 pub mod adversary;
 pub mod config;
 pub mod error;
-pub mod packed;
 pub mod schedule;
 pub mod system;
 
@@ -54,6 +45,5 @@ pub mod testutil;
 pub use adversary::{Adversary, EagerAdversary, RandomAdversary, RoundRigid, RunOutcome};
 pub use config::Configuration;
 pub use error::CounterError;
-pub use packed::PackedConfig;
 pub use schedule::{Path, Schedule, ScheduledStep};
-pub use system::{decode_row, Action, CounterSystem, Expander, RowEngine};
+pub use system::{decode_row, Action, CounterSystem, RowEngine};

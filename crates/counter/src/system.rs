@@ -1,26 +1,19 @@
 //! The counter system `Sys(TAⁿ, PTAᶜ)` for a concrete parameter valuation.
 //!
-//! # The successor-generation fast path
-//!
-//! Explicit-state checking spends nearly all of its time enumerating
-//! applicable actions and producing successor configurations, so
 //! [`CounterSystem::new`] precompiles the model into flat per-rule records:
 //! the source location, the positive-probability branches, the variable
 //! increments, and the guard with its threshold bounds already evaluated at
-//! the (fixed) parameter valuation.  On top of these records,
+//! the (fixed) parameter valuation.  Two layers read these records:
 //!
-//! * [`CounterSystem::progress_actions_into`] enumerates applicable progress
-//!   actions into a caller-owned buffer (no per-expansion allocation),
-//! * guard evaluation borrows the round's variable slice directly from the
-//!   configuration (no `round_vars` clone), and
-//! * [`CounterSystem::expand_action`] visits every probabilistic successor
-//!   of an action by applying and undoing counter deltas *in place* on a
-//!   scratch configuration — no `Configuration` clone per branch.
-//!
-//! The allocating APIs ([`CounterSystem::outcomes`],
-//! [`CounterSystem::progress_actions`], …) are retained for tests,
-//! adversaries and counterexample replay; they are thin wrappers over the
-//! same compiled records.
+//! * the `Configuration` API ([`CounterSystem::apply`],
+//!   [`CounterSystem::is_applicable`], [`CounterSystem::progress_actions`],
+//!   [`CounterSystem::is_terminal`]) gives the multi-round semantics of the
+//!   paper and serves adversaries, the simulator, counterexample replay and
+//!   the reference checker;
+//! * [`RowEngine`] is the single-round specialisation the explicit checker
+//!   runs on: a state is one fixed-stride byte row, successors are produced
+//!   by applying and undoing byte deltas in place, and a tabulated Zobrist
+//!   hash is maintained incrementally.
 //!
 //! All compiled state (rules, guard bounds, Zobrist tables) is immutable
 //! after construction, so one `CounterSystem` — and any number of
@@ -59,17 +52,6 @@ impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.rule, self.round)
     }
-}
-
-/// One probabilistic outcome of applying an action.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Outcome {
-    /// Index of the chosen branch of the rule.
-    pub branch: usize,
-    /// Probability of this branch.
-    pub probability: Probability,
-    /// The configuration reached.
-    pub config: Configuration,
 }
 
 /// A guard atom with its parameter-dependent bound evaluated at the fixed
@@ -125,14 +107,14 @@ pub struct CounterSystem {
     progress_compact: Vec<(u32, u16)>,
     /// All-zero variable row, lent out for never-materialised rounds.
     zero_vars: Vec<u64>,
-    /// Zobrist keys: one 64-bit key per `(slot, value)` pair, where slots
-    /// are the locations followed by the variables and values range over
-    /// `0..=255` (value 0 maps to key 0, so unmaterialised and trailing
-    /// zero rounds contribute nothing).  Round `k` rotates the key by `k`.
+    /// Zobrist keys for [`RowEngine`]: one 64-bit key per `(slot, value)`
+    /// pair, where slots are the locations followed by the variables and
+    /// values range over `0..=255` (value 0 maps to key 0, so a zero slot
+    /// contributes nothing).
     zobrist: Vec<u64>,
 }
 
-/// Number of tabulated values per Zobrist slot (the packed-byte range).
+/// Number of tabulated values per Zobrist slot (the row-byte range).
 const ZOBRIST_VALUES: usize = 256;
 
 impl CounterSystem {
@@ -451,195 +433,17 @@ impl CounterSystem {
         Ok(next)
     }
 
-    /// Applies a Dirac action (single branch).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CounterSystem::apply`].
-    pub fn apply_dirac(
-        &self,
-        cfg: &Configuration,
-        action: Action,
-    ) -> Result<Configuration, CounterError> {
-        self.apply(cfg, action, 0)
-    }
-
-    /// The Zobrist key of holding `value` in the location slot `loc` of
-    /// round `round`.
-    #[inline]
-    fn loc_key(&self, loc: LocId, round: u32, value: u64) -> u64 {
-        debug_assert!(value < ZOBRIST_VALUES as u64, "counter too large to hash");
-        self.zobrist[loc.0 * ZOBRIST_VALUES + value as usize].rotate_left(round)
-    }
-
-    /// The Zobrist key of variable slot `var` holding `value` in `round`.
-    #[inline]
-    fn var_key(&self, var: VarId, round: u32, value: u64) -> u64 {
-        debug_assert!(value < ZOBRIST_VALUES as u64, "variable too large to hash");
-        self.zobrist[(self.model.locations().len() + var.0) * ZOBRIST_VALUES + value as usize]
-            .rotate_left(round)
-    }
-
-    /// The incremental Zobrist hash of a configuration: the XOR of the keys
-    /// of every non-zero counter and variable value.  Trailing zero rounds
-    /// contribute nothing, so observably equal configurations hash equal.
-    /// [`CounterSystem::expand_action_hashed`] maintains this hash across
-    /// delta application in O(deltas) instead of O(state size).
-    pub fn state_hash(&self, cfg: &Configuration) -> u64 {
-        let mut hash = 0u64;
-        for round in self.active_rounds(cfg) {
-            if let Some(counters) = cfg.counters_slice(round) {
-                for (loc, &v) in counters.iter().enumerate() {
-                    if v > 0 {
-                        hash ^= self.loc_key(LocId(loc), round, v);
-                    }
-                }
-            }
-            if let Some(vars) = cfg.vars_slice(round) {
-                for (var, &v) in vars.iter().enumerate() {
-                    if v > 0 {
-                        hash ^= self.var_key(VarId(var), round, v);
-                    }
-                }
-            }
-        }
-        hash
-    }
-
-    /// Visits every positive-probability successor of an *applicable* action
-    /// by mutating `cfg` in place: the source decrement and the variable
-    /// increments are applied once, then each branch target is added,
-    /// handed to `visit`, and removed again.  After the call (including on
-    /// early exit) `cfg` describes the same state as before, though trailing
-    /// zero rounds may have been materialised (which observers ignore).
-    ///
-    /// `visit` receives the branch index, its probability, and the successor
-    /// configuration; returning [`ControlFlow::Break`] stops the visit.
-    ///
-    /// The caller must have established applicability (e.g. by enumerating
-    /// actions with [`CounterSystem::progress_actions_into`]); applicability
-    /// is *not* re-checked per branch.
-    pub fn expand_action<B>(
-        &self,
-        cfg: &mut Configuration,
-        action: Action,
-        mut visit: impl FnMut(usize, Probability, &Configuration) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        self.expand_action_hashed(cfg, action, 0, |branch, prob, succ, _hash| {
-            visit(branch, prob, succ)
-        })
-    }
-
-    /// [`CounterSystem::expand_action`] with incremental state hashing: the
-    /// caller passes the [`CounterSystem::state_hash`] of `cfg` and `visit`
-    /// additionally receives the hash of each successor, maintained across
-    /// the in-place deltas in O(1) per delta.
-    pub fn expand_action_hashed<B>(
-        &self,
-        cfg: &mut Configuration,
-        action: Action,
-        hash: u64,
-        mut visit: impl FnMut(usize, Probability, &Configuration, u64) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        let rule = &self.rules[action.rule.0];
-        debug_assert!(
-            self.is_applicable(cfg, action),
-            "expand of inapplicable {action}"
-        );
-        let dest_round = self.destination_round(action.rule, action.round);
-        let mut base = hash;
-
-        let from_count = cfg.counter(rule.from, action.round);
-        base ^= self.loc_key(rule.from, action.round, from_count)
-            ^ self.loc_key(rule.from, action.round, from_count - 1);
-        cfg.decrement_counter_unchecked(rule.from, action.round);
-        for &(var, delta) in &rule.increments {
-            let old = cfg.var(var, action.round);
-            base ^=
-                self.var_key(var, action.round, old) ^ self.var_key(var, action.round, old + delta);
-            cfg.add_var(var, action.round, delta);
-        }
-        let mut flow = ControlFlow::Continue(());
-        for &(branch, to, prob) in &rule.branches {
-            let old = cfg.counter(to, dest_round);
-            let succ_hash =
-                base ^ self.loc_key(to, dest_round, old) ^ self.loc_key(to, dest_round, old + 1);
-            cfg.add_counter(to, dest_round, 1);
-            let result = visit(branch, prob, cfg, succ_hash);
-            cfg.decrement_counter_unchecked(to, dest_round);
-            if let ControlFlow::Break(b) = result {
-                flow = ControlFlow::Break(b);
-                break;
-            }
-        }
-        for &(var, delta) in &rule.increments {
-            cfg.sub_var_unchecked(var, action.round, delta);
-        }
-        cfg.add_counter(rule.from, action.round, 1);
-        flow
-    }
-
-    /// The probabilistic transition function `∆(c, α)`: all outcomes of the
-    /// action with their probabilities.  Applicability is validated once,
-    /// not once per branch.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the action is not applicable.
-    pub fn outcomes(
-        &self,
-        cfg: &Configuration,
-        action: Action,
-    ) -> Result<Vec<Outcome>, CounterError> {
-        if !self.is_applicable(cfg, action) {
-            return Err(CounterError::NotApplicable {
-                action: action.to_string(),
-            });
-        }
-        let mut scratch = cfg.clone();
-        let mut out = Vec::with_capacity(self.rules[action.rule.0].branches.len());
-        let _ = self.expand_action(&mut scratch, action, |branch, probability, succ| {
-            let mut config = succ.clone();
-            config.trim();
-            out.push(Outcome {
-                branch,
-                probability,
-                config,
-            });
-            ControlFlow::<()>::Continue(())
-        });
-        Ok(out)
-    }
-
     /// The rounds in which actions may currently fire: `0 ..= max active
     /// round` (at least round 0).
     pub fn active_rounds(&self, cfg: &Configuration) -> std::ops::RangeInclusive<u32> {
         0..=cfg.max_active_round().unwrap_or(0)
     }
 
-    /// Appends all applicable actions in the configuration to `out`
-    /// (cleared first), in `(round, rule)` order.
-    pub fn applicable_actions_into(&self, cfg: &Configuration, out: &mut Vec<Action>) {
-        out.clear();
-        for round in self.active_rounds(cfg) {
-            let vars = self.round_vars_ref(cfg, round);
-            let counters = cfg.counters_slice(round);
-            for (idx, rule) in self.rules.iter().enumerate() {
-                let occupied = counters.map_or(0, |c| c[rule.from.0]) >= 1;
-                if occupied && rule.guard_holds(vars) {
-                    out.push(Action::new(RuleId(idx), round));
-                }
-            }
-        }
-    }
-
-    /// Appends all applicable *progress* (non-self-loop) actions to `out`
-    /// (cleared first), in `(round, rule)` order.  This is the
-    /// allocation-free enumeration used by the explicit-state engine;
-    /// self-loops only produce stuttering and are irrelevant for
-    /// reachability.
-    pub fn progress_actions_into(&self, cfg: &Configuration, out: &mut Vec<Action>) {
-        out.clear();
+    /// Applicable actions whose rule is not a self-loop (self-loops only
+    /// produce stuttering and are irrelevant for reachability), in
+    /// `(round, rule)` order.
+    pub fn progress_actions(&self, cfg: &Configuration) -> Vec<Action> {
+        let mut out = Vec::new();
         for round in self.active_rounds(cfg) {
             let Some(counters) = cfg.counters_slice(round) else {
                 continue; // an unmaterialised round holds no automata
@@ -660,20 +464,6 @@ impl CounterSystem {
             // scan yields rules grouped by source location)
             out[round_start..].sort_unstable_by_key(|a| a.rule.0);
         }
-    }
-
-    /// All applicable actions in the configuration.
-    pub fn applicable_actions(&self, cfg: &Configuration) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.applicable_actions_into(cfg, &mut out);
-        out
-    }
-
-    /// Applicable actions whose rule is not a self-loop (self-loops only
-    /// produce stuttering and are irrelevant for reachability).
-    pub fn progress_actions(&self, cfg: &Configuration) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.progress_actions_into(cfg, &mut out);
         out
     }
 
@@ -697,21 +487,6 @@ impl CounterSystem {
             }
         }
         true
-    }
-
-    /// Number of correct processes currently occupying any of the given
-    /// locations in `round`.
-    pub fn occupancy(&self, cfg: &Configuration, locs: &[LocId], round: u32) -> u64 {
-        cfg.count_in(locs, round)
-    }
-
-    /// Renders an action with names resolved.
-    pub fn describe_action(&self, action: Action) -> String {
-        format!(
-            "({}, round {})",
-            self.model.rule(action.rule).name(),
-            action.round
-        )
     }
 }
 
@@ -832,8 +607,13 @@ impl<'a> RowEngine<'a> {
 
     /// Visits every positive-probability successor row of an applicable
     /// action by applying and undoing byte deltas in place, maintaining the
-    /// row's Zobrist hash incrementally.  Mirrors
-    /// [`CounterSystem::expand_action_hashed`].
+    /// row's Zobrist hash incrementally in O(1) per delta.  After the call
+    /// (including on early exit) `row` holds its original bytes.
+    ///
+    /// `visit` receives the branch index, its probability, the successor
+    /// row and its hash; returning [`ControlFlow::Break`] stops the visit.
+    /// The caller must have established applicability (e.g. with
+    /// [`RowEngine::progress_actions_into`]); it is not re-checked.
     pub fn for_each_successor<B>(
         &self,
         row: &mut [u8],
@@ -893,36 +673,6 @@ pub fn decode_row(row: &[u8], num_locations: usize, num_vars: usize) -> Configur
         }
     }
     cfg
-}
-
-/// A reusable scratch buffer for successor generation.
-///
-/// One expander per search loop amortises the action-buffer allocation over
-/// the whole exploration: [`Expander::refill`] re-enumerates the applicable
-/// progress actions of the current configuration in place, and the buffer is
-/// read back via [`Expander::actions`] while the configuration is mutated
-/// through [`CounterSystem::expand_action`].
-#[derive(Debug, Default)]
-pub struct Expander {
-    actions: Vec<Action>,
-}
-
-impl Expander {
-    /// Creates an empty expander.
-    pub fn new() -> Self {
-        Expander::default()
-    }
-
-    /// Re-enumerates the applicable progress actions of `cfg`.
-    pub fn refill(&mut self, sys: &CounterSystem, cfg: &Configuration) -> &[Action] {
-        sys.progress_actions_into(cfg, &mut self.actions);
-        &self.actions
-    }
-
-    /// The actions enumerated by the last [`Expander::refill`].
-    pub fn actions(&self) -> &[Action] {
-        &self.actions
-    }
 }
 
 #[cfg(test)]
@@ -992,7 +742,7 @@ mod tests {
 
         let action = Action::new(bcast0, 0);
         assert!(sys.is_applicable(&cfg, action));
-        let next = sys.apply_dirac(&cfg, action).unwrap();
+        let next = sys.apply(&cfg, action, 0).unwrap();
         assert_eq!(next.counter(i0, 0), 2);
         assert_eq!(next.counter(s, 0), 1);
         assert_eq!(next.var(v0, 0), 1);
@@ -1006,7 +756,7 @@ mod tests {
         let model = sys.model().clone();
         let maj0 = model.rule_id("maj0").unwrap();
         let cfg = sys.empty_configuration();
-        let err = sys.apply_dirac(&cfg, Action::new(maj0, 0)).unwrap_err();
+        let err = sys.apply(&cfg, Action::new(maj0, 0), 0).unwrap_err();
         assert!(matches!(err, CounterError::NotApplicable { .. }));
     }
 
@@ -1033,7 +783,7 @@ mod tests {
             .unwrap();
         let mut cfg = sys.empty_configuration();
         cfg.add_counter(e0, 0, 1);
-        let next = sys.apply_dirac(&cfg, Action::new(switch, 0)).unwrap();
+        let next = sys.apply(&cfg, Action::new(switch, 0), 0).unwrap();
         assert_eq!(next.counter(e0, 0), 0);
         assert_eq!(next.counter(j0, 1), 1);
         assert_eq!(next.max_active_round(), Some(1));
@@ -1052,7 +802,7 @@ mod tests {
             .unwrap();
         let mut cfg = sys.empty_configuration();
         cfg.add_counter(e0, 0, 1);
-        let next = sys.apply_dirac(&cfg, Action::new(switch, 0)).unwrap();
+        let next = sys.apply(&cfg, Action::new(switch, 0), 0).unwrap();
         assert_eq!(next.counter(j0_copy, 0), 1);
         assert_eq!(next.max_active_round(), Some(0));
     }
@@ -1065,76 +815,26 @@ mod tests {
         let ic = model.location_id("IC").unwrap();
         let mut cfg = sys.empty_configuration();
         cfg.add_counter(ic, 0, 1);
-        let outcomes = sys.outcomes(&cfg, Action::new(toss, 0)).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|o| o.probability == Probability::HALF));
+        let action = Action::new(toss, 0);
+        let branches = model.rule(toss).branches();
+        assert_eq!(branches.len(), 2);
+        assert!(branches.iter().all(|b| b.prob == Probability::HALF));
         let h0 = model.location_id("H0").unwrap();
         let h1 = model.location_id("H1").unwrap();
-        assert_eq!(outcomes[0].config.counter(h0, 0), 1);
-        assert_eq!(outcomes[1].config.counter(h1, 0), 1);
-    }
-
-    #[test]
-    fn outcomes_match_apply_per_branch() {
-        let sys = system();
-        let model = sys.model().clone();
-        let toss = model.rule_id("toss").unwrap();
-        let mut cfg = sys.empty_configuration();
-        cfg.add_counter(model.location_id("IC").unwrap(), 0, 1);
-        let action = Action::new(toss, 0);
-        for outcome in sys.outcomes(&cfg, action).unwrap() {
-            let via_apply = sys.apply(&cfg, action, outcome.branch).unwrap();
-            assert_eq!(outcome.config, via_apply);
-        }
-    }
-
-    #[test]
-    fn expand_action_restores_the_configuration() {
-        let sys = system();
-        let model = sys.model().clone();
-        let bcast0 = model.rule_id("bcast0").unwrap();
-        let mut cfg = sys.empty_configuration();
-        cfg.add_counter(model.location_id("I0").unwrap(), 0, 2);
-        let snapshot = cfg.clone();
-        let action = Action::new(bcast0, 0);
-        let expected = sys.apply_dirac(&cfg, action).unwrap();
-        let mut seen = 0;
-        let _ = sys.expand_action(&mut cfg, action, |branch, prob, succ| {
-            assert_eq!(branch, 0);
-            assert!(prob.is_one());
-            assert_eq!(*succ, expected);
-            seen += 1;
-            ControlFlow::<()>::Continue(())
-        });
-        assert_eq!(seen, 1);
-        assert_eq!(cfg, snapshot);
-    }
-
-    #[test]
-    fn expand_action_early_exit_still_restores() {
-        let sys = system();
-        let model = sys.model().clone();
-        let toss = model.rule_id("toss").unwrap();
-        let mut cfg = sys.empty_configuration();
-        cfg.add_counter(model.location_id("IC").unwrap(), 0, 1);
-        let snapshot = cfg.clone();
-        let flow = sys.expand_action(&mut cfg, Action::new(toss, 0), |branch, _, _| {
-            ControlFlow::Break(branch)
-        });
-        assert_eq!(flow, ControlFlow::Break(0));
-        assert_eq!(cfg, snapshot);
+        assert_eq!(sys.apply(&cfg, action, 0).unwrap().counter(h0, 0), 1);
+        assert_eq!(sys.apply(&cfg, action, 1).unwrap().counter(h1, 0), 1);
     }
 
     #[test]
     fn applicable_and_progress_actions() {
         let sys = system();
         let inits = sys.initial_configurations();
-        // all processes with value 0: applicable actions are bcast0 x?, and the toss
+        // all processes with value 0: progress actions are bcast0 and the toss
         let all_zero = inits
             .iter()
             .find(|c| c.counter(sys.model().location_id("I0").unwrap(), 0) == 3)
             .unwrap();
-        let actions = sys.applicable_actions(all_zero);
+        let actions = sys.progress_actions(all_zero);
         let names: Vec<&str> = actions
             .iter()
             .map(|a| sys.model().rule(a.rule).name())
@@ -1145,26 +845,6 @@ mod tests {
         assert!(!sys.is_terminal(all_zero));
         // empty configuration is terminal
         assert!(sys.is_terminal(&sys.empty_configuration()));
-    }
-
-    #[test]
-    fn expander_reuses_its_buffer_and_matches_the_allocating_api() {
-        let sys = system();
-        let mut expander = Expander::new();
-        for cfg in sys.initial_configurations() {
-            assert_eq!(expander.refill(&sys, &cfg), sys.progress_actions(&cfg));
-        }
-        assert!(expander.refill(&sys, &sys.empty_configuration()).is_empty());
-    }
-
-    #[test]
-    fn describe_action_uses_rule_names() {
-        let sys = system();
-        let bcast0 = sys.model().rule_id("bcast0").unwrap();
-        assert_eq!(
-            sys.describe_action(Action::new(bcast0, 2)),
-            "(bcast0, round 2)"
-        );
     }
 
     #[test]
@@ -1195,30 +875,34 @@ mod tests {
             assert_eq!(row.len(), engine.stride());
             // encode/decode round-trips
             assert_eq!(engine.decode(&row), cfg);
-            // row hash equals the configuration hash
-            assert_eq!(engine.hash(&row), sys.state_hash(&cfg));
             // action enumeration agrees with the configuration-based one
             let mut actions = Vec::new();
             engine.progress_actions_into(&row, &mut actions);
             assert_eq!(actions, sys.progress_actions(&cfg));
-            // successors agree with `outcomes` per action and branch, with
-            // correctly maintained hashes, and the row is restored after
+            // successors agree with `apply` per action and positive-probability
+            // branch, their incrementally maintained hashes agree with a
+            // from-scratch row hash, and the row is restored after
             let hash = engine.hash(&row);
             for action in actions {
-                let outcomes = sys.outcomes(&cfg, action).unwrap();
+                let rule = sys.model().rule(action.rule);
+                let branches: Vec<usize> = (0..rule.branches().len())
+                    .filter(|&b| !rule.branches()[b].prob.is_zero())
+                    .collect();
                 let snapshot = row.clone();
                 let mut seen = 0;
                 let _ =
                     engine.for_each_successor(&mut row, action, hash, |branch, prob, succ, h| {
-                        let outcome = &outcomes[seen];
-                        assert_eq!(branch, outcome.branch);
-                        assert_eq!(prob, outcome.probability);
-                        assert_eq!(engine.decode(succ), outcome.config);
-                        assert_eq!(h, sys.state_hash(&outcome.config));
+                        assert_eq!(branch, branches[seen]);
+                        assert_eq!(prob, rule.branches()[branch].prob);
+                        assert_eq!(
+                            engine.decode(succ),
+                            sys.apply(&cfg, action, branch).unwrap()
+                        );
+                        assert_eq!(h, engine.hash(succ));
                         seen += 1;
                         ControlFlow::<()>::Continue(())
                     });
-                assert_eq!(seen, outcomes.len());
+                assert_eq!(seen, branches.len());
                 assert_eq!(row, snapshot);
             }
         }

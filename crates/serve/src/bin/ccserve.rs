@@ -7,9 +7,9 @@
 //!         [--checkpoint-slots N] [--port-file PATH]
 //! ```
 //!
-//! Defaults to TCP on `127.0.0.1:7177`.  Knobs left unset fall through to
-//! the `CC_SERVE_*` environment variables and then the built-in defaults
-//! (see the crate docs).  `--cache-log` makes verdicts and parked
+//! Defaults to TCP on `127.0.0.1:7177`.  Each flag overwrites one field of
+//! `ServeConfig::default()`, which holds the built-in defaults (see the
+//! crate docs).  `--cache-log` makes verdicts and parked
 //! checkpoints durable across restarts; `--fsync-policy` is one of
 //! `always`, `never`, `every=N`, `interval=MS`.  `--port-file` writes the
 //! bound address to a file once listening, so harnesses can use an
@@ -54,7 +54,7 @@ fn main() {
             "--unix" => unix = Some(value("--unix")),
             "--workers" => config.workers = parse(&value("--workers")),
             "--queue" => config.queue_capacity = parse(&value("--queue")),
-            "--cache" => config.cache_capacity = Some(parse(&value("--cache"))),
+            "--cache" => config.cache_capacity = parse(&value("--cache")),
             "--max-frame" => config.max_frame_bytes = parse(&value("--max-frame")),
             "--stats-interval" => stats_interval = parse(&value("--stats-interval")),
             "--cache-log" => {
@@ -67,9 +67,7 @@ fn main() {
                     usage()
                 });
             }
-            "--checkpoint-slots" => {
-                config.checkpoint_slots = Some(parse(&value("--checkpoint-slots")));
-            }
+            "--checkpoint-slots" => config.checkpoint_slots = parse(&value("--checkpoint-slots")),
             "--port-file" => port_file = Some(value("--port-file")),
             "--help" | "-h" => usage(),
             other => {

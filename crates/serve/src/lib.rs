@@ -137,14 +137,13 @@
 //!        preloaded verdicts); resumes continue or reject typed
 //! ```
 //!
-//! **Knob precedence.**  Explicit [`ServeConfig`] fields beat environment
-//! variables beat defaults: `CC_SERVE_WORKERS` (worker slots),
-//! `CC_SERVE_QUEUE` (admission capacity), `CC_SERVE_CACHE` (result-cache
-//! capacity), `CC_SERVE_MAX_FRAME` (frame bound), `CC_SERVE_CKPT`
-//! (checkpoint-registry slots), `CC_SERVE_CKPT_TTL_MS` (parked-job TTL),
-//! `CC_SERVE_COMPACT_EVERY` (auto-compaction threshold in appended
-//! records).  In-check threading keeps following `CC_CHECK_THREADS`
-//! through `CheckerOptions`, unchanged.
+//! **Configuration.**  [`ServeConfig::default`] holds every default (worker
+//! slots, admission capacity, result-cache capacity, frame bound,
+//! checkpoint-registry slots and parked-job TTL), and the `ccserve` flags
+//! overwrite single fields.  One environment variable remains:
+//! `CC_SERVE_COMPACT_EVERY`, the auto-compaction threshold in appended
+//! records, read by [`VerdictLog::open`].  In-check threading follows
+//! `CC_CHECK_THREADS` through `CheckerOptions`.
 
 pub mod cache;
 pub mod client;

@@ -43,30 +43,28 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// Minimum spacing between `Progress` frames of one running cell.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Server configuration.  Knob precedence is explicit value over
-/// environment variable over default, matching `CheckerOptions`:
-/// zero/`None` fields defer to `CC_SERVE_WORKERS`, `CC_SERVE_QUEUE`,
-/// `CC_SERVE_CACHE` and `CC_SERVE_MAX_FRAME`; in-check threading keeps
-/// following `CC_CHECK_THREADS` through [`CheckerOptions`].
+/// Server configuration.  [`ServeConfig::default`] holds the defaults and
+/// the `ccserve` flags overwrite single fields; in-check threading follows
+/// `CC_CHECK_THREADS` through [`CheckerOptions`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker slots (concurrent jobs).  0 = `CC_SERVE_WORKERS` or
-    /// `min(4, available parallelism)`.
+    /// Worker slots (concurrent jobs); by default `min(4, available
+    /// parallelism)`.  [`Server::start`] runs at least one.
     pub workers: usize,
-    /// Admission queue capacity across all priority bands.  0 =
-    /// `CC_SERVE_QUEUE` or 64.
+    /// Admission queue capacity across all priority bands; 64 by default.
     pub queue_capacity: usize,
-    /// Cross-request result-cache capacity.  `None` = `CC_SERVE_CACHE` or
-    /// 4096; `Some(0)` disables the cache.
-    pub cache_capacity: Option<usize>,
-    /// Maximum frame payload in bytes.  0 = `CC_SERVE_MAX_FRAME` or 1 MiB.
+    /// Cross-request result-cache capacity; 4096 by default, 0 disables
+    /// the cache.
+    pub cache_capacity: usize,
+    /// Maximum frame payload in bytes; 1 MiB by default.
     pub max_frame_bytes: usize,
-    /// Maximum valuations per request (explicit or auto-selected).  0 = 4.
+    /// Maximum valuations per request (explicit or auto-selected); 4 by
+    /// default.
     pub max_valuations: usize,
     /// Supervision policy for panicking jobs: retries get a fresh
     /// `CheckJob`, with seeded-jitter backoff between attempts.
     pub retry: RetryPolicy,
-    /// Checker options for each job (worker threads, caps, sweep levers).
+    /// Checker options for each job (worker threads, caps).
     pub checker: CheckerOptions,
     /// Durable verdict log path (`--cache-log`).  `None` disables
     /// durability: the cache and the checkpoint registry die with the
@@ -74,90 +72,30 @@ pub struct ServeConfig {
     pub cache_log: Option<PathBuf>,
     /// When verdict appends fsync (`--fsync-policy`).
     pub fsync_policy: FsyncPolicy,
-    /// Parked-checkpoint registry slots (`--checkpoint-slots`).  `None` =
-    /// `CC_SERVE_CKPT` or 32; `Some(0)` disables parking.
-    pub checkpoint_slots: Option<usize>,
-    /// Parked-checkpoint TTL in milliseconds.  0 = `CC_SERVE_CKPT_TTL_MS`
-    /// or 120 000.
+    /// Parked-checkpoint registry slots (`--checkpoint-slots`); 32 by
+    /// default, 0 disables parking.
+    pub checkpoint_slots: usize,
+    /// Parked-checkpoint TTL in milliseconds; 120 000 by default.
     pub checkpoint_ttl_ms: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 0,
-            queue_capacity: 0,
-            cache_capacity: None,
-            max_frame_bytes: 0,
-            max_valuations: 0,
+            workers: std::thread::available_parallelism()
+                .map(|n| n.get().min(4))
+                .unwrap_or(1),
+            queue_capacity: 64,
+            cache_capacity: 4096,
+            max_frame_bytes: DEFAULT_MAX_FRAME,
+            max_valuations: 4,
             retry: RetryPolicy::attempts(2)
                 .with_backoff(Duration::from_millis(5), Duration::from_millis(50)),
             checker: CheckerOptions::default(),
             cache_log: None,
             fsync_policy: FsyncPolicy::Always,
-            checkpoint_slots: None,
-            checkpoint_ttl_ms: 0,
-        }
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-struct Resolved {
-    workers: usize,
-    queue_capacity: usize,
-    cache_capacity: usize,
-    max_frame_bytes: usize,
-    max_valuations: usize,
-    retry: RetryPolicy,
-    checker: CheckerOptions,
-    cache_log: Option<PathBuf>,
-    fsync_policy: FsyncPolicy,
-    checkpoint_slots: usize,
-    checkpoint_ttl: Duration,
-}
-
-impl ServeConfig {
-    fn resolve(self) -> Resolved {
-        let auto_workers = || {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(4))
-                .unwrap_or(1)
-        };
-        Resolved {
-            workers: match self.workers {
-                0 => env_usize("CC_SERVE_WORKERS").unwrap_or_else(auto_workers),
-                n => n,
-            }
-            .max(1),
-            queue_capacity: match self.queue_capacity {
-                0 => env_usize("CC_SERVE_QUEUE").unwrap_or(64),
-                n => n,
-            },
-            cache_capacity: self
-                .cache_capacity
-                .unwrap_or_else(|| env_usize("CC_SERVE_CACHE").unwrap_or(4096)),
-            max_frame_bytes: match self.max_frame_bytes {
-                0 => env_usize("CC_SERVE_MAX_FRAME").unwrap_or(DEFAULT_MAX_FRAME),
-                n => n,
-            },
-            max_valuations: match self.max_valuations {
-                0 => 4,
-                n => n,
-            },
-            retry: self.retry,
-            checker: self.checker,
-            cache_log: self.cache_log,
-            fsync_policy: self.fsync_policy,
-            checkpoint_slots: self
-                .checkpoint_slots
-                .unwrap_or_else(|| env_usize("CC_SERVE_CKPT").unwrap_or(32)),
-            checkpoint_ttl: Duration::from_millis(match self.checkpoint_ttl_ms {
-                0 => env_usize("CC_SERVE_CKPT_TTL_MS").unwrap_or(120_000) as u64,
-                ms => ms,
-            }),
+            checkpoint_slots: 32,
+            checkpoint_ttl_ms: 120_000,
         }
     }
 }
@@ -321,7 +259,7 @@ struct Ctx {
     registry: CheckpointRegistry,
     log: Option<Mutex<VerdictLog>>,
     shutdown: AtomicBool,
-    cfg: Resolved,
+    cfg: ServeConfig,
 }
 
 impl Ctx {
@@ -409,12 +347,15 @@ impl Server {
     }
 
     /// Starts accept, reader and worker threads over a bound listener.
-    pub fn start(listener: Listener, config: ServeConfig) -> io::Result<Server> {
-        let cfg = config.resolve();
+    pub fn start(listener: Listener, mut cfg: ServeConfig) -> io::Result<Server> {
+        cfg.workers = cfg.workers.max(1);
         let addr = listener.local_addr();
         listener.set_nonblocking(true)?;
         let cache = ResultCache::new(cfg.cache_capacity);
-        let registry = CheckpointRegistry::new(cfg.checkpoint_slots, cfg.checkpoint_ttl);
+        let registry = CheckpointRegistry::new(
+            cfg.checkpoint_slots,
+            Duration::from_millis(cfg.checkpoint_ttl_ms),
+        );
         let stats = ServerStats::default();
         let log = match &cfg.cache_log {
             Some(path) => {

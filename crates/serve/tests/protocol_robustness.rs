@@ -1,7 +1,8 @@
 //! Wire-level and lifecycle robustness for the daemon: frame corruption,
-//! oversize rejection, request validation, overload shedding, deadline
-//! degradation, disconnect cancellation, cache reuse, and a direct
-//! cross-check of daemon verdicts against an in-process `CheckJob`.
+//! oversize rejection, request validation, the one-worker floor, overload
+//! shedding, deadline degradation, disconnect cancellation, cache reuse,
+//! and a direct cross-check of daemon verdicts against an in-process
+//! `CheckJob`.
 
 mod common;
 
@@ -197,6 +198,42 @@ fn semantic_rejections_are_typed() {
     );
 
     assert_eq!(server.stats().rejected, 4);
+    server.shutdown();
+}
+
+#[test]
+fn zero_workers_still_start_one_worker() {
+    // the one clamp the configuration keeps: every other zero means zero,
+    // but a daemon without a worker slot would queue checks forever
+    let (server, addr) = start(ServeConfig {
+        workers: 0,
+        ..ServeConfig::default()
+    });
+    let mut client = ServeClient::connect_tcp(addr).expect("connect");
+    client
+        .send(&Request::Check(CheckRequest {
+            id: 3,
+            priority: Priority::Normal,
+            deadline_ms: 0,
+            source: Source::Protocol("KS16".into()),
+            valuations: vec![vec![4, 1, 1, 1]],
+            obligations: vec![],
+            progress: false,
+            park_on_interrupt: false,
+        }))
+        .expect("send");
+    wait_for_stats(addr, SOAK_WAIT, |s| s.completed == 1);
+    let cells = match client.recv().expect("verdict") {
+        Response::Verdict { id: 3, cells, .. } => cells,
+        other => panic!("expected Verdict, got {other:?}"),
+    };
+    assert_eq!(cells.len(), 1);
+    assert!(!cells[0].verdicts.is_empty());
+    // KS16 satisfies its whole catalogue (Table II)
+    assert!(
+        cells[0].verdicts.iter().all(|v| v.code == b'+'),
+        "{cells:?}"
+    );
     server.shutdown();
 }
 

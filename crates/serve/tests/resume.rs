@@ -171,7 +171,7 @@ fn unknown_tokens_reject_typed() {
 #[test]
 fn lru_pressure_evicts_the_oldest_token_with_a_typed_cause() {
     let config = ServeConfig {
-        checkpoint_slots: Some(1),
+        checkpoint_slots: 1,
         ..single_worker()
     };
     let (server, addr) = start(config);
@@ -219,7 +219,7 @@ fn expired_tokens_reject_typed() {
 #[test]
 fn zero_checkpoint_slots_disable_parking_without_breaking_degradation() {
     let config = ServeConfig {
-        checkpoint_slots: Some(0),
+        checkpoint_slots: 0,
         ..single_worker()
     };
     let (server, addr) = start(config);
