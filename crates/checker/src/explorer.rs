@@ -53,13 +53,13 @@
 //!
 //! # Wave-bounded memory
 //!
-//! A wave buffers its successor candidates (row bytes + ~24B metadata,
-//! duplicates included) until its replay, so peak candidate memory is
-//! O(`wave_size` × branching) — *not* O(transitions of the widest level) as
-//! in the unchunked design this replaces — and all wave buffers (chunk
-//! arenas, per-shard id lists) are recycled across waves and levels.  A
-//! budget bound that trips mid-replay over-expands at most the remainder of
-//! the current wave.  The wave size is [`CheckerOptions::wave_size`], or
+//! A wave buffers its successor candidates (row bytes + 16 bytes of
+//! metadata, duplicates included) until its replay, so peak candidate
+//! memory is O(`wave_size` × branching) — *not* O(transitions of the widest
+//! level) as in the unchunked design this replaces — and all wave buffers
+//! (chunk arenas, per-shard id lists) are recycled across waves and levels.
+//! A budget bound that trips mid-replay over-expands at most the remainder
+//! of the current wave.  The wave size is [`CheckerOptions::wave_size`], or
 //! [`DEFAULT_WAVE_SIZE`] when that is `0`.
 
 use crate::explicit::CheckerOptions;
@@ -67,7 +67,7 @@ use crate::game::CsrRecorder;
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::store::{Shard, StateStore};
-use cccounter::{Action, Configuration, CounterSystem, RowEngine, ScheduledStep};
+use cccounter::{Action, Configuration, CounterSystem, RowEngine};
 use std::ops::ControlFlow;
 
 /// Don't enter the parallel wave machinery for levels narrower than this;
@@ -168,12 +168,13 @@ pub(crate) fn resolved_workers(options: &CheckerOptions) -> usize {
 }
 
 /// One successor candidate produced by the expand phase, in deterministic
-/// global order.  The row bytes live in the owning chunk's `rows` arena.
+/// global order.  The row bytes live in the owning chunk's `rows` arena,
+/// and the action's rule in the chunk's `acts`.
 struct CandMeta {
     /// Zobrist hash of the successor row.
     hash: u64,
-    /// The scheduled step that produced it.
-    step: ScheduledStep,
+    /// The branch of the action's rule that produced it.
+    branch: u32,
 }
 
 /// Per-node action grouping of the expand phase (terminal nodes, having
@@ -189,8 +190,8 @@ struct NodeRec {
 struct ChunkOut {
     rows: Vec<u8>,
     cands: Vec<CandMeta>,
-    /// Candidate count per expanded action.
-    acts: Vec<u32>,
+    /// Rule index and candidate count per expanded action.
+    acts: Vec<(u32, u32)>,
     nodes: Vec<NodeRec>,
     /// Candidate indices per store shard, in candidate order.
     per_shard: Vec<Vec<u32>>,
@@ -424,6 +425,7 @@ impl<'a> Explorer<'a> {
             csr.begin_node();
             let node_hash = store.hash64(node);
             for &action in actions.iter() {
+                debug_assert_eq!(action.round, 0, "single-round graphs record round 0");
                 csr.begin_action();
                 let flow = engine.for_each_successor(
                     row,
@@ -443,12 +445,12 @@ impl<'a> Explorer<'a> {
                             next.push(id);
                             discovery.push(id);
                         }
-                        csr.edge(ScheduledStep::with_branch(action, branch), id);
+                        csr.edge(id, branch as u32);
                         ControlFlow::Continue(())
                     },
                 );
                 flow?;
-                csr.end_action(node);
+                csr.end_action(action.rule.0 as u32);
             }
             csr.end_node(node);
         }
@@ -551,7 +553,7 @@ impl<'a> Explorer<'a> {
             let (mut act_i, mut cand_i) = (0usize, 0usize);
             for nrec in &chunk.nodes {
                 rec.csr.begin_node();
-                for &cands in &chunk.acts[act_i..act_i + nrec.actions as usize] {
+                for &(rule, cands) in &chunk.acts[act_i..act_i + nrec.actions as usize] {
                     rec.csr.begin_action();
                     for m in &chunk.cands[cand_i..cand_i + cands as usize] {
                         let shard = rec.store.shard_of(m.hash);
@@ -569,10 +571,10 @@ impl<'a> Explorer<'a> {
                             next.push(id);
                             rec.discovery.push(id);
                         }
-                        rec.csr.edge(m.step, id);
+                        rec.csr.edge(id, m.branch);
                     }
                     cand_i += cands as usize;
-                    rec.csr.end_action(nrec.node);
+                    rec.csr.end_action(rule);
                 }
                 act_i += nrec.actions as usize;
                 rec.csr.end_node(nrec.node);
@@ -624,6 +626,7 @@ fn expand_chunk(
         }
         let node_hash = store.hash64(node);
         for &action in &actions {
+            debug_assert_eq!(action.round, 0, "single-round graphs record round 0");
             let cands_before = out.cands.len();
             let _: ControlFlow<()> = engine.for_each_successor(
                 &mut row,
@@ -635,12 +638,15 @@ fn expand_chunk(
                     out.rows.extend_from_slice(succ);
                     out.cands.push(CandMeta {
                         hash: succ_hash,
-                        step: ScheduledStep::with_branch(action, branch),
+                        branch: branch as u32,
                     });
                     ControlFlow::Continue(())
                 },
             );
-            out.acts.push((out.cands.len() - cands_before) as u32);
+            out.acts.push((
+                action.rule.0 as u32,
+                (out.cands.len() - cands_before) as u32,
+            ));
         }
         out.nodes.push(NodeRec {
             node,
@@ -671,6 +677,14 @@ fn intern_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cached_edges_and_wave_candidates_stay_lean() {
+        // an edge keeps its successor and branch, a candidate its hash and
+        // branch; the rule lives once per action in both
+        assert_eq!(std::mem::size_of::<crate::game::Edge>(), 8);
+        assert_eq!(std::mem::size_of::<CandMeta>(), 16);
+    }
 
     #[test]
     fn env_knobs_take_only_positive_integers() {

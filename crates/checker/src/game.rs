@@ -24,13 +24,34 @@
 //! product game over the cached reachability graph of a start-restriction
 //! group lives in [`crate::graph`].
 
-use cccounter::{Schedule, ScheduledStep};
+use cccounter::{Action, Schedule, ScheduledStep};
+use ccta::RuleId;
+
+/// One branch of a recorded action: the successor node and the index of
+/// the rule branch that reached it.  The rule itself is stored once per
+/// action ([`GameGraph::action_rules`]), so an edge is 8 bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct Edge {
+    /// The successor node.
+    pub(crate) to: u32,
+    /// The branch of the action's rule that leads to `to`.
+    pub(crate) branch: u32,
+}
+
+/// The scheduled step that fires branch `branch` of rule `rule`: the one
+/// place a recorded action and edge turn back into a [`ScheduledStep`],
+/// called only where a counterexample schedule is built.  Single-round
+/// graphs only record round-0 actions (the explorer asserts it).
+pub(crate) fn scheduled_step(rule: u32, branch: u32) -> ScheduledStep {
+    ScheduledStep::with_branch(Action::new(RuleId(rule as usize), 0), branch as usize)
+}
 
 /// An explored game (or reachability) graph in flat CSR form: every node
-/// owns a span of actions, every action owns a span of edges
-/// (`(scheduled step, successor)` per branch).  Nodes are expanded in
-/// discovery order, so all three arenas are append-only — no per-node or
-/// per-action `Vec` allocation.
+/// owns a span of actions, every action owns its rule and a span of edges
+/// (one `(successor, branch)` per branch).  Nodes are expanded in
+/// discovery order, so all four arenas are append-only — no per-node or
+/// per-action `Vec` allocation.  A node span costs 8 bytes, an action 12
+/// (rule and edge span) and an edge 8.
 ///
 /// `node_spans` is indexed by the store's node ids; with a sharded store
 /// those interleave the shard tag, so the array is grown on demand (ids stay
@@ -38,17 +59,17 @@ use cccounter::{Schedule, ScheduledStep};
 /// read back an empty span.  The graph-cache evaluation passes
 /// ([`crate::graph`]) reuse the same arenas, both for the cached
 /// reachability graph itself and for the product game graphs derived from
-/// it.
+/// it; a product action keeps the rule of the cached action it copies.
 #[derive(Default)]
 pub(crate) struct GameGraph {
-    /// Per node: `(start, end)` span into `action_nodes`/`action_spans`.
+    /// Per node: `(start, end)` span into `action_rules`/`action_spans`.
     pub(crate) node_spans: Vec<(u32, u32)>,
-    /// Per action: the node it belongs to.
-    pub(crate) action_nodes: Vec<u32>,
+    /// Per action: the index of its rule.
+    pub(crate) action_rules: Vec<u32>,
     /// Per action: `(start, end)` span into `edge_list`.
     pub(crate) action_spans: Vec<(u32, u32)>,
     /// All edges, back to back.
-    pub(crate) edge_list: Vec<(ScheduledStep, u32)>,
+    pub(crate) edge_list: Vec<Edge>,
 }
 
 impl GameGraph {
@@ -63,7 +84,7 @@ impl GameGraph {
     }
 
     /// The edges of an action.
-    pub(crate) fn edges_of(&self, action: usize) -> &[(ScheduledStep, u32)] {
+    pub(crate) fn edges_of(&self, action: usize) -> &[Edge] {
         let (start, end) = self.action_spans[action];
         &self.edge_list[start as usize..end as usize]
     }
@@ -79,41 +100,43 @@ impl GameGraph {
     }
 
     /// A dense copy holding the spans of `nodes`, laid out in that order,
-    /// with only the actions `keep` accepts (each node's action order is
-    /// preserved).  Unreferenced runs and the spans of nodes outside `nodes`
-    /// are not copied.  Returns the copy and the number of actions dropped.
+    /// with only the actions `keep` accepts, given the node and the
+    /// action's rule (each node's action order is preserved).  Unreferenced
+    /// runs and the spans of nodes outside `nodes` are not copied.  Returns
+    /// the copy and the number of actions dropped.
     pub(crate) fn compacted(
         &self,
         nodes: impl IntoIterator<Item = u32>,
-        mut keep: impl FnMut(u32, &[(ScheduledStep, u32)]) -> bool,
+        mut keep: impl FnMut(u32, u32) -> bool,
     ) -> (GameGraph, usize) {
         let mut compact = CsrRecorder::default();
         let mut dropped = 0;
         for node in nodes {
             compact.begin_node();
             for a in self.actions_of(node) {
-                let edges = self.edges_of(a);
-                if !keep(node, edges) {
+                let rule = self.action_rules[a];
+                if !keep(node, rule) {
                     dropped += 1;
                     continue;
                 }
                 compact.begin_action();
-                for &(step, to) in edges {
-                    compact.edge(step, to);
+                for &edge in self.edges_of(a) {
+                    compact.edge(edge.to, edge.branch);
                 }
-                compact.end_action(node);
+                compact.end_action(rule);
             }
             compact.end_node(node);
         }
         (compact.graph, dropped)
     }
 
-    /// Resident bytes of the CSR arenas (node spans, action table, edges).
+    /// Resident bytes of the CSR arenas (node spans, action rules and
+    /// spans, edges).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.node_spans.len() * std::mem::size_of::<(u32, u32)>()
-            + self.action_nodes.len() * std::mem::size_of::<u32>()
+            + self.action_rules.len() * std::mem::size_of::<u32>()
             + self.action_spans.len() * std::mem::size_of::<(u32, u32)>()
-            + self.edge_list.len() * std::mem::size_of::<(ScheduledStep, u32)>()
+            + self.edge_list.len() * std::mem::size_of::<Edge>()
     }
 }
 
@@ -156,12 +179,12 @@ impl CsrRecorder {
         self.edges_start = self.graph.edge_list.len() as u32;
     }
 
-    pub(crate) fn edge(&mut self, step: ScheduledStep, to: u32) {
-        self.graph.edge_list.push((step, to));
+    pub(crate) fn edge(&mut self, to: u32, branch: u32) {
+        self.graph.edge_list.push(Edge { to, branch });
     }
 
-    pub(crate) fn end_action(&mut self, node: u32) {
-        self.graph.action_nodes.push(node);
+    pub(crate) fn end_action(&mut self, rule: u32) {
+        self.graph.action_rules.push(rule);
         self.graph
             .action_spans
             .push((self.edges_start, self.graph.edge_list.len() as u32));
@@ -184,19 +207,26 @@ impl CsrRecorder {
 /// `pending[a]` counts the not-yet-winning successors of action `a`; an
 /// action whose count reaches zero forces its node.  `id_bound` is an
 /// exclusive upper bound on the node ids appearing in the graph and the
-/// seeds.
+/// seeds.  The graph must never have re-recorded a span (a product graph
+/// never does), so every action belongs to exactly one node span.
 pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u32>) -> Vec<bool> {
+    debug_assert_eq!(graph.live_actions(), graph.action_spans.len());
     let mut winning: Vec<bool> = vec![false; id_bound];
     let mut worklist = seeds;
     for &s in &worklist {
         winning[s as usize] = true;
     }
+    // each action's node, from the node spans in one pass
+    let mut owners: Vec<u32> = vec![0; graph.action_spans.len()];
+    for (node, &(start, end)) in graph.node_spans.iter().enumerate() {
+        owners[start as usize..end as usize].fill(node as u32);
+    }
     // flat predecessor arena, one entry per edge (duplicates intended: an
     // action with two branches into the same successor must decrement
     // twice), built with a two-pass counting sort
     let mut pred_offsets: Vec<u32> = vec![0; id_bound + 1];
-    for &(_, succ) in &graph.edge_list {
-        pred_offsets[succ as usize + 1] += 1;
+    for edge in &graph.edge_list {
+        pred_offsets[edge.to as usize + 1] += 1;
     }
     for i in 0..id_bound {
         pred_offsets[i + 1] += pred_offsets[i];
@@ -206,8 +236,8 @@ pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u
     let mut pending: Vec<u32> = Vec::with_capacity(graph.action_spans.len());
     for (a, &(start, end)) in graph.action_spans.iter().enumerate() {
         pending.push(end - start);
-        for &(_, succ) in &graph.edge_list[start as usize..end as usize] {
-            let slot = &mut fill[succ as usize];
+        for edge in &graph.edge_list[start as usize..end as usize] {
+            let slot = &mut fill[edge.to as usize];
             pred_actions[*slot as usize] = a as u32;
             *slot += 1;
         }
@@ -220,7 +250,7 @@ pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u
             // an action with no branches never forces (empty spans start at
             // zero and are never decremented)
             if *count == 0 {
-                let node = graph.action_nodes[action as usize] as usize;
+                let node = owners[action as usize] as usize;
                 if !winning[node] {
                     winning[node] = true;
                     worklist.push(node as u32);
@@ -248,16 +278,15 @@ pub(crate) fn extract_strategy_path(
     let mut guard = 0usize;
     while bits_of(current) != all_bits && guard < node_count + 1 {
         guard += 1;
-        let Some(edges) = graph
-            .actions_of(current)
-            .map(|a| graph.edges_of(a))
-            .find(|e| !e.is_empty() && e.iter().all(|&(_, succ)| winning[succ as usize]))
-        else {
+        let Some(action) = graph.actions_of(current).find(|&a| {
+            let edges = graph.edges_of(a);
+            !edges.is_empty() && edges.iter().all(|e| winning[e.to as usize])
+        }) else {
             break;
         };
-        let (step, succ) = edges[0];
-        steps.push(step);
-        current = succ;
+        let edge = graph.edges_of(action)[0];
+        steps.push(scheduled_step(graph.action_rules[action], edge.branch));
+        current = edge.to;
     }
     Schedule::from_steps(steps)
 }

@@ -25,9 +25,11 @@
 //!   terminal iff its CSR action span is empty (a complete exploration
 //!   expands every interned node).
 //!
-//! Counterexamples stay genuinely replayable: monitored violations
-//! reconstruct their schedule from the product-BFS parent chain (whose
-//! steps are real [`ScheduledStep`]s of cached edges), non-blocking
+//! Counterexamples stay genuinely replayable.  A cached edge keeps only its
+//! successor and branch index, and its action keeps the rule, so a
+//! schedule step is rebuilt from the action's rule and the edge's branch
+//! (`game::scheduled_step`) only where a counterexample is built: monitored
+//! violations walk back the product-BFS parent chain, non-blocking
 //! violations walk back the first-discovery edges that the prefix walk of
 //! [`ReachGraph::prefix_before`] meets, and game violations follow the
 //! winning strategy through product edges.  Along every reported path the
@@ -59,19 +61,22 @@
 use crate::counterexample::Counterexample;
 use crate::explicit::CheckerOptions;
 use crate::explorer::{Exploration, Explored, Explorer};
-use crate::game::{adversary_winning, extract_strategy_path, CsrRecorder, GameGraph};
+use crate::game::{
+    adversary_winning, extract_strategy_path, scheduled_step, CsrRecorder, Edge, GameGraph,
+};
 use crate::job::{InterruptKind, JobSignals};
 use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, CheckStatus};
 use crate::spec::{LocSet, Spec, StartRestriction};
 use crate::store::StateStore;
-use cccounter::{Action, Configuration, CounterSystem, Schedule, ScheduledStep};
+use cccounter::{Configuration, CounterSystem, Schedule};
 use ccta::{GuardRel, LocClass, LocId, RuleId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Sentinel for "product state not discovered yet" in the ordinal maps.
+/// Sentinel for "product state not discovered yet" in the ordinal maps,
+/// and for "no parent" at the root of a parent chain.
 const NO_ORD: u32 = u32::MAX;
 
 /// The compiled guard bounds of a counter system: one `(relation, bound)`
@@ -213,8 +218,8 @@ struct LineageEntry {
 /// [`LineageStep::Build`]).
 pub(crate) enum LineageStep {
     /// No usable predecessor graph; `rebuilt` distinguishes a discarded
-    /// lineage entry (tightened/mixed step, size change, failed extension)
-    /// from a first build.
+    /// lineage entry (a tripped extension, a graph still pinned, or a
+    /// break the caller carried the lineage across) from a first build.
     Build {
         /// Whether a lineage entry existed and had to be thrown away.
         rebuilt: bool,
@@ -233,8 +238,8 @@ pub(crate) enum LineageStep {
 /// surviving [`ReachGraph`] per start-restriction group, carried from
 /// valuation to valuation (see the "Incremental sweeps" section of the
 /// crate docs).  Owned by whoever walks a group's valuations in order — the
-/// sweep gives each of its workers one lineage for every run of valuations
-/// the worker takes — and handed to each per-valuation
+/// sweep starts each run of valuations on an empty lineage — and handed to
+/// each per-valuation
 /// [`crate::ExplicitChecker`] via
 /// [`crate::ExplicitChecker::with_pool_and_lineage`].
 #[derive(Default)]
@@ -556,13 +561,12 @@ impl ReachGraph {
         // surviving list is exactly the fresh build's.  Dormant nodes are
         // pruned too, which keeps their spans exact for a later extension.
         let nodes = self.discovery.iter().chain(&self.dormant).copied();
-        let (graph, cut) = self.graph.compacted(nodes, |node, edges| {
-            let rule = edges
-                .first()
-                .map(|&(step, _)| step.action.rule)
-                .unwrap_or(RuleId(0));
-            !is_changed[rule.0]
-                || sys.rule_guard_holds_bytes(rule, &store.row(node)[num_locations..])
+        let (graph, cut) = self.graph.compacted(nodes, |node, rule| {
+            !is_changed[rule as usize]
+                || sys.rule_guard_holds_bytes(
+                    RuleId(rule as usize),
+                    &store.row(node)[num_locations..],
+                )
         });
         self.graph = graph;
         self.relink();
@@ -594,11 +598,11 @@ impl ReachGraph {
             let node = discovery[cursor];
             cursor += 1;
             for a in self.graph.actions_of(node) {
-                for &(_, to) in self.graph.edges_of(a) {
+                for edge in self.graph.edges_of(a) {
                     transitions += 1;
-                    if !seen[to as usize] {
-                        seen[to as usize] = true;
-                        discovery.push(to);
+                    if !seen[edge.to as usize] {
+                        seen[edge.to as usize] = true;
+                        discovery.push(edge.to);
                     }
                 }
             }
@@ -781,17 +785,14 @@ impl ReachGraph {
         let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
         // product slot -> discovery ordinal into `parents`
         let mut ordinal = vec![NO_ORD; self.store.id_bound() * num_vals];
-        // per discovered product state: (parent node, parent bits, step)
-        let mut parents: Vec<(u32, u8, ScheduledStep)> = Vec::new();
+        // per discovered product state: (parent node, parent bits, rule,
+        // branch) of the edge that discovered it
+        let mut parents: Vec<(u32, u8, u32, u32)> = Vec::new();
         let mut queue: VecDeque<(u32, u8)> = VecDeque::new();
         let mut states = 0usize;
         let mut transitions = 0usize;
 
-        let root = (
-            NO_ORD,
-            0u8,
-            ScheduledStep::dirac(Action::new(ccta::RuleId(0), 0)),
-        );
+        let root = (NO_ORD, 0u8, 0, 0);
         for &start in &self.start_ids {
             let bits = occ[start as usize];
             ordinal[slot(start, bits)] = parents.len() as u32;
@@ -818,7 +819,8 @@ impl ReachGraph {
 
         while let Some((node, bits)) = queue.pop_front() {
             for a in self.graph.actions_of(node) {
-                for &(step, succ) in self.graph.edges_of(a) {
+                let rule = self.graph.action_rules[a];
+                for &Edge { to: succ, branch } in self.graph.edges_of(a) {
                     transitions += 1;
                     if transitions & 0x3FF == 0 {
                         if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -838,7 +840,7 @@ impl ReachGraph {
                         continue;
                     }
                     ordinal[s] = parents.len() as u32;
-                    parents.push((node, bits, step));
+                    parents.push((node, bits, rule, branch));
                     states += 1;
                     if states > options.max_states {
                         return CheckOutcome::unknown(
@@ -875,7 +877,7 @@ impl ReachGraph {
         spec_name: &str,
         sys: &CounterSystem,
         ordinal: &[u32],
-        parents: &[(u32, u8, ScheduledStep)],
+        parents: &[(u32, u8, u32, u32)],
         num_vals: usize,
         target: (u32, u8),
         states: usize,
@@ -886,11 +888,11 @@ impl ReachGraph {
         let (mut node, mut bits) = target;
         loop {
             let ord = ordinal[node as usize * num_vals + bits as usize] as usize;
-            let (pnode, pbits, step) = parents[ord];
+            let (pnode, pbits, rule, branch) = parents[ord];
             if pnode == NO_ORD {
                 break;
             }
-            steps.push(step);
+            steps.push(scheduled_step(rule, branch));
             node = pnode;
             bits = pbits;
         }
@@ -970,7 +972,7 @@ impl ReachGraph {
             csr.begin_node();
             for a in actions {
                 csr.begin_action();
-                for &(step, succ) in self.graph.edges_of(a) {
+                for &Edge { to: succ, branch } in self.graph.edges_of(a) {
                     transitions += 1;
                     if transitions & 0x3FF == 0 {
                         if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -997,9 +999,9 @@ impl ReachGraph {
                             );
                         }
                     }
-                    csr.edge(step, ordinal[s]);
+                    csr.edge(ordinal[s], branch);
                 }
-                csr.end_action(pid);
+                csr.end_action(self.graph.action_rules[a]);
             }
             csr.end_node(pid);
         }
@@ -1112,18 +1114,21 @@ impl ReachGraph {
     /// fresh, extended and pruned graphs report the same path.
     fn prefix_before(&self, k: usize) -> (usize, usize, Configuration, Schedule) {
         let mut seen = vec![false; self.store.id_bound()];
-        let mut parent: Vec<Option<(u32, ScheduledStep)>> = vec![None; seen.len()];
+        // per node: (parent node, rule, branch) of its first-discovery edge,
+        // or a `NO_ORD` parent for the start nodes and unseen ones
+        let mut parent: Vec<(u32, u32, u32)> = vec![(NO_ORD, 0, 0); seen.len()];
         for &start in &self.start_ids {
             seen[start as usize] = true;
         }
         let (mut states, mut transitions) = (self.start_ids.len(), 0);
         for &node in &self.discovery[..k] {
             for a in self.graph.actions_of(node) {
-                for &(step, to) in self.graph.edges_of(a) {
+                let rule = self.graph.action_rules[a];
+                for &Edge { to, branch } in self.graph.edges_of(a) {
                     transitions += 1;
                     if !seen[to as usize] {
                         seen[to as usize] = true;
-                        parent[to as usize] = Some((node, step));
+                        parent[to as usize] = (node, rule, branch);
                         states += 1;
                     }
                 }
@@ -1131,8 +1136,12 @@ impl ReachGraph {
         }
         let mut steps = Vec::new();
         let mut current = self.discovery[k];
-        while let Some((from, step)) = parent[current as usize] {
-            steps.push(step);
+        loop {
+            let (from, rule, branch) = parent[current as usize];
+            if from == NO_ORD {
+                break;
+            }
+            steps.push(scheduled_step(rule, branch));
             current = from;
         }
         steps.reverse();

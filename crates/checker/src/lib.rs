@@ -91,11 +91,14 @@
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
 //!   reconstructed from cached edges and remain genuinely replayable.
 //! * **Memory model.**  A cached graph holds the deduplicated
-//!   [`store::StateStore`] rows plus one CSR edge list of the group's
-//!   full transition relation; graphs live as long as their checker (one
-//!   `check_all` call, or one valuation batch of a sweep).  The monitored
-//!   analysis passes allocate O(states × 2^sets) product bookkeeping
-//!   transiently per obligation.
+//!   [`store::StateStore`] rows plus the CSR arenas of the group's full
+//!   transition relation: 8 bytes per node span, 12 per action (its rule
+//!   and its edge span) and 8 per edge (successor and branch index).  A
+//!   schedule step is rebuilt from an action's rule and an edge's branch
+//!   only where a counterexample is built.  Graphs live as long as their
+//!   checker (one `check_all` call, or one valuation batch of a sweep).
+//!   The monitored analysis passes allocate O(states × 2^sets) product
+//!   bookkeeping transiently per obligation.
 //! * **Reported counts.**  Each pass reports the state and transition
 //!   counts of [`mod@reference`]'s search for the same spec: the monitored
 //!   and game passes count the `(node, bits)` product states and edges
@@ -124,13 +127,15 @@
 //! * **Classification.**  Advancing a group from valuation `v` to `v'`
 //!   diffs the per-rule guard bounds ([`cccounter::CounterSystem::guard_bounds`]).
 //!   If the system size changed, the start set changed and nothing
-//!   carries over (*rebuilt*).  Otherwise the step is **identical** (every
-//!   bound equal — the cached graph serves as-is, zero exploration),
+//!   carries over (a lineage break).  Otherwise the step is **identical**
+//!   (every bound equal — the cached graph serves as-is, zero exploration),
 //!   **relax-only** (every changed atom weakens: `>=` bounds only fell,
 //!   `<` bounds only rose — the reachable set can only grow),
 //!   **tighten-only** (every changed atom strengthens — the reachable set
 //!   can only shrink, so the graph is *pruned* in place, see below), or
-//!   **mixed** (re-explore from scratch; *rebuilt*).
+//!   **mixed** (re-explore from scratch; a lineage break).  The sweep cuts
+//!   its grid into runs at the breaks, so inside a sweep a graph is
+//!   *rebuilt* only when an extension trips a budget.
 //! * **Extension.**  A relax-only step seeds the explorer's frontier with
 //!   exactly the stored rows on which a newly-enabled rule fires (old
 //!   bounds re-evaluated on the row, new bounds from the new system); the
@@ -147,13 +152,14 @@
 //!   **bit-identical** to a fresh sweep (pinned by `random_differential`'s
 //!   incremental axis, the extended-graph half of `counterexample_replay`
 //!   and the carried-graph cases of `graph`'s tests).
-//! * **Lineage lifetime & memory.**  Each sweep worker owns one lineage
-//!   spanning every run it takes, walked in grid order.  The scheduler cuts
-//!   the grid only where this classification would rebuild anyway (one
-//!   shared policy decides both), so a run's later valuations are
-//!   guard-adjacent and no run is split between workers.  At most one graph
-//!   per start-restriction group survives at a time, dropped when
-//!   classification discards it or the worker finishes.
+//! * **Lineage lifetime & memory.**  The scheduler cuts the grid into
+//!   runs only where this classification would rebuild anyway (one shared
+//!   policy decides both), so a run's later valuations are guard-adjacent
+//!   and no run is split between workers.  Each run is walked on one
+//!   lineage of its own, started empty, so a run break is a first build
+//!   and the accounting does not depend on which worker claimed the run.
+//!   At most one graph per start-restriction group survives at a time,
+//!   dropped when classification discards it or the run ends.
 //!   Resident bytes per cached graph (rows + side arrays + index + CSR)
 //!   are reported in [`GroupCacheRecord::resident_bytes`] and printed by
 //!   `profile_engine`.  Budget-tripped builds never enter the lineage, and
@@ -219,14 +225,15 @@
 //!
 //! * **Wave-bounded candidate buffers.**  A parallel BFS level is processed
 //!   in waves of at most [`CheckerOptions::wave_size`] frontier nodes.  A
-//!   wave buffers its successor candidates (packed row bytes plus ~24 bytes
+//!   wave buffers its successor candidates (packed row bytes plus 16 bytes
 //!   of metadata each, duplicates included) only until its sequential
 //!   replay, and every wave buffer — per-chunk candidate arenas, per-shard
 //!   id lists, replay cursors — is recycled across waves and levels.  Peak
 //!   transient memory is therefore O(`wave_size` × branching factor),
 //!   independent of how wide a level grows; the persistent memory is the
-//!   deduplicated [`store::StateStore`] itself (contiguous row arenas plus
-//!   one open-addressing index per shard).  A budget bound that trips
+//!   deduplicated [`store::StateStore`] (contiguous row arenas plus one
+//!   open-addressing index per shard) and the graph's CSR arenas (8 bytes
+//!   per node span, 12 per action, 8 per edge).  A budget bound that trips
 //!   mid-replay over-expands at most the rest of the current wave.
 //! * **Pool lifetime.**  The worker threads live in a persistent
 //!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per

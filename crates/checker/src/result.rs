@@ -146,8 +146,10 @@ pub enum GraphOrigin {
     /// bounds and cut) instead of re-explored.
     Pruned,
     /// A lineage predecessor existed but could not be carried over (the
-    /// step was mixed, the system size changed, or the extension tripped a
-    /// budget): explored from scratch.
+    /// extension tripped a budget, something else still pinned the graph,
+    /// or the caller carried the lineage across a break): explored from
+    /// scratch.  The sweep starts each run on an empty lineage, so its
+    /// breaks (a size change or a mixed step) are first builds.
     Rebuilt,
 }
 

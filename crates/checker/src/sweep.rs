@@ -18,10 +18,12 @@
 //! module's `carry_step` is that policy, and the lineage applies the same
 //! function per group, so only a run's first valuation pays a full
 //! exploration.  Runs are handed out in grid order through an atomic
-//! cursor, and each sweep worker walks every run it takes with one
-//! in-check pool and one lineage, so no worker re-explores a run another
-//! worker owns.  Worker 0 is the calling thread: a budget of 1 walks the
-//! whole grid, run after run, on the caller, with no thread spawned.
+//! cursor, and each sweep worker walks every run it takes on one in-check
+//! pool, starting each run on an empty lineage, so no worker re-explores a
+//! run another worker owns and the cache accounting does not depend on
+//! which worker claimed which run.  Worker 0 is the calling thread: a
+//! budget of 1 walks the whole grid, run after run, on the caller, with no
+//! thread spawned.
 //!
 //! # Two-level parallelism
 //!
@@ -601,32 +603,33 @@ struct Grid<'a> {
 
 impl Grid<'_> {
     /// One sweep worker: claims runs in grid order through `cursor` and
-    /// walks each on the worker's one in-check pool and one
-    /// [`GraphLineage`].
+    /// walks each on the worker's one in-check pool.
     fn run_worker(&self, cursor: &AtomicUsize, runs: &[Mutex<Run>]) {
         let pool = WorkerPool::new(resolved_workers(&self.options));
-        let lineage = GraphLineage::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(run) = runs.get(i) else { break };
             // uncontended: the cursor hands each run to exactly one worker;
             // the mutex only carries the &mut across threads
             let mut run = run.lock().expect("each run is locked once");
-            self.walk_run(&pool, &lineage, &mut run);
+            self.walk_run(&pool, &mut run);
         }
     }
 
-    /// Walks one run's valuations in order.  Each valuation runs its whole
-    /// spec slice on one [`ExplicitChecker`], so the obligations of a start
+    /// Walks one run's valuations in order on a fresh [`GraphLineage`]:
+    /// the run starts at a lineage break, so nothing an earlier run left
+    /// behind could carry into it.  Each valuation runs its whole spec
+    /// slice on one [`ExplicitChecker`], so the obligations of a start
     /// restriction share one cached reachability graph.
-    fn walk_run(&self, pool: &WorkerPool, lineage: &GraphLineage, run: &mut Run) {
+    fn walk_run(&self, pool: &WorkerPool, run: &mut Run) {
+        let lineage = GraphLineage::new();
         let systems = self.systems[run.first..].iter();
         for (v, (sys, (row, record))) in (run.first..).zip(systems.zip(&mut run.rows)) {
             if self.job.is_some_and(|j| j.fast_stop().is_some()) {
                 return;
             }
             let mut checker =
-                ExplicitChecker::with_pool_and_lineage(sys, self.options, pool, lineage);
+                ExplicitChecker::with_pool_and_lineage(sys, self.options, pool, &lineage);
             checker.set_signals(self.job);
             for (s, (spec, slot)) in self.specs.iter().zip(row.iter_mut()).enumerate() {
                 if self.violated_at[s].load(Ordering::Acquire) < v || slot.is_some() {
@@ -781,7 +784,9 @@ mod tests {
         // two runs, three identical valuations then one more process: an
         // equal-width cut at budget 2 or 3 would land inside the first run
         // and re-explore it, while a cut at the lineage break explores each
-        // group exactly as often as one worker does
+        // group exactly as often as one worker does.  Each run starts on an
+        // empty lineage, so how the groups were obtained does not depend on
+        // which worker claimed which run, and the break is no rebuild.
         let valuations = [
             ParamValuation::new(vec![4, 1, 1, 1]),
             ParamValuation::new(vec![4, 1, 1, 1]),
@@ -791,6 +796,14 @@ mod tests {
         let options = CheckerOptions::default();
         let (single, single_stats) =
             check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
+        let origins = |stats: &GraphCacheStats| {
+            (
+                stats.reused_groups(),
+                stats.extended_groups(),
+                stats.pruned_groups(),
+                stats.rebuilt_groups(),
+            )
+        };
         for threads in [1, 2, 3] {
             let (split, split_stats) =
                 check_over_sweep_with_stats(&model, &specs, &valuations, options, threads);
@@ -798,6 +811,16 @@ mod tests {
             assert_eq!(
                 split_stats.explorations_paid(),
                 single_stats.explorations_paid(),
+                "budget {threads}: {split_stats}"
+            );
+            assert_eq!(
+                origins(&split_stats),
+                origins(&single_stats),
+                "budget {threads}: {split_stats}"
+            );
+            assert_eq!(
+                split_stats.rebuilt_groups(),
+                0,
                 "budget {threads}: {split_stats}"
             );
         }
@@ -1078,11 +1101,11 @@ mod tests {
     #[test]
     fn incremental_and_fresh_sweeps_are_bit_identical() {
         // a guard-adjacent grid exercising every lineage classification:
-        // [4,1,1,1] -> [7,1,1,1] changes the system size (rebuild),
+        // [4,1,1,1] -> [7,1,1,1] changes the system size (a run break),
         // -> [7,1,1,1] repeats the bounds (pure reuse),
         // -> [7,2,1,1] lowers the n-t-f quorum (relax-only extension),
         // -> [7,1,1,1] raises it back (tighten, in-place prune),
-        // -> [7,0,0,1] adds a process (rebuild),
+        // -> [7,0,0,1] adds a process (a run break),
         // -> [7,1,0,1] -> [7,2,0,1] lowers the quorum twice in a row,
         // -> [7,0,0,1] raises it back (the prune leaves rows dormant),
         // -> [7,1,0,1] lowers it again (the extension reaches them again)
@@ -1136,10 +1159,12 @@ mod tests {
             assert_eq!(fresh_stats.extended_groups(), 0);
             if threads == 1 {
                 // one worker walks the whole grid in valuation order, so
-                // every classification fires at least once
+                // every carrying classification fires at least once; the two
+                // size changes are run breaks, where a fresh lineage builds
+                // rather than rebuilds
                 assert!(inc_stats.reused_groups() > 0, "{inc_stats}");
                 assert!(inc_stats.extended_groups() > 0, "{inc_stats}");
-                assert!(inc_stats.rebuilt_groups() > 0, "{inc_stats}");
+                assert_eq!(inc_stats.rebuilt_groups(), 0, "{inc_stats}");
                 assert!(inc_stats.pruned_groups() > 0, "{inc_stats}");
                 assert!(inc_stats.memo_hits() > 0, "{inc_stats}");
                 assert!(inc_stats.seed_frontier_total() > 0, "{inc_stats}");

@@ -333,12 +333,6 @@ impl CounterSystem {
         cfg.vars_slice(round).unwrap_or(&self.zero_vars)
     }
 
-    /// Whether the guard of `rule` evaluates to true in round `round` of
-    /// configuration `cfg` (written `c, k ⊨ φ` in the paper).
-    pub fn is_unlocked(&self, cfg: &Configuration, rule: RuleId, round: u32) -> bool {
-        self.rules[rule.0].guard_holds(self.round_vars_ref(cfg, round))
-    }
-
     /// The compiled guard bounds of every rule, evaluated at this system's
     /// (fixed) parameter valuation: one `(relation, bound)` pair per guard
     /// atom, in rule order.  Two systems over the same model differ in
@@ -718,13 +712,18 @@ mod tests {
         let sys = system();
         let model = sys.model().clone();
         let maj0 = model.rule_id("maj0").unwrap();
+        // one process in maj0's source in rounds 0 and 1, so only the guard
+        // decides applicability
         let mut cfg = sys.empty_configuration();
+        let source = model.location_id("S").unwrap();
+        cfg.add_counter(source, 0, 1);
+        cfg.add_counter(source, 1, 1);
         // quorum is n - t - f = 2
-        assert!(!sys.is_unlocked(&cfg, maj0, 0));
+        assert!(!sys.is_applicable(&cfg, Action::new(maj0, 0)));
         cfg.add_var(model.var_id("v0").unwrap(), 0, 2);
-        assert!(sys.is_unlocked(&cfg, maj0, 0));
+        assert!(sys.is_applicable(&cfg, Action::new(maj0, 0)));
         // guard of another round still locked
-        assert!(!sys.is_unlocked(&cfg, maj0, 1));
+        assert!(!sys.is_applicable(&cfg, Action::new(maj0, 1)));
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! times are printed per benchmark.
 //!
 //! When the `BENCH_JSON` environment variable is set, a machine-readable
-//! summary (one entry per benchmark with nanosecond statistics) is written to
-//! that path on exit, so CI can track a performance trajectory across PRs.
+//! summary is written to that path on exit, so CI can track a performance
+//! trajectory across PRs: a first `machine` entry (the commit, the available
+//! parallelism and the Unix time of the run), then one entry per benchmark
+//! with nanosecond statistics.
 
 use std::fmt::Display;
 use std::hint;
@@ -96,13 +98,27 @@ impl Criterion {
         let Ok(path) = std::env::var("BENCH_JSON") else {
             return;
         };
-        let mut out = String::from("[\n");
-        let mut first = true;
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let unix_s = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        let out = self.summary_json(&current_commit(), nproc, unix_s);
+        if let Err(e) = std::fs::write(&path, out) {
+            eprintln!("warning: could not write {path}: {e}");
+        } else {
+            println!("wrote benchmark summary to {path}");
+        }
+    }
+
+    /// The JSON summary: the machine entry (where and when it was
+    /// measured), then every measurement, then every metric.
+    fn summary_json(&self, commit: &str, nproc: usize, unix_s: u64) -> String {
+        let mut out = format!(
+            "[\n  {{\"id\": \"machine\", \"commit\": \"{}\", \"nproc\": {nproc}, \"unix_s\": {unix_s}}}",
+            commit.replace('"', "'"),
+        );
         for m in &self.results {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+            out.push_str(",\n");
             out.push_str(&format!(
                 "  {{\"id\": \"{}\", \"samples\": {}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}}}",
                 m.id.replace('"', "'"),
@@ -113,21 +129,35 @@ impl Criterion {
             ));
         }
         for (id, value) in &self.metrics {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
+            out.push_str(",\n");
             out.push_str(&format!(
                 "  {{\"id\": \"{}\", \"value\": {value:.6}}}",
                 id.replace('"', "'"),
             ));
         }
         out.push_str("\n]\n");
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("warning: could not write {path}: {e}");
-        } else {
-            println!("wrote benchmark summary to {path}");
-        }
+        out
+    }
+}
+
+/// The short hash of `HEAD`, suffixed `-dirty` when the working tree has
+/// changes, or `unknown` when git or the repository is not available.
+fn current_commit() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+    };
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let hash = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    if git(&["status", "--porcelain"]).is_some_and(|out| !out.stdout.is_empty()) {
+        format!("{hash}-dirty")
+    } else {
+        hash
     }
 }
 
@@ -322,6 +352,33 @@ mod tests {
         let mut c = Criterion::new();
         c.metric("cache/hit_rate", 0.75);
         assert_eq!(c.metrics(), &[("cache/hit_rate".to_string(), 0.75)]);
+    }
+
+    #[test]
+    fn summary_starts_with_the_machine_entry() {
+        let mut c = Criterion::new();
+        c.bench_function("noop", |b| b.iter(|| 1 + 1));
+        c.metric("cache/hit_rate", 0.75);
+        let json = c.summary_json("abc1234-dirty", 2, 1_700_000_000);
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(lines.len(), 5, "{json}");
+        assert_eq!(lines[0], "[");
+        assert_eq!(
+            lines[1],
+            "  {\"id\": \"machine\", \"commit\": \"abc1234-dirty\", \"nproc\": 2, \"unix_s\": 1700000000},"
+        );
+        assert!(
+            lines[2].starts_with("  {\"id\": \"noop\", \"samples\": 10,"),
+            "{json}"
+        );
+        assert_eq!(
+            lines[3],
+            "  {\"id\": \"cache/hit_rate\", \"value\": 0.750000}"
+        );
+        assert_eq!(lines[4], "]");
+        // a summary without measurements still starts with the machine entry
+        let empty = Criterion::new().summary_json("abc1234-dirty", 2, 1_700_000_000);
+        assert_eq!(empty.lines().count(), 3, "{empty}");
     }
 
     #[test]
