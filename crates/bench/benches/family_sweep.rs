@@ -12,8 +12,10 @@
 //! lineage reuse rate, memo hit rate and the overall amortization factor —
 //! as scalar metrics next to the timing entries.
 //!
-//! Run with `BENCH_JSON=BENCH_family.json cargo bench -p ccbench --bench
-//! family_sweep` to capture the per-family-point numbers in CI.
+//! Run with `BENCH_JSON=$PWD/BENCH_family.json cargo bench -p ccbench
+//! --bench family_sweep` from the repository root to capture the
+//! per-family-point numbers there (a relative path lands under
+//! `crates/bench/`, where cargo runs the bench).
 
 use ccchecker::{check_over_sweep_with_stats, CheckerOptions, Spec};
 use ccprotocols::family::{FamilyParams, FaultModel, GeneratedFamily};

@@ -20,8 +20,10 @@
 //! post-restart cache hit rate, asserting the recovered cache retains at
 //! least 0.8 of the warm hit rate.
 //!
-//! Run with `BENCH_JSON=BENCH_serve.json cargo bench -p ccbench --bench
-//! serve_load` to capture the numbers in CI.
+//! Run with `BENCH_JSON=$PWD/BENCH_serve.json cargo bench -p ccbench
+//! --bench serve_load` from the repository root to capture the numbers
+//! there (a relative path lands under `crates/bench/`, where cargo runs the
+//! bench).
 
 use ccprotocols::family::{FamilyParams, FaultModel};
 use ccserve::server::{ServeConfig, Server};

@@ -10,11 +10,15 @@
 //!   the whole catalogue over each protocol's full 8-valuation grid with
 //!   the cross-valuation sweep lineage on vs off (single-threaded; the
 //!   summary prints the whole-sweep speedup per protocol on `min_ns`), and
-//! * `sweep/…` — `check_over_sweep_with_stats` with 1 worker vs all cores
-//!   on a multi-valuation sweep (parallel scaling).
+//! * `sweep/scaling/…` — `check_over_sweep_with_stats` at a thread budget
+//!   of 1 vs all cores over ABY22's scaled grid (16 valuations of at most 5
+//!   processes: 2 lineage runs, so `all-cores` starts up to 2 sweep
+//!   workers; parallel scaling).
 //!
-//! Run with `BENCH_JSON=BENCH_table2.json cargo bench -p ccbench --bench
-//! table2_checking` to also emit the machine-readable summary.
+//! Run with `BENCH_JSON=$PWD/BENCH_table2.json cargo bench -p ccbench
+//! --bench table2_checking` from the repository root to also emit the
+//! machine-readable summary there (cargo runs a bench from its package
+//! directory, so a relative path lands under `crates/bench/`).
 
 use ccchecker::reference::reference_check;
 use ccchecker::{
@@ -176,7 +180,7 @@ fn bench_engine_vs_reference(c: &mut Criterion) {
 /// over each protocol's full `VerifierConfig` valuation grid (8 valuations
 /// at the default bounds), single-threaded, with the sweep lineage on vs
 /// off (the graph cache is on in both — this isolates the *cross-valuation*
-/// amortization on top of PR 4's within-valuation amortization).  The
+/// amortization on top of the within-valuation graph cache).  The
 /// summary compares `min_ns` and prints the whole-sweep speedup per
 /// protocol.
 fn bench_sweep_amortization(c: &mut Criterion) {
@@ -202,10 +206,10 @@ fn bench_sweep_amortization(c: &mut Criterion) {
             .collect();
         let valuations = grid_config.select_valuations(&single);
         for (label, options) in [
-            ("incremental", CheckerOptions::sequential()),
+            ("incremental", CheckerOptions::default()),
             (
                 "fresh",
-                CheckerOptions::sequential().with_incremental_sweep(false),
+                CheckerOptions::default().with_incremental_sweep(false),
             ),
         ] {
             group.bench_with_input(
@@ -243,7 +247,8 @@ fn bench_sweep_amortization(c: &mut Criterion) {
 }
 
 fn bench_sweep_scaling(c: &mut Criterion) {
-    // a broader sweep so the grid has enough cells to parallelise
+    // the scaled grid cuts into 2 lineage runs (one per process count), so
+    // a budget above 1 walks them on separate sweep workers
     let protocol = protocol_by_name("ABY22").expect("benchmark protocol");
     let single = protocol.single_round();
     let obligations = obligations_for(&protocol, &single);
@@ -254,7 +259,13 @@ fn bench_sweep_scaling(c: &mut Criterion) {
         .chain(obligations.termination.iter())
         .cloned()
         .collect();
-    let valuations = VerifierConfig::thorough().select_valuations(&single);
+    let grid = VerifierConfig {
+        max_param_value: 9,
+        max_processes: 5,
+        max_valuations: 16,
+        ..VerifierConfig::default()
+    };
+    let valuations = grid.select_valuations(&single);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut group = c.benchmark_group("sweep");
     group.sample_size(5);

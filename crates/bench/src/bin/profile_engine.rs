@@ -3,15 +3,11 @@
 //! part of the published tables.
 //!
 //! Usage:
-//! `profile_engine [PROTOCOL] [--threads N] [--wave-size W] [--deadline-ms D]
-//! [--max-resident-bytes B]`
-//! — `N` sets the in-check worker count of the engine runs (default:
-//! `CC_CHECK_THREADS`, then all cores; the reference is always
-//! sequential), and `W` the parallel wave size (default: the engine
-//! default).  Each per-obligation row checks its
-//! obligation on a fresh checker, so the engine side pays one group build
-//! plus one analysis pass; the whole-catalogue row runs the catalogue
-//! through one checker, one build per start-restriction group.
+//! `profile_engine [PROTOCOL] [--deadline-ms D] [--max-resident-bytes B]`
+//! — every run is on the calling thread.  Each per-obligation row checks
+//! its obligation on a fresh checker, so the engine side pays one group
+//! build plus one analysis pass; the whole-catalogue row runs the
+//! catalogue through one checker, one build per start-restriction group.
 //! `--deadline-ms D` and `--max-resident-bytes B` set the budget of the
 //! job-lifecycle section, which runs the catalogue as a checkpointable
 //! `CheckJob` and reports each job's outcome — completed, budget-tripped
@@ -26,14 +22,10 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let mut name = String::from("MMR14");
-    let mut workers = 0usize;
-    let mut wave_size = 0usize;
     let mut budget = JobBudget::unlimited();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => workers = ccbench::parse_positive_flag("--threads", &mut args),
-            "--wave-size" => wave_size = ccbench::parse_positive_flag("--wave-size", &mut args),
             "--deadline-ms" => {
                 let d = ccbench::parse_positive_flag("--deadline-ms", &mut args);
                 budget = budget.with_deadline(Duration::from_millis(d as u64));
@@ -46,8 +38,8 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other}\n\
-                     usage: profile_engine [PROTOCOL] [--threads N] [--wave-size W] \
-                     [--deadline-ms D] [--max-resident-bytes B]"
+                     usage: profile_engine [PROTOCOL] [--deadline-ms D] \
+                     [--max-resident-bytes B]"
                 );
                 std::process::exit(2);
             }
@@ -63,24 +55,8 @@ fn main() {
         .next()
         .expect("valuation");
     let sys = cccounter::CounterSystem::new(single, valuation).expect("admissible");
-    let options = CheckerOptions::default()
-        .with_workers(workers)
-        .with_wave_size(wave_size);
-    let reference_options = CheckerOptions::sequential();
-    println!(
-        "{name}: per-obligation engine vs reference (3 runs each, best; \
-         engine workers: {}, wave: {})",
-        if workers == 0 {
-            "auto".into()
-        } else {
-            workers.to_string()
-        },
-        if wave_size == 0 {
-            "auto".into()
-        } else {
-            wave_size.to_string()
-        }
-    );
+    let options = CheckerOptions::default();
+    println!("{name}: per-obligation engine vs reference (3 runs each, best)");
     for (group, specs) in [
         ("agreement", &obligations.agreement),
         ("validity", &obligations.validity),
@@ -98,7 +74,7 @@ fn main() {
             let reference = (0..3)
                 .map(|_| {
                     let t = Instant::now();
-                    let o = reference_check(&sys, spec, &reference_options);
+                    let o = reference_check(&sys, spec, &options);
                     (t.elapsed(), o.states_explored, o.transitions_explored)
                 })
                 .min()
@@ -187,12 +163,13 @@ fn main() {
             );
             let t = Instant::now();
             match CheckJob::new(&sys, &all_specs, options).resume(checkpoint) {
-                JobOutcome::Completed { outcomes, .. } => println!(
+                Ok(JobOutcome::Completed { outcomes, .. }) => println!(
                     "  resumed:        completed all {} obligation(s) in {:.3?}",
                     outcomes.len(),
                     t.elapsed()
                 ),
-                _ => println!("  resumed:        interrupted again"),
+                Ok(_) => println!("  resumed:        interrupted again"),
+                Err(err) => println!("  resumed:        refused: {err}"),
             }
         }
         JobOutcome::Interrupted { .. } => {

@@ -1,13 +1,12 @@
 //! Regenerates Table II: verification of the eight common-coin protocols.
 //!
-//! Usage: `table2 [--threads N] [--wave-size W] [--no-incremental-sweep]
-//! [--deadline-ms D] [--max-resident-bytes B]` —
-//! `N` is the total thread budget of each protocol's sweep, split between
-//! sweep workers (at most one per run of the lineage) and in-check workers
-//! (default: `CC_SWEEP_THREADS`, then all cores); `W` bounds a parallel
-//! level's candidate buffers (default: the engine default);
-//! `--no-incremental-sweep` disables the cross-valuation graph lineage so
-//! every valuation re-explores its groups, with identical verdicts.
+//! Usage: `table2 [--threads N] [--no-incremental-sweep] [--deadline-ms D]
+//! [--max-resident-bytes B]` —
+//! `N` is the thread budget of each protocol's sweep: one sweep worker per
+//! thread, at most one per run of the lineage (default: `CC_SWEEP_THREADS`,
+//! then all cores); `--no-incremental-sweep` disables the cross-valuation
+//! graph lineage so every valuation re-explores its groups, with identical
+//! verdicts.
 //! `--deadline-ms D` puts a wall-clock deadline on each protocol's sweep
 //! and `--max-resident-bytes B` caps each grid cell's state store: tripped
 //! cells degrade to `interrupted` outcomes and their properties report `?`
@@ -24,10 +23,6 @@ fn main() {
                 let n = ccbench::parse_positive_flag("--threads", &mut args);
                 config = config.with_threads(n);
             }
-            "--wave-size" => {
-                let w = ccbench::parse_positive_flag("--wave-size", &mut args);
-                config = config.with_wave_size(w);
-            }
             "--no-incremental-sweep" => {
                 config = config.with_incremental_sweep(false);
             }
@@ -42,7 +37,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument: {other}\n\
-                     usage: table2 [--threads N] [--wave-size W] [--no-incremental-sweep] \
+                     usage: table2 [--threads N] [--no-incremental-sweep] \
                      [--deadline-ms D] [--max-resident-bytes B]"
                 );
                 std::process::exit(2);

@@ -350,7 +350,9 @@ mod tests {
         assert_eq!(restored.total_obligations(), specs.len());
         assert_eq!(restored, checkpoint);
 
-        let resumed = CheckJob::new(&sys, &specs, options).resume(restored);
+        let resumed = CheckJob::new(&sys, &specs, options)
+            .resume(restored)
+            .expect("the checkpoint matches the catalogue");
         let (outcomes, _) = resumed.completed().expect("unlimited resume completes");
         for (o, r) in outcomes.iter().zip(&reference) {
             assert_eq!(o.status, r.status);
@@ -431,5 +433,48 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(JobCheckpoint::from_portable_bytes(&trailing).is_err());
+    }
+
+    #[test]
+    fn bit_flipped_bytes_decode_typed_and_resume_without_panicking() {
+        // the voting fixture at two processes, the first obligation owed
+        // and the second a completed violation with its counterexample: each
+        // of the ~2.5k decoded checkpoints resumes by building one small
+        // unanimous-start graph
+        let model = fixtures::voting_model().single_round().unwrap();
+        let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![2, 0, 0, 1])).unwrap();
+        let specs = &specs(&sys)[..2];
+        let options = CheckerOptions::default();
+        let outcomes = ExplicitChecker::with_options(&sys, options).check_all(specs);
+        assert!(outcomes[1].counterexample.is_some());
+        let mut cp = JobCheckpoint::fresh(specs.len());
+        cp.outcomes[1] = Some(outcomes[1].clone());
+        cp.states_done = 7;
+        cp.transitions_done = 11;
+        let bytes = cp.to_portable_bytes();
+
+        let mut decoded = 0;
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // every flip decodes to a checkpoint or a typed error, never a
+            // panic ...
+            let Ok(mutated) = JobCheckpoint::from_portable_bytes(&flipped) else {
+                continue;
+            };
+            decoded += 1;
+            // ... and a decoded checkpoint resumes, or is refused, without
+            // panicking either
+            match CheckJob::new(&sys, specs, options).resume(mutated) {
+                Ok(outcome) => assert!(outcome.completed().is_some(), "bit {bit}"),
+                Err(err) => assert!(matches!(err, CkptError::Malformed(_)), "bit {bit}"),
+            }
+        }
+        // the counters, costs, schedule steps and strings take any value
+        assert!(
+            decoded > bytes.len(),
+            "{decoded} of {} flips",
+            bytes.len() * 8
+        );
     }
 }

@@ -10,16 +10,13 @@
 //! [`ExplicitChecker`] answers every query from the cached reachability
 //! graph of its `(start restriction, valuation)` group ([`crate::graph`]):
 //! the first query of a group pays one exploration on the generic
-//! [`crate::explorer::Explorer`] driver (with its deterministic in-check
-//! parallelisation), and every query is then an analysis pass over the
-//! cached graph.  See the [`crate::explorer`] docs for the engine and
-//! determinism story, and [`crate::graph`] for the passes and the counts
-//! they report.
+//! [`crate::explorer::Explorer`] driver, and every query is then an
+//! analysis pass over the cached graph.  See the [`crate::explorer`] docs
+//! for the engine and determinism story, and [`crate::graph`] for the
+//! passes and the counts they report.
 
-use crate::explorer::resolved_workers;
 use crate::graph::{GraphBasis, GraphLineage, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
-use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 use crate::spec::{Spec, StartRestriction};
 use cccounter::{Configuration, CounterSystem};
@@ -28,7 +25,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Resource limits and thread configuration of the explicit-state search.
+/// Resource limits and the sweep lever of the explicit-state search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckerOptions {
     /// Maximum number of distinct states: configurations for a group
@@ -37,18 +34,6 @@ pub struct CheckerOptions {
     pub max_states: usize,
     /// Maximum number of explored transitions.
     pub max_transitions: usize,
-    /// In-check worker threads for a single exploration: `1` forces the
-    /// sequential loop, `0` resolves `CC_CHECK_THREADS` and then the
-    /// available parallelism.  Any worker count produces identical
-    /// verdicts, state counts, transition counts and counterexamples.  The
-    /// state store gets one shard per worker, rounded up to a power of two.
-    pub workers: usize,
-    /// Frontier nodes per parallel wave: a parallel level buffers (and
-    /// recycles) candidate arenas of at most one wave, so peak memory stays
-    /// O(wave) instead of O(level).  `0` means
-    /// [`crate::explorer::DEFAULT_WAVE_SIZE`].  Like the worker count, the
-    /// wave size never changes results.
-    pub wave_size: usize,
     /// Whether a sweep carries each group's reachability graph *across*
     /// valuations (reusing it outright when the compiled guard bounds are
     /// identical, extending it incrementally when the step is relax-only,
@@ -58,8 +43,8 @@ pub struct CheckerOptions {
     /// counterexample — an incremental sweep is bit-identical to a
     /// from-scratch one; only the exploration work differs.  Takes effect
     /// only where a lineage exists (sweeps and
-    /// [`ExplicitChecker::with_pool_and_lineage`]); single-valuation checks
-    /// are unaffected.
+    /// [`ExplicitChecker::with_lineage`]); single-valuation checks are
+    /// unaffected.
     pub incremental_sweep: bool,
 }
 
@@ -68,57 +53,16 @@ impl Default for CheckerOptions {
         CheckerOptions {
             max_states: 2_000_000,
             max_transitions: 30_000_000,
-            workers: 0,
-            wave_size: 0,
             incremental_sweep: true,
         }
     }
 }
 
 impl CheckerOptions {
-    /// Options forcing the plain sequential search loop.
-    pub fn sequential() -> Self {
-        CheckerOptions {
-            workers: 1,
-            ..CheckerOptions::default()
-        }
-    }
-
-    /// These options with an explicit in-check worker count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// These options with an explicit parallel wave size.
-    pub fn with_wave_size(mut self, wave_size: usize) -> Self {
-        self.wave_size = wave_size;
-        self
-    }
-
     /// These options with the incremental sweep enabled or disabled.
     pub fn with_incremental_sweep(mut self, enabled: bool) -> Self {
         self.incremental_sweep = enabled;
         self
-    }
-}
-
-/// The worker pool a checker runs on: its own (one pool per checker, reused
-/// across every check and every level), or one shared by the caller — the
-/// sweep hands each of its grid workers one pool reused across all the
-/// cells that worker processes.
-#[derive(Debug)]
-enum PoolSource<'a> {
-    Owned(WorkerPool),
-    Shared(&'a WorkerPool),
-}
-
-impl PoolSource<'_> {
-    fn get(&self) -> &WorkerPool {
-        match self {
-            PoolSource::Owned(pool) => pool,
-            PoolSource::Shared(pool) => pool,
-        }
     }
 }
 
@@ -138,7 +82,6 @@ struct CheckerMemo {
 pub struct ExplicitChecker<'a> {
     sys: &'a CounterSystem,
     options: CheckerOptions,
-    pool: PoolSource<'a>,
     memo: RefCell<CheckerMemo>,
     /// The cross-valuation graph lineage of the surrounding sweep (plus
     /// this system's basis, compared against the lineage entries), when the
@@ -153,7 +96,6 @@ impl std::fmt::Debug for ExplicitChecker<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExplicitChecker")
             .field("options", &self.options)
-            .field("pool", &self.pool)
             .finish_non_exhaustive()
     }
 }
@@ -169,63 +111,12 @@ impl<'a> ExplicitChecker<'a> {
         Self::with_options(sys, CheckerOptions::default())
     }
 
-    /// Creates a checker with explicit resource limits.  The checker spawns
-    /// its persistent [`WorkerPool`] here — once — and reuses it across
-    /// every [`ExplicitChecker::check`] call and every exploration level
-    /// (a resolved worker count of 1 spawns no threads at all).
+    /// Creates a checker with explicit resource limits.
     ///
     /// # Panics
     ///
     /// Panics if the counter system is built over a multi-round model.
     pub fn with_options(sys: &'a CounterSystem, options: CheckerOptions) -> Self {
-        let pool = PoolSource::Owned(WorkerPool::new(resolved_workers(&options)));
-        Self::assemble(sys, options, pool)
-    }
-
-    /// Creates a checker running its parallel phases on a caller-owned
-    /// pool, whose lane count overrides [`CheckerOptions::workers`].  This
-    /// is how the sweep shares one pool across all the grid cells a sweep
-    /// worker processes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter system is built over a multi-round model.
-    pub fn with_pool(
-        sys: &'a CounterSystem,
-        options: CheckerOptions,
-        pool: &'a WorkerPool,
-    ) -> Self {
-        Self::assemble(sys, options, PoolSource::Shared(pool))
-    }
-
-    /// [`ExplicitChecker::with_pool`] with a cross-valuation graph lineage:
-    /// instead of exploring each `(start restriction, valuation)` group
-    /// from scratch, the checker first consults the lineage for a graph of
-    /// the same group built at a previous valuation, reusing it outright
-    /// when the compiled guard bounds are identical and extending it
-    /// incrementally when the step is relax-only (see the "Incremental
-    /// sweeps" crate docs).  The sweep gives each of its workers one
-    /// lineage spanning every run of valuations the worker takes, walked in
-    /// grid order.  [`CheckerOptions::incremental_sweep`] set to `false`
-    /// makes this identical to [`ExplicitChecker::with_pool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counter system is built over a multi-round model.
-    pub fn with_pool_and_lineage(
-        sys: &'a CounterSystem,
-        options: CheckerOptions,
-        pool: &'a WorkerPool,
-        lineage: &'a GraphLineage,
-    ) -> Self {
-        let mut checker = Self::assemble(sys, options, PoolSource::Shared(pool));
-        if options.incremental_sweep {
-            checker.lineage = Some((lineage, GraphBasis::of(sys)));
-        }
-        checker
-    }
-
-    fn assemble(sys: &'a CounterSystem, options: CheckerOptions, pool: PoolSource<'a>) -> Self {
         assert_eq!(
             sys.model().kind(),
             ModelKind::SingleRound,
@@ -234,11 +125,35 @@ impl<'a> ExplicitChecker<'a> {
         ExplicitChecker {
             sys,
             options,
-            pool,
             memo: RefCell::new(CheckerMemo::default()),
             lineage: None,
             signals: None,
         }
+    }
+
+    /// [`ExplicitChecker::with_options`] with a cross-valuation graph
+    /// lineage: instead of exploring each `(start restriction, valuation)`
+    /// group from scratch, the checker first consults the lineage for a
+    /// graph of the same group built at a previous valuation, reusing it
+    /// outright when the compiled guard bounds are identical and extending
+    /// it incrementally when the step is relax-only (see the "Incremental
+    /// sweeps" crate docs).  The sweep walks each run of valuations on one
+    /// lineage, in grid order.  [`CheckerOptions::incremental_sweep`] set
+    /// to `false` makes this identical to [`ExplicitChecker::with_options`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counter system is built over a multi-round model.
+    pub fn with_lineage(
+        sys: &'a CounterSystem,
+        options: CheckerOptions,
+        lineage: &'a GraphLineage,
+    ) -> Self {
+        let mut checker = Self::with_options(sys, options);
+        if options.incremental_sweep {
+            checker.lineage = Some((lineage, GraphBasis::of(sys)));
+        }
+        checker
     }
 
     /// Attaches job-level signals: every exploration this checker runs will
@@ -316,14 +231,7 @@ impl<'a> ExplicitChecker<'a> {
     ) -> Result<(Rc<ReachGraph>, GraphOrigin, usize, usize), InterruptKind> {
         let mut fresh_origin = GraphOrigin::Built;
         if let Some((lineage, basis)) = &self.lineage {
-            match lineage.adopt(
-                self.sys,
-                start,
-                basis,
-                &self.options,
-                self.pool.get(),
-                self.signals,
-            ) {
+            match lineage.adopt(self.sys, start, basis, &self.options, self.signals) {
                 LineageStep::Reuse(graph) => return Ok((graph, GraphOrigin::Reused, 0, 0)),
                 LineageStep::Extend(graph, seeds) => {
                     return Ok((graph, GraphOrigin::Extended, seeds, 0))
@@ -337,14 +245,8 @@ impl<'a> ExplicitChecker<'a> {
             }
         }
         let starts = self.starts_for(start);
-        let graph = ReachGraph::build_with_signals(
-            self.sys,
-            &starts,
-            &self.options,
-            self.pool.get(),
-            self.signals,
-            base,
-        )?;
+        let graph =
+            ReachGraph::build_with_signals(self.sys, &starts, &self.options, self.signals, base)?;
         Ok((Rc::new(graph), fresh_origin, 0, 0))
     }
 
@@ -699,43 +601,6 @@ mod tests {
         assert_matches_reference(&sys, &spec, &outcomes[0]);
         assert_eq!(stats.graphs_built(), 1);
         assert_eq!(stats.specs_served(), 1);
-    }
-
-    #[test]
-    fn cached_checks_are_worker_independent() {
-        let sys = sys();
-        let specs = catalogue(&sys);
-        let baseline =
-            ExplicitChecker::with_options(&sys, CheckerOptions::sequential()).check_all(&specs);
-        for workers in [2, 4] {
-            let options = CheckerOptions::default()
-                .with_workers(workers)
-                .with_wave_size(1);
-            let parallel = ExplicitChecker::with_options(&sys, options).check_all(&specs);
-            for ((spec, b), p) in specs.iter().zip(&baseline).zip(&parallel) {
-                assert_eq!(b.status, p.status, "{} at {workers} workers", spec.name());
-                assert_eq!(
-                    b.states_explored,
-                    p.states_explored,
-                    "{} at {workers} workers",
-                    spec.name()
-                );
-                assert_eq!(
-                    b.transitions_explored,
-                    p.transitions_explored,
-                    "{} at {workers} workers",
-                    spec.name()
-                );
-                match (&b.counterexample, &p.counterexample) {
-                    (None, None) => {}
-                    (Some(bc), Some(pc)) => {
-                        assert_eq!(bc.initial, pc.initial);
-                        assert_eq!(bc.schedule.steps(), pc.schedule.steps());
-                    }
-                    _ => panic!("{}: counterexample presence differs", spec.name()),
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Seeded fault injection hooks for the robustness test suite.
 //!
-//! The `fault_injection` integration tests arm these hooks to make a chosen
-//! worker lane panic at a chosen expansion (or a chosen sweep cell), so the
-//! panic-isolation and retry paths in [`crate::sweep`] and
-//! [`crate::WorkerPool`] can be driven deterministically.  The module is
+//! The `fault_injection` integration tests arm these hooks to make a check
+//! panic at a chosen wave boundary of an exploration (or at a chosen sweep
+//! cell), so the panic-isolation and retry paths in [`crate::sweep`] can be
+//! driven deterministically.  The module is
 //! always compiled — integration tests cannot see `cfg(test)`-gated items —
 //! but the disarmed fast path is a single relaxed atomic load, so it costs
 //! nothing on the hot path.
@@ -12,7 +12,7 @@
 //! by handing a job a tiny resident-byte or deadline budget, which trips the
 //! same structured-degradation path a real overrun would.
 //!
-//! Beyond the in-check sites, the `ccserve` daemon instruments its
+//! Beyond the checker's sites, the `ccserve` daemon instruments its
 //! admission, response-serialization and socket-write paths with the same
 //! hooks ([`crate::fault::SITE_ADMISSION`],
 //! [`crate::fault::SITE_RESPONSE_ENCODE`],
@@ -22,7 +22,9 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Injection site: the parallel expand phase, inside a worker lane.
+/// Injection site: a wave boundary of an exploration, before the wave is
+/// expanded.  `CC_FAULT_CRASH` names sites by number, so the numbers of
+/// all sites stay fixed.
 pub const SITE_EXPAND: usize = 1;
 /// Injection site: the start of a sweep grid cell.
 pub const SITE_SWEEP_CELL: usize = 2;

@@ -177,8 +177,8 @@ pub fn small_params() -> ParamValuation {
 /// processes and at most one coin, using the same Byzantine-first
 /// preference key as `cccore::VerifierConfig::select_valuations` (which
 /// lives a layer above this crate and applies its own configured bounds).
-/// Shared by the `engine_equivalence` and `parallel_determinism` suites so
-/// both pin the same state spaces.
+/// Used by the `engine_equivalence` suite to pin the engine against the
+/// reference on these state spaces.
 pub fn benchmark_valuation(model: &SystemModel) -> ParamValuation {
     let env = model.env();
     let f_id = env.param_id("f");

@@ -53,10 +53,9 @@ pub(crate) fn scheduled_step(rule: u32, branch: u32) -> ScheduledStep {
 /// per-action `Vec` allocation.  A node span costs 8 bytes, an action 12
 /// (rule and edge span) and an edge 8.
 ///
-/// `node_spans` is indexed by the store's node ids; with a sharded store
-/// those interleave the shard tag, so the array is grown on demand (ids stay
-/// near-dense as long as the shards stay balanced) and unexpanded nodes
-/// read back an empty span.  The graph-cache evaluation passes
+/// `node_spans` is indexed by the store's node ids, which are dense; the
+/// array is grown on demand, and unexpanded nodes (terminal ones, or ids
+/// past the last expanded node) read back an empty span.  The graph-cache evaluation passes
 /// ([`crate::graph`]) reuse the same arenas, both for the cached
 /// reachability graph itself and for the product game graphs derived from
 /// it; a product action keeps the rule of the cached action it copies.
@@ -141,8 +140,8 @@ impl GameGraph {
 }
 
 /// Appends explored edges (or an analysis pass's product edges) to a
-/// [`GameGraph`]'s CSR arenas in discovery order.  Used by the explorer's
-/// replay, which records every cache build and extension
+/// [`GameGraph`]'s CSR arenas in discovery order.  Used by the explorer,
+/// which records every cache build and extension
 /// ([`crate::explorer::Explored`]), by the product game of
 /// [`crate::graph`] and by [`GameGraph::compacted`].
 ///

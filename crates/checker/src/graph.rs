@@ -65,7 +65,6 @@ use crate::game::{
     adversary_winning, extract_strategy_path, scheduled_step, CsrRecorder, Edge, GameGraph,
 };
 use crate::job::{InterruptKind, JobSignals};
-use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, CheckStatus};
 use crate::spec::{LocSet, Spec, StartRestriction};
 use crate::store::StateStore;
@@ -239,9 +238,8 @@ pub(crate) enum LineageStep {
 /// valuation to valuation (see the "Incremental sweeps" section of the
 /// crate docs).  Owned by whoever walks a group's valuations in order — the
 /// sweep starts each run of valuations on an empty lineage — and handed to
-/// each per-valuation
-/// [`crate::ExplicitChecker`] via
-/// [`crate::ExplicitChecker::with_pool_and_lineage`].
+/// each per-valuation [`crate::ExplicitChecker`] via
+/// [`crate::ExplicitChecker::with_lineage`].
 #[derive(Default)]
 pub struct GraphLineage {
     entries: RefCell<Vec<LineageEntry>>,
@@ -264,7 +262,6 @@ impl GraphLineage {
         start: StartRestriction,
         basis: &GraphBasis,
         options: &CheckerOptions,
-        pool: &WorkerPool,
         signals: Option<&JobSignals>,
     ) -> LineageStep {
         let entry = {
@@ -290,7 +287,7 @@ impl GraphLineage {
                 let Ok(graph) = Rc::try_unwrap(entry.graph) else {
                     return LineageStep::Build { rebuilt: true };
                 };
-                match graph.extend(sys, &changed, &entry.basis.bounds, options, pool, signals) {
+                match graph.extend(sys, &changed, &entry.basis.bounds, options, signals) {
                     Ok((extended, seeds)) => LineageStep::Extend(Rc::new(extended), seeds),
                     // a resource budget (or a job signal) tripped
                     // mid-extension: rebuild from scratch so the
@@ -352,7 +349,7 @@ pub(crate) struct ReachGraph {
     store: StateStore,
     graph: GameGraph,
     start_ids: Vec<u32>,
-    /// Every node in BFS discovery order (worker/shard independent).
+    /// Every node in BFS discovery order.
     discovery: Vec<u32>,
     /// Stored nodes the current bounds no longer reach (a prune left them
     /// behind), in store order.  Their action spans are kept exact for the
@@ -375,15 +372,14 @@ pub(crate) struct ReachGraph {
 
 impl ReachGraph {
     /// Explores the reachable graph from the given start configurations —
-    /// once — on the caller's worker pool.
+    /// once.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn build(
         sys: &CounterSystem,
         starts: &[Configuration],
         options: &CheckerOptions,
-        pool: &WorkerPool,
     ) -> Self {
-        Self::build_with_signals(sys, starts, options, pool, None, (0, 0, 0))
+        Self::build_with_signals(sys, starts, options, None, (0, 0, 0))
             .unwrap_or_else(|_| unreachable!("no job signals were attached"))
     }
 
@@ -396,11 +392,10 @@ impl ReachGraph {
         sys: &CounterSystem,
         starts: &[Configuration],
         options: &CheckerOptions,
-        pool: &WorkerPool,
         signals: Option<&JobSignals>,
         base: (usize, usize, usize),
     ) -> Result<Self, InterruptKind> {
-        let mut explorer = Explorer::new(sys, options, pool).with_signals(signals, base);
+        let mut explorer = Explorer::new(sys, options).with_signals(signals, base);
         let exploration = explorer.run(starts);
         let explored = explorer.into_explored();
         let (states, bound) = match exploration {
@@ -448,7 +443,6 @@ impl ReachGraph {
         changed: &[usize],
         old_bounds: &GuardBounds,
         options: &CheckerOptions,
-        pool: &WorkerPool,
         signals: Option<&JobSignals>,
     ) -> Result<(Self, usize), ()> {
         debug_assert!(self.bound.is_none(), "only complete graphs are extended");
@@ -504,7 +498,7 @@ impl ReachGraph {
             transitions: self.transitions,
         };
         let mut explorer =
-            Explorer::resume(sys, options, pool, explored).with_signals(signals, (0, 0, 0));
+            Explorer::resume(sys, options, explored).with_signals(signals, (0, 0, 0));
         // a bounded or interrupted extension falls back to the fresh-rebuild
         // path (whose first wave boundary re-trips an interrupting signal)
         if explorer.run_from_nodes(seeds) != Exploration::Complete {
@@ -584,7 +578,7 @@ impl ReachGraph {
     /// prefix walk, the reported counts) behaves bit-identically to a fresh
     /// build.
     fn relink(&mut self) {
-        let mut seen = vec![false; self.store.id_bound()];
+        let mut seen = vec![false; self.store.len()];
         let mut discovery: Vec<u32> = Vec::with_capacity(self.store.len());
         for &start in &self.start_ids {
             if !seen[start as usize] {
@@ -748,7 +742,7 @@ impl ReachGraph {
     fn occupancy(&self, sets: &[LocSet]) -> Vec<u8> {
         let stride = self.store.stride();
         let masks: Vec<Vec<u8>> = sets.iter().map(|s| s.row_mask(stride)).collect();
-        let mut occ = vec![0u8; self.store.id_bound()];
+        let mut occ = vec![0u8; self.store.len()];
         for id in self.store.ids() {
             let row = self.store.row(id);
             let mut bits = 0u8;
@@ -784,7 +778,7 @@ impl ReachGraph {
         let num_vals = 1usize << sets.len();
         let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
         // product slot -> discovery ordinal into `parents`
-        let mut ordinal = vec![NO_ORD; self.store.id_bound() * num_vals];
+        let mut ordinal = vec![NO_ORD; self.store.len() * num_vals];
         // per discovered product state: (parent node, parent bits, rule,
         // branch) of the edge that discovered it
         let mut parents: Vec<(u32, u8, u32, u32)> = Vec::new();
@@ -930,7 +924,7 @@ impl ReachGraph {
         let occ = self.occupancy(sets);
         let num_vals = 1usize << sets.len();
         let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
-        let mut ordinal = vec![NO_ORD; self.store.id_bound() * num_vals];
+        let mut ordinal = vec![NO_ORD; self.store.len() * num_vals];
         // dense product ids in discovery order
         let mut pnodes: Vec<(u32, u8)> = Vec::new();
         let mut transitions = 0usize;
@@ -1072,8 +1066,8 @@ impl ReachGraph {
         }
         // scan in BFS discovery order — a BFS dequeues (and classifies)
         // terminals in exactly this order, so the reported terminal is the
-        // first one it would find, at every worker and shard count
-        // (`store.ids()` order would depend on the sharding)
+        // first one it would find (an extended graph's store order is not
+        // its discovery order)
         for (scanned, &id) in self.discovery.iter().enumerate() {
             if scanned & 0xFFF == 0 {
                 if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -1108,12 +1102,12 @@ impl ReachGraph {
     ///
     /// Walking nodes in discovery order, and each node's edges in CSR order,
     /// meets every node first through the edge by which a from-scratch
-    /// exploration discovered it — the replay that recorded a fresh build
-    /// enumerated candidates in exactly this order, and an extended or
+    /// exploration discovered it — the search that recorded a fresh build
+    /// enumerated successors in exactly this order, and an extended or
     /// pruned graph's relinked discovery order is a fresh build's.  So
     /// fresh, extended and pruned graphs report the same path.
     fn prefix_before(&self, k: usize) -> (usize, usize, Configuration, Schedule) {
-        let mut seen = vec![false; self.store.id_bound()];
+        let mut seen = vec![false; self.store.len()];
         // per node: (parent node, rule, branch) of its first-discovery edge,
         // or a `NO_ORD` parent for the start nodes and unseen ones
         let mut parent: Vec<(u32, u32, u32)> = vec![(NO_ORD, 0, 0); seen.len()];
@@ -1325,13 +1319,12 @@ mod tests {
             CounterSystem::new(model.clone(), ccta::ParamValuation::new(vec![7, 1, 1, 1])).unwrap();
         let new_sys =
             CounterSystem::new(model, ccta::ParamValuation::new(vec![7, 2, 1, 1])).unwrap();
-        let pool = WorkerPool::new(1);
         let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
         let starts = start.configurations(&old_sys);
 
         let lineage = GraphLineage::new();
-        let graph = Rc::new(ReachGraph::build(&old_sys, &starts, &options, &pool));
+        let graph = Rc::new(ReachGraph::build(&old_sys, &starts, &options));
         assert!(!graph.is_bounded());
         let old_transitions = graph.transitions();
         lineage.record(start, &graph, &GraphBasis::of(&old_sys));
@@ -1343,14 +1336,7 @@ mod tests {
         // discarded and the step reported as a rebuild
         let mut tight = options;
         tight.max_transitions = old_transitions;
-        match lineage.adopt(
-            &new_sys,
-            start,
-            &GraphBasis::of(&new_sys),
-            &tight,
-            &pool,
-            None,
-        ) {
+        match lineage.adopt(&new_sys, start, &GraphBasis::of(&new_sys), &tight, None) {
             LineageStep::Build { rebuilt } => assert!(rebuilt, "a tripped extension is a rebuild"),
             LineageStep::Reuse(_) => panic!("bounds differ; nothing may be reused"),
             LineageStep::Extend(..) => panic!("the budget must trip the extension"),
@@ -1363,19 +1349,11 @@ mod tests {
             &new_sys,
             &start.configurations(&new_sys),
             &tight,
-            &pool,
         ));
         assert!(bounded.is_bounded());
         lineage.record(start, &bounded, &GraphBasis::of(&new_sys));
         assert_eq!(lineage.resident_bytes(), 0, "bounded graphs are not kept");
-        match lineage.adopt(
-            &new_sys,
-            start,
-            &GraphBasis::of(&new_sys),
-            &options,
-            &pool,
-            None,
-        ) {
+        match lineage.adopt(&new_sys, start, &GraphBasis::of(&new_sys), &options, None) {
             LineageStep::Build { rebuilt } => {
                 assert!(!rebuilt, "the lineage must have stayed empty")
             }
@@ -1422,24 +1400,13 @@ mod tests {
         else {
             panic!("lowering t must classify as tighten-only");
         };
-        let pool = WorkerPool::new(1);
         let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
-        let big = ReachGraph::build(
-            &relaxed_sys,
-            &start.configurations(&relaxed_sys),
-            &options,
-            &pool,
-        );
+        let big = ReachGraph::build(&relaxed_sys, &start.configurations(&relaxed_sys), &options);
         let (pruned, cut) = big.prune(&tight_sys, &changed);
         assert!(cut > 0, "the tightened quorum must kill cached actions");
 
-        let fresh = ReachGraph::build(
-            &tight_sys,
-            &start.configurations(&tight_sys),
-            &options,
-            &pool,
-        );
+        let fresh = ReachGraph::build(&tight_sys, &start.configurations(&tight_sys), &options);
         assert_eq!(pruned.states(), fresh.states());
         assert_eq!(pruned.transitions(), fresh.transitions());
         // the analysis passes agree end to end — counts, verdicts and
@@ -1474,10 +1441,9 @@ mod tests {
         // until they outnumber the live ones and the arenas get compacted.
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
-        let pool = WorkerPool::new(1);
         let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
-        let fresh = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
+        let fresh = ReachGraph::build(&sys, &start.configurations(&sys), &options);
         let bounds = sys.guard_bounds();
         let changed: Vec<usize> = (0..bounds.len())
             .filter(|&r| !bounds[r].is_empty())
@@ -1495,11 +1461,11 @@ mod tests {
             })
             .collect();
 
-        let mut graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
+        let mut graph = ReachGraph::build(&sys, &start.configurations(&sys), &options);
         let mut compacted = false;
         for _ in 0..4 {
             let (extended, seeds) = graph
-                .extend(&sys, &changed, &never, &options, &pool, None)
+                .extend(&sys, &changed, &never, &options, None)
                 .unwrap_or_else(|()| panic!("an unbounded extension completes"));
             graph = extended;
             assert!(seeds > 0);
@@ -1531,26 +1497,18 @@ mod tests {
             CounterSystem::new(model.clone(), ccta::ParamValuation::new(values.to_vec())).unwrap()
         };
         let (old_sys, new_sys) = (system(from), system(to));
-        let pool = WorkerPool::new(1);
         let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
-        let old = ReachGraph::build(&old_sys, &start.configurations(&old_sys), &options, &pool);
+        let old = ReachGraph::build(&old_sys, &start.configurations(&old_sys), &options);
         let (carried, work) =
             match classify_guard_step(&old_sys.guard_bounds(), &new_sys.guard_bounds()) {
                 GuardStep::TightenOnly { changed } => old.prune(&new_sys, &changed),
                 GuardStep::RelaxOnly { changed } => old
-                    .extend(
-                        &new_sys,
-                        &changed,
-                        &old_sys.guard_bounds(),
-                        &options,
-                        &pool,
-                        None,
-                    )
+                    .extend(&new_sys, &changed, &old_sys.guard_bounds(), &options, None)
                     .unwrap_or_else(|()| panic!("an unbounded extension completes")),
                 other => panic!("expected a one-sided step, got {other:?}"),
             };
-        let fresh = ReachGraph::build(&new_sys, &start.configurations(&new_sys), &options, &pool);
+        let fresh = ReachGraph::build(&new_sys, &start.configurations(&new_sys), &options);
         let spec = Spec::NonBlocking {
             name: "termination".into(),
             start,
@@ -1590,10 +1548,9 @@ mod tests {
     fn verdict_memo_serves_identical_steps() {
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
-        let pool = WorkerPool::new(1);
         let options = CheckerOptions::default();
         let start = StartRestriction::RoundStart;
-        let graph = ReachGraph::build(&sys, &start.configurations(&sys), &options, &pool);
+        let graph = ReachGraph::build(&sys, &start.configurations(&sys), &options);
         let spec = Spec::NonBlocking {
             name: "termination".into(),
             start,

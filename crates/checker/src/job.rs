@@ -7,15 +7,15 @@
 //! stops it — it surrenders a [`JobCheckpoint`] from which
 //! [`CheckJob::resume`] continues the work.  A resumed job produces
 //! verdicts, state counts, transition counts and counterexample schedules
-//! *bit-identical* to an uninterrupted run, at any worker count (the
-//! `random_differential` interrupt axis pins this).
+//! *bit-identical* to an uninterrupted run (the `random_differential`
+//! interrupt axis pins this).
 //!
 //! The mechanics live in two layers:
 //!
 //! * [`JobSignals`] is the shared, `Sync` signal block threaded through the
 //!   [`crate::explorer::Explorer`]: polled at every wave boundary (all
-//!   signals) and at expand-phase chunk handouts and analysis-pass strides
-//!   (the fast cancel/deadline signals only).
+//!   signals) and at analysis-pass strides (the fast cancel/deadline
+//!   signals only).
 //! * The job loop walks the obligation catalogue in spec order on one
 //!   [`crate::ExplicitChecker`], which builds and caches the group graphs.
 //!   A signal that lands inside a group build abandons that build, and an
@@ -27,6 +27,7 @@
 //! See the "Job lifecycle & fault model" section of the crate docs for the
 //! checkpoint-boundary, latency and budget-semantics contract.
 
+use crate::ckpt::CkptError;
 use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::result::{CheckOutcome, GraphCacheStats};
 use crate::spec::Spec;
@@ -39,9 +40,9 @@ use std::time::{Duration, Instant};
 /// A cooperative cancellation handle: cloned freely, flipped once.
 ///
 /// Cancellation is *cooperative*: the running job observes the token at
-/// wave boundaries, expand-phase chunk handouts and analysis-pass strides,
-/// so the latency between [`CancelToken::cancel`] and the job suspending is
-/// O(one wave), not O(the whole check).
+/// wave boundaries and analysis-pass strides, so the latency between
+/// [`CancelToken::cancel`] and the job suspending is O(one wave), not O(the
+/// whole check).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -65,12 +66,12 @@ impl CancelToken {
 /// Explicit resource budgets of a job, all unlimited by default.
 ///
 /// The state and transition caps are evaluated only against the
-/// *deterministic replayed counters* at wave boundaries, so a budget trip
-/// lands at the same point of the search at every worker count.  The
-/// deadline and the resident-byte cap depend on wall time and allocator
-/// layout respectively, so *where* they trip is not worker-independent —
-/// but resuming from the resulting checkpoint still reproduces the
-/// uninterrupted results exactly.
+/// *deterministic exploration counters* at wave boundaries, so a budget
+/// trip lands at the same point of the search on every run.  The deadline
+/// and the resident-byte cap depend on wall time and allocator layout
+/// respectively, so *where* they trip varies — but resuming from the
+/// resulting checkpoint still reproduces the uninterrupted results
+/// exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JobBudget {
     /// Wall-clock deadline, measured from each `run`/`resume` call.
@@ -168,7 +169,8 @@ impl std::fmt::Display for InterruptKind {
 /// window rather than instantly re-tripping.
 ///
 /// The block is stateless beyond the token (`Sync`), so one instance is
-/// shared by every worker lane and — in sweeps — every grid cell.
+/// shared by every exploration of a job and — in sweeps — by every grid
+/// cell on every sweep worker.
 pub(crate) struct JobSignals {
     cancel: CancelToken,
     deadline: Option<Instant>,
@@ -216,8 +218,8 @@ impl JobSignals {
 
     /// The fast signals — cancellation and deadline — safe to poll from any
     /// thread at any point (they carry no exploration-counter semantics, so
-    /// honouring them mid-wave cannot perturb determinism: the abandoned
-    /// build is rebuilt on resume).
+    /// honouring them cannot perturb determinism: the abandoned build is
+    /// rebuilt on resume).
     pub(crate) fn fast_stop(&self) -> Option<InterruptKind> {
         if self.cancel.is_cancelled() {
             return Some(InterruptKind::Cancelled);
@@ -231,9 +233,10 @@ impl JobSignals {
     }
 
     /// All signals, for wave/obligation boundaries: the fast signals first,
-    /// then the cumulative caps against the deterministic replayed
+    /// then the cumulative caps against the deterministic exploration
     /// counters.  `resident` is a closure because computing resident bytes
-    /// walks the store shards — it only runs when a cap is actually set.
+    /// sums the job's stores and arenas — it only runs when a cap is
+    /// actually set.
     pub(crate) fn boundary_stop(
         &self,
         states: usize,
@@ -432,17 +435,17 @@ impl<'a> CheckJob<'a> {
     /// and options must be the ones the checkpoint was taken under; the
     /// deadline budget (if any) restarts from now.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the checkpoint's obligation count does not match this
-    /// job's spec count.
-    pub fn resume(&self, checkpoint: JobCheckpoint) -> JobOutcome {
-        assert_eq!(
-            checkpoint.outcomes.len(),
-            self.specs.len(),
-            "the checkpoint belongs to a job with a different obligation catalogue"
-        );
-        self.execute(checkpoint)
+    /// Returns [`CkptError::Malformed`], and checks nothing, if the
+    /// checkpoint's obligation count does not match this job's spec count.
+    pub fn resume(&self, checkpoint: JobCheckpoint) -> Result<JobOutcome, CkptError> {
+        if checkpoint.outcomes.len() != self.specs.len() {
+            return Err(CkptError::Malformed(
+                "obligation count does not match the job's catalogue",
+            ));
+        }
+        Ok(self.execute(checkpoint))
     }
 
     /// The job loop: serve the owed obligations in spec order on one
@@ -495,7 +498,7 @@ impl<'a> CheckJob<'a> {
                 built.resident_bytes(),
             );
             // the deterministic inter-obligation trip point: cumulative
-            // replayed counters only, identical at every worker count
+            // exploration counters only, identical on every run
             if let Some(kind) = signals.boundary_stop(base.0, base.1, || base.2) {
                 return Some(kind);
             }
@@ -596,7 +599,9 @@ mod tests {
         assert!(checkpoint.completed_obligations() < specs.len());
         let owed = checkpoint.total_obligations() - checkpoint.completed_obligations();
 
-        let resumed = CheckJob::new(&sys, &specs, options).resume(checkpoint);
+        let resumed = CheckJob::new(&sys, &specs, options)
+            .resume(checkpoint)
+            .expect("the checkpoint matches the catalogue");
         let (outcomes, stats) = resumed.completed().expect("unlimited resume completes");
         for (o, r) in outcomes.iter().zip(&reference) {
             assert_same(o, r);
@@ -618,8 +623,39 @@ mod tests {
         assert_eq!(checkpoint.states_explored(), 0);
 
         // a fresh job (new token) resumes the checkpoint to completion
-        let resumed = CheckJob::new(&sys, &specs, CheckerOptions::default()).resume(checkpoint);
+        let resumed = CheckJob::new(&sys, &specs, CheckerOptions::default())
+            .resume(checkpoint)
+            .expect("the checkpoint matches the catalogue");
         assert!(resumed.completed().is_some());
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_of_another_catalogue() {
+        let sys = sys();
+        let specs = specs(&sys);
+        let options = CheckerOptions::default();
+        let JobOutcome::BudgetExceeded { checkpoint, .. } = CheckJob::new(&sys, &specs, options)
+            .with_budget(JobBudget::unlimited().with_max_states(5))
+            .run()
+        else {
+            panic!("a 5-state budget must trip on this fixture");
+        };
+        assert_eq!(checkpoint.total_obligations(), 3);
+        // a 3-spec checkpoint handed to a 2-spec job is refused, not run
+        assert!(matches!(
+            CheckJob::new(&sys, &specs[..2], options).resume(checkpoint.clone()),
+            Err(CkptError::Malformed(_))
+        ));
+        // the job it belongs to still resumes it bit-identically
+        let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
+        let (outcomes, _) = CheckJob::new(&sys, &specs, options)
+            .resume(checkpoint)
+            .expect("the checkpoint matches the catalogue")
+            .completed()
+            .expect("unlimited resume completes");
+        for (o, r) in outcomes.iter().zip(&reference) {
+            assert_same(o, r);
+        }
     }
 
     #[test]

@@ -47,22 +47,15 @@
 //!   in place on a scratch row, updating the state hash in O(1) per delta;
 //!   guards evaluate straight off the row with their parameter bounds
 //!   pre-evaluated at system construction.
-//! * **Deterministic in-check parallelism** ([`explorer`]) — the store is
-//!   sharded by hash prefix and the driver explores level-synchronously in
-//!   bounded waves: worker threads expand wave chunks and intern into
-//!   disjoint shards lock-free, and a cheap sequential replay in the
-//!   deterministic global candidate order re-applies budgets and records
-//!   the graph's edges.  Verdicts, state counts, transition counts and counterexample
-//!   schedules are bit-identical at every worker count, shard count and
-//!   wave size.
-//! * **Two-level parallel sweep** ([`sweep::check_over_sweep_with_stats`])
-//!   — the valuations of the `query × valuation` grid are cut into runs at
-//!   lineage breaks (a change of system size, or a guard step the lineage
-//!   cannot carry a graph across), sweep workers claim whole runs in grid
-//!   order, and the thread budget left over after covering the workers is
-//!   handed to the in-check workers of each cell.  Reports are
-//!   deterministic; cells cancelled after an earlier violation appear as
-//!   explicit skipped outcomes.
+//! * **One level of parallelism** ([`sweep::check_over_sweep_with_stats`])
+//!   — every check runs on the thread that calls it, in one sequential
+//!   breadth-first loop ([`explorer`]).  A sweep cuts the valuations of its
+//!   `query × valuation` grid into runs at lineage breaks (a change of
+//!   system size, or a guard step the lineage cannot carry a graph across),
+//!   and its thread budget starts at most one sweep worker per run; the
+//!   workers claim whole runs in grid order.  Reports are deterministic;
+//!   cells cancelled after an earlier violation appear as explicit skipped
+//!   outcomes.
 //!
 //! # Graph cache: explore once, evaluate many
 //!
@@ -80,8 +73,8 @@
 //!   valuation and runs its whole spec slice through it.  The enumerated
 //!   start configurations are memoised the same way.
 //! * **Build.**  The first obligation of a group pays one exploration: the
-//!   generic [`explorer::Explorer`] run (with its deterministic in-check
-//!   parallelism) interns every reachable configuration and records the
+//!   generic [`explorer::Explorer`] run interns every reachable
+//!   configuration and records the
 //!   full transition relation in flat CSR arenas ([`game`]'s
 //!   `GameGraph`).  Every obligation of the group is then an
 //!   `O(states + edges)` analysis pass:
@@ -210,7 +203,7 @@
 //!
 //! Neither mechanism ever changes a verdict, a count or a counterexample:
 //! `random_differential` pins incremental sweeps (which prune and hit the
-//! memo) against fresh ones across the random corpus at 1/2/4 workers, and
+//! memo) against fresh ones across the random corpus, and
 //! `family_differential` does the same across the generated families.
 //!
 //! Lineage survivors stay resident between valuations, because
@@ -220,48 +213,27 @@
 //!
 //! # Memory model
 //!
-//! The engine's peak memory is *wave-bounded*, and its threads are
-//! *pooled*:
-//!
-//! * **Wave-bounded candidate buffers.**  A parallel BFS level is processed
-//!   in waves of at most [`CheckerOptions::wave_size`] frontier nodes.  A
-//!   wave buffers its successor candidates (packed row bytes plus 16 bytes
-//!   of metadata each, duplicates included) only until its sequential
-//!   replay, and every wave buffer — per-chunk candidate arenas, per-shard
-//!   id lists, replay cursors — is recycled across waves and levels.  Peak
-//!   transient memory is therefore O(`wave_size` × branching factor),
-//!   independent of how wide a level grows; the persistent memory is the
-//!   deduplicated [`store::StateStore`] (contiguous row arenas plus one
-//!   open-addressing index per shard) and the graph's CSR arenas (8 bytes
-//!   per node span, 12 per action, 8 per edge).  A budget bound that trips
-//!   mid-replay over-expands at most the rest of the current wave.
-//! * **Pool lifetime.**  The worker threads live in a persistent
-//!   [`pool::WorkerPool`] spawned *once* per [`ExplicitChecker`] (not per
-//!   level, not per check call) and joined when the checker is dropped.  A
-//!   sweep creates one pool per sweep worker and shares it across every
-//!   cell of every run the worker takes ([`ExplicitChecker::with_pool`]).  A
-//!   resolved worker count of 1 spawns no threads at all — the sequential
-//!   loop pays no synchronisation.
+//! The persistent memory of a check is its cached graphs: the deduplicated
+//! [`store::StateStore`] (one contiguous row arena, one hash per node and
+//! one open-addressing index) and the CSR arenas (8 bytes per node span, 12
+//! per action, 8 per edge).  The explorer interns each successor as it is
+//! generated, so an exploration buffers nothing beyond its frontier, and a
+//! budget bound stops it at the exact transition or state that tripped it.
 //!
 //! # Thread knob precedence
 //!
-//! From strongest to weakest:
+//! Checks run on the calling thread; only the sweep starts threads.  Its
+//! budget is, from strongest to weakest:
 //!
-//! 1. Explicit configuration: [`CheckerOptions::workers`] for one check
-//!    (the state store gets one shard per worker), the `threads` budget of
-//!    the sweep entry points (fed by `VerifierConfig::threads` and the
-//!    `--threads` flag of the `table2` / `profile_engine` binaries) for a
-//!    sweep.
-//! 2. Environment: `CC_CHECK_THREADS` (in-check workers when
-//!    `CheckerOptions::workers == 0`), `CC_SWEEP_THREADS` (total sweep
-//!    budget when none was configured).  Only a positive integer is used;
+//! 1. Explicit configuration: the `threads` argument of the sweep entry
+//!    points (fed by `VerifierConfig::threads` and the `--threads` flag of
+//!    the `table2` binary).
+//! 2. Environment: `CC_SWEEP_THREADS`.  Only a positive integer is used;
 //!    zero or anything else falls through to the auto default.
 //! 3. Auto: the available parallelism of the machine.
 //!
-//! The wave size is [`CheckerOptions::wave_size`], or
-//! [`explorer::DEFAULT_WAVE_SIZE`] when that is `0`.  None of these knobs
-//! ever changes a verdict, a count or a counterexample — only wall-clock
-//! time and peak memory.
+//! The budget never changes a verdict, a count or a counterexample — only
+//! wall-clock time and peak memory.
 //!
 //! # Job lifecycle & fault model
 //!
@@ -269,30 +241,27 @@
 //! [`check_over_sweep_cancellable`] (which also resumes from a prior run)
 //! extends the same contract to the sweep grid:
 //!
-//! * **Checkpoint boundaries.**  A job stops only at *wave boundaries*
-//!   of an exploration (including level ends — a level is processed as a
-//!   sequence of waves on both the sequential and the parallel path) and
-//!   at *obligation boundaries* between specs.  The [`JobCheckpoint`]
-//!   keeps the completed outcomes and the cumulative counters, nothing
-//!   more: a stop inside a group build abandons that build, and an
-//!   interrupted analysis pass records nothing.  Exploration and the
-//!   passes are deterministic, so [`CheckJob::resume`] rebuilds the graphs
-//!   the owed obligations need and reproduces verdicts, state counts,
-//!   transition counts and counterexample schedules bit-identically to an
-//!   uninterrupted run (pinned by the `random_differential` interrupt axis
-//!   at 1/2/4 workers).  A group build longer than one deadline window
-//!   therefore never finishes across resumes; give the resume a longer
-//!   deadline.
+//! * **Checkpoint boundaries.**  A job stops only at *wave boundaries* of
+//!   an exploration (every level starts a wave, and a wide level is cut
+//!   into waves of at most 8192 nodes) and at *obligation boundaries*
+//!   between specs.  The [`JobCheckpoint`] keeps the completed outcomes and
+//!   the cumulative counters, nothing more: a stop inside a group build
+//!   abandons that build, and an interrupted analysis pass records nothing.
+//!   Exploration and the passes are deterministic, so [`CheckJob::resume`]
+//!   rebuilds the graphs the owed obligations need and reproduces
+//!   verdicts, state counts, transition counts and counterexample schedules
+//!   bit-identically to an uninterrupted run (pinned by the
+//!   `random_differential` interrupt axis).  A group build longer than one
+//!   deadline window therefore never finishes across resumes; give the
+//!   resume a longer deadline.
 //! * **Cancellation latency.**  [`CancelToken::cancel`] and the deadline
-//!   are *fast* signals, polled at wave boundaries, at expand-phase chunk
-//!   handouts inside a parallel wave, and every few thousand steps of an
-//!   analysis pass — latency is O(one wave), not O(the check).  A mid-wave
-//!   stop abandons the wave *before* the intern phase touched any shared
-//!   state, and the build with it.
+//!   are *fast* signals, polled at wave boundaries and every few thousand
+//!   steps of an analysis pass — latency is O(one wave), not O(the check).
+//!   A stop abandons the group build it lands in.
 //! * **Budget semantics.**  The [`JobBudget`] state/transition caps are
 //!   evaluated only at wave and obligation boundaries against the
-//!   deterministic replayed counters, so *where* they trip is identical at
-//!   every worker count.  The deadline (re-anchored at each `run`/`resume`
+//!   deterministic exploration counters, so *where* they trip is identical
+//!   on every run.  The deadline (re-anchored at each `run`/`resume`
 //!   call) and the resident-byte cap are inherently timing/allocator
 //!   dependent — their trip point varies, but resuming still reproduces
 //!   the uninterrupted results exactly.  Analysis passes over a cached
@@ -302,13 +271,12 @@
 //!   without progress; resume with a larger budget.  In a sweep,
 //!   cancellation and the deadline are global to the grid while the
 //!   state/transition/resident caps apply per cell.
-//! * **Panic isolation.**  A panic on a [`WorkerPool`] lane is captured
-//!   (with a backtrace recorded by a process-wide panic hook), the
-//!   remaining lanes drain their batch normally, and the pool stays
-//!   reusable.  A sweep cell whose check panics is re-dispatched once on a
-//!   fresh pool without the lineage (the fresh-rebuild path); a second
-//!   panic marks that cell [`CellDisposition::Failed`] with the payload
-//!   and backtrace in its detail while sibling cells keep running.  The
+//! * **Panic isolation.**  A panic is caught per sweep cell, with a
+//!   backtrace recorded by a process-wide panic hook that the sweep
+//!   installs.  A cell whose check panics is re-dispatched once on a fresh
+//!   checker without the lineage (the fresh-rebuild path); a second panic
+//!   marks that cell [`CellDisposition::Failed`] with the payload and
+//!   backtrace in its detail while sibling cells keep running.  The
 //!   re-dispatch runs through the shared [`retry`] supervisor
 //!   ([`RetryPolicy`] + [`run_with_retry`], seeded-jitter exponential
 //!   backoff), the same policy engine the `ccserve` daemon uses for its
@@ -327,9 +295,8 @@
 //! (`HashMap<(Vec<u8>, u8), usize>` keys, per-branch `Configuration`
 //! clones); the `engine_equivalence` integration tests assert that the
 //! engine visits the same number of states and transitions and returns the
-//! same verdicts on all eight Table II protocols, the `parallel_determinism`
-//! tests pin sequential-vs-parallel equality, and the `table2_checking` /
-//! `scaling` benches measure the speedup and the worker scaling.
+//! same verdicts on all eight Table II protocols, and the `table2_checking`
+//! bench measures the speedup and the sweep's thread scaling.
 
 pub mod ckpt;
 pub mod counterexample;
@@ -338,7 +305,6 @@ pub mod explorer;
 pub mod game;
 pub mod graph;
 pub mod job;
-pub mod pool;
 pub mod reference;
 pub mod result;
 pub mod retry;
@@ -365,7 +331,6 @@ pub use graph::GraphLineage;
 pub use job::{
     CancelToken, CheckJob, InterruptKind, JobBudget, JobCheckpoint, JobOutcome, ProgressFn,
 };
-pub use pool::WorkerPool;
 pub use result::{CheckOutcome, CheckStatus, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 pub use retry::{run_with_retry, RetryPolicy};
 pub use schema::{

@@ -1,8 +1,8 @@
 //! Supervised retry with seeded exponential backoff.
 //!
-//! PR 6 gave a panicking sweep cell exactly one second chance on a fresh
-//! [`crate::WorkerPool`]; this module generalises that policy so both the
-//! sweep cells and the `ccserve` daemon's check jobs share one supervisor:
+//! A panicking sweep cell gets exactly one second chance on a fresh
+//! checker; this module generalises that policy so both the sweep cells
+//! and the `ccserve` daemon's check jobs share one supervisor:
 //! a [`RetryPolicy`] names the maximum attempt count and the backoff curve,
 //! and [`run_with_retry`] drives an attempt closure until it succeeds or
 //! the attempts are exhausted.
@@ -11,9 +11,9 @@
 //!
 //! * **Per-attempt fresh resources.**  The attempt closure receives the
 //!   zero-based attempt index, so a caller can run the first attempt on its
-//!   shared pool and every retry on a fresh one (the sweep does exactly
-//!   this — a poisoned lane must not serve the retry).  The helper itself
-//!   holds no state between attempts.
+//!   shared resources and every retry on fresh ones (the sweep does exactly
+//!   this — a checker whose check panicked must not serve the retry).  The
+//!   helper itself holds no state between attempts.
 //! * **Seeded jitter.**  Backoff sleeps are jittered to avoid retry
 //!   convoys when many failed jobs back off together, but the jitter is
 //!   drawn from a seeded [`rand::rngs::StdRng`] (`jitter_seed ^ task_key`)

@@ -18,25 +18,22 @@
 //! module's `carry_step` is that policy, and the lineage applies the same
 //! function per group, so only a run's first valuation pays a full
 //! exploration.  Runs are handed out in grid order through an atomic
-//! cursor, and each sweep worker walks every run it takes on one in-check
-//! pool, starting each run on an empty lineage, so no worker re-explores a
-//! run another worker owns and the cache accounting does not depend on
+//! cursor, and each sweep worker walks every run it takes on its own
+//! thread, starting each run on an empty lineage, so no worker re-explores
+//! a run another worker owns and the cache accounting does not depend on
 //! which worker claimed which run.  Worker 0 is the calling thread: a
 //! budget of 1 walks the whole grid, run after run, on the caller, with no
 //! thread spawned.
 //!
-//! # Two-level parallelism
+//! # Thread budget
 //!
-//! Each cell's exploration can itself run on multiple workers (see
-//! [`crate::explorer`]), so [`check_over_sweep_with_stats`] splits one
-//! *thread budget* across both levels: one sweep worker per budget thread
-//! (at most one per run), and `budget / workers` in-check workers for each
-//! cell.  A 16-thread budget over a grid of 4 runs starts 4 sweep workers
-//! with 4 in-check workers each; a grid that is one run gets one sweep
-//! worker with all 16.  [`sweep_thread_budget`] resolves a budget of `0`
-//! from the `CC_SWEEP_THREADS` environment variable, falling back to the
-//! available parallelism; an explicit [`CheckerOptions::workers`] setting
-//! always wins over the derived per-cell worker count.
+//! [`check_over_sweep_with_stats`] starts one sweep worker per thread of
+//! its *thread budget*, at most one per run, and every check of a cell runs
+//! on the worker that claimed the cell's run.  A 16-thread budget over a
+//! grid of 4 runs starts 4 sweep workers; a grid that is one run is walked
+//! by one.  [`sweep_thread_budget`] resolves a budget of `0` from the
+//! `CC_SWEEP_THREADS` environment variable, falling back to the available
+//! parallelism.
 //!
 //! Reports keep the deterministic sequential semantics regardless of the
 //! budget: outcomes are assembled in valuation order, and every grid cell
@@ -56,35 +53,34 @@
 //! `Completed` cells ran to a verdict, `Skipped` cells were cancelled by an
 //! earlier violation of the same query, `Interrupted` cells were stopped by
 //! a job signal (mid-cell or before they were ever reached), and `Failed`
-//! cells panicked twice — once on the shared pool and once more after being
-//! re-dispatched on a fresh pool without any lineage — without disturbing
-//! their siblings.  The four dispositions partition the grid, so
-//! `completed + skipped + interrupted + failed` always equals the grid
-//! size.  Passing an interrupted sweep's reports back as the prior run
+//! cells panicked twice — once on the valuation's shared checker and once
+//! more after being re-dispatched on a fresh checker without any lineage —
+//! without disturbing their siblings.  The four dispositions partition the
+//! grid, so `completed + skipped + interrupted + failed` always equals the
+//! grid size.  Passing an interrupted sweep's reports back as the prior run
 //! resumes it, carrying completed cells over verbatim and recomputing the
 //! rest; a resumed sweep that runs to completion is bit-identical to an
 //! uninterrupted run.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
-use crate::explorer::resolved_workers;
 use crate::graph::{carry_step, GraphBasis, GraphLineage};
 use crate::job::{CancelToken, InterruptKind, JobBudget, JobSignals};
-use crate::pool::WorkerPool;
 use crate::result::{CheckOutcome, CheckStatus, GraphCacheStats};
 use crate::retry::{run_with_retry, RetryPolicy};
 use crate::spec::Spec;
 use cccounter::CounterSystem;
 use ccta::{ParamValuation, SystemModel};
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How one grid cell of a sweep ended up in its report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellDisposition {
-    /// The check ran to a verdict (or an in-check exploration bound).
+    /// The check ran to a verdict (or a per-check exploration bound).
     Completed,
     /// Cancelled because an earlier valuation of the same query violated.
     Skipped,
@@ -93,10 +89,10 @@ pub enum CellDisposition {
     /// state/transition counts) or before the cell was ever dispatched.
     /// Interrupted cells are recomputed when the sweep is resumed.
     Interrupted,
-    /// The cell panicked on the shared pool *and* once more after being
-    /// re-dispatched on a fresh pool without a lineage; its outcome detail
-    /// carries the panic message and lane backtrace.  Sibling cells are
-    /// unaffected.
+    /// The cell panicked on the valuation's shared checker *and* once more
+    /// after being re-dispatched on a fresh checker without a lineage; its
+    /// outcome detail carries the panic message and the backtrace of the
+    /// second panic.  Sibling cells are unaffected.
     Failed,
 }
 
@@ -258,19 +254,56 @@ impl SweepReport {
     }
 }
 
+/// Parses the value of `CC_SWEEP_THREADS`: a positive integer, or `None`
+/// for anything else (zero included), so the budget falls back to its
+/// default.
+fn parse_positive(value: &str) -> Option<usize> {
+    value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
 /// Resolves a sweep thread budget: an explicit non-zero request wins,
-/// otherwise `CC_SWEEP_THREADS`, otherwise the available parallelism,
-/// cached process-wide like the other auto knobs.
+/// otherwise `CC_SWEEP_THREADS`, otherwise the available parallelism —
+/// memoised process-wide because `available_parallelism` reads cgroup
+/// files on Linux, which would tax every short sweep.
 pub fn sweep_thread_budget(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    static AUTO: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    crate::explorer::cached_env_usize(&AUTO, "CC_SWEEP_THREADS", || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        std::env::var("CC_SWEEP_THREADS")
+            .ok()
+            .and_then(|v| parse_positive(&v))
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
+}
+
+thread_local! {
+    /// Backtrace captured by the chained panic hook for the most recent
+    /// panic on this thread; consumed by [`take_thread_backtrace`].
+    static LAST_BACKTRACE: Cell<Option<String>> = const { Cell::new(None) };
+}
+
+static HOOK_INSTALLED: Once = Once::new();
+
+/// Chains a panic hook (once per process) that snapshots the panicking
+/// thread's backtrace into a thread-local, so a caught cell panic can be
+/// reported with the backtrace of the code that actually failed.
+fn install_panic_hook() {
+    HOOK_INSTALLED.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            LAST_BACKTRACE.with(|slot| {
+                slot.set(Some(std::backtrace::Backtrace::force_capture().to_string()))
+            });
+            previous(info);
+        }));
+    });
+}
+
+/// Takes the backtrace of the most recent panic on the calling thread.
+fn take_thread_backtrace() -> Option<String> {
+    LAST_BACKTRACE.with(|slot| slot.take())
 }
 
 /// Renders a panic payload for a failed-cell record.
@@ -285,21 +318,13 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one cell attempt under `catch_unwind`, recovering the panic message
-/// plus the deepest available backtrace on failure — the poisoned pool
-/// lane's if the panic unwound out of a worker, the sweep thread's own
-/// otherwise.
-fn catch_cell(
-    pool: &WorkerPool,
-    attempt: impl FnOnce() -> CheckOutcome,
-) -> Result<CheckOutcome, String> {
+/// plus the panicking thread's backtrace on failure.
+fn catch_cell(attempt: impl FnOnce() -> CheckOutcome) -> Result<CheckOutcome, String> {
     match catch_unwind(AssertUnwindSafe(attempt)) {
         Ok(outcome) => Ok(outcome),
         Err(payload) => {
             let message = payload_message(payload.as_ref());
-            let backtrace = pool
-                .take_panic_backtrace()
-                .or_else(crate::pool::take_thread_backtrace);
-            Err(match backtrace {
+            Err(match take_thread_backtrace() {
                 Some(bt) => format!("{message}\n{bt}"),
                 None => message,
             })
@@ -307,7 +332,7 @@ fn catch_cell(
     }
 }
 
-/// The sweep-cell retry policy: PR 6's one-shot fresh-pool retry expressed
+/// The sweep-cell retry policy: one retry on a fresh checker, expressed
 /// through the shared [`crate::retry`] supervisor — two attempts, no
 /// backoff (a panic is not a transient overload; sleeping would only delay
 /// the sibling cells' worker).
@@ -318,11 +343,10 @@ fn cell_retry_policy() -> RetryPolicy {
 /// One grid cell: served by the valuation's shared checker (and its graph
 /// memo) on the happy path.  A panicking cell fails alone: the shared
 /// [`crate::retry`] supervisor re-dispatches it exactly once on a fresh
-/// pool and a fresh lineage-free checker — the fresh-rebuild path — and
-/// only a second panic produces a [`CellDisposition::Failed`] record.
+/// lineage-free checker — the fresh-rebuild path — and only a second panic
+/// produces a [`CellDisposition::Failed`] record.
 fn run_cell(
     checker: &ExplicitChecker,
-    pool: &WorkerPool,
     sys: &CounterSystem,
     spec: &Spec,
     options: CheckerOptions,
@@ -330,20 +354,16 @@ fn run_cell(
 ) -> SweepOutcome {
     let started = Instant::now();
     let result = run_with_retry(&cell_retry_policy(), 0, |attempt| {
-        if attempt == 0 {
-            catch_cell(pool, || {
-                crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
+        catch_cell(|| {
+            crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
+            if attempt == 0 {
                 checker.check(spec)
-            })
-        } else {
-            let fresh = WorkerPool::new(resolved_workers(&options));
-            catch_cell(&fresh, || {
-                crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
-                let mut retry = ExplicitChecker::with_pool(sys, options, &fresh);
+            } else {
+                let mut retry = ExplicitChecker::with_options(sys, options);
                 retry.set_signals(job);
                 retry.check(spec)
-            })
-        }
+            }
+        })
     });
     match result {
         Ok(outcome) => SweepOutcome::completed(sys.params().clone(), outcome, started.elapsed()),
@@ -429,17 +449,10 @@ fn sweep_impl(
         .filter_map(|v| CounterSystem::new(model.clone(), v.clone()).ok())
         .collect();
     let width = systems.len();
-    let budget = threads.max(1);
     let runs = lineage_runs(&systems, &options);
     // one sweep worker per budget thread, at most one per run
-    let workers = budget.min(runs.len()).max(1);
-    // the budget left over after covering the workers goes into each cell,
-    // unless the caller pinned an in-check worker count explicitly
-    let cell_options = if options.workers == 0 {
-        options.with_workers((budget / workers).max(1))
-    } else {
-        options
-    };
+    let workers = threads.min(runs.len()).max(1);
+    install_panic_hook();
 
     // one slot per (valuation, spec) cell in valuation-major order, so each
     // run owns a contiguous stretch of slots, plus one cache-accounting slot
@@ -487,7 +500,7 @@ fn sweep_impl(
     let grid = Grid {
         specs,
         systems: &systems,
-        options: cell_options,
+        options,
         job,
         violated_at,
     };
@@ -603,16 +616,15 @@ struct Grid<'a> {
 
 impl Grid<'_> {
     /// One sweep worker: claims runs in grid order through `cursor` and
-    /// walks each on the worker's one in-check pool.
+    /// walks each on the calling thread.
     fn run_worker(&self, cursor: &AtomicUsize, runs: &[Mutex<Run>]) {
-        let pool = WorkerPool::new(resolved_workers(&self.options));
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(run) = runs.get(i) else { break };
             // uncontended: the cursor hands each run to exactly one worker;
             // the mutex only carries the &mut across threads
             let mut run = run.lock().expect("each run is locked once");
-            self.walk_run(&pool, &mut run);
+            self.walk_run(&mut run);
         }
     }
 
@@ -621,15 +633,14 @@ impl Grid<'_> {
     /// behind could carry into it.  Each valuation runs its whole spec
     /// slice on one [`ExplicitChecker`], so the obligations of a start
     /// restriction share one cached reachability graph.
-    fn walk_run(&self, pool: &WorkerPool, run: &mut Run) {
+    fn walk_run(&self, run: &mut Run) {
         let lineage = GraphLineage::new();
         let systems = self.systems[run.first..].iter();
         for (v, (sys, (row, record))) in (run.first..).zip(systems.zip(&mut run.rows)) {
             if self.job.is_some_and(|j| j.fast_stop().is_some()) {
                 return;
             }
-            let mut checker =
-                ExplicitChecker::with_pool_and_lineage(sys, self.options, pool, &lineage);
+            let mut checker = ExplicitChecker::with_lineage(sys, self.options, &lineage);
             checker.set_signals(self.job);
             for (s, (spec, slot)) in self.specs.iter().zip(row.iter_mut()).enumerate() {
                 if self.violated_at[s].load(Ordering::Acquire) < v || slot.is_some() {
@@ -639,7 +650,7 @@ impl Grid<'_> {
                     **record = Some(checker.cache_stats());
                     return;
                 }
-                let cell = run_cell(&checker, pool, sys, spec, self.options, self.job);
+                let cell = run_cell(&checker, sys, spec, self.options, self.job);
                 if cell.outcome.status == CheckStatus::Violated {
                     self.violated_at[s].fetch_min(v, Ordering::AcqRel);
                 }
@@ -851,29 +862,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_feeds_in_check_workers() {
-        // a 1-cell grid with a budget of 4 hands all four threads to the
-        // single check; the result must match the sequential run exactly
-        let model = fixtures::voting_model().single_round().unwrap();
-        let specs = vec![Spec::NeverFrom {
-            name: "unreachable-I1".into(),
-            start: StartRestriction::Unanimous(BinValue::Zero),
-            forbidden: LocSet::from_names(&model, "I1", &["I1"]),
-        }];
-        let valuations = [ParamValuation::new(vec![5, 1, 1, 1])];
-        let wide = sweep(&model, &specs, &valuations, CheckerOptions::default(), 4);
-        let sequential = sweep(&model, &specs, &valuations, CheckerOptions::sequential(), 1);
-        assert_eq!(wide[0].status(), sequential[0].status());
-        assert_eq!(wide[0].total_states(), sequential[0].total_states());
-    }
-
-    #[test]
     fn cancelled_sweep_accounts_every_grid_cell() {
         // A 2-query × 3-valuation grid where one query violates on its very
-        // first valuation: whatever the thread budget — and whether the
-        // cells run the plain or the wave-pooled in-check path — every grid
-        // cell must be accounted for, as either a completed or an explicit
-        // skipped outcome.
+        // first valuation: whatever the thread budget, every grid cell must
+        // be accounted for, as either a completed or an explicit skipped
+        // outcome.
         let model = fixtures::voting_model().single_round().unwrap();
         let specs = vec![
             Spec::NeverFrom {
@@ -895,8 +888,6 @@ mod tests {
         let grid_width = valuations.len();
         let option_sets = [
             CheckerOptions::default(),
-            // wave-pooled path: pooled workers with single-node waves
-            CheckerOptions::default().with_workers(2).with_wave_size(1),
             // the lineage off: it must never change which cells are
             // completed vs skipped
             CheckerOptions::default().with_incremental_sweep(false),
@@ -1184,6 +1175,16 @@ mod tests {
                 }
                 assert!(format!("{inc_stats}").contains("lineage"));
             }
+        }
+    }
+
+    #[test]
+    fn env_knobs_take_only_positive_integers() {
+        assert_eq!(parse_positive("4"), Some(4));
+        assert_eq!(parse_positive(" 2\n"), Some(2));
+        // zero and garbage fall back to the default, like an unset variable
+        for value in ["0", "", "-1", "two", "1.5"] {
+            assert_eq!(parse_positive(value), None, "{value:?}");
         }
     }
 

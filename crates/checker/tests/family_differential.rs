@@ -11,7 +11,7 @@
 //!   counterexample schedules, per obligation.
 //! * **Incremental ≡ fresh** — the guard-adjacent sweep grid the generator
 //!   attaches to resilience-2 families is bit-identical incrementally and
-//!   from scratch, at 1, 2 and 4 workers.
+//!   from scratch.
 //! * **Simulator cross-check** — `ccsim::bridge` executes each family as
 //!   individual automaton copies with independently evaluated guards:
 //!   seeded fair and adversarial runs must never witness a violation of an
@@ -243,23 +243,14 @@ fn generated_families_incremental_sweep_matches_fresh() {
         let sweep = |options: CheckerOptions| {
             check_over_sweep_with_stats(&fam.single_round, &specs, &fam.sweep, options, 1)
         };
-        for workers in [1, 2, 4] {
-            let options = CheckerOptions {
-                workers,
-                wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default()
-            };
-            let where_ = format!("{ctx} (seed {:#x}) at {workers} workers", fam.seed);
-            let (incremental, stats) = sweep(options);
-            let (fresh, _) = sweep(options.with_incremental_sweep(false));
-            assert_sweeps_identical(&incremental, &fresh, &format!("{where_}, fresh"));
-            if workers == 1 {
-                reused += stats.reused_groups();
-                extended += stats.extended_groups();
-                pruned += stats.pruned_groups();
-                memo_hits += stats.memo_hits();
-            }
-        }
+        let where_ = format!("{ctx} (seed {:#x})", fam.seed);
+        let (incremental, stats) = sweep(CheckerOptions::default());
+        let (fresh, _) = sweep(CheckerOptions::default().with_incremental_sweep(false));
+        assert_sweeps_identical(&incremental, &fresh, &format!("{where_}, fresh"));
+        reused += stats.reused_groups();
+        extended += stats.extended_groups();
+        pruned += stats.pruned_groups();
+        memo_hits += stats.memo_hits();
     }
     assert!(swept > 0, "no family qualified for the incremental axis");
     assert!(reused > 0, "no identical step was reused");

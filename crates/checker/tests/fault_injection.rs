@@ -1,13 +1,13 @@
 //! Fault-injection tests for the job lifecycle layer.
 //!
-//! Each test injects one failure mode — a seeded worker-lane panic inside a
-//! check or a sweep, a panicking sweep cell, an exhausted deadline, a resident-byte ("OOM")
-//! cap, a state cap, or an asynchronous cancellation — and asserts the
-//! structured-degradation contract: injected panics fail only their own
-//! grid cell (retried once on a fresh pool before being given up on),
-//! budget trips surrender a resumable checkpoint, resumed runs are
-//! bit-identical to uninterrupted ones, and no failure mode ever loses a
-//! grid cell or poisons the process.
+//! Each test injects one failure mode — a seeded panic inside a sweep
+//! cell's exploration, a panicking sweep cell, an exhausted deadline, a
+//! resident-byte ("OOM") cap, a state cap, or an asynchronous cancellation
+//! — and asserts the structured-degradation contract: injected panics fail
+//! only their own grid cell (retried once on a fresh checker before being
+//! given up on), budget trips surrender a resumable checkpoint, resumed
+//! runs are bit-identical to uninterrupted ones, and no failure mode ever
+//! loses a grid cell or poisons the process.
 //!
 //! The panic injector (`ccchecker::fault`) is process-global, so every test
 //! in this file serialises on one mutex.
@@ -16,11 +16,10 @@ use ccchecker::fixtures;
 use ccchecker::{
     check_over_sweep_cancellable, check_over_sweep_with_stats, fault, CancelToken, CellDisposition,
     CheckJob, CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, InterruptKind, JobBudget,
-    JobOutcome, LocSet, Spec, StartRestriction, SweepReport, WorkerPool,
+    JobOutcome, LocSet, Spec, StartRestriction, SweepReport,
 };
 use cccounter::CounterSystem;
 use ccta::{BinValue, ParamValuation, SystemModel};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -129,56 +128,15 @@ fn assert_grid_accounted(reports: &[SweepReport], width: usize, ctx: &str) {
 }
 
 #[test]
-fn lane_panic_does_not_poison_sibling_lanes_or_the_pool() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let model = model();
-    let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
-    let spec = Spec::NonBlocking {
-        name: "termination".into(),
-        start: StartRestriction::RoundStart,
-    };
-    // two-node waves on a 2-lane pool cut every wave into two single-node
-    // chunks, one per lane, so the panic fires on a queued pool lane while
-    // its sibling lane runs
-    let options = CheckerOptions::default().with_workers(2).with_wave_size(2);
-    let pool = WorkerPool::new(2);
-    let baseline = ExplicitChecker::with_pool(&sys, options, &pool).check(&spec);
-
-    // a panic inside a worker lane's expand phase, mid-exploration: the
-    // batch must drain (no deadlock) and re-raise the original payload
-    let _disarm = Disarm;
-    fault::arm_panic(fault::SITE_EXPAND, 3, 1);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        ExplicitChecker::with_pool(&sys, options, &pool).check(&spec)
-    }))
-    .expect_err("the injected lane panic must surface");
-    let hits = fault::disarm();
-    assert!(hits > 3, "the armed expand site was never reached: {hits}");
-    let message = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .unwrap_or_default();
-    assert!(message.contains("injected fault"), "{message}");
-
-    // sibling lanes and the pool survive: the same pool runs the check
-    // again and reproduces the baseline outcome exactly
-    let again = ExplicitChecker::with_pool(&sys, options, &pool).check(&spec);
-    assert_outcomes_identical(&again, &baseline, "after the lane panic");
-}
-
-#[test]
 fn injected_lane_panic_heals_on_the_retry_path() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let model = model();
     let specs = catalogue(&model);
     let valuations = sweep_valuations();
-    // pooled cells (2 lanes, single-node waves) so the injected panic fires
-    // inside a worker lane's expand phase; the lineage is off so the only
-    // recovery path under test is the fresh-rebuild retry
-    let options = CheckerOptions::default()
-        .with_workers(2)
-        .with_wave_size(1)
-        .with_incremental_sweep(false);
+    // the injected panic fires at a wave boundary inside a group build;
+    // the lineage is off so the only recovery path under test is the
+    // fresh-rebuild retry
+    let options = CheckerOptions::default().with_incremental_sweep(false);
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
     let _disarm = Disarm;
@@ -204,8 +162,8 @@ fn persistent_cell_panic_fails_only_that_cell() {
     let options = CheckerOptions::default();
     let (baseline, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
 
-    // two shots: the first cell panics on the shared pool *and* on its
-    // fresh-pool retry, exhausting both attempts; every later cell passes
+    // two shots: the first cell panics on the shared checker *and* on its
+    // fresh-checker retry, exhausting both attempts; every later cell passes
     let _disarm = Disarm;
     fault::arm_panic(fault::SITE_SWEEP_CELL, 0, 2);
     let (reports, _) = check_over_sweep_with_stats(&model, &specs, &valuations, options, 1);
@@ -222,6 +180,13 @@ fn persistent_cell_panic_fails_only_that_cell() {
     assert!(
         failed.outcome.detail.starts_with("failed: ")
             && failed.outcome.detail.contains("injected fault"),
+        "{}",
+        failed.outcome.detail
+    );
+    // the sweep's panic hook put the panicking thread's backtrace below the
+    // message
+    assert!(
+        failed.outcome.detail.lines().count() > 1,
         "{}",
         failed.outcome.detail
     );
@@ -291,6 +256,7 @@ fn exhausted_deadline_surrenders_a_resumable_checkpoint() {
     // resuming with breathing room completes, bit-identical to check_all
     let (outcomes, _) = CheckJob::new(&sys, &specs, options)
         .resume(checkpoint)
+        .expect("the checkpoint matches the catalogue")
         .completed()
         .expect("the resumed job must complete");
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
@@ -325,6 +291,7 @@ fn resident_byte_cap_trips_like_an_oom_and_resumes() {
 
     let (outcomes, _) = CheckJob::new(&sys, &specs, options)
         .resume(checkpoint)
+        .expect("the checkpoint matches the catalogue")
         .completed()
         .expect("the resumed job must complete");
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
@@ -338,45 +305,35 @@ fn state_cap_checkpoints_are_bit_identical_across_worker_counts() {
     let model = model();
     let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
     let specs = catalogue(&model);
-    for workers in [1, 2, 4] {
-        let options = CheckerOptions {
-            workers,
-            wave_size: 1,
-            ..CheckerOptions::default()
-        };
-        let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
-        // walk the job through repeated deterministic state-cap trips,
-        // doubling the cap each time until it completes
-        let mut cap = 4usize;
-        let mut trips = 0usize;
-        let mut outcome = CheckJob::new(&sys, &specs, options)
-            .with_budget(JobBudget::unlimited().with_max_states(cap))
-            .run();
-        let outcomes = loop {
-            match outcome {
-                JobOutcome::Completed { outcomes, .. } => break outcomes,
-                JobOutcome::BudgetExceeded {
-                    reason, checkpoint, ..
-                } => {
-                    assert!(reason.is_budget(), "{reason}");
-                    trips += 1;
-                    cap *= 2;
-                    outcome = CheckJob::new(&sys, &specs, options)
-                        .with_budget(JobBudget::unlimited().with_max_states(cap))
-                        .resume(checkpoint);
-                }
-                JobOutcome::Interrupted { .. } => {
-                    panic!("no cancel token was tripped at {workers} workers")
-                }
+    let options = CheckerOptions::default();
+    let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
+    // walk the job through repeated deterministic state-cap trips, doubling
+    // the cap each time until it completes
+    let mut cap = 4usize;
+    let mut trips = 0usize;
+    let mut outcome = CheckJob::new(&sys, &specs, options)
+        .with_budget(JobBudget::unlimited().with_max_states(cap))
+        .run();
+    let outcomes = loop {
+        match outcome {
+            JobOutcome::Completed { outcomes, .. } => break outcomes,
+            JobOutcome::BudgetExceeded {
+                reason, checkpoint, ..
+            } => {
+                assert!(reason.is_budget(), "{reason}");
+                trips += 1;
+                cap *= 2;
+                outcome = CheckJob::new(&sys, &specs, options)
+                    .with_budget(JobBudget::unlimited().with_max_states(cap))
+                    .resume(checkpoint)
+                    .expect("the checkpoint matches the catalogue");
             }
-        };
-        assert!(
-            trips > 0,
-            "the state cap never tripped at {workers} workers"
-        );
-        for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
-            assert_outcomes_identical(a, b, &format!("{} at {workers} workers", spec.name()));
+            JobOutcome::Interrupted { .. } => panic!("no cancel token was tripped"),
         }
+    };
+    assert!(trips > 0, "the state cap never tripped");
+    for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
+        assert_outcomes_identical(a, b, spec.name());
     }
 }
 
@@ -402,6 +359,7 @@ fn asynchronous_cancellation_is_resumable() {
         JobOutcome::Interrupted { checkpoint } => {
             CheckJob::new(&sys, &specs, options)
                 .resume(checkpoint)
+                .expect("the checkpoint matches the catalogue")
                 .completed()
                 .expect("the resumed job must complete")
                 .0

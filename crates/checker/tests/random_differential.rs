@@ -11,19 +11,15 @@
 //! * **Engine ≡ reference** — verdict, distinct-state count, transition
 //!   count, and (for violations) the counterexample schedule step for step,
 //!   which must also replay to a genuine violation of its spec.
-//! * **Pooled waves ≡ sequential** — the persistent-pool wave pipeline at
-//!   1, 2 and 4 workers × wave sizes {1, 7, unbounded} is bit-identical to
-//!   the sequential loop (tiny wave sizes also lower the parallel-entry
-//!   threshold, so these small systems genuinely exercise the wave path).
 //! * **Incremental ≡ fresh** — guard-adjacent sweeps, whose incremental
 //!   side extends, reuses, prunes and hits the verdict memo, are
 //!   bit-identical with the lineage on and off.
 //! * **Interrupted ≡ uninterrupted** — a `CheckJob` tripped by a state
 //!   budget at a random cap, checkpointed and resumed (repeatedly, with a
 //!   doubling cap) produces verdicts, counts and counterexample schedules
-//!   bit-identical to a run that was never interrupted, at 1, 2 and 4
-//!   workers, and under a per-exploration bound that leaves bounded group
-//!   builds answering `Unknown`.
+//!   bit-identical to a run that was never interrupted, also under a
+//!   per-exploration bound that leaves bounded group builds answering
+//!   `Unknown`.
 //!
 //! A failure message always includes the generator seed, so any
 //! counterexample system can be rebuilt deterministically.
@@ -203,7 +199,7 @@ fn random_systems_incremental_sweep_matches_fresh() {
     // identical step and a tighten step through every random system.  The
     // incremental sweep must be bit-identical to the from-scratch sweep —
     // verdicts, state counts, transition counts and counterexample
-    // schedules — at 1, 2 and 4 in-check workers.
+    // schedules.
     let (mut reused, mut extended, mut rebuilt, mut pruned) = (0usize, 0usize, 0usize, 0usize);
     let mut memo_hits = 0usize;
     let mut replayed = 0usize;
@@ -231,74 +227,64 @@ fn random_systems_incremental_sweep_matches_fresh() {
         ];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, &model, &mids);
-        for workers in [1, 2, 4] {
-            // wave size 1 lowers the parallel-entry threshold so pooled
-            // runs genuinely exercise the parallel extension path
-            let options = CheckerOptions {
-                workers,
-                wave_size: if workers > 1 { 1 } else { 0 },
-                ..CheckerOptions::default()
-            };
-            let (incremental, stats) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                options.with_incremental_sweep(true),
-                1,
-            );
-            let (fresh, _) = check_over_sweep_with_stats(
-                &model,
-                &specs,
-                &valuations,
-                options.with_incremental_sweep(false),
-                1,
-            );
-            if workers == 1 {
-                reused += stats.reused_groups();
-                extended += stats.extended_groups();
-                rebuilt += stats.rebuilt_groups();
-                pruned += stats.pruned_groups();
-                memo_hits += stats.memo_hits();
-            }
-            for (ri, rf) in incremental.iter().zip(&fresh) {
-                let ctx = format!("seed {seed}, {} at {workers} workers", ri.spec_name);
-                assert_eq!(ri.status(), rf.status(), "sweep status differs: {ctx}");
-                assert_eq!(ri.outcomes.len(), rf.outcomes.len(), "{ctx}");
-                for (oi, of) in ri.outcomes.iter().zip(&rf.outcomes) {
-                    let cell = format!("{ctx} at {}", oi.params);
-                    assert_eq!(oi.params, of.params, "{cell}");
-                    assert_eq!(oi.skipped, of.skipped, "{cell}");
-                    assert_eq!(oi.outcome.status, of.outcome.status, "{cell}");
-                    assert_eq!(
-                        oi.outcome.states_explored, of.outcome.states_explored,
-                        "state count differs: {cell}"
-                    );
-                    assert_eq!(
-                        oi.outcome.transitions_explored, of.outcome.transitions_explored,
-                        "transition count differs: {cell}"
-                    );
-                    match (&oi.outcome.counterexample, &of.outcome.counterexample) {
-                        (None, None) => {}
-                        (Some(ci), Some(cf)) => {
-                            assert_eq!(ci.initial, cf.initial, "initial differs: {cell}");
-                            assert_eq!(
-                                ci.schedule.steps(),
-                                cf.schedule.steps(),
-                                "schedule differs: {cell}"
-                            );
-                            // the incremental counterexample is a genuine
-                            // execution violating its spec
-                            let spec = specs
-                                .iter()
-                                .find(|s| s.name() == ri.spec_name)
-                                .expect("report spec");
-                            let cell_sys = CounterSystem::new(model.clone(), ci.params.clone())
-                                .expect("admissible");
-                            assert_genuine_violation(&cell_sys, spec, ci, &cell);
-                            replayed += 1;
-                        }
-                        _ => panic!("counterexample presence differs: {cell}"),
+        let options = CheckerOptions::default();
+        let (incremental, stats) = check_over_sweep_with_stats(
+            &model,
+            &specs,
+            &valuations,
+            options.with_incremental_sweep(true),
+            1,
+        );
+        let (fresh, _) = check_over_sweep_with_stats(
+            &model,
+            &specs,
+            &valuations,
+            options.with_incremental_sweep(false),
+            1,
+        );
+        reused += stats.reused_groups();
+        extended += stats.extended_groups();
+        rebuilt += stats.rebuilt_groups();
+        pruned += stats.pruned_groups();
+        memo_hits += stats.memo_hits();
+        for (ri, rf) in incremental.iter().zip(&fresh) {
+            let ctx = format!("seed {seed}, {}", ri.spec_name);
+            assert_eq!(ri.status(), rf.status(), "sweep status differs: {ctx}");
+            assert_eq!(ri.outcomes.len(), rf.outcomes.len(), "{ctx}");
+            for (oi, of) in ri.outcomes.iter().zip(&rf.outcomes) {
+                let cell = format!("{ctx} at {}", oi.params);
+                assert_eq!(oi.params, of.params, "{cell}");
+                assert_eq!(oi.skipped, of.skipped, "{cell}");
+                assert_eq!(oi.outcome.status, of.outcome.status, "{cell}");
+                assert_eq!(
+                    oi.outcome.states_explored, of.outcome.states_explored,
+                    "state count differs: {cell}"
+                );
+                assert_eq!(
+                    oi.outcome.transitions_explored, of.outcome.transitions_explored,
+                    "transition count differs: {cell}"
+                );
+                match (&oi.outcome.counterexample, &of.outcome.counterexample) {
+                    (None, None) => {}
+                    (Some(ci), Some(cf)) => {
+                        assert_eq!(ci.initial, cf.initial, "initial differs: {cell}");
+                        assert_eq!(
+                            ci.schedule.steps(),
+                            cf.schedule.steps(),
+                            "schedule differs: {cell}"
+                        );
+                        // the incremental counterexample is a genuine
+                        // execution violating its spec
+                        let spec = specs
+                            .iter()
+                            .find(|s| s.name() == ri.spec_name)
+                            .expect("report spec");
+                        let cell_sys = CounterSystem::new(model.clone(), ci.params.clone())
+                            .expect("admissible");
+                        assert_genuine_violation(&cell_sys, spec, ci, &cell);
+                        replayed += 1;
                     }
+                    _ => panic!("counterexample presence differs: {cell}"),
                 }
             }
         }
@@ -319,54 +305,6 @@ fn random_systems_incremental_sweep_matches_fresh() {
 }
 
 #[test]
-fn random_systems_are_worker_and_wave_independent() {
-    for i in 0..SYSTEMS {
-        let seed = 0xD1F_F0000 + i as u64;
-        let (sys, mids) = random_system(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
-        for spec in random_specs(&mut rng, sys.model(), &mids) {
-            let sequential =
-                ExplicitChecker::with_options(&sys, CheckerOptions::sequential()).check(&spec);
-            for workers in [1, 2, 4] {
-                for wave_size in [1, 7, usize::MAX] {
-                    let options = CheckerOptions {
-                        workers,
-                        wave_size,
-                        ..CheckerOptions::default()
-                    };
-                    let pooled = ExplicitChecker::with_options(&sys, options).check(&spec);
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, wave {wave_size}",
-                        spec.name()
-                    );
-                    assert_eq!(pooled.status, sequential.status, "verdict differs: {ctx}");
-                    assert_eq!(
-                        pooled.states_explored, sequential.states_explored,
-                        "state count differs: {ctx}"
-                    );
-                    assert_eq!(
-                        pooled.transitions_explored, sequential.transitions_explored,
-                        "transition count differs: {ctx}"
-                    );
-                    match (&sequential.counterexample, &pooled.counterexample) {
-                        (None, None) => {}
-                        (Some(s), Some(p)) => {
-                            assert_eq!(s.initial, p.initial, "initial differs: {ctx}");
-                            assert_eq!(
-                                s.schedule.steps(),
-                                p.schedule.steps(),
-                                "schedule differs: {ctx}"
-                            );
-                        }
-                        _ => panic!("counterexample presence differs: {ctx}"),
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn random_systems_interrupt_resume_is_bit_identical() {
     // The random-interrupt axis of the job lifecycle: every system's
     // catalogue is run once uninterrupted (the reference), once as an
@@ -375,9 +313,9 @@ fn random_systems_interrupt_resume_is_bit_identical() {
     // resuming with a doubled cap walks the job through repeated
     // deterministic interrupts until it completes.  Both job runs must be
     // bit-identical to the reference — verdicts, state counts, transition
-    // counts and counterexample schedules — at 1, 2 and 4 workers, and (at
-    // one worker) under a per-exploration state bound that group builds
-    // trip, so the job answers their obligations `Unknown`.
+    // counts and counterexample schedules — also under a per-exploration
+    // state bound that group builds trip, so the job answers their
+    // obligations `Unknown`.
     let mut trips = 0usize;
     let mut trips_inside_builds = 0usize;
     let mut bounded_unknowns = 0usize;
@@ -386,77 +324,71 @@ fn random_systems_interrupt_resume_is_bit_identical() {
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let specs = random_specs(&mut rng, sys.model(), &mids);
-        for workers in [1, 2, 4] {
-            for bounded in [false, true] {
-                if bounded && workers != 1 {
-                    continue;
-                }
-                let options = CheckerOptions {
-                    workers,
-                    wave_size: if workers > 1 { 1 } else { 0 },
-                    max_states: if bounded {
-                        BOUNDED_STATES
-                    } else {
-                        CheckerOptions::default().max_states
-                    },
-                    ..CheckerOptions::default()
-                };
-                let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
+        for bounded in [false, true] {
+            let options = CheckerOptions {
+                max_states: if bounded {
+                    BOUNDED_STATES
+                } else {
+                    CheckerOptions::default().max_states
+                },
+                ..CheckerOptions::default()
+            };
+            let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
-                let (direct, _) = CheckJob::new(&sys, &specs, options)
-                    .run()
-                    .completed()
-                    .expect("an unbudgeted job must complete");
-                if bounded {
-                    bounded_unknowns += direct
-                        .iter()
-                        .filter(|o| o.status == CheckStatus::Unknown)
-                        .count();
-                }
+            let (direct, _) = CheckJob::new(&sys, &specs, options)
+                .run()
+                .completed()
+                .expect("an unbudgeted job must complete");
+            if bounded {
+                bounded_unknowns += direct
+                    .iter()
+                    .filter(|o| o.status == CheckStatus::Unknown)
+                    .count();
+            }
 
-                let mut cap = rng.gen_range(2..=24usize);
-                let mut outcome = CheckJob::new(&sys, &specs, options)
-                    .with_budget(JobBudget::unlimited().with_max_states(cap))
-                    .run();
-                let resumed = loop {
-                    match outcome {
-                        JobOutcome::Completed { outcomes, .. } => break outcomes,
-                        JobOutcome::BudgetExceeded {
-                            reason, checkpoint, ..
-                        } => {
-                            assert!(reason.is_budget(), "seed {seed}: {reason}");
-                            trips += 1;
-                            // a trip at an obligation boundary has reached
-                            // the cap; one inside a group build drops the
-                            // partial build, so its checkpoint stays below
-                            if checkpoint.states_explored() < cap {
-                                trips_inside_builds += 1;
-                            }
-                            cap *= 2;
-                            outcome = CheckJob::new(&sys, &specs, options)
-                                .with_budget(JobBudget::unlimited().with_max_states(cap))
-                                .resume(checkpoint);
+            let mut cap = rng.gen_range(2..=24usize);
+            let mut outcome = CheckJob::new(&sys, &specs, options)
+                .with_budget(JobBudget::unlimited().with_max_states(cap))
+                .run();
+            let resumed = loop {
+                match outcome {
+                    JobOutcome::Completed { outcomes, .. } => break outcomes,
+                    JobOutcome::BudgetExceeded {
+                        reason, checkpoint, ..
+                    } => {
+                        assert!(reason.is_budget(), "seed {seed}: {reason}");
+                        trips += 1;
+                        // a trip at an obligation boundary has reached the
+                        // cap; one inside a group build drops the partial
+                        // build, so its checkpoint stays below
+                        if checkpoint.states_explored() < cap {
+                            trips_inside_builds += 1;
                         }
-                        JobOutcome::Interrupted { .. } => {
-                            panic!("seed {seed}: no cancel token was tripped")
-                        }
+                        cap *= 2;
+                        outcome = CheckJob::new(&sys, &specs, options)
+                            .with_budget(JobBudget::unlimited().with_max_states(cap))
+                            .resume(checkpoint)
+                            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
                     }
-                };
+                    JobOutcome::Interrupted { .. } => {
+                        panic!("seed {seed}: no cancel token was tripped")
+                    }
+                }
+            };
 
-                for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, bounded {bounded}, direct job",
-                        spec.name()
-                    );
-                    assert_job_outcome_identical(a, b, &ctx);
-                }
-                for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
-                    let ctx = format!(
-                        "seed {seed}, {} at {workers} workers, bounded {bounded}, resumed job",
-                        spec.name()
-                    );
-                    assert_job_outcome_identical(a, b, &ctx);
-                }
+            for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
+                let ctx = format!(
+                    "seed {seed}, {}, bounded {bounded}, direct job",
+                    spec.name()
+                );
+                assert_job_outcome_identical(a, b, &ctx);
+            }
+            for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
+                let ctx = format!(
+                    "seed {seed}, {}, bounded {bounded}, resumed job",
+                    spec.name()
+                );
+                assert_job_outcome_identical(a, b, &ctx);
             }
         }
     }

@@ -25,17 +25,13 @@ pub struct VerifierConfig {
     pub max_processes: u64,
     /// Maximum number of valuations checked per protocol.
     pub max_valuations: usize,
-    /// Total thread budget for each protocol's combined sweep, split
-    /// between sweep workers (at most one per run of the lineage) and
-    /// in-check workers (see `ccchecker::sweep`): `0` defers to the
-    /// `CC_SWEEP_THREADS` environment variable and then to the available
-    /// parallelism.
+    /// Total thread budget for each protocol's combined sweep: one sweep
+    /// worker per thread, at most one per run of the lineage (see
+    /// `ccchecker::sweep`).  `0` defers to the `CC_SWEEP_THREADS`
+    /// environment variable and then to the available parallelism.
     pub threads: usize,
-    /// Resource limits, in-check thread/wave knobs and the incremental
-    /// sweep lever of the explicit-state checker; `checker.workers == 0`
-    /// lets the sweep derive the per-cell worker count from the thread
-    /// budget, and `checker.wave_size == 0` means the engine default (see
-    /// the `ccchecker` crate docs for the thread knob precedence).
+    /// Resource limits and the incremental sweep lever of the
+    /// explicit-state checker.
     pub checker: CheckerOptions,
     /// Resource budget for each protocol's combined sweep (see the "Job
     /// lifecycle & fault model" section of the `ccchecker` crate docs).
@@ -85,14 +81,6 @@ impl VerifierConfig {
     /// This configuration with an explicit total thread budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// This configuration with an explicit parallel wave size for every
-    /// check of the sweep (bounds a parallel level's candidate buffers;
-    /// never changes verdicts or counts).
-    pub fn with_wave_size(mut self, wave_size: usize) -> Self {
-        self.checker.wave_size = wave_size;
         self
     }
 
@@ -397,33 +385,6 @@ mod tests {
                 result.termination.violated_obligation()
             );
             assert!(result.all_hold(), "{}", p.name());
-        }
-    }
-
-    #[test]
-    fn wave_size_never_changes_results() {
-        let p = protocol_by_name("Rabin83").unwrap();
-        let baseline = verify_protocol(&p, &VerifierConfig::quick());
-        for wave_size in [1, 7, usize::MAX] {
-            let waved = verify_protocol(&p, &VerifierConfig::quick().with_wave_size(wave_size));
-            for (b, w) in [
-                &baseline.agreement,
-                &baseline.validity,
-                &baseline.termination,
-            ]
-            .into_iter()
-            .zip([&waved.agreement, &waved.validity, &waved.termination])
-            {
-                assert_eq!(w.status, b.status, "wave {wave_size}: {}", b.property);
-                assert_eq!(w.states, b.states, "wave {wave_size}: {}", b.property);
-                assert_eq!(w.nschemas, b.nschemas);
-                assert_eq!(
-                    w.counterexample.is_some(),
-                    b.counterexample.is_some(),
-                    "wave {wave_size}: {}",
-                    b.property
-                );
-            }
         }
     }
 

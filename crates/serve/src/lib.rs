@@ -80,7 +80,7 @@
 //!
 //! **Supervision.**  A panicking job is retried under
 //! `ccchecker::RetryPolicy` — fresh `CheckJob` per attempt, seeded-jitter
-//! exponential backoff — generalising the sweep's one-shot fresh-pool
+//! exponential backoff — generalising the sweep's one-shot fresh-checker
 //! retry.  Exhausted attempts produce a typed `Error` response; the daemon
 //! itself never dies.  The daemon paths are instrumented with the
 //! always-compiled `ccchecker::fault` sites `SITE_ADMISSION`,
@@ -142,8 +142,9 @@
 //! checkpoint-registry slots and parked-job TTL), and the `ccserve` flags
 //! overwrite single fields.  One environment variable remains:
 //! `CC_SERVE_COMPACT_EVERY`, the auto-compaction threshold in appended
-//! records, read by [`VerdictLog::open`].  In-check threading follows
-//! `CC_CHECK_THREADS` through `CheckerOptions`.
+//! records, read by [`VerdictLog::open`].  Each job runs on the thread of
+//! the worker slot that took it, so the daemon uses at most `workers`
+//! threads for checking.
 
 pub mod cache;
 pub mod client;

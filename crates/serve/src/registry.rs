@@ -352,7 +352,7 @@ mod tests {
             .collect();
         assert_eq!(specs.len(), owed);
         let sys = CounterSystem::new(family.single_round, family.sweep[0].clone()).unwrap();
-        CheckJob::new(&sys, &specs, CheckerOptions::sequential())
+        CheckJob::new(&sys, &specs, CheckerOptions::default())
             .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO))
             .run()
             .into_checkpoint()

@@ -44,8 +44,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Server configuration.  [`ServeConfig::default`] holds the defaults and
-/// the `ccserve` flags overwrite single fields; in-check threading follows
-/// `CC_CHECK_THREADS` through [`CheckerOptions`].
+/// the `ccserve` flags overwrite single fields.  Each job runs on its worker
+/// slot's thread.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker slots (concurrent jobs); by default `min(4, available
@@ -64,7 +64,7 @@ pub struct ServeConfig {
     /// Supervision policy for panicking jobs: retries get a fresh
     /// `CheckJob`, with seeded-jitter backoff between attempts.
     pub retry: RetryPolicy,
-    /// Checker options for each job (worker threads, caps).
+    /// Checker options for each job (state and transition caps).
     pub checker: CheckerOptions,
     /// Durable verdict log path (`--cache-log`).  `None` disables
     /// durability: the cache and the checkpoint registry die with the
@@ -990,7 +990,10 @@ fn run_check(
                             token.cancel();
                         }
                         match ckpt_slot.take() {
-                            Some(cp) => job.resume(cp),
+                            // a checkpoint the job refuses is dropped, and
+                            // the owed specs run from scratch, as after a
+                            // panicked attempt
+                            Some(cp) => job.resume(cp).unwrap_or_else(|_| job.run()),
                             None => job.run(),
                         }
                     }))

@@ -106,7 +106,10 @@ impl Criterion {
         if let Err(e) = std::fs::write(&path, out) {
             eprintln!("warning: could not write {path}: {e}");
         } else {
-            println!("wrote benchmark summary to {path}");
+            // cargo runs a bench from its package directory, so say where a
+            // relative path landed
+            let written = std::path::absolute(&path).unwrap_or_else(|_| path.into());
+            println!("wrote benchmark summary to {}", written.display());
         }
     }
 
