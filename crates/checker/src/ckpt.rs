@@ -4,7 +4,8 @@
 //! counterexamples) plus the cumulative exploration counters, and this
 //! module defines its byte encoding for a process restart or a wire hop.
 //! The encoding is lossless: decoding the bytes gives back an equal
-//! checkpoint (pinned by `serialized_resume_is_bit_identical` below).
+//! checkpoint (pinned by `serialized_resume_is_bit_identical` below, and
+//! byte for byte by `golden_checkpoint_bytes_are_pinned`).
 //!
 //! A checkpoint holds no graphs: exploration is deterministic, so a resume
 //! rebuilds exactly the graphs the owed obligations need and produces
@@ -12,109 +13,25 @@
 //! **bit-identical** to an uninterrupted run.  The completed outcomes keep
 //! their answers verbatim and are never re-checked.
 //!
-//! Decoding is *total*: any truncated, oversized or malformed input yields a
-//! typed [`CkptError`], never a panic — daemon restart paths feed these
-//! bytes from disk, where torn writes are a fact of life.
+//! The primitives, the `u32` length fields and their bounds are
+//! [`crate::codec`]'s.  Decoding is *total*: any truncated, oversized or
+//! malformed input yields a typed [`DecodeError`], never a panic — daemon
+//! restart paths feed these bytes from disk, where torn writes are a fact
+//! of life.  It also accepts only outcomes the checker can produce (see
+//! `read_outcome`), so a flipped status byte cannot turn one completed
+//! verdict into another.
 
+use crate::codec::{
+    decode_all, put_list_u32, put_str_u32, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use crate::counterexample::Counterexample;
 use crate::result::{CheckOutcome, CheckStatus};
 use crate::JobCheckpoint;
 use cccounter::{Action, Configuration, Schedule, ScheduledStep};
 use ccta::{LocId, ParamValuation, RuleId, VarId};
-use std::fmt;
 
 /// Version byte of the portable checkpoint encoding.
 pub const CKPT_VERSION: u8 = 2;
-
-/// Decoding failure: the bytes are not a well-formed portable checkpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CkptError {
-    /// The input ended before the structure was complete.
-    Truncated,
-    /// A field held a value outside its domain (bad version, unknown
-    /// status byte, an element count exceeding the input length).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for CkptError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CkptError::Truncated => f.write_str("checkpoint bytes truncated"),
-            CkptError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CkptError {}
-
-// ---- little-endian primitive codec --------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        let end = self.pos.checked_add(n).ok_or(CkptError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(CkptError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// An element count, bounded by the bytes actually remaining (each
-    /// element needs at least `elem_size` bytes), so a corrupt length can
-    /// never drive a huge allocation.
-    fn len(&mut self, elem_size: usize) -> Result<usize, CkptError> {
-        let n = self.u32()? as usize;
-        let remaining = self.bytes.len() - self.pos;
-        if n.saturating_mul(elem_size.max(1)) > remaining {
-            return Err(CkptError::Malformed("length exceeds input"));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, CkptError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CkptError::Malformed("non-utf8 string"))
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
-// ---- component encoders -------------------------------------------------
 
 fn put_configuration(out: &mut Vec<u8>, cfg: &Configuration) {
     put_u32(out, cfg.num_locations() as u32);
@@ -131,14 +48,13 @@ fn put_configuration(out: &mut Vec<u8>, cfg: &Configuration) {
     }
 }
 
-fn read_configuration(r: &mut Reader<'_>) -> Result<Configuration, CkptError> {
+fn read_configuration(r: &mut Reader<'_>) -> Result<Configuration, DecodeError> {
     let num_locations = r.u32()? as usize;
     let num_vars = r.u32()? as usize;
     let rounds = r.u32()?;
-    let per_round = num_locations + num_vars;
-    if (rounds as usize).saturating_mul(per_round.max(1)) > (r.bytes.len() - r.pos) / 8 + 1 {
-        return Err(CkptError::Malformed("configuration larger than input"));
-    }
+    // each round holds one u64 per location and per variable
+    let per_round = (num_locations + num_vars).max(1);
+    r.bound((rounds as usize).saturating_mul(per_round), 8)?;
     let mut cfg = Configuration::zero(num_locations, num_vars);
     for round in 0..rounds {
         for loc in 0..num_locations {
@@ -152,80 +68,84 @@ fn read_configuration(r: &mut Reader<'_>) -> Result<Configuration, CkptError> {
 }
 
 fn put_counterexample(out: &mut Vec<u8>, ce: &Counterexample) {
-    put_str(out, &ce.spec);
-    put_u32(out, ce.params.values().len() as u32);
-    for &v in ce.params.values() {
-        put_u64(out, v);
-    }
+    put_str_u32(out, &ce.spec);
+    put_list_u32(out, ce.params.values(), |o, &v| put_u64(o, v));
     put_configuration(out, &ce.initial);
-    put_u32(out, ce.schedule.steps().len() as u32);
-    for step in ce.schedule.steps() {
-        put_u32(out, step.action.rule.0 as u32);
-        put_u32(out, step.action.round);
-        put_u32(out, step.branch as u32);
-    }
-    put_str(out, &ce.explanation);
+    put_list_u32(out, ce.schedule.steps(), |o, step| {
+        put_u32(o, step.action.rule.0 as u32);
+        put_u32(o, step.action.round);
+        put_u32(o, step.branch as u32);
+    });
+    put_str_u32(out, &ce.explanation);
 }
 
-fn read_counterexample(r: &mut Reader<'_>) -> Result<Counterexample, CkptError> {
-    let spec = r.str()?;
-    let num_params = r.len(8)?;
-    let mut values = Vec::with_capacity(num_params);
-    for _ in 0..num_params {
-        values.push(r.u64()?);
-    }
+fn read_counterexample(r: &mut Reader<'_>) -> Result<Counterexample, DecodeError> {
+    let spec = r.str_u32()?;
+    let params = ParamValuation::new(r.list_u32(8, Reader::u64)?);
     let initial = read_configuration(r)?;
-    let num_steps = r.len(12)?;
-    let mut steps = Vec::with_capacity(num_steps);
-    for _ in 0..num_steps {
+    let steps = r.list_u32(12, |r| {
         let rule = RuleId(r.u32()? as usize);
         let round = r.u32()?;
         let branch = r.u32()? as usize;
-        steps.push(ScheduledStep::with_branch(Action::new(rule, round), branch));
-    }
-    let explanation = r.str()?;
+        Ok(ScheduledStep::with_branch(Action::new(rule, round), branch))
+    })?;
     Ok(Counterexample {
         spec,
-        params: ParamValuation::new(values),
+        params,
         initial,
         schedule: Schedule::from_steps(steps),
-        explanation,
+        explanation: r.str_u32()?,
     })
 }
 
 fn put_outcome(out: &mut Vec<u8>, outcome: &CheckOutcome) {
-    out.push(match outcome.status {
-        CheckStatus::Holds => 0,
-        CheckStatus::Violated => 1,
-        CheckStatus::Unknown => 2,
-    });
+    put_u8(
+        out,
+        match outcome.status {
+            CheckStatus::Holds => 0,
+            CheckStatus::Violated => 1,
+            CheckStatus::Unknown => 2,
+        },
+    );
     put_u64(out, outcome.states_explored as u64);
     put_u64(out, outcome.transitions_explored as u64);
-    put_str(out, &outcome.detail);
+    put_str_u32(out, &outcome.detail);
     match &outcome.counterexample {
-        None => out.push(0),
+        None => put_u8(out, 0),
         Some(ce) => {
-            out.push(1);
+            put_u8(out, 1);
             put_counterexample(out, ce);
         }
     }
 }
 
-fn read_outcome(r: &mut Reader<'_>) -> Result<CheckOutcome, CkptError> {
+/// Reads one completed outcome, accepting only the shapes
+/// [`CheckOutcome::holds`], [`CheckOutcome::violated`] and
+/// [`CheckOutcome::unknown`] build: a counterexample exactly on `Violated`,
+/// an empty detail on `Holds` and `Violated`, a non-empty one on `Unknown`.
+fn read_outcome(r: &mut Reader<'_>) -> Result<CheckOutcome, DecodeError> {
     let status = match r.u8()? {
         0 => CheckStatus::Holds,
         1 => CheckStatus::Violated,
         2 => CheckStatus::Unknown,
-        _ => return Err(CkptError::Malformed("unknown status byte")),
+        _ => return Err(DecodeError::Malformed("unknown status byte")),
     };
     let states_explored = r.u64()? as usize;
     let transitions_explored = r.u64()? as usize;
-    let detail = r.str()?;
+    let detail = r.str_u32()?;
     let counterexample = match r.u8()? {
         0 => None,
         1 => Some(read_counterexample(r)?),
-        _ => return Err(CkptError::Malformed("bad counterexample presence byte")),
+        _ => return Err(DecodeError::Malformed("bad counterexample presence byte")),
     };
+    let producible = match status {
+        CheckStatus::Holds => counterexample.is_none() && detail.is_empty(),
+        CheckStatus::Violated => counterexample.is_some() && detail.is_empty(),
+        CheckStatus::Unknown => counterexample.is_none() && !detail.is_empty(),
+    };
+    if !producible {
+        return Err(DecodeError::Malformed("outcome the checker cannot produce"));
+    }
     Ok(CheckOutcome {
         status,
         states_explored,
@@ -235,26 +155,21 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<CheckOutcome, CkptError> {
     })
 }
 
-// ---- checkpoint codec ---------------------------------------------------
-
 impl JobCheckpoint {
     /// Encodes this checkpoint: the cumulative counters, then the per-spec
     /// outcome slots.
     pub fn to_portable_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.push(CKPT_VERSION);
+        put_u8(&mut out, CKPT_VERSION);
         put_u64(&mut out, self.states_done as u64);
         put_u64(&mut out, self.transitions_done as u64);
-        put_u32(&mut out, self.outcomes.len() as u32);
-        for slot in &self.outcomes {
-            match slot {
-                None => out.push(0),
-                Some(outcome) => {
-                    out.push(1);
-                    put_outcome(&mut out, outcome);
-                }
+        put_list_u32(&mut out, &self.outcomes, |o, slot| match slot {
+            None => put_u8(o, 0),
+            Some(outcome) => {
+                put_u8(o, 1);
+                put_outcome(o, outcome);
             }
-        }
+        });
         out
     }
 
@@ -263,32 +178,25 @@ impl JobCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`CkptError`] on truncated or malformed input;
+    /// Returns a typed [`DecodeError`] on truncated or malformed input;
     /// never panics.
-    pub fn from_portable_bytes(bytes: &[u8]) -> Result<JobCheckpoint, CkptError> {
-        let mut r = Reader::new(bytes);
-        let version = r.u8()?;
-        if version != CKPT_VERSION {
-            return Err(CkptError::Malformed("unsupported checkpoint version"));
-        }
-        let states_done = r.u64()? as usize;
-        let transitions_done = r.u64()? as usize;
-        let num_specs = r.len(1)?;
-        let mut outcomes = Vec::with_capacity(num_specs);
-        for _ in 0..num_specs {
-            match r.u8()? {
-                0 => outcomes.push(None),
-                1 => outcomes.push(Some(read_outcome(&mut r)?)),
-                _ => return Err(CkptError::Malformed("bad outcome presence byte")),
+    pub fn from_portable_bytes(bytes: &[u8]) -> Result<JobCheckpoint, DecodeError> {
+        decode_all(bytes, |r| {
+            if r.u8()? != CKPT_VERSION {
+                return Err(DecodeError::Malformed("unsupported checkpoint version"));
             }
-        }
-        if !r.finished() {
-            return Err(CkptError::Malformed("trailing bytes"));
-        }
-        Ok(JobCheckpoint {
-            outcomes,
-            states_done,
-            transitions_done,
+            let states_done = r.u64()? as usize;
+            let transitions_done = r.u64()? as usize;
+            let outcomes = r.list_u32(1, |r| match r.u8()? {
+                0 => Ok(None),
+                1 => read_outcome(r).map(Some),
+                _ => Err(DecodeError::Malformed("bad outcome presence byte")),
+            })?;
+            Ok(JobCheckpoint {
+                outcomes,
+                states_done,
+                transitions_done,
+            })
         })
     }
 }
@@ -415,7 +323,7 @@ mod tests {
             JobCheckpoint::from_portable_bytes(&bad)
                 .map(|_| ())
                 .unwrap_err(),
-            CkptError::Malformed("unsupported checkpoint version")
+            DecodeError::Malformed("unsupported checkpoint version")
         );
         // a version-1 checkpoint (which carried one more counter after the
         // transition count) is refused, not misread
@@ -427,7 +335,7 @@ mod tests {
             JobCheckpoint::from_portable_bytes(&v1)
                 .map(|_| ())
                 .unwrap_err(),
-            CkptError::Malformed("unsupported checkpoint version")
+            DecodeError::Malformed("unsupported checkpoint version")
         );
         // trailing garbage is rejected, not silently ignored
         let mut trailing = bytes.clone();
@@ -437,44 +345,137 @@ mod tests {
 
     #[test]
     fn bit_flipped_bytes_decode_typed_and_resume_without_panicking() {
-        // the voting fixture at two processes, the first obligation owed
-        // and the second a completed violation with its counterexample: each
-        // of the ~2.5k decoded checkpoints resumes by building one small
-        // unanimous-start graph
+        // the voting fixture at two processes; every decoded checkpoint
+        // resumes by building at most one small unanimous-start graph
         let model = fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![2, 0, 0, 1])).unwrap();
-        let specs = &specs(&sys)[..2];
+        let specs = specs(&sys);
         let options = CheckerOptions::default();
-        let outcomes = ExplicitChecker::with_options(&sys, options).check_all(specs);
+        let outcomes = ExplicitChecker::with_options(&sys, options).check_all(&specs[..2]);
+        assert!(outcomes[0].is_holds());
         assert!(outcomes[1].counterexample.is_some());
-        let mut cp = JobCheckpoint::fresh(specs.len());
-        cp.outcomes[1] = Some(outcomes[1].clone());
-        cp.states_done = 7;
-        cp.transitions_done = 11;
-        let bytes = cp.to_portable_bytes();
+        let capped = CheckerOptions {
+            max_states: 1,
+            ..options
+        };
+        let bounded = ExplicitChecker::with_options(&sys, capped).check(&specs[2]);
+        assert_eq!(bounded.detail, "state bound exhausted");
+        // the first obligation owed and the second a completed violation
+        // with its counterexample ...
+        let mut owed = JobCheckpoint::fresh(2);
+        owed.outcomes[1] = Some(outcomes[1].clone());
+        owed.states_done = 7;
+        owed.transitions_done = 11;
+        // ... and one completed slot of each status
+        let mut done = JobCheckpoint::fresh(3);
+        done.outcomes = vec![
+            Some(outcomes[0].clone()),
+            Some(outcomes[1].clone()),
+            Some(bounded),
+        ];
 
-        let mut decoded = 0;
+        for cp in [owed, done] {
+            let specs = &specs[..cp.total_obligations()];
+            let statuses = |cp: &JobCheckpoint| -> Vec<Option<CheckStatus>> {
+                cp.outcomes
+                    .iter()
+                    .map(|o| o.as_ref().map(|o| o.status))
+                    .collect()
+            };
+            let bytes = cp.to_portable_bytes();
+            let mut decoded = 0;
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                // every flip decodes to a checkpoint or a typed error, never
+                // a panic ...
+                let Ok(mutated) = JobCheckpoint::from_portable_bytes(&flipped) else {
+                    continue;
+                };
+                decoded += 1;
+                // ... that holds the same verdicts ...
+                assert_eq!(statuses(&mutated), statuses(&cp), "bit {bit}");
+                // ... and resumes, or is refused, without panicking either
+                match CheckJob::new(&sys, specs, options).resume(mutated) {
+                    Ok(outcome) => assert!(outcome.completed().is_some(), "bit {bit}"),
+                    Err(err) => assert!(matches!(err, DecodeError::Malformed(_)), "bit {bit}"),
+                }
+            }
+            // the counters, costs, schedule steps and strings take any value
+            assert!(
+                decoded > bytes.len(),
+                "{decoded} of {} flips",
+                bytes.len() * 8
+            );
+        }
+    }
+
+    /// Decodes a hex string, ignoring whitespace.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A hand-built checkpoint: one completed slot of each status (the
+    /// violation with its counterexample) and one owed slot.
+    fn golden_checkpoint() -> JobCheckpoint {
+        let mut initial = Configuration::zero(2, 1);
+        initial.set_counter(LocId(0), 0, 3);
+        initial.set_var(VarId(0), 0, 1);
+        let ce = Counterexample {
+            spec: "Inv1(0)".into(),
+            params: ParamValuation::new(vec![4, 1, 1, 1]),
+            initial,
+            schedule: Schedule::from_steps(vec![
+                ScheduledStep::with_branch(Action::new(RuleId(2), 0), 0),
+                ScheduledStep::with_branch(Action::new(RuleId(5), 0), 1),
+            ]),
+            explanation: "E0".into(),
+        };
+        JobCheckpoint {
+            outcomes: vec![
+                Some(CheckOutcome::holds(3, 4)),
+                Some(CheckOutcome::violated(5, 6, ce)),
+                Some(CheckOutcome::unknown(7, 8, "state bound exhausted")),
+                None,
+            ],
+            states_done: 15,
+            transitions_done: 18,
+        }
+    }
+
+    /// [`golden_checkpoint`] in the version-2 portable encoding.
+    const GOLDEN_CHECKPOINT: &str = "
+    02 0f00000000000000 1200000000000000 04000000
+    01 00 0300000000000000 0400000000000000 00000000 00
+    01 01 0500000000000000 0600000000000000 00000000 01
+       07000000 496e7631283029
+       04000000 0400000000000000 0100000000000000 0100000000000000 0100000000000000
+       02000000 01000000 01000000 0300000000000000 0000000000000000 0100000000000000
+       02000000 020000000000000000000000 050000000000000001000000
+       02000000 4530
+    01 02 0700000000000000 0800000000000000
+       15000000 737461746520626f756e6420657868617573746564 00
+    00";
+
+    #[test]
+    fn golden_checkpoint_bytes_are_pinned() {
+        let cp = golden_checkpoint();
+        let bytes = unhex(GOLDEN_CHECKPOINT);
+        assert_eq!(cp.to_portable_bytes(), bytes);
+        assert_eq!(JobCheckpoint::from_portable_bytes(&bytes).unwrap(), cp);
+        // every truncation and every single-bit flip decodes to a checkpoint
+        // or a typed error, never a panic
+        for cut in 0..bytes.len() {
+            assert!(JobCheckpoint::from_portable_bytes(&bytes[..cut]).is_err());
+        }
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            // every flip decodes to a checkpoint or a typed error, never a
-            // panic ...
-            let Ok(mutated) = JobCheckpoint::from_portable_bytes(&flipped) else {
-                continue;
-            };
-            decoded += 1;
-            // ... and a decoded checkpoint resumes, or is refused, without
-            // panicking either
-            match CheckJob::new(&sys, specs, options).resume(mutated) {
-                Ok(outcome) => assert!(outcome.completed().is_some(), "bit {bit}"),
-                Err(err) => assert!(matches!(err, CkptError::Malformed(_)), "bit {bit}"),
-            }
+            let _ = JobCheckpoint::from_portable_bytes(&flipped);
         }
-        // the counters, costs, schedule steps and strings take any value
-        assert!(
-            decoded > bytes.len(),
-            "{decoded} of {} flips",
-            bytes.len() * 8
-        );
     }
 }

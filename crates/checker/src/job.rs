@@ -27,7 +27,7 @@
 //! See the "Job lifecycle & fault model" section of the crate docs for the
 //! checkpoint-boundary, latency and budget-semantics contract.
 
-use crate::ckpt::CkptError;
+use crate::codec::DecodeError;
 use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::result::{CheckOutcome, GraphCacheStats};
 use crate::spec::Spec;
@@ -437,11 +437,11 @@ impl<'a> CheckJob<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`CkptError::Malformed`], and checks nothing, if the
+    /// Returns [`DecodeError::Malformed`], and checks nothing, if the
     /// checkpoint's obligation count does not match this job's spec count.
-    pub fn resume(&self, checkpoint: JobCheckpoint) -> Result<JobOutcome, CkptError> {
+    pub fn resume(&self, checkpoint: JobCheckpoint) -> Result<JobOutcome, DecodeError> {
         if checkpoint.outcomes.len() != self.specs.len() {
-            return Err(CkptError::Malformed(
+            return Err(DecodeError::Malformed(
                 "obligation count does not match the job's catalogue",
             ));
         }
@@ -644,7 +644,7 @@ mod tests {
         // a 3-spec checkpoint handed to a 2-spec job is refused, not run
         assert!(matches!(
             CheckJob::new(&sys, &specs[..2], options).resume(checkpoint.clone()),
-            Err(CkptError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
         // the job it belongs to still resumes it bit-identically
         let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);

@@ -277,13 +277,12 @@
 //!   checker without the lineage (the fresh-rebuild path); a second panic
 //!   marks that cell [`CellDisposition::Failed`] with the payload and
 //!   backtrace in its detail while sibling cells keep running.  The
-//!   re-dispatch runs through the shared [`retry`] supervisor
-//!   ([`RetryPolicy`] + [`run_with_retry`], seeded-jitter exponential
-//!   backoff), the same policy engine the `ccserve` daemon uses for its
-//!   check jobs — the sweep's instance is simply `attempts(2)` with no
-//!   backoff.  The `fault_injection` suite drives all of these paths with
-//!   seeded injectors ([`fault`]), which also cover the daemon's
-//!   admission/response-encode/socket-write sites.
+//!   re-dispatch is [`retry_once`], which the `ccserve` daemon also runs
+//!   its check jobs under: one retry at once, on fresh resources, with the
+//!   panic payload rendered by [`panic_message`].  The `fault_injection`
+//!   suite drives all of these paths with seeded injectors ([`fault`]),
+//!   which also cover the daemon's admission/response-encode/socket-write
+//!   sites.
 //! * **Accounting.**  Every grid cell of a cancelled or budget-tripped
 //!   sweep is accounted for: completed + skipped (after an earlier
 //!   violation) + interrupted-with-checkpoint + failed-after-retry equals
@@ -299,6 +298,7 @@
 //! bench measures the speedup and the sweep's thread scaling.
 
 pub mod ckpt;
+pub mod codec;
 pub mod counterexample;
 pub mod explicit;
 pub mod explorer;
@@ -324,7 +324,7 @@ pub mod fixtures;
 #[doc(hidden)]
 pub mod fault;
 
-pub use ckpt::CkptError;
+pub use codec::DecodeError;
 pub use counterexample::Counterexample;
 pub use explicit::{CheckerOptions, ExplicitChecker};
 pub use graph::GraphLineage;
@@ -332,7 +332,7 @@ pub use job::{
     CancelToken, CheckJob, InterruptKind, JobBudget, JobCheckpoint, JobOutcome, ProgressFn,
 };
 pub use result::{CheckOutcome, CheckStatus, GraphCacheStats, GraphOrigin, GroupCacheRecord};
-pub use retry::{run_with_retry, RetryPolicy};
+pub use retry::{panic_message, retry_once};
 pub use schema::{
     count_linear_extensions, max_schema_count, milestone_precedence, milestones, schema_count,
     schema_counts, Milestone,

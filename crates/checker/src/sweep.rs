@@ -66,13 +66,12 @@ use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::graph::{carry_step, GraphBasis, GraphLineage};
 use crate::job::{CancelToken, InterruptKind, JobBudget, JobSignals};
 use crate::result::{CheckOutcome, CheckStatus, GraphCacheStats};
-use crate::retry::{run_with_retry, RetryPolicy};
+use crate::retry::retry_once;
 use crate::spec::Spec;
 use cccounter::CounterSystem;
 use ccta::{ParamValuation, SystemModel};
 use std::cell::Cell;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
@@ -306,45 +305,12 @@ fn take_thread_backtrace() -> Option<String> {
     LAST_BACKTRACE.with(|slot| slot.take())
 }
 
-/// Renders a panic payload for a failed-cell record.
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Runs one cell attempt under `catch_unwind`, recovering the panic message
-/// plus the panicking thread's backtrace on failure.
-fn catch_cell(attempt: impl FnOnce() -> CheckOutcome) -> Result<CheckOutcome, String> {
-    match catch_unwind(AssertUnwindSafe(attempt)) {
-        Ok(outcome) => Ok(outcome),
-        Err(payload) => {
-            let message = payload_message(payload.as_ref());
-            Err(match take_thread_backtrace() {
-                Some(bt) => format!("{message}\n{bt}"),
-                None => message,
-            })
-        }
-    }
-}
-
-/// The sweep-cell retry policy: one retry on a fresh checker, expressed
-/// through the shared [`crate::retry`] supervisor — two attempts, no
-/// backoff (a panic is not a transient overload; sleeping would only delay
-/// the sibling cells' worker).
-fn cell_retry_policy() -> RetryPolicy {
-    RetryPolicy::attempts(2)
-}
-
 /// One grid cell: served by the valuation's shared checker (and its graph
-/// memo) on the happy path.  A panicking cell fails alone: the shared
-/// [`crate::retry`] supervisor re-dispatches it exactly once on a fresh
-/// lineage-free checker — the fresh-rebuild path — and only a second panic
-/// produces a [`CellDisposition::Failed`] record.
+/// memo) on the happy path.  A panicking cell fails alone: [`retry_once`]
+/// re-dispatches it exactly once on a fresh lineage-free checker — the
+/// fresh-rebuild path — and only a second panic produces a
+/// [`CellDisposition::Failed`] record, carrying the panic message and the
+/// panicking thread's backtrace.
 fn run_cell(
     checker: &ExplicitChecker,
     sys: &CounterSystem,
@@ -353,21 +319,25 @@ fn run_cell(
     job: Option<&JobSignals>,
 ) -> SweepOutcome {
     let started = Instant::now();
-    let result = run_with_retry(&cell_retry_policy(), 0, |attempt| {
-        catch_cell(|| {
-            crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
-            if attempt == 0 {
-                checker.check(spec)
-            } else {
-                let mut retry = ExplicitChecker::with_options(sys, options);
-                retry.set_signals(job);
-                retry.check(spec)
-            }
-        })
+    let result = retry_once(|attempt| {
+        crate::fault::maybe_fire(crate::fault::SITE_SWEEP_CELL);
+        if attempt == 0 {
+            checker.check(spec)
+        } else {
+            let mut retry = ExplicitChecker::with_options(sys, options);
+            retry.set_signals(job);
+            retry.check(spec)
+        }
     });
     match result {
         Ok(outcome) => SweepOutcome::completed(sys.params().clone(), outcome, started.elapsed()),
-        Err(detail) => SweepOutcome::failed(sys.params().clone(), detail, started.elapsed()),
+        Err(message) => {
+            let detail = match take_thread_backtrace() {
+                Some(bt) => format!("{message}\n{bt}"),
+                None => message,
+            };
+            SweepOutcome::failed(sys.params().clone(), detail, started.elapsed())
+        }
     }
 }
 

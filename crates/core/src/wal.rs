@@ -15,11 +15,13 @@
 //! record := [len u32][checksum u64][tag u8][payload: len-1 bytes]
 //! ```
 //!
-//! All integers little-endian.  `len` counts the tag byte plus the payload,
-//! so a record occupies `12 + len` bytes on disk.  The checksum is the
-//! FNV-64 fold of [`crate::fingerprint::fnv64_bytes`] over `[tag][payload]`
-//! — the same process-stable hash the fingerprints use, so the log needs no
-//! new hashing dependency.
+//! All integers little-endian, written and read through
+//! [`ccchecker::codec`].  `len` counts the tag byte plus the payload, so a
+//! record occupies `12 + len` bytes on disk, and a `len` of zero or above
+//! [`MAX_RECORD_BYTES`] is corruption.  The checksum is the FNV-64 fold of
+//! [`crate::fingerprint::fnv64_bytes`] over `[tag][payload]` — the same
+//! process-stable hash the fingerprints use, so the log needs no new
+//! hashing dependency.
 //!
 //! # Recovery contract
 //!
@@ -37,6 +39,7 @@
 //! generation — never a mix.
 
 use crate::fingerprint::{fnv64_bytes, FNV_BASIS};
+use ccchecker::codec::{put_u32, put_u64, put_u8, DecodeError, Reader};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -95,62 +98,58 @@ pub fn encode_record(tag: u8, payload: &[u8]) -> Vec<u8> {
         "record exceeds {MAX_RECORD_BYTES} bytes"
     );
     let mut body = Vec::with_capacity(len);
-    body.push(tag);
+    put_u8(&mut body, tag);
     body.extend_from_slice(payload);
-    let checksum = fnv64_bytes(FNV_BASIS, &body);
     let mut out = Vec::with_capacity(RECORD_HEADER_BYTES as usize + len);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
+    put_u32(&mut out, len as u32);
+    put_u64(&mut out, fnv64_bytes(FNV_BASIS, &body));
     out.extend_from_slice(&body);
     out
 }
 
 /// Encodes the file header for a given generation.
-pub fn encode_header(generation: u64) -> [u8; HEADER_BYTES as usize] {
-    let mut h = [0u8; HEADER_BYTES as usize];
-    h[..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
-    h[4..8].copy_from_slice(&LOG_VERSION.to_le_bytes());
-    h[8..].copy_from_slice(&generation.to_le_bytes());
+pub fn encode_header(generation: u64) -> Vec<u8> {
+    let mut h = Vec::with_capacity(HEADER_BYTES as usize);
+    put_u32(&mut h, LOG_MAGIC);
+    put_u32(&mut h, LOG_VERSION);
+    put_u64(&mut h, generation);
     h
+}
+
+/// Reads one record, failing on a torn body, a corrupt length field or a
+/// checksum mismatch.
+fn read_record(r: &mut Reader<'_>) -> Result<Record, DecodeError> {
+    let len = r.u32()?;
+    if len == 0 || len > MAX_RECORD_BYTES {
+        return Err(DecodeError::Malformed("corrupt record length"));
+    }
+    let checksum = r.u64()?;
+    let body = r.bytes(len as usize)?;
+    if fnv64_bytes(FNV_BASIS, body) != checksum {
+        return Err(DecodeError::Malformed("checksum mismatch"));
+    }
+    Ok(Record {
+        tag: body[0],
+        payload: body[1..].to_vec(),
+    })
 }
 
 /// Replays the log bytes, stopping silently at the first torn or
 /// checksum-failing record (see the module docs for the contract).
 pub fn replay_bytes(bytes: &[u8]) -> Replay {
     let mut out = Replay::default();
-    if bytes.len() < HEADER_BYTES as usize {
+    let mut r = Reader::new(bytes);
+    let header = (r.u32(), r.u32(), r.u64());
+    let (Ok(LOG_MAGIC), Ok(LOG_VERSION), Ok(generation)) = header else {
         out.truncated_bytes = bytes.len() as u64;
         return out;
-    }
-    let magic = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if magic != LOG_MAGIC || version != LOG_VERSION {
-        out.truncated_bytes = bytes.len() as u64;
-        return out;
-    }
-    out.generation = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let mut pos = HEADER_BYTES as usize;
-    out.clean_bytes = pos as u64;
-    // a `break` below leaves the torn/corrupt tail uncounted in clean_bytes
-    while let Some(header) = bytes.get(pos..pos + RECORD_HEADER_BYTES as usize) {
-        let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        if len == 0 || len > MAX_RECORD_BYTES {
-            break; // corrupt length field
-        }
-        let checksum = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let body_start = pos + RECORD_HEADER_BYTES as usize;
-        let Some(body) = bytes.get(body_start..body_start + len as usize) else {
-            break; // torn record body
-        };
-        if fnv64_bytes(FNV_BASIS, body) != checksum {
-            break; // bit rot or a torn overwrite
-        }
-        out.records.push(Record {
-            tag: body[0],
-            payload: body[1..].to_vec(),
-        });
-        pos = body_start + len as usize;
-        out.clean_bytes = pos as u64;
+    };
+    out.generation = generation;
+    out.clean_bytes = HEADER_BYTES;
+    // the first failing record leaves its torn/corrupt tail uncounted
+    while let Ok(record) = read_record(&mut r) {
+        out.records.push(record);
+        out.clean_bytes = (bytes.len() - r.remaining()) as u64;
     }
     out.truncated_bytes = bytes.len() as u64 - out.clean_bytes;
     out
@@ -350,5 +349,48 @@ mod tests {
         assert_eq!(replay.records[0].payload, b"new");
         assert!(!staged.exists());
         std::fs::remove_file(&live).ok();
+    }
+
+    /// Decodes a hex string, ignoring whitespace.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A generation-5 file header followed by one tag-2 record carrying
+    /// `"ccRV"`.
+    const GOLDEN_LOG: &str = "
+        6363574c 01000000 0500000000000000
+        05000000 4cbe4b456af29326 02 63635256";
+
+    #[test]
+    fn golden_log_bytes_are_pinned() {
+        let bytes = unhex(GOLDEN_LOG);
+        assert_eq!(build_log(5, &[(2, b"ccRV")]), bytes);
+        let clean = replay_bytes(&bytes);
+        assert_eq!(clean.generation, 5);
+        assert_eq!(
+            clean.records,
+            vec![Record {
+                tag: 2,
+                payload: b"ccRV".to_vec()
+            }]
+        );
+        assert_eq!(clean.clean_bytes, bytes.len() as u64);
+        // every truncation and every single-bit flip replays a prefix of the
+        // clean records, never a panic
+        for cut in 0..bytes.len() {
+            let replay = replay_bytes(&bytes[..cut]);
+            assert!(clean.records.starts_with(&replay.records), "cut {cut}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let replay = replay_bytes(&flipped);
+            assert!(clean.records.starts_with(&replay.records), "bit {bit}");
+        }
     }
 }

@@ -11,6 +11,7 @@ use crate::wire::{
     encode_request, read_frame, write_frame, Request, Response, StatsSnapshot, WireError,
     DEFAULT_MAX_FRAME,
 };
+use ccchecker::DecodeError;
 use std::io::{self, Write};
 use std::net::SocketAddr;
 
@@ -102,9 +103,7 @@ impl ServeClient {
     pub fn ping(&mut self) -> Result<(), WireError> {
         match self.request(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(WireError::Malformed(format!(
-                "expected pong, got {other:?}"
-            ))),
+            _ => Err(DecodeError::Malformed("expected a pong").into()),
         }
     }
 
@@ -112,9 +111,7 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
         match self.request(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
-            other => Err(WireError::Malformed(format!(
-                "expected stats, got {other:?}"
-            ))),
+            _ => Err(DecodeError::Malformed("expected a stats snapshot").into()),
         }
     }
 

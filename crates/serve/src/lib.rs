@@ -14,8 +14,8 @@
 //! **Framing.**  Every message is one frame: `[magic u32][length u32]
 //! [payload]`, little-endian, with magic [`wire::MAGIC`].  The length is
 //! bounded by the server's `max_frame_bytes` knob.  The payload encoding
-//! is fixed-width integers plus length-prefixed UTF-8 strings — see
-//! [`wire`] for the exact layouts.  The protocol is deliberately
+//! is fixed-width integers plus length-prefixed UTF-8 strings, written and
+//! read through `ccchecker::codec` — see [`wire`] for the exact layouts.  The protocol is deliberately
 //! hand-rolled over std TCP / Unix sockets: the workspace builds offline,
 //! so no serde, no async runtime.
 //!
@@ -78,14 +78,14 @@
 //! counter records it).  The mark-dead order (liveness flag before token
 //! sweep) closes the race with a job registering its token concurrently.
 //!
-//! **Supervision.**  A panicking job is retried under
-//! `ccchecker::RetryPolicy` — fresh `CheckJob` per attempt, seeded-jitter
-//! exponential backoff — generalising the sweep's one-shot fresh-checker
-//! retry.  Exhausted attempts produce a typed `Error` response; the daemon
+//! **Supervision.**  A panicking job is retried once on a fresh `CheckJob`
+//! under `ccchecker::retry_once`, the sweep's one-shot fresh-checker
+//! retry.  A second panic produces a typed `Error` response; the daemon
 //! itself never dies.  The daemon paths are instrumented with the
 //! always-compiled `ccchecker::fault` sites `SITE_ADMISSION`,
-//! `SITE_RESPONSE_ENCODE` and `SITE_SOCKET_WRITE`, so the robustness suite
-//! drives every failure path deterministically.
+//! `SITE_RESPONSE_ENCODE` and `SITE_SOCKET_WRITE`, and the `fault_daemon`
+//! suite drives the retry through the explorer's `SITE_EXPAND`, so every
+//! failure path runs deterministically in the robustness suites.
 //!
 //! # Durability contract
 //!

@@ -16,16 +16,17 @@
 //! always distinguish "retry from scratch" from "you waited too long".
 //!
 //! Entries are stored as encoded bytes, the form the verdict log persists,
-//! which makes resident accounting exact.  [`ParkedJob::decode`] checks the
-//! embedded checkpoint against the job's obligation list where the bytes
-//! enter, so drifted parked state is a typed error, never a panic in the
-//! resumed job.
+//! which makes resident accounting exact.  The encoding reuses the wire's
+//! request, cell and verdict layouts, with [`ccchecker::codec`]'s
+//! primitives and length bounds.  [`ParkedJob::decode`] checks the embedded
+//! checkpoint against the job's obligation list where the bytes enter, so
+//! drifted parked state is a typed error, never a panic in the resumed job.
 
 use crate::wire::{
-    decode_request, encode_request, put_cell, put_u64, put_u8, put_verdict, read_cell,
-    read_verdict, CellReport, CheckRequest, Cursor, Request, ResumeRejectCause, SpecVerdict,
-    WireError,
+    encode_request, put_cell, put_verdict, read_cell, read_request, read_verdict, CellReport,
+    CheckRequest, Request, ResumeRejectCause, SpecVerdict, CELL_MIN_BYTES, VERDICT_MIN_BYTES,
 };
+use ccchecker::codec::{decode_all, put_list_u64, put_u64, put_u8, DecodeError};
 use ccchecker::JobCheckpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
@@ -66,19 +67,12 @@ impl ParkedJob {
         put_u64(&mut buf, req.len() as u64);
         buf.extend_from_slice(&req);
         put_u64(&mut buf, self.cell_index as u64);
-        put_u64(&mut buf, self.cells_done.len() as u64);
-        for cell in &self.cells_done {
-            put_cell(&mut buf, cell);
-        }
-        put_u64(&mut buf, self.hit_verdicts.len() as u64);
-        for (slot, v) in &self.hit_verdicts {
-            put_u64(&mut buf, *slot as u64);
-            put_verdict(&mut buf, v);
-        }
-        put_u64(&mut buf, self.miss_indices.len() as u64);
-        for i in &self.miss_indices {
-            put_u64(&mut buf, *i as u64);
-        }
+        put_list_u64(&mut buf, &self.cells_done, put_cell);
+        put_list_u64(&mut buf, &self.hit_verdicts, |b, (slot, v)| {
+            put_u64(b, *slot as u64);
+            put_verdict(b, v);
+        });
+        put_list_u64(&mut buf, &self.miss_indices, |b, &i| put_u64(b, i as u64));
         // an empty checkpoint field encodes `None`
         let ckpt = self
             .checkpoint
@@ -90,57 +84,44 @@ impl ParkedJob {
         buf
     }
 
-    pub(crate) fn decode(bytes: &[u8]) -> Result<ParkedJob, WireError> {
-        let mut c = Cursor::new(bytes);
-        if c.u8()? != PARKED_VERSION {
-            return Err(WireError::Malformed("unknown parked-job version".into()));
-        }
-        let req_len = c.len(1)?;
-        let req_bytes = c.bytes(req_len)?.to_vec();
-        let Request::Check(req) = decode_request(&req_bytes)? else {
-            return Err(WireError::Malformed(
-                "parked job does not embed a check request".into(),
-            ));
-        };
-        let cell_index = c.u64()? as usize;
-        let n_cells = c.len(1)?;
-        let mut cells_done = Vec::with_capacity(n_cells);
-        for _ in 0..n_cells {
-            cells_done.push(read_cell(&mut c)?);
-        }
-        let n_hits = c.len(8)?;
-        let mut hit_verdicts = Vec::with_capacity(n_hits);
-        for _ in 0..n_hits {
-            let slot = c.u64()? as usize;
-            hit_verdicts.push((slot, read_verdict(&mut c)?));
-        }
-        let n_miss = c.len(8)?;
-        let mut miss_indices = Vec::with_capacity(n_miss);
-        for _ in 0..n_miss {
-            miss_indices.push(c.u64()? as usize);
-        }
-        let ckpt_len = c.len(1)?;
-        let ckpt_bytes = c.bytes(ckpt_len)?;
-        c.finish()?;
-        let checkpoint = (ckpt_len > 0)
-            .then(|| JobCheckpoint::from_portable_bytes(ckpt_bytes))
-            .transpose()
-            .map_err(|e| WireError::Malformed(format!("parked checkpoint: {e}")))?;
-        if checkpoint
-            .as_ref()
-            .is_some_and(|cp| cp.total_obligations() != miss_indices.len())
-        {
-            return Err(WireError::Malformed(
-                "parked checkpoint does not match its obligation list".into(),
-            ));
-        }
-        Ok(ParkedJob {
-            req,
-            cell_index,
-            cells_done,
-            hit_verdicts,
-            miss_indices,
-            checkpoint,
+    pub(crate) fn decode(bytes: &[u8]) -> Result<ParkedJob, DecodeError> {
+        decode_all(bytes, |r| {
+            if r.u8()? != PARKED_VERSION {
+                return Err(DecodeError::Malformed("unknown parked-job version"));
+            }
+            let req_len = r.len_u64(1)?;
+            let Request::Check(req) = decode_all(r.bytes(req_len)?, read_request)? else {
+                return Err(DecodeError::Malformed(
+                    "parked job does not embed a check request",
+                ));
+            };
+            let cell_index = r.u64()? as usize;
+            let cells_done = r.list_u64(CELL_MIN_BYTES, read_cell)?;
+            let hit_verdicts = r.list_u64(8 + VERDICT_MIN_BYTES, |r| {
+                Ok((r.u64()? as usize, read_verdict(r)?))
+            })?;
+            let miss_indices = r.list_u64(8, |r| Ok(r.u64()? as usize))?;
+            let ckpt_len = r.len_u64(1)?;
+            let checkpoint = match r.bytes(ckpt_len)? {
+                [] => None,
+                ckpt => Some(JobCheckpoint::from_portable_bytes(ckpt)?),
+            };
+            if checkpoint
+                .as_ref()
+                .is_some_and(|cp| cp.total_obligations() != miss_indices.len())
+            {
+                return Err(DecodeError::Malformed(
+                    "parked checkpoint does not match its obligation list",
+                ));
+            }
+            Ok(ParkedJob {
+                req,
+                cell_index,
+                cells_done,
+                hit_verdicts,
+                miss_indices,
+                checkpoint,
+            })
         })
     }
 }
@@ -191,13 +172,17 @@ impl CheckpointRegistry {
     }
 
     /// Parks encoded job state, returning the fresh token and any tokens
-    /// evicted to make room.  `None` if parking is disabled.
+    /// evicted to make room.  `None` if parking is disabled or the token
+    /// counter is exhausted.
     pub(crate) fn park(&self, bytes: Vec<u8>) -> Option<(u64, Vec<u64>)> {
         if self.capacity == 0 {
             return None;
         }
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        if inner.next_token == u64::MAX {
+            return None;
+        }
         // drop outlived entries first so they never displace live ones
         // (their tokens reject as Expired, not Evicted)
         let expired: Vec<u64> = inner
@@ -261,13 +246,18 @@ impl CheckpointRegistry {
 
     /// Re-registers a checkpoint recovered from the verdict log at startup,
     /// with a fresh TTL.  Keeps token allocation collision-free across
-    /// restarts by bumping the counter past every recovered token.
+    /// restarts by bumping the counter past every recovered token; a token
+    /// the counter cannot move past (`u64::MAX`, never handed out) is
+    /// skipped.
     pub(crate) fn recover(&self, token: u64, bytes: Vec<u8>) {
+        let Some(next) = token.checked_add(1) else {
+            return;
+        };
         if self.capacity == 0 {
             return;
         }
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        inner.next_token = inner.next_token.max(token + 1);
+        inner.next_token = inner.next_token.max(next);
         if inner.entries.len() >= self.capacity || inner.entries.contains_key(&token) {
             return;
         }
@@ -419,7 +409,7 @@ mod tests {
         job.miss_indices = vec![0];
         assert!(matches!(
             ParkedJob::decode(&job.encode()),
-            Err(WireError::Malformed(_))
+            Err(DecodeError::Malformed(_))
         ));
         // a job parked before its cell started has no checkpoint to check
         job.checkpoint = None;
@@ -485,10 +475,138 @@ mod tests {
     }
 
     #[test]
+    fn recovered_tokens_at_the_top_of_the_range_never_overflow() {
+        let reg = CheckpointRegistry::new(8, Duration::from_secs(60));
+        // no token can follow u64::MAX, so recovery skips it; after
+        // u64::MAX - 1 the counter is exhausted and parking is refused
+        reg.recover(u64::MAX, vec![1]);
+        reg.recover(u64::MAX - 1, vec![2]);
+        assert_eq!(reg.len(), 1);
+        assert!(reg.park(vec![3]).is_none());
+        assert!(reg.park(vec![4]).is_none());
+        assert_eq!(reg.take(u64::MAX).unwrap_err(), ResumeRejectCause::Unknown);
+        assert_eq!(reg.take(u64::MAX - 1).unwrap(), vec![2]);
+
+        // one token left: it is handed out once, then parking is refused
+        let reg = CheckpointRegistry::new(8, Duration::from_secs(60));
+        reg.recover(u64::MAX - 2, vec![1]);
+        let (t, _) = reg.park(vec![2]).unwrap();
+        assert_eq!(t, u64::MAX - 1);
+        assert!(reg.park(vec![3]).is_none());
+        assert_eq!(reg.take(u64::MAX - 2).unwrap(), vec![1]);
+        assert_eq!(reg.take(t).unwrap(), vec![2]);
+    }
+
+    #[test]
     fn zero_capacity_disables_parking() {
         let reg = CheckpointRegistry::new(0, Duration::from_secs(60));
         assert!(reg.park(vec![1]).is_none());
         reg.recover(3, vec![1]);
         assert_eq!(reg.len(), 0);
+    }
+
+    /// Decodes a hex string, ignoring whitespace.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A hand-built parked job.  Its checkpoint owes slot 0 and holds a
+    /// `Holds` in slot 1, written out in the version-2 portable encoding.
+    fn golden_parked_job() -> ParkedJob {
+        let checkpoint = JobCheckpoint::from_portable_bytes(&unhex(
+            "02 0900000000000000 0a00000000000000 02000000
+             00
+             01 00 0100000000000000 0200000000000000 00000000 00",
+        ))
+        .unwrap();
+        ParkedJob {
+            req: CheckRequest {
+                id: 5,
+                priority: Priority::High,
+                deadline_ms: 40,
+                source: Source::Protocol("MMR14".into()),
+                valuations: vec![],
+                obligations: vec![],
+                progress: false,
+                park_on_interrupt: true,
+            },
+            cell_index: 1,
+            cells_done: vec![CellReport {
+                valuation: vec![4, 1, 1, 1],
+                verdicts: vec![SpecVerdict {
+                    name: "Inv1(0)".into(),
+                    code: b'+',
+                    states: 11,
+                    transitions: 22,
+                    cached: true,
+                    detail: String::new(),
+                }],
+            }],
+            hit_verdicts: vec![(
+                2,
+                SpecVerdict {
+                    name: "CB0".into(),
+                    code: b'-',
+                    states: 5,
+                    transitions: 9,
+                    cached: true,
+                    detail: String::new(),
+                },
+            )],
+            miss_indices: vec![0, 1],
+            checkpoint: Some(checkpoint),
+        }
+    }
+
+    /// [`golden_parked_job`] in the version-1 parked-job encoding.
+    const GOLDEN_PARKED_JOB: &str = "
+        01
+        3100000000000000
+           01 0500000000000000 00 2800000000000000 02
+           01 0500000000000000 4d4d523134
+           0000000000000000 0000000000000000
+        0100000000000000
+        0100000000000000
+           0400000000000000 0400000000000000 0100000000000000 0100000000000000
+                            0100000000000000
+           0100000000000000
+              0700000000000000 496e7631283029 2b
+              0b00000000000000 1600000000000000 01 0000000000000000
+        0100000000000000
+           0200000000000000
+           0300000000000000 434230 2d
+           0500000000000000 0900000000000000 01 0000000000000000
+        0200000000000000 0000000000000000 0100000000000000
+        2d00000000000000
+           02 0900000000000000 0a00000000000000 02000000
+           00
+           01 00 0100000000000000 0200000000000000 00000000 00";
+
+    #[test]
+    fn golden_parked_job_bytes_are_pinned() {
+        let job = golden_parked_job();
+        let bytes = unhex(GOLDEN_PARKED_JOB);
+        assert_eq!(job.encode(), bytes);
+        let decoded = ParkedJob::decode(&bytes).unwrap();
+        assert_eq!(decoded.req, job.req);
+        assert_eq!(decoded.cell_index, job.cell_index);
+        assert_eq!(decoded.cells_done, job.cells_done);
+        assert_eq!(decoded.hit_verdicts, job.hit_verdicts);
+        assert_eq!(decoded.miss_indices, job.miss_indices);
+        assert_eq!(decoded.checkpoint, job.checkpoint);
+        // every truncation and every single-bit flip decodes to a parked
+        // job or a typed error, never a panic
+        for cut in 0..bytes.len() {
+            assert!(ParkedJob::decode(&bytes[..cut]).is_err());
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = ParkedJob::decode(&flipped);
+        }
     }
 }

@@ -14,12 +14,13 @@ use crate::registry::{CheckpointRegistry, ParkedJob};
 use crate::store::{FsyncPolicy, VerdictLog};
 use crate::transport::{Listener, Stream};
 use crate::wire::{
-    decode_request, encode_response, write_frame, CellReport, CheckRequest, Request, Response,
-    ResumeRequest, ResumeToken, Source, SpecVerdict, StatsSnapshot, WireError, DEFAULT_MAX_FRAME,
+    decode_request, encode_response, read_frame, write_frame, CellReport, CheckRequest, Request,
+    Response, ResumeRequest, ResumeToken, Source, SpecVerdict, StatsSnapshot, WireError,
+    DEFAULT_MAX_FRAME,
 };
 use ccchecker::{
-    fault, run_with_retry, CancelToken, CheckJob, CheckOutcome, CheckStatus, CheckerOptions,
-    JobBudget, JobCheckpoint, JobOutcome, ProgressFn, RetryPolicy, Spec,
+    fault, panic_message, retry_once, CancelToken, CheckJob, CheckOutcome, CheckStatus,
+    CheckerOptions, JobBudget, JobCheckpoint, JobOutcome, ProgressFn, Spec,
 };
 use cccore::fingerprint::{
     spec_fingerprint, system_fingerprint, valuation_fingerprint, verdict_code,
@@ -61,9 +62,6 @@ pub struct ServeConfig {
     /// Maximum valuations per request (explicit or auto-selected); 4 by
     /// default.
     pub max_valuations: usize,
-    /// Supervision policy for panicking jobs: retries get a fresh
-    /// `CheckJob`, with seeded-jitter backoff between attempts.
-    pub retry: RetryPolicy,
     /// Checker options for each job (state and transition caps).
     pub checker: CheckerOptions,
     /// Durable verdict log path (`--cache-log`).  `None` disables
@@ -89,8 +87,6 @@ impl Default for ServeConfig {
             cache_capacity: 4096,
             max_frame_bytes: DEFAULT_MAX_FRAME,
             max_valuations: 4,
-            retry: RetryPolicy::attempts(2)
-                .with_backoff(Duration::from_millis(5), Duration::from_millis(50)),
             checker: CheckerOptions::default(),
             cache_log: None,
             fsync_policy: FsyncPolicy::Always,
@@ -448,50 +444,36 @@ fn accept_loop(listener: Listener, ctx: &Arc<Ctx>, conn_threads: &Arc<Mutex<Vec<
     }
 }
 
-/// Fills `buf` from the stream, polling the shutdown flag between timed-out
-/// reads.  Unlike `read_exact`, a timeout mid-frame keeps the bytes already
-/// read, so slow writers cannot desynchronise the stream.
-fn read_full(stream: &mut Stream, buf: &mut [u8], ctx: &Ctx) -> io::Result<()> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if ctx.shutdown.load(Ordering::Relaxed) {
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "shutting down"));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+/// A connection's read side that retries timed-out reads until the server
+/// shuts down, so [`read_frame`] blocks across poll intervals without
+/// losing the bytes of a slow writer's partial frame.  Shutdown surfaces
+/// as `ConnectionAborted`: `read_exact` retries `Interrupted` forever.
+struct PollingReader<'a> {
+    stream: Stream,
+    shutdown: &'a AtomicBool,
 }
 
-/// Reads one frame with the same taxonomy as `wire::read_frame`, but
-/// interruptible at shutdown.
-fn read_frame_interruptible(stream: &mut Stream, ctx: &Ctx) -> Result<Vec<u8>, WireError> {
-    let mut header = [0u8; 8];
-    read_full(stream, &mut header, ctx)?;
-    let magic = u32::from_le_bytes(header[..4].try_into().unwrap());
-    if magic != crate::wire::MAGIC {
-        return Err(WireError::BadMagic(magic));
+impl Read for PollingReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            if self.shutdown.load(Ordering::Relaxed) {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "shutting down",
+                ));
+            }
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) => {}
+                done => return done,
+            }
+        }
     }
-    let len = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize;
-    if len > ctx.cfg.max_frame_bytes {
-        return Err(WireError::Oversized {
-            declared: len,
-            max: ctx.cfg.max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    read_full(stream, &mut payload, ctx)?;
-    Ok(payload)
 }
 
 fn serve_connection(stream: Stream, ctx: &Arc<Ctx>) {
@@ -501,9 +483,12 @@ fn serve_connection(stream: Stream, ctx: &Arc<Ctx>) {
         Err(_) => return,
     };
     let conn = Arc::new(ConnShared::new(writer));
-    let mut reader = stream;
+    let mut reader = PollingReader {
+        stream,
+        shutdown: &ctx.shutdown,
+    };
     loop {
-        match read_frame_interruptible(&mut reader, ctx) {
+        match read_frame(&mut reader, ctx.cfg.max_frame_bytes) {
             Ok(payload) => match decode_request(&payload) {
                 Ok(Request::Ping) => {
                     conn.send(&Response::Pong);
@@ -536,7 +521,7 @@ fn serve_connection(stream: Stream, ctx: &Arc<Ctx>) {
         }
     }
     conn.mark_dead();
-    reader.shutdown_both();
+    reader.stream.shutdown_both();
 }
 
 /// Admission: register the request's cancel token, then enqueue.  A full
@@ -655,16 +640,6 @@ fn outcome_verdict(spec: &Spec, outcome: &CheckOutcome, cached: bool) -> SpecVer
         transitions: outcome.transitions_explored as u64,
         cached,
         detail: outcome.detail.clone(),
-    }
-}
-
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -797,7 +772,7 @@ fn run_check(
         Err(payload) => {
             return internal_error(format!(
                 "request resolution panicked: {}",
-                panic_detail(payload)
+                panic_message(payload.as_ref())
             ));
         }
     };
@@ -973,31 +948,28 @@ fn run_check(
                 // retry re-runs the cell's owed specs from scratch, which
                 // is deterministic and therefore still verdict-identical
                 let mut ckpt_slot = resume_ckpt.take();
-                let ran = run_with_retry(&ctx.cfg.retry, id ^ valuation_fp, |_attempt| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut job =
-                            CheckJob::new(sys, &miss_specs, ctx.cfg.checker).with_budget(budget);
-                        if let Some(cb) = &progress_cb {
-                            job = job.with_progress(Arc::clone(cb));
-                        }
-                        // expose the job's own token for disconnects, then
-                        // re-check liveness: `mark_dead` flips `alive`
-                        // before cancelling tokens, so this order cannot
-                        // miss a disconnect
-                        let token = job.cancel_token();
-                        conn.register(id, token.clone());
-                        if cancel.is_cancelled() || !conn.is_alive() {
-                            token.cancel();
-                        }
-                        match ckpt_slot.take() {
-                            // a checkpoint the job refuses is dropped, and
-                            // the owed specs run from scratch, as after a
-                            // panicked attempt
-                            Some(cp) => job.resume(cp).unwrap_or_else(|_| job.run()),
-                            None => job.run(),
-                        }
-                    }))
-                    .map_err(panic_detail)
+                let ran = retry_once(|_attempt| {
+                    let mut job =
+                        CheckJob::new(sys, &miss_specs, ctx.cfg.checker).with_budget(budget);
+                    if let Some(cb) = &progress_cb {
+                        job = job.with_progress(Arc::clone(cb));
+                    }
+                    // expose the job's own token for disconnects, then
+                    // re-check liveness: `mark_dead` flips `alive`
+                    // before cancelling tokens, so this order cannot
+                    // miss a disconnect
+                    let token = job.cancel_token();
+                    conn.register(id, token.clone());
+                    if cancel.is_cancelled() || !conn.is_alive() {
+                        token.cancel();
+                    }
+                    match ckpt_slot.take() {
+                        // a checkpoint the job refuses is dropped, and
+                        // the owed specs run from scratch, as after a
+                        // panicked attempt
+                        Some(cp) => job.resume(cp).unwrap_or_else(|_| job.run()),
+                        None => job.run(),
+                    }
                 });
                 match ran {
                     Err(detail) => {

@@ -9,6 +9,9 @@
 //! | 2   | checkpoint  | resume token, encoded [`crate::registry::ParkedJob`] |
 //! | 3   | drop        | resume token (tombstone for a consumed checkpoint) |
 //!
+//! Payloads are written and read through [`ccchecker::codec`]; one that
+//! does not decode is skipped on replay, like a record of an unknown tag.
+//!
 //! On startup the server replays the log (truncating any torn tail, never
 //! erroring), preloads the result cache from the verdict records, and
 //! re-registers every checkpoint that has no later tombstone.  The
@@ -30,6 +33,7 @@
 //! and [`ccchecker::fault::SITE_LOG_FSYNC`].
 
 use crate::cache::{CacheKey, CachedVerdict};
+use ccchecker::codec::{put_u64, put_u8, DecodeError, Reader};
 use ccchecker::fault;
 use cccore::fingerprint::{verdict_code, verdict_from_code};
 use cccore::wal;
@@ -45,9 +49,6 @@ const TAG_VERDICT: u8 = 1;
 const TAG_CHECKPOINT: u8 = 2;
 /// Record tag: tombstone for a consumed or evicted checkpoint.
 const TAG_CKPT_DROP: u8 = 3;
-
-/// Fixed bytes of a verdict payload before the variable-length detail.
-const VERDICT_FIXED_BYTES: usize = 8 * 3 + 1 + 8 + 8;
 
 /// When to fsync verdict appends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,54 +121,61 @@ pub struct VerdictLog {
 }
 
 fn encode_verdict_payload(key: &CacheKey, v: &CachedVerdict) -> Vec<u8> {
-    let mut p = Vec::with_capacity(VERDICT_FIXED_BYTES + v.detail.len());
-    p.extend_from_slice(&key.0.to_le_bytes());
-    p.extend_from_slice(&key.1.to_le_bytes());
-    p.extend_from_slice(&key.2.to_le_bytes());
-    p.push(verdict_code(v.status));
-    p.extend_from_slice(&(v.states_explored as u64).to_le_bytes());
-    p.extend_from_slice(&(v.transitions_explored as u64).to_le_bytes());
+    let mut p = Vec::new();
+    for k in [key.0, key.1, key.2] {
+        put_u64(&mut p, k);
+    }
+    put_u8(&mut p, verdict_code(v.status));
+    put_u64(&mut p, v.states_explored as u64);
+    put_u64(&mut p, v.transitions_explored as u64);
     p.extend_from_slice(v.detail.as_bytes());
     p
 }
 
-fn decode_verdict_payload(p: &[u8]) -> Option<(CacheKey, CachedVerdict)> {
-    if p.len() < VERDICT_FIXED_BYTES {
-        return None;
-    }
-    let u = |i: usize| u64::from_le_bytes(p[i..i + 8].try_into().unwrap());
-    let status = verdict_from_code(p[24])?;
-    let detail = String::from_utf8(p[VERDICT_FIXED_BYTES..].to_vec()).ok()?;
-    Some((
-        (u(0), u(8), u(16)),
+fn decode_verdict_payload(p: &[u8]) -> Result<(CacheKey, CachedVerdict), DecodeError> {
+    let mut r = Reader::new(p);
+    let key = (r.u64()?, r.u64()?, r.u64()?);
+    let status =
+        verdict_from_code(r.u8()?).ok_or(DecodeError::Malformed("unknown verdict code"))?;
+    let states_explored = r.u64()? as usize;
+    let transitions_explored = r.u64()? as usize;
+    let detail = String::from_utf8(r.rest().to_vec())
+        .map_err(|_| DecodeError::Malformed("detail is not UTF-8"))?;
+    Ok((
+        key,
         CachedVerdict {
             status,
-            states_explored: u(25) as usize,
-            transitions_explored: u(33) as usize,
+            states_explored,
+            transitions_explored,
             detail,
         },
     ))
+}
+
+/// A checkpoint or drop record's payload: the resume token, then the
+/// parked job (nothing for a drop).
+fn token_payload(token: u64, bytes: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + bytes.len());
+    put_u64(&mut payload, token);
+    payload.extend_from_slice(bytes);
+    payload
 }
 
 fn recover(replay: &wal::Replay) -> RecoveredState {
     let mut verdicts = Vec::new();
     let mut checkpoints: HashMap<u64, Vec<u8>> = HashMap::new();
     for rec in &replay.records {
-        match rec.tag {
-            TAG_VERDICT => {
-                if let Some(entry) = decode_verdict_payload(&rec.payload) {
-                    verdicts.push(entry);
-                }
+        let mut r = Reader::new(&rec.payload);
+        match (rec.tag, r.u64()) {
+            (TAG_VERDICT, _) => verdicts.extend(decode_verdict_payload(&rec.payload)),
+            (TAG_CHECKPOINT, Ok(token)) => {
+                checkpoints.insert(token, r.rest().to_vec());
             }
-            TAG_CHECKPOINT if rec.payload.len() >= 8 => {
-                let token = u64::from_le_bytes(rec.payload[..8].try_into().unwrap());
-                checkpoints.insert(token, rec.payload[8..].to_vec());
-            }
-            TAG_CKPT_DROP if rec.payload.len() >= 8 => {
-                let token = u64::from_le_bytes(rec.payload[..8].try_into().unwrap());
+            (TAG_CKPT_DROP, Ok(token)) => {
                 checkpoints.remove(&token);
             }
-            _ => {} // unknown tag: a future record kind, skip it
+            // a future record kind, or a payload too short for its token
+            _ => {}
         }
     }
     let mut checkpoints: Vec<(u64, Vec<u8>)> = checkpoints.into_iter().collect();
@@ -255,16 +263,13 @@ impl VerdictLog {
     /// Appends a parked checkpoint.  Always fsyncs: the resume token this
     /// record backs is about to be promised to the client.
     pub fn append_checkpoint(&mut self, token: u64, bytes: &[u8]) -> io::Result<()> {
-        let mut payload = Vec::with_capacity(8 + bytes.len());
-        payload.extend_from_slice(&token.to_le_bytes());
-        payload.extend_from_slice(bytes);
-        self.append(TAG_CHECKPOINT, &payload)?;
+        self.append(TAG_CHECKPOINT, &token_payload(token, bytes))?;
         self.sync()
     }
 
     /// Appends a tombstone for a consumed or evicted checkpoint.
     pub fn append_drop(&mut self, token: u64) -> io::Result<()> {
-        self.append(TAG_CKPT_DROP, &token.to_le_bytes())?;
+        self.append(TAG_CKPT_DROP, &token_payload(token, &[]))?;
         self.maybe_sync()
     }
 
@@ -299,10 +304,10 @@ impl VerdictLog {
                 ))?;
             }
             for (token, bytes) in checkpoints {
-                let mut payload = Vec::with_capacity(8 + bytes.len());
-                payload.extend_from_slice(&token.to_le_bytes());
-                payload.extend_from_slice(bytes);
-                staged.write_all(&wal::encode_record(TAG_CHECKPOINT, &payload))?;
+                staged.write_all(&wal::encode_record(
+                    TAG_CHECKPOINT,
+                    &token_payload(*token, bytes),
+                ))?;
             }
             staged.sync_data()?;
         }
@@ -461,5 +466,44 @@ mod tests {
         log.compact(&[], &[]).unwrap();
         assert!(!log.should_compact(), "compaction resets the counter");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Decodes a hex string, ignoring whitespace.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A hand-built verdict record payload: key `(1, 2, 0xdeadbeef)`, a
+    /// violation that cost 12 states and 34 transitions, detail `"cex"`.
+    const GOLDEN_VERDICT_PAYLOAD: &str = "
+        0100000000000000 0200000000000000 efbeadde00000000
+        2d 0c00000000000000 2200000000000000 636578";
+
+    #[test]
+    fn golden_verdict_payload_bytes_are_pinned() {
+        let key: CacheKey = (1, 2, 0xdead_beef);
+        let v = CachedVerdict {
+            status: CheckStatus::Violated,
+            states_explored: 12,
+            transitions_explored: 34,
+            detail: "cex".into(),
+        };
+        let bytes = unhex(GOLDEN_VERDICT_PAYLOAD);
+        assert_eq!(encode_verdict_payload(&key, &v), bytes);
+        assert_eq!(decode_verdict_payload(&bytes).unwrap(), (key, v));
+        // every truncation and every single-bit flip decodes to a verdict or
+        // is skipped, never a panic
+        for cut in 0..bytes.len() {
+            let _ = decode_verdict_payload(&bytes[..cut]);
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_verdict_payload(&flipped);
+        }
     }
 }

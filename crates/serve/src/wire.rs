@@ -5,13 +5,19 @@
 //! else is rejected on its first frame) and the length is bounded by the
 //! server's `max_frame_bytes`, so a malicious or broken peer can neither
 //! desynchronise the stream nor force an unbounded allocation.  Payloads
-//! are encoded with fixed-width integers and length-prefixed strings — no
-//! self-describing envelope, no external serialisation dependency.
+//! are encoded with fixed-width integers and `u64`-length-prefixed lists
+//! and strings — no self-describing envelope, no external serialisation
+//! dependency.  The primitives, the length bounds and the decode error are
+//! [`ccchecker::codec`]'s: every length field must fit the rest of the
+//! payload at its element's minimum encoded size.
 //!
 //! Decoding is total: every parse failure maps to a typed [`WireError`],
 //! never a panic, so the robustness suite can throw arbitrary bytes at the
 //! daemon.
 
+use ccchecker::codec::{
+    decode_all, put_list_u64, put_str_u64, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use ccprotocols::family::{FamilyParams, FaultModel};
 use std::io::{self, Read, Write};
 
@@ -62,7 +68,7 @@ pub enum WireError {
         max: usize,
     },
     /// The payload bytes did not decode as the expected message.
-    Malformed(String),
+    Malformed(DecodeError),
 }
 
 impl WireError {
@@ -92,11 +98,17 @@ impl From<io::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Malformed(e)
+    }
+}
+
 /// Writes one frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut header = Vec::with_capacity(8);
+    put_u32(&mut header, MAGIC);
+    put_u32(&mut header, payload.len() as u32);
     w.write_all(&header)?;
     w.write_all(payload)?;
     w.flush()
@@ -109,11 +121,11 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<Vec<u8>, WireError> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[..4].try_into().unwrap());
+    let mut h = Reader::new(&header);
+    let (magic, len) = (h.u32()?, h.u32()? as usize);
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let len = u32::from_le_bytes(header[4..].try_into().unwrap()) as usize;
     if len > max {
         return Err(WireError::Oversized { declared: len, max });
     }
@@ -449,37 +461,34 @@ impl Response {
 // Encoding
 // ---------------------------------------------------------------------------
 
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
+/// Smallest encoded [`SpecVerdict`]: the two string lengths, the code, the
+/// two counters and the cached flag.
+pub(crate) const VERDICT_MIN_BYTES: usize = 8 + 1 + 8 + 8 + 1 + 8;
+
+/// Smallest encoded [`CellReport`]: its two list lengths.
+pub(crate) const CELL_MIN_BYTES: usize = 8 + 8;
+
+/// Appends a `u64`-counted list of `u64`s.
+fn put_u64s(buf: &mut Vec<u8>, values: &[u64]) {
+    put_list_u64(buf, values, |b, &v| put_u64(b, v));
 }
 
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+fn put_flags(buf: &mut Vec<u8>, progress: bool, park_on_interrupt: bool) {
+    put_u8(buf, (progress as u8) | ((park_on_interrupt as u8) << 1));
 }
 
 pub(crate) fn put_verdict(buf: &mut Vec<u8>, v: &SpecVerdict) {
-    put_str(buf, &v.name);
+    put_str_u64(buf, &v.name);
     put_u8(buf, v.code);
     put_u64(buf, v.states);
     put_u64(buf, v.transitions);
     put_u8(buf, v.cached as u8);
-    put_str(buf, &v.detail);
+    put_str_u64(buf, &v.detail);
 }
 
 pub(crate) fn put_cell(buf: &mut Vec<u8>, cell: &CellReport) {
-    put_u64(buf, cell.valuation.len() as u64);
-    for &x in &cell.valuation {
-        put_u64(buf, x);
-    }
-    put_u64(buf, cell.verdicts.len() as u64);
-    for v in &cell.verdicts {
-        put_verdict(buf, v);
-    }
+    put_u64s(buf, &cell.valuation);
+    put_list_u64(buf, &cell.verdicts, put_verdict);
 }
 
 fn fault_byte(f: FaultModel) -> u8 {
@@ -508,14 +517,11 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut buf, c.id);
             put_u8(&mut buf, c.priority.band() as u8);
             put_u64(&mut buf, c.deadline_ms);
-            put_u8(
-                &mut buf,
-                (c.progress as u8) | ((c.park_on_interrupt as u8) << 1),
-            );
+            put_flags(&mut buf, c.progress, c.park_on_interrupt);
             match &c.source {
                 Source::Protocol(name) => {
                     put_u8(&mut buf, 1);
-                    put_str(&mut buf, name);
+                    put_str_u64(&mut buf, name);
                 }
                 Source::Family { params, seed } => {
                     put_u8(&mut buf, 2);
@@ -530,17 +536,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                     put_u64(&mut buf, *seed);
                 }
             }
-            put_u64(&mut buf, c.valuations.len() as u64);
-            for v in &c.valuations {
-                put_u64(&mut buf, v.len() as u64);
-                for &x in v {
-                    put_u64(&mut buf, x);
-                }
-            }
-            put_u64(&mut buf, c.obligations.len() as u64);
-            for name in &c.obligations {
-                put_str(&mut buf, name);
-            }
+            put_list_u64(&mut buf, &c.valuations, |b, v| put_u64s(b, v));
+            put_list_u64(&mut buf, &c.obligations, |b, name| put_str_u64(b, name));
         }
         Request::Resume(r) => {
             put_u8(&mut buf, REQ_RESUME);
@@ -548,10 +545,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u64(&mut buf, r.token);
             put_u8(&mut buf, r.priority.band() as u8);
             put_u64(&mut buf, r.deadline_ms);
-            put_u8(
-                &mut buf,
-                (r.progress as u8) | ((r.park_on_interrupt as u8) << 1),
-            );
+            put_flags(&mut buf, r.progress, r.park_on_interrupt);
         }
         Request::Stats => put_u8(&mut buf, REQ_STATS),
         Request::Ping => put_u8(&mut buf, REQ_PING),
@@ -566,10 +560,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Verdict { id, cells, resume } => {
             put_u8(&mut buf, RESP_VERDICT);
             put_u64(&mut buf, *id);
-            put_u64(&mut buf, cells.len() as u64);
-            for cell in cells {
-                put_cell(&mut buf, cell);
-            }
+            put_list_u64(&mut buf, cells, put_cell);
             match resume {
                 None => put_u8(&mut buf, 0),
                 Some(t) => {
@@ -611,12 +602,12 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Rejected { id, reason } => {
             put_u8(&mut buf, RESP_REJECTED);
             put_u64(&mut buf, *id);
-            put_str(&mut buf, reason);
+            put_str_u64(&mut buf, reason);
         }
         Response::Error { id, detail } => {
             put_u8(&mut buf, RESP_ERROR);
             put_u64(&mut buf, *id);
-            put_str(&mut buf, detail);
+            put_str_u64(&mut buf, detail);
         }
         Response::Stats(s) => {
             put_u8(&mut buf, RESP_STATS);
@@ -649,263 +640,169 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Reads a `u64`-counted list of `u64`s.
+fn read_u64s(r: &mut Reader<'_>) -> Result<Vec<u64>, DecodeError> {
+    r.list_u64(8, Reader::u64)
 }
 
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| WireError::Malformed("truncated payload".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos + 8;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| WireError::Malformed("truncated payload".into()))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().unwrap()))
-    }
-
-    /// `n` raw bytes, borrowed from the payload.
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError::Malformed("truncated payload".into()))?;
-        let b = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(b)
-    }
-
-    /// A length field that must leave room for `elem_size`-byte elements in
-    /// the remaining payload — bounds every allocation by the frame size.
-    pub(crate) fn len(&mut self, elem_size: usize) -> Result<usize, WireError> {
-        let n = self.u64()? as usize;
-        let room = (self.buf.len() - self.pos) / elem_size.max(1);
-        if n > room {
-            return Err(WireError::Malformed(format!(
-                "length {n} exceeds remaining payload"
-            )));
-        }
-        Ok(n)
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let n = self.len(1)?;
-        let end = self.pos + n;
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".into()))
-    }
-
-    pub(crate) fn finish(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::Malformed(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+/// Reads the two request flag bits: `(progress, park_on_interrupt)`.
+fn read_flags(r: &mut Reader<'_>) -> Result<(bool, bool), DecodeError> {
+    match r.u8()? {
+        flags @ 0..=3 => Ok((flags & 1 != 0, flags & 2 != 0)),
+        _ => Err(DecodeError::Malformed("unknown request flags")),
     }
 }
 
-pub(crate) fn read_verdict(c: &mut Cursor<'_>) -> Result<SpecVerdict, WireError> {
+fn read_priority(r: &mut Reader<'_>) -> Result<Priority, DecodeError> {
+    Priority::from_byte(r.u8()?).ok_or(DecodeError::Malformed("unknown priority band"))
+}
+
+pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<SpecVerdict, DecodeError> {
     Ok(SpecVerdict {
-        name: c.str()?,
-        code: c.u8()?,
-        states: c.u64()?,
-        transitions: c.u64()?,
-        cached: c.u8()? != 0,
-        detail: c.str()?,
+        name: r.str_u64()?,
+        code: r.u8()?,
+        states: r.u64()?,
+        transitions: r.u64()?,
+        cached: r.u8()? != 0,
+        detail: r.str_u64()?,
     })
 }
 
-pub(crate) fn read_cell(c: &mut Cursor<'_>) -> Result<CellReport, WireError> {
-    let k = c.len(8)?;
-    let mut valuation = Vec::with_capacity(k);
-    for _ in 0..k {
-        valuation.push(c.u64()?);
-    }
-    let n_verdicts = c.len(8)?;
-    let mut verdicts = Vec::with_capacity(n_verdicts);
-    for _ in 0..n_verdicts {
-        verdicts.push(read_verdict(c)?);
-    }
+pub(crate) fn read_cell(r: &mut Reader<'_>) -> Result<CellReport, DecodeError> {
     Ok(CellReport {
-        valuation,
-        verdicts,
+        valuation: read_u64s(r)?,
+        verdicts: r.list_u64(VERDICT_MIN_BYTES, read_verdict)?,
     })
 }
 
-/// Decodes a request payload.
-pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
-    let mut c = Cursor::new(payload);
-    let tag = c.u8()?;
-    let req = match tag {
+/// Reads one request; [`decode_request`] also rejects trailing bytes.
+pub(crate) fn read_request(r: &mut Reader<'_>) -> Result<Request, DecodeError> {
+    Ok(match r.u8()? {
         REQ_CHECK => {
-            let id = c.u64()?;
-            let priority = Priority::from_byte(c.u8()?)
-                .ok_or_else(|| WireError::Malformed("unknown priority band".into()))?;
-            let deadline_ms = c.u64()?;
-            let flags = c.u8()?;
-            if flags > 3 {
-                return Err(WireError::Malformed("unknown request flags".into()));
-            }
-            let source = match c.u8()? {
-                1 => Source::Protocol(c.str()?),
-                2 => {
-                    let params = FamilyParams {
-                        phases: c.u64()? as usize,
-                        width: c.u64()? as usize,
-                        fanout: c.u64()? as usize,
-                        guard_density: c.u8()?,
-                        shared_vars: c.u64()? as usize,
-                        coin_vars: c.u64()? as usize,
-                        faults: fault_from_byte(c.u8()?)
-                            .ok_or_else(|| WireError::Malformed("unknown fault model".into()))?,
-                        resilience: c.u64()? as i64,
-                    };
-                    let seed = c.u64()?;
-                    Source::Family { params, seed }
-                }
-                t => return Err(WireError::Malformed(format!("unknown source tag {t}"))),
+            let id = r.u64()?;
+            let priority = read_priority(r)?;
+            let deadline_ms = r.u64()?;
+            let (progress, park_on_interrupt) = read_flags(r)?;
+            let source = match r.u8()? {
+                1 => Source::Protocol(r.str_u64()?),
+                2 => Source::Family {
+                    params: FamilyParams {
+                        phases: r.u64()? as usize,
+                        width: r.u64()? as usize,
+                        fanout: r.u64()? as usize,
+                        guard_density: r.u8()?,
+                        shared_vars: r.u64()? as usize,
+                        coin_vars: r.u64()? as usize,
+                        faults: fault_from_byte(r.u8()?)
+                            .ok_or(DecodeError::Malformed("unknown fault model"))?,
+                        resilience: r.u64()? as i64,
+                    },
+                    seed: r.u64()?,
+                },
+                _ => return Err(DecodeError::Malformed("unknown source tag")),
             };
-            let n_vals = c.len(8)?;
-            let mut valuations = Vec::with_capacity(n_vals);
-            for _ in 0..n_vals {
-                let k = c.len(8)?;
-                let mut v = Vec::with_capacity(k);
-                for _ in 0..k {
-                    v.push(c.u64()?);
-                }
-                valuations.push(v);
-            }
-            let n_obls = c.len(8)?;
-            let mut obligations = Vec::with_capacity(n_obls);
-            for _ in 0..n_obls {
-                obligations.push(c.str()?);
-            }
             Request::Check(CheckRequest {
                 id,
                 priority,
                 deadline_ms,
                 source,
-                valuations,
-                obligations,
-                progress: flags & 1 != 0,
-                park_on_interrupt: flags & 2 != 0,
+                valuations: r.list_u64(8, read_u64s)?,
+                obligations: r.list_u64(8, Reader::str_u64)?,
+                progress,
+                park_on_interrupt,
             })
         }
         REQ_RESUME => {
-            let id = c.u64()?;
-            let token = c.u64()?;
-            let priority = Priority::from_byte(c.u8()?)
-                .ok_or_else(|| WireError::Malformed("unknown priority band".into()))?;
-            let deadline_ms = c.u64()?;
-            let flags = c.u8()?;
-            if flags > 3 {
-                return Err(WireError::Malformed("unknown request flags".into()));
-            }
+            let id = r.u64()?;
+            let token = r.u64()?;
+            let priority = read_priority(r)?;
+            let deadline_ms = r.u64()?;
+            let (progress, park_on_interrupt) = read_flags(r)?;
             Request::Resume(ResumeRequest {
                 id,
                 token,
                 priority,
                 deadline_ms,
-                progress: flags & 1 != 0,
-                park_on_interrupt: flags & 2 != 0,
+                progress,
+                park_on_interrupt,
             })
         }
         REQ_STATS => Request::Stats,
         REQ_PING => Request::Ping,
-        t => return Err(WireError::Malformed(format!("unknown request tag {t}"))),
-    };
-    c.finish()?;
-    Ok(req)
+        _ => return Err(DecodeError::Malformed("unknown request tag")),
+    })
 }
 
-/// Decodes a response payload.
-pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
-    let mut c = Cursor::new(payload);
-    let tag = c.u8()?;
-    let resp = match tag {
+/// Decodes a request payload.
+pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
+    Ok(decode_all(payload, read_request)?)
+}
+
+fn read_response(r: &mut Reader<'_>) -> Result<Response, DecodeError> {
+    Ok(match r.u8()? {
         RESP_VERDICT => {
-            let id = c.u64()?;
-            let n_cells = c.len(8)?;
-            let mut cells = Vec::with_capacity(n_cells);
-            for _ in 0..n_cells {
-                cells.push(read_cell(&mut c)?);
-            }
-            let resume = match c.u8()? {
+            let id = r.u64()?;
+            let cells = r.list_u64(CELL_MIN_BYTES, read_cell)?;
+            let resume = match r.u8()? {
                 0 => None,
                 1 => Some(ResumeToken {
-                    token: c.u64()?,
-                    expires_in_ms: c.u64()?,
+                    token: r.u64()?,
+                    expires_in_ms: r.u64()?,
                 }),
-                _ => return Err(WireError::Malformed("bad resume presence byte".into())),
+                _ => return Err(DecodeError::Malformed("bad resume presence byte")),
             };
             Response::Verdict { id, cells, resume }
         }
         RESP_OVERLOADED => Response::Overloaded {
-            id: c.u64()?,
-            queue_depth: c.u64()?,
-            capacity: c.u64()?,
-            retry_after_hint_ms: c.u64()?,
+            id: r.u64()?,
+            queue_depth: r.u64()?,
+            capacity: r.u64()?,
+            retry_after_hint_ms: r.u64()?,
         },
         RESP_RESUME_REJECTED => Response::ResumeRejected {
-            id: c.u64()?,
-            cause: ResumeRejectCause::from_byte(c.u8()?)
-                .ok_or_else(|| WireError::Malformed("unknown resume-reject cause".into()))?,
+            id: r.u64()?,
+            cause: ResumeRejectCause::from_byte(r.u8()?)
+                .ok_or(DecodeError::Malformed("unknown resume-reject cause"))?,
         },
         RESP_PROGRESS => Response::Progress {
-            id: c.u64()?,
-            states: c.u64()?,
-            transitions: c.u64()?,
-            cells_done: c.u64()?,
+            id: r.u64()?,
+            states: r.u64()?,
+            transitions: r.u64()?,
+            cells_done: r.u64()?,
         },
         RESP_REJECTED => Response::Rejected {
-            id: c.u64()?,
-            reason: c.str()?,
+            id: r.u64()?,
+            reason: r.str_u64()?,
         },
         RESP_ERROR => Response::Error {
-            id: c.u64()?,
-            detail: c.str()?,
+            id: r.u64()?,
+            detail: r.str_u64()?,
         },
         RESP_STATS => Response::Stats(StatsSnapshot {
-            admitted: c.u64()?,
-            shed: c.u64()?,
-            completed: c.u64()?,
-            orphaned: c.u64()?,
-            rejected: c.u64()?,
-            errors: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            active_jobs: c.u64()?,
-            queue_depth: c.u64()?,
-            parked: c.u64()?,
-            resumed: c.u64()?,
-            resume_rejected: c.u64()?,
-            checkpoints_evicted: c.u64()?,
-            log_recovered: c.u64()?,
+            admitted: r.u64()?,
+            shed: r.u64()?,
+            completed: r.u64()?,
+            orphaned: r.u64()?,
+            rejected: r.u64()?,
+            errors: r.u64()?,
+            cache_hits: r.u64()?,
+            cache_misses: r.u64()?,
+            active_jobs: r.u64()?,
+            queue_depth: r.u64()?,
+            parked: r.u64()?,
+            resumed: r.u64()?,
+            resume_rejected: r.u64()?,
+            checkpoints_evicted: r.u64()?,
+            log_recovered: r.u64()?,
         }),
         RESP_PONG => Response::Pong,
-        t => return Err(WireError::Malformed(format!("unknown response tag {t}"))),
-    };
-    c.finish()?;
-    Ok(resp)
+        _ => return Err(DecodeError::Malformed("unknown response tag")),
+    })
+}
+
+/// Decodes a response payload.
+pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
+    Ok(decode_all(payload, read_response)?)
 }
 
 #[cfg(test)]
@@ -1108,5 +1005,133 @@ mod tests {
         );
         assert!(!Response::Pong.is_terminal());
         assert_eq!(Response::Stats(StatsSnapshot::default()).request_id(), None);
+    }
+
+    /// Decodes a hex string, ignoring whitespace.
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    fn golden_request() -> Request {
+        Request::Check(CheckRequest {
+            id: 42,
+            priority: Priority::Low,
+            deadline_ms: 250,
+            source: Source::Family {
+                params: FamilyParams {
+                    phases: 2,
+                    width: 3,
+                    fanout: 1,
+                    guard_density: 60,
+                    shared_vars: 2,
+                    coin_vars: 1,
+                    faults: FaultModel::Crash,
+                    resilience: 3,
+                },
+                seed: 7,
+            },
+            valuations: vec![vec![4, 1, 1], vec![7, 2, 1]],
+            obligations: vec!["Inv1(0)".into(), "CB0".into()],
+            progress: true,
+            park_on_interrupt: false,
+        })
+    }
+
+    fn golden_response() -> Response {
+        Response::Verdict {
+            id: 9,
+            cells: vec![CellReport {
+                valuation: vec![4, 1, 1, 1],
+                verdicts: vec![
+                    SpecVerdict {
+                        name: "Agreement".into(),
+                        code: b'+',
+                        states: 120,
+                        transitions: 456,
+                        cached: false,
+                        detail: String::new(),
+                    },
+                    SpecVerdict {
+                        name: "CB0".into(),
+                        code: b'?',
+                        states: 0,
+                        transitions: 0,
+                        cached: true,
+                        detail: "interrupted".into(),
+                    },
+                ],
+            }],
+            resume: Some(ResumeToken {
+                token: 77,
+                expires_in_ms: 60_000,
+            }),
+        }
+    }
+
+    /// [`golden_request`] as a payload.
+    const GOLDEN_REQUEST: &str = "
+        01 2a00000000000000 02 fa00000000000000 01
+        02 0200000000000000 0300000000000000 0100000000000000 3c
+           0200000000000000 0100000000000000 01 0300000000000000
+           0700000000000000
+        0200000000000000
+           0300000000000000 0400000000000000 0100000000000000 0100000000000000
+           0300000000000000 0700000000000000 0200000000000000 0100000000000000
+        0200000000000000
+           0700000000000000 496e7631283029
+           0300000000000000 434230";
+
+    /// [`golden_response`] as a payload.
+    const GOLDEN_RESPONSE: &str = "
+        01 0900000000000000
+        0100000000000000
+           0400000000000000 0400000000000000 0100000000000000 0100000000000000
+                            0100000000000000
+           0200000000000000
+              0900000000000000 41677265656d656e74 2b
+              7800000000000000 c801000000000000 00 0000000000000000
+              0300000000000000 434230 3f
+              0000000000000000 0000000000000000 01
+              0b00000000000000 696e746572727570746564
+        01 4d00000000000000 60ea000000000000";
+
+    #[test]
+    fn golden_request_bytes_are_pinned() {
+        let bytes = unhex(GOLDEN_REQUEST);
+        assert_eq!(encode_request(&golden_request()), bytes);
+        assert_eq!(decode_request(&bytes).unwrap(), golden_request());
+        // every truncation and every single-bit flip decodes to a request
+        // or a typed error, never a panic
+        for cut in 0..bytes.len() {
+            assert!(decode_request(&bytes[..cut]).is_err());
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_request(&flipped);
+        }
+    }
+
+    #[test]
+    fn golden_response_bytes_are_pinned() {
+        let bytes = unhex(GOLDEN_RESPONSE);
+        assert_eq!(encode_response(&golden_response()), bytes);
+        assert_eq!(decode_response(&bytes).unwrap(), golden_response());
+        for cut in 0..bytes.len() {
+            assert!(decode_response(&bytes[..cut]).is_err());
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = decode_response(&flipped);
+        }
+        // the frame header pins the magic and the payload length
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &bytes).unwrap();
+        assert_eq!(frame[..8], unhex("63635256 ad000000"));
     }
 }
