@@ -117,12 +117,13 @@ fn main() {
     for g in &cache_stats.groups {
         println!(
             "    group {:<18} {} obligation(s) on {} states / {} transitions \
-             (1 miss, {} hit(s), {} KiB resident)",
+             ({} pass(es), {} memo hit(s), {} KiB resident)",
             g.start,
             g.specs,
             g.states,
             g.transitions,
-            g.specs - 1,
+            g.memo_misses,
+            g.memo_hits,
             g.resident_bytes / 1024,
         );
     }

@@ -107,6 +107,8 @@ impl<'a> ExplicitChecker<'a> {
     ///
     /// Panics if the counter system is built over a multi-round model; the
     /// single-round queries are only meaningful on `TA_rd` (Definition 3).
+    /// Panics, too, on a system a cached graph cannot record, as
+    /// [`ExplicitChecker::with_options`] does.
     pub fn new(sys: &'a CounterSystem) -> Self {
         Self::with_options(sys, CheckerOptions::default())
     }
@@ -115,12 +117,20 @@ impl<'a> ExplicitChecker<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the counter system is built over a multi-round model.
+    /// Panics if the counter system is built over a multi-round model, or
+    /// if it has more than 65,536 rules or a rule with more than 256
+    /// branches: a cached graph stores each transition's rule id in 16 bits
+    /// and its branch index in 8.
     pub fn with_options(sys: &'a CounterSystem, options: CheckerOptions) -> Self {
         assert_eq!(
             sys.model().kind(),
             ModelKind::SingleRound,
             "the explicit checker operates on single-round models (Definition 3)"
+        );
+        let rules = sys.model().rules();
+        assert!(
+            rules.len() <= 1 << 16 && rules.iter().all(|r| r.branches().len() <= 1 << 8),
+            "a cached graph holds at most 65,536 rules of at most 256 branches each"
         );
         ExplicitChecker {
             sys,
@@ -143,7 +153,7 @@ impl<'a> ExplicitChecker<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the counter system is built over a multi-round model.
+    /// Panics where [`ExplicitChecker::with_options`] does.
     pub fn with_lineage(
         sys: &'a CounterSystem,
         options: CheckerOptions,
@@ -253,7 +263,7 @@ impl<'a> ExplicitChecker<'a> {
     /// Checks one query through the reachability-graph cache: the first
     /// query of a `(start restriction, valuation)` group pays one
     /// exploration, every further query of the group is an
-    /// `O(states + edges)` analysis pass over the cached graph (or a
+    /// `O(states + transitions)` analysis pass over the cached graph (or a
     /// verdict-memo hit).  A group build that trips a resource budget
     /// answers every query of the group `Unknown`.  Verdicts, counts and
     /// counterexample schedules equal [`crate::reference`]'s, which
@@ -328,6 +338,36 @@ mod tests {
     #[should_panic(expected = "single-round")]
     fn checker_rejects_multi_round_models() {
         let sys = CounterSystem::new(fixtures::voting_model(), fixtures::small_params()).unwrap();
+        let _ = ExplicitChecker::new(&sys);
+    }
+
+    #[test]
+    fn the_widest_coin_an_arc_holds_keeps_its_last_branch() {
+        // branch index 255 fits the arc's byte: the path into H1 takes it,
+        // replays, and matches the reference
+        let model = fixtures::wide_coin_model(256).single_round().unwrap();
+        let sys = CounterSystem::new(model, fixtures::small_params()).unwrap();
+        let spec = Spec::NeverFrom {
+            name: "H1".into(),
+            start: StartRestriction::RoundStart,
+            forbidden: LocSet::from_names(sys.model(), "H1", &["H1"]),
+        };
+        let outcome = ExplicitChecker::new(&sys).check(&spec);
+        assert_eq!(
+            outcome,
+            reference_check(&sys, &spec, &CheckerOptions::default())
+        );
+        let ce = outcome.counterexample.expect("H1 is reachable");
+        assert_eq!(ce.schedule.steps().last().map(|s| s.branch), Some(255));
+        assert!(ce.schedule.is_applicable(&sys, &ce.initial));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 branches")]
+    fn a_coin_wider_than_an_arc_is_rejected() {
+        // branch index 256 would alias branch 0 in a byte
+        let model = fixtures::wide_coin_model(257).single_round().unwrap();
+        let sys = CounterSystem::new(model, fixtures::small_params()).unwrap();
         let _ = ExplicitChecker::new(&sys);
     }
 

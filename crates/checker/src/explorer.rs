@@ -5,8 +5,8 @@
 //! place on the row substrate, intern the successor into the
 //! [`StateStore`], and enqueue fresh states.  [`Explorer`] owns that
 //! expand → intern → frontier cycle once, and records what it sees into
-//! one owned [`Explored`] record: the store, every explored edge in CSR
-//! form, the fresh start nodes, the discovery order and the state and
+//! one owned [`Explored`] record: the store, every explored transition as
+//! a CSR arc, the fresh start nodes, the discovery order and the state and
 //! transition counters.  The reachability-graph build and its incremental
 //! extension ([`crate::graph`]) start, resume and take back that record.
 //! The search itself carries no monitor state — every obligation is
@@ -40,13 +40,13 @@ const WAVE: usize = 8192;
 /// What an exploration has recorded, in BFS order: [`Explorer::new`] starts
 /// a record, [`Explorer::resume`] continues one, and
 /// [`Explorer::into_explored`] hands it back.  The CSR graph is the only
-/// record of how the stored states connect: a node's first-discovery edge
-/// is the first edge into it met by walking `discovery` in order and each
-/// node's edges in CSR order (see [`crate::graph`]).
+/// record of how the stored states connect: a node's first-discovery arc
+/// is the first arc into it met by walking `discovery` in order and each
+/// node's arcs in CSR order (see [`crate::graph`]).
 pub(crate) struct Explored {
     /// The deduplicated state rows.
     pub(crate) store: StateStore,
-    /// Every explored edge, grouped by node and action.
+    /// Every explored transition as an arc, grouped by node and action.
     pub(crate) csr: CsrRecorder,
     /// The interned start nodes, each listed once.
     pub(crate) start_ids: Vec<u32>,
@@ -207,7 +207,7 @@ impl<'a> Explorer<'a> {
         Exploration::Complete
     }
 
-    /// Expands one wave of frontier nodes, recording their edges and
+    /// Expands one wave of frontier nodes, recording their arcs and
     /// pushing fresh successors onto `next`.  `row` and `actions` are
     /// caller-owned scratch buffers reused across waves.
     fn expand(
@@ -242,7 +242,9 @@ impl<'a> Explorer<'a> {
             let node_hash = store.hash64(node);
             for &action in actions.iter() {
                 debug_assert_eq!(action.round, 0, "single-round graphs record round 0");
-                csr.begin_action();
+                // the one narrowing into a cached arc: `with_options` rejects
+                // a system whose rule ids or branch indices do not fit
+                csr.begin_action(u16::try_from(action.rule.0).expect("rule id fits an arc"));
                 let flow = engine.for_each_successor(
                     row,
                     action,
@@ -261,25 +263,14 @@ impl<'a> Explorer<'a> {
                             next.push(id);
                             discovery.push(id);
                         }
-                        csr.edge(id, branch as u32);
+                        csr.edge(id, u8::try_from(branch).expect("branch fits an arc"));
                         ControlFlow::Continue(())
                     },
                 );
                 flow?;
-                csr.end_action(action.rule.0 as u32);
             }
             csr.end_node(node);
         }
         ControlFlow::Continue(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn cached_edges_and_wave_candidates_stay_lean() {
-        // an edge keeps its successor and branch; the rule lives once per
-        // action
-        assert_eq!(std::mem::size_of::<crate::game::Edge>(), 8);
     }
 }

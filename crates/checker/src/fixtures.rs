@@ -167,6 +167,45 @@ pub fn stranding_model() -> SystemModel {
     b.build().expect("stranding fixture must validate")
 }
 
+/// One process automaton beside a coin of `branches` equally likely
+/// branches: every branch but the last lands in `H0` and the last in `H1`,
+/// so a path into `H1` takes branch index `branches - 1`.  With the widest
+/// coin a cached arc holds (256 branches) it pins that the last branch
+/// index survives the arc; one branch more is rejected.
+pub fn wide_coin_model(branches: u64) -> SystemModel {
+    let env = ccta::env::byzantine_common_coin_env(3);
+    let mut b = SystemBuilder::new("checker-wide-coin", env);
+    let cc0 = b.coin_var("cc0");
+    let cc1 = b.coin_var("cc1");
+
+    let j0 = b.process_location("J0", LocClass::Border, Some(BinValue::Zero));
+    let i0 = b.process_location("I0", LocClass::Initial, Some(BinValue::Zero));
+    let e0 = b.process_location("E0", LocClass::Final, Some(BinValue::Zero));
+    b.start_rule(j0, i0);
+    b.rule("decide", i0, e0, Guard::top(), Update::none());
+    b.round_switch(e0, j0);
+
+    let jc = b.coin_location("JC", LocClass::Border, None);
+    let ic = b.coin_location("IC", LocClass::Initial, None);
+    let h0 = b.coin_location("H0", LocClass::Intermediate, None);
+    let h1 = b.coin_location("H1", LocClass::Intermediate, None);
+    let c0 = b.coin_location("C0", LocClass::Final, Some(BinValue::Zero));
+    let c1 = b.coin_location("C1", LocClass::Final, Some(BinValue::One));
+    b.start_rule(jc, ic);
+    let toss = (0..branches)
+        .map(|i| {
+            let to = if i + 1 == branches { h1 } else { h0 };
+            (to, Probability::new(1, branches))
+        })
+        .collect();
+    b.coin_toss("toss", ic, toss, Guard::top(), Update::none());
+    b.rule("publish0", h0, c0, Guard::top(), Update::increment(cc0));
+    b.rule("publish1", h1, c1, Guard::top(), Update::increment(cc1));
+    b.round_switch(c0, jc);
+    b.round_switch(c1, jc);
+    b.build().expect("wide-coin fixture must validate")
+}
+
 /// The standard small admissible valuation `n = 4, t = 1, f = 1, cc = 1`.
 pub fn small_params() -> ParamValuation {
     ParamValuation::new(vec![4, 1, 1, 1])

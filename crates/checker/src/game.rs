@@ -18,7 +18,7 @@
 //!
 //! This module holds the game machinery: the flat CSR arenas (`GameGraph`,
 //! filled by `CsrRecorder`) that store both the cached reachability graph
-//! and the product game graphs derived from it, the O(edges) worklist
+//! and the product game graphs derived from it, the O(arcs) worklist
 //! attractor (`adversary_winning`), and the strategy-path extraction
 //! (`extract_strategy_path`).  The analysis pass that assembles the
 //! product game over the cached reachability graph of a start-restriction
@@ -27,71 +27,74 @@
 use cccounter::{Action, Schedule, ScheduledStep};
 use ccta::RuleId;
 
-/// One branch of a recorded action: the successor node and the index of
-/// the rule branch that reached it.  The rule itself is stored once per
-/// action ([`GameGraph::action_rules`]), so an edge is 8 bytes.
-#[derive(Clone, Copy)]
-pub(crate) struct Edge {
+/// One recorded transition: the successor node, the rule and the branch of
+/// the rule that reached it, and whether it opens its action (8 bytes).
+/// An action is a maximal run of a node's arcs that starts with a `first`
+/// arc, one arc per branch in branch order.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Arc {
     /// The successor node.
     pub(crate) to: u32,
-    /// The branch of the action's rule that leads to `to`.
-    pub(crate) branch: u32,
+    /// The rule of the arc's action.
+    pub(crate) rule: u16,
+    /// The branch of `rule` that leads to `to`.
+    pub(crate) branch: u8,
+    /// Whether this arc opens its action.
+    pub(crate) first: bool,
 }
 
 /// The scheduled step that fires branch `branch` of rule `rule`: the one
-/// place a recorded action and edge turn back into a [`ScheduledStep`],
-/// called only where a counterexample schedule is built.  Single-round
-/// graphs only record round-0 actions (the explorer asserts it).
-pub(crate) fn scheduled_step(rule: u32, branch: u32) -> ScheduledStep {
-    ScheduledStep::with_branch(Action::new(RuleId(rule as usize), 0), branch as usize)
+/// place a recorded arc turns back into a [`ScheduledStep`], called only
+/// where a counterexample schedule is built.  Single-round graphs only
+/// record round-0 actions (the explorer asserts it).
+pub(crate) fn scheduled_step(arc: &Arc) -> ScheduledStep {
+    ScheduledStep::with_branch(
+        Action::new(RuleId(usize::from(arc.rule)), 0),
+        usize::from(arc.branch),
+    )
+}
+
+/// The actions of a node's arcs, each as its run of arcs (never empty).
+pub(crate) fn actions(arcs: &[Arc]) -> impl Iterator<Item = &[Arc]> {
+    arcs.chunk_by(|_, next| !next.first)
 }
 
 /// An explored game (or reachability) graph in flat CSR form: every node
-/// owns a span of actions, every action owns its rule and a span of edges
-/// (one `(successor, branch)` per branch).  Nodes are expanded in
-/// discovery order, so all four arenas are append-only — no per-node or
-/// per-action `Vec` allocation.  A node span costs 8 bytes, an action 12
-/// (rule and edge span) and an edge 8.
+/// owns a span of arcs, its actions back to back in rule order.  Nodes are
+/// expanded in discovery order, so both arenas are append-only — no
+/// per-node or per-action `Vec` allocation.  A node span costs 8 bytes and
+/// an arc 8.
 ///
 /// `node_spans` is indexed by the store's node ids, which are dense; the
 /// array is grown on demand, and unexpanded nodes (terminal ones, or ids
-/// past the last expanded node) read back an empty span.  The graph-cache evaluation passes
-/// ([`crate::graph`]) reuse the same arenas, both for the cached
-/// reachability graph itself and for the product game graphs derived from
-/// it; a product action keeps the rule of the cached action it copies.
+/// past the last expanded node) read back an empty span.  The graph-cache
+/// evaluation passes ([`crate::graph`]) reuse the same arenas, both for the
+/// cached reachability graph itself and for the product game graphs
+/// derived from it; a product arc copies the cached arc with its successor
+/// remapped.
 #[derive(Default)]
 pub(crate) struct GameGraph {
-    /// Per node: `(start, end)` span into `action_rules`/`action_spans`.
+    /// Per node: `(start, end)` span into `arcs`.
     pub(crate) node_spans: Vec<(u32, u32)>,
-    /// Per action: the index of its rule.
-    pub(crate) action_rules: Vec<u32>,
-    /// Per action: `(start, end)` span into `edge_list`.
-    pub(crate) action_spans: Vec<(u32, u32)>,
-    /// All edges, back to back.
-    pub(crate) edge_list: Vec<Edge>,
+    /// All arcs, back to back.
+    pub(crate) arcs: Vec<Arc>,
 }
 
 impl GameGraph {
-    /// The actions of a node, as indices into the action arenas.
-    pub(crate) fn actions_of(&self, node: u32) -> std::ops::Range<usize> {
+    /// The arcs of a node.
+    pub(crate) fn arcs_of(&self, node: u32) -> &[Arc] {
         let (start, end) = self
             .node_spans
             .get(node as usize)
             .copied()
             .unwrap_or((0, 0));
-        start as usize..end as usize
+        &self.arcs[start as usize..end as usize]
     }
 
-    /// The edges of an action.
-    pub(crate) fn edges_of(&self, action: usize) -> &[Edge] {
-        let (start, end) = self.action_spans[action];
-        &self.edge_list[start as usize..end as usize]
-    }
-
-    /// Actions that some node's span references.  A re-recorded span (see
-    /// [`CsrRecorder`]) leaves its old runs behind, so this can fall short
+    /// Arcs that some node's span references.  A re-recorded span (see
+    /// [`CsrRecorder`]) leaves its old arcs behind, so this can fall short
     /// of the arena length.
-    pub(crate) fn live_actions(&self) -> usize {
+    pub(crate) fn live_arcs(&self) -> usize {
         self.node_spans
             .iter()
             .map(|&(start, end)| (end - start) as usize)
@@ -101,62 +104,59 @@ impl GameGraph {
     /// A dense copy holding the spans of `nodes`, laid out in that order,
     /// with only the actions `keep` accepts, given the node and the
     /// action's rule (each node's action order is preserved).  Unreferenced
-    /// runs and the spans of nodes outside `nodes` are not copied.  Returns
+    /// arcs and the spans of nodes outside `nodes` are not copied.  Returns
     /// the copy and the number of actions dropped.
     pub(crate) fn compacted(
         &self,
         nodes: impl IntoIterator<Item = u32>,
-        mut keep: impl FnMut(u32, u32) -> bool,
+        mut keep: impl FnMut(u32, u16) -> bool,
     ) -> (GameGraph, usize) {
         let mut compact = CsrRecorder::default();
         let mut dropped = 0;
         for node in nodes {
             compact.begin_node();
-            for a in self.actions_of(node) {
-                let rule = self.action_rules[a];
-                if !keep(node, rule) {
+            for run in actions(self.arcs_of(node)) {
+                if keep(node, run[0].rule) {
+                    compact.graph.arcs.extend_from_slice(run);
+                } else {
                     dropped += 1;
-                    continue;
                 }
-                compact.begin_action();
-                for &edge in self.edges_of(a) {
-                    compact.edge(edge.to, edge.branch);
-                }
-                compact.end_action(rule);
             }
             compact.end_node(node);
         }
         (compact.graph, dropped)
     }
 
-    /// Resident bytes of the CSR arenas (node spans, action rules and
-    /// spans, edges).
+    /// Resident bytes of the CSR arenas (node spans and arcs).
     pub(crate) fn resident_bytes(&self) -> usize {
         self.node_spans.len() * std::mem::size_of::<(u32, u32)>()
-            + self.action_rules.len() * std::mem::size_of::<u32>()
-            + self.action_spans.len() * std::mem::size_of::<(u32, u32)>()
-            + self.edge_list.len() * std::mem::size_of::<Edge>()
+            + self.arcs.len() * std::mem::size_of::<Arc>()
     }
 }
 
-/// Appends explored edges (or an analysis pass's product edges) to a
+/// Appends explored arcs (or an analysis pass's product arcs) to a
 /// [`GameGraph`]'s CSR arenas in discovery order.  Used by the explorer,
 /// which records every cache build and extension
 /// ([`crate::explorer::Explored`]), by the product game of
-/// [`crate::graph`] and by [`GameGraph::compacted`].
+/// [`crate::graph`] and by [`GameGraph::compacted`]; the last two copy
+/// whole recorded actions into `graph.arcs` between `begin_node` and
+/// `end_node`.
 ///
 /// The arenas are append-only, but a *node's* span may be re-recorded: a
 /// later `begin_node … end_node` bracket for an already-recorded node
-/// appends the fresh action/edge runs and repoints the node's span at them,
-/// leaving the old runs as unreferenced garbage.  This is the CSR append
-/// mode of the incremental sweep ([`CsrRecorder::resume`]): re-expanding a
-/// node whose guard set grew replaces its span with the full new action
-/// list, so readers never see a half-updated node.
+/// appends the fresh arcs and repoints the node's span at them, leaving the
+/// old arcs as unreferenced garbage.  This is the CSR append mode of the
+/// incremental sweep ([`CsrRecorder::resume`]): re-expanding a node whose
+/// guard set grew replaces its span with the full new action list, so
+/// readers never see a half-updated node.
 #[derive(Default)]
 pub(crate) struct CsrRecorder {
     pub(crate) graph: GameGraph,
-    actions_start: u32,
-    edges_start: u32,
+    arcs_start: u32,
+    /// The rule of the action being recorded.
+    rule: u16,
+    /// Whether the next arc opens the action being recorded.
+    first: bool,
 }
 
 impl CsrRecorder {
@@ -164,37 +164,40 @@ impl CsrRecorder {
     /// extension pass); a `Default` recorder starts a fresh graph.
     pub(crate) fn resume(graph: GameGraph) -> Self {
         CsrRecorder {
-            actions_start: graph.action_spans.len() as u32,
-            edges_start: graph.edge_list.len() as u32,
             graph,
+            ..CsrRecorder::default()
         }
     }
 
     pub(crate) fn begin_node(&mut self) {
-        self.actions_start = self.graph.action_spans.len() as u32;
+        self.arcs_start = self.graph.arcs.len() as u32;
     }
 
-    pub(crate) fn begin_action(&mut self) {
-        self.edges_start = self.graph.edge_list.len() as u32;
+    /// Opens an action of `rule`.  Every action must record at least one
+    /// arc: an action without arcs would vanish, and a node whose actions
+    /// all vanished would read as terminal.
+    pub(crate) fn begin_action(&mut self, rule: u16) {
+        debug_assert!(!self.first, "every recorded action has at least one arc");
+        self.rule = rule;
+        self.first = true;
     }
 
-    pub(crate) fn edge(&mut self, to: u32, branch: u32) {
-        self.graph.edge_list.push(Edge { to, branch });
-    }
-
-    pub(crate) fn end_action(&mut self, rule: u32) {
-        self.graph.action_rules.push(rule);
-        self.graph
-            .action_spans
-            .push((self.edges_start, self.graph.edge_list.len() as u32));
+    pub(crate) fn edge(&mut self, to: u32, branch: u8) {
+        self.graph.arcs.push(Arc {
+            to,
+            rule: self.rule,
+            branch,
+            first: self.first,
+        });
+        self.first = false;
     }
 
     pub(crate) fn end_node(&mut self, node: u32) {
+        debug_assert!(!self.first, "every recorded action has at least one arc");
         if self.graph.node_spans.len() <= node as usize {
             self.graph.node_spans.resize(node as usize + 1, (0, 0));
         }
-        self.graph.node_spans[node as usize] =
-            (self.actions_start, self.graph.action_spans.len() as u32);
+        self.graph.node_spans[node as usize] = (self.arcs_start, self.graph.arcs.len() as u32);
     }
 }
 
@@ -202,42 +205,48 @@ impl CsrRecorder {
 ///
 /// `winning[i] = true` iff the adversary can force all probabilistic
 /// resolutions from node `i` into a node of `seeds` (the states already
-/// losing for the coin).  Computed with a worklist in O(edges):
-/// `pending[a]` counts the not-yet-winning successors of action `a`; an
-/// action whose count reaches zero forces its node.  `id_bound` is an
-/// exclusive upper bound on the node ids appearing in the graph and the
-/// seeds.  The graph must never have re-recorded a span (a product graph
-/// never does), so every action belongs to exactly one node span.
+/// losing for the coin).  Computed with a worklist in O(arcs): actions are
+/// numbered in arc order, `pending[a]` counts the not-yet-winning
+/// successors of action `a`, and an action whose count reaches zero forces
+/// its node.  `id_bound` is an exclusive upper bound on the node ids
+/// appearing in the graph and the seeds.  The graph must never have
+/// re-recorded a span (a product graph never does), so every arc belongs
+/// to exactly one node span.
 pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u32>) -> Vec<bool> {
-    debug_assert_eq!(graph.live_actions(), graph.action_spans.len());
+    debug_assert_eq!(graph.live_arcs(), graph.arcs.len());
     let mut winning: Vec<bool> = vec![false; id_bound];
     let mut worklist = seeds;
     for &s in &worklist {
         winning[s as usize] = true;
     }
-    // each action's node, from the node spans in one pass
-    let mut owners: Vec<u32> = vec![0; graph.action_spans.len()];
-    for (node, &(start, end)) in graph.node_spans.iter().enumerate() {
-        owners[start as usize..end as usize].fill(node as u32);
-    }
-    // flat predecessor arena, one entry per edge (duplicates intended: an
+    // flat predecessor arena, one entry per arc (duplicates intended: an
     // action with two branches into the same successor must decrement
     // twice), built with a two-pass counting sort
     let mut pred_offsets: Vec<u32> = vec![0; id_bound + 1];
-    for edge in &graph.edge_list {
-        pred_offsets[edge.to as usize + 1] += 1;
+    let mut action_count = 0usize;
+    for arc in &graph.arcs {
+        pred_offsets[arc.to as usize + 1] += 1;
+        action_count += usize::from(arc.first);
     }
     for i in 0..id_bound {
         pred_offsets[i + 1] += pred_offsets[i];
     }
-    let mut pred_actions: Vec<u32> = vec![0; graph.edge_list.len()];
+    let mut pred_actions: Vec<u32> = vec![0; graph.arcs.len()];
     let mut fill = pred_offsets.clone();
-    let mut pending: Vec<u32> = Vec::with_capacity(graph.action_spans.len());
-    for (a, &(start, end)) in graph.action_spans.iter().enumerate() {
-        pending.push(end - start);
-        for edge in &graph.edge_list[start as usize..end as usize] {
-            let slot = &mut fill[edge.to as usize];
-            pred_actions[*slot as usize] = a as u32;
+    // per action, numbered in arc order: its node, and how many of its
+    // branches are not winning yet
+    let mut owners: Vec<u32> = Vec::with_capacity(action_count);
+    let mut pending: Vec<u32> = Vec::with_capacity(action_count);
+    for (node, &(start, end)) in graph.node_spans.iter().enumerate() {
+        for arc in &graph.arcs[start as usize..end as usize] {
+            if arc.first {
+                owners.push(node as u32);
+                pending.push(0);
+            }
+            let action = pending.len() - 1;
+            pending[action] += 1;
+            let slot = &mut fill[arc.to as usize];
+            pred_actions[*slot as usize] = action as u32;
             *slot += 1;
         }
     }
@@ -246,8 +255,6 @@ pub(crate) fn adversary_winning(graph: &GameGraph, id_bound: usize, seeds: Vec<u
         for &action in &pred_actions[span] {
             let count = &mut pending[action as usize];
             *count -= 1;
-            // an action with no branches never forces (empty spans start at
-            // zero and are never decremented)
             if *count == 0 {
                 let node = owners[action as usize] as usize;
                 if !winning[node] {
@@ -277,21 +284,20 @@ pub(crate) fn extract_strategy_path(
     let mut guard = 0usize;
     while bits_of(current) != all_bits && guard < node_count + 1 {
         guard += 1;
-        let Some(action) = graph.actions_of(current).find(|&a| {
-            let edges = graph.edges_of(a);
-            !edges.is_empty() && edges.iter().all(|e| winning[e.to as usize])
-        }) else {
+        let Some(run) =
+            actions(graph.arcs_of(current)).find(|run| run.iter().all(|a| winning[a.to as usize]))
+        else {
             break;
         };
-        let edge = graph.edges_of(action)[0];
-        steps.push(scheduled_step(graph.action_rules[action], edge.branch));
-        current = edge.to;
+        steps.push(scheduled_step(&run[0]));
+        current = run[0].to;
     }
     Schedule::from_steps(steps)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{actions, adversary_winning, Arc, CsrRecorder, GameGraph};
     use crate::fixtures;
     use crate::spec::{LocSet, Spec, StartRestriction};
     use crate::ExplicitChecker;
@@ -301,6 +307,46 @@ mod tests {
     fn sys() -> CounterSystem {
         let model = fixtures::voting_model().single_round().unwrap();
         CounterSystem::new(model, fixtures::small_params()).unwrap()
+    }
+
+    #[test]
+    fn an_arc_is_eight_bytes() {
+        // successor, rule, branch and the flag that opens an action
+        assert_eq!(std::mem::size_of::<Arc>(), 8);
+    }
+
+    /// Node 0 with a two-branch coin action of rule 3 (into nodes 1 and 2)
+    /// followed by a one-branch action of rule 5 (into node 3).
+    fn coin_then_dirac() -> GameGraph {
+        let mut rec = CsrRecorder::default();
+        rec.begin_node();
+        rec.begin_action(3);
+        rec.edge(1, 0);
+        rec.edge(2, 1);
+        rec.begin_action(5);
+        rec.edge(3, 0);
+        rec.end_node(0);
+        rec.graph
+    }
+
+    #[test]
+    fn a_coin_action_stays_one_action_and_forces_only_on_both_branches() {
+        let full = coin_then_dirac();
+        assert_eq!(actions(full.arcs_of(0)).count(), 2);
+        // the one-branch action forces its node alone
+        assert!(adversary_winning(&full, 4, vec![3])[0]);
+
+        let (coin, dropped) = full.compacted(0..4, |_, rule| rule != 5);
+        assert_eq!(dropped, 1, "compaction counts dropped actions");
+        let runs: Vec<Vec<(u32, u16, u8)>> = actions(coin.arcs_of(0))
+            .map(|run| run.iter().map(|a| (a.to, a.rule, a.branch)).collect())
+            .collect();
+        assert_eq!(runs, [vec![(1, 3, 0), (2, 3, 1)]]);
+        assert!(!adversary_winning(&coin, 4, vec![3])[0]);
+        // one winning branch leaves the coin a way out; both force the node
+        assert!(!adversary_winning(&coin, 4, vec![1])[0]);
+        assert!(!adversary_winning(&coin, 4, vec![2])[0]);
+        assert!(adversary_winning(&coin, 4, vec![1, 2])[0]);
     }
 
     #[test]

@@ -8,31 +8,30 @@
 //! [`Explorer`] interns every reachable configuration into the
 //! [`StateStore`] and records the full transition relation in the flat CSR
 //! arenas of [`GameGraph`].  Each obligation is then evaluated as an
-//! `O(states + edges)` analysis pass over the cached graph; this is the
-//! only way the engine answers a check:
+//! `O(states + transitions)` analysis pass over the cached graph; this is
+//! the only way the engine answers a check:
 //!
 //! * [`Spec::CoverNever`] / [`Spec::NeverFrom`] — a sticky monitor-bit
 //!   propagation fixpoint: a BFS over `(node, cumulative bits)` product
-//!   states that walks cached CSR edges instead of re-expanding rules.
-//!   The tracked [`LocSet`]s are precompiled to per-row byte masks
-//!   ([`LocSet::row_mask`]) so the per-node occupancy test is a branch-free
-//!   fold over the row.
+//!   states that walks cached CSR arcs instead of re-expanding rules.  It
+//!   keeps one byte per node, a bit per product state found, and tests a
+//!   node's occupancy once, against each tracked [`LocSet`]'s locations.
 //! * [`Spec::ExistsAvoidOneOf`] — the product game graph over
-//!   `(node, cumulative bits)` is assembled from the cached edges and
-//!   handed to the O(edges) worklist attractor ([`adversary_winning`]); the
+//!   `(node, cumulative bits)` is assembled from the cached arcs and
+//!   handed to the O(arcs) worklist attractor ([`adversary_winning`]); the
 //!   violating strategy path comes from [`extract_strategy_path`].
 //! * [`Spec::NonBlocking`] — a terminal/blocking scan: a cached node is
-//!   terminal iff its CSR action span is empty (a complete exploration
+//!   terminal iff its CSR arc span is empty (a complete exploration
 //!   expands every interned node).
 //!
-//! Counterexamples stay genuinely replayable.  A cached edge keeps only its
-//! successor and branch index, and its action keeps the rule, so a
-//! schedule step is rebuilt from the action's rule and the edge's branch
-//! (`game::scheduled_step`) only where a counterexample is built: monitored
-//! violations walk back the product-BFS parent chain, non-blocking
-//! violations walk back the first-discovery edges that the prefix walk of
+//! Counterexamples stay genuinely replayable.  A cached arc keeps its
+//! successor, its rule and its branch index, so a schedule step is rebuilt
+//! from the arc (`game::scheduled_step`) only where a counterexample is
+//! built: monitored violations rerun their search recording parents and
+//! walk the parent chain back, non-blocking violations walk back the
+//! first-discovery arcs that the prefix walk of
 //! [`ReachGraph::prefix_before`] meets, and game violations follow the
-//! winning strategy through product edges.  Along every reported path the
+//! winning strategy through product arcs.  Along every reported path the
 //! cumulative occupancy of the tracked sets first completes exactly at the
 //! final configuration, because a product state is checked for violation
 //! the moment it is first created.
@@ -43,7 +42,7 @@
 //! [`crate::reference`] runs for the same spec — the `engine_equivalence`,
 //! `random_differential` and `family_differential` suites compare them
 //! exactly.  The monitored and game passes count the product states and
-//! edges they visit, which is what a search over `(configuration, bits)`
+//! arcs they visit, which is what a search over `(configuration, bits)`
 //! states visits; a holding `NonBlocking` reports the whole graph.  A
 //! violated `NonBlocking` reports the prefix of the exploration a search
 //! stopping at the violating terminal had done: the start nodes, every
@@ -62,7 +61,7 @@ use crate::counterexample::Counterexample;
 use crate::explicit::CheckerOptions;
 use crate::explorer::{Exploration, Explored, Explorer};
 use crate::game::{
-    adversary_winning, extract_strategy_path, scheduled_step, CsrRecorder, Edge, GameGraph,
+    adversary_winning, extract_strategy_path, scheduled_step, Arc, CsrRecorder, GameGraph,
 };
 use crate::job::{InterruptKind, JobSignals};
 use crate::result::{CheckOutcome, CheckStatus};
@@ -74,8 +73,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-/// Sentinel for "product state not discovered yet" in the ordinal maps,
-/// and for "no parent" at the root of a parent chain.
+/// Sentinel for "product state not discovered yet" in the game's ordinal
+/// map, and for "no parent" at the root of a parent chain.
 const NO_ORD: u32 = u32::MAX;
 
 /// The compiled guard bounds of a counter system: one `(relation, bound)`
@@ -352,7 +351,7 @@ pub(crate) struct ReachGraph {
     /// Every node in BFS discovery order.
     discovery: Vec<u32>,
     /// Stored nodes the current bounds no longer reach (a prune left them
-    /// behind), in store order.  Their action spans are kept exact for the
+    /// behind), in store order.  Their arc spans are kept exact for the
     /// current bounds like every reachable node's: a later extension can
     /// reach them again, and it never re-expands a node it finds stored.
     dormant: Vec<u32>,
@@ -362,7 +361,7 @@ pub(crate) struct ReachGraph {
     transitions: usize,
     /// Why the build was inconclusive, if a resource budget tripped.
     bound: Option<&'static str>,
-    /// Memoised per-obligation verdicts over the current cached edges,
+    /// Memoised per-obligation verdicts over the current cached arcs,
     /// cleared by every mutation (extend, prune) and keyed by structural
     /// [`Spec`] equality (see the "Verdict memoization & lineage
     /// compaction" crate docs).  Only definite holds/violated outcomes are
@@ -512,11 +511,11 @@ impl ReachGraph {
             explored.discovery,
         );
         self.relink();
-        // each re-expanded seed left its old action run unreferenced; once
-        // those outnumber the live actions, copy the live ones out, so a run
-        // of extensions never holds more than twice the live action arena
-        let live = self.graph.live_actions();
-        if self.graph.action_spans.len() - live > live {
+        // each re-expanded seed left its old arcs unreferenced; once those
+        // outnumber the live arcs, copy the live ones out, so a run of
+        // extensions never holds more than twice the live arc arena
+        let live = self.graph.live_arcs();
+        if self.graph.arcs.len() - live > live {
             let nodes = self.discovery.iter().chain(&self.dormant).copied();
             self.graph = self.graph.compacted(nodes, |_, _| true).0;
         }
@@ -556,11 +555,9 @@ impl ReachGraph {
         // pruned too, which keeps their spans exact for a later extension.
         let nodes = self.discovery.iter().chain(&self.dormant).copied();
         let (graph, cut) = self.graph.compacted(nodes, |node, rule| {
-            !is_changed[rule as usize]
-                || sys.rule_guard_holds_bytes(
-                    RuleId(rule as usize),
-                    &store.row(node)[num_locations..],
-                )
+            let rule = usize::from(rule);
+            !is_changed[rule]
+                || sys.rule_guard_holds_bytes(RuleId(rule), &store.row(node)[num_locations..])
         });
         self.graph = graph;
         self.relink();
@@ -569,11 +566,11 @@ impl ReachGraph {
     }
 
     /// Re-derives the BFS discovery order and the state/transition counts
-    /// by replaying a breadth-first search over the final cached CSR edges
+    /// by replaying a breadth-first search over the final cached CSR arcs
     /// from the start nodes.  Walking nodes in FIFO discovery order and each
-    /// node's actions and branches in CSR order reproduces *exactly* the
-    /// sequence in which a from-scratch explorer run at the new valuation
-    /// would have discovered states and enumerated candidates — so every
+    /// node's arcs (its actions and branches) in CSR order reproduces
+    /// *exactly* the sequence in which a from-scratch explorer run at the
+    /// new valuation would have discovered states and enumerated candidates — so every
     /// order-sensitive consumer (the non-blocking terminal scan and its
     /// prefix walk, the reported counts) behaves bit-identically to a fresh
     /// build.
@@ -591,13 +588,11 @@ impl ReachGraph {
         while cursor < discovery.len() {
             let node = discovery[cursor];
             cursor += 1;
-            for a in self.graph.actions_of(node) {
-                for edge in self.graph.edges_of(a) {
-                    transitions += 1;
-                    if !seen[edge.to as usize] {
-                        seen[edge.to as usize] = true;
-                        discovery.push(edge.to);
-                    }
+            for arc in self.graph.arcs_of(node) {
+                transitions += 1;
+                if !seen[arc.to as usize] {
+                    seen[arc.to as usize] = true;
+                    discovery.push(arc.to);
                 }
             }
         }
@@ -635,7 +630,7 @@ impl ReachGraph {
     }
 
     /// Evaluates one obligation through the per-graph verdict memo: an
-    /// obligation already answered on these cached edges returns its
+    /// obligation already answered on these cached arcs returns its
     /// stored outcome without running any analysis pass.  The memo is keyed
     /// by structural [`Spec`] equality and cleared by every graph mutation
     /// (extend, prune), so a hit can only serve a byte-identical graph —
@@ -680,7 +675,7 @@ impl ReachGraph {
     ///
     /// The passes poll the *fast* job signals (cancellation/deadline) every
     /// ~1k product transitions; the job-level state/transition budgets do
-    /// not apply here — an analysis pass re-walks cached edges rather than
+    /// not apply here — an analysis pass re-walks cached arcs rather than
     /// exploring new ones (see the "Job lifecycle & fault model" crate
     /// docs).  An interrupted pass reports an `interrupted: …` outcome and
     /// is redone from scratch on resume, which is bit-identical because the
@@ -737,32 +732,33 @@ impl ReachGraph {
         }
     }
 
-    /// Monitor bits per cached node, computed in one pass over the row
-    /// arena with the sets precompiled to branch-free byte masks.
+    /// Monitor bits per cached node: bit `i` is set iff some location of
+    /// `sets[i]` is occupied in the node's row (a row's location prefix is
+    /// indexed by `LocId`).
     fn occupancy(&self, sets: &[LocSet]) -> Vec<u8> {
-        let stride = self.store.stride();
-        let masks: Vec<Vec<u8>> = sets.iter().map(|s| s.row_mask(stride)).collect();
-        let mut occ = vec![0u8; self.store.len()];
-        for id in self.store.ids() {
-            let row = self.store.row(id);
-            let mut bits = 0u8;
-            for (i, mask) in masks.iter().enumerate() {
-                let mut acc = 0u8;
-                for (r, m) in row.iter().zip(mask.iter()) {
-                    acc |= r & m;
-                }
-                bits |= u8::from(acc != 0) << i;
-            }
-            occ[id as usize] = bits;
-        }
-        occ
+        self.store
+            .ids()
+            .map(|id| {
+                let row = self.store.row(id);
+                sets.iter().enumerate().fold(0u8, |bits, (i, set)| {
+                    bits | u8::from(set.locs().iter().any(|l| row[l.0] != 0)) << i
+                })
+            })
+            .collect()
     }
 
     /// The sticky monitor-bit propagation fixpoint: a BFS over
-    /// `(node, cumulative bits)` product states walking cached edges,
+    /// `(node, cumulative bits)` product states walking cached arcs,
     /// firing a violation the first time a product state covers
     /// `violation_bits` — exactly when a monitored search over
     /// `(configuration, bits)` states fires on its fresh state.
+    ///
+    /// The search keeps one byte per node: bit `b` of `seen[node]` marks
+    /// product state `(node, b)` found, which holds the two sets a
+    /// monitored spec tracks at most.  Only a violation needs a path, so it
+    /// reruns the same search with parent recording on.  The search is
+    /// deterministic, so the rerun stops at the same product state with the
+    /// same counts, and its parent chain walks back into the schedule.
     #[allow(clippy::too_many_arguments)]
     fn check_monitored(
         &self,
@@ -774,47 +770,45 @@ impl ReachGraph {
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> CheckOutcome {
+        debug_assert!(sets.len() <= 2, "one byte per node holds two sets' bits");
         let occ = self.occupancy(sets);
-        let num_vals = 1usize << sets.len();
-        let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
-        // product slot -> discovery ordinal into `parents`
-        let mut ordinal = vec![NO_ORD; self.store.len() * num_vals];
-        // per discovered product state: (parent node, parent bits, rule,
-        // branch) of the edge that discovered it
-        let mut parents: Vec<(u32, u8, u32, u32)> = Vec::new();
-        let mut queue: VecDeque<(u32, u8)> = VecDeque::new();
-        let mut states = 0usize;
-        let mut transitions = 0usize;
-
-        let root = (NO_ORD, 0u8, 0, 0);
-        for &start in &self.start_ids {
-            let bits = occ[start as usize];
-            ordinal[slot(start, bits)] = parents.len() as u32;
-            parents.push(root);
-            states += 1;
-            if states > options.max_states {
-                return CheckOutcome::unknown(states - 1, transitions, "state bound exhausted");
+        // on the rerun, per product state in discovery order: the entry of
+        // the state it was found from (`NO_ORD` for a start) and the arc
+        // that found it (a start's entry only names the start node)
+        let mut parents: Option<Vec<(u32, Arc)>> = None;
+        loop {
+            let mut seen = vec![0u8; self.store.len()];
+            let mut queue: VecDeque<(u32, u8)> = VecDeque::new();
+            let (mut states, mut transitions) = (0usize, 0usize);
+            let mut violated = false;
+            for &start in &self.start_ids {
+                let bits = occ[start as usize];
+                seen[start as usize] |= 1 << bits;
+                states += 1;
+                if states > options.max_states {
+                    return CheckOutcome::unknown(states - 1, transitions, "state bound exhausted");
+                }
+                if let Some(parents) = &mut parents {
+                    let root = Arc {
+                        to: start,
+                        ..Arc::default()
+                    };
+                    parents.push((NO_ORD, root));
+                }
+                if bits & violation_bits == violation_bits {
+                    violated = true;
+                    break;
+                }
+                queue.push_back((start, bits));
             }
-            if bits & violation_bits == violation_bits {
-                return self.monitored_violation(
-                    spec_name,
-                    sys,
-                    &ordinal,
-                    &parents,
-                    num_vals,
-                    (start, bits),
-                    states,
-                    transitions,
-                    explanation,
-                );
-            }
-            queue.push_back((start, bits));
-        }
-
-        while let Some((node, bits)) = queue.pop_front() {
-            for a in self.graph.actions_of(node) {
-                let rule = self.graph.action_rules[a];
-                for &Edge { to: succ, branch } in self.graph.edges_of(a) {
+            // the entry of the product state being expanded: the queue pops
+            // states in the order they were found
+            let mut expanded = 0u32;
+            'search: while !violated {
+                let Some((node, bits)) = queue.pop_front() else {
+                    break;
+                };
+                for &arc in self.graph.arcs_of(node) {
                     transitions += 1;
                     if transitions & 0x3FF == 0 {
                         if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
@@ -828,13 +822,12 @@ impl ReachGraph {
                             "transition bound exhausted",
                         );
                     }
-                    let new_bits = bits | occ[succ as usize];
-                    let s = slot(succ, new_bits);
-                    if ordinal[s] != NO_ORD {
+                    let new_bits = bits | occ[arc.to as usize];
+                    let found = 1u8 << new_bits;
+                    if seen[arc.to as usize] & found != 0 {
                         continue;
                     }
-                    ordinal[s] = parents.len() as u32;
-                    parents.push((node, bits, rule, branch));
+                    seen[arc.to as usize] |= found;
                     states += 1;
                     if states > options.max_states {
                         return CheckOutcome::unknown(
@@ -843,66 +836,45 @@ impl ReachGraph {
                             "state bound exhausted",
                         );
                     }
-                    if new_bits & violation_bits == violation_bits {
-                        return self.monitored_violation(
-                            spec_name,
-                            sys,
-                            &ordinal,
-                            &parents,
-                            num_vals,
-                            (succ, new_bits),
-                            states,
-                            transitions,
-                            explanation,
-                        );
+                    if let Some(parents) = &mut parents {
+                        parents.push((expanded, arc));
                     }
-                    queue.push_back((succ, new_bits));
+                    if new_bits & violation_bits == violation_bits {
+                        violated = true;
+                        break 'search;
+                    }
+                    queue.push_back((arc.to, new_bits));
                 }
+                expanded += 1;
             }
-        }
-        CheckOutcome::holds(states, transitions)
-    }
-
-    /// Reconstructs the violating schedule from the product-BFS parent
-    /// chain; every step is a real cached edge, so the schedule replays.
-    #[allow(clippy::too_many_arguments)]
-    fn monitored_violation(
-        &self,
-        spec_name: &str,
-        sys: &CounterSystem,
-        ordinal: &[u32],
-        parents: &[(u32, u8, u32, u32)],
-        num_vals: usize,
-        target: (u32, u8),
-        states: usize,
-        transitions: usize,
-        explanation: String,
-    ) -> CheckOutcome {
-        let mut steps = Vec::new();
-        let (mut node, mut bits) = target;
-        loop {
-            let ord = ordinal[node as usize * num_vals + bits as usize] as usize;
-            let (pnode, pbits, rule, branch) = parents[ord];
-            if pnode == NO_ORD {
-                break;
+            if !violated {
+                return CheckOutcome::holds(states, transitions);
             }
-            steps.push(scheduled_step(rule, branch));
-            node = pnode;
-            bits = pbits;
+            let Some(parents) = parents else {
+                parents = Some(Vec::new());
+                continue;
+            };
+            // every step is a real cached arc, so the schedule replays
+            let mut steps = Vec::new();
+            let mut entry = parents.len() - 1;
+            while parents[entry].0 != NO_ORD {
+                steps.push(scheduled_step(&parents[entry].1));
+                entry = parents[entry].0 as usize;
+            }
+            steps.reverse();
+            let ce = Counterexample {
+                spec: spec_name.to_string(),
+                params: sys.params().clone(),
+                initial: self.store.decode(parents[entry].1.to),
+                schedule: Schedule::from_steps(steps),
+                explanation,
+            };
+            return CheckOutcome::violated(states, transitions, ce);
         }
-        steps.reverse();
-        let ce = Counterexample {
-            spec: spec_name.to_string(),
-            params: sys.params().clone(),
-            initial: self.store.decode(node),
-            schedule: Schedule::from_steps(steps),
-            explanation,
-        };
-        CheckOutcome::violated(states, transitions, ce)
     }
 
     /// The `∀ adversary ∃ path` conditions: assemble the
-    /// `(node, cumulative bits)` product game graph from cached edges, then
+    /// `(node, cumulative bits)` product game graph from cached arcs, then
     /// run the worklist attractor and strategy extraction.  The product
     /// leaves nodes already losing for the coin unexpanded, like a forward
     /// game search over `(configuration, bits)` states, so a complete pass
@@ -959,43 +931,43 @@ impl ReachGraph {
                 // already losing for the coin: not expanded
                 continue;
             }
-            let actions = self.graph.actions_of(node);
-            if actions.is_empty() {
+            let arcs = self.graph.arcs_of(node);
+            if arcs.is_empty() {
                 continue;
             }
             csr.begin_node();
-            for a in actions {
-                csr.begin_action();
-                for &Edge { to: succ, branch } in self.graph.edges_of(a) {
-                    transitions += 1;
-                    if transitions & 0x3FF == 0 {
-                        if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
-                            return CheckOutcome::interrupted(pnodes.len(), transitions, kind);
-                        }
+            for &arc in arcs {
+                transitions += 1;
+                if transitions & 0x3FF == 0 {
+                    if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
+                        return CheckOutcome::interrupted(pnodes.len(), transitions, kind);
                     }
-                    if transitions > options.max_transitions {
+                }
+                if transitions > options.max_transitions {
+                    return CheckOutcome::unknown(
+                        pnodes.len(),
+                        transitions,
+                        "transition bound exhausted",
+                    );
+                }
+                let new_bits = bits | occ[arc.to as usize];
+                let s = slot(arc.to, new_bits);
+                if ordinal[s] == NO_ORD {
+                    ordinal[s] = pnodes.len() as u32;
+                    pnodes.push((arc.to, new_bits));
+                    if pnodes.len() > options.max_states {
                         return CheckOutcome::unknown(
-                            pnodes.len(),
+                            pnodes.len() - 1,
                             transitions,
-                            "transition bound exhausted",
+                            "state bound exhausted",
                         );
                     }
-                    let new_bits = bits | occ[succ as usize];
-                    let s = slot(succ, new_bits);
-                    if ordinal[s] == NO_ORD {
-                        ordinal[s] = pnodes.len() as u32;
-                        pnodes.push((succ, new_bits));
-                        if pnodes.len() > options.max_states {
-                            return CheckOutcome::unknown(
-                                pnodes.len() - 1,
-                                transitions,
-                                "state bound exhausted",
-                            );
-                        }
-                    }
-                    csr.edge(ordinal[s], branch);
                 }
-                csr.end_action(self.graph.action_rules[a]);
+                // the product arc copies the cached one, successor remapped
+                csr.graph.arcs.push(Arc {
+                    to: ordinal[s],
+                    ..arc
+                });
             }
             csr.end_node(pid);
         }
@@ -1036,7 +1008,7 @@ impl ReachGraph {
     }
 
     /// The Theorem-2 side condition: progress-graph acyclicity plus a scan
-    /// of the cached terminal nodes (empty CSR action span) for automata
+    /// of the cached terminal nodes (empty CSR arc span) for automata
     /// stranded outside the border-copy sinks.  A positive verdict reports
     /// the whole graph; a violation reports the exploration done before
     /// the violating terminal and the path to it (see
@@ -1074,7 +1046,7 @@ impl ReachGraph {
                     return CheckOutcome::interrupted(self.states, self.transitions, kind);
                 }
             }
-            if !self.graph.actions_of(id).is_empty() {
+            if !self.graph.arcs_of(id).is_empty() {
                 continue;
             }
             if let Some(loc) = blocked_location_in_row(sys, self.store.row(id)) {
@@ -1100,42 +1072,39 @@ impl ReachGraph {
     /// discovered, and those nodes' edges) and the start configuration and
     /// schedule that reach `discovery[k]` along first-discovery edges.
     ///
-    /// Walking nodes in discovery order, and each node's edges in CSR order,
-    /// meets every node first through the edge by which a from-scratch
+    /// Walking nodes in discovery order, and each node's arcs in CSR order,
+    /// meets every node first through the arc by which a from-scratch
     /// exploration discovered it — the search that recorded a fresh build
     /// enumerated successors in exactly this order, and an extended or
     /// pruned graph's relinked discovery order is a fresh build's.  So
     /// fresh, extended and pruned graphs report the same path.
     fn prefix_before(&self, k: usize) -> (usize, usize, Configuration, Schedule) {
         let mut seen = vec![false; self.store.len()];
-        // per node: (parent node, rule, branch) of its first-discovery edge,
-        // or a `NO_ORD` parent for the start nodes and unseen ones
-        let mut parent: Vec<(u32, u32, u32)> = vec![(NO_ORD, 0, 0); seen.len()];
+        // per node: the parent node and its first-discovery arc, or a
+        // `NO_ORD` parent for the start nodes and unseen ones
+        let mut parent: Vec<(u32, Arc)> = vec![(NO_ORD, Arc::default()); seen.len()];
         for &start in &self.start_ids {
             seen[start as usize] = true;
         }
         let (mut states, mut transitions) = (self.start_ids.len(), 0);
         for &node in &self.discovery[..k] {
-            for a in self.graph.actions_of(node) {
-                let rule = self.graph.action_rules[a];
-                for &Edge { to, branch } in self.graph.edges_of(a) {
-                    transitions += 1;
-                    if !seen[to as usize] {
-                        seen[to as usize] = true;
-                        parent[to as usize] = (node, rule, branch);
-                        states += 1;
-                    }
+            for &arc in self.graph.arcs_of(node) {
+                transitions += 1;
+                if !seen[arc.to as usize] {
+                    seen[arc.to as usize] = true;
+                    parent[arc.to as usize] = (node, arc);
+                    states += 1;
                 }
             }
         }
         let mut steps = Vec::new();
         let mut current = self.discovery[k];
         loop {
-            let (from, rule, branch) = parent[current as usize];
+            let (from, arc) = parent[current as usize];
             if from == NO_ORD {
                 break;
             }
-            steps.push(scheduled_step(rule, branch));
+            steps.push(scheduled_step(&arc));
             current = from;
         }
         steps.reverse();
@@ -1437,8 +1406,8 @@ mod tests {
         // Claim every guarded rule was disabled at the previous bounds: each
         // stored row where one fires is then a seed, and its re-expansion
         // repeats its span exactly.  The reachable set cannot grow, so every
-        // extension only leaves the seeds' old action runs unreferenced,
-        // until they outnumber the live ones and the arenas get compacted.
+        // extension only leaves the seeds' old arcs unreferenced, until
+        // they outnumber the live ones and the arenas get compacted.
         let model = crate::fixtures::voting_model().single_round().unwrap();
         let sys = CounterSystem::new(model, ccta::ParamValuation::new(vec![5, 1, 1, 1])).unwrap();
         let options = CheckerOptions::default();
@@ -1469,12 +1438,12 @@ mod tests {
                 .unwrap_or_else(|()| panic!("an unbounded extension completes"));
             graph = extended;
             assert!(seeds > 0);
-            let (spans, live) = (graph.graph.action_spans.len(), graph.graph.live_actions());
-            assert!(spans - live <= live, "{spans} spans, {live} live");
-            compacted |= spans == live;
+            let (arcs, live) = (graph.graph.arcs.len(), graph.graph.live_arcs());
+            assert!(arcs - live <= live, "{arcs} arcs, {live} live");
+            compacted |= arcs == live;
         }
         assert!(compacted, "some extension must have compacted the arenas");
-        assert_eq!(graph.graph.live_actions(), fresh.graph.action_spans.len());
+        assert_eq!(graph.graph.live_arcs(), fresh.graph.arcs.len());
         assert_eq!(graph.states(), fresh.states());
         assert_eq!(graph.transitions(), fresh.transitions());
         let spec = Spec::NonBlocking {

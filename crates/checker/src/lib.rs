@@ -77,24 +77,26 @@
 //!   configuration and records the
 //!   full transition relation in flat CSR arenas ([`game`]'s
 //!   `GameGraph`).  Every obligation of the group is then an
-//!   `O(states + edges)` analysis pass:
-//!   a sticky monitor-bit product BFS for `CoverNever`/`NeverFrom` (tracked
-//!   location sets precompiled to per-row byte masks), the product game
+//!   `O(states + transitions)` analysis pass:
+//!   a sticky monitor-bit product BFS for `CoverNever`/`NeverFrom` (one
+//!   byte per node, a bit per product state found), the product game
 //!   plus the worklist attractor for `ExistsAvoidOneOf`, and a
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
-//!   reconstructed from cached edges and remain genuinely replayable.
+//!   reconstructed from cached arcs and remain genuinely replayable.
 //! * **Memory model.**  A cached graph holds the deduplicated
 //!   [`store::StateStore`] rows plus the CSR arenas of the group's full
-//!   transition relation: 8 bytes per node span, 12 per action (its rule
-//!   and its edge span) and 8 per edge (successor and branch index).  A
-//!   schedule step is rebuilt from an action's rule and an edge's branch
-//!   only where a counterexample is built.  Graphs live as long as their
-//!   checker (one `check_all` call, or one valuation batch of a sweep).
-//!   The monitored analysis passes allocate O(states × 2^sets) product
-//!   bookkeeping transiently per obligation.
+//!   transition relation: 8 bytes per node span and one 8-byte arc per
+//!   transition (successor, rule, branch index, and whether the arc opens
+//!   its action).  A schedule step is rebuilt from an arc only where a
+//!   counterexample is built.  Graphs live as long as their checker (one
+//!   `check_all` call, or one valuation batch of a sweep).  A monitored
+//!   pass allocates one byte per node (plus its queue) transiently; only
+//!   a violation reruns it recording parents, 12 bytes per product state
+//!   it finds.  A game pass allocates O(states × 2^sets) product
+//!   bookkeeping.
 //! * **Reported counts.**  Each pass reports the state and transition
 //!   counts of [`mod@reference`]'s search for the same spec: the monitored
-//!   and game passes count the `(node, bits)` product states and edges
+//!   and game passes count the `(node, bits)` product states and arcs
 //!   they visit, a holding `NonBlocking` reports the whole graph, and a
 //!   violated one reports the exploration done before its violating
 //!   terminal.
@@ -136,11 +138,11 @@
 //!   new action list — and fresh successors continue the ordinary
 //!   level-synchronous BFS, appending to the [`store::StateStore`] and the
 //!   CSR arenas in place.  A final *relink* pass replays a BFS over the
-//!   final cached edges, re-deriving the discovery order and the
+//!   final cached arcs, re-deriving the discovery order and the
 //!   state/transition counts exactly as a from-scratch build at `v'` would
 //!   have produced them.  The CSR graph is the only record of how states
-//!   connect: a blocked terminal's path follows the first edge into each
-//!   node in that discovery order, which is the edge a fresh build first
+//!   connect: a blocked terminal's path follows the first arc into each
+//!   node in that discovery order, which is the arc a fresh build first
 //!   found it by.  So verdicts, counts and counterexample schedules are
 //!   **bit-identical** to a fresh sweep (pinned by `random_differential`'s
 //!   incremental axis, the extended-graph half of `counterexample_replay`
@@ -185,9 +187,9 @@
 //!   subset of the stored one (every changed bound strengthens, and counter
 //!   systems are monotone in their guard bounds: a row's guard valuation
 //!   depends only on the row).  Instead of a full rebuild, the stored graph
-//!   is pruned *in place*: every stored edge whose rule had a bound change
-//!   is re-validated against the tightened bounds on its source row, dead
-//!   actions are compacted out of the CSR arenas, and the same *relink*
+//!   is pruned *in place*: every stored action whose rule had a bound
+//!   change is re-validated against the tightened bounds on its source
+//!   row, dead actions are compacted out of the CSR arenas, and the same *relink*
 //!   BFS as the extension path re-derives discovery order and counts — so
 //!   a pruned graph is **bit-identical** to a fresh build at the tightened
 //!   valuation (pinned by `random_differential`'s incremental-vs-fresh
@@ -199,7 +201,7 @@
 //!   passes always re-walk the pruned graph.
 //!   Rows the tightened bounds no longer reach stay stored, and are pruned
 //!   along with the reachable ones, so a later extension that reaches them
-//!   again finds their edges exact.
+//!   again finds their arcs exact.
 //!
 //! Neither mechanism ever changes a verdict, a count or a counterexample:
 //! `random_differential` pins incremental sweeps (which prune and hit the
@@ -215,10 +217,11 @@
 //!
 //! The persistent memory of a check is its cached graphs: the deduplicated
 //! [`store::StateStore`] (one contiguous row arena, one hash per node and
-//! one open-addressing index) and the CSR arenas (8 bytes per node span, 12
-//! per action, 8 per edge).  The explorer interns each successor as it is
-//! generated, so an exploration buffers nothing beyond its frontier, and a
-//! budget bound stops it at the exact transition or state that tripped it.
+//! one open-addressing index) and the CSR arenas (8 bytes per node span and
+//! 8 per arc, one arc per transition).  The explorer interns each successor
+//! as it is generated, so an exploration buffers nothing beyond its
+//! frontier, and a budget bound stops it at the exact transition or state
+//! that tripped it.
 //!
 //! # Thread knob precedence
 //!
@@ -265,7 +268,7 @@
 //!   call) and the resident-byte cap are inherently timing/allocator
 //!   dependent — their trip point varies, but resuming still reproduces
 //!   the uninterrupted results exactly.  Analysis passes over a cached
-//!   graph re-walk existing edges and are exempt from the job
+//!   graph re-walk existing arcs and are exempt from the job
 //!   state/transition caps (they honour cancellation and the deadline).
 //!   Resuming with the *same* exhausted cap re-trips at the next boundary
 //!   without progress; resume with a larger budget.  In a sweep,

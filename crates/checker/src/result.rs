@@ -195,9 +195,10 @@ pub struct GroupCacheRecord {
     pub memo_hits: usize,
     /// Obligations that ran a real analysis pass on this graph.
     pub memo_misses: usize,
-    /// Resident bytes of the cached graph (deduplicated rows and their
-    /// hashes + index + CSR arenas + start, discovery and dormant node
-    /// lists).
+    /// Resident bytes of the cached graph: deduplicated rows and their
+    /// hashes, the index, the CSR arenas (8 bytes per node span and per
+    /// arc, one arc per transition) and the start, discovery and dormant
+    /// node lists.
     pub resident_bytes: usize,
 }
 

@@ -74,21 +74,6 @@ impl LocSet {
         self.locs.iter().any(|&l| cfg.counter(l, 0) > 0)
     }
 
-    /// The set compiled to a byte mask over a packed state row of the given
-    /// stride (the location prefix of a row is indexed directly by `LocId`):
-    /// `mask[i] == 0xFF` iff location `i` belongs to the set.  Occupancy of
-    /// the set on a row is then the branch-free fold
-    /// `OR_i (row[i] & mask[i]) != 0`, which is how the graph-cache analysis
-    /// passes test thousands of rows per tracked set without re-walking the
-    /// location list (see [`crate::explicit::ExplicitChecker::check_all`]).
-    pub fn row_mask(&self, stride: usize) -> Vec<u8> {
-        let mut mask = vec![0u8; stride];
-        for l in &self.locs {
-            mask[l.0] = 0xFF;
-        }
-        mask
-    }
-
     /// Number of automata occupying the set in round 0.
     pub fn occupancy(&self, cfg: &Configuration) -> u64 {
         self.locs.iter().map(|&l| cfg.counter(l, 0)).sum()

@@ -2,7 +2,7 @@
 
 use crate::obligations::obligations_for;
 use crate::verifier::{PropertyResult, ProtocolVerification};
-use ccchecker::{max_schema_count, milestones, schema_count, CheckStatus};
+use ccchecker::{max_schema_count, milestones, CheckStatus};
 use ccprotocols::ProtocolModel;
 use ccta::SystemModel;
 use std::fmt::Write as _;
@@ -143,18 +143,6 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
     out
 }
 
-/// Convenience: the schema count of a single named obligation of a protocol
-/// (used by benchmarks).
-pub fn obligation_schema_count(protocol: &ProtocolModel, obligation: &str) -> Option<u128> {
-    let single_round = protocol.single_round();
-    let obligations = obligations_for(protocol, &single_round);
-    obligations
-        .all()
-        .into_iter()
-        .find(|s| s.name() == obligation)
-        .map(|s| schema_count(&single_round, s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,12 +194,5 @@ mod tests {
         let rendered = render_table4(&rows);
         assert!(rendered.contains("ABY22-4"));
         assert!(rendered.contains("max-nschemas"));
-    }
-
-    #[test]
-    fn obligation_schema_count_finds_named_obligations() {
-        let p = fixed::aby22();
-        assert!(obligation_schema_count(&p, "CB0").unwrap() > 0);
-        assert!(obligation_schema_count(&p, "nonexistent").is_none());
     }
 }

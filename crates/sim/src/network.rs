@@ -60,11 +60,6 @@ impl Network {
         Some(self.deliver_at(idx))
     }
 
-    /// Whether some in-flight message matches the predicate.
-    pub fn has_matching(&self, mut pred: impl FnMut(&Message) -> bool) -> bool {
-        self.inflight.iter().any(&mut pred)
-    }
-
     /// Drops every in-flight message addressed to the given process (used for
     /// messages addressed to Byzantine processes, whose behaviour is chosen
     /// by the adversary anyway).
@@ -97,7 +92,7 @@ mod tests {
         assert_eq!(delivered.to, ProcessId(2));
         assert_eq!(net.len(), 2);
         assert_eq!(net.delivered_count(), 1);
-        assert!(net.has_matching(|m| m.to == ProcessId(1)));
+        assert!(net.inflight().iter().any(|m| m.to == ProcessId(1)));
         assert!(net.deliver_matching(|m| m.to == ProcessId(9)).is_none());
     }
 
