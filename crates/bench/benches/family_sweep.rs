@@ -7,10 +7,10 @@
 //! and saturated guard densities, Byzantine and crash-stop fault models)
 //! instantiated at fixed seeds, each swept over its generated
 //! guard-adjacent valuation grid with the full obligation catalogue.  For
-//! every family point the bench reports wall-clock time *and* the
-//! steady-state lever effectiveness on that workload — cache hit rate,
-//! lineage reuse rate, memo hit rate and the overall amortization factor —
-//! as scalar metrics next to the timing entries.
+//! every family point the bench reports wall-clock time *and* how much
+//! work the lineage and the verdict memo carry on that workload — cache
+//! hit rate, lineage reuse rate, memo hit rate and the overall
+//! amortization factor — as scalar metrics next to the timing entries.
 //!
 //! Run with `BENCH_JSON=$PWD/BENCH_family.json cargo bench -p ccbench
 //! --bench family_sweep` from the repository root to capture the
@@ -23,8 +23,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// The family parameter points of the bench axis.  All points use
 /// resilience 2, whose generated sweep walks a relax step, an identical
-/// step and a tighten step — the grid the incremental levers are built
-/// for.
+/// step and a tighten step — the grid the lineage's extend, prune and
+/// reuse steps are built for.
 fn family_points() -> Vec<(&'static str, FamilyParams)> {
     let base = FamilyParams::default();
     vec![
@@ -130,9 +130,9 @@ fn bench_family_sweep(c: &mut Criterion) {
         group.finish();
     }
 
-    // one instrumented pass per family point for the lever-effectiveness
-    // metrics (`metric()` is an extension of the in-tree criterion shim)
-    println!("\nper-family-point lever effectiveness over the generated grid:");
+    // one instrumented pass per family point for the lineage metrics
+    // (`metric()` is an extension of the in-tree criterion shim)
+    println!("\nper-family-point lineage effectiveness over the generated grid:");
     for (label, params) in family_points() {
         let (fam, specs) = workload(&params, seed);
         let (_, stats) = check_over_sweep_with_stats(

@@ -219,7 +219,7 @@ fn main() {
     );
     println!("  {lineage_stats}");
     println!(
-        "  levers:        memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
+        "  lineage:       memo {} hit(s) / {} miss(es); {} group(s) pruned in place \
          ({} action(s) cut) vs {} rebuilt",
         lineage_stats.memo_hits(),
         lineage_stats.memo_misses(),

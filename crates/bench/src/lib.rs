@@ -19,16 +19,6 @@ pub fn bench_config() -> VerifierConfig {
     VerifierConfig::quick()
 }
 
-/// Verifies one benchmark protocol by name with the bench configuration.
-///
-/// # Panics
-///
-/// Panics if the protocol does not exist.
-pub fn verify_named(name: &str) -> ProtocolVerification {
-    let protocol = protocol_by_name(name).expect("benchmark protocol");
-    verify_protocol(&protocol, &bench_config())
-}
-
 /// Parses the value of a CLI flag as a positive integer, exiting with the
 /// conventional usage-error status when it is missing or malformed.
 /// Shared by the `table2` / `profile_engine` flag loops.
@@ -49,11 +39,5 @@ mod tests {
     #[test]
     fn bench_config_is_small() {
         assert!(bench_config().max_processes <= 4);
-    }
-
-    #[test]
-    fn verify_named_runs_a_small_protocol() {
-        let result = verify_named("Rabin83");
-        assert!(result.agreement.holds());
     }
 }

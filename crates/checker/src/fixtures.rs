@@ -1,6 +1,9 @@
-//! Small models used by the unit tests of this crate.
+//! Small models used by the unit tests of this crate.  The voting model
+//! and its small valuation are `cccounter`'s own test model.
 
 use ccta::prelude::*;
+
+pub use cccounter::testutil::{small_params, voting_model};
 
 /// Adds the standard fair-coin automaton (border, initial, toss, publish,
 /// round switch) to a builder and returns nothing; the coin publishes its
@@ -24,59 +27,6 @@ pub fn add_fair_coin(b: &mut SystemBuilder, cc0: VarId, cc1: VarId) {
     b.rule("publish1", h1, c1, Guard::top(), Update::increment(cc1));
     b.round_switch(c0, jc);
     b.round_switch(c1, jc);
-}
-
-/// A small common-coin voting protocol: broadcast the value, adopt the
-/// majority value if a quorum of `n - t` is observed, otherwise adopt the
-/// coin value.
-pub fn voting_model() -> SystemModel {
-    let env = ccta::env::byzantine_common_coin_env(3);
-    let k = env.num_params();
-    let n = env.param_id("n").unwrap();
-    let t = env.param_id("t").unwrap();
-    let f = env.param_id("f").unwrap();
-    let mut b = SystemBuilder::new("checker-voting", env);
-    let v0 = b.shared_var("v0");
-    let v1 = b.shared_var("v1");
-    let cc0 = b.coin_var("cc0");
-    let cc1 = b.coin_var("cc1");
-
-    let j0 = b.process_location("J0", LocClass::Border, Some(BinValue::Zero));
-    let j1 = b.process_location("J1", LocClass::Border, Some(BinValue::One));
-    let i0 = b.process_location("I0", LocClass::Initial, Some(BinValue::Zero));
-    let i1 = b.process_location("I1", LocClass::Initial, Some(BinValue::One));
-    let s = b.process_location("S", LocClass::Intermediate, None);
-    let e0 = b.process_location("E0", LocClass::Final, Some(BinValue::Zero));
-    let e1 = b.process_location("E1", LocClass::Final, Some(BinValue::One));
-
-    b.start_rule(j0, i0);
-    b.start_rule(j1, i1);
-    b.rule("bcast0", i0, s, Guard::top(), Update::increment(v0));
-    b.rule("bcast1", i1, s, Guard::top(), Update::increment(v1));
-    let quorum = LinearExpr::param(k, n)
-        .sub(&LinearExpr::param(k, t))
-        .sub(&LinearExpr::param(k, f));
-    b.rule("maj0", s, e0, Guard::ge(v0, quorum.clone()), Update::none());
-    b.rule("maj1", s, e1, Guard::ge(v1, quorum), Update::none());
-    b.rule(
-        "coin0",
-        s,
-        e0,
-        Guard::ge(cc0, LinearExpr::constant(k, 1)),
-        Update::none(),
-    );
-    b.rule(
-        "coin1",
-        s,
-        e1,
-        Guard::ge(cc1, LinearExpr::constant(k, 1)),
-        Update::none(),
-    );
-    b.round_switch(e0, j0);
-    b.round_switch(e1, j1);
-
-    add_fair_coin(&mut b, cc0, cc1);
-    b.build().expect("voting fixture must validate")
 }
 
 /// A deliberately broken model: the exit guard of the waiting location is
@@ -204,11 +154,6 @@ pub fn wide_coin_model(branches: u64) -> SystemModel {
     b.round_switch(c0, jc);
     b.round_switch(c1, jc);
     b.build().expect("wide-coin fixture must validate")
-}
-
-/// The standard small admissible valuation `n = 4, t = 1, f = 1, cc = 1`.
-pub fn small_params() -> ParamValuation {
-    ParamValuation::new(vec![4, 1, 1, 1])
 }
 
 /// The benchmark valuation of a single-round model: the smallest admissible

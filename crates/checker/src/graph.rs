@@ -321,15 +321,6 @@ impl GraphLineage {
             basis: basis.clone(),
         });
     }
-
-    /// Resident bytes of every graph currently surviving in the lineage.
-    pub fn resident_bytes(&self) -> usize {
-        self.entries
-            .borrow()
-            .iter()
-            .map(|e| e.graph.resident_bytes())
-            .sum()
-    }
 }
 
 /// The atom bounds of one rule, stripped of their relations (the relations
@@ -342,7 +333,7 @@ fn atom_bounds(bounds: &GuardBounds, rule: RuleId) -> Vec<i128> {
 /// The cached reachable graph of one `(start restriction, valuation)`
 /// group: the deduplicated configuration store, the CSR transition
 /// relation, and the interned start nodes.  Built once per group by
-/// [`ReachGraph::build`], evaluated once per obligation by
+/// [`ReachGraph::build_with_signals`], evaluated once per obligation by
 /// [`ReachGraph::evaluate`].
 pub(crate) struct ReachGraph {
     store: StateStore,
@@ -370,9 +361,8 @@ pub(crate) struct ReachGraph {
 }
 
 impl ReachGraph {
-    /// Explores the reachable graph from the given start configurations —
-    /// once.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// [`ReachGraph::build_with_signals`] with no job signals attached.
+    #[cfg(test)]
     pub(crate) fn build(
         sys: &CounterSystem,
         starts: &[Configuration],
@@ -382,11 +372,11 @@ impl ReachGraph {
             .unwrap_or_else(|_| unreachable!("no job signals were attached"))
     }
 
-    /// Like [`ReachGraph::build`], but polling job signals at wave
-    /// boundaries: a cancellation or a job budget trip abandons the build
-    /// and returns the signal that fired.  `base` holds the `(states,
-    /// transitions, resident bytes)` the job already accounted outside this
-    /// build.
+    /// Explores the reachable graph from the given start configurations —
+    /// once — polling job signals at wave boundaries: a cancellation or a
+    /// job budget trip abandons the build and returns the signal that
+    /// fired.  `base` holds the `(states, transitions, resident bytes)` the
+    /// job already accounted outside this build.
     pub(crate) fn build_with_signals(
         sys: &CounterSystem,
         starts: &[Configuration],
@@ -1321,7 +1311,10 @@ mod tests {
         ));
         assert!(bounded.is_bounded());
         lineage.record(start, &bounded, &GraphBasis::of(&new_sys));
-        assert_eq!(lineage.resident_bytes(), 0, "bounded graphs are not kept");
+        assert!(
+            lineage.entries.borrow().is_empty(),
+            "bounded graphs are not kept"
+        );
         match lineage.adopt(&new_sys, start, &GraphBasis::of(&new_sys), &options, None) {
             LineageStep::Build { rebuilt } => {
                 assert!(!rebuilt, "the lineage must have stayed empty")

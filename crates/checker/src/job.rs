@@ -359,15 +359,6 @@ impl JobOutcome {
             _ => None,
         }
     }
-
-    /// The checkpoint of an interrupted or budget-exceeded job.
-    pub fn into_checkpoint(self) -> Option<JobCheckpoint> {
-        match self {
-            JobOutcome::Completed { .. } => None,
-            JobOutcome::Interrupted { checkpoint } => Some(checkpoint),
-            JobOutcome::BudgetExceeded { checkpoint, .. } => Some(checkpoint),
-        }
-    }
 }
 
 /// A batch check with an explicit lifecycle: run, stop at a wave or

@@ -241,8 +241,8 @@
 //! # Job lifecycle & fault model
 //!
 //! [`CheckJob`] wraps a batch check in an interruptible state machine, and
-//! [`check_over_sweep_cancellable`] (which also resumes from a prior run)
-//! extends the same contract to the sweep grid:
+//! [`check_over_sweep_cancellable`] extends its stop signals to the sweep
+//! grid (an interrupted sweep is rerun, not resumed):
 //!
 //! * **Checkpoint boundaries.**  A job stops only at *wave boundaries* of
 //!   an exploration (every level starts a wave, and a wide level is cut
@@ -288,7 +288,7 @@
 //!   sites.
 //! * **Accounting.**  Every grid cell of a cancelled or budget-tripped
 //!   sweep is accounted for: completed + skipped (after an earlier
-//!   violation) + interrupted-with-checkpoint + failed-after-retry equals
+//!   violation) + interrupted (by a job signal) + failed-after-retry equals
 //!   the full grid ([`SweepOutcome::disposition`]).  The
 //!   `--deadline-ms` / `--max-resident-bytes` flags of the `table2` and
 //!   `profile_engine` binaries feed [`JobBudget`] directly.

@@ -261,11 +261,6 @@ impl Spec {
         }
     }
 
-    /// Whether the query is one of the probabilistic (Lemma-2) conditions.
-    pub fn is_probabilistic(&self) -> bool {
-        matches!(self, Spec::ExistsAvoidOneOf { .. })
-    }
-
     /// Renders the query in the notation of Table III.
     pub fn formula(&self, model: &SystemModel) -> String {
         match self {
@@ -366,7 +361,6 @@ mod tests {
             forbidden: i.clone(),
         };
         assert_eq!(cover.name(), "Inv1(0)");
-        assert!(!cover.is_probabilistic());
         assert!(cover.formula(&m).contains("A F(EX{D0}) -> G(!EX{I0})"));
 
         let never = Spec::NeverFrom {
@@ -381,7 +375,6 @@ mod tests {
             start: StartRestriction::RoundStart,
             forbidden_sets: vec![d.clone(), i.clone()],
         };
-        assert!(exists.is_probabilistic());
         assert!(exists.formula(&m).contains("\\/"));
         assert_eq!(exists.start(), StartRestriction::RoundStart);
 

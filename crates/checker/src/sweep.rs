@@ -57,10 +57,7 @@
 //! more after being re-dispatched on a fresh checker without any lineage —
 //! without disturbing their siblings.  The four dispositions partition the
 //! grid, so `completed + skipped + interrupted + failed` always equals the
-//! grid size.  Passing an interrupted sweep's reports back as the prior run
-//! resumes it, carrying completed cells over verbatim and recomputing the
-//! rest; a resumed sweep that runs to completion is bit-identical to an
-//! uninterrupted run.
+//! grid size.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::graph::{carry_step, GraphBasis, GraphLineage};
@@ -86,7 +83,6 @@ pub enum CellDisposition {
     /// Stopped by a job signal — a tripped [`CancelToken`], deadline or
     /// budget cap — either mid-cell (the outcome then carries the partial
     /// state/transition counts) or before the cell was ever dispatched.
-    /// Interrupted cells are recomputed when the sweep is resumed.
     Interrupted,
     /// The cell panicked on the valuation's shared checker *and* once more
     /// after being re-dispatched on a fresh checker without a lineage; its
@@ -220,7 +216,7 @@ impl SweepReport {
     }
 
     /// Number of grid cells a job signal interrupted (mid-cell or before
-    /// dispatch); these are the cells a resumed sweep recomputes.
+    /// dispatch).
     pub fn interrupted_cells(&self) -> usize {
         self.outcomes
             .iter()
@@ -359,7 +355,7 @@ pub fn check_over_sweep_with_stats(
     options: CheckerOptions,
     threads: usize,
 ) -> (Vec<SweepReport>, GraphCacheStats) {
-    sweep_impl(model, specs, valuations, options, threads, None, None)
+    sweep_impl(model, specs, valuations, options, threads, None)
 }
 
 /// [`check_over_sweep_with_stats`] under a job lifecycle: the sweep polls
@@ -367,19 +363,8 @@ pub fn check_over_sweep_with_stats(
 /// exploration polls them at wave boundaries, so cancellation latency is
 /// one wave), and applies the budget's state/transition/resident caps to
 /// each cell individually.  Cells the sweep never reached are explicit
-/// [`CellDisposition::Interrupted`] records.
-///
-/// `prior` resumes an interrupted sweep from its reports: completed cells
-/// are carried over verbatim (outcome, duration and all), their violations
-/// keep cancelling later cells of the same query, and only interrupted,
-/// failed and skipped-by-violation cells are recomputed or re-derived.
-/// Cells are deterministic and recomputed whole, so a resumed sweep that
-/// runs to completion is bit-identical to an uninterrupted run; the
-/// returned cache stats account only the resumed work.  `prior` must come
-/// from a sweep of the same model, specs and valuations (the grid shapes
-/// are asserted).  With no prior run, a never-cancelled token and an
-/// unlimited budget this is exactly [`check_over_sweep_with_stats`].
-#[allow(clippy::too_many_arguments)]
+/// [`CellDisposition::Interrupted`] records.  With a never-cancelled token
+/// and an unlimited budget this is exactly [`check_over_sweep_with_stats`].
 pub fn check_over_sweep_cancellable(
     model: &SystemModel,
     specs: &[Spec],
@@ -388,23 +373,13 @@ pub fn check_over_sweep_cancellable(
     threads: usize,
     cancel: &CancelToken,
     budget: JobBudget,
-    prior: Option<&[SweepReport]>,
 ) -> (Vec<SweepReport>, GraphCacheStats) {
     let signals = JobSignals::new(cancel.clone(), budget);
-    sweep_impl(
-        model,
-        specs,
-        valuations,
-        options,
-        threads,
-        Some(&signals),
-        prior,
-    )
+    sweep_impl(model, specs, valuations, options, threads, Some(&signals))
 }
 
-/// The sweep behind both entry points: forms the grid, prefills it from a
-/// resumed run, cuts it into runs, walks them on the sweep workers and
-/// assembles the deterministic reports.
+/// The sweep behind both entry points: forms the grid, cuts it into runs,
+/// walks them on the sweep workers and assembles the deterministic reports.
 fn sweep_impl(
     model: &SystemModel,
     specs: &[Spec],
@@ -412,7 +387,6 @@ fn sweep_impl(
     options: CheckerOptions,
     threads: usize,
     job: Option<&JobSignals>,
-    prior: Option<&[SweepReport]>,
 ) -> (Vec<SweepReport>, GraphCacheStats) {
     let systems: Vec<CounterSystem> = valuations
         .iter()
@@ -433,39 +407,8 @@ fn sweep_impl(
     stats_slots.resize_with(width, || None);
     let slot = |s: usize, v: usize| v * specs.len() + s;
 
-    // resume: completed cells of the prior run are carried over verbatim;
-    // interrupted, failed and skipped cells stay empty and are recomputed
-    // (or re-derived by the assembly below)
-    if let Some(prior) = prior {
-        assert_eq!(
-            prior.len(),
-            specs.len(),
-            "resumed sweep: prior reports do not match the spec slice"
-        );
-        for (s, report) in prior.iter().enumerate() {
-            assert_eq!(
-                report.outcomes.len(),
-                width,
-                "resumed sweep: prior grid width does not match the valuations"
-            );
-            for (v, cell) in report.outcomes.iter().enumerate() {
-                if cell.disposition == CellDisposition::Completed {
-                    slots[slot(s, v)] = Some(cell.clone());
-                }
-            }
-        }
-    }
-    // violations carried over from a resumed run keep cancelling the rest
-    // of their row, exactly as if this run had produced them
     let violated_at = (0..specs.len())
-        .map(|s| {
-            let first = (0..width).position(|v| {
-                slots[slot(s, v)]
-                    .as_ref()
-                    .is_some_and(|c| c.outcome.status == CheckStatus::Violated)
-            });
-            AtomicUsize::new(first.unwrap_or(usize::MAX))
-        })
+        .map(|_| AtomicUsize::new(usize::MAX))
         .collect();
     let grid = Grid {
         specs,
@@ -613,8 +556,8 @@ impl Grid<'_> {
             let mut checker = ExplicitChecker::with_lineage(sys, self.options, &lineage);
             checker.set_signals(self.job);
             for (s, (spec, slot)) in self.specs.iter().zip(row.iter_mut()).enumerate() {
-                if self.violated_at[s].load(Ordering::Acquire) < v || slot.is_some() {
-                    continue; // violated earlier, or resumed
+                if self.violated_at[s].load(Ordering::Acquire) < v {
+                    continue; // violated earlier
                 }
                 if self.job.is_some_and(|j| j.fast_stop().is_some()) {
                     **record = Some(checker.cache_stats());
@@ -907,7 +850,6 @@ mod tests {
             2,
             &cancel,
             JobBudget::unlimited(),
-            None,
         );
         for report in &cancelled {
             assert_eq!(report.outcomes.len(), grid_width);
@@ -926,19 +868,7 @@ mod tests {
             }
         }
 
-        // resuming the fully-interrupted sweep completes it, bit-identical
-        // to an uninterrupted cancellable run — which in turn matches the
-        // plain sweep
-        let (resumed, _) = check_over_sweep_cancellable(
-            &model,
-            &specs,
-            &valuations,
-            CheckerOptions::default(),
-            2,
-            &CancelToken::new(),
-            JobBudget::unlimited(),
-            Some(&cancelled),
-        );
+        // an uninterrupted cancellable run matches the plain sweep
         let (reference, _) = check_over_sweep_cancellable(
             &model,
             &specs,
@@ -947,9 +877,7 @@ mod tests {
             1,
             &CancelToken::new(),
             JobBudget::unlimited(),
-            None,
         );
-        assert_reports_identical(&resumed, &reference, "resumed vs uninterrupted");
         let plain = sweep(&model, &specs, &valuations, CheckerOptions::default(), 1);
         assert_reports_identical(&reference, &plain, "cancellable vs plain");
     }

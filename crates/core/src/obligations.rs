@@ -199,7 +199,7 @@ mod tests {
         let names: Vec<&str> = obl.termination.iter().map(|s| s.name()).collect();
         assert_eq!(names, vec!["C1", "C2'(0)", "C2'(1)", "round-termination"]);
         // C2' queries are probabilistic (Lemma 2)
-        assert!(obl.termination[1].is_probabilistic());
+        assert!(matches!(obl.termination[1], Spec::ExistsAvoidOneOf { .. }));
     }
 
     #[test]

@@ -68,16 +68,6 @@ impl VerifierConfig {
         }
     }
 
-    /// A broader configuration for the benchmark harness.
-    pub fn thorough() -> Self {
-        VerifierConfig {
-            max_param_value: 9,
-            max_processes: 5,
-            max_valuations: 3,
-            ..VerifierConfig::default()
-        }
-    }
-
     /// This configuration with an explicit total thread budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -284,7 +274,6 @@ pub fn verify_protocol(protocol: &ProtocolModel, config: &VerifierConfig) -> Pro
             sweep_thread_budget(config.threads),
             &CancelToken::new(),
             config.budget,
-            None,
         )
     };
     // the milestone orderings behind every schema count depend only on the

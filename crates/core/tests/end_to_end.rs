@@ -199,7 +199,8 @@ fn theorem_1_reordering_on_sampled_schedules() {
         let (path, _) =
             cccounter::adversary::run_adversary(&sys, init.clone(), &mut adv, &mut rng, 120);
         let schedule = path.schedule();
-        let rigid = cccounter::schedule::reorder_round_rigid(&sys, &init, &schedule).unwrap();
+        assert!(schedule.is_applicable(&sys, &init), "seed {seed}");
+        let rigid = schedule.round_rigid_reordering();
         assert!(rigid.is_round_rigid(), "seed {seed}");
         let rigid_final = rigid.apply(&sys, &init).unwrap().last().clone();
         assert_eq!(&rigid_final, path.last(), "seed {seed}");

@@ -139,11 +139,6 @@ impl Configuration {
         }
     }
 
-    /// Sum of the location counters over a set of locations in a round.
-    pub fn count_in(&self, locs: &[LocId], round: u32) -> u64 {
-        locs.iter().map(|&l| self.counter(l, round)).sum()
-    }
-
     /// Total number of automaton copies present in a round (all locations).
     pub fn total_in_round(&self, round: u32) -> u64 {
         self.rounds
@@ -296,7 +291,7 @@ mod tests {
         assert_eq!(c.var(VarId(0), 0), 0);
         assert_eq!(c.max_active_round(), Some(1));
         assert_eq!(c.total_in_round(0), 2);
-        assert_eq!(c.count_in(&[LocId(1), LocId(2)], 0), 2);
+        assert_eq!(c.counter(LocId(2), 0), 0);
     }
 
     #[test]

@@ -92,7 +92,9 @@ impl Schedule {
 
     /// Reorders the schedule into a round-rigid one by a stable sort on the
     /// round number (the reordering underlying Theorem 1).  The relative
-    /// order of actions within the same round is preserved.
+    /// order of actions within the same round is preserved.  By Theorem 1,
+    /// when the schedule is applicable to a configuration, so is the
+    /// reordering, and both reach the same configuration.
     pub fn round_rigid_reordering(&self) -> Schedule {
         let mut steps = self.steps.clone();
         steps.sort_by_key(|s| s.action.round);
@@ -207,23 +209,6 @@ impl Path {
     }
 }
 
-/// Reorders a finite schedule applicable to `cfg` into a round-rigid schedule
-/// that is also applicable to `cfg` and reaches the same configuration
-/// (Theorem 1).
-///
-/// # Errors
-///
-/// Returns an error if the input schedule itself is not applicable to `cfg`.
-pub fn reorder_round_rigid(
-    sys: &CounterSystem,
-    cfg: &Configuration,
-    schedule: &Schedule,
-) -> Result<Schedule, CounterError> {
-    // verify applicability of the original schedule first
-    schedule.apply(sys, cfg)?;
-    Ok(schedule.round_rigid_reordering())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +320,7 @@ mod tests {
         assert!(!interleaved.is_round_rigid());
         let original_final = interleaved.apply(&sys, &cfg).unwrap().last().clone();
 
-        let rigid = reorder_round_rigid(&sys, &cfg, &interleaved).unwrap();
+        let rigid = interleaved.round_rigid_reordering();
         assert!(rigid.is_round_rigid());
         let rigid_path = rigid.apply(&sys, &cfg).unwrap();
         assert_eq!(rigid_path.last(), &original_final);
@@ -347,7 +332,7 @@ mod tests {
         let cfg = sys.empty_configuration();
         let sched =
             Schedule::from_actions(vec![Action::new(sys.model().rule_id("bcast0").unwrap(), 0)]);
-        assert!(reorder_round_rigid(&sys, &cfg, &sched).is_err());
+        assert!(!sched.is_applicable(&sys, &cfg));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Shared test model used by the unit tests of this crate.
+//! Shared test model used by the unit tests of this crate and, through
+//! `ccchecker::fixtures`, by the checker's tests.
 //!
 //! The model is a small common-coin voting protocol: each correct process
 //! broadcasts its value, waits for a quorum of `n - t` messages of a single

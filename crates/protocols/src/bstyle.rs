@@ -241,8 +241,8 @@ mod tests {
         let p = cc85a();
         let m = p.model();
         let decide0 = m.rule(m.rule_id("decide0").unwrap());
-        assert!(decide0.is_coin_based(m.vars()));
+        assert_eq!(decide0.guard().kind(m.vars()), GuardKind::Coin);
         let dom0 = m.rule(m.rule_id("dom0").unwrap());
-        assert!(!dom0.is_coin_based(m.vars()));
+        assert_ne!(dom0.guard().kind(m.vars()), GuardKind::Coin);
     }
 }

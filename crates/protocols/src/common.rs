@@ -176,6 +176,6 @@ mod tests {
         let m = b.build().unwrap();
         assert_eq!(m.locations_of(Owner::Coin).len(), 6);
         assert_eq!(m.rules_of(Owner::Coin).len(), 6);
-        assert!(m.has_probabilistic_rules());
+        assert!(m.rules().iter().any(|r| !r.is_dirac()));
     }
 }

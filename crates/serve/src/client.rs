@@ -18,7 +18,6 @@ use std::net::SocketAddr;
 /// A blocking connection to a `ccserve` daemon.
 pub struct ServeClient {
     stream: Stream,
-    max_frame: usize,
 }
 
 impl ServeClient {
@@ -26,7 +25,6 @@ impl ServeClient {
     pub fn connect_tcp(addr: SocketAddr) -> io::Result<ServeClient> {
         Ok(ServeClient {
             stream: Stream::connect_tcp(addr)?,
-            max_frame: DEFAULT_MAX_FRAME,
         })
     }
 
@@ -35,14 +33,7 @@ impl ServeClient {
     pub fn connect_unix(path: &std::path::Path) -> io::Result<ServeClient> {
         Ok(ServeClient {
             stream: Stream::connect_unix(path)?,
-            max_frame: DEFAULT_MAX_FRAME,
         })
-    }
-
-    /// This client with a different response-size bound.
-    pub fn with_max_frame(mut self, max: usize) -> Self {
-        self.max_frame = max;
-        self
     }
 
     /// An independent handle onto the same connection (e.g. one half
@@ -50,7 +41,6 @@ impl ServeClient {
     pub fn try_clone(&self) -> io::Result<ServeClient> {
         Ok(ServeClient {
             stream: self.stream.try_clone()?,
-            max_frame: self.max_frame,
         })
     }
 
@@ -75,7 +65,7 @@ impl ServeClient {
 
     /// Receives the next response frame.
     pub fn recv(&mut self) -> Result<Response, WireError> {
-        let payload = read_frame(&mut self.stream, self.max_frame)?;
+        let payload = read_frame(&mut self.stream, DEFAULT_MAX_FRAME)?;
         crate::wire::decode_response(&payload)
     }
 

@@ -288,7 +288,7 @@ impl CheckpointRegistry {
     }
 
     /// Parked entries currently resident.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.inner
             .lock()
@@ -298,7 +298,7 @@ impl CheckpointRegistry {
     }
 
     /// Bytes held by resident entries (exact: entries are encoded).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub(crate) fn resident_bytes(&self) -> usize {
         self.inner
             .lock()
@@ -311,7 +311,7 @@ impl CheckpointRegistry {
 mod tests {
     use super::*;
     use crate::wire::{Priority, Source};
-    use ccchecker::{CheckJob, CheckerOptions, JobBudget, Spec};
+    use ccchecker::{CheckJob, CheckerOptions, JobBudget, JobOutcome, Spec};
     use cccounter::CounterSystem;
     use ccprotocols::family::FamilyParams;
 
@@ -342,11 +342,14 @@ mod tests {
             .collect();
         assert_eq!(specs.len(), owed);
         let sys = CounterSystem::new(family.single_round, family.sweep[0].clone()).unwrap();
-        CheckJob::new(&sys, &specs, CheckerOptions::default())
-            .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO))
-            .run()
-            .into_checkpoint()
-            .expect("an expired deadline trips the job")
+        let JobOutcome::BudgetExceeded { checkpoint, .. } =
+            CheckJob::new(&sys, &specs, CheckerOptions::default())
+                .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO))
+                .run()
+        else {
+            panic!("an expired deadline trips the job");
+        };
+        checkpoint
     }
 
     #[test]

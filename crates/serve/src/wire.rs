@@ -71,14 +71,6 @@ pub enum WireError {
     Malformed(DecodeError),
 }
 
-impl WireError {
-    /// Whether the error is a clean end-of-stream (peer disconnected
-    /// between frames).
-    pub fn is_disconnect(&self) -> bool {
-        matches!(self, WireError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof)
-    }
-}
-
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -170,16 +170,6 @@ impl SystemBuilder {
         RuleId(self.rules.len() - 1)
     }
 
-    /// Number of rules added so far (useful for asserting model sizes).
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Number of locations added so far.
-    pub fn location_count(&self) -> usize {
-        self.locations.len()
-    }
-
     /// Finishes and validates the model.
     ///
     /// # Errors
@@ -214,10 +204,10 @@ mod tests {
         b.start_rule(j0, i0);
         b.rule("go", i0, e0, Guard::top(), Update::none());
         b.round_switch(e0, j0);
-        assert_eq!(b.location_count(), 3);
-        assert_eq!(b.rule_count(), 3);
         assert_eq!(b.env().num_params(), 4);
         let m = b.build().unwrap();
+        assert_eq!(m.locations().len(), 3);
+        assert_eq!(m.rules().len(), 3);
         assert_eq!(m.process_location_count(), 3);
     }
 

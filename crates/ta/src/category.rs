@@ -25,17 +25,6 @@ pub enum ProtocolCategory {
 }
 
 impl ProtocolCategory {
-    /// Whether protocols of this category have decision locations.
-    pub fn has_decisions(self) -> bool {
-        !matches!(self, ProtocolCategory::A)
-    }
-
-    /// Whether protocols of this category require the binding conditions
-    /// `(CB0)`–`(CB4)`.
-    pub fn requires_binding(self) -> bool {
-        matches!(self, ProtocolCategory::C)
-    }
-
     /// Short label used in tables ("(A)", "(B)", "(C)").
     pub fn label(self) -> &'static str {
         match self {
@@ -55,16 +44,6 @@ impl fmt::Display for ProtocolCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn category_predicates() {
-        assert!(!ProtocolCategory::A.has_decisions());
-        assert!(ProtocolCategory::B.has_decisions());
-        assert!(ProtocolCategory::C.has_decisions());
-        assert!(!ProtocolCategory::A.requires_binding());
-        assert!(!ProtocolCategory::B.requires_binding());
-        assert!(ProtocolCategory::C.requires_binding());
-    }
 
     #[test]
     fn labels() {

@@ -86,11 +86,6 @@ impl Environment {
         &self.params
     }
 
-    /// The name of a parameter.
-    pub fn param_name(&self, p: ParamId) -> &str {
-        &self.params[p.0]
-    }
-
     /// Looks up a parameter by name.
     pub fn param_id(&self, name: &str) -> Option<ParamId> {
         self.params.iter().position(|p| p == name).map(ParamId)
@@ -99,16 +94,6 @@ impl Environment {
     /// The conjunction of resilience constraints `RC`.
     pub fn resilience(&self) -> &[LinearConstraint] {
         &self.resilience
-    }
-
-    /// The expression computing the number of modelled processes.
-    pub fn num_processes_expr(&self) -> &LinearExpr {
-        &self.num_processes
-    }
-
-    /// The expression computing the number of modelled common coins.
-    pub fn num_coins_expr(&self) -> &LinearExpr {
-        &self.num_coins
     }
 
     /// Whether a valuation satisfies the resilience condition.
@@ -153,12 +138,6 @@ impl Environment {
                 .unwrap_or((u64::MAX, u64::MAX))
         });
         out
-    }
-
-    /// Returns the admissible valuation with the smallest number of modelled
-    /// processes among those bounded by `max_value`, if any.
-    pub fn smallest_admissible(&self, max_value: u64) -> Option<ParamValuation> {
-        self.admissible_valuations(max_value).into_iter().next()
     }
 
     fn enumerate_rec(
@@ -356,7 +335,7 @@ mod tests {
     fn byzantine_env_has_expected_shape() {
         let env = byzantine_common_coin_env(3);
         assert_eq!(env.num_params(), 4);
-        assert_eq!(env.param_name(ParamId(0)), "n");
+        assert_eq!(env.param_names()[0], "n");
         assert_eq!(env.param_id("f"), Some(ParamId(2)));
         assert_eq!(env.param_id("zzz"), None);
         assert_eq!(env.resilience().len(), 4);
@@ -403,8 +382,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sizes, sorted);
         // smallest admissible for n > 3t: n=1,t=0,f=0? n>0 holds, so n=1 works
-        let smallest = env.smallest_admissible(5).unwrap();
-        assert_eq!(env.system_size(&smallest).unwrap().processes, 1);
+        assert_eq!(sizes[0], 1);
     }
 
     #[test]

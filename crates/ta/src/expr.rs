@@ -56,16 +56,6 @@ impl LinearExpr {
         }
     }
 
-    /// Builds an expression from explicit terms plus a constant.
-    pub fn from_terms(num_params: usize, terms: &[(ParamId, i64)], constant: i64) -> Self {
-        let mut coeffs = vec![0; num_params];
-        for &(p, k) in terms {
-            assert!(p.0 < num_params, "parameter index out of range");
-            coeffs[p.0] += k;
-        }
-        LinearExpr { coeffs, constant }
-    }
-
     /// Number of parameter coefficients carried by this expression.
     pub fn num_params(&self) -> usize {
         self.coeffs.len()
@@ -332,12 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn from_terms_accumulates_duplicate_parameters() {
-        let e = LinearExpr::from_terms(2, &[(p(0), 2), (p(0), 3), (p(1), -1)], 4);
-        assert_eq!(e.eval(&[10, 7]), 2 * 10 + 3 * 10 - 7 + 4);
-    }
-
-    #[test]
     fn arithmetic_combinators() {
         let n = LinearExpr::param(3, p(0));
         let t = LinearExpr::param(3, p(1));
@@ -380,7 +364,9 @@ mod tests {
     #[test]
     fn display_uses_parameter_names() {
         let names = vec!["n".to_string(), "t".to_string()];
-        let e = LinearExpr::from_terms(2, &[(p(0), 1), (p(1), -2)], 1);
+        let e = LinearExpr::param(2, p(0))
+            .sub(&LinearExpr::term(2, p(1), 2))
+            .plus_const(1);
         assert_eq!(e.display_with(&names), "n - 2*t + 1");
         let c = LinearConstraint::ge(e, LinearExpr::constant(2, 0));
         assert_eq!(c.display_with(&names), "n - 2*t + 1 >= 0");

@@ -86,15 +86,6 @@ impl AtomicGuard {
         }
     }
 
-    /// `coeff·var < bound`.
-    pub fn lt_scaled(coeff: i64, var: VarId, bound: LinearExpr) -> Self {
-        AtomicGuard {
-            terms: vec![(coeff, var)],
-            rel: GuardRel::Lt,
-            bound,
-        }
-    }
-
     /// `var_1 + … + var_n >= bound`.
     pub fn sum_ge(vars: &[VarId], bound: LinearExpr) -> Self {
         AtomicGuard {
@@ -162,11 +153,6 @@ impl AtomicGuard {
     /// non-negative coefficients fall (become false forever once false).
     pub fn is_rising(&self) -> bool {
         self.rel == GuardRel::Ge && self.terms.iter().all(|&(c, _)| c >= 0)
-    }
-
-    /// Whether this atom is monotone falling (`<` over non-negative terms).
-    pub fn is_falling(&self) -> bool {
-        self.rel == GuardRel::Lt && self.terms.iter().all(|&(c, _)| c >= 0)
     }
 
     /// Renders the atom with variable and parameter names.
@@ -277,12 +263,6 @@ impl Guard {
     /// Adds an arbitrary atom and returns the extended guard.
     pub fn and(mut self, atom: AtomicGuard) -> Self {
         self.atoms.push(atom);
-        self
-    }
-
-    /// Conjoins all atoms of another guard.
-    pub fn and_all(mut self, other: &Guard) -> Self {
-        self.atoms.extend(other.atoms.iter().cloned());
         self
     }
 
@@ -433,14 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn and_all_merges_guards() {
-        let a = Guard::ge(VarId(0), LinearExpr::constant(1, 1));
-        let b = Guard::lt(VarId(1), LinearExpr::constant(1, 3));
-        let merged = a.and_all(&b);
-        assert_eq!(merged.atoms().len(), 2);
-    }
-
-    #[test]
     fn guard_kind_detects_coin_and_mixed() {
         let c = Guard::ge(VarId(2), LinearExpr::constant(1, 1));
         assert_eq!(c.kind(&vars()), GuardKind::Coin);
@@ -451,8 +423,6 @@ mod tests {
     #[test]
     fn rising_and_falling_classification() {
         assert!(AtomicGuard::ge(VarId(0), LinearExpr::constant(1, 1)).is_rising());
-        assert!(!AtomicGuard::ge(VarId(0), LinearExpr::constant(1, 1)).is_falling());
-        assert!(AtomicGuard::lt(VarId(0), LinearExpr::constant(1, 1)).is_falling());
         assert!(!AtomicGuard::lt(VarId(0), LinearExpr::constant(1, 1)).is_rising());
         let neg = AtomicGuard::linear(
             vec![(-1, VarId(0))],

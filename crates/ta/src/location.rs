@@ -47,15 +47,6 @@ impl BinValue {
             BinValue::One => 1,
         }
     }
-
-    /// Converts 0/1 into a value.
-    pub fn from_index(i: usize) -> Option<BinValue> {
-        match i {
-            0 => Some(BinValue::Zero),
-            1 => Some(BinValue::One),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for BinValue {
@@ -227,9 +218,6 @@ mod tests {
         assert_eq!(BinValue::One.flip(), BinValue::Zero);
         assert_eq!(BinValue::Zero.index(), 0);
         assert_eq!(BinValue::One.index(), 1);
-        assert_eq!(BinValue::from_index(0), Some(BinValue::Zero));
-        assert_eq!(BinValue::from_index(1), Some(BinValue::One));
-        assert_eq!(BinValue::from_index(2), None);
         assert_eq!(BinValue::ALL.len(), 2);
     }
 

@@ -59,11 +59,6 @@ impl Probability {
         self.den
     }
 
-    /// The probability as an `f64` (for reporting only).
-    pub fn to_f64(&self) -> f64 {
-        self.num as f64 / self.den as f64
-    }
-
     /// Whether this is probability 1.
     pub fn is_one(&self) -> bool {
         self.num == self.den
@@ -152,13 +147,6 @@ impl Update {
     pub fn increment(var: VarId) -> Self {
         Update {
             increments: vec![(var, 1)],
-        }
-    }
-
-    /// Increment a single variable by `amount`.
-    pub fn increment_by(var: VarId, amount: u64) -> Self {
-        Update {
-            increments: vec![(var, amount)],
         }
     }
 
@@ -350,11 +338,6 @@ impl Rule {
         Probability::sum(self.branches.iter().map(|b| b.prob)).is_one()
     }
 
-    /// Whether the guard only tests coin variables ("coin-based" rule).
-    pub fn is_coin_based(&self, vars: &[Variable]) -> bool {
-        self.guard.kind(vars) == crate::guard::GuardKind::Coin
-    }
-
     /// Internal: replaces the name.
     pub(crate) fn with_name(&self, name: impl Into<String>) -> Rule {
         Rule {
@@ -410,6 +393,7 @@ impl fmt::Display for Rule {
 mod tests {
     use super::*;
     use crate::expr::LinearExpr;
+    use crate::guard::GuardKind;
 
     #[test]
     fn probability_reduction_and_accessors() {
@@ -417,7 +401,6 @@ mod tests {
         assert_eq!(p, Probability::HALF);
         assert_eq!(p.numerator(), 1);
         assert_eq!(p.denominator(), 2);
-        assert!((p.to_f64() - 0.5).abs() < 1e-12);
         assert!(Probability::ONE.is_one());
         assert!(Probability::new(0, 3).is_zero());
     }
@@ -450,7 +433,9 @@ mod tests {
         assert!(Update::none().is_empty());
         assert!(u.touches(|v| v == VarId(2)));
         assert!(!u.touches(|v| v == VarId(1)));
-        let u2 = Update::increment_by(VarId(1), 3);
+        let u2 = Update::increment(VarId(1))
+            .and_increment(VarId(1))
+            .and_increment(VarId(1));
         assert_eq!(u2.increment_of(VarId(1)), 3);
     }
 
@@ -529,7 +514,7 @@ mod tests {
             Update::none(),
             Owner::Process,
         );
-        assert!(coin_rule.is_coin_based(&vars));
+        assert_eq!(coin_rule.guard().kind(&vars), GuardKind::Coin);
         let shared_rule = Rule::dirac(
             "r3",
             LocId(0),
@@ -538,7 +523,7 @@ mod tests {
             Update::none(),
             Owner::Process,
         );
-        assert!(!shared_rule.is_coin_based(&vars));
+        assert_eq!(shared_rule.guard().kind(&vars), GuardKind::Shared);
     }
 
     #[test]

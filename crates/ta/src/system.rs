@@ -161,11 +161,6 @@ impl SystemModel {
         (0..self.rules.len()).map(RuleId)
     }
 
-    /// Iterates over all variable ids.
-    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.vars.len()).map(VarId)
-    }
-
     /// Ids of all locations matching a predicate.
     pub fn locations_where(&self, mut pred: impl FnMut(&Location) -> bool) -> Vec<LocId> {
         self.locations
@@ -188,11 +183,6 @@ impl SystemModel {
         })
     }
 
-    /// Border-copy locations introduced by the single-round construction.
-    pub fn border_copy_locations(&self, owner: Owner) -> Vec<LocId> {
-        self.locations_where(|l| l.owner() == owner && l.is_border_copy())
-    }
-
     /// Initial locations of the given automaton (optionally filtered by value).
     pub fn initial_locations(&self, owner: Owner, value: Option<BinValue>) -> Vec<LocId> {
         self.locations_where(|l| {
@@ -210,17 +200,6 @@ impl SystemModel {
     /// Decision locations (optionally filtered by value).
     pub fn decision_locations(&self, value: Option<BinValue>) -> Vec<LocId> {
         self.locations_where(|l| l.is_decision() && (value.is_none() || l.value() == value))
-    }
-
-    /// Final non-decision locations of the process automaton, optionally
-    /// filtered by value (the set `F \ D` used in the termination property).
-    pub fn final_non_decision_locations(&self, value: Option<BinValue>) -> Vec<LocId> {
-        self.locations_where(|l| {
-            l.owner() == Owner::Process
-                && l.is_final()
-                && !l.is_decision()
-                && (value.is_none() || l.value() == value)
-        })
     }
 
     /// Shared variables.
@@ -345,11 +324,6 @@ impl SystemModel {
             rules,
             kind: self.kind,
         }
-    }
-
-    /// Whether any rule of the model is non-Dirac.
-    pub fn has_probabilistic_rules(&self) -> bool {
-        self.rules.iter().any(|r| !r.is_dirac())
     }
 
     // ------------------------------------------------------------------
@@ -858,9 +832,9 @@ mod tests {
     #[test]
     fn to_nonprobabilistic_splits_coin_toss() {
         let m = tiny_model();
-        assert!(m.has_probabilistic_rules());
+        assert!(m.rules().iter().any(|r| !r.is_dirac()));
         let np = m.to_nonprobabilistic();
-        assert!(!np.has_probabilistic_rules());
+        assert!(np.rules().iter().all(|r| r.is_dirac()));
         // toss is replaced by two Dirac rules
         assert_eq!(np.rules().len(), m.rules().len() + 1);
         assert!(np.rule_id("toss_to_N0c").is_some());
@@ -875,8 +849,9 @@ mod tests {
         assert_eq!(rd.kind(), ModelKind::SingleRound);
         // 3 border locations (J0, J1, JC) get copies
         assert_eq!(rd.locations().len(), m.locations().len() + 3);
-        assert_eq!(rd.border_copy_locations(Owner::Process).len(), 2);
-        assert_eq!(rd.border_copy_locations(Owner::Coin).len(), 1);
+        let copies_of = |owner| rd.locations_where(|l| l.owner() == owner && l.is_border_copy());
+        assert_eq!(copies_of(Owner::Process).len(), 2);
+        assert_eq!(copies_of(Owner::Coin).len(), 1);
         // round-switch rules are redirected to copies, self-loops added
         let j0_copy = rd.location_id("J0'").unwrap();
         assert!(rd.location(j0_copy).is_border_copy());

@@ -61,16 +61,6 @@ impl Variable {
     pub fn kind(&self) -> VarKind {
         self.kind
     }
-
-    /// Whether this is a coin variable.
-    pub fn is_coin(&self) -> bool {
-        self.kind == VarKind::Coin
-    }
-
-    /// Whether this is a shared variable.
-    pub fn is_shared(&self) -> bool {
-        self.kind == VarKind::Shared
-    }
 }
 
 impl fmt::Display for Variable {
@@ -87,10 +77,7 @@ mod tests {
     fn variable_kind_predicates() {
         let s = Variable::new("a0", VarKind::Shared);
         let c = Variable::new("cc0", VarKind::Coin);
-        assert!(s.is_shared());
-        assert!(!s.is_coin());
-        assert!(c.is_coin());
-        assert!(!c.is_shared());
+        assert_eq!(s.kind(), VarKind::Shared);
         assert_eq!(s.name(), "a0");
         assert_eq!(c.kind(), VarKind::Coin);
     }
