@@ -1,11 +1,10 @@
 //! The one bounded byte codec.
 //!
 //! Every byte format the workspace reads back is written with the `put_*`
-//! helpers here and read through one [`Reader`]: portable checkpoints
-//! ([`crate::ckpt`]), `ccserve`'s wire frames, parked jobs and verdict-log
-//! payloads, and `cccore::wal`'s file and record headers.  Integers are
-//! little-endian and fixed-width; strings and lists carry a `u32` count
-//! (checkpoints) or a `u64` one (the wire and parked jobs).
+//! helpers here and read through one [`Reader`]: `ccserve`'s wire frames,
+//! parked jobs and verdict-log payloads, and `cccore::wal`'s file and
+//! record headers.  Integers are little-endian and fixed-width; strings and
+//! lists carry a `u64` count.
 //!
 //! Reading a length field is *bounded*: the declared count times the
 //! element's minimum encoded size must fit in the input that remains, so a
@@ -51,22 +50,10 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends a string with a `u32` length prefix.
-pub fn put_str_u32(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Appends a string with a `u64` length prefix.
 pub fn put_str_u64(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Appends a `u32` element count, then each element with `put`.
-pub fn put_list_u32<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_u32(out, items.len() as u32);
-    items.iter().for_each(|item| put(out, item));
 }
 
 /// Appends a `u64` element count, then each element with `put`.
@@ -151,13 +138,6 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    /// A `u32` element count, [bounded](Reader::bound) by the remaining
-    /// input at `min_size` bytes per element.
-    pub fn len_u32(&mut self, min_size: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        self.bound(n, min_size)
-    }
-
     /// A `u64` element count, [bounded](Reader::bound) by the remaining
     /// input at `min_size` bytes per element.
     pub fn len_u64(&mut self, min_size: usize) -> Result<usize, DecodeError> {
@@ -165,27 +145,10 @@ impl<'a> Reader<'a> {
         self.bound(n, min_size)
     }
 
-    /// A UTF-8 string with a `u32` length prefix.
-    pub fn str_u32(&mut self) -> Result<String, DecodeError> {
-        let n = self.len_u32(1)?;
-        self.utf8(n)
-    }
-
     /// A UTF-8 string with a `u64` length prefix.
     pub fn str_u64(&mut self) -> Result<String, DecodeError> {
         let n = self.len_u64(1)?;
         self.utf8(n)
-    }
-
-    /// A list with a `u32` element count, [bounded](Reader::bound) at
-    /// `min_size` bytes per element, each element read by `read`.
-    pub fn list_u32<T>(
-        &mut self,
-        min_size: usize,
-        mut read: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
-        let n = self.len_u32(min_size)?;
-        (0..n).map(|_| read(self)).collect()
     }
 
     /// A list with a `u64` element count, [bounded](Reader::bound) at
@@ -223,14 +186,15 @@ mod tests {
         put_u8(&mut out, 7);
         put_u32(&mut out, 0x0102_0304);
         put_u64(&mut out, u64::MAX - 1);
-        put_str_u32(&mut out, "ab");
+        put_str_u64(&mut out, "ab");
         put_str_u64(&mut out, "ü");
         assert_eq!(out[..5], [7, 4, 3, 2, 1]);
+        assert_eq!(out[13..23], [2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']);
         let mut r = Reader::new(&out);
         assert_eq!(r.u8(), Ok(7));
         assert_eq!(r.u32(), Ok(0x0102_0304));
         assert_eq!(r.u64(), Ok(u64::MAX - 1));
-        assert_eq!(r.str_u32().as_deref(), Ok("ab"));
+        assert_eq!(r.str_u64().as_deref(), Ok("ab"));
         assert_eq!(r.str_u64().as_deref(), Ok("ü"));
         r.finish().unwrap();
     }
@@ -262,10 +226,10 @@ mod tests {
         assert!(Reader::new(&huge).len_u64(1).is_err());
         assert!(Reader::new(&huge).str_u64().is_err());
         let mut bad_utf8 = Vec::new();
-        put_u32(&mut bad_utf8, 1);
+        put_u64(&mut bad_utf8, 1);
         bad_utf8.push(0xFF);
         assert_eq!(
-            Reader::new(&bad_utf8).str_u32(),
+            Reader::new(&bad_utf8).str_u64(),
             Err(DecodeError::Malformed("string is not UTF-8"))
         );
     }
@@ -273,11 +237,11 @@ mod tests {
     #[test]
     fn lists_round_trip_with_their_count_width() {
         let mut out = Vec::new();
-        put_list_u32(&mut out, &[1u64, 2], |o, &v| put_u64(o, v));
+        put_list_u64(&mut out, &[1u64, 2], |o, &v| put_u64(o, v));
         put_list_u64(&mut out, &["x", "yz"], |o, s| put_str_u64(o, s));
-        assert_eq!(out[..4], [2, 0, 0, 0]);
+        assert_eq!(out[..8], [2, 0, 0, 0, 0, 0, 0, 0]);
         let mut r = Reader::new(&out);
-        assert_eq!(r.list_u32(8, Reader::u64), Ok(vec![1, 2]));
+        assert_eq!(r.list_u64(8, Reader::u64), Ok(vec![1, 2]));
         assert_eq!(
             r.list_u64(8, Reader::str_u64),
             Ok(vec!["x".to_string(), "yz".to_string()])
@@ -285,7 +249,7 @@ mod tests {
         r.finish().unwrap();
         // a count the input cannot hold fails before any element is read
         assert_eq!(
-            Reader::new(&[3, 0, 0, 0, 1, 2]).list_u32(1, Reader::u8),
+            Reader::new(&[3, 0, 0, 0, 0, 0, 0, 0, 1, 2]).list_u64(1, Reader::u8),
             Err(DecodeError::Malformed("length exceeds input"))
         );
     }

@@ -10,7 +10,7 @@
 //! [`ExplicitChecker`] answers every query from the cached reachability
 //! graph of its `(start restriction, valuation)` group ([`crate::graph`]):
 //! the first query of a group pays one exploration on the generic
-//! [`crate::explorer::Explorer`] driver, and every query is then an
+//! `crate::explorer::Explorer` loop, and every query is then an
 //! analysis pass over the cached graph.  See the [`crate::explorer`] docs
 //! for the engine and determinism story, and [`crate::graph`] for the
 //! passes and the counts they report.

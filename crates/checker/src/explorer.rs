@@ -3,9 +3,9 @@
 //! Every exploration of the engine is the same loop: pop a node, enumerate
 //! its applicable progress actions, expand every probabilistic branch in
 //! place on the row substrate, intern the successor into the
-//! [`StateStore`], and enqueue fresh states.  [`Explorer`] owns that
+//! `StateStore`, and enqueue fresh states.  `Explorer` owns that
 //! expand → intern → frontier cycle once, and records what it sees into
-//! one owned [`Explored`] record: the store, every explored transition as
+//! one owned `Explored` record: the store, every explored transition as
 //! a CSR arc, the fresh start nodes, the discovery order and the state and
 //! transition counters.  The reachability-graph build and its incremental
 //! extension ([`crate::graph`]) start, resume and take back that record.

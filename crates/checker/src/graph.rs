@@ -3,11 +3,11 @@
 //! Every obligation of the catalogue observes the same reachable
 //! configuration graph of the single-round counter system — only the
 //! *observation* differs (monitor bits, game target sets, blocking scan).
-//! [`ReachGraph`] materialises that graph once per
+//! `ReachGraph` materialises that graph once per
 //! `(start restriction, valuation)` group: one run of the generic
-//! [`Explorer`] interns every reachable configuration into the
-//! [`StateStore`] and records the full transition relation in the flat CSR
-//! arenas of [`GameGraph`].  Each obligation is then evaluated as an
+//! `Explorer` interns every reachable configuration into the
+//! `StateStore` and records the full transition relation in the flat CSR
+//! arenas of `GameGraph`.  Each obligation is then evaluated as an
 //! `O(states + transitions)` analysis pass over the cached graph; this is
 //! the only way the engine answers a check:
 //!
@@ -18,8 +18,8 @@
 //!   node's occupancy once, against each tracked [`LocSet`]'s locations.
 //! * [`Spec::ExistsAvoidOneOf`] — the product game graph over
 //!   `(node, cumulative bits)` is assembled from the cached arcs and
-//!   handed to the O(arcs) worklist attractor ([`adversary_winning`]); the
-//!   violating strategy path comes from [`extract_strategy_path`].
+//!   handed to the O(arcs) worklist attractor (`adversary_winning`); the
+//!   violating strategy path comes from `extract_strategy_path`.
 //! * [`Spec::NonBlocking`] — a terminal/blocking scan: a cached node is
 //!   terminal iff its CSR arc span is empty (a complete exploration
 //!   expands every interned node).
@@ -30,7 +30,7 @@
 //! built: monitored violations rerun their search recording parents and
 //! walk the parent chain back, non-blocking violations walk back the
 //! first-discovery arcs that the prefix walk of
-//! [`ReachGraph::prefix_before`] meets, and game violations follow the
+//! `ReachGraph::prefix_before` meets, and game violations follow the
 //! winning strategy through product arcs.  Along every reported path the
 //! cumulative occupancy of the tracked sets first completes exactly at the
 //! final configuration, because a product state is checked for violation
@@ -233,7 +233,7 @@ pub(crate) enum LineageStep {
 }
 
 /// The cross-valuation graph lineage of one sweep worker: at most one
-/// surviving [`ReachGraph`] per start-restriction group, carried from
+/// surviving `ReachGraph` per start-restriction group, carried from
 /// valuation to valuation (see the "Incremental sweeps" section of the
 /// crate docs).  Owned by whoever walks a group's valuations in order — the
 /// sweep starts each run of valuations on an empty lineage — and handed to

@@ -12,8 +12,8 @@
 //!
 //! The mechanics live in two layers:
 //!
-//! * [`JobSignals`] is the shared, `Sync` signal block threaded through the
-//!   [`crate::explorer::Explorer`]: polled at every wave boundary (all
+//! * `JobSignals` is the shared, `Sync` signal block threaded through the
+//!   `crate::explorer::Explorer`: polled at every wave boundary (all
 //!   signals) and at analysis-pass strides (the fast cancel/deadline
 //!   signals only).
 //! * The job loop walks the obligation catalogue in spec order on one
@@ -263,13 +263,15 @@ impl JobSignals {
 }
 
 /// The resumable state of an interrupted job: the completed outcomes and
-/// the cumulative exploration counters — exactly what
-/// [`JobCheckpoint::to_portable_bytes`] encodes, so the byte round trip is
-/// lossless.
+/// the cumulative exploration counters.
 ///
-/// The checkpoint is plain data (`Send`) and refers to nothing of the
-/// interrupted job, so the originating [`CheckJob`] may be dropped and
-/// re-created with the same system, specs and options before resuming.
+/// The checkpoint is plain in-process data (`Send`) and refers to nothing
+/// of the interrupted job, so the originating [`CheckJob`] may be dropped
+/// and re-created with the same system, specs and options before resuming.
+/// It has no byte encoding: a caller that must outlive the process keeps
+/// the verdicts it reported and runs a fresh job over the owed obligations
+/// (an obligation's outcome depends only on its group's graph and the
+/// checker options).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobCheckpoint {
     /// Per spec (in spec order): the completed outcome, or `None` if still

@@ -28,13 +28,13 @@
 //! The paper's headline results are wall-clock checking times, so this crate
 //! treats exploration throughput as part of the reproduced artifact.  Every
 //! check runs one engine path: a single generic driver,
-//! [`explorer::Explorer`], explores the reachable configurations of a
+//! `explorer::Explorer`, explores the reachable configurations of a
 //! `(start restriction, valuation)` group once into a cached graph
 //! ([`graph`]), and each query is then an analysis pass over that graph
 //! (see "Graph cache" below).  The driver owns the expand → intern →
 //! frontier cycle:
 //!
-//! * **Packed state rows** ([`store::StateStore`]) — a single-round state
+//! * **Packed state rows** (`store::StateStore`) — a single-round state
 //!   is one fixed-stride byte row (`locations ++ variables`,
 //!   [`cccounter::RowEngine`]); visited rows live back to back in
 //!   contiguous arenas, deduplicated through flat open-addressing indexes
@@ -73,7 +73,7 @@
 //!   valuation and runs its whole spec slice through it.  The enumerated
 //!   start configurations are memoised the same way.
 //! * **Build.**  The first obligation of a group pays one exploration: the
-//!   generic [`explorer::Explorer`] run interns every reachable
+//!   generic `explorer::Explorer` run interns every reachable
 //!   configuration and records the
 //!   full transition relation in flat CSR arenas ([`game`]'s
 //!   `GameGraph`).  Every obligation of the group is then an
@@ -84,7 +84,7 @@
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
 //!   reconstructed from cached arcs and remain genuinely replayable.
 //! * **Memory model.**  A cached graph holds the deduplicated
-//!   [`store::StateStore`] rows plus the CSR arenas of the group's full
+//!   `store::StateStore` rows plus the CSR arenas of the group's full
 //!   transition relation: 8 bytes per node span and one 8-byte arc per
 //!   transition (successor, rule, branch index, and whether the arc opens
 //!   its action).  A schedule step is rebuilt from an arc only where a
@@ -136,7 +136,7 @@
 //!   bounds re-evaluated on the row, new bounds from the new system); the
 //!   seeds are re-expanded — their CSR spans are *replaced* with the full
 //!   new action list — and fresh successors continue the ordinary
-//!   level-synchronous BFS, appending to the [`store::StateStore`] and the
+//!   level-synchronous BFS, appending to the `store::StateStore` and the
 //!   CSR arenas in place.  A final *relink* pass replays a BFS over the
 //!   final cached arcs, re-deriving the discovery order and the
 //!   state/transition counts exactly as a from-scratch build at `v'` would
@@ -216,7 +216,7 @@
 //! # Memory model
 //!
 //! The persistent memory of a check is its cached graphs: the deduplicated
-//! [`store::StateStore`] (one contiguous row arena, one hash per node and
+//! `store::StateStore` (one contiguous row arena, one hash per node and
 //! one open-addressing index) and the CSR arenas (8 bytes per node span and
 //! 8 per arc, one arc per transition).  The explorer interns each successor
 //! as it is generated, so an exploration buffers nothing beyond its
@@ -256,7 +256,11 @@
 //!   bit-identically to an uninterrupted run (pinned by the
 //!   `random_differential` interrupt axis).  A group build longer than one
 //!   deadline window therefore never finishes across resumes; give the
-//!   resume a longer deadline.
+//!   resume a longer deadline.  A checkpoint lives in process only: an
+//!   obligation's outcome depends on nothing but its group's graph and the
+//!   checker options, so state that must outlive the process (`ccserve`'s
+//!   parked jobs) keeps the verdicts already answered and runs a fresh job
+//!   over the owed obligations.
 //! * **Cancellation latency.**  [`CancelToken::cancel`] and the deadline
 //!   are *fast* signals, polled at wave boundaries and every few thousand
 //!   steps of an analysis pass — latency is O(one wave), not O(the check).
@@ -300,7 +304,6 @@
 //! same verdicts on all eight Table II protocols, and the `table2_checking`
 //! bench measures the speedup and the sweep's thread scaling.
 
-pub mod ckpt;
 pub mod codec;
 pub mod counterexample;
 pub mod explicit;

@@ -1,11 +1,11 @@
 //! The state store of the explicit-state engine.
 //!
 //! Every search of this crate runs through the generic
-//! [`crate::explorer::Explorer`] driver, and the driver's state table lives
+//! `crate::explorer::Explorer` loop, and that loop's state table lives
 //! here: dedup visited configurations and decode stored states back for
 //! counterexample reconstruction.  How the states connect is recorded once,
 //! in the CSR graph the explorer writes beside the store (see
-//! [`crate::explorer::Explored`]).  [`StateStore`] keeps rows, hashes and
+//! `crate::explorer::Explored`).  `StateStore` keeps rows, hashes and
 //! their index, around the row representation of [`cccounter::RowEngine`]:
 //!
 //! * **Contiguous packed rows.**  A single-round state is one fixed-stride

@@ -81,32 +81,24 @@ impl ResultCache {
     /// Caches the outcome if it is definite; `Unknown` outcomes (degraded,
     /// interrupted, or genuinely inconclusive) are dropped.
     pub fn insert(&self, key: CacheKey, outcome: &CheckOutcome) {
-        if self.capacity == 0 || outcome.status == CheckStatus::Unknown {
+        if outcome.status == CheckStatus::Unknown {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
-        match inner.map.entry(key) {
-            Entry::Occupied(_) => return,
-            Entry::Vacant(slot) => {
-                slot.insert(CachedVerdict {
-                    status: outcome.status,
-                    states_explored: outcome.states_explored,
-                    transitions_explored: outcome.transitions_explored,
-                    detail: outcome.detail.clone(),
-                });
-            }
-        }
-        inner.order.push_back(key);
-        while inner.order.len() > self.capacity {
-            if let Some(old) = inner.order.pop_front() {
-                inner.map.remove(&old);
-            }
-        }
+        self.preload(
+            key,
+            CachedVerdict {
+                status: outcome.status,
+                states_explored: outcome.states_explored,
+                transitions_explored: outcome.transitions_explored,
+                detail: outcome.detail.clone(),
+            },
+        );
     }
 
-    /// Seeds the cache with an already-validated verdict (log recovery):
-    /// same occupancy and capacity rules as [`ResultCache::insert`], but no
-    /// definiteness re-check and no hit/miss accounting.
+    /// Admits an already-validated verdict (log recovery, and
+    /// [`ResultCache::insert`] after its definiteness check): a key already
+    /// cached keeps its first verdict, and the oldest entries are evicted
+    /// beyond `capacity`.  Counts no hit or miss.
     pub fn preload(&self, key: CacheKey, verdict: CachedVerdict) {
         if self.capacity == 0 {
             return;

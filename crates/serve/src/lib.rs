@@ -25,16 +25,19 @@
 //! every terminal response echoes, so clients may pipeline requests over
 //! one connection.  Two opt-in flags ride on check (and resume) requests:
 //! `progress` subscribes to interim `Progress` frames, `park_on_interrupt`
-//! asks the daemon to park a deadline-tripped job instead of discarding
-//! its work.
+//! asks the daemon to park a deadline-tripped request instead of
+//! discarding its work.  A parked job is the request plus what the wire
+//! already reported: the cells done and the tripped cell's answered
+//! verdicts.  A resume replays those verbatim and checks only the owed
+//! obligations of that cell, then the later cells.
 //!
 //! **Response taxonomy.**  Exactly one *terminal* response per check or
 //! resume request on a live connection:
 //!
 //! * `Verdict` — the request was admitted and ran; one report per
 //!   valuation with a `+`/`-`/`?` glyph per obligation.  If the deadline
-//!   tripped a `park_on_interrupt` job, the verdict additionally carries a
-//!   `ResumeToken`: the degraded `?` cells can be continued.
+//!   tripped a `park_on_interrupt` request, the verdict additionally
+//!   carries a `ResumeToken`: the degraded `?` cells can be continued.
 //! * `Overloaded` — the bounded admission queue was full; the request was
 //!   shed *at admission* and nothing was buffered.  Backpressure is always
 //!   explicit: the daemon never queues beyond `queue_capacity`.  The
@@ -90,13 +93,15 @@
 //! # Durability contract
 //!
 //! With a cache log configured (`--cache-log PATH`), the daemon's durable
-//! state — the cross-request verdict cache and the parked-job checkpoint
-//! registry — survives process death, including `kill -9` at any byte:
+//! state — the cross-request verdict cache and the parked-job registry —
+//! survives process death, including `kill -9` at any byte.  A parked job
+//! holds only wire layouts (a request, reported cells and answered
+//! verdicts), never the checker's internal state:
 //!
 //! 1. **Acknowledge-after-append.**  A definite verdict is appended to the
 //!    log *before* the response frame that reports it is written; a parked
-//!    checkpoint is appended (and fsync'd, regardless of policy) *before*
-//!    the resume token is promised.  Therefore the recovered state is
+//!    job is appended (and fsync'd, regardless of policy) *before* the
+//!    resume token is promised.  Therefore the recovered state is
 //!    always a **prefix of what was acknowledged** — a restarted daemon may
 //!    have forgotten unacknowledged work, but can never serve a verdict it
 //!    did not compute, and never fabricates one.
@@ -109,7 +114,7 @@
 //!    rename (plus a directory fsync).  A crash at any point leaves either
 //!    the old or the new generation, never a mix.
 //! 4. **Typed resume across restarts.**  A resume token from before a
-//!    crash either continues the job (its checkpoint record survived) or
+//!    crash either continues the job (its parked record survived) or
 //!    fails typed (`Unknown`/`Evicted`/`Expired`) — never hangs, never
 //!    produces a wrong verdict.
 //!

@@ -1,12 +1,13 @@
-//! Parked-checkpoint registry: a bounded LRU of resumable jobs.
+//! Parked-job registry: a bounded LRU of resumable requests.
 //!
 //! When a deadline trips a job whose request set `park_on_interrupt`, the
-//! server serialises the job's portable state (the original request, the
-//! cells already reported, the tripped cell's cache hits, and the
-//! checker's [`ccchecker::JobCheckpoint`]) into a [`ParkedJob`] and parks
-//! it here under a fresh resume token.  A follow-up
-//! [`crate::wire::ResumeRequest`] takes the entry back out and continues
-//! bit-identically.
+//! server parks the request, not the job: a [`ParkedJob`] is the original
+//! request, the index of the tripped cell, the cells already reported and
+//! the tripped cell's answered verdicts (its cache hits and the outcomes
+//! the job completed before the trip), parked here under a fresh resume
+//! token.  A follow-up [`crate::wire::ResumeRequest`] takes the entry back
+//! out; the server replays the answered verdicts verbatim and checks only
+//! the rest of the cell.
 //!
 //! The registry is bounded two ways: by **slots** (LRU eviction, oldest
 //! parked job first) and by **time** (a TTL per entry, checked lazily).
@@ -15,29 +16,27 @@
 //! outlived one `Expired`, and anything else `Unknown` — the client can
 //! always distinguish "retry from scratch" from "you waited too long".
 //!
-//! Entries are stored as encoded bytes, the form the verdict log persists,
-//! which makes resident accounting exact.  The encoding reuses the wire's
-//! request, cell and verdict layouts, with [`ccchecker::codec`]'s
-//! primitives and length bounds.  [`ParkedJob::decode`] checks the embedded
-//! checkpoint against the job's obligation list where the bytes enter, so
-//! drifted parked state is a typed error, never a panic in the resumed job.
+//! Entries are stored as encoded bytes, the form the verdict log persists.
+//! The encoding is the wire's request, cell and verdict layouts, with
+//! [`ccchecker::codec`]'s primitives and length bounds, so a parked job
+//! holds only what the wire reports and nothing of the checker's state.
 
 use crate::wire::{
     encode_request, put_cell, put_verdict, read_cell, read_request, read_verdict, CellReport,
     CheckRequest, Request, ResumeRejectCause, SpecVerdict, CELL_MIN_BYTES, VERDICT_MIN_BYTES,
 };
 use ccchecker::codec::{decode_all, put_list_u64, put_u64, put_u8, DecodeError};
-use ccchecker::JobCheckpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-const PARKED_VERSION: u8 = 1;
+const PARKED_VERSION: u8 = 2;
 /// Recently evicted tokens remembered for typed `Evicted` rejections.
 const EVICTED_MEMORY: usize = 64;
 
-/// The portable state of one parked job, sufficient to rebuild the model,
-/// re-filter the obligations and continue the tripped cell bit-identically.
+/// One parked request, sufficient to rebuild the model, re-filter the
+/// obligations and continue the tripped cell with the verdicts it already
+/// answered.
 pub(crate) struct ParkedJob {
     /// The original check request (resolution is deterministic, so the
     /// model, specs and valuations are rebuilt from it on resume).
@@ -46,17 +45,12 @@ pub(crate) struct ParkedJob {
     pub cell_index: usize,
     /// Cells fully reported before the trip, kept verbatim.
     pub cells_done: Vec<CellReport>,
-    /// Tripped-cell verdict slots that were served from the cache *before*
-    /// the job ran, captured verbatim — resume never re-consults the cache
-    /// for the tripped cell, so the checkpoint's obligation list always
-    /// matches and the reported verdicts cannot shift.
-    pub hit_verdicts: Vec<(usize, SpecVerdict)>,
-    /// Spec indices (into the filtered catalogue) the job was running over.
-    pub miss_indices: Vec<usize>,
-    /// The job's checkpoint at the trip, owing one obligation per
-    /// `miss_indices` entry, or `None` if the deadline passed before the
-    /// cell's job even started.
-    pub checkpoint: Option<JobCheckpoint>,
+    /// The tripped cell's answered verdict slots (indices into the
+    /// filtered catalogue), captured verbatim: its cache hits and the
+    /// outcomes the job completed before the trip.  Resume replays them
+    /// and checks every other slot; it never re-consults the cache for
+    /// this cell, so the reported verdicts cannot shift.
+    pub answered: Vec<(usize, SpecVerdict)>,
 }
 
 impl ParkedJob {
@@ -68,19 +62,10 @@ impl ParkedJob {
         buf.extend_from_slice(&req);
         put_u64(&mut buf, self.cell_index as u64);
         put_list_u64(&mut buf, &self.cells_done, put_cell);
-        put_list_u64(&mut buf, &self.hit_verdicts, |b, (slot, v)| {
+        put_list_u64(&mut buf, &self.answered, |b, (slot, v)| {
             put_u64(b, *slot as u64);
             put_verdict(b, v);
         });
-        put_list_u64(&mut buf, &self.miss_indices, |b, &i| put_u64(b, i as u64));
-        // an empty checkpoint field encodes `None`
-        let ckpt = self
-            .checkpoint
-            .as_ref()
-            .map(JobCheckpoint::to_portable_bytes)
-            .unwrap_or_default();
-        put_u64(&mut buf, ckpt.len() as u64);
-        buf.extend_from_slice(&ckpt);
         buf
     }
 
@@ -97,30 +82,14 @@ impl ParkedJob {
             };
             let cell_index = r.u64()? as usize;
             let cells_done = r.list_u64(CELL_MIN_BYTES, read_cell)?;
-            let hit_verdicts = r.list_u64(8 + VERDICT_MIN_BYTES, |r| {
+            let answered = r.list_u64(8 + VERDICT_MIN_BYTES, |r| {
                 Ok((r.u64()? as usize, read_verdict(r)?))
             })?;
-            let miss_indices = r.list_u64(8, |r| Ok(r.u64()? as usize))?;
-            let ckpt_len = r.len_u64(1)?;
-            let checkpoint = match r.bytes(ckpt_len)? {
-                [] => None,
-                ckpt => Some(JobCheckpoint::from_portable_bytes(ckpt)?),
-            };
-            if checkpoint
-                .as_ref()
-                .is_some_and(|cp| cp.total_obligations() != miss_indices.len())
-            {
-                return Err(DecodeError::Malformed(
-                    "parked checkpoint does not match its obligation list",
-                ));
-            }
             Ok(ParkedJob {
                 req,
                 cell_index,
                 cells_done,
-                hit_verdicts,
-                miss_indices,
-                checkpoint,
+                answered,
             })
         })
     }
@@ -139,7 +108,6 @@ struct Inner {
     /// Ring of recently evicted tokens, for typed rejections.
     evicted: VecDeque<u64>,
     next_token: u64,
-    resident_bytes: usize,
 }
 
 /// A bounded, thread-safe registry of parked jobs keyed by resume token.
@@ -159,7 +127,6 @@ impl CheckpointRegistry {
                 order: VecDeque::new(),
                 evicted: VecDeque::new(),
                 next_token: 1,
-                resident_bytes: 0,
             }),
             capacity,
             ttl,
@@ -192,9 +159,7 @@ impl CheckpointRegistry {
             .map(|(t, _)| *t)
             .collect();
         for t in expired {
-            if let Some(e) = inner.entries.remove(&t) {
-                inner.resident_bytes -= e.bytes.len();
-            }
+            inner.entries.remove(&t);
             inner.order.retain(|&o| o != t);
         }
         let mut evicted = Vec::new();
@@ -202,8 +167,7 @@ impl CheckpointRegistry {
             let Some(victim) = inner.order.pop_front() else {
                 break;
             };
-            if let Some(e) = inner.entries.remove(&victim) {
-                inner.resident_bytes -= e.bytes.len();
+            if inner.entries.remove(&victim).is_some() {
                 evicted.push(victim);
                 inner.evicted.push_back(victim);
                 while inner.evicted.len() > EVICTED_MEMORY {
@@ -213,7 +177,6 @@ impl CheckpointRegistry {
         }
         let token = inner.next_token;
         inner.next_token += 1;
-        inner.resident_bytes += bytes.len();
         inner.entries.insert(
             token,
             Entry {
@@ -232,7 +195,6 @@ impl CheckpointRegistry {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         match inner.entries.remove(&token) {
             Some(e) => {
-                inner.resident_bytes -= e.bytes.len();
                 inner.order.retain(|&o| o != token);
                 if e.expires_at <= Instant::now() {
                     return Err(ResumeRejectCause::Expired);
@@ -244,7 +206,7 @@ impl CheckpointRegistry {
         }
     }
 
-    /// Re-registers a checkpoint recovered from the verdict log at startup,
+    /// Re-registers a parked job recovered from the verdict log at startup,
     /// with a fresh TTL.  Keeps token allocation collision-free across
     /// restarts by bumping the counter past every recovered token; a token
     /// the counter cannot move past (`u64::MAX`, never handed out) is
@@ -261,7 +223,6 @@ impl CheckpointRegistry {
         if inner.entries.len() >= self.capacity || inner.entries.contains_key(&token) {
             return;
         }
-        inner.resident_bytes += bytes.len();
         inner.entries.insert(
             token,
             Entry {
@@ -296,23 +257,12 @@ impl CheckpointRegistry {
             .entries
             .len()
     }
-
-    /// Bytes held by resident entries (exact: entries are encoded).
-    #[cfg(test)]
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .resident_bytes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::{Priority, Source};
-    use ccchecker::{CheckJob, CheckerOptions, JobBudget, JobOutcome, Spec};
-    use cccounter::CounterSystem;
     use ccprotocols::family::FamilyParams;
 
     fn sample_req() -> CheckRequest {
@@ -331,95 +281,44 @@ mod tests {
         }
     }
 
-    /// The checkpoint a real job surrenders over the first `owed`
-    /// obligations of the sample family: its deadline has already passed,
-    /// so it trips before the first obligation.
-    fn tripped_checkpoint(owed: usize) -> JobCheckpoint {
-        let family = FamilyParams::default().instantiate(3);
-        let specs: Vec<Spec> = Spec::family_catalogue(&family.single_round, &family.obligations)
-            .into_iter()
-            .take(owed)
-            .collect();
-        assert_eq!(specs.len(), owed);
-        let sys = CounterSystem::new(family.single_round, family.sweep[0].clone()).unwrap();
-        let JobOutcome::BudgetExceeded { checkpoint, .. } =
-            CheckJob::new(&sys, &specs, CheckerOptions::default())
-                .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO))
-                .run()
-        else {
-            panic!("an expired deadline trips the job");
-        };
-        checkpoint
-    }
-
     #[test]
     fn parked_job_round_trips() {
+        let verdict = |name: &str, code, cached| SpecVerdict {
+            name: name.into(),
+            code,
+            states: 5,
+            transitions: 9,
+            cached,
+            detail: String::new(),
+        };
         let job = ParkedJob {
             req: sample_req(),
             cell_index: 2,
             cells_done: vec![CellReport {
                 valuation: vec![4, 1, 1],
-                verdicts: vec![SpecVerdict {
-                    name: "Inv1(0)".into(),
-                    code: b'+',
-                    states: 11,
-                    transitions: 22,
-                    cached: true,
-                    detail: String::new(),
-                }],
+                verdicts: vec![verdict("Inv1(0)", b'+', true)],
             }],
-            hit_verdicts: vec![(
-                1,
-                SpecVerdict {
-                    name: "Inv2(0)".into(),
-                    code: b'-',
-                    states: 5,
-                    transitions: 9,
-                    cached: true,
-                    detail: "cex".into(),
-                },
-            )],
-            miss_indices: vec![0, 2],
-            checkpoint: Some(tripped_checkpoint(2)),
+            answered: vec![
+                (
+                    1,
+                    SpecVerdict {
+                        detail: "cex".into(),
+                        ..verdict("Inv2(0)", b'-', true)
+                    },
+                ),
+                (3, verdict("CB0", b'+', false)),
+            ],
         };
         let decoded = ParkedJob::decode(&job.encode()).unwrap();
         assert_eq!(decoded.req, job.req);
         assert_eq!(decoded.cell_index, 2);
         assert_eq!(decoded.cells_done, job.cells_done);
-        assert_eq!(decoded.hit_verdicts, job.hit_verdicts);
-        assert_eq!(decoded.miss_indices, vec![0, 2]);
-        assert_eq!(decoded.checkpoint, job.checkpoint);
+        assert_eq!(decoded.answered, job.answered);
         // every truncation is a typed error, never a panic
         let bytes = job.encode();
         for cut in 0..bytes.len() {
             assert!(ParkedJob::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn parked_checkpoint_must_owe_one_obligation_per_miss_index() {
-        let mut job = ParkedJob {
-            req: sample_req(),
-            cell_index: 0,
-            cells_done: Vec::new(),
-            hit_verdicts: Vec::new(),
-            miss_indices: vec![0, 2],
-            checkpoint: Some(tripped_checkpoint(2)),
-        };
-        let decoded = ParkedJob::decode(&job.encode()).unwrap();
-        assert_eq!(decoded.miss_indices, vec![0, 2]);
-        // drifted parked state is refused where the bytes enter
-        job.miss_indices = vec![0];
-        assert!(matches!(
-            ParkedJob::decode(&job.encode()),
-            Err(DecodeError::Malformed(_))
-        ));
-        // a job parked before its cell started has no checkpoint to check
-        job.checkpoint = None;
-        assert!(ParkedJob::decode(&job.encode())
-            .unwrap()
-            .checkpoint
-            .is_none());
     }
 
     #[test]
@@ -445,27 +344,28 @@ mod tests {
         let reg = CheckpointRegistry::new(4, Duration::ZERO);
         let (t, _) = reg.park(vec![1, 2, 3]).unwrap();
         assert_eq!(reg.take(t).unwrap_err(), ResumeRejectCause::Expired);
-        assert_eq!(reg.resident_bytes(), 0, "expired entry released its bytes");
+        assert_eq!(reg.len(), 0, "the expired entry is gone");
+        // an outlived entry is dropped by the next park, not kept beside it
+        reg.park(vec![4]).unwrap();
+        reg.park(vec![5]).unwrap();
+        assert_eq!(reg.len(), 1);
+        assert!(
+            reg.snapshot().is_empty(),
+            "no outlived entry is snapshotted"
+        );
     }
 
     #[test]
-    fn eviction_releases_resident_bytes() {
+    fn eviction_releases_entries() {
         let reg = CheckpointRegistry::new(1, Duration::from_secs(60));
-        let mut high_water = 0;
         for i in 0..32 {
             reg.park(vec![i as u8; 1000]).unwrap();
-            high_water = high_water.max(reg.resident_bytes());
+            assert_eq!(reg.len(), 1, "never more entries than slots");
         }
-        assert_eq!(
-            high_water, 1000,
-            "resident bytes never exceed one slot's worth"
-        );
-        assert_eq!(reg.len(), 1);
         let (t, _) = reg.park(vec![0; 500]).unwrap();
         reg.take(t).unwrap();
         // take() drained the newest; the previous one was evicted by its park
-        assert_eq!(reg.len(), 0);
-        assert_eq!(reg.resident_bytes(), 0, "no growth after eviction + take");
+        assert_eq!(reg.len(), 0, "no entry left after eviction + take");
     }
 
     #[test]
@@ -517,15 +417,9 @@ mod tests {
             .collect()
     }
 
-    /// A hand-built parked job.  Its checkpoint owes slot 0 and holds a
-    /// `Holds` in slot 1, written out in the version-2 portable encoding.
+    /// A hand-built parked job, tripped in its second cell: slot 1 holds
+    /// an outcome the job completed, slot 2 a cache hit, and slot 0 is owed.
     fn golden_parked_job() -> ParkedJob {
-        let checkpoint = JobCheckpoint::from_portable_bytes(&unhex(
-            "02 0900000000000000 0a00000000000000 02000000
-             00
-             01 00 0100000000000000 0200000000000000 00000000 00",
-        ))
-        .unwrap();
         ParkedJob {
             req: CheckRequest {
                 id: 5,
@@ -549,25 +443,38 @@ mod tests {
                     detail: String::new(),
                 }],
             }],
-            hit_verdicts: vec![(
-                2,
-                SpecVerdict {
-                    name: "CB0".into(),
-                    code: b'-',
-                    states: 5,
-                    transitions: 9,
-                    cached: true,
-                    detail: String::new(),
-                },
-            )],
-            miss_indices: vec![0, 1],
-            checkpoint: Some(checkpoint),
+            answered: vec![
+                (
+                    1,
+                    SpecVerdict {
+                        name: "Inv1(1)".into(),
+                        code: b'+',
+                        states: 1,
+                        transitions: 2,
+                        cached: false,
+                        detail: String::new(),
+                    },
+                ),
+                (
+                    2,
+                    SpecVerdict {
+                        name: "CB0".into(),
+                        code: b'-',
+                        states: 5,
+                        transitions: 9,
+                        cached: true,
+                        detail: String::new(),
+                    },
+                ),
+            ],
         }
     }
 
-    /// [`golden_parked_job`] in the version-1 parked-job encoding.
+    /// [`golden_parked_job`] in the version-2 parked-job encoding: the
+    /// version byte, the embedded check request, the cell index, the
+    /// reported cells and the answered `(slot, verdict)` pairs.
     const GOLDEN_PARKED_JOB: &str = "
-        01
+        02
         3100000000000000
            01 0500000000000000 00 2800000000000000 02
            01 0500000000000000 4d4d523134
@@ -579,15 +486,13 @@ mod tests {
            0100000000000000
               0700000000000000 496e7631283029 2b
               0b00000000000000 1600000000000000 01 0000000000000000
-        0100000000000000
+        0200000000000000
+           0100000000000000
+           0700000000000000 496e7631283129 2b
+           0100000000000000 0200000000000000 00 0000000000000000
            0200000000000000
            0300000000000000 434230 2d
-           0500000000000000 0900000000000000 01 0000000000000000
-        0200000000000000 0000000000000000 0100000000000000
-        2d00000000000000
-           02 0900000000000000 0a00000000000000 02000000
-           00
-           01 00 0100000000000000 0200000000000000 00000000 00";
+           0500000000000000 0900000000000000 01 0000000000000000";
 
     #[test]
     fn golden_parked_job_bytes_are_pinned() {
@@ -598,9 +503,14 @@ mod tests {
         assert_eq!(decoded.req, job.req);
         assert_eq!(decoded.cell_index, job.cell_index);
         assert_eq!(decoded.cells_done, job.cells_done);
-        assert_eq!(decoded.hit_verdicts, job.hit_verdicts);
-        assert_eq!(decoded.miss_indices, job.miss_indices);
-        assert_eq!(decoded.checkpoint, job.checkpoint);
+        assert_eq!(decoded.answered, job.answered);
+        // a record of another version is refused, not misread
+        let mut v1 = bytes.clone();
+        v1[0] = 1;
+        assert!(matches!(
+            ParkedJob::decode(&v1),
+            Err(DecodeError::Malformed("unknown parked-job version"))
+        ));
         // every truncation and every single-bit flip decodes to a parked
         // job or a typed error, never a panic
         for cut in 0..bytes.len() {

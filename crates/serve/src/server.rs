@@ -3,7 +3,7 @@
 //! See the crate docs for the wire protocol and failure model.  This module
 //! implements the lifecycle: an accept loop hands each connection to a
 //! reader thread; readers decode frames and either answer immediately
-//! (ping/stats), shed (`Overloaded`), or enqueue a [`JobEntry`]; a fixed
+//! (ping/stats), shed (`Overloaded`), or enqueue a `JobEntry`; a fixed
 //! pool of worker threads drains the queue and runs each request as a
 //! `ccchecker::CheckJob`, degrading deadline-tripped cells to `?` verdicts
 //! and caching definite ones across requests.
@@ -20,7 +20,7 @@ use crate::wire::{
 };
 use ccchecker::{
     fault, panic_message, retry_once, CancelToken, CheckJob, CheckOutcome, CheckStatus,
-    CheckerOptions, JobBudget, JobCheckpoint, JobOutcome, ProgressFn, Spec,
+    CheckerOptions, JobBudget, JobOutcome, ProgressFn, Spec,
 };
 use cccore::fingerprint::{
     spec_fingerprint, system_fingerprint, valuation_fingerprint, verdict_code,
@@ -700,13 +700,7 @@ fn process(entry: JobEntry, ctx: &Arc<Ctx>) {
                 progress: rr.progress,
                 park: rr.park_on_interrupt,
                 req: parked.req.clone(),
-                resume: Some(ResumeState {
-                    cell_index: parked.cell_index,
-                    cells_done: parked.cells_done,
-                    hit_verdicts: parked.hit_verdicts,
-                    miss_indices: parked.miss_indices,
-                    checkpoint: parked.checkpoint,
-                }),
+                resume: Some(parked),
             };
             run_check(run, &conn, admitted_at, &cancel, ctx);
         }
@@ -725,16 +719,8 @@ struct CheckRun {
     deadline_ms: u64,
     progress: bool,
     park: bool,
-    resume: Option<ResumeState>,
-}
-
-/// Where to pick a parked job back up.
-struct ResumeState {
-    cell_index: usize,
-    cells_done: Vec<CellReport>,
-    hit_verdicts: Vec<(usize, SpecVerdict)>,
-    miss_indices: Vec<usize>,
-    checkpoint: Option<JobCheckpoint>,
+    /// The parked request to pick back up, if this run is a resume.
+    resume: Option<ParkedJob>,
 }
 
 fn run_check(
@@ -845,11 +831,10 @@ fn run_check(
     // A resumed request must slot cleanly into the catalogue it was parked
     // under; registry bytes are self-produced, but never worth an
     // out-of-bounds panic if a log ever feeds us drifted state.
-    if let Some(rs) = &resume {
-        let consistent = rs.cell_index < valuations.len()
-            && rs.cells_done.len() == rs.cell_index
-            && rs.miss_indices.iter().all(|&i| i < specs.len())
-            && rs.hit_verdicts.iter().all(|(i, _)| *i < specs.len());
+    if let Some(parked) = &resume {
+        let consistent = parked.cell_index < valuations.len()
+            && parked.cells_done.len() == parked.cell_index
+            && parked.answered.iter().all(|(i, _)| *i < specs.len());
         if !consistent {
             return internal_error("parked state does not match its request".into());
         }
@@ -859,67 +844,51 @@ fn run_check(
     let system_fp = system_fingerprint(&model);
     let spec_fps: Vec<u64> = specs.iter().map(spec_fingerprint).collect();
 
-    let start_cell = resume.as_ref().map_or(0, |rs| rs.cell_index);
+    let start_cell = resume.as_ref().map_or(0, |parked| parked.cell_index);
     let mut cells: Vec<CellReport> = resume
         .as_mut()
-        .map(|rs| std::mem::take(&mut rs.cells_done))
+        .map(|parked| std::mem::take(&mut parked.cells_done))
         .unwrap_or_default();
     let mut resume_token: Option<ResumeToken> = None;
 
     for (vi, (valuation, sys)) in valuations.iter().zip(&systems).enumerate().skip(start_cell) {
         let valuation_fp = valuation_fingerprint(valuation);
         let mut verdicts: Vec<Option<SpecVerdict>> = vec![None; specs.len()];
-        let mut missing = Vec::new();
-        let mut resume_ckpt: Option<JobCheckpoint> = None;
 
-        if resume.as_ref().is_some_and(|rs| rs.cell_index == vi) {
-            // the parked cell: replay its pre-job state verbatim — the
-            // cache is *not* re-consulted, so the obligation list matches
-            // the checkpoint exactly and the reported verdicts cannot
+        if let Some(parked) = resume.take_if(|parked| parked.cell_index == vi) {
+            // the parked cell: replay its answered verdicts verbatim — the
+            // cache is *not* re-consulted, so the reported verdicts cannot
             // shift under a cache that moved on
-            let rs = resume.take().unwrap();
-            for (slot, v) in rs.hit_verdicts {
+            for (slot, v) in parked.answered {
                 verdicts[slot] = Some(v);
             }
-            missing = rs.miss_indices;
-            resume_ckpt = rs.checkpoint;
         } else {
             for (i, spec) in specs.iter().enumerate() {
-                match ctx.cache.get(&(system_fp, valuation_fp, spec_fps[i])) {
-                    Some(hit) => {
-                        verdicts[i] = Some(SpecVerdict {
-                            name: spec.name().to_string(),
-                            code: verdict_code(hit.status),
-                            states: hit.states_explored as u64,
-                            transitions: hit.transitions_explored as u64,
-                            cached: true,
-                            detail: hit.detail,
-                        });
-                    }
-                    None => missing.push(i),
+                if let Some(hit) = ctx.cache.get(&(system_fp, valuation_fp, spec_fps[i])) {
+                    verdicts[i] = Some(SpecVerdict {
+                        name: spec.name().to_string(),
+                        code: verdict_code(hit.status),
+                        states: hit.states_explored as u64,
+                        transitions: hit.transitions_explored as u64,
+                        cached: true,
+                        detail: hit.detail,
+                    });
                 }
             }
         }
+        let missing: Vec<usize> = (0..specs.len())
+            .filter(|&i| verdicts[i].is_none())
+            .collect();
 
         if !missing.is_empty() {
-            // pre-job filled slots, captured for parking: on resume they
-            // are replayed verbatim instead of re-consulting the cache
-            let prefilled: Vec<(usize, SpecVerdict)> = verdicts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, v)| v.as_ref().map(|v| (i, v.clone())))
-                .collect();
-            // `Some(detail)` once this cell tripped; the checkpoint to park
-            // rides alongside (`Some(None)`: the cell never started)
+            // `Some(detail)` once this cell tripped
             let mut tripped: Option<String> = None;
-            let mut park_ckpt: Option<Option<JobCheckpoint>> = None;
 
             let remaining = deadline_at.map(|d| d.saturating_duration_since(Instant::now()));
             if remaining.is_some_and(|r| r.is_zero()) {
                 // the deadline already passed: degrade the whole cell to
                 // `?` verdicts, exactly like a tripped VerifierConfig budget
                 tripped = Some("interrupted: deadline exceeded".into());
-                park_ckpt = park.then(|| resume_ckpt.take());
             } else {
                 let miss_specs: Vec<Spec> = missing.iter().map(|&i| specs[i].clone()).collect();
                 let mut budget = JobBudget::unlimited();
@@ -944,10 +913,6 @@ fn run_check(
                         });
                     }) as ProgressFn
                 });
-                // a panicking attempt consumes the checkpoint with it: the
-                // retry re-runs the cell's owed specs from scratch, which
-                // is deterministic and therefore still verdict-identical
-                let mut ckpt_slot = resume_ckpt.take();
                 let ran = retry_once(|_attempt| {
                     let mut job =
                         CheckJob::new(sys, &miss_specs, ctx.cfg.checker).with_budget(budget);
@@ -963,13 +928,7 @@ fn run_check(
                     if cancel.is_cancelled() || !conn.is_alive() {
                         token.cancel();
                     }
-                    match ckpt_slot.take() {
-                        // a checkpoint the job refuses is dropped, and
-                        // the owed specs run from scratch, as after a
-                        // panicked attempt
-                        Some(cp) => job.resume(cp).unwrap_or_else(|_| job.run()),
-                        None => job.run(),
-                    }
+                    job.run()
                 });
                 match ran {
                     Err(detail) => {
@@ -992,10 +951,6 @@ fn run_check(
                         reason, checkpoint, ..
                     }) => {
                         tripped = Some(format!("interrupted: {}", reason.describe()));
-                        // park a copy before `into_outcomes` consumes it: the
-                        // checkpoint carries the completed outcomes, so
-                        // resume never redoes (or re-caches) them
-                        park_ckpt = park.then(|| Some(checkpoint.clone()));
                         for (slot, outcome) in missing.iter().zip(checkpoint.into_outcomes()) {
                             if let Some(o) = outcome {
                                 ctx.record_verdict((system_fp, valuation_fp, spec_fps[*slot]), &o);
@@ -1007,38 +962,38 @@ fn run_check(
             }
 
             if let Some(trip_detail) = tripped {
-                // park once, at the first tripped cell: its checkpoint
-                // covers this cell, and resume recomputes every later one
-                if resume_token.is_none() {
-                    if let Some(checkpoint) = park_ckpt {
-                        let parked = ParkedJob {
-                            req: req.clone(),
-                            cell_index: vi,
-                            cells_done: cells.clone(),
-                            hit_verdicts: prefilled,
-                            miss_indices: missing.clone(),
-                            checkpoint,
-                        };
-                        let bytes = parked.encode();
-                        if let Some((token, evicted)) = ctx.registry.park(bytes.clone()) {
-                            for old in evicted {
-                                ServerStats::bump(&ctx.stats.checkpoints_evicted);
-                                ctx.log_drop(old);
-                            }
-                            // durable before the token is promised
-                            if let Some(log) = &ctx.log {
-                                if let Err(e) =
-                                    lock_ignore_poison(log).append_checkpoint(token, &bytes)
-                                {
-                                    eprintln!("ccserve: checkpoint log append failed: {e}");
-                                }
-                            }
-                            ServerStats::bump(&ctx.stats.parked);
-                            resume_token = Some(ResumeToken {
-                                token,
-                                expires_in_ms: ctx.registry.ttl_ms(),
-                            });
+                // park once, at the first tripped cell, before its owed
+                // slots degrade: every filled slot is an answered verdict,
+                // and resume recomputes the owed ones and every later cell
+                if park && resume_token.is_none() {
+                    let parked = ParkedJob {
+                        req: req.clone(),
+                        cell_index: vi,
+                        cells_done: cells.clone(),
+                        answered: verdicts
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(i, v)| v.clone().map(|v| (i, v)))
+                            .collect(),
+                    };
+                    let bytes = parked.encode();
+                    if let Some((token, evicted)) = ctx.registry.park(bytes.clone()) {
+                        for old in evicted {
+                            ServerStats::bump(&ctx.stats.checkpoints_evicted);
+                            ctx.log_drop(old);
                         }
+                        // durable before the token is promised
+                        if let Some(log) = &ctx.log {
+                            if let Err(e) = lock_ignore_poison(log).append_checkpoint(token, &bytes)
+                            {
+                                eprintln!("ccserve: checkpoint log append failed: {e}");
+                            }
+                        }
+                        ServerStats::bump(&ctx.stats.parked);
+                        resume_token = Some(ResumeToken {
+                            token,
+                            expires_in_ms: ctx.registry.ttl_ms(),
+                        });
                     }
                 }
                 let detail = if resume_token.is_some() {
@@ -1075,6 +1030,7 @@ fn run_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Priority;
 
     #[test]
     fn retry_hint_is_monotone_in_queue_depth() {
@@ -1106,6 +1062,96 @@ mod tests {
         );
         // zero workers must not divide by zero
         assert!(retry_after_hint_ms(8, 1_000_000, 0) >= 1);
+    }
+
+    #[test]
+    fn a_resumed_parked_cell_replays_its_answered_verdicts_and_checks_the_rest() {
+        let dir = std::env::temp_dir().join(format!("ccserve-replay-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.log");
+        let _ = std::fs::remove_file(&path);
+        let req = CheckRequest {
+            id: 1,
+            priority: Priority::Normal,
+            deadline_ms: 0,
+            source: Source::Protocol("KS16".into()),
+            valuations: vec![vec![4, 1, 1, 1]],
+            obligations: vec![],
+            progress: false,
+            park_on_interrupt: true,
+        };
+        let resolved = resolve_source(&req).unwrap();
+        let specs = resolved.specs;
+        // a verdict no run produces, so only a replay can report it
+        let marker = SpecVerdict {
+            name: specs[0].name().to_string(),
+            code: b'+',
+            states: 123_456_789,
+            transitions: 987_654_321,
+            cached: false,
+            detail: "replayed".into(),
+        };
+        let parked = ParkedJob {
+            req: req.clone(),
+            cell_index: 0,
+            cells_done: Vec::new(),
+            answered: vec![(0, marker.clone())],
+        };
+        let (mut log, _) = VerdictLog::open(&path, FsyncPolicy::Always).unwrap();
+        log.append_checkpoint(42, &parked.encode()).unwrap();
+        drop(log);
+
+        let config = ServeConfig {
+            workers: 1,
+            cache_log: Some(path),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind_tcp("127.0.0.1:0", config).unwrap();
+        let mut client = crate::ServeClient::connect_tcp(server.local_addr().unwrap()).unwrap();
+        let resp = client
+            .request(&Request::Resume(ResumeRequest {
+                id: 2,
+                token: 42,
+                priority: Priority::Normal,
+                deadline_ms: 0,
+                progress: false,
+                park_on_interrupt: false,
+            }))
+            .unwrap();
+        drop(client);
+        let stats = server.stats();
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+
+        let Response::Verdict { id, cells, resume } = resp else {
+            panic!("expected a verdict, got {resp:?}");
+        };
+        assert_eq!((id, resume), (2, None));
+        assert_eq!(cells.len(), 1);
+        let verdicts = &cells[0].verdicts;
+        assert_eq!(
+            verdicts[0], marker,
+            "the answered slot is replayed verbatim"
+        );
+        // every owed slot is what a job over the owed specs alone reports
+        let sys =
+            CounterSystem::new(resolved.model, ParamValuation::new(vec![4, 1, 1, 1])).unwrap();
+        let (outcomes, _) = CheckJob::new(&sys, &specs[1..], CheckerOptions::default())
+            .run()
+            .completed()
+            .unwrap();
+        let owed: Vec<SpecVerdict> = specs[1..]
+            .iter()
+            .zip(&outcomes)
+            .map(|(spec, outcome)| outcome_verdict(spec, outcome, false))
+            .collect();
+        assert_eq!(verdicts[1..], owed[..]);
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            0,
+            "a parked cell consults no cache"
+        );
+        assert_eq!(stats.resumed, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | tag | record | payload |
 //! |-----|--------|---------|
 //! | 1   | verdict     | fingerprint triple, verdict code, costs, detail |
-//! | 2   | checkpoint  | resume token, encoded [`crate::registry::ParkedJob`] |
+//! | 2   | checkpoint  | resume token, parked job (request, reported cells, answered verdicts) |
 //! | 3   | drop        | resume token (tombstone for a consumed checkpoint) |
 //!
 //! Payloads are written and read through [`ccchecker::codec`]; one that
@@ -14,7 +14,7 @@
 //!
 //! On startup the server replays the log (truncating any torn tail, never
 //! erroring), preloads the result cache from the verdict records, and
-//! re-registers every checkpoint that has no later tombstone.  The
+//! re-registers every parked job that has no later tombstone.  The
 //! recovered cache is therefore always a **prefix of what was
 //! acknowledged**: a verdict record is appended *before* the response frame
 //! is written, and replay never trusts bytes past the first corruption.
@@ -358,6 +358,33 @@ mod tests {
         for p in ["always", "never", "every=8", "interval=250"] {
             assert_eq!(FsyncPolicy::parse(p).unwrap().to_string(), p);
         }
+    }
+
+    #[test]
+    fn every_fsync_policy_syncs_on_its_schedule_and_checkpoints_always_sync() {
+        let path = tmp("policies");
+        for (policy, pending) in [
+            (FsyncPolicy::Always, [0, 0, 0, 0, 0, 0]),
+            (FsyncPolicy::EveryN(3), [1, 2, 0, 1, 2, 0]),
+            (FsyncPolicy::Never, [1, 2, 3, 4, 5, 6]),
+            (FsyncPolicy::IntervalMs(0), [0, 0, 0, 0, 0, 0]),
+            (FsyncPolicy::IntervalMs(3_600_000), [1, 2, 3, 4, 5, 6]),
+        ] {
+            let _ = std::fs::remove_file(&path);
+            let (mut log, _) = VerdictLog::open(&path, policy).unwrap();
+            for (i, want) in (0..6u64).zip(pending) {
+                log.append_verdict(&(i, i, i), &verdict("x")).unwrap();
+                assert_eq!(log.appends_since_sync, want, "{policy}, append {i}");
+            }
+            // the token a checkpoint backs is about to be promised
+            log.append_checkpoint(7, b"parked").unwrap();
+            assert_eq!(log.appends_since_sync, 0, "{policy}: checkpoint synced");
+            drop(log);
+            let (_, rec) = VerdictLog::open(&path, policy).unwrap();
+            assert_eq!(rec.verdicts.len(), 6, "{policy}");
+            assert_eq!(rec.checkpoints, vec![(7, b"parked".to_vec())], "{policy}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
