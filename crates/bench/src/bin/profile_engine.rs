@@ -7,7 +7,8 @@
 //! — every run is on the calling thread.  Each per-obligation row checks
 //! its obligation on a fresh checker, so the engine side pays one group
 //! build plus one analysis pass; the whole-catalogue row runs the
-//! catalogue through one checker, one build per start-restriction group.
+//! catalogue through one checker, one build per start-restriction group
+//! and one batched pass for a group's monitored obligations.
 //! `--deadline-ms D` and `--max-resident-bytes B` set the budget of the
 //! job-lifecycle section, which runs the catalogue as a checkpointable
 //! `CheckJob` and reports each job's outcome — completed, budget-tripped
@@ -114,10 +115,12 @@ fn main() {
         .unwrap();
     println!("  graph cache:   {cached:>10.3?}");
     println!("  {cache_stats}");
+    // a batched monitored pass is one pass, and the obligations it
+    // answered besides the one that ran it are memo hits
     for g in &cache_stats.groups {
         println!(
             "    group {:<18} {} obligation(s) on {} states / {} transitions \
-             ({} pass(es), {} memo hit(s), {} KiB resident)",
+             ({} pass(es), a batched one counted once; {} memo hit(s), {} KiB resident)",
             g.start,
             g.specs,
             g.states,

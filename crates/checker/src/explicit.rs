@@ -15,7 +15,7 @@
 //! for the engine and determinism story, and [`crate::graph`] for the
 //! passes and the counts they report.
 
-use crate::graph::{GraphBasis, GraphLineage, LineageStep, ReachGraph};
+use crate::graph::{is_monitored, GraphBasis, GraphLineage, LineageStep, ReachGraph};
 use crate::job::{InterruptKind, JobSignals};
 use crate::result::{CheckOutcome, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 use crate::spec::{Spec, StartRestriction};
@@ -76,6 +76,10 @@ struct CheckerMemo {
     /// Per cached graph: its key and its index into `stats.groups`.
     graphs: Vec<(StartRestriction, Rc<ReachGraph>, usize)>,
     stats: GraphCacheStats,
+    /// The monitored obligations the caller will ask (see
+    /// [`ExplicitChecker::expect`]), less those of the groups whose batched
+    /// pass has run.
+    expected: Vec<Spec>,
 }
 
 /// Explicit-state checker over a single-round counter system.
@@ -175,6 +179,22 @@ impl<'a> ExplicitChecker<'a> {
     /// The counter system under check.
     pub fn system(&self) -> &CounterSystem {
         self.sys
+    }
+
+    /// Tells the checker which obligations its caller will ask next,
+    /// replacing what it was told before.  The monitored ones
+    /// (`CoverNever`/`NeverFrom`) of a group that expects at least two of
+    /// them are answered by one batched pass over the group's graph, run
+    /// at the first memo miss among them (see [`crate::graph`]); every
+    /// other obligation keeps its own pass.  Outcomes do not depend on it.
+    pub(crate) fn expect<'s>(&self, specs: impl IntoIterator<Item = &'s Spec>) {
+        let mut expected: Vec<Spec> = Vec::new();
+        for spec in specs {
+            if is_monitored(spec) && !expected.contains(spec) {
+                expected.push(spec.clone());
+            }
+        }
+        self.memo.borrow_mut().expected = expected;
     }
 
     /// The start configurations of a restriction, enumerated once per
@@ -287,7 +307,11 @@ impl<'a> ExplicitChecker<'a> {
         base: (usize, usize, usize),
     ) -> Result<CheckOutcome, InterruptKind> {
         let (graph, group) = self.graph_for(spec.start(), base)?;
-        let (outcome, memo_hit) = graph.evaluate_memo(self.sys, spec, &self.options, self.signals);
+        let (outcome, memo_hit) = match self.batched(&graph, spec) {
+            // the obligation that runs its group's batched pass pays for it
+            Some(outcome) => (outcome, false),
+            None => graph.evaluate_memo(self.sys, spec, &self.options, self.signals),
+        };
         let mut memo = self.memo.borrow_mut();
         let record = &mut memo.stats.groups[group];
         record.specs += 1;
@@ -299,11 +323,47 @@ impl<'a> ExplicitChecker<'a> {
         Ok(outcome)
     }
 
+    /// The outcome of `spec` from its group's batched monitored pass, when
+    /// one is due: `spec` is an expected monitored obligation the graph has
+    /// not answered, and another expected one of its group is unanswered
+    /// too.  The pass answers them all (an interrupted one answers none and
+    /// is due again at the next miss); `None` when no pass is due.
+    fn batched(&self, graph: &ReachGraph, spec: &Spec) -> Option<CheckOutcome> {
+        let interrupted = {
+            let memo = self.memo.borrow();
+            if !memo.expected.contains(spec) || graph.memoised(spec) {
+                return None;
+            }
+            let lanes: Vec<&Spec> = memo
+                .expected
+                .iter()
+                .filter(|s| s.start() == spec.start() && !graph.memoised(s))
+                .collect();
+            if lanes.len() < 2 {
+                return None;
+            }
+            graph.answer_monitored(self.sys, &lanes, &self.options, self.signals)
+        };
+        if interrupted.is_some() {
+            return interrupted;
+        }
+        self.memo
+            .borrow_mut()
+            .expected
+            .retain(|s| s.start() != spec.start());
+        Some(
+            graph
+                .evaluate_memo(self.sys, spec, &self.options, self.signals)
+                .0,
+        )
+    }
+
     /// Checks a slice of queries, sharing one reachability graph across all
     /// the queries of each `(start restriction, valuation)` group.
     /// Outcomes are returned in spec order and verdicts are identical to
     /// checking each spec on its own.
     pub fn check_all(&self, specs: &[Spec]) -> Vec<CheckOutcome> {
+        self.expect(specs);
         specs.iter().map(|spec| self.check(spec)).collect()
     }
 
@@ -620,6 +680,31 @@ mod tests {
         assert!(stats.cached_states() > 0);
         assert!(stats.amortization() > 1.0);
         assert!(format!("{stats}").contains("amortization"));
+    }
+
+    #[test]
+    fn a_batched_pass_is_one_miss_and_its_other_answers_are_hits() {
+        // the catalogue's three monitored obligations share the unanimous
+        // group: the first runs the batched pass, the others are hits
+        let sys = sys();
+        let specs = catalogue(&sys);
+        let checker = ExplicitChecker::new(&sys);
+        let (outcomes, stats) = checker.check_all_with_stats(&specs);
+        for (spec, outcome) in specs.iter().zip(&outcomes) {
+            assert_eq!(outcome, &ExplicitChecker::new(&sys).check(spec));
+        }
+        let unanimous = &stats.groups[0];
+        assert_eq!(unanimous.start, specs[0].start().label());
+        assert_eq!(
+            (unanimous.specs, unanimous.memo_misses, unanimous.memo_hits),
+            (3, 1, 2)
+        );
+        // asked again, an answer is a hit; asked alone, it pays its pass
+        checker.check(&specs[1]);
+        assert_eq!(checker.cache_stats().groups[0].memo_hits, 3);
+        let alone = ExplicitChecker::new(&sys);
+        alone.check(&specs[1]);
+        assert_eq!(alone.cache_stats().memo_misses(), 1);
     }
 
     #[test]

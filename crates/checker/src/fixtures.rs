@@ -156,6 +156,42 @@ pub fn wide_coin_model(branches: u64) -> SystemModel {
     b.build().expect("wide-coin fixture must validate")
 }
 
+/// A process automaton with an optional detour: from `I0` a process
+/// decides at once or passes `A` first, so one configuration is reached
+/// both along a path that occupied `A` and along one that did not, and a
+/// monitored pass tracking `A` finds more product states than the graph
+/// has configurations.  `Z` is never occupied: its guard needs a second
+/// coin publication.
+pub fn detour_model() -> SystemModel {
+    let env = ccta::env::byzantine_common_coin_env(3);
+    let k = env.num_params();
+    let mut b = SystemBuilder::new("checker-detour", env);
+    let cc0 = b.coin_var("cc0");
+    let cc1 = b.coin_var("cc1");
+
+    let j0 = b.process_location("J0", LocClass::Border, Some(BinValue::Zero));
+    let i0 = b.process_location("I0", LocClass::Initial, Some(BinValue::Zero));
+    let a = b.process_location("A", LocClass::Intermediate, None);
+    let z = b.process_location("Z", LocClass::Intermediate, None);
+    let e0 = b.process_location("E0", LocClass::Final, Some(BinValue::Zero));
+    b.start_rule(j0, i0);
+    b.rule("decide", i0, e0, Guard::top(), Update::none());
+    b.rule("detour", i0, a, Guard::top(), Update::none());
+    b.rule("rejoin", a, e0, Guard::top(), Update::none());
+    b.rule(
+        "never",
+        a,
+        z,
+        Guard::ge(cc0, LinearExpr::constant(k, 2)),
+        Update::none(),
+    );
+    b.rule("leave", z, e0, Guard::top(), Update::none());
+    b.round_switch(e0, j0);
+
+    add_fair_coin(&mut b, cc0, cc1);
+    b.build().expect("detour fixture must validate")
+}
+
 /// The benchmark valuation of a single-round model: the smallest admissible
 /// valuation (parameter values up to 8) with two or three modelled
 /// processes and at most one coin, using the same Byzantine-first

@@ -11,11 +11,18 @@
 //! `O(states + transitions)` analysis pass over the cached graph; this is
 //! the only way the engine answers a check:
 //!
-//! * [`Spec::CoverNever`] / [`Spec::NeverFrom`] — a sticky monitor-bit
-//!   propagation fixpoint: a BFS over `(node, cumulative bits)` product
-//!   states that walks cached CSR arcs instead of re-expanding rules.  It
-//!   keeps one byte per node, a bit per product state found, and tests a
-//!   node's occupancy once, against each tracked [`LocSet`]'s locations.
+//! * [`Spec::CoverNever`] / [`Spec::NeverFrom`] — sticky monitor bits
+//!   over `(node, cumulative bits)` product states, walked along cached CSR
+//!   arcs instead of re-expanding rules.  An obligation checked on its own
+//!   is a BFS over the product that keeps one byte per node, a bit per
+//!   product state found.  The monitored obligations a checker expects of
+//!   one group (two or more of them) share one *batched* pass instead: per
+//!   node one `u64` of 4-bit lanes, one lane per obligation (bit `b` of a
+//!   lane marks product state `(node, b)` reachable), propagated to a
+//!   fixpoint over the cached arcs, with every tracked [`LocSet`]'s
+//!   occupancy taken in one row scan as an index into a small table of the
+//!   distinct occupancy patterns.  More than 16 obligations, or more than
+//!   16 distinct tracked sets, take one such word per 16.
 //! * [`Spec::ExistsAvoidOneOf`] — the product game graph over
 //!   `(node, cumulative bits)` is assembled from the cached arcs and
 //!   handed to the O(arcs) worklist attractor (`adversary_winning`); the
@@ -49,13 +56,25 @@
 //! successor of the nodes discovered before the terminal, and those
 //! nodes' edges.
 //!
+//! A holding lane of a batched monitored pass reports what its lone search
+//! would: that search finds every reachable product state once and walks
+//! each one's arcs, so its states are `Σ popcount(lane)` over the nodes and
+//! its transitions `Σ popcount(lane) · out-degree`.  A violated lane stops
+//! the lone search at a point that depends on the search order, so the
+//! batched pass resolves it with that search (recording parents from the
+//! start); a holding lane whose counts exceed a budget is left to its lone
+//! search, which reports the bound where it trips.  Every definite outcome
+//! of a batched pass goes into the graph's verdict memo, so the
+//! obligations it answered are memo hits when asked.
+//!
 //! # Budgets
 //!
 //! Resource budgets ([`CheckerOptions::max_states`] /
 //! [`CheckerOptions::max_transitions`]) apply to the group build and to
-//! every analysis pass.  A build that trips one leaves the group's graph
-//! incomplete, and every obligation of that group is then `Unknown` with
-//! the bound in its detail: an incomplete graph never yields a verdict.
+//! every analysis pass (to each lane of a batched pass as to its lone
+//! search).  A build that trips one leaves the group's graph incomplete,
+//! and every obligation of that group is then `Unknown` with the bound in
+//! its detail: an incomplete graph never yields a verdict.
 
 use crate::counterexample::Counterexample;
 use crate::explicit::CheckerOptions;
@@ -356,7 +375,8 @@ pub(crate) struct ReachGraph {
     /// cleared by every mutation (extend, prune) and keyed by structural
     /// [`Spec`] equality (see the "Verdict memoization & lineage
     /// compaction" crate docs).  Only definite holds/violated outcomes are
-    /// stored — `Unknown` and interrupted passes rerun.
+    /// stored — `Unknown` and interrupted passes rerun.  A batched
+    /// monitored pass stores every lane it answers.
     memo: RefCell<Vec<(Spec, CheckOutcome)>>,
 }
 
@@ -683,49 +703,29 @@ impl ReachGraph {
         if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
             return CheckOutcome::interrupted(0, 0, kind);
         }
+        if let Some(monitor) = Monitor::of(spec) {
+            return self.check_monitored(spec.name(), &monitor, false, sys, options, signals);
+        }
         match spec {
-            Spec::CoverNever {
-                name,
-                trigger,
-                forbidden,
-                ..
-            } => self.check_monitored(
-                name,
-                &[trigger.clone(), forbidden.clone()],
-                0b11,
-                format!(
-                    "a path occupies both {} and {}",
-                    trigger.name(),
-                    forbidden.name()
-                ),
-                sys,
-                options,
-                signals,
-            ),
-            Spec::NeverFrom {
-                name, forbidden, ..
-            } => self.check_monitored(
-                name,
-                std::slice::from_ref(forbidden),
-                0b1,
-                format!("a path occupies {}", forbidden.name()),
-                sys,
-                options,
-                signals,
-            ),
             Spec::ExistsAvoidOneOf {
                 name,
                 forbidden_sets,
                 ..
             } => self.check_exists_avoid(name, forbidden_sets, sys, options, signals),
             Spec::NonBlocking { name, .. } => self.check_non_blocking(name, sys, signals),
+            Spec::CoverNever { .. } | Spec::NeverFrom { .. } => unreachable!("monitored above"),
         }
+    }
+
+    /// Whether the memo holds an outcome for `spec`.
+    pub(crate) fn memoised(&self, spec: &Spec) -> bool {
+        self.memo.borrow().iter().any(|(s, _)| s == spec)
     }
 
     /// Monitor bits per cached node: bit `i` is set iff some location of
     /// `sets[i]` is occupied in the node's row (a row's location prefix is
     /// indexed by `LocId`).
-    fn occupancy(&self, sets: &[LocSet]) -> Vec<u8> {
+    fn occupancy(&self, sets: &[&LocSet]) -> Vec<u8> {
         self.store
             .ids()
             .map(|id| {
@@ -746,26 +746,26 @@ impl ReachGraph {
     /// The search keeps one byte per node: bit `b` of `seen[node]` marks
     /// product state `(node, b)` found, which holds the two sets a
     /// monitored spec tracks at most.  Only a violation needs a path, so it
-    /// reruns the same search with parent recording on.  The search is
-    /// deterministic, so the rerun stops at the same product state with the
-    /// same counts, and its parent chain walks back into the schedule.
-    #[allow(clippy::too_many_arguments)]
+    /// reruns the same search with parent recording on (`record` starts
+    /// with it on, for a caller that knows the obligation is violated).
+    /// The search is deterministic, so the rerun stops at the same product
+    /// state with the same counts, and its parent chain walks back into
+    /// the schedule.
     fn check_monitored(
         &self,
         spec_name: &str,
-        sets: &[LocSet],
-        violation_bits: u8,
-        explanation: String,
+        monitor: &Monitor,
+        record: bool,
         sys: &CounterSystem,
         options: &CheckerOptions,
         signals: Option<&JobSignals>,
     ) -> CheckOutcome {
-        debug_assert!(sets.len() <= 2, "one byte per node holds two sets' bits");
-        let occ = self.occupancy(sets);
-        // on the rerun, per product state in discovery order: the entry of
-        // the state it was found from (`NO_ORD` for a start) and the arc
-        // that found it (a start's entry only names the start node)
-        let mut parents: Option<Vec<(u32, Arc)>> = None;
+        let occ = self.occupancy(&monitor.sets);
+        let violation_bits = monitor.violation;
+        // with recording on, per product state in discovery order: the
+        // entry of the state it was found from (`NO_ORD` for a start) and
+        // the arc that found it (a start's entry only names the start node)
+        let mut parents: Option<Vec<(u32, Arc)>> = record.then(Vec::new);
         loop {
             let mut seen = vec![0u8; self.store.len()];
             let mut queue: VecDeque<(u32, u8)> = VecDeque::new();
@@ -857,10 +857,183 @@ impl ReachGraph {
                 params: sys.params().clone(),
                 initial: self.store.decode(parents[entry].1.to),
                 schedule: Schedule::from_steps(steps),
-                explanation,
+                explanation: monitor.explanation(),
             };
             return CheckOutcome::violated(states, transitions, ce);
         }
+    }
+
+    /// The batched monitored pass: answers the `CoverNever`/`NeverFrom`
+    /// obligations `specs` of this group together and memoises every
+    /// definite outcome.  The obligations are packed into words of up to
+    /// 16 lanes (see `LaneWord`), and each word is one fixpoint over the
+    /// cached arcs (`ReachGraph::lane_fixpoint`).
+    ///
+    /// A holding lane's counts are exactly its lone search's: that search
+    /// finds every reachable product state once and walks every arc of
+    /// each, so it reports `Σ popcount(lane)` states and
+    /// `Σ popcount(lane) · out-degree` transitions.  Where a violation
+    /// stops the lone search depends on its order, so a violated lane is
+    /// resolved by that search, recording parents from the start; a
+    /// holding lane whose counts exceed a bound is left unanswered, and
+    /// its lone search reports the bound when the obligation is asked.
+    ///
+    /// Returns the interrupted outcome if a fast job signal stopped the
+    /// pass, which then memoises nothing.
+    pub(crate) fn answer_monitored(
+        &self,
+        sys: &CounterSystem,
+        specs: &[&Spec],
+        options: &CheckerOptions,
+        signals: Option<&JobSignals>,
+    ) -> Option<CheckOutcome> {
+        if self.bound.is_some() {
+            return None;
+        }
+        if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
+            return Some(CheckOutcome::interrupted(0, 0, kind));
+        }
+        let mut answered = Vec::new();
+        for word in lane_words(specs) {
+            let reach = match self.lane_fixpoint(&word, signals) {
+                Ok(reach) => reach,
+                Err(kind) => return Some(CheckOutcome::interrupted(0, 0, kind)),
+            };
+            // per lane: its product states and their arcs, and whether it
+            // reached its violation bits
+            let violation = word
+                .lanes
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (j, (_, monitor))| {
+                    m | (1 << monitor.violation) << (4 * j)
+                });
+            let mut violated = 0u64;
+            let mut counts = vec![(0usize, 0usize); word.lanes.len()];
+            for &node in &self.discovery {
+                let bits = reach[node as usize];
+                violated |= bits & violation;
+                let degree = self.graph.arcs_of(node).len();
+                for (j, (states, transitions)) in counts.iter_mut().enumerate() {
+                    let found = ((bits >> (4 * j)) & 0xF).count_ones() as usize;
+                    *states += found;
+                    *transitions += found * degree;
+                }
+            }
+            for (j, ((spec, monitor), (states, transitions))) in
+                word.lanes.iter().zip(counts).enumerate()
+            {
+                let outcome = if (violated >> (4 * j)) & 0xF != 0 {
+                    let lone =
+                        self.check_monitored(spec.name(), monitor, true, sys, options, signals);
+                    if lone.is_interrupted() {
+                        return Some(lone);
+                    }
+                    lone
+                } else if states <= options.max_states && transitions <= options.max_transitions {
+                    CheckOutcome::holds(states, transitions)
+                } else {
+                    continue;
+                };
+                if matches!(outcome.status, CheckStatus::Holds | CheckStatus::Violated) {
+                    answered.push(((*spec).clone(), outcome));
+                }
+            }
+        }
+        self.memo.borrow_mut().extend(answered);
+        None
+    }
+
+    /// One word's fixpoint: per stored node a `u64` of 4-bit lanes, where
+    /// bit `b` of lane `j` marks product state `(node, b)` of obligation
+    /// `j` reachable (unreachable nodes read 0).  One scan of the
+    /// reachable rows gives each node's occupancy of every tracked set as
+    /// an index into a table of the distinct occupancy patterns; the lanes
+    /// then propagate along the cached arcs through a FIFO worklist that
+    /// requeues a node whenever one of its lanes gains a bit.
+    fn lane_fixpoint(
+        &self,
+        word: &LaneWord,
+        signals: Option<&JobSignals>,
+    ) -> Result<Vec<u64>, InterruptKind> {
+        // per distinct set: the lanes tracking it as their bit 0 (`low`)
+        // and as their bit 1 (`high`)
+        let mut low = vec![0u64; word.sets.len()];
+        let mut high = vec![0u64; word.sets.len()];
+        for (j, (_, monitor)) in word.lanes.iter().enumerate() {
+            for (i, set) in monitor.sets.iter().enumerate() {
+                let d = word.set_index(set);
+                let masks = if i == 0 { &mut low } else { &mut high };
+                masks[d] |= 0xF << (4 * j);
+            }
+        }
+        // per location of some tracked set: the sets holding it
+        let mut holders: Vec<(usize, usize)> = Vec::new();
+        for (d, set) in word.sets.iter().enumerate() {
+            for loc in set.iter() {
+                match holders.iter_mut().find(|(l, _)| *l == loc.0) {
+                    Some((_, key)) => *key |= 1 << d,
+                    None => holders.push((loc.0, 1 << d)),
+                }
+            }
+        }
+        // the row scan: a node's key has bit `d` set iff set `d` is
+        // occupied, and each distinct key's pattern is the pair of lane
+        // masks it selects
+        let mut index = vec![u32::MAX; 1 << word.sets.len()];
+        let mut patterns: Vec<(u64, u64)> = Vec::new();
+        let mut pattern = vec![0u16; self.store.len()];
+        for &node in &self.discovery {
+            let row = self.store.row(node);
+            let key = holders
+                .iter()
+                .filter(|&&(loc, _)| row[loc] != 0)
+                .fold(0, |key, &(_, sets)| key | sets);
+            if index[key] == u32::MAX {
+                index[key] = patterns.len() as u32;
+                let select = |masks: &[u64]| {
+                    (0..masks.len())
+                        .filter(|d| (key >> d) & 1 != 0)
+                        .fold(0, |lanes, d| lanes | masks[d])
+                };
+                patterns.push((select(&low), select(&high)));
+            }
+            pattern[node as usize] = index[key] as u16;
+        }
+        let enter = |bits: u64, node: u32| advance(bits, patterns[pattern[node as usize] as usize]);
+
+        let mut reach = vec![0u64; self.store.len()];
+        let mut queued = vec![false; self.store.len()];
+        let mut queue = VecDeque::new();
+        let fresh = LANE_ZERO >> (4 * (WORD_LANES - word.lanes.len()));
+        for &start in &self.start_ids {
+            reach[start as usize] = enter(fresh, start);
+            queued[start as usize] = true;
+            queue.push_back(start);
+        }
+        let mut walked = 0usize;
+        while let Some(node) = queue.pop_front() {
+            queued[node as usize] = false;
+            let bits = reach[node as usize];
+            for arc in self.graph.arcs_of(node) {
+                walked += 1;
+                if walked & 0x3FF == 0 {
+                    if let Some(kind) = signals.and_then(|s| s.fast_stop()) {
+                        return Err(kind);
+                    }
+                }
+                let to = arc.to as usize;
+                let gained = enter(bits, arc.to) & !reach[to];
+                if gained != 0 {
+                    reach[to] |= gained;
+                    if !queued[to] {
+                        queued[to] = true;
+                        queue.push_back(arc.to);
+                    }
+                }
+            }
+        }
+        Ok(reach)
     }
 
     /// The `∀ adversary ∃ path` conditions: assemble the
@@ -883,7 +1056,7 @@ impl ReachGraph {
             "between 1 and 8 tracked location sets are supported"
         );
         let all_bits: u8 = ((1u16 << sets.len()) - 1) as u8;
-        let occ = self.occupancy(sets);
+        let occ = self.occupancy(&sets.iter().collect::<Vec<_>>());
         let num_vals = 1usize << sets.len();
         let slot = |node: u32, bits: u8| node as usize * num_vals + bits as usize;
         let mut ordinal = vec![NO_ORD; self.store.len() * num_vals];
@@ -1101,6 +1274,122 @@ impl ReachGraph {
         let initial = self.store.decode(current);
         (states, transitions, initial, Schedule::from_steps(steps))
     }
+}
+
+/// What a `CoverNever`/`NeverFrom` pass monitors: bit `i` of a product
+/// state's bits records that `sets[i]` was occupied on the path to it, and
+/// a product state whose bits equal `violation` violates the obligation.
+struct Monitor<'s> {
+    sets: Vec<&'s LocSet>,
+    violation: u8,
+}
+
+impl<'s> Monitor<'s> {
+    /// The monitor of a `CoverNever`/`NeverFrom` obligation; `None` for the
+    /// other shapes.
+    fn of(spec: &'s Spec) -> Option<Self> {
+        match spec {
+            Spec::CoverNever {
+                trigger, forbidden, ..
+            } => Some(Monitor {
+                sets: vec![trigger, forbidden],
+                violation: 0b11,
+            }),
+            Spec::NeverFrom { forbidden, .. } => Some(Monitor {
+                sets: vec![forbidden],
+                violation: 0b1,
+            }),
+            Spec::ExistsAvoidOneOf { .. } | Spec::NonBlocking { .. } => None,
+        }
+    }
+
+    /// What a violating path does.
+    fn explanation(&self) -> String {
+        match self.sets[..] {
+            [trigger, forbidden] => format!(
+                "a path occupies both {} and {}",
+                trigger.name(),
+                forbidden.name()
+            ),
+            _ => format!("a path occupies {}", self.sets[0].name()),
+        }
+    }
+}
+
+/// Whether an obligation is answered by a monitored pass, alone or batched.
+pub(crate) fn is_monitored(spec: &Spec) -> bool {
+    matches!(spec, Spec::CoverNever { .. } | Spec::NeverFrom { .. })
+}
+
+/// Lanes in one word of the batched monitored pass, 4 bits each.
+const WORD_LANES: usize = 16;
+
+/// Distinct tracked sets one word may hold, so that an occupancy key
+/// indexes a table of at most 2^16 patterns.
+const WORD_SETS: usize = 16;
+
+/// Bit 0 of every lane: each obligation's product state before any tracked
+/// set is occupied.
+const LANE_ZERO: u64 = 0x1111_1111_1111_1111;
+
+/// The lanes of a word after entering a node whose occupancy ORs bit 0
+/// into the tracked bits of the lanes in `low` and bit 1 into those of the
+/// lanes in `high`: a lane's bit `b` moves to bit `b | o`.
+fn advance(bits: u64, (low, high): (u64, u64)) -> u64 {
+    // b -> b | 1 moves bits 0 and 2 of a lane onto bits 1 and 3
+    let bits = (bits & !low) | ((((bits | (bits >> 1)) & 0x5555_5555_5555_5555) << 1) & low);
+    // b -> b | 2 moves bits 0 and 1 of a lane onto bits 2 and 3
+    (bits & !high) | ((((bits | (bits >> 2)) & 0x3333_3333_3333_3333) << 2) & high)
+}
+
+/// One word of the batched monitored pass: at most `WORD_LANES`
+/// obligations, one lane each, tracking at most `WORD_SETS` distinct
+/// location sets between them.
+struct LaneWord<'s> {
+    lanes: Vec<(&'s Spec, Monitor<'s>)>,
+    /// The distinct tracked sets, by their locations.
+    sets: Vec<&'s [LocId]>,
+}
+
+impl LaneWord<'_> {
+    /// The index of a tracked set among the word's distinct sets.
+    fn set_index(&self, set: &LocSet) -> usize {
+        self.sets
+            .iter()
+            .position(|&locs| locs == set.locs())
+            .expect("a word lists every set its lanes track")
+    }
+}
+
+/// Packs monitored obligations into words, in order, opening a new word
+/// when the lanes or the distinct sets of the last one run out.
+fn lane_words<'s>(specs: &[&'s Spec]) -> Vec<LaneWord<'s>> {
+    let mut words: Vec<LaneWord<'s>> = Vec::new();
+    for &spec in specs {
+        let monitor = Monitor::of(spec).expect("only monitored obligations are batched");
+        let fits = words.last().is_some_and(|word| {
+            let new = monitor
+                .sets
+                .iter()
+                .filter(|set| !word.sets.contains(&set.locs()))
+                .count();
+            word.lanes.len() < WORD_LANES && word.sets.len() + new <= WORD_SETS
+        });
+        if !fits {
+            words.push(LaneWord {
+                lanes: Vec::new(),
+                sets: Vec::new(),
+            });
+        }
+        let word = words.last_mut().expect("a word was just ensured");
+        for set in &monitor.sets {
+            if !word.sets.contains(&set.locs()) {
+                word.sets.push(set.locs());
+            }
+        }
+        word.lanes.push((spec, monitor));
+    }
+    words
 }
 
 /// In a terminal state row, returns a location outside the sink set (border
@@ -1503,6 +1792,185 @@ mod tests {
             outcome.states_explored < states,
             "{} of {states}",
             outcome.states_explored
+        );
+    }
+
+    /// Answers `specs`, monitored obligations of one group, with one
+    /// batched pass over a fresh graph, and checks every obligation's lone
+    /// search on that graph against the reference search and every batched
+    /// outcome against the lone one.  Returns the batched outcomes, `None`
+    /// for a lane the pass left unanswered.
+    fn batched_against_lone(
+        sys: &CounterSystem,
+        specs: &[Spec],
+        options: &CheckerOptions,
+    ) -> Vec<Option<CheckOutcome>> {
+        let start = specs[0].start();
+        let graph = ReachGraph::build(sys, &start.configurations(sys), options);
+        assert!(!graph.is_bounded());
+        let lanes: Vec<&Spec> = specs.iter().collect();
+        assert!(graph.answer_monitored(sys, &lanes, options, None).is_none());
+        let memo = graph.memo.borrow();
+        specs
+            .iter()
+            .map(|spec| {
+                let lone = graph.evaluate(sys, spec, options, None);
+                let reference = crate::reference::reference_check(sys, spec, options);
+                assert_eq!(lone.status, reference.status, "{}", spec.name());
+                assert_eq!(lone.states_explored, reference.states_explored);
+                assert_eq!(lone.transitions_explored, reference.transitions_explored);
+                let path = |o: &CheckOutcome| {
+                    (o.counterexample.as_ref()).map(|ce| (ce.initial.clone(), ce.schedule.clone()))
+                };
+                assert_eq!(path(&lone), path(&reference), "{}", spec.name());
+                let batched = memo.iter().find(|(s, _)| s == spec).map(|(_, o)| o.clone());
+                if let Some(batched) = &batched {
+                    assert_eq!(batched, &lone, "{}", spec.name());
+                }
+                batched
+            })
+            .collect()
+    }
+
+    fn voting_system() -> CounterSystem {
+        let model = crate::fixtures::voting_model().single_round().unwrap();
+        CounterSystem::new(model, crate::fixtures::small_params()).unwrap()
+    }
+
+    #[test]
+    fn a_batched_pass_over_two_lane_words_answers_like_lone_searches() {
+        let sys = voting_system();
+        let start = StartRestriction::Unanimous(ccta::BinValue::Zero);
+        let set = |l: &str| LocSet::from_names(sys.model(), l, &[l]);
+        let mut specs: Vec<Spec> = ["I0", "I1", "S", "E0", "E1", "IC", "H0", "H1", "C0", "C1"]
+            .iter()
+            .map(|&l| Spec::NeverFrom {
+                name: format!("never-{l}"),
+                start,
+                forbidden: set(l),
+            })
+            .collect();
+        for (trigger, forbidden) in [
+            ("E0", "E1"),
+            ("E1", "E0"),
+            ("H0", "E1"),
+            ("H1", "E0"),
+            ("C0", "E1"),
+            ("C1", "E0"),
+            ("S", "C1"),
+            ("I1", "E0"),
+        ] {
+            specs.push(Spec::CoverNever {
+                name: format!("{trigger}-then-{forbidden}"),
+                start,
+                trigger: set(trigger),
+                forbidden: set(forbidden),
+            });
+        }
+        let lanes: Vec<&Spec> = specs.iter().collect();
+        assert!(specs.len() > WORD_LANES);
+        assert_eq!(lane_words(&lanes).len(), 2, "two lane words");
+        let batched = batched_against_lone(&sys, &specs, &CheckerOptions::default());
+        let statuses: Vec<CheckStatus> = batched
+            .iter()
+            .map(|o| o.as_ref().expect("every lane is answered").status)
+            .collect();
+        assert!(statuses.contains(&CheckStatus::Holds), "{statuses:?}");
+        assert!(statuses.contains(&CheckStatus::Violated), "{statuses:?}");
+    }
+
+    #[test]
+    fn a_violating_lane_beside_holding_lanes_gets_its_lone_counterexample() {
+        let sys = voting_system();
+        let start = StartRestriction::Unanimous(ccta::BinValue::Zero);
+        let set = |l: &str| LocSet::from_names(sys.model(), l, &[l]);
+        let specs = [
+            Spec::NeverFrom {
+                name: "unreachable-I1".into(),
+                start,
+                forbidden: set("I1"),
+            },
+            Spec::NeverFrom {
+                name: "reachable-E0".into(),
+                start,
+                forbidden: set("E0"),
+            },
+            Spec::CoverNever {
+                name: "vacuous".into(),
+                start,
+                trigger: set("I1"),
+                forbidden: set("E0"),
+            },
+        ];
+        let batched = batched_against_lone(&sys, &specs, &CheckerOptions::default());
+        let statuses: Vec<CheckStatus> = batched.iter().flatten().map(|o| o.status).collect();
+        assert_eq!(
+            statuses,
+            [
+                CheckStatus::Holds,
+                CheckStatus::Violated,
+                CheckStatus::Holds
+            ]
+        );
+        let ce = batched[1].as_ref().and_then(|o| o.counterexample.as_ref());
+        assert!(ce.is_some_and(|ce| ce.schedule.is_applicable(&sys, &ce.initial)));
+    }
+
+    #[test]
+    fn a_lane_over_the_state_bound_reports_its_lone_unknown() {
+        let model = crate::fixtures::detour_model().single_round().unwrap();
+        let sys = CounterSystem::new(model, crate::fixtures::small_params()).unwrap();
+        let start = StartRestriction::RoundStart;
+        let set = |l: &str| LocSet::from_names(sys.model(), l, &[l]);
+        let specs = [
+            Spec::NeverFrom {
+                name: "never-Z".into(),
+                start,
+                forbidden: set("Z"),
+            },
+            // Z never occupied, so this holds, tracking whether A was
+            // occupied: a configuration reached both ways counts twice
+            Spec::CoverNever {
+                name: "Z-then-A".into(),
+                start,
+                trigger: set("Z"),
+                forbidden: set("A"),
+            },
+        ];
+        let graph = ReachGraph::build(
+            &sys,
+            &start.configurations(&sys),
+            &CheckerOptions::default(),
+        );
+        let lone = graph.evaluate(&sys, &specs[1], &CheckerOptions::default(), None);
+        assert_eq!(lone.status, CheckStatus::Holds);
+        assert!(lone.states_explored > graph.states(), "{lone}");
+
+        // a state bound the build meets exactly: the first lane fits it,
+        // the second runs over and stays unanswered
+        let tight = CheckerOptions {
+            max_states: graph.states(),
+            ..CheckerOptions::default()
+        };
+        let batched = batched_against_lone(&sys, &specs, &tight);
+        assert_eq!(
+            batched[0].as_ref().map(|o| o.status),
+            Some(CheckStatus::Holds)
+        );
+        assert!(batched[1].is_none());
+        // asked, it reports the lone search's bound
+        let outcomes = crate::ExplicitChecker::with_options(&sys, tight).check_all(&specs);
+        let reference = crate::reference::reference_check(&sys, &specs[1], &tight);
+        assert_eq!(outcomes[1].status, CheckStatus::Unknown);
+        assert!(
+            outcomes[1].detail.contains("state bound"),
+            "{}",
+            outcomes[1]
+        );
+        assert_eq!(outcomes[1].states_explored, reference.states_explored);
+        assert_eq!(
+            outcomes[1].transitions_explored,
+            reference.transitions_explored
         );
     }
 

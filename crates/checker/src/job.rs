@@ -450,6 +450,8 @@ impl<'a> CheckJob<'a> {
         signals.progress = self.progress.clone();
         let mut checker = ExplicitChecker::with_options(self.sys, self.options);
         checker.set_signals(Some(&signals));
+        let owed = self.specs.iter().zip(&cp.outcomes);
+        checker.expect(owed.filter(|(_, o)| o.is_none()).map(|(spec, _)| spec));
         let stop = self.serve_owed(&checker, &signals, &mut cp);
         let stats = checker.cache_stats();
         let Some(kind) = stop else {

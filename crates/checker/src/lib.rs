@@ -83,6 +83,16 @@
 //!   plus the worklist attractor for `ExistsAvoidOneOf`, and a
 //!   terminal/blocking scan for `NonBlocking`.  Counterexamples are
 //!   reconstructed from cached arcs and remain genuinely replayable.
+//! * **One pass per group for its monitored obligations.**  A checker
+//!   learns which obligations its caller will ask: `check_all` its slice,
+//!   a [`CheckJob`] its owed obligations, a sweep cell the obligations no
+//!   earlier valuation violated.  A group that expects two or more
+//!   `CoverNever`/`NeverFrom` obligations answers them with one batched
+//!   pass, run at the first memo miss among them: a bit-parallel fixpoint
+//!   of 4-bit lanes, one lane per obligation and 16 to a `u64` word, over
+//!   the cached arcs (see [`graph`]).  Table II's `RoundStart` groups
+//!   carry 2 to 7 such obligations; a group with one keeps the lone
+//!   search.
 //! * **Memory model.**  A cached graph holds the deduplicated
 //!   `store::StateStore` rows plus the CSR arenas of the group's full
 //!   transition relation: 8 bytes per node span and one 8-byte arc per
@@ -92,8 +102,9 @@
 //!   `check_all` call, or one valuation batch of a sweep).  A monitored
 //!   pass allocates one byte per node (plus its queue) transiently; only
 //!   a violation reruns it recording parents, 12 bytes per product state
-//!   it finds.  A game pass allocates O(states × 2^sets) product
-//!   bookkeeping.
+//!   it finds.  A batched monitored pass allocates 11 bytes per node per
+//!   word (its lanes, a pattern index and a queued flag) plus its queue.
+//!   A game pass allocates O(states × 2^sets) product bookkeeping.
 //! * **Reported counts.**  Each pass reports the state and transition
 //!   counts of [`mod@reference`]'s search for the same spec: the monitored
 //!   and game passes count the `(node, bits)` product states and arcs
@@ -102,7 +113,9 @@
 //!   terminal.
 //!   `engine_equivalence`, `random_differential` and `family_differential`
 //!   pin verdicts, counts and counterexample schedules against
-//!   [`mod@reference`] exactly.
+//!   [`mod@reference`] exactly, the first two also through `check_all`'s
+//!   batched passes.  A holding lane of a batched pass reports its lone
+//!   search's counts, and a violated one is resolved by that search.
 //! * **Budgets.**  The per-check state/transition caps of
 //!   [`CheckerOptions`] bound the group build and every pass.  A build that
 //!   trips one leaves the graph incomplete, and every obligation of that
@@ -182,7 +195,9 @@
 //!   re-evaluate.  The memo is cleared by every extension or prune and
 //!   survives pure reuse, so a hit can never serve a stale verdict.  Hits
 //!   and misses are counted per group in [`GroupCacheRecord::memo_hits`] /
-//!   `memo_misses`.
+//!   `memo_misses`.  A batched monitored pass is one miss, counted on the
+//!   obligation that ran it; each other obligation it answered is a hit
+//!   when asked.
 //! * **Tighten-only prune.**  A tighten-only step's reachable set is a
 //!   subset of the stored one (every changed bound strengthens, and counter
 //!   systems are monotone in their guard bounds: a row's guard valuation

@@ -191,9 +191,11 @@ pub struct GroupCacheRecord {
     pub pruned_actions: usize,
     /// Obligations answered from this graph's verdict memo without running
     /// an analysis pass (see the "Verdict memoization & lineage compaction"
-    /// crate docs).
+    /// crate docs), including those a batched monitored pass answered
+    /// before they were asked.
     pub memo_hits: usize,
-    /// Obligations that ran a real analysis pass on this graph.
+    /// Obligations that ran a real analysis pass on this graph: a batched
+    /// monitored pass counts once, on the obligation that ran it.
     pub memo_misses: usize,
     /// Resident bytes of the cached graph: deduplicated rows and their
     /// hashes, the index, the CSR arenas (8 bytes per node span and per

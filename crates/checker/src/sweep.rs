@@ -555,6 +555,13 @@ impl Grid<'_> {
             }
             let mut checker = ExplicitChecker::with_lineage(sys, self.options, &lineage);
             checker.set_signals(self.job);
+            // the valuation's live obligations: those no earlier valuation
+            // violated
+            checker.expect(
+                (self.specs.iter().enumerate())
+                    .filter(|&(s, _)| self.violated_at[s].load(Ordering::Acquire) >= v)
+                    .map(|(_, spec)| spec),
+            );
             for (s, (spec, slot)) in self.specs.iter().zip(row.iter_mut()).enumerate() {
                 if self.violated_at[s].load(Ordering::Acquire) < v {
                     continue; // violated earlier

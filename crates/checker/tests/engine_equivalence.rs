@@ -13,21 +13,50 @@
 //!
 //! Because both engines run the same BFS in the same action order, the
 //! counterexample schedules are required to be identical step for step.
-//! The engine side runs with default options, so on a multi-core machine
-//! this suite also exercises the parallel exploration path against the
-//! strictly sequential reference.
+//! Each catalogue is checked twice on the engine side: one spec per
+//! checker, and all through one checker's `check_all`, which answers the
+//! monitored obligations of a group with one batched pass.
 
 use ccchecker::fixtures;
 use ccchecker::reference::reference_check;
-use ccchecker::{CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec, StartRestriction};
+use ccchecker::{
+    CheckOutcome, CheckStatus, CheckerOptions, ExplicitChecker, LocSet, Spec, StartRestriction,
+};
 use cccounter::CounterSystem;
 use ccta::{BinValue, Owner, ParamValuation, SystemModel};
 
 /// Checks one spec with both engines and asserts exact agreement.
 fn assert_engines_agree(sys: &CounterSystem, spec: &Spec, options: CheckerOptions) -> CheckStatus {
     let engine = ExplicitChecker::with_options(sys, options).check(spec);
-    let reference = reference_check(sys, spec, &options);
+    assert_agrees(sys, spec, &engine, &reference_check(sys, spec, &options))
+}
 
+/// Checks a catalogue with both engines, the engine side both one spec per
+/// checker and through one `check_all`, and asserts exact agreement of
+/// every outcome.
+fn assert_catalogue_agrees(sys: &CounterSystem, specs: &[Spec]) -> Vec<CheckStatus> {
+    let options = CheckerOptions::default();
+    let batched = ExplicitChecker::with_options(sys, options).check_all(specs);
+    specs
+        .iter()
+        .zip(&batched)
+        .map(|(spec, batched)| {
+            let reference = reference_check(sys, spec, &options);
+            let lone = ExplicitChecker::with_options(sys, options).check(spec);
+            assert_agrees(sys, spec, batched, &reference);
+            assert_agrees(sys, spec, &lone, &reference)
+        })
+        .collect()
+}
+
+/// Asserts that an engine outcome equals the reference's: verdict, counts
+/// and, for a violation, a replayable counterexample step for step.
+fn assert_agrees(
+    sys: &CounterSystem,
+    spec: &Spec,
+    engine: &CheckOutcome,
+    reference: &CheckOutcome,
+) -> CheckStatus {
     assert_eq!(
         engine.status,
         reference.status,
@@ -48,8 +77,11 @@ fn assert_engines_agree(sys: &CounterSystem, spec: &Spec, options: CheckerOption
     );
 
     if engine.status == CheckStatus::Violated {
-        let e = engine.counterexample.expect("engine counterexample");
-        let r = reference.counterexample.expect("reference counterexample");
+        let e = engine
+            .counterexample
+            .as_ref()
+            .expect("engine counterexample");
+        let r = (reference.counterexample.as_ref()).expect("reference counterexample");
         assert_eq!(
             e.initial,
             r.initial,
@@ -73,7 +105,8 @@ fn assert_engines_agree(sys: &CounterSystem, spec: &Spec, options: CheckerOption
 }
 
 /// The full catalogue of query shapes over a single-round model whose final
-/// locations carry values.
+/// locations carry values; both start groups hold several monitored
+/// obligations, as Table II's do.
 fn spec_catalogue(model: &SystemModel) -> Vec<Spec> {
     let finals0 = LocSet::new(
         "F0",
@@ -83,10 +116,17 @@ fn spec_catalogue(model: &SystemModel) -> Vec<Spec> {
         "F1",
         model.final_locations(Owner::Process, Some(BinValue::One)),
     );
+    let decisions0 = LocSet::new("D0", model.decision_locations(Some(BinValue::Zero)));
     vec![
         Spec::NeverFrom {
             name: "validity-style".into(),
             start: StartRestriction::Unanimous(BinValue::Zero),
+            forbidden: finals1.clone(),
+        },
+        Spec::CoverNever {
+            name: "validity-cover".into(),
+            start: StartRestriction::Unanimous(BinValue::Zero),
+            trigger: finals0.clone(),
             forbidden: finals1.clone(),
         },
         Spec::NeverFrom {
@@ -98,6 +138,18 @@ fn spec_catalogue(model: &SystemModel) -> Vec<Spec> {
             name: "cover".into(),
             start: StartRestriction::RoundStart,
             trigger: finals0.clone(),
+            forbidden: finals1.clone(),
+        },
+        Spec::CoverNever {
+            name: "cover-swapped".into(),
+            start: StartRestriction::RoundStart,
+            trigger: finals1.clone(),
+            forbidden: finals0.clone(),
+        },
+        Spec::CoverNever {
+            name: "agreement-style".into(),
+            start: StartRestriction::RoundStart,
+            trigger: decisions0,
             forbidden: finals1.clone(),
         },
         Spec::ExistsAvoidOneOf {
@@ -121,10 +173,7 @@ fn spec_catalogue(model: &SystemModel) -> Vec<Spec> {
 fn engines_agree_on_the_voting_fixture() {
     let model = fixtures::voting_model().single_round().unwrap();
     let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
-    let mut statuses = Vec::new();
-    for spec in spec_catalogue(&model) {
-        statuses.push(assert_engines_agree(&sys, &spec, CheckerOptions::default()));
-    }
+    let statuses = assert_catalogue_agrees(&sys, &spec_catalogue(&model));
     // the catalogue exercises both verdicts
     assert!(statuses.contains(&CheckStatus::Holds));
     assert!(statuses.contains(&CheckStatus::Violated));
@@ -150,12 +199,8 @@ fn assert_protocol_equivalence(name: &str) {
     let protocol = ccprotocols::protocol_by_name(name).expect("benchmark protocol");
     let model = protocol.single_round();
     let sys = CounterSystem::new(model.clone(), fixtures::benchmark_valuation(&model)).unwrap();
-    let mut checked = 0;
-    for spec in spec_catalogue(&model) {
-        assert_engines_agree(&sys, &spec, CheckerOptions::default());
-        checked += 1;
-    }
-    assert_eq!(checked, 6);
+    let checked = assert_catalogue_agrees(&sys, &spec_catalogue(&model));
+    assert_eq!(checked.len(), 9);
 }
 
 #[test]

@@ -10,7 +10,10 @@
 //!
 //! * **Engine ≡ reference** — verdict, distinct-state count, transition
 //!   count, and (for violations) the counterexample schedule step for step,
-//!   which must also replay to a genuine violation of its spec.
+//!   which must also replay to a genuine violation of its spec.  The engine
+//!   side checks each spec on its own and the whole catalogue through one
+//!   `check_all`, whose batched pass answers a group's monitored
+//!   obligations together.
 //! * **Incremental ≡ fresh** — guard-adjacent sweeps, whose incremental
 //!   side extends, reuses, prunes and hits the verdict memo, are
 //!   bit-identical with the lineage on and off.
@@ -61,6 +64,48 @@ fn random_specs(rng: &mut StdRng, model: &SystemModel, mids: &[String]) -> Vec<S
     Spec::family_catalogue(model, &differential_obligations_with(rng, mids))
 }
 
+/// A catalogue plus more monitored obligations over the same sets and
+/// starts (a cover with its sets swapped, a cover's trigger alone, a
+/// forbidden set as a cover of itself), so that every monitored group
+/// holds several lanes of `check_all`'s batched pass.  Draws nothing.
+fn with_more_lanes(specs: Vec<Spec>) -> Vec<Spec> {
+    let mut more = Vec::new();
+    for spec in &specs {
+        match spec {
+            Spec::CoverNever {
+                name,
+                start,
+                trigger,
+                forbidden,
+            } => {
+                more.push(Spec::CoverNever {
+                    name: format!("{name}/swapped"),
+                    start: *start,
+                    trigger: forbidden.clone(),
+                    forbidden: trigger.clone(),
+                });
+                more.push(Spec::NeverFrom {
+                    name: format!("{name}/trigger"),
+                    start: *start,
+                    forbidden: trigger.clone(),
+                });
+            }
+            Spec::NeverFrom {
+                name,
+                start,
+                forbidden,
+            } => more.push(Spec::CoverNever {
+                name: format!("{name}/cover"),
+                start: *start,
+                trigger: forbidden.clone(),
+                forbidden: forbidden.clone(),
+            }),
+            Spec::ExistsAvoidOneOf { .. } | Spec::NonBlocking { .. } => {}
+        }
+    }
+    specs.into_iter().chain(more).collect()
+}
+
 #[test]
 fn random_systems_match_the_reference_engine() {
     let mut verdicts = [0usize; 3];
@@ -69,9 +114,13 @@ fn random_systems_match_the_reference_engine() {
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
         let options = CheckerOptions::default();
-        for spec in random_specs(&mut rng, sys.model(), &mids) {
-            let engine = ExplicitChecker::with_options(&sys, options).check(&spec);
-            let reference = reference_check(&sys, &spec, &options);
+        let specs = with_more_lanes(random_specs(&mut rng, sys.model(), &mids));
+        let batched = ExplicitChecker::with_options(&sys, options).check_all(&specs);
+        for (spec, batched) in specs.iter().zip(batched) {
+            let engine = ExplicitChecker::with_options(&sys, options).check(spec);
+            let reference = reference_check(&sys, spec, &options);
+            let ctx = format!("seed {seed}, {}, check_all", spec.name());
+            assert_job_outcome_identical(&batched, &reference, &ctx);
             assert_eq!(
                 engine.status,
                 reference.status,
@@ -117,7 +166,7 @@ fn random_systems_match_the_reference_engine() {
                     .unwrap_or_else(|err| panic!("seed {seed}: must replay: {err:?}"));
                 assert_eq!(path.len(), e.schedule.len());
                 let ctx = format!("seed {seed}, {}", spec.name());
-                assert_genuine_violation(&sys, &spec, &e, &ctx);
+                assert_genuine_violation(&sys, spec, &e, &ctx);
             }
         }
     }
@@ -323,7 +372,7 @@ fn random_systems_interrupt_resume_is_bit_identical() {
         let seed = 0xD1F_F0000 + i as u64;
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
-        let specs = random_specs(&mut rng, sys.model(), &mids);
+        let specs = with_more_lanes(random_specs(&mut rng, sys.model(), &mids));
         for bounded in [false, true] {
             let options = CheckerOptions {
                 max_states: if bounded {

@@ -521,5 +521,16 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = ParkedJob::decode(&flipped);
         }
+        // a verdict code no verdict has is refused, in a reported cell and
+        // in an answered slot: bit 0 turns `+` into `*`
+        for name in [&b"Inv1(0)+"[..], &b"Inv1(1)+"[..]] {
+            let code = bytes.windows(8).position(|w| w == name).unwrap() + 7;
+            let mut flipped = bytes.clone();
+            flipped[code] ^= 1;
+            assert!(matches!(
+                ParkedJob::decode(&flipped),
+                Err(DecodeError::Malformed("unknown verdict code"))
+            ));
+        }
     }
 }

@@ -18,6 +18,7 @@
 use ccchecker::codec::{
     decode_all, put_list_u64, put_str_u64, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
+use cccore::fingerprint::verdict_from_code;
 use ccprotocols::family::{FamilyParams, FaultModel};
 use std::io::{self, Read, Write};
 
@@ -652,7 +653,10 @@ fn read_priority(r: &mut Reader<'_>) -> Result<Priority, DecodeError> {
 pub(crate) fn read_verdict(r: &mut Reader<'_>) -> Result<SpecVerdict, DecodeError> {
     Ok(SpecVerdict {
         name: r.str_u64()?,
-        code: r.u8()?,
+        code: match r.u8()? {
+            code if verdict_from_code(code).is_some() => code,
+            _ => return Err(DecodeError::Malformed("unknown verdict code")),
+        },
         states: r.u64()?,
         transitions: r.u64()?,
         cached: r.u8()? != 0,
@@ -1121,6 +1125,16 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
             let _ = decode_response(&flipped);
         }
+        // a verdict code no verdict has is refused: bit 0 turns `+` into `*`
+        let code = bytes.windows(10).position(|w| w == b"Agreement+").unwrap() + 9;
+        let mut flipped = bytes.clone();
+        flipped[code] ^= 1;
+        assert!(matches!(
+            decode_response(&flipped),
+            Err(WireError::Malformed(DecodeError::Malformed(
+                "unknown verdict code"
+            )))
+        ));
         // the frame header pins the magic and the payload length
         let mut frame = Vec::new();
         write_frame(&mut frame, &bytes).unwrap();
