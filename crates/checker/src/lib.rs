@@ -37,11 +37,12 @@
 //! * **Packed state rows** (`store::StateStore`) — a single-round state
 //!   is one fixed-stride byte row (`locations ++ variables`,
 //!   [`cccounter::RowEngine`]); visited rows live back to back in
-//!   contiguous arenas, deduplicated through flat open-addressing indexes
-//!   keyed by an incrementally-maintained Zobrist hash.  A duplicate
-//!   lookup is one probe plus a `memcmp` — no allocation, no re-hashing;
-//!   full configurations are decoded back only for counterexample
-//!   reconstruction.
+//!   contiguous arenas, deduplicated through a flat, linearly probed index
+//!   keyed by an incrementally-maintained Zobrist hash, whose 8-byte slots
+//!   hold a 32-bit hash tag beside the node id.  A duplicate lookup is a
+//!   probe plus a `memcmp` where the tag matches — no allocation, no
+//!   re-hashing; full configurations are decoded back only for
+//!   counterexample reconstruction.
 //! * **Delta expansion** ([`cccounter::RowEngine::for_each_successor`]) —
 //!   successors are produced by applying and undoing per-rule byte deltas
 //!   in place on a scratch row, updating the state hash in O(1) per delta;
@@ -232,7 +233,7 @@
 //!
 //! The persistent memory of a check is its cached graphs: the deduplicated
 //! `store::StateStore` (one contiguous row arena, one hash per node and
-//! one open-addressing index) and the CSR arenas (8 bytes per node span and
+//! one index of 8-byte slots) and the CSR arenas (8 bytes per node span and
 //! 8 per arc, one arc per transition).  The explorer interns each successor
 //! as it is generated, so an exploration buffers nothing beyond its
 //! frontier, and a budget bound stops it at the exact transition or state

@@ -13,10 +13,14 @@
 //!   one contiguous `Vec<u8>` arena — no per-node boxing, no
 //!   `Configuration` clone next to a separate `Vec<u8>` hash-map key, and
 //!   duplicate detection is a single `memcmp` against the arena.
-//! * **A u64-keyed open-addressing index.**  Dedup probes a flat
-//!   quadratic-probing table keyed by the incremental Zobrist hash that the
-//!   row engine maintains across delta application; no SipHash, no
-//!   re-hashing of the full state per lookup.
+//! * **An index of 8-byte tagged slots.**  Dedup probes a flat,
+//!   linearly probed table keyed by the incremental Zobrist hash that the
+//!   row engine maintains across delta application: the hash's low bits
+//!   pick the home slot, and a slot holds the upper 32 bits of the hash as
+//!   a tag beside the `u32` node id, so eight slots share a cache line and
+//!   a probe compares a row only where the tag matches.  The full hashes
+//!   live once, per node, beside the rows, and a growing table is rebuilt
+//!   from them.  No SipHash, no re-hashing of the full state per lookup.
 //! * **Dense ids.**  The n-th interned row gets node id n, so id-indexed
 //!   side arrays are exactly `StateStore::len()` long.
 //!
@@ -25,18 +29,22 @@
 
 use cccounter::{Configuration, CounterSystem};
 
-/// Marker for an empty slot of the index table.
+/// The id of an empty slot of the index table (never a node id:
+/// `StateStore::intern_row` stops before handing it out).
 const EMPTY: u32 = u32::MAX;
 
-/// A flat open-addressing hash index mapping 64-bit hashes to node ids.
+/// A flat open-addressing index mapping 64-bit hashes to dense node ids.
 ///
-/// Collisions are resolved by triangular-number probing; full-key equality
-/// is delegated to the caller through a closure, so the table itself stays
-/// generic over how nodes are stored.
+/// A slot is one `u64`: the upper 32 bits of the node's hash (its *tag*)
+/// above its id, or `EMPTY` in the id bits for a free slot.  The low
+/// bits of the hash pick the home slot and collisions probe linearly.  The
+/// tag only filters: a slot whose tag matches is confirmed by the caller's
+/// full-key comparison, so rows that share a whole hash still get their
+/// own ids.  The table keeps no full hashes; `grow` re-inserts every id
+/// from the caller's per-node hashes.
 #[derive(Debug)]
 struct RawTable {
-    /// `(cached hash, node id)` per slot; `EMPTY` id marks a free slot.
-    slots: Vec<(u64, u32)>,
+    slots: Vec<u64>,
     mask: usize,
     len: usize,
 }
@@ -45,32 +53,39 @@ impl RawTable {
     fn with_capacity(capacity: usize) -> Self {
         let cap = (capacity.max(16) * 2).next_power_of_two();
         RawTable {
-            slots: vec![(0, EMPTY); cap],
+            slots: vec![u64::from(EMPTY); cap],
             mask: cap - 1,
             len: 0,
         }
     }
 
+    /// The tag a slot keeps of a hash: its upper 32 bits.
+    #[inline]
+    fn tag(hash: u64) -> u32 {
+        (hash >> 32) as u32
+    }
+
     /// Finds the id stored for `hash` (with `eq` confirming full-key
     /// equality), or the slot index where it would be inserted.
+    #[inline]
     fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let tag = Self::tag(hash);
         let mut idx = hash as usize & self.mask;
-        let mut step = 0usize;
         loop {
-            let (slot_hash, slot_id) = self.slots[idx];
-            if slot_id == EMPTY {
+            let slot = self.slots[idx];
+            let id = slot as u32;
+            if id == EMPTY {
                 return Err(idx);
             }
-            if slot_hash == hash && eq(slot_id) {
-                return Ok(slot_id);
+            if Self::tag(slot) == tag && eq(id) {
+                return Ok(id);
             }
-            step += 1;
-            idx = (idx + step) & self.mask;
+            idx = (idx + 1) & self.mask;
         }
     }
 
     fn insert_at(&mut self, slot: usize, hash: u64, id: u32) {
-        self.slots[slot] = (hash, id);
+        self.slots[slot] = u64::from(Self::tag(hash)) << 32 | u64::from(id);
         self.len += 1;
     }
 
@@ -79,21 +94,20 @@ impl RawTable {
         self.len * 3 >= self.slots.len() * 2
     }
 
-    fn grow(&mut self) {
+    /// Doubles the table and re-inserts node `id` under `hashes[id]`, in id
+    /// order.  The ids are distinct, so no row is compared.
+    fn grow(&mut self, hashes: &[u64]) {
+        debug_assert_eq!(hashes.len(), self.len, "one hash per stored id");
         let new_cap = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); new_cap]);
+        self.slots = vec![u64::from(EMPTY); new_cap];
         self.mask = new_cap - 1;
-        for (hash, id) in old {
-            if id == EMPTY {
-                continue;
-            }
+        self.len = 0;
+        for (id, &hash) in hashes.iter().enumerate() {
             let mut idx = hash as usize & self.mask;
-            let mut step = 0usize;
-            while self.slots[idx].1 != EMPTY {
-                step += 1;
-                idx = (idx + step) & self.mask;
+            while self.slots[idx] as u32 != EMPTY {
+                idx = (idx + 1) & self.mask;
             }
-            self.slots[idx] = (hash, id);
+            self.insert_at(idx, hash, id as u32);
         }
     }
 }
@@ -148,8 +162,8 @@ impl StateStore {
     /// `hash` is the row's Zobrist hash as produced by
     /// [`RowEngine::hash`](cccounter::RowEngine::hash) and maintained
     /// incrementally by `RowEngine::for_each_successor`; a duplicate lookup
-    /// costs one table probe plus a `memcmp` against the row arena — no
-    /// allocation, no re-hashing.
+    /// costs a linear probe over 8-byte slots plus one `memcmp` against the
+    /// row arena per slot whose tag matches — no allocation, no re-hashing.
     pub fn intern_row(&mut self, row: &[u8], hash: u64) -> (u32, bool) {
         let stride = self.stride;
         debug_assert_eq!(row.len(), stride);
@@ -172,7 +186,7 @@ impl StateStore {
                 self.hashes.push(hash);
                 self.table.insert_at(slot, hash, id);
                 if self.table.needs_grow() {
-                    self.table.grow();
+                    self.table.grow(&self.hashes);
                 }
                 (id, true)
             }
@@ -215,15 +229,15 @@ impl StateStore {
         self.intern_row(&row, hash)
     }
 
-    /// Resident bytes of the store: the row arenas, the per-node hashes and
-    /// the index-table slots.
+    /// Resident bytes of the store: the row arena, the per-node hashes and
+    /// the 8-byte index slots.
     ///
     /// This is also the figure a [`crate::JobBudget`] resident-byte cap is
     /// checked against at wave boundaries.
     pub fn resident_bytes(&self) -> usize {
         self.rows.len()
             + self.hashes.len() * std::mem::size_of::<u64>()
-            + self.table.slots.len() * std::mem::size_of::<(u64, u32)>()
+            + self.table.slots.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -290,5 +304,33 @@ mod tests {
             assert!(!fresh);
             assert_eq!(again, *id);
         }
+    }
+
+    #[test]
+    fn colliding_hashes_keep_their_own_ids_across_growths() {
+        let sys = sys();
+        let mut store = StateStore::new(&sys);
+        let mut row = vec![0u8; store.stride()];
+        let mut interned = Vec::new();
+        // 300 rows under one identical hash, 300 whose hashes share the tag
+        // but not the index bits, and 300 that share the index bits but
+        // not the tag: 900 rows grow the 128-slot table four times
+        let hashes = (0..300u64)
+            .map(|_| 0xDEAD_BEEF_0000_0007)
+            .chain((0..300u64).map(|i| 0xDEAD_BEEF_0000_0000 | i << 8))
+            .chain((0..300u64).map(|i| i << 32 | 0x07));
+        for (i, hash) in hashes.enumerate() {
+            row[..2].copy_from_slice(&(i as u16).to_le_bytes());
+            let (id, fresh) = store.intern_row(&row, hash);
+            assert!(fresh, "row {i} is distinct");
+            assert_eq!(id as usize, i, "ids stay dense");
+            interned.push((row.clone(), hash));
+        }
+        assert_eq!(store.table.slots.len(), 2048);
+        for (i, (row, hash)) in interned.iter().enumerate() {
+            assert_eq!(store.row(i as u32), &row[..]);
+            assert_eq!(store.intern_row(row, *hash), (i as u32, false));
+        }
+        assert_eq!(store.len(), 900);
     }
 }

@@ -99,12 +99,20 @@ pub struct CounterSystem {
     size: SystemSize,
     multi_round: bool,
     rules: Vec<CompiledRule>,
-    /// Progress rule ids grouped by source location, so expansion only
-    /// scans rules whose source is occupied.
+    /// Progress rule ids grouped by source location, so the
+    /// `Configuration` API only scans rules whose source is occupied.
     progress_rules_from: Vec<Vec<RuleId>>,
-    /// Progress rules as a compact `(rule index, source slot)` table in
-    /// rule order, for the row engine's linear enumeration pass.
-    progress_compact: Vec<(u32, u16)>,
+    /// The progress rules (every rule but the self-loops) in rule order:
+    /// bit `i` of a progress mask stands for `progress_rules[i]`.
+    progress_rules: Vec<RuleId>,
+    /// Per location, the bitmask of the progress rules whose source it is:
+    /// `mask_words = ceil(progress_rules.len() / 64)` words per location,
+    /// stored flat and word-major, so word `w` of location `ℓ`'s mask sits
+    /// at `w * locations + ℓ`.  [`RowEngine::progress_actions_into`] ORs
+    /// the masks of a row's occupied locations into its candidate rules.
+    progress_masks: Vec<u64>,
+    /// Words per location mask.
+    mask_words: usize,
     /// All-zero variable row, lent out for never-materialised rounds.
     zero_vars: Vec<u64>,
     /// Zobrist keys for [`RowEngine`]: one 64-bit key per `(slot, value)`
@@ -164,14 +172,17 @@ impl CounterSystem {
             .rule_ids()
             .filter(|&r| !model.rule(r).is_self_loop())
             .collect();
-        let mut progress_rules_from: Vec<Vec<RuleId>> = vec![Vec::new(); model.locations().len()];
-        let mut progress_compact = Vec::with_capacity(progress_rules.len());
-        for r in progress_rules {
-            progress_rules_from[rules[r.0].from.0].push(r);
-            progress_compact.push((r.0 as u32, rules[r.0].from.0 as u16));
+        let num_locations = model.locations().len();
+        let mask_words = progress_rules.len().div_ceil(64);
+        let mut progress_rules_from: Vec<Vec<RuleId>> = vec![Vec::new(); num_locations];
+        let mut progress_masks = vec![0u64; mask_words * num_locations];
+        for (bit, &r) in progress_rules.iter().enumerate() {
+            let from = rules[r.0].from.0;
+            progress_rules_from[from].push(r);
+            progress_masks[bit / 64 * num_locations + from] |= 1 << (bit % 64);
         }
         let zero_vars = vec![0; model.vars().len()];
-        let slots = model.locations().len() + model.vars().len();
+        let slots = num_locations + model.vars().len();
         let mut seed = 0x0DD5_B007_5EED_C0DEu64;
         let zobrist: Vec<u64> = (0..slots * ZOBRIST_VALUES)
             .map(|i| {
@@ -193,7 +204,9 @@ impl CounterSystem {
             size,
             rules,
             progress_rules_from,
-            progress_compact,
+            progress_rules,
+            progress_masks,
+            mask_words,
             zero_vars,
             zobrist,
         })
@@ -578,23 +591,30 @@ impl<'a> RowEngine<'a> {
     /// first), in rule order — the same order the `Configuration`-based
     /// enumeration produces.
     ///
-    /// The row fits in a cache line or two, so a linear pass over the
-    /// compact `(rule, source slot)` table with one byte test per rule
-    /// beats gathering per occupied location and re-sorting.
+    /// Only rules whose source location is occupied can fire, and a
+    /// model's rules spread over many locations (MMR14's single-round
+    /// automaton has 42 progress rules), so the engine first ORs the
+    /// progress masks of the occupied locations into one candidate set per
+    /// 64 rules — a branch-free pass over the row's location bytes — and
+    /// then tests the guards of the candidates alone, walking their set
+    /// bits in ascending (rule) order.
     pub fn progress_actions_into(&self, row: &[u8], out: &mut Vec<Action>) {
         out.clear();
-        let vars = &row[self.num_locations..];
-        for &(rule_idx, from) in &self.sys.progress_compact {
-            if row[from as usize] == 0 {
-                continue;
+        let sys = self.sys;
+        let (counters, vars) = row.split_at(self.num_locations);
+        for word in 0..sys.mask_words {
+            let masks = &sys.progress_masks[word * counters.len()..][..counters.len()];
+            let mut candidates = 0u64;
+            for (&mask, &count) in masks.iter().zip(counters) {
+                // all ones for an occupied location, zero for an empty one
+                candidates |= mask & 0u64.wrapping_sub(u64::from(count != 0));
             }
-            let rule = &self.sys.rules[rule_idx as usize];
-            if rule
-                .guard
-                .iter()
-                .all(|g| g.rel.holds(g.atom.lhs_value_bytes(vars), g.bound))
-            {
-                out.push(Action::new(RuleId(rule_idx as usize), 0));
+            while candidates != 0 {
+                let rule = sys.progress_rules[word * 64 + candidates.trailing_zeros() as usize];
+                candidates &= candidates - 1;
+                if sys.rules[rule.0].guard_holds_bytes(vars) {
+                    out.push(Action::new(rule, 0));
+                }
             }
         }
     }
@@ -672,7 +692,8 @@ pub fn decode_row(row: &[u8], num_locations: usize, num_vars: usize) -> Configur
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{small_params, voting_model};
+    use crate::testutil::{small_params, voting_model, wide_voting_model};
+    use std::collections::{BTreeSet, HashSet, VecDeque};
 
     fn system() -> CounterSystem {
         CounterSystem::new(voting_model(), small_params()).unwrap()
@@ -863,47 +884,86 @@ mod tests {
         let _ = RowEngine::new(&sys);
     }
 
-    #[test]
-    fn row_engine_matches_the_configuration_semantics() {
-        let rd = voting_model().single_round().unwrap();
-        let sys = CounterSystem::new(rd, small_params()).unwrap();
-        let engine = RowEngine::new(&sys);
+    /// Walks every row reachable from the round-start configurations and
+    /// checks the row engine against the `Configuration` semantics on each:
+    /// its actions equal [`CounterSystem::progress_actions`], its successors
+    /// equal `apply` per positive-probability branch, their incrementally
+    /// maintained hashes equal a from-scratch row hash, and the row is
+    /// restored after.  Returns the number of rows and the rules that fired.
+    fn check_every_reachable_row(sys: &CounterSystem) -> (usize, BTreeSet<RuleId>) {
+        let engine = RowEngine::new(sys);
+        let mut seen = HashSet::new();
+        let mut queue = VecDeque::new();
         let mut row = Vec::new();
         for cfg in sys.round_start_configurations() {
             engine.encode_into(&cfg, &mut row);
             assert_eq!(row.len(), engine.stride());
             // encode/decode round-trips
             assert_eq!(engine.decode(&row), cfg);
-            // action enumeration agrees with the configuration-based one
-            let mut actions = Vec::new();
+            if seen.insert(row.clone()) {
+                queue.push_back(row.clone());
+            }
+        }
+        let mut fired = BTreeSet::new();
+        let mut actions = Vec::new();
+        while let Some(mut row) = queue.pop_front() {
+            let cfg = engine.decode(&row);
             engine.progress_actions_into(&row, &mut actions);
-            assert_eq!(actions, sys.progress_actions(&cfg));
-            // successors agree with `apply` per action and positive-probability
-            // branch, their incrementally maintained hashes agree with a
-            // from-scratch row hash, and the row is restored after
+            assert_eq!(actions, sys.progress_actions(&cfg), "{cfg}");
             let hash = engine.hash(&row);
-            for action in actions {
+            for &action in &actions {
+                fired.insert(action.rule);
                 let rule = sys.model().rule(action.rule);
                 let branches: Vec<usize> = (0..rule.branches().len())
                     .filter(|&b| !rule.branches()[b].prob.is_zero())
                     .collect();
                 let snapshot = row.clone();
-                let mut seen = 0;
+                let mut seen_branches = 0;
                 let _ =
                     engine.for_each_successor(&mut row, action, hash, |branch, prob, succ, h| {
-                        assert_eq!(branch, branches[seen]);
+                        assert_eq!(branch, branches[seen_branches]);
                         assert_eq!(prob, rule.branches()[branch].prob);
                         assert_eq!(
                             engine.decode(succ),
                             sys.apply(&cfg, action, branch).unwrap()
                         );
                         assert_eq!(h, engine.hash(succ));
-                        seen += 1;
+                        if seen.insert(succ.to_vec()) {
+                            queue.push_back(succ.to_vec());
+                        }
+                        seen_branches += 1;
                         ControlFlow::<()>::Continue(())
                     });
-                assert_eq!(seen, branches.len());
+                assert_eq!(seen_branches, branches.len());
                 assert_eq!(row, snapshot);
             }
         }
+        (seen.len(), fired)
+    }
+
+    #[test]
+    fn row_engine_matches_the_configuration_semantics() {
+        let rd = voting_model().single_round().unwrap();
+        let sys = CounterSystem::new(rd, small_params()).unwrap();
+        assert_eq!(sys.mask_words, 1);
+        let (rows, fired) = check_every_reachable_row(&sys);
+        assert!(rows > sys.round_start_configurations().len(), "{rows}");
+        // every progress rule fires on some reachable row
+        assert_eq!(
+            fired.iter().copied().collect::<Vec<_>>(),
+            sys.progress_rules
+        );
+
+        // a model whose rule masks span two words: rules past bit 63 are
+        // found and kept in rule order
+        let rd = wide_voting_model().single_round().unwrap();
+        let sys = CounterSystem::new(rd, small_params()).unwrap();
+        assert_eq!(sys.progress_rules.len(), 76);
+        assert_eq!(sys.mask_words, 2);
+        let (_, fired) = check_every_reachable_row(&sys);
+        assert!(
+            fired.iter().any(|r| sys.progress_rules[64..].contains(r)),
+            "a rule of the second mask word fires"
+        );
     }
 }

@@ -75,20 +75,6 @@ impl ServeClient {
         self.recv()
     }
 
-    /// Receives frames until a *terminal* response arrives, discarding
-    /// interim ones (`Progress`, and any interleaved `Stats`/`Pong`).
-    /// Returns the terminal response and how many frames were skipped.
-    pub fn recv_terminal(&mut self) -> Result<(Response, u64), WireError> {
-        let mut skipped = 0;
-        loop {
-            let resp = self.recv()?;
-            if resp.is_terminal() {
-                return Ok((resp, skipped));
-            }
-            skipped += 1;
-        }
-    }
-
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), WireError> {
         match self.request(&Request::Ping)? {

@@ -57,8 +57,7 @@
 //!
 //! `Stats`/`Pong`/`Progress` replies are non-terminal: a client that set
 //! the `progress` flag must keep reading frames for its id until a
-//! terminal one arrives (`ServeClient::recv_terminal` does exactly that).
-//! Frame-level failures are
+//! terminal one arrives.  Frame-level failures are
 //! handled by class: a malformed payload inside a sound frame is rejected
 //! and the connection keeps serving (the stream is still in sync); a bad
 //! magic or an oversized length declaration is rejected and the connection

@@ -10,10 +10,21 @@
 //! When the `BENCH_JSON` environment variable is set, a machine-readable
 //! summary is written to that path on exit, so CI can track a performance
 //! trajectory across PRs: a first `machine` entry (the commit, the available
-//! parallelism and the Unix time of the run), then one entry per benchmark
-//! with nanosecond statistics.
+//! parallelism, the Unix time of the run and `ref_ns`), then one entry per
+//! benchmark with nanosecond statistics.
+//!
+//! `ref_ns` calibrates the host.  A shared host's speed drifts by tens of
+//! percent over minutes, so two summaries of the same code can differ by
+//! more than a regression would.  The shim therefore times one fixed round
+//! of its own reference work (interning pseudo-random small keys into a
+//! hash table, like a checker's hot loop) before the first benchmark and
+//! again after the last, and records the mean of the two rounds: a row
+//! that moved with `ref_ns` moved with the host.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt::Display;
+use std::hash::BuildHasherDefault;
 use std::hint;
 use std::time::{Duration, Instant};
 
@@ -42,6 +53,8 @@ pub struct Measurement {
 pub struct Criterion {
     results: Vec<Measurement>,
     metrics: Vec<(String, f64)>,
+    /// Wall time of the reference round run before the first benchmark.
+    ref_before_ns: Option<f64>,
 }
 
 impl Criterion {
@@ -50,8 +63,17 @@ impl Criterion {
         Criterion::default()
     }
 
+    /// Runs the first round of reference work, once, before the first
+    /// benchmark.
+    fn calibrate_before(&mut self) {
+        if self.ref_before_ns.is_none() {
+            self.ref_before_ns = Some(reference_round_ns());
+        }
+    }
+
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        self.calibrate_before();
         BenchmarkGroup {
             criterion: self,
             name: name.into(),
@@ -64,6 +86,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
+        self.calibrate_before();
         let id = id.into();
         let m = run_benchmark(&id, 10, f);
         self.results.push(m);
@@ -102,7 +125,14 @@ impl Criterion {
         let unix_s = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_secs());
-        let out = self.summary_json(&current_commit(), nproc, unix_s);
+        let after = reference_round_ns();
+        let before = self.ref_before_ns.unwrap_or(after);
+        println!(
+            "reference work: {} before the first benchmark, {} after the last",
+            format_ns(before),
+            format_ns(after)
+        );
+        let out = self.summary_json(&current_commit(), nproc, unix_s, (before + after) / 2.0);
         if let Err(e) = std::fs::write(&path, out) {
             eprintln!("warning: could not write {path}: {e}");
         } else {
@@ -114,10 +144,11 @@ impl Criterion {
     }
 
     /// The JSON summary: the machine entry (where and when it was
-    /// measured), then every measurement, then every metric.
-    fn summary_json(&self, commit: &str, nproc: usize, unix_s: u64) -> String {
+    /// measured, and the mean wall time `ref_ns` of one round of reference
+    /// work), then every measurement, then every metric.
+    fn summary_json(&self, commit: &str, nproc: usize, unix_s: u64, ref_ns: f64) -> String {
         let mut out = format!(
-            "[\n  {{\"id\": \"machine\", \"commit\": \"{}\", \"nproc\": {nproc}, \"unix_s\": {unix_s}}}",
+            "[\n  {{\"id\": \"machine\", \"commit\": \"{}\", \"nproc\": {nproc}, \"unix_s\": {unix_s}, \"ref_ns\": {ref_ns:.1}}}",
             commit.replace('"', "'"),
         );
         for m in &self.results {
@@ -162,6 +193,35 @@ fn current_commit() -> String {
     } else {
         hash
     }
+}
+
+/// Keys interned by one round of reference work.
+const REFERENCE_KEYS: u64 = 150_000;
+
+/// Times one fixed round of reference work on the calling thread: interns
+/// pseudo-random 12-byte keys (a SplitMix64 stream with a fixed seed) into
+/// a fresh hash table with a fixed hasher.  Returns its wall time in ns.
+fn reference_round_ns() -> f64 {
+    let start = Instant::now();
+    let mut seen: HashMap<[u8; 12], u32, BuildHasherDefault<DefaultHasher>> = HashMap::default();
+    let mut state = 0x5EED_C0FF_EE00_0001u64;
+    for _ in 0..REFERENCE_KEYS {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        // four values below 4 per byte: about 2^20 distinct keys, so the
+        // table grows and most inserts are fresh
+        let mut key = [0u8; 12];
+        for (i, byte) in key.iter_mut().enumerate() {
+            *byte = ((z >> (i * 5)) & 3) as u8;
+        }
+        let next = seen.len() as u32;
+        seen.entry(key).or_insert(next);
+    }
+    black_box(seen.len());
+    start.elapsed().as_secs_f64() * 1e9
 }
 
 /// A named group of benchmarks sharing a sample size.
@@ -362,13 +422,13 @@ mod tests {
         let mut c = Criterion::new();
         c.bench_function("noop", |b| b.iter(|| 1 + 1));
         c.metric("cache/hit_rate", 0.75);
-        let json = c.summary_json("abc1234-dirty", 2, 1_700_000_000);
+        let json = c.summary_json("abc1234-dirty", 2, 1_700_000_000, 12_345_678.0);
         let lines: Vec<&str> = json.lines().collect();
         assert_eq!(lines.len(), 5, "{json}");
         assert_eq!(lines[0], "[");
         assert_eq!(
             lines[1],
-            "  {\"id\": \"machine\", \"commit\": \"abc1234-dirty\", \"nproc\": 2, \"unix_s\": 1700000000},"
+            "  {\"id\": \"machine\", \"commit\": \"abc1234-dirty\", \"nproc\": 2, \"unix_s\": 1700000000, \"ref_ns\": 12345678.0},"
         );
         assert!(
             lines[2].starts_with("  {\"id\": \"noop\", \"samples\": 10,"),
@@ -380,8 +440,11 @@ mod tests {
         );
         assert_eq!(lines[4], "]");
         // a summary without measurements still starts with the machine entry
-        let empty = Criterion::new().summary_json("abc1234-dirty", 2, 1_700_000_000);
+        let empty = Criterion::new().summary_json("abc1234-dirty", 2, 1_700_000_000, 1.0);
         assert_eq!(empty.lines().count(), 3, "{empty}");
+        // the first benchmark is preceded by a round of reference work
+        assert!(c.ref_before_ns.is_some_and(|ns| ns > 0.0));
+        assert!(Criterion::new().ref_before_ns.is_none());
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl AtomicGuard {
         }
     }
 
-    /// An atom with explicit terms.
-    pub fn linear(terms: Vec<(i64, VarId)>, rel: GuardRel, bound: LinearExpr) -> Self {
-        AtomicGuard { terms, rel, bound }
-    }
-
     /// The variables appearing on the left-hand side.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
         self.terms.iter().map(|&(_, v)| v)
@@ -424,11 +419,7 @@ mod tests {
     fn rising_and_falling_classification() {
         assert!(AtomicGuard::ge(VarId(0), LinearExpr::constant(1, 1)).is_rising());
         assert!(!AtomicGuard::lt(VarId(0), LinearExpr::constant(1, 1)).is_rising());
-        let neg = AtomicGuard::linear(
-            vec![(-1, VarId(0))],
-            GuardRel::Ge,
-            LinearExpr::constant(1, 0),
-        );
+        let neg = AtomicGuard::ge_scaled(-1, VarId(0), LinearExpr::constant(1, 0));
         assert!(!neg.is_rising());
     }
 

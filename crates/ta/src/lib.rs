@@ -11,8 +11,6 @@
 //!   threshold automaton for correct processes *and* the probabilistic
 //!   threshold automaton for the common coin.  Both automata share the same
 //!   variable alphabet and have disjoint location sets (Sect. III-B(b,c)).
-//! * [`SystemModel::to_nonprobabilistic`] — Definition 1: probabilistic
-//!   branching replaced by non-determinism.
 //! * [`SystemModel::single_round`] — Definition 3: the single-round automaton
 //!   `TA_rd` with border-location copies and redirected round-switch rules.
 //! * [`refine::refine_for_binding`] — the Fig. 6 refinement that introduces

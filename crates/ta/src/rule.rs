@@ -346,20 +346,6 @@ impl Rule {
         }
     }
 
-    /// Internal: produces a Dirac copy of this rule pointing to `to`
-    /// (used by the Definition-1 de-probabilisation).
-    pub(crate) fn dirac_copy_to(&self, name: impl Into<String>, to: LocId) -> Rule {
-        Rule {
-            name: name.into(),
-            from: self.from,
-            branches: vec![Branch::new(to, Probability::ONE)],
-            guard: self.guard.clone(),
-            update: self.update.clone(),
-            round_switch: self.round_switch,
-            owner: self.owner,
-        }
-    }
-
     /// Internal: redirects the (single) destination of a Dirac rule.
     pub(crate) fn redirect_to(&self, to: LocId) -> Rule {
         assert!(self.is_dirac(), "only Dirac rules can be redirected");

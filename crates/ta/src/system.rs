@@ -295,38 +295,6 @@ impl SystemModel {
     }
 
     // ------------------------------------------------------------------
-    // Definition 1: replace probability with non-determinism.
-    // ------------------------------------------------------------------
-
-    /// Builds the non-probabilistic model `TA_PTA`: every non-Dirac rule is
-    /// split into one Dirac rule per positive-probability branch
-    /// (Definition 1 of the paper).
-    pub fn to_nonprobabilistic(&self) -> SystemModel {
-        let mut rules = Vec::with_capacity(self.rules.len());
-        for r in &self.rules {
-            if r.is_dirac() {
-                rules.push(r.clone());
-            } else {
-                for b in r.branches() {
-                    if b.prob.is_zero() {
-                        continue;
-                    }
-                    let name = format!("{}_to_{}", r.name(), self.location(b.to).name());
-                    rules.push(r.dirac_copy_to(name, b.to));
-                }
-            }
-        }
-        SystemModel {
-            name: self.name.clone(),
-            env: self.env.clone(),
-            vars: self.vars.clone(),
-            locations: self.locations.clone(),
-            rules,
-            kind: self.kind,
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Definition 3: the single-round automaton TA_rd.
     // ------------------------------------------------------------------
 
@@ -827,19 +795,6 @@ mod tests {
         assert_eq!(m.rules_from(s).len(), 4);
         let e0 = m.location_id("E0").unwrap();
         assert_eq!(m.rules_into(e0).len(), 2);
-    }
-
-    #[test]
-    fn to_nonprobabilistic_splits_coin_toss() {
-        let m = tiny_model();
-        assert!(m.rules().iter().any(|r| !r.is_dirac()));
-        let np = m.to_nonprobabilistic();
-        assert!(np.rules().iter().all(|r| r.is_dirac()));
-        // toss is replaced by two Dirac rules
-        assert_eq!(np.rules().len(), m.rules().len() + 1);
-        assert!(np.rule_id("toss_to_N0c").is_some());
-        assert!(np.rule_id("toss_to_N1c").is_some());
-        np.validate().unwrap();
     }
 
     #[test]
