@@ -10,10 +10,11 @@
 //! catalogue through one checker, one build per start-restriction group
 //! and one batched pass for a group's monitored obligations.
 //! `--deadline-ms D` and `--max-resident-bytes B` set the budget of the
-//! job-lifecycle section, which runs the catalogue as a checkpointable
-//! `CheckJob` and reports each job's outcome — completed, budget-tripped
-//! (with the trip reason and checkpointed progress) and
-//! resumed-to-completion.
+//! job-lifecycle section, which runs the catalogue as a `CheckJob` and
+//! reports its outcome: completed, or stopped (with the reason, the
+//! obligations answered and the states and transitions built) and then
+//! continued to completion by a fresh, unbudgeted job over the owed
+//! obligations.
 
 use ccchecker::reference::reference_check;
 use ccchecker::{CheckJob, CheckerOptions, ExplicitChecker, JobBudget, JobOutcome};
@@ -131,9 +132,9 @@ fn main() {
         );
     }
 
-    // job lifecycle: the same catalogue as a checkpointable job under the
-    // requested budget, reporting the per-job outcome the sweep driver
-    // acts on (completed / budget-tripped / resumed)
+    // job lifecycle: the same catalogue as a job under the requested
+    // budget, continued the way `ccserve` continues a parked cell if the
+    // budget stops it (completed / stopped / continued)
     println!(
         "\njob lifecycle ({}):",
         if budget.is_unlimited() {
@@ -154,30 +155,35 @@ fn main() {
                 t.elapsed()
             );
         }
-        JobOutcome::BudgetExceeded {
-            reason, checkpoint, ..
+        JobOutcome::Stopped {
+            reason,
+            answered,
+            stats,
         } => {
+            let owed: Vec<ccchecker::Spec> = all_specs
+                .iter()
+                .zip(&answered)
+                .filter(|(_, outcome)| outcome.is_none())
+                .map(|(spec, _)| spec.clone())
+                .collect();
             println!(
-                "  budget-tripped: {reason} after {}/{} obligation(s), \
+                "  stopped:        {reason} after {}/{} obligation(s), \
                  {} states / {} transitions",
-                checkpoint.completed_obligations(),
-                checkpoint.total_obligations(),
-                checkpoint.states_explored(),
-                checkpoint.transitions_explored(),
+                all_specs.len() - owed.len(),
+                all_specs.len(),
+                stats.cached_states(),
+                stats.cached_transitions(),
             );
             let t = Instant::now();
-            match CheckJob::new(&sys, &all_specs, options).resume(checkpoint) {
-                Ok(JobOutcome::Completed { outcomes, .. }) => println!(
-                    "  resumed:        completed all {} obligation(s) in {:.3?}",
-                    outcomes.len(),
-                    t.elapsed()
-                ),
-                Ok(_) => println!("  resumed:        interrupted again"),
-                Err(err) => println!("  resumed:        refused: {err}"),
-            }
-        }
-        JobOutcome::Interrupted { .. } => {
-            unreachable!("the profile job owns its cancel token")
+            let (outcomes, _) = CheckJob::new(&sys, &owed, options)
+                .run()
+                .completed()
+                .expect("an unbudgeted job with its own token completes");
+            println!(
+                "  continued:      completed the {} owed obligation(s) in {:.3?}",
+                outcomes.len(),
+                t.elapsed()
+            );
         }
     }
 

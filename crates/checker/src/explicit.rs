@@ -299,8 +299,9 @@ impl<'a> ExplicitChecker<'a> {
     /// [`ExplicitChecker::check`] for a [`crate::CheckJob`]: `Err` carries
     /// the signal that interrupted the group build, and `base` holds the
     /// `(states, transitions, resident bytes)` the job accounted outside
-    /// this build, so the job budgets stay cumulative.  An analysis pass a
-    /// fast signal stops returns its interrupted outcome in `Ok`.
+    /// this build, so the progress observer and the resident-byte cap see
+    /// the job's cumulative counters.  An analysis pass a fast signal stops
+    /// returns its interrupted outcome in `Ok`.
     pub(crate) fn try_check(
         &self,
         spec: &Spec,

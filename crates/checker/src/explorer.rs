@@ -74,7 +74,7 @@ pub(crate) enum Exploration {
     StateBound,
     /// A job signal (cancellation, deadline, or job budget) stopped the
     /// search at a wave boundary.  The record is incomplete, and its
-    /// callers drop it: exploration is deterministic, so a resumed job
+    /// callers drop it: exploration is deterministic, so a continuing job
     /// rebuilds what it needs.
     Interrupted(InterruptKind),
 }

@@ -1,7 +1,12 @@
-//! Small models used by the unit tests of this crate.  The voting model
-//! and its small valuation are `cccounter`'s own test model.
+//! Small models used by the unit tests of this crate, and the one way its
+//! tests continue a stopped job.  The voting model and its small valuation
+//! are `cccounter`'s own test model.
 
+use crate::job::{CheckJob, InterruptKind, JobOutcome};
+use crate::{CheckOutcome, CheckerOptions, Spec};
+use cccounter::CounterSystem;
 use ccta::prelude::*;
+use std::sync::Arc;
 
 pub use cccounter::testutil::{small_params, voting_model};
 
@@ -214,4 +219,60 @@ pub fn benchmark_valuation(model: &SystemModel) -> ParamValuation {
             (std::cmp::Reverse(byz as u8), procs, v.values().to_vec())
         })
         .expect("admissible benchmark valuation")
+}
+
+/// Continues a stopped job the way `ccserve` continues a parked cell: a
+/// fresh [`CheckJob`] over the owed (`None`) slots of `answered`, whose
+/// outcomes are written back into those slots.  Each job cancels itself
+/// from its progress observer at the first wave or obligation boundary
+/// where its cumulative states reach `stop_at`, so a stop lands at the same
+/// point on every run; `stop_at` doubles after each stop (`usize::MAX`
+/// never stops).  Returns the outcomes in spec order and, per stop, the
+/// stopped job's cached states and its `stop_at`: cached states below
+/// `stop_at` mean the stop abandoned a group build.
+pub fn continue_job(
+    sys: &CounterSystem,
+    specs: &[Spec],
+    options: CheckerOptions,
+    mut answered: Vec<Option<CheckOutcome>>,
+    mut stop_at: usize,
+) -> (Vec<CheckOutcome>, Vec<(usize, usize)>) {
+    let mut stops = Vec::new();
+    loop {
+        let owed: Vec<usize> = (0..specs.len())
+            .filter(|&i| answered[i].is_none())
+            .collect();
+        if owed.is_empty() {
+            break;
+        }
+        let owed_specs: Vec<Spec> = owed.iter().map(|&i| specs[i].clone()).collect();
+        let job = CheckJob::new(sys, &owed_specs, options);
+        let token = job.cancel_token();
+        let job = job.with_progress(Arc::new(move |states, _| {
+            if states >= stop_at {
+                token.cancel();
+            }
+        }));
+        let filled = match job.run() {
+            JobOutcome::Completed { outcomes, .. } => outcomes.into_iter().map(Some).collect(),
+            JobOutcome::Stopped {
+                reason,
+                answered,
+                stats,
+            } => {
+                assert_eq!(reason, InterruptKind::Cancelled, "only the observer stops");
+                stops.push((stats.cached_states(), stop_at));
+                stop_at = stop_at.saturating_mul(2);
+                answered
+            }
+        };
+        for (i, outcome) in owed.into_iter().zip(filled) {
+            answered[i] = outcome;
+        }
+    }
+    let outcomes = answered
+        .into_iter()
+        .map(|o| o.expect("the loop ends once no obligation is owed"))
+        .collect();
+    (outcomes, stops)
 }

@@ -672,7 +672,7 @@ impl ReachGraph {
         }
         let outcome = self.evaluate(sys, spec, options, signals);
         // only definite verdicts are worth replaying; `Unknown` (a budget
-        // or an interruption) must rerun so a resumed job re-attempts it
+        // or an interruption) must rerun so a continuing job re-attempts it
         if matches!(outcome.status, CheckStatus::Holds | CheckStatus::Violated) {
             self.memo.borrow_mut().push((spec.clone(), outcome.clone()));
         }
@@ -684,12 +684,12 @@ impl ReachGraph {
     /// that tripped its build in the detail and the build's counts.
     ///
     /// The passes poll the *fast* job signals (cancellation/deadline) every
-    /// ~1k product transitions; the job-level state/transition budgets do
-    /// not apply here — an analysis pass re-walks cached arcs rather than
-    /// exploring new ones (see the "Job lifecycle & fault model" crate
-    /// docs).  An interrupted pass reports an `interrupted: …` outcome and
-    /// is redone from scratch on resume, which is bit-identical because the
-    /// passes are deterministic.
+    /// ~1k product transitions; the job's resident-byte cap does not apply
+    /// here — an analysis pass re-walks cached arcs rather than exploring
+    /// new ones (see the "Job lifecycle & fault model" crate docs).  An
+    /// interrupted pass reports an `interrupted: …` outcome and is redone
+    /// from scratch by the job that continues the work, which is
+    /// bit-identical because the passes are deterministic.
     pub(crate) fn evaluate(
         &self,
         sys: &CounterSystem,

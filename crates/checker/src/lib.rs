@@ -93,7 +93,11 @@
 //!   of 4-bit lanes, one lane per obligation and 16 to a `u64` word, over
 //!   the cached arcs (see [`graph`]).  Table II's `RoundStart` groups
 //!   carry 2 to 7 such obligations; a group with one keeps the lone
-//!   search.
+//!   search, which is faster there: sending one-lane groups through the
+//!   batched pass cost `family-sweep`, whose groups carry one monitored
+//!   obligation each, 6.6% of its verdicts per second on a 2-vCPU host,
+//!   and letting a word's fixpoint stop once every lane reached its
+//!   violation bits cost it 1.7%.
 //! * **Memory model.**  A cached graph holds the deduplicated
 //!   `store::StateStore` rows plus the CSR arenas of the group's full
 //!   transition relation: 8 bytes per node span and one 8-byte arc per
@@ -258,42 +262,41 @@
 //!
 //! [`CheckJob`] wraps a batch check in an interruptible state machine, and
 //! [`check_over_sweep_cancellable`] extends its stop signals to the sweep
-//! grid (an interrupted sweep is rerun, not resumed):
+//! grid (an interrupted sweep is rerun whole):
 //!
-//! * **Checkpoint boundaries.**  A job stops only at *wave boundaries* of
-//!   an exploration (every level starts a wave, and a wide level is cut
-//!   into waves of at most 8192 nodes) and at *obligation boundaries*
-//!   between specs.  The [`JobCheckpoint`] keeps the completed outcomes and
-//!   the cumulative counters, nothing more: a stop inside a group build
-//!   abandons that build, and an interrupted analysis pass records nothing.
-//!   Exploration and the passes are deterministic, so [`CheckJob::resume`]
-//!   rebuilds the graphs the owed obligations need and reproduces
-//!   verdicts, state counts, transition counts and counterexample schedules
-//!   bit-identically to an uninterrupted run (pinned by the
-//!   `random_differential` interrupt axis).  A group build longer than one
-//!   deadline window therefore never finishes across resumes; give the
-//!   resume a longer deadline.  A checkpoint lives in process only: an
-//!   obligation's outcome depends on nothing but its group's graph and the
-//!   checker options, so state that must outlive the process (`ccserve`'s
-//!   parked jobs) keeps the verdicts already answered and runs a fresh job
-//!   over the owed obligations.
+//! * **Stop boundaries and continuation.**  A job stops only at *wave
+//!   boundaries* of an exploration (every level starts a wave, and a wide
+//!   level is cut into waves of at most 8192 nodes) and at *obligation
+//!   boundaries* between specs.  A stopped job gives back the outcomes it
+//!   answered ([`JobOutcome::Stopped`]), nothing more: a stop inside a
+//!   group build abandons that build, and an interrupted analysis pass
+//!   records nothing.  An obligation's outcome depends on nothing but its
+//!   group's graph and the checker options, so a job is continued by a
+//!   fresh job over the owed obligations, and the answered outcomes plus
+//!   the fresh job's reproduce verdicts, state counts, transition counts
+//!   and counterexample schedules bit-identically to an uninterrupted run
+//!   (pinned by `random_differential`'s stop-and-continue and subset-job
+//!   axes).  `ccserve` continues a parked cell this way.  A group build
+//!   longer than one deadline window therefore never finishes across
+//!   continuations; give the continuing job a longer deadline.
 //! * **Cancellation latency.**  [`CancelToken::cancel`] and the deadline
 //!   are *fast* signals, polled at wave boundaries and every few thousand
 //!   steps of an analysis pass — latency is O(one wave), not O(the check).
-//!   A stop abandons the group build it lands in.
-//! * **Budget semantics.**  The [`JobBudget`] state/transition caps are
-//!   evaluated only at wave and obligation boundaries against the
-//!   deterministic exploration counters, so *where* they trip is identical
-//!   on every run.  The deadline (re-anchored at each `run`/`resume`
-//!   call) and the resident-byte cap are inherently timing/allocator
-//!   dependent — their trip point varies, but resuming still reproduces
-//!   the uninterrupted results exactly.  Analysis passes over a cached
-//!   graph re-walk existing arcs and are exempt from the job
-//!   state/transition caps (they honour cancellation and the deadline).
-//!   Resuming with the *same* exhausted cap re-trips at the next boundary
-//!   without progress; resume with a larger budget.  In a sweep,
-//!   cancellation and the deadline are global to the grid while the
-//!   state/transition/resident caps apply per cell.
+//!   A stop abandons the group build it lands in.  The progress observer
+//!   ([`CheckJob::with_progress`]) sees the job's cumulative
+//!   (deterministic) state and transition counters at each boundary
+//!   before the signals are read, so an observer that cancels the job once
+//!   the states reach a threshold stops it at the same boundary on every
+//!   run; the job suites stop jobs mid-way like that.
+//! * **Budget semantics.**  A [`JobBudget`] holds two caps: the deadline,
+//!   anchored at each `run` call, and the resident-byte cap, evaluated at
+//!   wave and obligation boundaries.  Both depend on timing or allocator
+//!   layout, so their trip point varies, but continuing the stopped job
+//!   still reproduces the uninterrupted results exactly.  Analysis passes
+//!   over a cached graph re-walk existing arcs and honour only
+//!   cancellation and the deadline.  In a sweep, cancellation and the
+//!   deadline are global to the grid while the resident-byte cap applies
+//!   per cell.
 //! * **Panic isolation.**  A panic is caught per sweep cell, with a
 //!   backtrace recorded by a process-wide panic hook that the sweep
 //!   installs.  A cell whose check panics is re-dispatched once on a fresh
@@ -336,8 +339,8 @@ pub mod store;
 pub mod sweep;
 
 /// Small models shared by this crate's unit tests and the
-/// `engine_equivalence` integration tests.  Not part of the public API
-/// surface.
+/// `engine_equivalence` integration tests, and the job-continuation helper
+/// of the job suites.  Not part of the public API surface.
 #[doc(hidden)]
 pub mod fixtures;
 
@@ -350,9 +353,7 @@ pub use codec::DecodeError;
 pub use counterexample::Counterexample;
 pub use explicit::{CheckerOptions, ExplicitChecker};
 pub use graph::GraphLineage;
-pub use job::{
-    CancelToken, CheckJob, InterruptKind, JobBudget, JobCheckpoint, JobOutcome, ProgressFn,
-};
+pub use job::{CancelToken, CheckJob, InterruptKind, JobBudget, JobOutcome, ProgressFn};
 pub use result::{CheckOutcome, CheckStatus, GraphCacheStats, GraphOrigin, GroupCacheRecord};
 pub use retry::{panic_message, retry_once};
 pub use schema::{

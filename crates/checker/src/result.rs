@@ -80,8 +80,8 @@ impl CheckOutcome {
 
     /// An outcome cut short by a job signal: cancellation, deadline, or a
     /// job-level budget.  Distinguished from an ordinary bound-exhausted
-    /// `unknown` so the sweep can account the cell as
-    /// interrupted-with-checkpoint rather than inconclusive.
+    /// `unknown` so the sweep can account the cell as interrupted rather
+    /// than inconclusive.
     pub(crate) fn interrupted(
         states: usize,
         transitions: usize,

@@ -48,16 +48,17 @@
 //! [`check_over_sweep_cancellable`] runs the same grid under a
 //! [`CancelToken`] and a [`JobBudget`]: the cancel token and the budget's
 //! deadline are polled between cells (and at wave boundaries inside each
-//! cell), and the budget's state/transition/resident caps apply to each
-//! cell individually.  Every cell then carries a [`CellDisposition`]:
-//! `Completed` cells ran to a verdict, `Skipped` cells were cancelled by an
-//! earlier violation of the same query, `Interrupted` cells were stopped by
-//! a job signal (mid-cell or before they were ever reached), and `Failed`
-//! cells panicked twice — once on the valuation's shared checker and once
-//! more after being re-dispatched on a fresh checker without any lineage —
-//! without disturbing their siblings.  The four dispositions partition the
-//! grid, so `completed + skipped + interrupted + failed` always equals the
-//! grid size.
+//! cell), and the budget's resident-byte cap, its only per-cell cap,
+//! applies to each cell individually.  Every cell then carries a
+//! [`CellDisposition`]: `Completed` cells ran to a verdict, `Skipped` cells
+//! were cancelled by an earlier violation of the same query, `Interrupted`
+//! cells were stopped by a job signal (mid-cell or before they were ever
+//! reached), and `Failed` cells panicked twice — once on the valuation's
+//! shared checker and once more after being re-dispatched on a fresh
+//! checker without any lineage — without disturbing their siblings.  The
+//! four dispositions partition the grid, so
+//! `completed + skipped + interrupted + failed` always equals the grid
+//! size.
 
 use crate::explicit::{CheckerOptions, ExplicitChecker};
 use crate::graph::{carry_step, GraphBasis, GraphLineage};
@@ -361,10 +362,11 @@ pub fn check_over_sweep_with_stats(
 /// [`check_over_sweep_with_stats`] under a job lifecycle: the sweep polls
 /// `cancel` and the budget's deadline before every cell (and the cell's own
 /// exploration polls them at wave boundaries, so cancellation latency is
-/// one wave), and applies the budget's state/transition/resident caps to
-/// each cell individually.  Cells the sweep never reached are explicit
-/// [`CellDisposition::Interrupted`] records.  With a never-cancelled token
-/// and an unlimited budget this is exactly [`check_over_sweep_with_stats`].
+/// one wave), and applies the budget's resident-byte cap, its only
+/// per-cell cap, to each cell individually.  Cells the sweep never reached
+/// are explicit [`CellDisposition::Interrupted`] records.  With a
+/// never-cancelled token and an unlimited budget this is exactly
+/// [`check_over_sweep_with_stats`].
 pub fn check_over_sweep_cancellable(
     model: &SystemModel,
     specs: &[Spec],

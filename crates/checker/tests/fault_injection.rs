@@ -2,12 +2,13 @@
 //!
 //! Each test injects one failure mode — a seeded panic inside a sweep
 //! cell's exploration, a panicking sweep cell, an exhausted deadline, a
-//! resident-byte ("OOM") cap, a state cap, or an asynchronous cancellation
-//! — and asserts the structured-degradation contract: injected panics fail
-//! only their own grid cell (retried once on a fresh checker before being
-//! given up on), budget trips surrender a resumable checkpoint, resumed
-//! runs are bit-identical to uninterrupted ones, and no failure mode ever
-//! loses a grid cell or poisons the process.
+//! resident-byte ("OOM") cap, a stop at a state threshold, or an
+//! asynchronous cancellation — and asserts the structured-degradation
+//! contract: injected panics fail only their own grid cell (retried once on
+//! a fresh checker before being given up on), a stopped job gives back the
+//! outcomes it answered, a fresh job over the owed obligations continues it
+//! bit-identically to an uninterrupted run, and no failure mode ever loses a
+//! grid cell or poisons the process.
 //!
 //! The panic injector (`ccchecker::fault`) is process-global, so every test
 //! in this file serialises on one mutex.
@@ -239,26 +240,23 @@ fn exhausted_deadline_surrenders_a_resumable_checkpoint() {
     let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
 
     // a zero deadline is the deterministic flavour of "the clock ran out":
-    // the job must trip before completing its obligations
+    // the job must stop before completing its obligations
     let job = CheckJob::new(&sys, &specs, options)
         .with_budget(JobBudget::unlimited().with_deadline(Duration::ZERO));
-    let checkpoint = match job.run() {
-        JobOutcome::BudgetExceeded {
-            reason, checkpoint, ..
+    let answered = match job.run() {
+        JobOutcome::Stopped {
+            reason, answered, ..
         } => {
             assert_eq!(reason, InterruptKind::Deadline);
-            checkpoint
+            answered
         }
-        _ => panic!("a zero deadline must trip the budget"),
+        JobOutcome::Completed { .. } => panic!("a zero deadline must stop the job"),
     };
-    assert!(checkpoint.completed_obligations() < specs.len());
+    assert!(answered.iter().any(Option::is_none));
 
-    // resuming with breathing room completes, bit-identical to check_all
-    let (outcomes, _) = CheckJob::new(&sys, &specs, options)
-        .resume(checkpoint)
-        .expect("the checkpoint matches the catalogue")
-        .completed()
-        .expect("the resumed job must complete");
+    // a fresh job with breathing room over the owed obligations completes,
+    // bit-identical to check_all
+    let (outcomes, _) = fixtures::continue_job(&sys, &specs, options, answered, usize::MAX);
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
         assert_outcomes_identical(a, b, spec.name());
     }
@@ -277,61 +275,40 @@ fn resident_byte_cap_trips_like_an_oom_and_resumes() {
     // of the first build must trip it, and the partial build is dropped
     let job = CheckJob::new(&sys, &specs, options)
         .with_budget(JobBudget::unlimited().with_max_resident_bytes(1));
-    let checkpoint = match job.run() {
-        JobOutcome::BudgetExceeded {
-            reason, checkpoint, ..
+    let answered = match job.run() {
+        JobOutcome::Stopped {
+            reason,
+            answered,
+            stats,
         } => {
             assert_eq!(reason, InterruptKind::ResidentBudget);
-            checkpoint
+            assert_eq!(stats.cached_states(), 0);
+            answered
         }
-        _ => panic!("a one-byte resident cap must trip the budget"),
+        JobOutcome::Completed { .. } => panic!("a one-byte resident cap must stop the job"),
     };
-    assert_eq!(checkpoint.completed_obligations(), 0);
-    assert_eq!(checkpoint.states_explored(), 0);
+    assert!(answered.iter().all(Option::is_none));
 
-    let (outcomes, _) = CheckJob::new(&sys, &specs, options)
-        .resume(checkpoint)
-        .expect("the checkpoint matches the catalogue")
-        .completed()
-        .expect("the resumed job must complete");
+    let (outcomes, _) = fixtures::continue_job(&sys, &specs, options, answered, usize::MAX);
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
         assert_outcomes_identical(a, b, spec.name());
     }
 }
 
 #[test]
-fn state_cap_checkpoints_are_bit_identical_across_worker_counts() {
+fn repeated_state_threshold_stops_continue_bit_identically() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let model = model();
     let sys = CounterSystem::new(model.clone(), fixtures::small_params()).unwrap();
     let specs = catalogue(&model);
     let options = CheckerOptions::default();
     let reference = ExplicitChecker::with_options(&sys, options).check_all(&specs);
-    // walk the job through repeated deterministic state-cap trips, doubling
-    // the cap each time until it completes
-    let mut cap = 4usize;
-    let mut trips = 0usize;
-    let mut outcome = CheckJob::new(&sys, &specs, options)
-        .with_budget(JobBudget::unlimited().with_max_states(cap))
-        .run();
-    let outcomes = loop {
-        match outcome {
-            JobOutcome::Completed { outcomes, .. } => break outcomes,
-            JobOutcome::BudgetExceeded {
-                reason, checkpoint, ..
-            } => {
-                assert!(reason.is_budget(), "{reason}");
-                trips += 1;
-                cap *= 2;
-                outcome = CheckJob::new(&sys, &specs, options)
-                    .with_budget(JobBudget::unlimited().with_max_states(cap))
-                    .resume(checkpoint)
-                    .expect("the checkpoint matches the catalogue");
-            }
-            JobOutcome::Interrupted { .. } => panic!("no cancel token was tripped"),
-        }
-    };
-    assert!(trips > 0, "the state cap never tripped");
+    // walk the work through repeated deterministic stops at a state
+    // threshold, each continued by a fresh job over the owed obligations
+    // with the threshold doubled, until it completes
+    let owed = vec![None; specs.len()];
+    let (outcomes, stops) = fixtures::continue_job(&sys, &specs, options, owed, 4);
+    assert!(!stops.is_empty(), "the state threshold never stopped a job");
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
         assert_outcomes_identical(a, b, spec.name());
     }
@@ -353,33 +330,34 @@ fn asynchronous_cancellation_is_resumable() {
     canceller.join().unwrap();
 
     // the race is honest: the cancel may land before, during or after the
-    // run — an interrupted job must resume to the same outcomes either way
+    // run — a stopped job must continue to the same outcomes either way
     let outcomes = match first {
         JobOutcome::Completed { outcomes, .. } => outcomes,
-        JobOutcome::Interrupted { checkpoint } => {
-            CheckJob::new(&sys, &specs, options)
-                .resume(checkpoint)
-                .expect("the checkpoint matches the catalogue")
-                .completed()
-                .expect("the resumed job must complete")
-                .0
-        }
-        JobOutcome::BudgetExceeded { reason, .. } => {
-            panic!("no budget was set, yet {reason} tripped")
+        JobOutcome::Stopped {
+            reason, answered, ..
+        } => {
+            assert_eq!(reason, InterruptKind::Cancelled, "no budget was set");
+            fixtures::continue_job(&sys, &specs, options, answered, usize::MAX).0
         }
     };
     for ((spec, a), b) in specs.iter().zip(&outcomes).zip(&reference) {
         assert_outcomes_identical(a, b, spec.name());
     }
 
-    // a pre-cancelled job suspends before doing any work at all
+    // a pre-cancelled job stops before doing any work at all
     let eager = CheckJob::new(&sys, &specs, options);
     eager.cancel_token().cancel();
-    let JobOutcome::Interrupted { checkpoint } = eager.run() else {
-        panic!("a pre-cancelled job must surrender a checkpoint");
+    let JobOutcome::Stopped {
+        reason,
+        answered,
+        stats,
+    } = eager.run()
+    else {
+        panic!("a pre-cancelled job must stop");
     };
-    assert_eq!(checkpoint.completed_obligations(), 0);
-    assert_eq!(checkpoint.states_explored(), 0);
+    assert_eq!(reason, InterruptKind::Cancelled);
+    assert!(answered.iter().all(Option::is_none));
+    assert_eq!(stats.cached_states(), 0);
 }
 
 #[test]

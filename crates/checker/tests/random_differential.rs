@@ -17,20 +17,22 @@
 //! * **Incremental ≡ fresh** — guard-adjacent sweeps, whose incremental
 //!   side extends, reuses, prunes and hits the verdict memo, are
 //!   bit-identical with the lineage on and off.
-//! * **Interrupted ≡ uninterrupted** — a `CheckJob` tripped by a state
-//!   budget at a random cap, checkpointed and resumed (repeatedly, with a
-//!   doubling cap) produces verdicts, counts and counterexample schedules
-//!   bit-identical to a run that was never interrupted, also under a
+//! * **Stopped and continued ≡ uninterrupted** — a `CheckJob` stopped at a
+//!   random state threshold, then continued the way `ccserve` continues a
+//!   parked cell (a fresh job over the owed obligations, repeatedly, with a
+//!   doubling threshold) produces verdicts, counts and counterexample
+//!   schedules bit-identical to a run that was never stopped, also under a
 //!   per-exploration bound that leaves bounded group builds answering
-//!   `Unknown`.
+//!   `Unknown`.  A job over a random subset of the catalogue answers each
+//!   of its obligations as `check_all` over the whole catalogue does.
 //!
 //! A failure message always includes the generator seed, so any
 //! counterexample system can be rebuilt deterministically.
 
 use ccchecker::reference::reference_check;
 use ccchecker::{
-    check_over_sweep_with_stats, CheckJob, CheckStatus, CheckerOptions, ExplicitChecker, JobBudget,
-    JobOutcome, Spec,
+    check_over_sweep_with_stats, fixtures, CheckJob, CheckStatus, CheckerOptions, ExplicitChecker,
+    Spec,
 };
 use cccounter::CounterSystem;
 use ccprotocols::family::{differential_family, differential_obligations_with};
@@ -41,8 +43,8 @@ use rand::{Rng, SeedableRng};
 /// Number of random systems per test.
 const SYSTEMS: usize = 100;
 
-/// The per-exploration state bound of the interrupt axis's bounded leg:
-/// low enough that most group builds trip it.
+/// The per-exploration state bound of the stop-and-continue axis's bounded
+/// leg: low enough that most group builds trip it.
 const BOUNDED_STATES: usize = 12;
 
 /// One random small system from the family generator's compatibility seed
@@ -58,8 +60,8 @@ fn random_system(seed: u64) -> (CounterSystem, Vec<String>) {
 
 /// Random obligations over a random system: every query shape of the
 /// catalogue, over random tracked sets.  Draws from the caller's RNG so
-/// tests that derive further values (the interrupt axis's state caps) keep
-/// their historical draw positions.
+/// tests that derive further values (the stop axis's state thresholds)
+/// keep their historical draw positions.
 fn random_specs(rng: &mut StdRng, model: &SystemModel, mids: &[String]) -> Vec<Spec> {
     Spec::family_catalogue(model, &differential_obligations_with(rng, mids))
 }
@@ -355,23 +357,28 @@ fn random_systems_incremental_sweep_matches_fresh() {
 
 #[test]
 fn random_systems_interrupt_resume_is_bit_identical() {
-    // The random-interrupt axis of the job lifecycle: every system's
-    // catalogue is run once uninterrupted (the reference), once as an
-    // uninterrupted `CheckJob`, and once tripped by a state budget at a
-    // random cap drawn from the seed.  Each trip surrenders a checkpoint;
-    // resuming with a doubled cap walks the job through repeated
-    // deterministic interrupts until it completes.  Both job runs must be
-    // bit-identical to the reference — verdicts, state counts, transition
-    // counts and counterexample schedules — also under a per-exploration
-    // state bound that group builds trip, so the job answers their
-    // obligations `Unknown`.
-    let mut trips = 0usize;
-    let mut trips_inside_builds = 0usize;
+    // The random stop-and-continue axis of the job lifecycle: every
+    // system's catalogue is run once through `check_all` (the reference),
+    // once as an uninterrupted `CheckJob`, and once as a job that stops
+    // when its states reach a random threshold drawn from the seed.  Each
+    // stop gives back the answered outcomes; a fresh job over the owed
+    // obligations with a doubled threshold continues the work, through
+    // repeated deterministic stops, until it completes.  Both job runs must
+    // be bit-identical to the reference — verdicts, state counts,
+    // transition counts and counterexample schedules — also under a
+    // per-exploration state bound that group builds trip, so the job
+    // answers their obligations `Unknown`.  On both legs a job over a
+    // random subset of the catalogue, as the daemon runs over what its
+    // cache did not answer, must answer each obligation like the reference.
+    let mut stops = 0usize;
+    let mut stops_inside_builds = 0usize;
     let mut bounded_unknowns = 0usize;
+    let mut split_groups = 0usize;
     for i in 0..SYSTEMS {
         let seed = 0xD1F_F0000 + i as u64;
         let (sys, mids) = random_system(seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC5);
+        let mut subset_rng = StdRng::seed_from_u64(seed ^ 0x5B5E7);
         let specs = with_more_lanes(random_specs(&mut rng, sys.model(), &mids));
         for bounded in [false, true] {
             let options = CheckerOptions {
@@ -395,35 +402,24 @@ fn random_systems_interrupt_resume_is_bit_identical() {
                     .count();
             }
 
-            let mut cap = rng.gen_range(2..=24usize);
-            let mut outcome = CheckJob::new(&sys, &specs, options)
-                .with_budget(JobBudget::unlimited().with_max_states(cap))
-                .run();
-            let resumed = loop {
-                match outcome {
-                    JobOutcome::Completed { outcomes, .. } => break outcomes,
-                    JobOutcome::BudgetExceeded {
-                        reason, checkpoint, ..
-                    } => {
-                        assert!(reason.is_budget(), "seed {seed}: {reason}");
-                        trips += 1;
-                        // a trip at an obligation boundary has reached the
-                        // cap; one inside a group build drops the partial
-                        // build, so its checkpoint stays below
-                        if checkpoint.states_explored() < cap {
-                            trips_inside_builds += 1;
-                        }
-                        cap *= 2;
-                        outcome = CheckJob::new(&sys, &specs, options)
-                            .with_budget(JobBudget::unlimited().with_max_states(cap))
-                            .resume(checkpoint)
-                            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-                    }
-                    JobOutcome::Interrupted { .. } => {
-                        panic!("seed {seed}: no cancel token was tripped")
-                    }
-                }
-            };
+            let stop_at = rng.gen_range(2..=24usize);
+            let (continued, stopped) =
+                fixtures::continue_job(&sys, &specs, options, vec![None; specs.len()], stop_at);
+            stops += stopped.len();
+            // a stop at an obligation boundary has reached the threshold;
+            // one inside a group build drops the partial build, so the
+            // stopped job's cached states stay below it
+            stops_inside_builds += stopped.iter().filter(|(states, at)| states < at).count();
+
+            let subset = random_subset(&mut subset_rng, specs.len());
+            if splits_a_monitored_group(&specs, &subset) {
+                split_groups += 1;
+            }
+            let subset_specs: Vec<Spec> = subset.iter().map(|&i| specs[i].clone()).collect();
+            let (answered, _) = CheckJob::new(&sys, &subset_specs, options)
+                .run()
+                .completed()
+                .expect("an unbudgeted job must complete");
 
             for (spec, (a, b)) in specs.iter().zip(direct.iter().zip(&reference)) {
                 let ctx = format!(
@@ -432,27 +428,69 @@ fn random_systems_interrupt_resume_is_bit_identical() {
                 );
                 assert_job_outcome_identical(a, b, &ctx);
             }
-            for (spec, (a, b)) in specs.iter().zip(resumed.iter().zip(&reference)) {
+            for (spec, (a, b)) in specs.iter().zip(continued.iter().zip(&reference)) {
                 let ctx = format!(
-                    "seed {seed}, {}, bounded {bounded}, resumed job",
+                    "seed {seed}, {}, bounded {bounded}, continued job",
                     spec.name()
                 );
                 assert_job_outcome_identical(a, b, &ctx);
             }
+            for (&i, a) in subset.iter().zip(&answered) {
+                let ctx = format!(
+                    "seed {seed}, {}, bounded {bounded}, subset job",
+                    specs[i].name()
+                );
+                assert_job_outcome_identical(a, &reference[i], &ctx);
+            }
         }
     }
-    // the corpus must genuinely interrupt, and at least one trip must land
-    // inside a group build (a wave-boundary trip, not just an
-    // obligation-boundary trip)
-    assert!(trips > 0, "no state cap ever tripped across the corpus");
+    // the corpus must genuinely stop jobs, and at least one stop must land
+    // inside a group build (a wave-boundary stop, not just an
+    // obligation-boundary one)
+    assert!(stops > 0, "no state threshold ever stopped a job");
     assert!(
-        trips_inside_builds > 0,
-        "no state cap ever tripped inside a group build"
+        stops_inside_builds > 0,
+        "no state threshold ever stopped a job inside a group build"
     );
     assert!(
         bounded_unknowns > 0,
         "the bounded leg never left an obligation Unknown"
     );
+    // some subset job runs a group's batched pass on fewer lanes than
+    // `check_all` does
+    assert!(
+        split_groups > 0,
+        "no subset split a group's monitored obligations"
+    );
+}
+
+/// A non-empty random subset of `0..len`, in order.
+fn random_subset(rng: &mut StdRng, len: usize) -> Vec<usize> {
+    let subset: Vec<usize> = (0..len).filter(|_| rng.gen_bool(0.5)).collect();
+    if subset.is_empty() {
+        vec![rng.gen_range(0..len)]
+    } else {
+        subset
+    }
+}
+
+/// Whether `subset` holds some but not all of the monitored
+/// (`CoverNever`/`NeverFrom`) obligations of some start-restriction group.
+fn splits_a_monitored_group(specs: &[Spec], subset: &[usize]) -> bool {
+    let monitored = |s: &Spec| matches!(s, Spec::CoverNever { .. } | Spec::NeverFrom { .. });
+    specs.iter().filter(|s| monitored(s)).any(|group| {
+        let (mut kept, mut left) = (false, false);
+        for (i, spec) in specs.iter().enumerate() {
+            if monitored(spec) && spec.start() == group.start() {
+                if subset.contains(&i) {
+                    kept = true;
+                } else {
+                    left = true;
+                }
+            }
+        }
+        kept && left
+    })
 }
 
 /// Bit-identity of a job outcome against its uninterrupted reference.

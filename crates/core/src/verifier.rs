@@ -35,8 +35,8 @@ pub struct VerifierConfig {
     pub checker: CheckerOptions,
     /// Resource budget for each protocol's combined sweep (see the "Job
     /// lifecycle & fault model" section of the `ccchecker` crate docs).
-    /// The deadline is global to the sweep; state, transition and
-    /// resident-byte caps apply per grid cell.  A tripped budget degrades
+    /// The deadline is global to the sweep; the resident-byte cap, the
+    /// only per-cell cap, applies per grid cell.  A tripped budget degrades
     /// gracefully: the affected cells report `interrupted` outcomes (the
     /// property status becomes `Unknown`, never a false verdict) and the
     /// sweep-level accounting still covers the whole grid.

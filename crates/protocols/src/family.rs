@@ -703,7 +703,7 @@ pub fn differential_obligations(seed: u64, mids: &[String]) -> Vec<FamilyObligat
 
 /// [`differential_obligations`] drawing from a caller-provided RNG, for
 /// suites that continue drawing from the same stream afterwards (the
-/// interrupt-resume axis derives its state caps from it).
+/// stop-and-continue axis derives its state thresholds from it).
 pub fn differential_obligations_with(rng: &mut StdRng, mids: &[String]) -> Vec<FamilyObligation> {
     draw_obligations(rng, mids)
 }

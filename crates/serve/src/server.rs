@@ -20,7 +20,7 @@ use crate::wire::{
 };
 use ccchecker::{
     fault, panic_message, retry_once, CancelToken, CheckJob, CheckOutcome, CheckStatus,
-    CheckerOptions, JobBudget, JobOutcome, ProgressFn, Spec,
+    CheckerOptions, InterruptKind, JobBudget, JobOutcome, ProgressFn, Spec,
 };
 use cccore::fingerprint::{
     spec_fingerprint, system_fingerprint, valuation_fingerprint, verdict_code,
@@ -940,18 +940,21 @@ fn run_check(
                             verdicts[*slot] = Some(outcome_verdict(&specs[*slot], outcome, false));
                         }
                     }
-                    Ok(JobOutcome::Interrupted { .. }) => {
+                    Ok(JobOutcome::Stopped {
+                        reason: InterruptKind::Cancelled,
+                        ..
+                    }) => {
                         // only a disconnect cancels daemon jobs: drop the
                         // response, release the slot
                         conn.unregister(id);
                         ServerStats::bump(&ctx.stats.orphaned);
                         return;
                     }
-                    Ok(JobOutcome::BudgetExceeded {
-                        reason, checkpoint, ..
+                    Ok(JobOutcome::Stopped {
+                        reason, answered, ..
                     }) => {
                         tripped = Some(format!("interrupted: {}", reason.describe()));
-                        for (slot, outcome) in missing.iter().zip(checkpoint.into_outcomes()) {
+                        for (slot, outcome) in missing.iter().zip(answered) {
                             if let Some(o) = outcome {
                                 ctx.record_verdict((system_fp, valuation_fp, spec_fps[*slot]), &o);
                                 verdicts[*slot] = Some(outcome_verdict(&specs[*slot], &o, false));

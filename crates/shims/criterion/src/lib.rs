@@ -10,16 +10,18 @@
 //! When the `BENCH_JSON` environment variable is set, a machine-readable
 //! summary is written to that path on exit, so CI can track a performance
 //! trajectory across PRs: a first `machine` entry (the commit, the available
-//! parallelism, the Unix time of the run and `ref_ns`), then one entry per
-//! benchmark with nanosecond statistics.
+//! parallelism, the Unix time of the run, `ref_ns` and its two rounds), then
+//! one entry per benchmark with nanosecond statistics.
 //!
 //! `ref_ns` calibrates the host.  A shared host's speed drifts by tens of
 //! percent over minutes, so two summaries of the same code can differ by
 //! more than a regression would.  The shim therefore times one fixed round
 //! of its own reference work (interning pseudo-random small keys into a
 //! hash table, like a checker's hot loop) before the first benchmark and
-//! again after the last, and records the mean of the two rounds: a row
-//! that moved with `ref_ns` moved with the host.
+//! again after the last, and records both rounds (`ref_before_ns`,
+//! `ref_after_ns`) and their mean (`ref_ns`): a row that moved with
+//! `ref_ns` moved with the host, and rounds far apart say the host drifted
+//! during the run.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -132,7 +134,7 @@ impl Criterion {
             format_ns(before),
             format_ns(after)
         );
-        let out = self.summary_json(&current_commit(), nproc, unix_s, (before + after) / 2.0);
+        let out = self.summary_json(&current_commit(), nproc, unix_s, (before, after));
         if let Err(e) = std::fs::write(&path, out) {
             eprintln!("warning: could not write {path}: {e}");
         } else {
@@ -144,11 +146,19 @@ impl Criterion {
     }
 
     /// The JSON summary: the machine entry (where and when it was
-    /// measured, and the mean wall time `ref_ns` of one round of reference
-    /// work), then every measurement, then every metric.
-    fn summary_json(&self, commit: &str, nproc: usize, unix_s: u64, ref_ns: f64) -> String {
+    /// measured, the wall times of the reference rounds run before the
+    /// first and after the last benchmark, and their mean `ref_ns`), then
+    /// every measurement, then every metric.
+    fn summary_json(
+        &self,
+        commit: &str,
+        nproc: usize,
+        unix_s: u64,
+        (before, after): (f64, f64),
+    ) -> String {
+        let ref_ns = (before + after) / 2.0;
         let mut out = format!(
-            "[\n  {{\"id\": \"machine\", \"commit\": \"{}\", \"nproc\": {nproc}, \"unix_s\": {unix_s}, \"ref_ns\": {ref_ns:.1}}}",
+            "[\n  {{\"id\": \"machine\", \"commit\": \"{}\", \"nproc\": {nproc}, \"unix_s\": {unix_s}, \"ref_ns\": {ref_ns:.1}, \"ref_before_ns\": {before:.1}, \"ref_after_ns\": {after:.1}}}",
             commit.replace('"', "'"),
         );
         for m in &self.results {
@@ -422,13 +432,18 @@ mod tests {
         let mut c = Criterion::new();
         c.bench_function("noop", |b| b.iter(|| 1 + 1));
         c.metric("cache/hit_rate", 0.75);
-        let json = c.summary_json("abc1234-dirty", 2, 1_700_000_000, 12_345_678.0);
+        let json = c.summary_json(
+            "abc1234-dirty",
+            2,
+            1_700_000_000,
+            (12_000_000.0, 12_691_356.0),
+        );
         let lines: Vec<&str> = json.lines().collect();
         assert_eq!(lines.len(), 5, "{json}");
         assert_eq!(lines[0], "[");
         assert_eq!(
             lines[1],
-            "  {\"id\": \"machine\", \"commit\": \"abc1234-dirty\", \"nproc\": 2, \"unix_s\": 1700000000, \"ref_ns\": 12345678.0},"
+            "  {\"id\": \"machine\", \"commit\": \"abc1234-dirty\", \"nproc\": 2, \"unix_s\": 1700000000, \"ref_ns\": 12345678.0, \"ref_before_ns\": 12000000.0, \"ref_after_ns\": 12691356.0},"
         );
         assert!(
             lines[2].starts_with("  {\"id\": \"noop\", \"samples\": 10,"),
@@ -440,7 +455,7 @@ mod tests {
         );
         assert_eq!(lines[4], "]");
         // a summary without measurements still starts with the machine entry
-        let empty = Criterion::new().summary_json("abc1234-dirty", 2, 1_700_000_000, 1.0);
+        let empty = Criterion::new().summary_json("abc1234-dirty", 2, 1_700_000_000, (1.0, 1.0));
         assert_eq!(empty.lines().count(), 3, "{empty}");
         // the first benchmark is preceded by a round of reference work
         assert!(c.ref_before_ns.is_some_and(|ns| ns > 0.0));
